@@ -67,13 +67,9 @@ let on_commit_internal t external_hook ~leader vertices =
   match t.persist with
   | None -> ()
   | Some p ->
+      let n = Config.n t.config in
       List.iter
-        (fun (v : Vertex.t) ->
-          Persist.put p
-            ~key:(Printf.sprintf "vertex/%d/%d" v.round v.source)
-            ~size:(Vertex.wire_size ~n:(Config.n t.config) v)
-            ~on_durable:(fun () -> ())
-            ())
+        (fun v -> Persist.put p ~size:(Vertex.wire_size ~n v) ~on_durable:ignore)
         vertices
 
 let on_block_internal t (b : Block.t) =
@@ -82,32 +78,27 @@ let on_block_internal t (b : Block.t) =
   | Some p ->
       (* Journal the full block (recovery needs the payload back), plus the
          metadata-only state write the execution path always made. *)
-      Persist.wal_append p
-        ~key:(Printf.sprintf "wal/b/%d/%d" b.round b.proposer)
-        ~data:(Codec.encode_block b);
-      Persist.put p
-        ~key:(Printf.sprintf "block/%d/%d" b.round b.proposer)
-        ~size:(Block.wire_size b)
-        ~on_durable:(fun () -> ())
-        ());
+      let size = Block.wire_size b in
+      Persist.wal_append p ~size (Persist.Block b);
+      Persist.put p ~size ~on_durable:ignore);
   if t.executes then drain t
 
 (* WAL hooks: journal every RBC delivery before the consensus layer acts on
-   it, and every own-proposal round before its VAL messages leave. *)
+   it, and every own-proposal round before its VAL messages leave. Records
+   are the values themselves, charged at their wire size. *)
 
-let journal_deliver t (v : Vertex.t) =
+let journal_deliver t v =
   match t.persist with
   | None -> ()
   | Some p ->
       Persist.wal_append p
-        ~key:(Printf.sprintf "wal/v/%d/%d" v.round v.source)
-        ~data:(Codec.encode_vertex ~n:(Config.n t.config) v)
+        ~size:(Vertex.wire_size ~n:(Config.n t.config) v)
+        (Persist.Vertex v)
 
 let journal_propose t ~round =
   match t.persist with
   | None -> ()
-  | Some p ->
-      Persist.wal_append p ~key:(Printf.sprintf "wal/p/%d" round) ~data:""
+  | Some p -> Persist.wal_append p ~size:0 (Persist.Proposed round)
 
 let create ~me ~config ~keychain ~engine ~net ?params ?obs
     ?(max_block_txns = 6000) ?persist ?generate ?on_commit ?on_txn_executed () =
@@ -161,19 +152,16 @@ let recover t =
   | None -> ()
   | Some p ->
       let c = consensus t in
-      let n = Config.n t.config in
       (* Blocks first so replayed vertices find their payloads, then
          vertices in journal (= insertion) order, then proposal markers. *)
-      Persist.wal_iter p (fun ~key ~data ->
-          if String.length key > 6 && String.sub key 0 6 = "wal/b/" then
-            Sailfish.replay_block c (Codec.decode_block data));
-      let compact = Config.sparse_edges t.config in
-      Persist.wal_iter p (fun ~key ~data ->
-          if String.length key > 6 && String.sub key 0 6 = "wal/v/" then
-            Sailfish.replay_vertex c (Codec.decode_vertex ~n ~compact data));
-      Persist.wal_iter p (fun ~key ~data:_ ->
-          match Scanf.sscanf_opt key "wal/p/%d" (fun r -> r) with
-          | Some round -> Sailfish.note_proposed c ~round
-          | None -> ())
+      Persist.wal_iter p (fun ~size:_ -> function
+        | Persist.Block b -> Sailfish.replay_block c b
+        | Vertex _ | Proposed _ -> ());
+      Persist.wal_iter p (fun ~size:_ -> function
+        | Persist.Vertex v -> Sailfish.replay_vertex c v
+        | Block _ | Proposed _ -> ());
+      Persist.wal_iter p (fun ~size:_ -> function
+        | Persist.Proposed round -> Sailfish.note_proposed c ~round
+        | Vertex _ | Block _ -> ())
 
 let start_recovered t = Sailfish.start_recovery (consensus t)

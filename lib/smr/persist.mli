@@ -1,14 +1,16 @@
 (** Simulated persistent consensus store (the paper uses RocksDB).
 
     The evaluation attributes part of the large-scale latency to database
-    work, so persistence is modelled rather than ignored: every put charges
-    a configurable synchronous latency budget to a per-node storage queue;
-    readers observe data only after its write completes. Payload bytes are
-    accounted but, to keep multi-gigabyte experiments cheap, actual content
-    storage is optional ([data = None] stores metadata only — used by the
-    benches; tests store real bytes and read them back). *)
+    work, so persistence is modelled rather than ignored: every write
+    charges a configurable synchronous latency budget plus its bytes at a
+    sequential bandwidth to a per-node FIFO storage queue, and completes
+    (fires [on_durable]) only after its turn on the queue. Like the
+    network, the store never serialises: a write is priced at the wire
+    size its caller states, and the write-ahead log keeps the OCaml values
+    themselves. *)
 
 open Clanbft_sim
+open Clanbft_types
 
 type t
 
@@ -22,20 +24,10 @@ val create :
     bandwidth — conservative figures for a cloud NVMe volume running a
     RocksDB WAL. *)
 
-val put :
-  t ->
-  key:string ->
-  size:int ->
-  ?data:string ->
-  on_durable:(unit -> unit) ->
-  unit ->
-  unit
-(** Queue a write; [on_durable] fires when it hits "disk". *)
+val put : t -> size:int -> on_durable:(unit -> unit) -> unit
+(** Queue a write of [size] bytes; [on_durable] fires when it hits
+    "disk". *)
 
-val get : t -> key:string -> string option
-(** Contents of a durable write made with [?data]; [None] otherwise. *)
-
-val is_durable : t -> key:string -> bool
 val writes : t -> int
 val bytes_written : t -> int
 val backlog : t -> int
@@ -43,26 +35,36 @@ val backlog : t -> int
 
 (** {1 Write-ahead log}
 
-    An ordered, deduplicated sub-namespace of the store used for crash
-    recovery: a node journals every RBC delivery before acting on it and
-    replays the log after a restart (see [docs/RECOVERY.md]). Appends pay
-    the same simulated disk costs as {!put}. *)
+    An ordered, deduplicated log used for crash recovery: a node journals
+    every RBC delivery before acting on it and replays the log after a
+    restart (see [docs/RECOVERY.md]). Appends pay the same simulated disk
+    costs as {!put}. *)
 
-val wal_append : t -> key:string -> data:string -> unit
-(** Queue one log record. A key already appended (durable {e or} still in
-    flight) is skipped, so replay-then-relearn paths cannot double-journal
-    a slot. The record becomes visible to {!wal_iter} once durable. *)
+type record =
+  | Vertex of Vertex.t  (** an RBC-delivered vertex *)
+  | Block of Block.t  (** a locally available block, with its payload *)
+  | Proposed of int  (** this node proposes in the given round *)
+
+val wal_append : t -> size:int -> record -> unit
+(** Queue one log record, charged [size] bytes (its wire size). A record
+    whose slot — kind, round and source — was already appended (durable
+    {e or} still in flight) is skipped, so replay-then-relearn paths
+    cannot double-journal a slot. The record becomes visible to
+    {!wal_iter} once durable. *)
 
 val wal_size : t -> int
 (** Durable WAL records. *)
 
-val wal_iter : t -> (key:string -> data:string -> unit) -> unit
-(** Iterate durable records in durability order — the disk queue is FIFO,
-    so this equals append order, and a prefix of it survives any crash. *)
+val wal_iter : t -> (size:int -> record -> unit) -> unit
+(** Iterate durable records, with the bytes each was charged, in
+    durability order — the disk queue is FIFO, so this equals append
+    order, and a prefix of it survives any crash. *)
 
 val approx_live_words : t -> int
-(** Heap-census hook: word estimate of the durable table (keys and stored
-    payloads) and WAL bookkeeping. See docs/PROFILING.md. *)
+(** Heap-census hook: word estimate of the WAL's own tables. The logged
+    blocks and vertices are shared with the consensus layer and counted
+    there, so the census charges each value once. See
+    docs/PROFILING.md. *)
 
 val crash : t -> unit
 (** Simulate the node's process dying: writes scheduled but not yet
@@ -70,4 +72,3 @@ val crash : t -> unit
     appends among them may be re-appended later), the queue resets to
     empty at the current simulated time. Durable state is untouched —
     that is the point of the WAL. *)
-

@@ -137,7 +137,7 @@ type block_meta = {
   mutable done_ : bool;
 }
 
-let run spec =
+let run ?on_wal spec =
   if spec.txn_scale < 1 then invalid_arg "Runner: txn_scale must be >= 1";
   if spec.txns_per_proposal < 0 then invalid_arg "Runner: negative load";
   let engine = Engine.create () in
@@ -329,6 +329,7 @@ let run spec =
     spec.restarts;
   Array.iteri (fun i node -> if not crashed.(i) then Node.start node) nodes;
   Engine.run ~until:spec.duration engine;
+  Option.iter (fun f -> Array.iteri f persist) on_wal;
   (* ---- agreement: common prefix of commit sequences ---- *)
   (* A replica that snapshot-joined past a GC'd gap rebuilt its ledger from
      a peer's floor, not from genesis: its full-history vector is not

@@ -116,7 +116,10 @@ type result = {
           end-of-run data-structure sizes). See docs/PROFILING.md. *)
 }
 
-val run : spec -> result
+val run : ?on_wal:(int -> Persist.t -> unit) -> spec -> result
+(** [on_wal] is called after the simulation with each replica's id and
+    persistent store, when persistence is on — an audit hook over the
+    write-ahead logs recovery replays. *)
 
 val with_streamed_trace : path:string -> (Clanbft_obs.Obs.t -> 'a) -> 'a
 (** [with_streamed_trace ~path f] opens [path], builds an observability

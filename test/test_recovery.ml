@@ -11,48 +11,70 @@ module Store = Dag_store
 (* ------------------------------------------------------------------ *)
 (* Persist: write-ahead log *)
 
+let wal_vertex ~round ~source =
+  Persist.Vertex
+    (Vertex.make ~round ~source ~block_digest:Digest32.zero ~strong_edges:[||]
+       ~weak_edges:[||] ())
+
+let wal_block ~round ~proposer = Persist.Block (Block.make ~proposer ~round ~txns:[||])
+
+let wal_records p =
+  let seen = ref [] in
+  Persist.wal_iter p (fun ~size r -> seen := (size, r) :: !seen);
+  List.rev !seen
+
 let test_wal_round_trip () =
   let engine = Engine.create () in
   let p = Persist.create ~engine () in
-  Persist.wal_append p ~key:"wal/v/1/0" ~data:"aaa";
-  Persist.wal_append p ~key:"wal/v/1/2" ~data:"bbb";
-  Persist.wal_append p ~key:"wal/b/1/0" ~data:"ccc";
+  let appended =
+    [ (300, wal_vertex ~round:1 ~source:0); (310, wal_vertex ~round:1 ~source:2);
+      (12, wal_block ~round:1 ~proposer:0); (0, Persist.Proposed 1) ]
+  in
+  List.iter (fun (size, r) -> Persist.wal_append p ~size r) appended;
   Alcotest.(check int) "nothing durable yet" 0 (Persist.wal_size p);
   Engine.run engine;
-  Alcotest.(check int) "all records durable" 3 (Persist.wal_size p);
-  let seen = ref [] in
-  Persist.wal_iter p (fun ~key ~data -> seen := (key, data) :: !seen);
-  Alcotest.(check (list (pair string string)))
-    "replay in append order"
-    [ ("wal/v/1/0", "aaa"); ("wal/v/1/2", "bbb"); ("wal/b/1/0", "ccc") ]
-    (List.rev !seen)
+  Alcotest.(check int) "all records durable" 4 (Persist.wal_size p);
+  Alcotest.(check int) "charged the stated sizes" 622 (Persist.bytes_written p);
+  let replayed = wal_records p in
+  Alcotest.(check (list int)) "sizes replay in append order" (List.map fst appended)
+    (List.map fst replayed);
+  Alcotest.(check bool) "the appended values themselves, in append order" true
+    (List.for_all2 (fun (_, a) (_, b) -> a == b) appended replayed)
 
 let test_wal_dedup () =
   let engine = Engine.create () in
   let p = Persist.create ~engine () in
-  Persist.wal_append p ~key:"wal/v/1/0" ~data:"aaa";
-  (* duplicate while the first append is still in flight *)
-  Persist.wal_append p ~key:"wal/v/1/0" ~data:"aaa";
+  Persist.wal_append p ~size:100 (wal_vertex ~round:1 ~source:0);
+  (* duplicate slot while the first append is still in flight *)
+  Persist.wal_append p ~size:100 (wal_vertex ~round:1 ~source:0);
   Engine.run engine;
-  (* duplicate after it became durable *)
-  Persist.wal_append p ~key:"wal/v/1/0" ~data:"aaa";
+  (* duplicate slot after it became durable *)
+  Persist.wal_append p ~size:100 (wal_vertex ~round:1 ~source:0);
   Engine.run engine;
-  Alcotest.(check int) "one record" 1 (Persist.wal_size p)
+  Alcotest.(check int) "one record" 1 (Persist.wal_size p);
+  Alcotest.(check int) "one charge" 100 (Persist.bytes_written p);
+  (* the slot includes the kind: same (round, source), other kinds *)
+  Persist.wal_append p ~size:12 (wal_block ~round:1 ~proposer:0);
+  Persist.wal_append p ~size:0 (Persist.Proposed 1);
+  Engine.run engine;
+  Alcotest.(check int) "kinds do not collide" 3 (Persist.wal_size p)
 
 let test_wal_crash_drops_pending () =
   let engine = Engine.create () in
   let p = Persist.create ~engine () in
-  Persist.wal_append p ~key:"a" ~data:"1";
+  Persist.wal_append p ~size:10 (wal_vertex ~round:1 ~source:0);
   Engine.run engine;
-  Persist.wal_append p ~key:"b" ~data:"2";
-  (* the process dies before "b" hits disk *)
+  Persist.wal_append p ~size:10 (wal_vertex ~round:1 ~source:1);
+  (* the process dies before (1, 1) hits disk *)
   Persist.crash p;
   Engine.run engine;
   Alcotest.(check int) "only the durable prefix survives" 1 (Persist.wal_size p);
   (* a lost pending append may be re-journalled after the restart *)
-  Persist.wal_append p ~key:"b" ~data:"2";
+  Persist.wal_append p ~size:20 (wal_vertex ~round:1 ~source:1);
   Engine.run engine;
-  Alcotest.(check int) "re-append lands" 2 (Persist.wal_size p)
+  Alcotest.(check int) "re-append lands" 2 (Persist.wal_size p);
+  Alcotest.(check (list int)) "charged at the re-append's size" [ 10; 20 ]
+    (List.map fst (wal_records p))
 
 (* ------------------------------------------------------------------ *)
 (* Codec: sync messages *)
@@ -224,10 +246,44 @@ let recovery_spec =
     restarts = [ { Faults.node = 3; crash_at = Time.s 4.; recover_at = Time.s 8. } ];
   }
 
+(* The WAL stores values and charges their wire size: check that every
+   record the restarted replica replays still round-trips through the
+   codec at exactly the bytes it was charged. *)
+let audit_wal ~n p =
+  let records = ref 0 in
+  Persist.wal_iter p (fun ~size record ->
+      incr records;
+      let encoded =
+        match record with
+        | Persist.Vertex v ->
+            let enc = Codec.encode_vertex ~n v in
+            if not (Test_types.same_vertex ~n v (Codec.decode_vertex ~n ~compact:v.compact enc))
+            then Alcotest.failf "vertex (%d, %d) does not round-trip" v.round v.source;
+            String.length enc
+        | Persist.Block b ->
+            let enc = Codec.encode_block b in
+            if Codec.decode_block enc <> b then
+              Alcotest.failf "block (%d, %d) does not round-trip" b.round b.proposer;
+            String.length enc
+        | Persist.Proposed _ -> 0
+      in
+      Alcotest.(check int) "charged = encoded length" encoded size);
+  Alcotest.(check bool) (Printf.sprintf "WAL replayed records (%d)" !records) true (!records > 0)
+
 let test_recovery_flagship () =
   let obs = Obs.metrics_only () in
-  let r = Runner.run { recovery_spec with obs = Some obs } in
+  let r =
+    Runner.run
+      ~on_wal:(fun node p -> if node = 3 then audit_wal ~n:recovery_spec.n p)
+      { recovery_spec with obs = Some obs }
+  in
   Alcotest.(check bool) "agreement" true r.agreement;
+  (* The WAL census counts its own tables only: the logged values are
+     consensus's, so the entry stays far below the heap the run reached. *)
+  let wal = List.assoc "wal" r.census in
+  let top = (Gc.quick_stat ()).top_heap_words in
+  Alcotest.(check bool) (Printf.sprintf "wal census %d < top heap %d words" wal top) true
+    (wal < top);
   (match r.post_recovery_commits with
   | [ (3, c) ] ->
       Alcotest.(check bool)

@@ -85,35 +85,43 @@ let test_persist_write_latency () =
   let engine = Engine.create () in
   let p = Persist.create ~engine ~write_latency:(Time.us 100) ~write_bandwidth_mbps:100. () in
   let done_at = ref (-1) in
-  Persist.put p ~key:"a" ~size:1_000_000 ~data:"payload" ~on_durable:(fun () ->
-      done_at := Engine.now engine) ();
-  Alcotest.(check bool) "not yet durable" false (Persist.is_durable p ~key:"a");
+  Persist.put p ~size:1_000_000 ~on_durable:(fun () -> done_at := Engine.now engine);
+  Alcotest.(check int) "not yet durable" (-1) !done_at;
   Alcotest.(check int) "backlog" 1 (Persist.backlog p);
   Engine.run engine;
   (* 100µs + 1MB at 100MB/s = 10_000µs *)
   Alcotest.(check int) "durable at latency+transfer" 10_100 !done_at;
-  Alcotest.(check bool) "durable" true (Persist.is_durable p ~key:"a");
-  Alcotest.(check (option string)) "data readable" (Some "payload") (Persist.get p ~key:"a");
+  Alcotest.(check int) "backlog drained" 0 (Persist.backlog p);
   Alcotest.(check int) "bytes" 1_000_000 (Persist.bytes_written p)
 
 let test_persist_fifo_queue () =
   let engine = Engine.create () in
   let p = Persist.create ~engine ~write_latency:(Time.us 50) ~write_bandwidth_mbps:1. () in
   let order = ref [] in
-  Persist.put p ~key:"a" ~size:100 ~on_durable:(fun () -> order := "a" :: !order) ();
-  Persist.put p ~key:"b" ~size:100 ~on_durable:(fun () -> order := "b" :: !order) ();
+  Persist.put p ~size:100 ~on_durable:(fun () -> order := "a" :: !order);
+  Persist.put p ~size:100 ~on_durable:(fun () -> order := "b" :: !order);
+  Alcotest.(check int) "both queued" 2 (Persist.backlog p);
   Engine.run engine;
   Alcotest.(check (list string)) "fifo" [ "a"; "b" ] (List.rev !order);
   (* second write queues behind the first: 2*(50+100) *)
   Alcotest.(check int) "queued completion" 300 (Engine.now engine)
 
 let test_persist_metadata_only () =
+  (* A put is a pure disk-queue charge: it stores nothing, and a crash
+     before completion loses its callback but not its accounting. *)
   let engine = Engine.create () in
   let p = Persist.create ~engine () in
-  Persist.put p ~key:"k" ~size:10 ~on_durable:(fun () -> ()) ();
+  let fired = ref 0 in
+  Persist.put p ~size:10 ~on_durable:(fun () -> incr fired);
   Engine.run engine;
-  Alcotest.(check (option string)) "no data stored" None (Persist.get p ~key:"k");
-  Alcotest.(check bool) "still durable" true (Persist.is_durable p ~key:"k")
+  Alcotest.(check int) "durable" 1 !fired;
+  Persist.put p ~size:10 ~on_durable:(fun () -> incr fired);
+  Persist.crash p;
+  Engine.run engine;
+  Alcotest.(check int) "lost with the process" 1 !fired;
+  Alcotest.(check int) "backlog reset" 0 (Persist.backlog p);
+  Alcotest.(check int) "writes" 2 (Persist.writes p);
+  Alcotest.(check int) "bytes" 20 (Persist.bytes_written p)
 
 (* ------------------------------------------------------------------ *)
 (* Client *)

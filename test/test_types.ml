@@ -335,6 +335,62 @@ let prop_codec_block_roundtrip =
       Digest32.equal (Block.digest b) (Block.digest b')
       && Block.wire_size b = String.length (Codec.encode_block b))
 
+(* Field-wise vertex equality, as the codec sees it. Certificates compare
+   by their wire bytes: a decoded aggregate lacks the constituent shares
+   the simulation keeps beside it, which never travel. *)
+let same_vertex ~n (a : Vertex.t) (b : Vertex.t) =
+  let cert = Option.map (fun c -> Codec.encode ~n (Msg.Timeout_cert c)) in
+  a.round = b.round && a.source = b.source
+  && Digest32.equal a.block_digest b.block_digest
+  && a.strong_edges = b.strong_edges && a.weak_edges = b.weak_edges
+  && a.compact = b.compact
+  && Digest32.equal a.digest b.digest
+  && a.base_wire_size = b.base_wire_size
+  && cert a.nvc = cert b.nvc && cert a.tc = cert b.tc
+
+(* Random vertices in both layouts, with and without nvc/tc certificates.
+   Edge lists are sorted and duplicate-free, as the compact form demands;
+   the dense form takes them as they come. *)
+let gen_vertex =
+  let open QCheck.Gen in
+  let* n = int_range 4 40 in
+  let* round = int_range 1 1000 in
+  let* source = int_range 0 (n - 1) in
+  let* compact = bool in
+  let sources = map (List.sort_uniq compare) (list_size (int_range 0 n) (int_range 0 (n - 1))) in
+  let* strong = sources in
+  let* weak =
+    if round < 2 then return []
+    else
+      map (List.sort_uniq compare)
+        (list_size (int_range 0 6) (pair (int_range 0 (round - 2)) (int_range 0 (n - 1))))
+  in
+  let keys = Keychain.create ~seed:7L ~n in
+  let cert kind =
+    let* present = bool in
+    if not present then return None
+    else
+      let+ signers = map (List.sort_uniq compare) (list_size (int_range 1 n) (int_range 0 (n - 1))) in
+      let share i = (i, Keychain.sign keys ~signer:i (Cert.signing_string kind (round - 1))) in
+      Cert.make keys kind ~round:(round - 1) (List.map share signers)
+  in
+  let* nvc = cert Cert.No_vote in
+  let+ tc = cert Cert.Timeout in
+  ( n,
+    Vertex.make ~round ~source
+      ~block_digest:(Digest32.hash_string (string_of_int round))
+      ~strong_edges:(Array.of_list (List.map (vref_of_slot (round - 1)) strong))
+      ~weak_edges:(Array.of_list (List.map (fun (r, s) -> vref_of_slot r s) weak))
+      ~compact ?nvc ?tc () )
+
+let prop_codec_vertex_roundtrip =
+  QCheck.Test.make ~name:"random vertices: wire_size = encode length, round-trip" ~count:300
+    (QCheck.make ~print:(fun (n, v) -> Format.asprintf "n=%d %a" n Vertex.pp v) gen_vertex)
+    (fun (n, v) ->
+      let enc = Codec.encode_vertex ~n v in
+      Vertex.wire_size ~n v = String.length enc
+      && same_vertex ~n v (Codec.decode_vertex ~n ~compact:v.compact enc))
+
 let suites =
   [
     ( "types.config",
@@ -375,5 +431,6 @@ let suites =
         Alcotest.test_case "compact VAL roundtrip" `Quick test_codec_compact_val_roundtrip;
         Alcotest.test_case "vertex/block standalone" `Quick test_vertex_block_codec_roundtrip;
         qtest prop_codec_block_roundtrip;
+        qtest prop_codec_vertex_roundtrip;
       ] );
   ]
