@@ -33,6 +33,7 @@ open Clanbft
 open Clanbft.Sim
 module Rng = Util.Rng
 module Pool = Util.Pool
+module Json = Util.Json
 
 type profile = Quick | Paper | Full
 
@@ -1238,26 +1239,6 @@ let perf_micro () =
     ("net_send_ops_per_s", send_ops);
   ]
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f =
-  if Float.is_nan f || Float.is_integer f && Float.abs f < 1e15 then
-    (* NaN is not JSON; latencies can be nan when nothing committed. *)
-    if Float.is_nan f then "null" else Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6g" f
-
 let perf () =
   section_header
     (Printf.sprintf "Perf baseline — pinned scenarios + hot-path micros -> %s"
@@ -1342,166 +1323,117 @@ let perf () =
       | None -> ())
     profiled;
   (* BENCH_sim.json *)
-  let b = Buffer.create 4096 in
-  let analysis_json =
-    let dist_json (d : Analyze.dist) =
-      Printf.sprintf
-        "{\"count\": %d, \"p50_us\": %d, \"p99_us\": %d, \"mean_us\": %s, \
-         \"max_us\": %d}"
-        d.Analyze.count d.Analyze.p50_us d.Analyze.p99_us
-        (json_float d.Analyze.mean_us) d.Analyze.max_us
-    in
-    List.map
-      (fun (sc, (rep : Analyze.report)) ->
-        let segs =
-          List.map
-            (fun (seg, d) ->
-              Printf.sprintf "\"%s\": %s" (Analyze.segment_name seg)
-                (dist_json d))
-            rep.Analyze.segments
-        in
-        Printf.sprintf
-          "    \"%s\": {\"e2e\": %s, \"segments\": {%s}, \"stalls\": %d}"
-          (json_escape sc.ps_name)
-          (dist_json rep.Analyze.e2e)
-          (String.concat ", " segs)
-          (List.length rep.Analyze.stalls))
-      (Lazy.force analysis_rows)
+  let str s = Json.String s and int i = Json.Int i and float f = Json.Float f in
+  (* GC word counts are integral even though [Gc] reports floats. *)
+  let words w = Json.Int (int_of_float w) in
+  let fingerprint fp = Json.String (Printf.sprintf "%#x" fp) in
+  let scenario (sc, (r : Runner.result), secs, eps, minor, major, promoted, live, top) =
+    Json.Obj
+      [
+        ("name", str sc.ps_name);
+        ("protocol", str (Runner.protocol_label sc.ps_spec.Runner.protocol));
+        ("n", int sc.ps_spec.Runner.n);
+        ("load", int sc.ps_spec.Runner.txns_per_proposal);
+        ("sim_duration_s", float (Time.to_s sc.ps_spec.Runner.duration));
+        ("wall_s", float secs);
+        ("events", int r.events);
+        ("events_per_s", float eps);
+        ("minor_words", words minor);
+        ("major_words", words major);
+        ("promoted_words", words promoted);
+        ("live_words", int live);
+        ("top_heap_words", int top);
+        ("committed_txns", int r.committed_txns);
+        ("throughput_ktps", float r.throughput_ktps);
+        ("latency_mean_ms", float r.latency_mean_ms);
+        ("agreement", Json.Bool r.agreement);
+        ("commit_fingerprint", fingerprint r.commit_fingerprint);
+      ]
   in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"clanbft/bench-sim/v3\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"profile\": \"%s\",\n" profile_name);
-  Buffer.add_string b
-    (Printf.sprintf "  \"jobs\": %d,\n" (Pool.jobs (Lazy.force pool)));
-  Buffer.add_string b "  \"scenarios\": [\n";
-  List.iteri
-    (fun i (sc, (r : Runner.result), secs, eps, minor, major, promoted, live, top) ->
-      Buffer.add_string b "    {";
-      Buffer.add_string b
-        (String.concat ", "
-           [
-             Printf.sprintf "\"name\": \"%s\"" (json_escape sc.ps_name);
-             Printf.sprintf "\"protocol\": \"%s\""
-               (json_escape (Runner.protocol_label sc.ps_spec.Runner.protocol));
-             Printf.sprintf "\"n\": %d" sc.ps_spec.Runner.n;
-             Printf.sprintf "\"load\": %d" sc.ps_spec.Runner.txns_per_proposal;
-             Printf.sprintf "\"sim_duration_s\": %s"
-               (json_float (Time.to_s sc.ps_spec.Runner.duration));
-             Printf.sprintf "\"wall_s\": %s" (json_float secs);
-             Printf.sprintf "\"events\": %d" r.events;
-             Printf.sprintf "\"events_per_s\": %s" (json_float eps);
-             Printf.sprintf "\"minor_words\": %s" (json_float minor);
-             Printf.sprintf "\"major_words\": %s" (json_float major);
-             Printf.sprintf "\"promoted_words\": %s" (json_float promoted);
-             Printf.sprintf "\"live_words\": %d" live;
-             Printf.sprintf "\"top_heap_words\": %d" top;
-             Printf.sprintf "\"committed_txns\": %d" r.committed_txns;
-             Printf.sprintf "\"throughput_ktps\": %s" (json_float r.throughput_ktps);
-             Printf.sprintf "\"latency_mean_ms\": %s" (json_float r.latency_mean_ms);
-             Printf.sprintf "\"agreement\": %b" r.agreement;
-             Printf.sprintf "\"commit_fingerprint\": \"%#x\"" r.commit_fingerprint;
-           ]);
-      Buffer.add_string b
-        (if i = List.length measured - 1 then "}\n" else "},\n"))
-    measured;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"micro\": {\n";
-  List.iteri
-    (fun i (k, v) ->
-      Buffer.add_string b
-        (Printf.sprintf "    \"%s\": %s%s\n" k (json_float v)
-           (if i = List.length micros - 1 then "" else ",")))
-    micros;
-  Buffer.add_string b "  },\n";
-  Buffer.add_string b "  \"analysis\": {\n";
-  Buffer.add_string b (String.concat ",\n" analysis_json);
-  Buffer.add_string b "\n  },\n";
+  let analysis (sc, (rep : Analyze.report)) =
+    ( sc.ps_name,
+      Json.Obj
+        [
+          ("e2e", Analyze.dist_json rep.Analyze.e2e);
+          ( "segments",
+            Json.Obj
+              (List.map
+                 (fun (seg, d) -> (Analyze.segment_name seg, Analyze.dist_json d))
+                 rep.Analyze.segments) );
+          ("stalls", int (List.length rep.Analyze.stalls));
+        ] )
+  in
   (* Self-profiler rows: calls/words/census are deterministic per seed;
-     every [_ns]-suffixed key is wall-clock and must be jq-stripped
-     before byte comparisons (docs/PROFILING.md). *)
-  let profiler_json =
-    List.map
-      (fun pf ->
-        let rows =
-          List.map
-            (fun (r : Prof.row) ->
-              Printf.sprintf
-                "        \"%s\": {\"calls\": %d, \"self_minor_words\": %d, \
-                 \"self_major_words\": %d, \"self_ns\": %d, \"incl_ns\": %d}"
-                (json_escape r.Prof.name) r.Prof.calls r.Prof.self_minor_words
-                r.Prof.self_major_words r.Prof.self_ns r.Prof.incl_ns)
-            pf.pf_rows
-        in
-        let census =
-          List.map
-            (fun (name, words) ->
-              Printf.sprintf "        \"%s\": %d" (json_escape name) words)
-            pf.pf_census
-        in
-        let top =
-          List.map
-            (fun (r : Prof.row) ->
-              Printf.sprintf "\"%s\"" (json_escape r.Prof.name))
-            (top_by_self 3 pf.pf_rows)
-        in
-        Printf.sprintf
-          "    \"%s\": {\n      \"commit_fingerprint\": \"%#x\",\n      \
-           \"wall_ns\": %.0f,\n      \"top_by_self_ns\": [%s],\n      \
-           \"sections\": {\n%s\n      },\n      \"census\": {\n%s\n      \
-           }\n    }"
-          (json_escape pf.pf_name) pf.pf_fingerprint (pf.pf_wall_s *. 1e9)
-          (String.concat ", " top)
-          (String.concat ",\n" rows)
-          (String.concat ",\n" census))
-      profiled
+     every [_ns]-suffixed key is wall-clock and must be stripped before
+     comparisons (docs/PROFILING.md). *)
+  let profiler pf =
+    ( pf.pf_name,
+      Json.Obj
+        [
+          ("commit_fingerprint", fingerprint pf.pf_fingerprint);
+          ("wall_ns", int (int_of_float (pf.pf_wall_s *. 1e9)));
+          ( "top_by_self_ns",
+            Json.List
+              (List.map (fun (r : Prof.row) -> str r.Prof.name) (top_by_self 3 pf.pf_rows))
+          );
+          ( "sections",
+            Json.Obj
+              (List.map
+                 (fun (r : Prof.row) ->
+                   ( r.Prof.name,
+                     Json.Obj
+                       [
+                         ("calls", int r.Prof.calls);
+                         ("self_minor_words", int r.Prof.self_minor_words);
+                         ("self_major_words", int r.Prof.self_major_words);
+                         ("self_ns", int r.Prof.self_ns);
+                         ("incl_ns", int r.Prof.incl_ns);
+                       ] ))
+                 pf.pf_rows) );
+          ("census", Json.Obj (List.map (fun (name, w) -> (name, int w)) pf.pf_census));
+        ] )
   in
-  Buffer.add_string b "  \"profiler\": {\n";
-  Buffer.add_string b (String.concat ",\n" profiler_json);
-  Buffer.add_string b "\n  },\n";
-  let attack_cells = Lazy.force attack_rows in
-  Buffer.add_string b "  \"attacks\": [\n";
-  List.iteri
-    (fun i c ->
-      let r = c.ac_result in
-      let ratios =
-        match c.ac_base with
-        | None -> []
-        | Some base ->
-            [
-              Printf.sprintf "\"tput_ratio\": %s"
-                (json_float
-                   (r.Runner.throughput_ktps /. base.Runner.throughput_ktps));
-              Printf.sprintf "\"p50_ratio\": %s"
-                (json_float
-                   (r.Runner.latency_p50_ms /. base.Runner.latency_p50_ms));
-              Printf.sprintf "\"p99_ratio\": %s"
-                (json_float
-                   (r.Runner.latency_p99_ms /. base.Runner.latency_p99_ms));
-            ]
-      in
-      Buffer.add_string b "    {";
-      Buffer.add_string b
-        (String.concat ", "
-           ([
-              Printf.sprintf "\"attack\": \"%s\"" (json_escape c.ac_attack);
-              Printf.sprintf "\"protocol\": \"%s\"" (json_escape c.ac_protocol);
-              Printf.sprintf "\"throughput_ktps\": %s"
-                (json_float r.Runner.throughput_ktps);
-              Printf.sprintf "\"p50_ms\": %s" (json_float r.Runner.latency_p50_ms);
-              Printf.sprintf "\"p99_ms\": %s" (json_float r.Runner.latency_p99_ms);
-            ]
-           @ ratios
-           @ [
-               Printf.sprintf "\"agreement\": %b" r.Runner.agreement;
-               Printf.sprintf "\"commit_fingerprint\": \"%#x\""
-                 r.Runner.commit_fingerprint;
-             ]));
-      Buffer.add_string b
-        (if i = List.length attack_cells - 1 then "}\n" else "},\n"))
-    attack_cells;
-  Buffer.add_string b "  ]\n}\n";
+  let attack c =
+    let r = c.ac_result in
+    let ratios =
+      match c.ac_base with
+      | None -> []
+      | Some base ->
+          [
+            ("tput_ratio", float (r.Runner.throughput_ktps /. base.Runner.throughput_ktps));
+            ("p50_ratio", float (r.Runner.latency_p50_ms /. base.Runner.latency_p50_ms));
+            ("p99_ratio", float (r.Runner.latency_p99_ms /. base.Runner.latency_p99_ms));
+          ]
+    in
+    Json.Obj
+      ([
+         ("attack", str c.ac_attack);
+         ("protocol", str c.ac_protocol);
+         ("throughput_ktps", float r.Runner.throughput_ktps);
+         ("p50_ms", float r.Runner.latency_p50_ms);
+         ("p99_ms", float r.Runner.latency_p99_ms);
+       ]
+      @ ratios
+      @ [
+          ("agreement", Json.Bool r.Runner.agreement);
+          ("commit_fingerprint", fingerprint r.Runner.commit_fingerprint);
+        ])
+  in
+  let doc =
+    Json.Obj
+      [
+        ("schema", str "clanbft/bench-sim/v3");
+        ("profile", str profile_name);
+        ("jobs", int (Pool.jobs (Lazy.force pool)));
+        ("scenarios", Json.List (List.map scenario measured));
+        ("micro", Json.Obj (List.map (fun (k, v) -> (k, float v)) micros));
+        ("analysis", Json.Obj (List.map analysis (Lazy.force analysis_rows)));
+        ("profiler", Json.Obj (List.map profiler profiled));
+        ("attacks", Json.List (List.map attack (Lazy.force attack_rows)));
+      ]
+  in
   let oc = open_out bench_sim_json in
-  output_string oc (Buffer.contents b);
+  output_string oc (Json.pretty doc);
   close_out oc;
   Printf.printf "\n  wrote %s\n" bench_sim_json
 

@@ -13,7 +13,15 @@ open Clanbft
 open Clanbft.Sim
 
 (* ------------------------------------------------------------------ *)
-(* sim *)
+(* Flags *)
+
+(* Usage errors print one line to stderr and exit 2. *)
+let fail2 fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      Stdlib.exit 2)
+    fmt
 
 let protocol_conv =
   let parse s =
@@ -58,9 +66,7 @@ let fault_flags =
     const (fun faults partitions mutes ->
         match Faults.plan_of_specs ~rules:faults ~partitions ~mutes () with
         | Ok plan -> plan
-        | Error e ->
-            Printf.eprintf "bad fault spec: %s\n" e;
-            Stdlib.exit 2)
+        | Error e -> fail2 "bad fault spec: %s" e)
     $ faults $ partitions $ mutes)
 
 let restarts_flag =
@@ -68,7 +74,7 @@ let restarts_flag =
     Arg.(value & opt_all string []
          & info [ "restart" ]
              ~doc:"Crash–recovery schedule for one replica, \
-                   $(b,NODE\\@CRASH:RECOVER), e.g. $(b,3\\@4s:8s): replica 3 \
+                   $(b,NODE@CRASH:RECOVER), e.g. $(b,3@4s:8s): replica 3 \
                    crashes at 4 s and restarts from its write-ahead log at \
                    8 s. Repeatable (at most once per replica).")
   in
@@ -76,9 +82,7 @@ let restarts_flag =
     const (fun specs ->
         match Faults.restarts_of_specs specs with
         | Ok rs -> rs
-        | Error e ->
-            Printf.eprintf "bad restart spec: %s\n" e;
-            Stdlib.exit 2)
+        | Error e -> fail2 "bad restart spec: %s" e)
     $ restarts)
 
 let adversaries_flag =
@@ -86,76 +90,121 @@ let adversaries_flag =
     Arg.(value & opt_all string []
          & info [ "adversary" ]
              ~doc:"Strategic adversary occupying a node for the whole run, \
-                   $(b,NODE\\@STRATEGY[:ARG]): $(b,3\\@equivocate), \
-                   $(b,3\\@censor:5) (censor node 5), $(b,3\\@grief:0.8) \
-                   (proposals ride at 0.8 x round_timeout), $(b,3\\@storm:32) \
-                   (sync-request amplification) or $(b,3\\@reorder:2ms). \
+                   $(b,NODE@STRATEGY[:ARG]): $(b,3@equivocate), \
+                   $(b,3@censor:5) (censor node 5), $(b,3@grief:0.8) \
+                   (proposals ride at 0.8 x round_timeout), $(b,3@storm:32) \
+                   (sync-request amplification) or $(b,3@reorder:2ms). \
                    Repeatable; see docs/ATTACKS.md.")
   in
   Term.(
     const (fun specs ->
         match Strategy.of_specs specs with
         | Ok a -> a
-        | Error e ->
-            Printf.eprintf "bad adversary spec: %s\n" e;
-            Stdlib.exit 2)
+        | Error e -> fail2 "bad adversary spec: %s" e)
     $ advs)
 
-let sim_cmd =
-  let run n protocol nc q sparse_k load size duration warmup seed uniform
-      crashed fault_plan restarts adversaries persist trace trace_chrome
-      metrics_out verbose =
-    if verbose then begin
-      Logs.set_reporter (Logs_fmt.reporter ());
-      Logs.set_level (Some Logs.Debug)
-    end;
+(* ------------------------------------------------------------------ *)
+(* Run-spec flags shared by sim, sweep and profile *)
+
+(* Runner.run refuses what Runner.validate rejects; the CLI reports it as a
+   usage error instead. *)
+let validated spec =
+  match Runner.validate spec with
+  | Ok () -> spec
+  | Error e -> fail2 "bad run spec: %s" e
+
+(* One term builds the spec every run-style subcommand starts from: the
+   shared flags (protocol with its default clan size, topology, ...), then
+   [extras] — the subcommand's own spec flags — and one validation of the
+   result, so every node id is checked against [-n] in one place. *)
+let spec_term ?(seed_doc = "Random seed.") extras =
+  let build n protocol nc q sparse_k size duration warmup seed uniform extra =
     let protocol =
       match protocol with
       | `Full -> Runner.Full
       | `Single ->
+          let threshold = Bigint.Rat.of_ints 1 1_000_000 in
           let nc =
             match nc with
             | Some nc -> nc
-            | None -> (
-                let threshold = Bigint.Rat.of_ints 1 1_000_000 in
-                match
-                  Committee.min_clan_size ~n ~f:(Committee.default_f n) ~threshold ()
-                with
-                | Some nc -> nc
-                | None -> n)
+            | None ->
+                Committee.min_clan_size ~n ~f:(Committee.default_f n) ~threshold ()
+                |> Option.value ~default:n
           in
           Runner.Single_clan { nc }
       | `Multi -> Runner.Multi_clan { q }
       | `Sparse -> Runner.Sparse { k = sparse_k }
     in
-    List.iter
-      (fun (s : Strategy.spec) ->
-        if s.node >= n then begin
-          Printf.eprintf "bad adversary spec: node %d out of range for n=%d\n"
-            s.node n;
-          Stdlib.exit 2
-        end)
-      adversaries;
-    let run_with obs =
-      Runner.run
-        {
-          Runner.default_spec with
-          n;
-          protocol;
-          txns_per_proposal = load;
-          txn_size = size;
-          duration = Time.s duration;
-          warmup = Time.s warmup;
-          seed = Int64.of_int seed;
-          topology = (match uniform with Some ms -> `Uniform ms | None -> `Gcp);
-          crashed;
-          fault_plan;
-          restarts;
-          adversaries;
-          persist;
-          obs;
-        }
-    in
+    validated
+      (extra
+         {
+           Runner.default_spec with
+           n;
+           protocol;
+           txn_size = size;
+           duration = Time.s duration;
+           warmup = Time.s warmup;
+           seed = Int64.of_int seed;
+           topology = (match uniform with Some ms -> `Uniform ms | None -> `Gcp);
+         })
+  in
+  let n = Arg.(value & opt int 16 & info [ "n" ] ~doc:"Tribe size.") in
+  let protocol =
+    Arg.(value & opt protocol_conv `Single
+         & info [ "p"; "protocol" ] ~doc:"full | single-clan | multi-clan | sparse.")
+  in
+  let nc =
+    Arg.(value & opt (some int) None
+         & info [ "clan-size" ] ~doc:"Clan size (single-clan); default: exact minimum at 1e-6.")
+  in
+  let q = Arg.(value & opt int 2 & info [ "clans" ] ~doc:"Clan count (multi-clan).") in
+  let sparse_k =
+    Arg.(value & opt int 3
+         & info [ "sparse-k" ]
+             ~doc:"Sampled strong parents per vertex (sparse protocol).")
+  in
+  let size = Arg.(value & opt int 512 & info [ "txn-size" ] ~doc:"Transaction bytes.") in
+  let duration = Arg.(value & opt float 10.0 & info [ "duration" ] ~doc:"Simulated seconds.") in
+  let warmup = Arg.(value & opt float 3.0 & info [ "warmup" ] ~doc:"Warm-up seconds.") in
+  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:seed_doc) in
+  let uniform =
+    Arg.(value & opt (some float) None
+         & info [ "uniform" ] ~doc:"Uniform one-way delay (ms) instead of the GCP topology.")
+  in
+  Term.(
+    const build $ n $ protocol $ nc $ q $ sparse_k $ size $ duration $ warmup
+    $ seed $ uniform $ extras)
+
+let load_flag =
+  Arg.(value & opt int 500 & info [ "load" ] ~doc:"Transactions per proposal.")
+
+let persist_flag ~doc = Arg.(value & flag & info [ "persist" ] ~doc)
+
+(* The run summary of sim and profile. The fingerprint prints in hex, like
+   the bench and BENCH_sim.json. *)
+let print_summary ?(traffic = false) (r : Runner.result) =
+  Format.printf "%a@." Runner.pp_result r;
+  if traffic then
+    Format.printf
+      "committed %d txns over %d rounds; %d leaders; %.1f MB total traffic@."
+      r.committed_txns r.rounds r.leaders_committed
+      (float_of_int r.bytes_total /. 1e6);
+  Format.printf "commit fingerprint: %#x@." r.commit_fingerprint;
+  List.iter
+    (fun (node, commits) ->
+      Format.printf "post-recovery commits [replica %d]: %d@." node commits)
+    r.post_recovery_commits
+
+(* ------------------------------------------------------------------ *)
+(* sim *)
+
+let sim_cmd =
+  let run spec trace trace_chrome metrics_out verbose =
+    if verbose then begin
+      Logs.set_reporter (Logs_fmt.reporter ());
+      Logs.set_level (Some Logs.Debug)
+    end;
+    let run_with obs = Runner.run { spec with Runner.obs } in
     (* A plain --trace streams each event straight to the JSONL file, so
        long runs never hold the trace in memory; --trace-chrome needs the
        full buffer (span pairing), and then a co-requested --trace is
@@ -173,20 +222,7 @@ let sim_cmd =
         in
         (run_with obs, obs)
     in
-    Format.printf "%a@." Runner.pp_result r;
-    Format.printf
-      "committed %d txns over %d rounds; %d leaders; %.1f MB total traffic@."
-      r.committed_txns r.rounds r.leaders_committed
-      (float_of_int r.bytes_total /. 1e6);
-    (* The CI determinism and agreement gates key on the fingerprint —
-       including the profile stage, which asserts a profiled run commits
-       the exact sequence an unprofiled one does. *)
-    Format.printf "commit fingerprint: %d@." r.commit_fingerprint;
-    if restarts <> [] then
-      List.iter
-        (fun (node, commits) ->
-          Format.printf "post-recovery commits [replica %d]: %d@." node commits)
-        r.post_recovery_commits;
+    print_summary ~traffic:true r;
     (match obs with
     | None -> ()
     | Some o ->
@@ -208,41 +244,29 @@ let sim_cmd =
           metrics_out);
     if not r.agreement then exit 1
   in
-  let n = Arg.(value & opt int 16 & info [ "n" ] ~doc:"Tribe size.") in
-  let protocol =
-    Arg.(value & opt protocol_conv `Single
-         & info [ "p"; "protocol" ] ~doc:"full | single-clan | multi-clan | sparse.")
-  in
-  let nc =
-    Arg.(value & opt (some int) None
-         & info [ "clan-size" ] ~doc:"Clan size (single-clan); default: exact minimum at 1e-6.")
-  in
-  let q = Arg.(value & opt int 2 & info [ "clans" ] ~doc:"Clan count (multi-clan).") in
-  let sparse_k =
-    Arg.(value & opt int 3
-         & info [ "sparse-k" ]
-             ~doc:"Sampled strong parents per vertex (sparse protocol).")
-  in
-  let load =
-    Arg.(value & opt int 500 & info [ "load" ] ~doc:"Transactions per proposal.")
-  in
-  let size = Arg.(value & opt int 512 & info [ "txn-size" ] ~doc:"Transaction bytes.") in
-  let duration = Arg.(value & opt float 10.0 & info [ "duration" ] ~doc:"Simulated seconds.") in
-  let warmup = Arg.(value & opt float 3.0 & info [ "warmup" ] ~doc:"Warm-up seconds.") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
-  let uniform =
-    Arg.(value & opt (some float) None
-         & info [ "uniform" ] ~doc:"Uniform one-way delay (ms) instead of the GCP topology.")
-  in
-  let crashed =
-    Arg.(value & opt (list int) [] & info [ "crash" ] ~doc:"Replica ids that never start.")
-  in
-  let persist =
-    Arg.(value & flag
-         & info [ "persist" ]
-             ~doc:"Run every replica over the simulated persistence layer \
-                   (journal deliveries to a write-ahead log). Implied by \
-                   $(b,--restart).")
+  let extras =
+    let crashed =
+      Arg.(value & opt (list int) [] & info [ "crash" ] ~doc:"Replica ids that never start.")
+    in
+    let persist =
+      persist_flag
+        ~doc:"Run every replica over the simulated persistence layer \
+              (journal deliveries to a write-ahead log). Implied by \
+              $(b,--restart)."
+    in
+    Term.(
+      const (fun load crashed fault_plan restarts adversaries persist spec ->
+          {
+            spec with
+            Runner.txns_per_proposal = load;
+            crashed;
+            fault_plan;
+            restarts;
+            adversaries;
+            persist;
+          })
+      $ load_flag $ crashed $ fault_flags $ restarts_flag $ adversaries_flag
+      $ persist)
   in
   let trace =
     Arg.(value & opt (some string) None
@@ -266,10 +290,7 @@ let sim_cmd =
   Cmd.v
     (Cmd.info "sim" ~doc:"Run a simulated geo-distributed experiment")
     Term.(
-      const run $ n $ protocol $ nc $ q $ sparse_k $ load $ size $ duration
-      $ warmup $ seed $ uniform $ crashed $ fault_flags $ restarts_flag
-      $ adversaries_flag $ persist $ trace $ trace_chrome $ metrics_out
-      $ verbose)
+      const run $ spec_term extras $ trace $ trace_chrome $ metrics_out $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* clan-size *)
@@ -309,8 +330,7 @@ let rbc_cmd =
       | "tribe-bracha" -> Rbc.Tribe_bracha
       | "tribe-signed" -> Rbc.Tribe_signed
       | _ ->
-          prerr_endline "protocol: bracha | signed | tribe-bracha | tribe-signed";
-          exit 2
+          fail2 "protocol: bracha | signed | tribe-bracha | tribe-signed"
     in
     let value = String.make bytes 'x' in
     let behaviour =
@@ -326,9 +346,7 @@ let rbc_cmd =
           Some (Adversary.Equivocate_biased { value; decoy; decoys })
       | "withhold" -> Some (Adversary.Withhold { value; reveal })
       | _ ->
-          prerr_endline
-            "adversary: none | silent | equivocate | equivocate-biased | withhold";
-          exit 2
+          fail2 "adversary: none | silent | equivocate | equivocate-biased | withhold"
     in
     let engine = Engine.create () in
     let topology = Topology.gcp_table1 ~n in
@@ -449,45 +467,19 @@ let rbc_cmd =
 (* sweep *)
 
 let sweep_cmd =
-  let run n protocol nc q sparse_k loads size duration warmup seed uniform
-      restarts jobs =
-    let protocol =
-      match protocol with
-      | `Full -> Runner.Full
-      | `Single ->
-          let nc =
-            match nc with
-            | Some nc -> nc
-            | None -> (
-                let threshold = Bigint.Rat.of_ints 1 1_000_000 in
-                match
-                  Committee.min_clan_size ~n ~f:(Committee.default_f n) ~threshold ()
-                with
-                | Some nc -> nc
-                | None -> n)
-          in
-          Runner.Single_clan { nc }
-      | `Multi -> Runner.Multi_clan { q }
-      | `Sparse -> Runner.Sparse { k = sparse_k }
-    in
+  let run spec loads jobs =
     let specs =
       Array.of_list
         (List.mapi
            (fun i load ->
-             {
-               Runner.default_spec with
-               n;
-               protocol;
-               txns_per_proposal = load;
-               txn_size = size;
-               duration = Time.s duration;
-               warmup = Time.s warmup;
-               (* Each point gets its own seed so results do not depend on
-                  which worker domain ran it or in what order. *)
-               seed = Int64.add (Int64.of_int seed) (Int64.of_int (i * 7919));
-               topology = (match uniform with Some ms -> `Uniform ms | None -> `Gcp);
-               restarts;
-             })
+             validated
+               {
+                 spec with
+                 Runner.txns_per_proposal = load;
+                 (* Each point gets its own seed so results do not depend on
+                    which worker domain ran it or in what order. *)
+                 seed = Int64.add spec.Runner.seed (Int64.of_int (i * 7919));
+               })
            loads)
     in
     let jobs = match jobs with Some j -> j | None -> Util.Pool.default_jobs () in
@@ -500,32 +492,12 @@ let sweep_cmd =
     if Array.exists (fun (r : Runner.result) -> not r.agreement) results then
       exit 1
   in
-  let n = Arg.(value & opt int 16 & info [ "n" ] ~doc:"Tribe size.") in
-  let protocol =
-    Arg.(value & opt protocol_conv `Single
-         & info [ "p"; "protocol" ] ~doc:"full | single-clan | multi-clan | sparse.")
-  in
-  let nc =
-    Arg.(value & opt (some int) None
-         & info [ "clan-size" ] ~doc:"Clan size (single-clan); default: exact minimum at 1e-6.")
-  in
-  let q = Arg.(value & opt int 2 & info [ "clans" ] ~doc:"Clan count (multi-clan).") in
-  let sparse_k =
-    Arg.(value & opt int 3
-         & info [ "sparse-k" ]
-             ~doc:"Sampled strong parents per vertex (sparse protocol).")
+  let extras =
+    Term.(const (fun restarts spec -> { spec with Runner.restarts }) $ restarts_flag)
   in
   let loads =
     Arg.(value & opt (list int) [ 125; 500; 1500; 3000; 6000 ]
          & info [ "loads" ] ~doc:"Comma-separated transactions-per-proposal sweep.")
-  in
-  let size = Arg.(value & opt int 512 & info [ "txn-size" ] ~doc:"Transaction bytes.") in
-  let duration = Arg.(value & opt float 10.0 & info [ "duration" ] ~doc:"Simulated seconds.") in
-  let warmup = Arg.(value & opt float 3.0 & info [ "warmup" ] ~doc:"Warm-up seconds.") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Base random seed.") in
-  let uniform =
-    Arg.(value & opt (some float) None
-         & info [ "uniform" ] ~doc:"Uniform one-way delay (ms) instead of the GCP topology.")
   in
   let jobs =
     Arg.(value & opt (some int) None
@@ -538,55 +510,18 @@ let sweep_cmd =
        ~doc:"Run a load sweep (one simulation per load point) across worker \
              domains; results print in load order and are independent of \
              scheduling")
-    Term.(
-      const run $ n $ protocol $ nc $ q $ sparse_k $ loads $ size $ duration
-      $ warmup $ seed $ uniform $ restarts_flag $ jobs)
+    Term.(const run $ spec_term ~seed_doc:"Base random seed." extras $ loads $ jobs)
 
 (* ------------------------------------------------------------------ *)
 (* profile *)
 
 let profile_cmd =
-  let run n protocol nc q sparse_k load size duration warmup seed uniform
-      persist folded_out json_out =
-    let protocol =
-      match protocol with
-      | `Full -> Runner.Full
-      | `Single ->
-          let nc =
-            match nc with
-            | Some nc -> nc
-            | None -> (
-                let threshold = Bigint.Rat.of_ints 1 1_000_000 in
-                match
-                  Committee.min_clan_size ~n ~f:(Committee.default_f n) ~threshold ()
-                with
-                | Some nc -> nc
-                | None -> n)
-          in
-          Runner.Single_clan { nc }
-      | `Multi -> Runner.Multi_clan { q }
-      | `Sparse -> Runner.Sparse { k = sparse_k }
-    in
+  let run spec folded_out json_out =
     Prof.set_enabled true;
     Prof.reset ();
-    let r =
-      Runner.run
-        {
-          Runner.default_spec with
-          n;
-          protocol;
-          txns_per_proposal = load;
-          txn_size = size;
-          duration = Time.s duration;
-          warmup = Time.s warmup;
-          seed = Int64.of_int seed;
-          topology = (match uniform with Some ms -> `Uniform ms | None -> `Gcp);
-          persist;
-        }
-    in
+    let r = Runner.run spec in
     Prof.set_enabled false;
-    Format.printf "%a@." Runner.pp_result r;
-    Format.printf "commit fingerprint: %d@." r.commit_fingerprint;
+    print_summary r;
     print_string (Prof.table ~census:r.census ());
     Option.iter
       (fun path ->
@@ -604,37 +539,16 @@ let profile_cmd =
       json_out;
     if not r.agreement then exit 1
   in
-  let n = Arg.(value & opt int 16 & info [ "n" ] ~doc:"Tribe size.") in
-  let protocol =
-    Arg.(value & opt protocol_conv `Single
-         & info [ "p"; "protocol" ] ~doc:"full | single-clan | multi-clan | sparse.")
-  in
-  let nc =
-    Arg.(value & opt (some int) None
-         & info [ "clan-size" ] ~doc:"Clan size (single-clan); default: exact minimum at 1e-6.")
-  in
-  let q = Arg.(value & opt int 2 & info [ "clans" ] ~doc:"Clan count (multi-clan).") in
-  let sparse_k =
-    Arg.(value & opt int 3
-         & info [ "sparse-k" ]
-             ~doc:"Sampled strong parents per vertex (sparse protocol).")
-  in
-  let load =
-    Arg.(value & opt int 500 & info [ "load" ] ~doc:"Transactions per proposal.")
-  in
-  let size = Arg.(value & opt int 512 & info [ "txn-size" ] ~doc:"Transaction bytes.") in
-  let duration = Arg.(value & opt float 10.0 & info [ "duration" ] ~doc:"Simulated seconds.") in
-  let warmup = Arg.(value & opt float 3.0 & info [ "warmup" ] ~doc:"Warm-up seconds.") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
-  let uniform =
-    Arg.(value & opt (some float) None
-         & info [ "uniform" ] ~doc:"Uniform one-way delay (ms) instead of the GCP topology.")
-  in
-  let persist =
-    Arg.(value & flag
-         & info [ "persist" ]
-             ~doc:"Run every replica over the simulated persistence layer \
-                   (exercises the WAL sections).")
+  let extras =
+    let persist =
+      persist_flag
+        ~doc:"Run every replica over the simulated persistence layer \
+              (exercises the WAL sections)."
+    in
+    Term.(
+      const (fun load persist spec ->
+          { spec with Runner.txns_per_proposal = load; persist })
+      $ load_flag $ persist)
   in
   let folded_out =
     Arg.(value & opt (some string) None
@@ -656,28 +570,17 @@ let profile_cmd =
              attribution and a per-subsystem heap census (docs/PROFILING.md). \
              Profiling is pure observation — the run's commit fingerprint is \
              identical to an unprofiled run with the same seed.")
-    Term.(
-      const run $ n $ protocol $ nc $ q $ sparse_k $ load $ size $ duration
-      $ warmup $ seed $ uniform $ persist $ folded_out $ json_out)
+    Term.(const run $ spec_term extras $ folded_out $ json_out)
 
 (* ------------------------------------------------------------------ *)
 (* analyze *)
 
 let analyze_cmd =
   let run trace_file json stall_factor top_slow =
-    if stall_factor <= 0.0 then begin
-      prerr_endline "--stall-factor must be positive";
-      exit 2
-    end;
-    if top_slow < 0 then begin
-      prerr_endline "--top-slow must be non-negative";
-      exit 2
-    end;
+    if stall_factor <= 0.0 then fail2 "--stall-factor must be positive";
+    if top_slow < 0 then fail2 "--top-slow must be non-negative";
     let records = Analyze.load_jsonl trace_file in
-    if records = [] then begin
-      Printf.eprintf "no parseable trace records in %s\n" trace_file;
-      exit 2
-    end;
+    if records = [] then fail2 "no parseable trace records in %s" trace_file;
     let report = Analyze.analyze ~stall_factor records in
     print_string (if json then Analyze.to_json report else Analyze.human report);
     if top_slow > 0 && not json then begin
@@ -750,10 +653,6 @@ let check_cmd =
     let module H = Check.Harness in
     let module E = Check.Explore in
     let module S = Check.Schedule in
-    let fail2 msg =
-      prerr_endline msg;
-      Stdlib.exit 2
-    in
     let spec_of_flags () =
       let model =
         match String.lowercase_ascii model with
@@ -821,14 +720,14 @@ let check_cmd =
     match replay with
     | Some path -> (
         match S.load path with
-        | Error e -> fail2 ("bad schedule file: " ^ e)
+        | Error e -> fail2 "bad schedule file: %s" e
         | Ok (meta, sched) -> (
             match H.spec_of_meta meta with
-            | Error e -> fail2 ("bad schedule meta: " ^ e)
+            | Error e -> fail2 "bad schedule meta: %s" e
             | Ok spec -> (
                 let r = E.run_schedule ~trace:(trace_out <> None) spec sched in
                 (match r.E.error with
-                | Some e -> fail2 ("schedule does not replay: " ^ e)
+                | Some e -> fail2 "schedule does not replay: %s" e
                 | None -> ());
                 Printf.printf "replayed %d actions (model=%s); state: %s\n"
                   (List.length r.E.executed) (model_name spec)

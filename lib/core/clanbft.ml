@@ -21,6 +21,7 @@ module Util = struct
   module Stats = Clanbft_util.Stats
   module Hex = Clanbft_util.Hex
   module Pool = Clanbft_util.Pool
+  module Json = Clanbft_util.Json
 end
 
 module Bigint = struct

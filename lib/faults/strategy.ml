@@ -137,18 +137,23 @@ type node_state =
   | S_storm of int
   | S_reorder of Time.span * int ref (* slack, held-message parity counter *)
 
+let validate ~n specs =
+  let problem { node; kind } =
+    if node < 0 || node >= n then
+      Some (Printf.sprintf "Strategy: bad node id %d for n=%d" node n)
+    else
+      match kind with
+      | Censor v when v < 0 || v >= n || v = node ->
+          Some (Printf.sprintf "Strategy: bad censor victim %d for node %d" v node)
+      | _ -> None
+  in
+  match List.find_map problem specs with None -> Ok () | Some e -> Error e
+
 let install ~engine ~net ~keychain ~config ~round_timeout
     ?(obs = Obs.disabled) specs =
   if specs <> [] then begin
     let n = Config.n config in
-    List.iter
-      (fun { node; kind } ->
-        if node < 0 || node >= n then invalid_arg "Strategy: bad node id";
-        match kind with
-        | Censor v when v < 0 || v >= n || v = node ->
-            invalid_arg "Strategy: bad censor victim"
-        | _ -> ())
-      specs;
+    Result.iter_error invalid_arg (validate ~n specs);
     let prev = Net.filter net in
     let tr = obs.Obs.trace in
     let fire ~action ~kind ~src ~dst =

@@ -66,6 +66,10 @@ val of_string : string -> (spec, string) result
 
 val of_specs : string list -> (spec list, string) result
 
+val validate : n:int -> spec list -> (unit, string) result
+(** The first out-of-range node id, or censor victim that is out of range
+    or equal to its own node, in a tribe of [n]. *)
+
 val install :
   engine:Clanbft_sim.Engine.t ->
   net:Msg.t Clanbft_sim.Net.t ->
@@ -80,5 +84,5 @@ val install :
     delegate untouched traffic — and their crafted copies — to the fault
     filter below, so network fault rules still apply to adversary traffic,
     while fault-level re-injections bypass the strategies (they were
-    already ruled on once). Raises [Invalid_argument] on out-of-range node
-    ids or a censor victim equal to its own node. *)
+    already ruled on once). Raises [Invalid_argument] with the {!validate}
+    error. *)

@@ -5,6 +5,8 @@
    sinks produce them); nothing here reads clocks, randomness or global
    state, so analyzing the same trace twice yields byte-identical reports. *)
 
+module Json = Clanbft_util.Json
+
 (* ------------------------------------------------------------------ *)
 (* Report types *)
 
@@ -599,64 +601,61 @@ let human r =
       r.stalls;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let dist_json d =
-  Printf.sprintf
-    {|{"count":%d,"p50_us":%d,"p99_us":%d,"mean_us":%.1f,"max_us":%d}|}
-    d.count d.p50_us d.p99_us d.mean_us d.max_us
+  let int i = Json.Int i in
+  Json.Obj
+    [
+      ("count", int d.count);
+      ("p50_us", int d.p50_us);
+      ("p99_us", int d.p99_us);
+      ("mean_us", Json.Float d.mean_us);
+      ("max_us", int d.max_us);
+    ]
 
 let to_json r =
-  let b = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "{\n";
-  pf "  \"schema\": \"clanbft/analysis/v1\",\n";
-  pf "  \"n\": %d,\n" r.n;
-  pf "  \"events\": %d,\n" r.events;
-  pf "  \"first_ts_us\": %d,\n" r.first_ts;
-  pf "  \"last_ts_us\": %d,\n" r.last_ts;
-  pf "  \"commit_paths\": %d,\n" (List.length r.paths);
-  pf "  \"distinct_vertices\": %d,\n" r.distinct_vertices;
-  pf "  \"segments\": {\n";
-  List.iteri
-    (fun i (seg, d) ->
-      pf "    \"%s\": %s%s\n" (segment_name seg) (dist_json d)
-        (if i = List.length r.segments - 1 then "" else ","))
-    r.segments;
-  pf "  },\n";
-  pf "  \"e2e\": %s,\n" (dist_json r.e2e);
-  pf "  \"rounds\": {\"started\": %d, \"advance\": %s, \"pull_retries\": %d},\n"
-    (List.length r.rounds) (dist_json r.round_advance) r.pull_retries;
-  pf "  \"uplinks\": [%s],\n"
-    (String.concat ","
-       (List.map
-          (fun u ->
-            Printf.sprintf
-              {|{"node":%d,"busy_us":%d,"queue_us":%d,"messages":%d,"bytes":%d}|}
-              u.u_node u.u_busy_us u.u_queue_us u.u_messages u.u_bytes)
-          r.uplinks));
-  pf "  \"median_commit_gap_us\": %d,\n" r.median_commit_gap_us;
-  pf "  \"median_round_gap_us\": %d,\n" r.median_round_gap_us;
-  pf "  \"stalls\": [%s]\n"
-    (String.concat ","
-       (List.map
-          (fun s ->
-            Printf.sprintf
-              {|{"kind":"%s","from_us":%d,"until_us":%d,"gap_us":%d,"cause":"%s"}|}
-              (match s.st_kind with `Commit -> "commit" | `Round -> "round")
-              s.st_from s.st_until s.st_gap_us (json_escape s.st_cause))
-          r.stalls));
-  pf "}\n";
-  Buffer.contents b
+  let int i = Json.Int i and str s = Json.String s in
+  let uplink u =
+    Json.Obj
+      [
+        ("node", int u.u_node);
+        ("busy_us", int u.u_busy_us);
+        ("queue_us", int u.u_queue_us);
+        ("messages", int u.u_messages);
+        ("bytes", int u.u_bytes);
+      ]
+  in
+  let stall s =
+    Json.Obj
+      [
+        ("kind", str (match s.st_kind with `Commit -> "commit" | `Round -> "round"));
+        ("from_us", int s.st_from);
+        ("until_us", int s.st_until);
+        ("gap_us", int s.st_gap_us);
+        ("cause", str s.st_cause);
+      ]
+  in
+  Json.pretty
+    (Json.Obj
+       [
+         ("schema", str "clanbft/analysis/v1");
+         ("n", int r.n);
+         ("events", int r.events);
+         ("first_ts_us", int r.first_ts);
+         ("last_ts_us", int r.last_ts);
+         ("commit_paths", int (List.length r.paths));
+         ("distinct_vertices", int r.distinct_vertices);
+         ( "segments",
+           Json.Obj (List.map (fun (seg, d) -> (segment_name seg, dist_json d)) r.segments) );
+         ("e2e", dist_json r.e2e);
+         ( "rounds",
+           Json.Obj
+             [
+               ("started", int (List.length r.rounds));
+               ("advance", dist_json r.round_advance);
+               ("pull_retries", int r.pull_retries);
+             ] );
+         ("uplinks", Json.List (List.map uplink r.uplinks));
+         ("median_commit_gap_us", int r.median_commit_gap_us);
+         ("median_round_gap_us", int r.median_round_gap_us);
+         ("stalls", Json.List (List.map stall r.stalls));
+       ])

@@ -6,8 +6,8 @@
     {!load_jsonl} — and produces a {!report}. The analysis is {e pure and
     deterministic}: no clocks, no randomness, no dependence on hash-table
     iteration order, so the same trace always renders the byte-identical
-    report ([ci.sh] asserts this by [cmp]-ing two same-seed analyzer
-    outputs).
+    report ([test/test_analyze.ml] asserts this on two same-seed traced
+    runs).
 
     {2 Critical-path attribution}
 
@@ -143,6 +143,11 @@ val analyze : ?stall_factor:float -> Trace.record list -> report
 val human : report -> string
 (** Deterministic human-readable report (section per concern; latencies in
     milliseconds). *)
+
+val dist_json : dist -> Clanbft_util.Json.t
+(** One distribution as the
+    [{"count","p50_us","p99_us","mean_us","max_us"}] object {!to_json}
+    and the benchmark baseline share. *)
 
 val to_json : report -> string
 (** Deterministic machine output, schema ["clanbft/analysis/v1"]

@@ -1,4 +1,5 @@
 module Stats = Clanbft_util.Stats
+module Json = Clanbft_util.Json
 
 type counter = int ref
 type gauge = float ref
@@ -84,75 +85,47 @@ let fold reg ~init ~f =
 (* ------------------------------------------------------------------ *)
 (* JSON export *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let bucket_json pairs =
+  Json.List
+    (Array.to_list
+       (Array.map
+          (fun (edge, count) ->
+            let le =
+              (* Integral edges print as integers; the overflow edge keeps
+                 Prometheus' "+inf" label. *)
+              if Float.is_integer edge && Float.abs edge < 1e15 then
+                Json.Int (int_of_float edge)
+              else if edge = Float.infinity then Json.String "+inf"
+              else Json.Float edge
+            in
+            Json.Obj [ ("le", le); ("count", Json.Int count) ])
+          pairs))
 
-let float_json f =
-  if Float.is_nan f then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%g" f
-
-let labels_json labels =
-  labels
-  |> List.map (fun (k, v) -> Printf.sprintf {|"%s":"%s"|} (escape k) (escape v))
-  |> String.concat ","
-
-let to_json reg =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"metrics\":[";
-  let first = ref true in
-  List.iter
-    (fun (key, inst) ->
-      if !first then first := false else Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "\n  {\"name\":\"%s\",\"labels\":{%s},"
-           (escape key.name) (labels_json key.labels));
-      (match inst with
-      | C c -> Buffer.add_string b (Printf.sprintf "\"type\":\"counter\",\"value\":%d}" !c)
-      | G g ->
-          Buffer.add_string b
-            (Printf.sprintf "\"type\":\"gauge\",\"value\":%s}" (float_json !g))
-      | H h ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "\"type\":\"histogram\",\"count\":%d,\"sum\":%s,\"mean\":%s,\"buckets\":["
-               (Stats.Histogram.count h)
-               (float_json (Stats.Histogram.sum h))
-               (float_json (Stats.Histogram.mean h)));
-          let bucket_array pairs =
-            Array.iteri
-              (fun i (edge, count) ->
-                if i > 0 then Buffer.add_char b ',';
-                let le =
-                  if Float.is_integer edge && Float.abs edge < 1e15 then
-                    Printf.sprintf "%.0f" edge
-                  else if edge = Float.infinity then {|"+inf"|}
-                  else Printf.sprintf "%g" edge
-                in
-                Buffer.add_string b
-                  (Printf.sprintf {|{"le":%s,"count":%d}|} le count))
-              pairs
-          in
-          bucket_array (Stats.Histogram.buckets h);
+let instrument_json (key, inst) =
+  let value =
+    match inst with
+    | C c -> [ ("type", Json.String "counter"); ("value", Json.Int !c) ]
+    | G g -> [ ("type", Json.String "gauge"); ("value", Json.Float !g) ]
+    | H h ->
+        [
+          ("type", Json.String "histogram");
+          ("count", Json.Int (Stats.Histogram.count h));
+          ("sum", Json.Float (Stats.Histogram.sum h));
+          ("mean", Json.Float (Stats.Histogram.mean h));
+          ("buckets", bucket_json (Stats.Histogram.buckets h));
           (* Prometheus-style running totals, so external tools (and the
              analyzer) can recompute quantiles without re-summing. *)
-          Buffer.add_string b "],\"cumulative\":[";
-          bucket_array (Stats.Histogram.cumulative h);
-          Buffer.add_string b "]}"))
-    (sorted_bindings reg);
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+          ("cumulative", bucket_json (Stats.Histogram.cumulative h));
+        ]
+  in
+  Json.Obj
+    (("name", Json.String key.name)
+    :: ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) key.labels))
+    :: value)
+
+let to_json reg =
+  Json.pretty
+    (Json.Obj [ ("metrics", Json.List (List.map instrument_json (sorted_bindings reg))) ])
 
 let write_json reg path =
   let oc = open_out path in

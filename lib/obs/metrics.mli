@@ -95,7 +95,8 @@ val to_json : registry -> string
     (non-cumulative) and a ["cumulative"] array over the same edges with
     Prometheus-style running totals (its last count equals ["count"], so
     percentiles can be recomputed externally). The overflow bucket's
-    ["le"] is the string ["+inf"]; [nan] means are exported as [null].
+    ["le"] is the string ["+inf"]; non-finite numbers (a [nan] mean, an
+    infinite gauge) are exported as [null].
     The schema is documented with a worked example in
     [docs/OBSERVABILITY.md]. *)
 

@@ -9,6 +9,8 @@
    removed exactly — keeping the reported words deterministic and equal to
    what the instrumented code itself allocated. *)
 
+module Json = Clanbft_util.Json
+
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 (* One [Gc.counters] call reads both heaps; its own allocations (a tuple
@@ -374,61 +376,56 @@ let folded () =
       Buffer.add_char b '\n');
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json ?census () =
-  let b = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "{\n";
-  pf "  \"schema\": \"clanbft/profile/v1\",\n";
-  pf "  \"probe_overhead\": {\"minor_words\": %d, \"major_words\": %d},\n"
-    (!c_leaf_minor + !c_ext_minor)
-    (!c_leaf_major + !c_ext_major);
-  let rows = report () in
-  pf "  \"sections\": [";
-  List.iteri
-    (fun i r ->
-      pf "%s\n    {\"name\":\"%s\",\"calls\":%d,\"self_ns\":%d,\"incl_ns\":%d,\"self_minor_words\":%d,\"incl_minor_words\":%d,\"self_major_words\":%d,\"incl_major_words\":%d}"
-        (if i = 0 then "" else ",")
-        (json_escape r.name) r.calls r.self_ns r.incl_ns r.self_minor_words
-        r.incl_minor_words r.self_major_words r.incl_major_words)
-    rows;
-  pf "\n  ],\n";
-  pf "  \"tree\": [";
-  let first = ref true in
+  let int i = Json.Int i in
+  let section r =
+    Json.Obj
+      [
+        ("name", Json.String r.name);
+        ("calls", int r.calls);
+        ("self_ns", int r.self_ns);
+        ("incl_ns", int r.incl_ns);
+        ("self_minor_words", int r.self_minor_words);
+        ("incl_minor_words", int r.incl_minor_words);
+        ("self_major_words", int r.self_major_words);
+        ("incl_major_words", int r.incl_major_words);
+      ]
+  in
+  let tree = ref [] in
   iter_tree_paths (fun path nd ->
-      pf "%s\n    {\"path\":\"%s\",\"calls\":%d,\"self_ns\":%d,\"self_minor_words\":%d,\"self_major_words\":%d}"
-        (if !first then "" else ",")
-        (json_escape (String.concat ";" path))
-        !node_calls.(nd) !node_self_ns.(nd) !node_self_minor.(nd)
-        !node_self_major.(nd);
-      first := false);
-  pf "\n  ]";
-  (match census with
-  | None -> ()
-  | Some rows ->
-      let rows = List.sort compare rows in
-      pf ",\n  \"census\": [";
-      List.iteri
-        (fun i (name, words) ->
-          pf "%s\n    {\"subsystem\":\"%s\",\"live_words\":%d}"
-            (if i = 0 then "" else ",")
-            (json_escape name) words)
-        rows;
-      pf "\n  ]");
-  pf "\n}\n";
-  Buffer.contents b
+      tree :=
+        Json.Obj
+          [
+            ("path", Json.String (String.concat ";" path));
+            ("calls", int !node_calls.(nd));
+            ("self_ns", int !node_self_ns.(nd));
+            ("self_minor_words", int !node_self_minor.(nd));
+            ("self_major_words", int !node_self_major.(nd));
+          ]
+        :: !tree);
+  let census =
+    match census with
+    | None -> []
+    | Some rows ->
+        let row (name, words) =
+          Json.Obj [ ("subsystem", Json.String name); ("live_words", int words) ]
+        in
+        [ ("census", Json.List (List.map row (List.sort compare rows))) ]
+  in
+  Json.pretty
+    (Json.Obj
+       ([
+          ("schema", Json.String "clanbft/profile/v1");
+          ( "probe_overhead",
+            Json.Obj
+              [
+                ("minor_words", int (!c_leaf_minor + !c_ext_minor));
+                ("major_words", int (!c_leaf_major + !c_ext_major));
+              ] );
+          ("sections", Json.List (List.map section (report ())));
+          ("tree", Json.List (List.rev !tree));
+        ]
+       @ census))
 
 let table ?census () =
   let b = Buffer.create 4096 in

@@ -1,3 +1,5 @@
+module Json = Clanbft_util.Json
+
 type phase = Propose | Val | Echo | Ready | Cert | Deliver | Pull_retry
 
 let phase_name = function
@@ -43,40 +45,24 @@ type record = { ts : int; ev : event }
 (* JSONL (serialization lives above the sink so streaming sinks can use
    it from [emit]) *)
 
-let escape s =
-  (* Message tags and action names are plain ASCII identifiers, but escape
-     defensively so arbitrary kinds cannot corrupt the stream. *)
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let jsonl_of_record { ts; ev } =
   match ev with
   | Msg_send { src; dst; kind; bytes } ->
       Printf.sprintf
         {|{"ts":%d,"type":"msg_send","src":%d,"dst":%d,"kind":"%s","bytes":%d}|}
-        ts src dst (escape kind) bytes
+        ts src dst (Json.escape kind) bytes
   | Msg_bcast { src; kind; bytes; count } ->
       Printf.sprintf
         {|{"ts":%d,"type":"msg_bcast","src":%d,"kind":"%s","bytes":%d,"count":%d}|}
-        ts src (escape kind) bytes count
+        ts src (Json.escape kind) bytes count
   | Msg_recv { src; dst; kind; bytes } ->
       Printf.sprintf
         {|{"ts":%d,"type":"msg_recv","src":%d,"dst":%d,"kind":"%s","bytes":%d}|}
-        ts src dst (escape kind) bytes
+        ts src dst (Json.escape kind) bytes
   | Uplink { node; kind; bytes; enqueued; start; depart } ->
       Printf.sprintf
         {|{"ts":%d,"type":"uplink","node":%d,"kind":"%s","bytes":%d,"enqueued":%d,"start":%d,"depart":%d}|}
-        ts node (escape kind) bytes enqueued start depart
+        ts node (Json.escape kind) bytes enqueued start depart
   | Rbc_phase { node; sender; round; phase } ->
       Printf.sprintf
         {|{"ts":%d,"type":"rbc_phase","node":%d,"sender":%d,"round":%d,"phase":"%s"}|}
@@ -92,125 +78,75 @@ let jsonl_of_record { ts; ev } =
   | Fault_fire { rule; action; kind; src; dst } ->
       Printf.sprintf
         {|{"ts":%d,"type":"fault_fire","rule":%d,"action":"%s","kind":"%s","src":%d,"dst":%d}|}
-        ts rule (escape action) (escape kind) src dst
+        ts rule (Json.escape action) (Json.escape kind) src dst
   | Recovery { node; stage; round } ->
       Printf.sprintf
         {|{"ts":%d,"type":"recovery","node":%d,"stage":"%s","round":%d}|}
-        ts node (escape stage) round
+        ts node (Json.escape stage) round
 
 (* --- parsing our own output back ----------------------------------- *)
 
-(* Locate ["key":] and return the index just past the colon. *)
-let field_start line key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let plen = String.length pat and llen = String.length line in
-  let rec scan i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else scan (i + 1)
-  in
-  scan 0
-
-let int_field line key =
-  match field_start line key with
-  | None -> None
-  | Some i ->
-      let llen = String.length line in
-      let stop = ref i in
-      if !stop < llen && line.[!stop] = '-' then incr stop;
-      while !stop < llen && line.[!stop] >= '0' && line.[!stop] <= '9' do
-        incr stop
-      done;
-      if !stop = i then None else int_of_string_opt (String.sub line i (!stop - i))
-
-let str_field line key =
-  match field_start line key with
-  | None -> None
-  | Some i ->
-      let llen = String.length line in
-      if i >= llen || line.[i] <> '"' then None
-      else begin
-        let b = Buffer.create 16 in
-        let rec go j =
-          if j >= llen then None
-          else
-            match line.[j] with
-            | '"' -> Some (Buffer.contents b)
-            | '\\' when j + 1 < llen ->
-                (match line.[j + 1] with
-                | '"' -> Buffer.add_char b '"'
-                | '\\' -> Buffer.add_char b '\\'
-                | 'n' -> Buffer.add_char b '\n'
-                | 'u' ->
-                    if j + 5 < llen then
-                      Buffer.add_char b
-                        (Char.chr
-                           (int_of_string ("0x" ^ String.sub line (j + 2) 4)))
-                | c -> Buffer.add_char b c);
-                go (j + if line.[j + 1] = 'u' then 6 else 2)
-            | c ->
-                Buffer.add_char b c;
-                go (j + 1)
-        in
-        go (i + 1)
-      end
-
 let of_jsonl_line line =
-  let ( let* ) o f = Option.bind o f in
-  let* ts = int_field line "ts" in
-  let* typ = str_field line "type" in
+  let ( let* ) = Option.bind in
+  let* obj = Result.to_option (Json.of_string line) in
+  let int_field k = match Json.member k obj with Some (Json.Int i) -> Some i | _ -> None in
+  let str_field k =
+    match Json.member k obj with Some (Json.String s) -> Some s | _ -> None
+  in
+  let* ts = int_field "ts" in
+  let* typ = str_field "type" in
   let* ev =
     match typ with
     | "msg_send" | "msg_recv" ->
-        let* src = int_field line "src" in
-        let* dst = int_field line "dst" in
-        let* kind = str_field line "kind" in
-        let* bytes = int_field line "bytes" in
+        let* src = int_field "src" in
+        let* dst = int_field "dst" in
+        let* kind = str_field "kind" in
+        let* bytes = int_field "bytes" in
         Some
           (if typ = "msg_send" then Msg_send { src; dst; kind; bytes }
            else Msg_recv { src; dst; kind; bytes })
     | "msg_bcast" ->
-        let* src = int_field line "src" in
-        let* kind = str_field line "kind" in
-        let* bytes = int_field line "bytes" in
-        let* count = int_field line "count" in
+        let* src = int_field "src" in
+        let* kind = str_field "kind" in
+        let* bytes = int_field "bytes" in
+        let* count = int_field "count" in
         Some (Msg_bcast { src; kind; bytes; count })
     | "uplink" ->
-        let* node = int_field line "node" in
-        let* kind = str_field line "kind" in
-        let* bytes = int_field line "bytes" in
-        let* enqueued = int_field line "enqueued" in
-        let* start = int_field line "start" in
-        let* depart = int_field line "depart" in
+        let* node = int_field "node" in
+        let* kind = str_field "kind" in
+        let* bytes = int_field "bytes" in
+        let* enqueued = int_field "enqueued" in
+        let* start = int_field "start" in
+        let* depart = int_field "depart" in
         Some (Uplink { node; kind; bytes; enqueued; start; depart })
     | "rbc_phase" ->
-        let* node = int_field line "node" in
-        let* sender = int_field line "sender" in
-        let* round = int_field line "round" in
-        let* phase = Option.bind (str_field line "phase") phase_of_name in
+        let* node = int_field "node" in
+        let* sender = int_field "sender" in
+        let* round = int_field "round" in
+        let* phase = Option.bind (str_field "phase") phase_of_name in
         Some (Rbc_phase { node; sender; round; phase })
     | "vertex_deliver" ->
-        let* node = int_field line "node" in
-        let* round = int_field line "round" in
-        let* source = int_field line "source" in
+        let* node = int_field "node" in
+        let* round = int_field "round" in
+        let* source = int_field "source" in
         Some (Vertex_deliver { node; round; source })
     | "vertex_commit" ->
-        let* node = int_field line "node" in
-        let* round = int_field line "round" in
-        let* source = int_field line "source" in
-        let* leader_round = int_field line "leader_round" in
+        let* node = int_field "node" in
+        let* round = int_field "round" in
+        let* source = int_field "source" in
+        let* leader_round = int_field "leader_round" in
         Some (Vertex_commit { node; round; source; leader_round })
     | "fault_fire" ->
-        let* rule = int_field line "rule" in
-        let* action = str_field line "action" in
-        let* kind = str_field line "kind" in
-        let* src = int_field line "src" in
-        let* dst = int_field line "dst" in
+        let* rule = int_field "rule" in
+        let* action = str_field "action" in
+        let* kind = str_field "kind" in
+        let* src = int_field "src" in
+        let* dst = int_field "dst" in
         Some (Fault_fire { rule; action; kind; src; dst })
     | "recovery" ->
-        let* node = int_field line "node" in
-        let* stage = str_field line "stage" in
-        let* round = int_field line "round" in
+        let* node = int_field "node" in
+        let* stage = str_field "stage" in
+        let* round = int_field "round" in
         Some (Recovery { node; stage; round })
     | _ -> None
   in
@@ -305,11 +241,18 @@ let write_jsonl t path =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event *)
 
-let chrome_instant b ~name ~cat ~ts ~pid ~tid ~args =
-  Buffer.add_string b
-    (Printf.sprintf
-       {|{"name":"%s","cat":"%s","ph":"i","s":"t","ts":%d,"pid":%d,"tid":%d,"args":{%s}},|}
-       (escape name) cat ts pid tid args)
+(* One trace_event object; instants ([dur = None]) are thread-scoped. *)
+let chrome_event ~name ~cat ?dur ~ts ~pid ~tid args =
+  let timing =
+    match dur with
+    | None -> [ ("ph", Json.String "i"); ("s", Json.String "t"); ("ts", Json.Int ts) ]
+    | Some d -> [ ("ph", Json.String "X"); ("ts", Json.Int ts); ("dur", Json.Int d) ]
+  in
+  Json.Obj
+    ((("name", Json.String name) :: ("cat", Json.String cat) :: timing)
+    @ [ ("pid", Json.Int pid); ("tid", Json.Int tid); ("args", Json.Obj args) ])
+
+let ints fields = List.map (fun (k, v) -> (k, Json.Int v)) fields
 
 (* The natural RBC span chain for one (node, sender, round) instance:
    PROPOSE → VAL → ECHO → READY → CERT → Deliver. Pull retries are
@@ -341,15 +284,24 @@ let rbc_span_durations t =
 let write_chrome t path =
   require_buffered t "write_chrome";
   let b = Buffer.create 65536 in
-  Buffer.add_string b {|{"traceEvents":[|};
+  (* Events are rendered one at a time into the array body, so the export
+     never holds a second, tree-shaped copy of the trace. *)
+  let add ev =
+    if Buffer.length b > 0 then Buffer.add_char b ',';
+    Json.to_buffer b ev
+  in
   let pids = Hashtbl.create 64 in
   let note_pid p =
     if not (Hashtbl.mem pids p) then begin
       Hashtbl.replace pids p ();
-      Buffer.add_string b
-        (Printf.sprintf
-           {|{"name":"process_name","ph":"M","pid":%d,"args":{"name":"node %d"}},|}
-           p p)
+      add
+        (Json.Obj
+           [
+             ("name", Json.String "process_name");
+             ("ph", Json.String "M");
+             ("pid", Json.Int p);
+             ("args", Json.Obj [ ("name", Json.String (Printf.sprintf "node %d" p)) ]);
+           ])
     end
   in
   let span_durations = rbc_span_durations t in
@@ -359,79 +311,68 @@ let write_chrome t path =
       match ev with
       | Msg_send { src; dst; kind; bytes } ->
           note_pid src;
-          chrome_instant b ~name:("send " ^ kind) ~cat:"net" ~ts ~pid:src ~tid:0
-            ~args:(Printf.sprintf {|"dst":%d,"bytes":%d|} dst bytes)
+          add
+            (chrome_event ~name:("send " ^ kind) ~cat:"net" ~ts ~pid:src ~tid:0
+               (ints [ ("dst", dst); ("bytes", bytes) ]))
       | Msg_bcast { src; kind; bytes; count } ->
           note_pid src;
-          chrome_instant b ~name:("bcast " ^ kind) ~cat:"net" ~ts ~pid:src
-            ~tid:0
-            ~args:(Printf.sprintf {|"count":%d,"bytes":%d|} count bytes)
+          add
+            (chrome_event ~name:("bcast " ^ kind) ~cat:"net" ~ts ~pid:src ~tid:0
+               (ints [ ("count", count); ("bytes", bytes) ]))
       | Msg_recv { src; dst; kind; bytes } ->
           note_pid dst;
-          chrome_instant b ~name:("recv " ^ kind) ~cat:"net" ~ts ~pid:dst ~tid:0
-            ~args:(Printf.sprintf {|"src":%d,"bytes":%d|} src bytes)
+          add
+            (chrome_event ~name:("recv " ^ kind) ~cat:"net" ~ts ~pid:dst ~tid:0
+               (ints [ ("src", src); ("bytes", bytes) ]))
       | Uplink { node; kind; bytes; enqueued; start; depart } ->
           note_pid node;
-          Buffer.add_string b
-            (Printf.sprintf
-               {|{"name":"%s","cat":"uplink","ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":1,"args":{"bytes":%d,"queued_us":%d}},|}
-               (escape kind) start
-               (max 0 (depart - start))
-               node bytes
-               (max 0 (start - enqueued)))
-      | Rbc_phase { node; sender; round; phase } -> (
+          add
+            (chrome_event ~name:kind ~cat:"uplink" ~ts:start
+               ~dur:(max 0 (depart - start))
+               ~pid:node ~tid:1
+               (ints [ ("bytes", bytes); ("queued_us", max 0 (start - enqueued)) ]))
+      | Rbc_phase { node; sender; round; phase } ->
           note_pid node;
-          match Hashtbl.find_opt span_durations !idx with
-          | Some dur ->
-              (* Phase span: lasts until the instance's next phase, so
-                 Perfetto shows VAL→ECHO→CERT→deliver latency directly. *)
-              Buffer.add_string b
-                (Printf.sprintf
-                   {|{"name":"rbc %s r%d/s%d","cat":"rbc","ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":2,"args":{"sender":%d,"round":%d}},|}
-                   (phase_name phase) round sender ts dur node sender round)
-          | None ->
-              chrome_instant b
-                ~name:
-                  (Printf.sprintf "rbc %s r%d/s%d" (phase_name phase) round
-                     sender)
-                ~cat:"rbc" ~ts ~pid:node ~tid:2
-                ~args:(Printf.sprintf {|"sender":%d,"round":%d|} sender round))
+          (* A chain phase spans until the instance's next phase, so
+             Perfetto shows VAL→ECHO→CERT→deliver latency directly. *)
+          add
+            (chrome_event
+               ~name:(Printf.sprintf "rbc %s r%d/s%d" (phase_name phase) round sender)
+               ~cat:"rbc" ?dur:(Hashtbl.find_opt span_durations !idx) ~ts ~pid:node
+               ~tid:2
+               (ints [ ("sender", sender); ("round", round) ]))
       | Vertex_deliver { node; round; source } ->
           note_pid node;
-          chrome_instant b
-            ~name:(Printf.sprintf "deliver r%d/s%d" round source)
-            ~cat:"dag" ~ts ~pid:node ~tid:3
-            ~args:(Printf.sprintf {|"round":%d,"source":%d|} round source)
+          add
+            (chrome_event
+               ~name:(Printf.sprintf "deliver r%d/s%d" round source)
+               ~cat:"dag" ~ts ~pid:node ~tid:3
+               (ints [ ("round", round); ("source", source) ]))
       | Vertex_commit { node; round; source; leader_round } ->
           note_pid node;
-          chrome_instant b
-            ~name:(Printf.sprintf "commit r%d/s%d" round source)
-            ~cat:"dag" ~ts ~pid:node ~tid:3
-            ~args:
-              (Printf.sprintf {|"round":%d,"source":%d,"leader_round":%d|} round
-                 source leader_round)
+          add
+            (chrome_event
+               ~name:(Printf.sprintf "commit r%d/s%d" round source)
+               ~cat:"dag" ~ts ~pid:node ~tid:3
+               (ints [ ("round", round); ("source", source); ("leader_round", leader_round) ]))
       | Fault_fire { rule; action; kind; src; dst } ->
           note_pid src;
-          chrome_instant b
-            ~name:(Printf.sprintf "fault %s %s" action kind)
-            ~cat:"fault" ~ts ~pid:src ~tid:4
-            ~args:(Printf.sprintf {|"rule":%d,"dst":%d|} rule dst)
+          add
+            (chrome_event
+               ~name:(Printf.sprintf "fault %s %s" action kind)
+               ~cat:"fault" ~ts ~pid:src ~tid:4
+               (ints [ ("rule", rule); ("dst", dst) ]))
       | Recovery { node; stage; round } ->
           note_pid node;
-          chrome_instant b
-            ~name:(Printf.sprintf "recovery %s r%d" stage round)
-            ~cat:"recovery" ~ts ~pid:node ~tid:5
-            ~args:(Printf.sprintf {|"round":%d|} round));
-  (* Drop the trailing comma when any event was written. *)
-  let s = Buffer.contents b in
-  let s =
-    if String.length s > 0 && s.[String.length s - 1] = ',' then
-      String.sub s 0 (String.length s - 1)
-    else s
-  in
+          add
+            (chrome_event
+               ~name:(Printf.sprintf "recovery %s r%d" stage round)
+               ~cat:"recovery" ~ts ~pid:node ~tid:5
+               (ints [ ("round", round) ])));
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc s;
+      output_string oc {|{"traceEvents":[|};
+      Buffer.output_buffer oc b;
       output_string oc {|],"displayTimeUnit":"ms"}|})

@@ -145,9 +145,9 @@ val jsonl_of_record : record -> string
 (** One JSON object, no trailing newline. *)
 
 val of_jsonl_line : string -> record option
-(** Inverse of {!jsonl_of_record} (round-trip is exact for every variant);
-    [None] on unknown or malformed lines. This is a minimal parser for the
-    writer's own output, not a general JSON parser. *)
+(** Inverse of {!jsonl_of_record} (round-trip is exact for every variant).
+    Total: the line goes through [Clanbft_util.Json.of_string], so unknown,
+    malformed or truncated lines give [None] and never raise. *)
 
 val write_jsonl : t -> string -> unit
 (** Write every record to [path], one per line. Raises [Invalid_argument]

@@ -137,9 +137,34 @@ type block_meta = {
   mutable done_ : bool;
 }
 
+let validate spec =
+  let n = spec.n in
+  let out_of_range id = id < 0 || id >= n in
+  let restarted = Hashtbl.create 8 in
+  let restart_problem (r : Faults.restart) =
+    if out_of_range r.node then
+      Some (Printf.sprintf "Runner: bad restart id %d for n=%d" r.node n)
+    else if List.mem r.node spec.crashed then
+      Some (Printf.sprintf "Runner: restart of crashed replica %d" r.node)
+    else if Hashtbl.mem restarted r.node then
+      Some (Printf.sprintf "Runner: duplicate restart for replica %d" r.node)
+    else if r.crash_at >= r.recover_at then Some "Runner: restart window"
+    else (
+      Hashtbl.replace restarted r.node ();
+      None)
+  in
+  if spec.txn_scale < 1 then Error "Runner: txn_scale must be >= 1"
+  else if spec.txns_per_proposal < 0 then Error "Runner: negative load"
+  else
+    match List.find_opt out_of_range spec.crashed with
+    | Some id -> Error (Printf.sprintf "Runner: bad crashed id %d for n=%d" id n)
+    | None -> (
+        match List.find_map restart_problem spec.restarts with
+        | Some e -> Error e
+        | None -> Strategy.validate ~n spec.adversaries)
+
 let run ?on_wal spec =
-  if spec.txn_scale < 1 then invalid_arg "Runner: txn_scale must be >= 1";
-  if spec.txns_per_proposal < 0 then invalid_arg "Runner: negative load";
+  Result.iter_error invalid_arg (validate spec);
   let engine = Engine.create () in
   let rng = Rng.create spec.seed in
   let topology =
@@ -166,23 +191,9 @@ let run ?on_wal spec =
   in
   let config = Config.make ~n:spec.n ~edge_policy (dissemination_of spec rng) in
   let crashed = Array.make spec.n false in
-  List.iter
-    (fun i ->
-      if i < 0 || i >= spec.n then invalid_arg "Runner: bad crashed id";
-      crashed.(i) <- true)
-    spec.crashed;
+  List.iter (fun i -> crashed.(i) <- true) spec.crashed;
   let restart_of = Array.make spec.n None in
-  List.iter
-    (fun (r : Faults.restart) ->
-      if r.node < 0 || r.node >= spec.n then
-        invalid_arg "Runner: bad restart id";
-      if crashed.(r.node) then
-        invalid_arg "Runner: restart of a crashed replica";
-      if restart_of.(r.node) <> None then
-        invalid_arg "Runner: duplicate restart for one replica";
-      if r.crash_at >= r.recover_at then invalid_arg "Runner: restart window";
-      restart_of.(r.node) <- Some r)
-    spec.restarts;
+  List.iter (fun (r : Faults.restart) -> restart_of.(r.node) <- Some r) spec.restarts;
   (* Replicas that must commit a block before it counts as committed-by-all:
      crashed and muted replicas never do, restarting ones are handled by a
      per-block excuse window below. *)

@@ -116,8 +116,14 @@ type result = {
           end-of-run data-structure sizes). See docs/PROFILING.md. *)
 }
 
+val validate : spec -> (unit, string) Stdlib.result
+(** The first reason {!run} would refuse the spec: a bad load or
+    [txn_scale], an out-of-range crashed, restarting or adversary node id,
+    a restart of a crashed replica, two restarts of one replica, an empty
+    restart window, or a bad censor victim ({!Clanbft_faults.Strategy.validate}). *)
+
 val run : ?on_wal:(int -> Persist.t -> unit) -> spec -> result
-(** [on_wal] is called after the simulation with each replica's id and
+(** Raises [Invalid_argument] with the {!validate} error. [on_wal] is called after the simulation with each replica's id and
     persistent store, when persistence is on — an audit hook over the
     write-ahead logs recovery replays. *)
 

@@ -70,7 +70,7 @@ let test_benign_run_is_quiet () =
 
 let test_deterministic_output () =
   (* Same seed, two independent traced runs: the rendered reports are
-     byte-identical — the property ci.sh gates with cmp. *)
+     byte-identical. *)
   let _, records1 = Lazy.force benign in
   let _, records2 = traced_run base_spec in
   let rep1 = Analyze.analyze records1 and rep2 = Analyze.analyze records2 in

@@ -1,5 +1,6 @@
 open Clanbft
 open Clanbft.Sim
+module Json = Util.Json
 
 (* ------------------------------------------------------------------ *)
 (* Trace sink mechanics *)
@@ -68,7 +69,80 @@ let test_jsonl_roundtrip () =
   | None -> Alcotest.fail "hostile kind did not parse");
   Alcotest.(check bool) "garbage rejected" true
     (Trace.of_jsonl_line "{\"ts\":1,\"type\":\"nonsense\"}" = None);
-  Alcotest.(check bool) "non-json rejected" true (Trace.of_jsonl_line "hello" = None)
+  Alcotest.(check bool) "non-json rejected" true (Trace.of_jsonl_line "hello" = None);
+  (* Malformed \u escapes are rejected, not raised. *)
+  List.iter
+    (fun esc ->
+      let line =
+        Printf.sprintf {|{"ts":1,"type":"msg_send","src":0,"dst":1,"kind":"%s","bytes":1}|} esc
+      in
+      Alcotest.(check bool) ("rejects " ^ esc) true (Trace.of_jsonl_line line = None))
+    [ {|\uzz|}; {|\uffff|}; {|\u12|} ]
+
+(* Random records, and random damage to valid lines: the parser never
+   raises, and every record the writer emits reads back exactly. *)
+let gen_record =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (0 -- 12) in
+  let phases =
+    Trace.[ Propose; Val; Echo; Ready; Cert; Deliver; Pull_retry ]
+  in
+  let ev =
+    oneof
+      [
+        map3 (fun (src, dst) kind bytes -> Trace.Msg_send { src; dst; kind; bytes })
+          (pair int int) str int;
+        map3 (fun (src, dst) kind bytes -> Trace.Msg_recv { src; dst; kind; bytes })
+          (pair int int) str int;
+        map3 (fun src kind (bytes, count) -> Trace.Msg_bcast { src; kind; bytes; count })
+          int str (pair int int);
+        map3
+          (fun (node, kind) (bytes, enqueued) (start, depart) ->
+            Trace.Uplink { node; kind; bytes; enqueued; start; depart })
+          (pair int str) (pair int int) (pair int int);
+        map3 (fun (node, sender) round phase -> Trace.Rbc_phase { node; sender; round; phase })
+          (pair int int) int (oneofl phases);
+        map3 (fun node round source -> Trace.Vertex_deliver { node; round; source }) int int int;
+        map3
+          (fun (node, round) source leader_round ->
+            Trace.Vertex_commit { node; round; source; leader_round })
+          (pair int int) int int;
+        map3
+          (fun (rule, action) kind (src, dst) -> Trace.Fault_fire { rule; action; kind; src; dst })
+          (pair int str) str (pair int int);
+        map3 (fun node stage round -> Trace.Recovery { node; stage; round }) int str int;
+      ]
+  in
+  map2 (fun ts ev -> { Trace.ts; ev }) int ev
+
+let arb_record =
+  QCheck.make ~print:Trace.jsonl_of_record gen_record
+
+let prop_jsonl_roundtrip =
+  QCheck.Test.make ~name:"jsonl records round-trip" ~count:1000 arb_record
+    (fun r -> Trace.of_jsonl_line (Trace.jsonl_of_record r) = Some r)
+
+let prop_jsonl_total =
+  let damaged =
+    let open QCheck.Gen in
+    let line = map Trace.jsonl_of_record gen_record in
+    oneof
+      [
+        string;
+        map2 (fun l k -> String.sub l 0 (k mod (String.length l + 1))) line nat;
+        map3
+          (fun l k c ->
+            let b = Bytes.of_string l in
+            Bytes.set b (k mod Bytes.length b) c;
+            Bytes.to_string b)
+          line nat char;
+      ]
+  in
+  QCheck.Test.make ~name:"jsonl parser never raises" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") damaged)
+    (fun line ->
+      ignore (Trace.of_jsonl_line line);
+      true)
 
 let test_jsonl_file_roundtrip () =
   let tr = Trace.create () in
@@ -182,23 +256,45 @@ let test_registry () =
   Alcotest.(check int) "histogram count" 3 (Util.Stats.Histogram.count (Metrics.hist h));
   let g = Metrics.gauge reg "depth" in
   Metrics.set g 2.5;
+  (* An infinite gauge has no JSON number: it exports as null. *)
+  Metrics.set (Metrics.gauge reg "ratio") Float.infinity;
   (* fold visits every instrument in sorted order. *)
   let names =
     Metrics.fold reg ~init:[] ~f:(fun acc ~name ~labels:_ _ -> name :: acc) |> List.rev
   in
-  Alcotest.(check (list string)) "sorted fold" [ "depth"; "lat"; "pulls" ] names;
-  let json = Metrics.to_json reg in
-  let contains needle =
-    let n = String.length needle and hl = String.length json in
-    let rec go i = i + n <= hl && (String.sub json i n = needle || go (i + 1)) in
-    go 0
+  Alcotest.(check (list string)) "sorted fold" [ "depth"; "lat"; "pulls"; "ratio" ] names;
+  let metrics =
+    match Json.of_string (Metrics.to_json reg) with
+    | Ok doc -> (
+        match Json.member "metrics" doc with
+        | Some (Json.List l) -> l
+        | _ -> Alcotest.fail "no metrics array")
+    | Error e -> Alcotest.failf "export does not parse: %s" e
   in
-  Alcotest.(check bool) "json counter" true (contains "\"name\":\"pulls\"");
-  Alcotest.(check bool) "json overflow bucket" true (contains "{\"le\":\"+inf\",\"count\":1}");
+  let field name key =
+    match
+      List.find_opt (fun m -> Json.member "name" m = Some (Json.String name)) metrics
+    with
+    | Some m -> Json.member key m
+    | None -> Alcotest.failf "metric %s missing" name
+  in
+  let check_json msg want got =
+    Alcotest.(check string) msg (Json.to_string want)
+      (Option.fold ~none:"<absent>" ~some:Json.to_string got)
+  in
+  check_json "json counter" (Json.Int 6) (field "pulls" "value");
+  check_json "json gauge" (Json.Float 2.5) (field "depth" "value");
+  check_json "infinite gauge is null" Json.Null (field "ratio" "value");
+  let bucket le count = Json.Obj [ ("le", le); ("count", Json.Int count) ] in
+  check_json "json overflow bucket"
+    (Json.List
+       [ bucket (Json.Int 1) 1; bucket (Json.Int 10) 1; bucket (Json.String "+inf") 1 ])
+    (field "lat" "buckets");
   (* Prometheus-style running totals ride along with the per-bucket counts. *)
-  Alcotest.(check bool) "json cumulative buckets" true
-    (contains
-       "\"cumulative\":[{\"le\":1,\"count\":1},{\"le\":10,\"count\":2},{\"le\":\"+inf\",\"count\":3}]")
+  check_json "json cumulative buckets"
+    (Json.List
+       [ bucket (Json.Int 1) 1; bucket (Json.Int 10) 2; bucket (Json.String "+inf") 3 ])
+    (field "lat" "cumulative")
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: a traced SMR run *)
@@ -265,15 +361,25 @@ let test_metrics_capture () =
   | _ -> Alcotest.fail "commit_latency_ms missing"
 
 let test_tracing_is_inert () =
-  (* The acceptance bar: same seed, tracing on or off, bit-identical
-     commit sequences (and identical headline numbers). *)
+  (* The acceptance bar: same seed, tracing or profiling on or off,
+     bit-identical commit sequences (and identical headline numbers). *)
   let quiet = Runner.run (traced_spec None) in
+  let profiled =
+    Prof.set_enabled true;
+    Fun.protect
+      ~finally:(fun () -> Prof.set_enabled false)
+      (fun () -> Runner.run (traced_spec None))
+  in
   let traced = Runner.run (traced_spec (Some (Obs.create ()))) in
-  Alcotest.(check int) "same fingerprint" quiet.Runner.commit_fingerprint
-    traced.Runner.commit_fingerprint;
-  Alcotest.(check int) "same txns" quiet.Runner.committed_txns traced.Runner.committed_txns;
-  Alcotest.(check int) "same bytes" quiet.Runner.bytes_total traced.Runner.bytes_total;
-  Alcotest.(check int) "same events" quiet.Runner.events traced.Runner.events;
+  List.iter
+    (fun (name, (r : Runner.result)) ->
+      Alcotest.(check int) (name ^ ": same fingerprint") quiet.Runner.commit_fingerprint
+        r.Runner.commit_fingerprint;
+      Alcotest.(check int) (name ^ ": same txns") quiet.Runner.committed_txns
+        r.Runner.committed_txns;
+      Alcotest.(check int) (name ^ ": same bytes") quiet.Runner.bytes_total r.Runner.bytes_total;
+      Alcotest.(check int) (name ^ ": same events") quiet.Runner.events r.Runner.events)
+    [ ("traced", traced); ("profiled", profiled) ];
   (* And re-running traced is self-consistent (fingerprint is stable). *)
   let traced' = Runner.run (traced_spec (Some (Obs.create ()))) in
   Alcotest.(check int) "traced rerun" traced.Runner.commit_fingerprint
@@ -286,6 +392,8 @@ let suites =
         Alcotest.test_case "sink basics" `Quick test_sink_basics;
         Alcotest.test_case "sink limit" `Quick test_sink_limit;
         Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
+        QCheck_alcotest.to_alcotest prop_jsonl_roundtrip;
+        QCheck_alcotest.to_alcotest prop_jsonl_total;
         Alcotest.test_case "jsonl file round-trip" `Quick test_jsonl_file_roundtrip;
         Alcotest.test_case "streaming sink" `Quick test_stream_sink;
         Alcotest.test_case "chrome export" `Quick test_chrome_export;

@@ -122,7 +122,23 @@ let test_determinism () =
       let a = workload () in
       let b = workload () in
       Alcotest.(check bool) "counts and words replay byte-identically" true
-        (a = b))
+        (a = b);
+      (* The JSON export carries the same rows under its schema tag. *)
+      let module Json = Clanbft.Util.Json in
+      match Json.of_string (Prof.to_json ~census:[ ("dag.store", 1) ] ()) with
+      | Error e -> Alcotest.failf "profile json does not parse: %s" e
+      | Ok doc ->
+          Alcotest.(check bool) "schema" true
+            (Json.member "schema" doc = Some (Json.String "clanbft/profile/v1"));
+          let names key field =
+            match Json.member key doc with
+            | Some (Json.List rows) -> List.filter_map (Json.member field) rows
+            | _ -> []
+          in
+          Alcotest.(check bool) "sections listed" true
+            (List.mem (Json.String "test.outer") (names "sections" "name"));
+          Alcotest.(check bool) "census listed" true
+            (names "census" "subsystem" = [ Json.String "dag.store" ]))
 
 let test_span_exception_safe () =
   with_prof (fun () ->
@@ -215,23 +231,35 @@ let test_histogram_empty_and_degenerate () =
 (* Metrics histogram JSON export: Prometheus count/sum/+inf round-trip *)
 
 let test_metrics_histogram_json () =
+  let module Json = Clanbft.Util.Json in
   let reg = Metrics.create_registry () in
   let h = Metrics.histogram reg ~buckets:[| 1.0; 2.0 |] "latency_ms" in
   List.iter (Metrics.observe h) [ 0.5; 1.0; 3.0 ];
-  let json = Metrics.to_json reg in
-  let has needle =
-    let nl = String.length needle and jl = String.length json in
-    let rec scan i = i + nl <= jl && (String.sub json i nl = needle || scan (i + 1)) in
-    scan 0
+  let metric =
+    match Json.of_string (Metrics.to_json reg) with
+    | Ok doc -> (
+        match Json.member "metrics" doc with
+        | Some (Json.List [ m ]) -> m
+        | _ -> Alcotest.fail "expected one metric")
+    | Error e -> Alcotest.failf "export does not parse: %s" e
   in
-  Alcotest.(check bool) "count exported" true (has "\"count\":3,");
-  Alcotest.(check bool) "sum exported" true (has "\"sum\":4.5,");
-  Alcotest.(check bool) "non-cumulative buckets" true
-    (has "\"buckets\":[{\"le\":1,\"count\":2},{\"le\":2,\"count\":0},{\"le\":\"+inf\",\"count\":1}]");
+  let has key want =
+    Alcotest.(check string) key (Json.to_string want)
+      (Option.fold ~none:"<absent>" ~some:Json.to_string (Json.member key metric))
+  in
+  let buckets counts =
+    Json.List
+      (List.map2
+         (fun le count -> Json.Obj [ ("le", le); ("count", Json.Int count) ])
+         [ Json.Int 1; Json.Int 2; Json.String "+inf" ]
+         counts)
+  in
+  has "count" (Json.Int 3);
+  has "sum" (Json.Float 4.5);
+  has "buckets" (buckets [ 2; 0; 1 ]);
   (* The cumulative array's +inf count equals the total count, so external
      tools can recompute quantiles from the export alone. *)
-  Alcotest.(check bool) "cumulative +inf equals count" true
-    (has "\"cumulative\":[{\"le\":1,\"count\":2},{\"le\":2,\"count\":2},{\"le\":\"+inf\",\"count\":3}]")
+  has "cumulative" (buckets [ 2; 2; 3 ])
 
 let suites =
   [

@@ -387,10 +387,20 @@ let test_runner_topology_matters () =
     (gcp.latency_mean_ms > 3.0 *. local.latency_mean_ms)
 
 let test_runner_deterministic () =
-  let a = Runner.run base_spec and b = Runner.run base_spec in
-  Alcotest.(check int) "same committed count" a.committed_txns b.committed_txns;
-  Alcotest.(check (float 1e-9)) "same latency" a.latency_mean_ms b.latency_mean_ms;
-  Alcotest.(check int) "same bytes" a.bytes_total b.bytes_total
+  (* Dense and sparse edges alike: every sampled parent derives from the
+     run seed, so a same-seed rerun commits the identical sequence. *)
+  List.iter
+    (fun spec ->
+      let a = Runner.run spec and b = Runner.run spec in
+      let label = Runner.protocol_label spec.protocol in
+      Alcotest.(check int) (label ^ ": same fingerprint") a.commit_fingerprint
+        b.commit_fingerprint;
+      Alcotest.(check int) (label ^ ": same committed count") a.committed_txns
+        b.committed_txns;
+      Alcotest.(check (float 1e-9)) (label ^ ": same latency") a.latency_mean_ms
+        b.latency_mean_ms;
+      Alcotest.(check int) (label ^ ": same bytes") a.bytes_total b.bytes_total)
+    [ base_spec; { base_spec with protocol = Runner.Sparse { k = 3 } } ]
 
 let test_runner_seed_sensitivity () =
   let a = Runner.run base_spec in

@@ -204,18 +204,37 @@ let test_reorder () =
     (List.length (strategy_fires "reorder" records) > 100)
 
 let test_determinism () =
-  (* Attack runs replay bit-identically: strategies draw no randomness. *)
-  let r1, records1 = attack_run [ "3@equivocate"; "6@reorder:1ms" ] in
-  let r2, records2 = attack_run [ "3@equivocate"; "6@reorder:1ms" ] in
-  Alcotest.(check int) "same fingerprint" r1.Runner.commit_fingerprint
-    r2.Runner.commit_fingerprint;
-  Alcotest.(check int) "same trace length" (List.length records1)
-    (List.length records2);
-  Alcotest.(check bool) "same trace" true (records1 = records2)
+  (* Attack runs replay bit-identically: strategies draw no randomness.
+     Every kind is covered; the storm preys on a recovering replica, so its
+     run carries a restart. *)
+  let storm_spec =
+    {
+      base_spec with
+      Runner.persist = true;
+      restarts =
+        [ { Faults.node = 5; crash_at = Time.s 2.; recover_at = Time.s 4. } ];
+    }
+  in
+  List.iter
+    (fun (spec, advs) ->
+      let name = String.concat "+" advs in
+      let r1, records1 = attack_run ~spec advs in
+      let r2, records2 = attack_run ~spec advs in
+      Alcotest.(check int) (name ^ ": same fingerprint") r1.Runner.commit_fingerprint
+        r2.Runner.commit_fingerprint;
+      Alcotest.(check int) (name ^ ": same trace length") (List.length records1)
+        (List.length records2);
+      Alcotest.(check bool) (name ^ ": same trace") true (records1 = records2))
+    [
+      (base_spec, [ "3@equivocate"; "6@reorder:1ms" ]);
+      (base_spec, [ "3@censor:0" ]);
+      (base_spec, [ "3@grief:0.8" ]);
+      (storm_spec, [ "2@storm:16" ]);
+    ]
 
 let test_install_validation () =
   Alcotest.check_raises "bad node id"
-    (Invalid_argument "Strategy: bad node id")
+    (Invalid_argument "Strategy: bad node id 8 for n=8")
     (fun () ->
       ignore
         (Runner.run
@@ -225,7 +244,7 @@ let test_install_validation () =
                [ { Strategy.node = 8; kind = Strategy.Equivocate } ];
            }));
   Alcotest.check_raises "censor self"
-    (Invalid_argument "Strategy: bad censor victim")
+    (Invalid_argument "Strategy: bad censor victim 3 for node 3")
     (fun () ->
       ignore
         (Runner.run

@@ -342,6 +342,123 @@ let prop_hex_roundtrip =
     QCheck.string
     (fun s -> Hex.decode (Hex.encode s) = s)
 
+(* ------------------------------------------------------------------ *)
+(* Json *)
+
+let test_json_escape () =
+  Alcotest.(check string) "plain passes" "echo_cert" (Json.escape "echo_cert");
+  Alcotest.(check string) "quote, backslash, newline, control"
+    {|a\"b\\c\nd\u0001\u001f|} (Json.escape "a\"b\\c\nd\001\031");
+  Alcotest.(check string) "high bytes pass" "\xc3\xa9" (Json.escape "\xc3\xa9")
+
+let test_json_floats () =
+  List.iter
+    (fun (f, want) -> Alcotest.(check string) want want (Json.to_string (Json.Float f)))
+    [
+      (3.0, "3.0");
+      (-0.5, "-0.5");
+      (0.1, "0.1");
+      (1e20, "1e+20");
+      (Float.nan, "null");
+      (Float.infinity, "null");
+      (Float.neg_infinity, "null");
+    ];
+  List.iter
+    (fun f ->
+      match Json.of_string (Json.to_string (Json.Float f)) with
+      | Ok (Json.Float g) -> Alcotest.(check (float 0.0)) "reads back equal" f g
+      | _ -> Alcotest.failf "float %h did not read back" f)
+    [ 1. /. 3.; 2.5e-300; 123456789.125; 0.1 +. 0.2; Float.max_float ]
+
+let test_json_printers () =
+  let v =
+    Json.Obj
+      [
+        ("s", Json.String "x\ny");
+        ("l", Json.List [ Json.Int 1; Json.Null; Json.Bool true ]);
+        ("o", Json.Obj []);
+      ]
+  in
+  Alcotest.(check string) "compact" {|{"s":"x\ny","l":[1,null,true],"o":{}}|}
+    (Json.to_string v);
+  Alcotest.(check string) "short stays on one line"
+    "{\"s\":\"x\\ny\",\"l\":[1,null,true],\"o\":{}}\n" (Json.pretty v);
+  let record = Json.Obj [ ("a", Json.String (String.make 100 'x')) ] in
+  Alcotest.(check string) "scalar members stay on one line"
+    (Json.to_string record ^ "\n") (Json.pretty record);
+  let long = Json.Obj [ ("a", Json.List [ Json.String (String.make 100 'x') ]); ("b", Json.Int 1) ] in
+  Alcotest.(check string) "long nested value breaks per member"
+    (Printf.sprintf "{\n  \"a\": [\"%s\"],\n  \"b\": 1\n}\n" (String.make 100 'x'))
+    (Json.pretty long);
+  Alcotest.(check bool) "pretty parses back" true (Json.of_string (Json.pretty long) = Ok long)
+
+let test_json_parser () =
+  Alcotest.(check bool) "value" true
+    (Json.of_string {| {"a": [1, -2.5e1, "\u00e9\t"], "b": null} |}
+    = Ok
+        (Json.Obj
+           [
+             ("a", Json.List [ Json.Int 1; Json.Float (-25.); Json.String "\xe9\t" ]);
+             ("b", Json.Null);
+           ]));
+  Alcotest.(check bool) "member" true
+    (Json.member "b" (Json.Obj [ ("b", Json.Int 2) ]) = Some (Json.Int 2));
+  List.iter
+    (fun bad ->
+      match Json.of_string bad with
+      | Ok _ -> Alcotest.failf "accepted %S" bad
+      | Error _ -> ())
+    [
+      ""; "{"; "[1,]"; "{\"a\"}"; "01"; "1."; "-"; "\"\\uzz\""; "\"\\uffff\"";
+      "\"\\u12\""; "\"\\x\""; "\"a\nb\""; "nul"; "[1] 2"; String.make 600 '[';
+    ]
+
+(* Whatever the bytes, the parser answers; printed values read back. *)
+let prop_json_total =
+  QCheck.Test.make ~name:"json parser is total" ~count:2000 QCheck.string
+    (fun s ->
+      ignore (Json.of_string s);
+      true)
+
+let prop_json_roundtrip =
+  let gen =
+    QCheck.Gen.(
+      sized
+      @@ fix (fun self size ->
+             let leaf =
+               oneof
+                 [
+                   return Json.Null;
+                   map (fun b -> Json.Bool b) bool;
+                   map (fun i -> Json.Int i) int;
+                   map (fun f -> Json.Float f) float;
+                   map (fun s -> Json.String s) string;
+                 ]
+             in
+             if size = 0 then leaf
+             else
+               frequency
+                 [
+                   (2, leaf);
+                   (1, map (fun l -> Json.List l) (list_size (0 -- 4) (self (size / 2))));
+                   ( 1,
+                     map
+                       (fun l -> Json.Obj l)
+                       (list_size (0 -- 4) (pair string (self (size / 2)))) );
+                 ]))
+  in
+  (* Non-finite floats print as null, so they read back as Null. *)
+  let rec expected = function
+    | Json.Float f when not (Float.is_finite f) -> Json.Null
+    | Json.List l -> Json.List (List.map expected l)
+    | Json.Obj m -> Json.Obj (List.map (fun (k, v) -> (k, expected v)) m)
+    | v -> v
+  in
+  QCheck.Test.make ~name:"json print/parse round-trip" ~count:500 (QCheck.make gen)
+    (fun v ->
+      Json.of_string (Json.to_string v) = Ok (expected v)
+      && Json.of_string (Json.pretty v) = Ok (expected v))
+
 let suites =
   [
     ( "util.rng",
@@ -397,5 +514,14 @@ let suites =
         Alcotest.test_case "decode cases" `Quick test_hex_decode_cases;
         Alcotest.test_case "errors" `Quick test_hex_errors;
         qtest prop_hex_roundtrip;
+      ] );
+    ( "util.json",
+      [
+        Alcotest.test_case "escape rule" `Quick test_json_escape;
+        Alcotest.test_case "float rule" `Quick test_json_floats;
+        Alcotest.test_case "printers" `Quick test_json_printers;
+        Alcotest.test_case "parser" `Quick test_json_parser;
+        qtest prop_json_total;
+        qtest prop_json_roundtrip;
       ] );
   ]
