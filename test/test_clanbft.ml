@@ -9,4 +9,4 @@ let () =
    @ Test_consensus.suites @ Test_poa.suites @ Test_smr.suites
    @ Test_obs.suites @ Test_prof.suites @ Test_analyze.suites
    @ Test_recovery.suites
-   @ Test_check.suites)
+   @ Test_check.suites @ Test_golden.suites)

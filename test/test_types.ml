@@ -391,6 +391,122 @@ let prop_codec_vertex_roundtrip =
       Vertex.wire_size ~n v = String.length enc
       && same_vertex ~n v (Codec.decode_vertex ~n ~compact:v.compact enc))
 
+(* ------------------------------------------------------------------ *)
+(* Decoder totality: whatever bytes a Byzantine peer sends, the only
+   exception a decoder may raise is [Decode_error]. *)
+
+let decoders =
+  [
+    (fun s -> ignore (Codec.decode ~n:16 s));
+    (fun s -> ignore (Codec.decode ~n:16 ~compact:true s));
+    (fun s -> ignore (Codec.decode_vertex ~n:16 s));
+    (fun s -> ignore (Codec.decode_vertex ~n:16 ~compact:true s));
+    (fun s -> ignore (Codec.decode_block s));
+  ]
+
+(* Any other exception escapes and fails the property. *)
+let decoders_total s =
+  List.iter
+    (fun decode -> try decode s with Codec.Decode_error _ -> ())
+    decoders;
+  true
+
+(* Valid encodings to mutate: every message kind, both vertex layouts, and
+   the standalone vertex and block forms. *)
+let corpus =
+  let compact =
+    Vertex.make ~round:3 ~source:2 ~block_digest:(Block.digest sample_block)
+      ~strong_edges:[| vref_of_slot 2 0; vref_of_slot 2 1 |]
+      ~weak_edges:[| vref_of_slot 1 5 |] ~compact:true ()
+  in
+  let sg = Keychain.sign kc ~signer:2 "sig" in
+  Array.of_list
+    (List.map (Codec.encode ~n:16)
+       (Msg.Val { vertex = compact; block = Some sample_block; signature = sg }
+       :: sample_msgs ())
+    @ [
+        Codec.encode_vertex ~n:16 (sample_vertex ~nvc:true ~tc:true ());
+        Codec.encode_vertex ~n:16 compact;
+        Codec.encode_block sample_block;
+      ])
+
+let gen_corpus_entry = QCheck.Gen.(map (Array.get corpus) (int_bound (Array.length corpus - 1)))
+
+let prop_decode_random_bytes =
+  QCheck.Test.make ~name:"decoders total on random bytes" ~count:2000
+    QCheck.(pair (int_range 0 12) (string_gen_of_size Gen.(int_range 0 300) Gen.char))
+    (fun (tag, body) ->
+      decoders_total body && decoders_total (String.make 1 (Char.chr tag) ^ body))
+
+let prop_decode_truncations =
+  QCheck.Test.make ~name:"decoders total on truncations" ~count:1000
+    (QCheck.make QCheck.Gen.(pair gen_corpus_entry (float_bound_exclusive 1.)))
+    (fun (enc, frac) ->
+      decoders_total (String.sub enc 0 (int_of_float (frac *. float (String.length enc)))))
+
+let prop_decode_bit_flips =
+  QCheck.Test.make ~name:"decoders total on single-bit flips" ~count:2000
+    (QCheck.make QCheck.Gen.(triple gen_corpus_entry (float_bound_exclusive 1.) (int_bound 7)))
+    (fun (enc, frac, bit) ->
+      let b = Bytes.of_string enc in
+      let i = int_of_float (frac *. float (Bytes.length b)) in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+      decoders_total (Bytes.to_string b))
+
+let put_u32 b pos v =
+  Bytes.set b pos (Char.chr ((v lsr 24) land 0xff));
+  Bytes.set b (pos + 1) (Char.chr ((v lsr 16) land 0xff));
+  Bytes.set b (pos + 2) (Char.chr ((v lsr 8) land 0xff));
+  Bytes.set b (pos + 3) (Char.chr (v land 0xff))
+
+let with_u32 s pos v =
+  let b = Bytes.of_string s in
+  put_u32 b pos v;
+  Bytes.to_string b
+
+let rejects decode s =
+  match decode s with _ -> false | exception Codec.Decode_error _ -> true
+
+(* A count of 0xFFFFFFFF followed by one valid element must fail with
+   [Decode_error], not ask for 2^32 slots. *)
+let test_decode_oversized_counts () =
+  let one_txn = Block.make ~proposer:2 ~round:3 ~txns:[| mk_txn ~id:1 () |] in
+  let block = Codec.encode_block one_txn in
+  (* proposer, round, then the txn count *)
+  Alcotest.(check bool) "block txn count" true
+    (rejects Codec.decode_block (with_u32 block 8 0xFFFFFFFF));
+  let reply = Codec.encode ~n:16 (Msg.Block_reply { block = one_txn }) in
+  Alcotest.(check bool) "block_reply txn count" true
+    (rejects (Codec.decode ~n:16) (with_u32 reply 9 0xFFFFFFFF));
+  let v =
+    Vertex.make ~round:3 ~source:2 ~block_digest:Digest32.zero
+      ~strong_edges:[| vref_of_slot 2 0 |] ~weak_edges:[| vref_of_slot 1 5 |] ()
+  in
+  let vertex = Codec.encode_vertex ~n:16 v in
+  (* round, source, block digest, then the dense strong-edge count; the
+     weak count follows the one 40-byte strong edge *)
+  let strong_at = 4 + 4 + Digest32.size in
+  let weak_at = strong_at + 4 + 4 + 4 + Digest32.size in
+  Alcotest.(check bool) "strong edge count" true
+    (rejects (Codec.decode_vertex ~n:16) (with_u32 vertex strong_at 0xFFFFFFFF));
+  Alcotest.(check bool) "weak edge count" true
+    (rejects (Codec.decode_vertex ~n:16) (with_u32 vertex weak_at 0xFFFFFFFF))
+
+let prop_decode_oversized_counts =
+  QCheck.Test.make ~name:"decoders total on forged counts" ~count:1000
+    QCheck.(pair (int_range 0 2) (int_range 0 0xFFFFFFFF))
+    (fun (field, count) ->
+      let block = Codec.encode_block sample_block in
+      let vertex = Codec.encode_vertex ~n:16 (sample_vertex ()) in
+      let strong_at = 4 + 4 + Digest32.size in
+      let s =
+        match field with
+        | 0 -> with_u32 block 8 count
+        | 1 -> with_u32 vertex strong_at count
+        | _ -> with_u32 vertex (strong_at + 4 + (2 * (8 + Digest32.size))) count
+      in
+      decoders_total s)
+
 let suites =
   [
     ( "types.config",
@@ -432,5 +548,13 @@ let suites =
         Alcotest.test_case "vertex/block standalone" `Quick test_vertex_block_codec_roundtrip;
         qtest prop_codec_block_roundtrip;
         qtest prop_codec_vertex_roundtrip;
+      ] );
+    ( "types.codec.fuzz",
+      [
+        Alcotest.test_case "oversized counts" `Quick test_decode_oversized_counts;
+        qtest prop_decode_random_bytes;
+        qtest prop_decode_truncations;
+        qtest prop_decode_bit_flips;
+        qtest prop_decode_oversized_counts;
       ] );
   ]
