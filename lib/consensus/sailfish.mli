@@ -16,7 +16,10 @@
     the block only to the proposer's payload clan; clan members ECHO only
     once they hold {e both}; an ECHO certificate (2f+1 ECHOs, ≥ fc+1 from
     the clan) completes delivery. Missing blocks and vertices are pulled off
-    the critical path and never block round progression.
+    the critical path and never block round progression. The instance runs
+    on [Clanbft_rbc.Rbc_core], like the standalone RBC families; this
+    module supplies its payload and hooks (the payload clan, and under
+    sparse edges the f+1 certificate relayers).
 
     {2 Consensus rules}
 
@@ -169,3 +172,6 @@ val census : t -> (string * int) list
     state. *)
 
 val vertex_of : t -> round:int -> source:int -> Vertex.t option
+
+val rbc_footprint : t -> int * int
+(** (broadcast instances, digest vote records) this node holds. *)

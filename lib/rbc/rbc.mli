@@ -18,10 +18,15 @@
     critical path, with per-peer rate limiting (§3, "Remark on communication
     complexity").
 
-    The consensus layer does {e not} use this module — it runs the merged
-    vertex+block instance of §5 (see [Clanbft_consensus]) — but the test
-    suite and the RBC ablation bench exercise these primitives directly,
-    and they are the reusable artefact for downstream users. *)
+    This module is a thin adapter over {!Rbc_core}, the instance core
+    that Sailfish's merged vertex+block instance (§5) also runs on. The
+    adapter owns the wire format ({!msg}), the value and its delivery.
+    Its context hooks give the core the echo signing string
+    ({!echo_signing_string}), one clan with its fc+1 threshold for every
+    sender, relaying by every node, and kept certificates (to answer
+    {!request_sync}). Quorums, certificates, READY amplification, pull
+    serving and the pull sweep are the core's, so the checker's exhaustive
+    search over these families explores the code consensus runs. *)
 
 open Clanbft_crypto
 
@@ -150,3 +155,7 @@ val pulling : node -> sender:int -> round:int -> bool
     a pull-path liveness bug — exactly the shape of the (since fixed)
     PR 1 READY-path defect the checker re-finds when that fix is
     reverted (EXPERIMENTS.md). *)
+
+val footprint : node -> int * int
+(** (instances, digest vote records) this node holds: what unverified
+    Byzantine traffic must not be able to grow. *)

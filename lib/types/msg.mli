@@ -1,14 +1,15 @@
-(** Wire messages of the combined vertex+block dissemination and the
-    Sailfish consensus layer (§5 "Efficiently propagating the vertex and the
+(** Wire messages of the Sailfish consensus layer and its merged
+    vertex+block broadcast (§5 "Efficiently propagating the vertex and the
     block", §7 implementation details).
 
-    One RBC instance exists per (proposer, round) slot. The instance merges
-    the round-optimal signed RBC for the vertex with the two-round
-    tribe-assisted RBC for the block: VAL carries the vertex to everyone and
-    additionally the block to the proposer's clan; ECHO acknowledges the pair
-    (or the vertex alone outside the clan); an ECHO certificate (2f+1 ECHOs,
-    ≥ fc+1 from the clan) finishes the broadcast. Missing blocks/vertices are
-    pulled off the critical path. *)
+    One broadcast instance exists per (proposer, round) slot, run by
+    [Clanbft_rbc.Rbc_core] in its signed mode: VAL carries the vertex to
+    everyone and the block to the proposer's clan only; ECHO acknowledges
+    the pair (the vertex alone outside the clan); an ECHO certificate
+    (2f+1 ECHOs, ≥ fc+1 from the clan) finishes it. [Vertex_request] /
+    [Block_request] pull missing content off the critical path. The
+    remaining messages are consensus: timeout and no-vote shares and
+    certificates, and state sync. *)
 
 open Clanbft_crypto
 

@@ -116,24 +116,12 @@ let make ~round ~source ~block_digest ~strong_edges ~weak_edges
 
 let ref_of t = { round = t.round; source = t.source; digest = t.digest }
 let vref_wire_size = 4 + 4 + Digest32.size
-let compact_strong_wire_size = 2 + Digest32.size
-let compact_weak_wire_size = 4 + 2 + Digest32.size
-let edge_count t = Array.length t.strong_edges + Array.length t.weak_edges
 
 (* Index-based edge traversal: strong edges first, then weak — the same
    order as consing the two arrays into a list, without the list. *)
 let iter_edges t f =
   Array.iter f t.strong_edges;
   Array.iter f t.weak_edges
-
-let for_all_edges t f =
-  let rec strong i =
-    i >= Array.length t.strong_edges
-    || (f t.strong_edges.(i) && strong (i + 1))
-  and weak i =
-    i >= Array.length t.weak_edges || (f t.weak_edges.(i) && weak (i + 1))
-  in
-  strong 0 && weak 0
 
 let wire_size ~n t =
   let cert = function None -> 1 | Some _ -> 1 + Cert.wire_size ~n in

@@ -52,23 +52,10 @@ val ref_of : t -> vref
 val vref_wire_size : int
 (** Bytes per dense edge: round + source + digest. *)
 
-val compact_strong_wire_size : int
-(** Bytes per compact strong edge: u16 source + digest (round implied). *)
-
-val compact_weak_wire_size : int
-(** Bytes per compact weak edge: round + u16 source + digest. *)
-
-val edge_count : t -> int
-(** Total parent references: strong + weak. *)
-
 val iter_edges : t -> (vref -> unit) -> unit
 (** Apply to every parent reference, strong edges first then weak —
     index-based, allocating nothing (unlike materialising the edge arrays
     as a list, which dominated DAG bookkeeping at large [n]). *)
-
-val for_all_edges : t -> (vref -> bool) -> bool
-(** Does the predicate hold for every parent reference? Short-circuits on
-    the first failure; same order as {!iter_edges}, no allocation. *)
 
 val wire_size : n:int -> t -> int
 (** Exact wire bytes given tribe size [n] (certificates embed an
