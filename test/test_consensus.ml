@@ -392,6 +392,28 @@ let test_latency_model_table () =
         Alcotest.(check bool) (name d) true (deltas Dag_sailfish < deltas d))
     all
 
+(* Forged or unsolicited broadcast traffic must not allocate instance
+   state: echoes and certificates that fail verification, and pull
+   requests for far-future rounds, leave the victim's instance and digest
+   tables empty (the nodes are not started, so nothing else runs). *)
+let test_forged_traffic_allocates_nothing () =
+  let w = make_world ~n:4 ~byzantine:[ 3 ] (Config.Single_clan [| 0; 1; 2 |]) in
+  let signers = Util.Bitset.of_list 4 [ 0; 1; 3 ] in
+  let agg = Keychain.aggregate_of_wire ~tag:(String.make 32 'x') ~signers in
+  let send m = Net.send w.net ~src:3 ~dst:0 m in
+  for i = 1 to 200 do
+    let vertex_digest = Digest32.hash_string (string_of_int i) in
+    send
+      (Msg.Echo
+         { round = 1; source = 1; vertex_digest; signer = 3; signature = Keychain.forge });
+    send (Msg.Echo_cert { round = 1; source = 1; vertex_digest; agg; clan_echoes = 2 });
+    send (Msg.Vertex_request { round = 1_000_000 + i; source = 1 });
+    send (Msg.Block_request { round = 1_000_000 + i; source = 1 })
+  done;
+  Engine.run w.engine;
+  Alcotest.(check (pair int int)) "instances, digests" (0, 0)
+    (Sailfish.rbc_footprint (node w 0))
+
 let suites =
   [
     ( "consensus.liveness",
@@ -420,6 +442,8 @@ let suites =
           test_byzantine_partial_block_dissemination;
         Alcotest.test_case "ancient-round replay ignored" `Slow
           test_ancient_round_traffic_ignored;
+        Alcotest.test_case "forged traffic allocates nothing" `Quick
+          test_forged_traffic_allocates_nothing;
       ] );
     ( "consensus.resources",
       [

@@ -192,6 +192,31 @@ let test_forged_echo_ignored () =
   Engine.run ~until:(Time.s 5.) w.engine;
   Alcotest.(check int) "no deliveries from forged echoes" 0 (List.length (outcomes w))
 
+(* Forged echoes and certificates, and requests for far-future rounds,
+   allocate nothing at the victim; honest traffic afterwards still does. *)
+let test_forged_traffic_allocates_nothing () =
+  let w = make_world ~byzantine:[ 1 ] Rbc.Tribe_signed in
+  let victim = node w 0 in
+  (* 2f+1 = 7 signers, 5 of them from the clan: only verification fails *)
+  let signers = Util.Bitset.of_list 10 [ 0; 1; 2; 4; 6; 7; 8 ] in
+  let agg = Keychain.aggregate_of_wire ~tag:(String.make 32 'x') ~signers in
+  let send m = Net.send w.net ~src:1 ~dst:0 m in
+  for i = 1 to 200 do
+    let digest = Digest32.hash_string (string_of_int i) in
+    send
+      (Rbc.Echo
+         { sender = 5; round = 1; digest; signer = 1; signature = Some Keychain.forge });
+    send (Rbc.Echo_cert { sender = 5; round = 1; digest; agg });
+    send (Rbc.Pull_request { sender = 5; round = 1_000_000 + i });
+    send (Rbc.Sync_request { sender = 5; round = 1_000_000 + i })
+  done;
+  Engine.run w.engine;
+  Alcotest.(check (pair int int)) "nothing allocated" (0, 0) (Rbc.footprint victim);
+  Rbc.broadcast (node w 2) ~round:1 "honest";
+  Engine.run w.engine;
+  Alcotest.(check (pair int int)) "one instance, one digest" (1, 1)
+    (Rbc.footprint victim)
+
 let test_rate_limited_pulls () =
   let w = make_world Rbc.Tribe_signed in
   Rbc.broadcast (node w 0) ~round:1 "limited";
@@ -247,6 +272,8 @@ let suites =
           Alcotest.test_case "outcome split" `Quick (test_tribe_outcome_split Rbc.Tribe_signed);
           Alcotest.test_case "pull path" `Quick (test_pull_path Rbc.Tribe_signed);
           Alcotest.test_case "forged echoes ignored" `Quick test_forged_echo_ignored;
+          Alcotest.test_case "forged traffic allocates nothing" `Quick
+            test_forged_traffic_allocates_nothing;
           Alcotest.test_case "pull rate limiting" `Quick test_rate_limited_pulls;
           Alcotest.test_case "2-round faster than 3-round" `Quick test_two_rounds_faster;
         ] );
