@@ -34,16 +34,29 @@ else
   echo "== odoc skipped (odoc not installed) =="
 fi
 
-echo "== n=50 scale smoke (sailfish, 2 s sim, 90 s wall budget) =="
+echo "== n=50 scale smoke (sailfish, 2 s sim, 90 s wall budget, heap cap) =="
 # The batched fan-out keeps large-committee runs affordable: a 50-node
 # sailfish run processes ~2.6M events in a few seconds. Budget is explicit
 # wall-clock — blowing it means the fast path regressed, not just noise.
+# The built binary runs directly (dune exec would print dune's own GC
+# stats); OCAMLRUNPARAM=v=0x400 prints the run's GC stats to stderr.
 smoke_dir=$(mktemp -d)
-if ! timeout 90 dune exec bin/clanbft_cli.exe -- sim -n 50 -p full --load 200 \
-  --duration 2 --warmup 0.5 --seed 7 >"$smoke_dir/n50" 2>/dev/null; then
+if ! OCAMLRUNPARAM=v=0x400 timeout 90 _build/default/bin/clanbft_cli.exe sim \
+  -n 50 -p full --load 200 --duration 2 --warmup 0.5 --seed 7 \
+  >"$smoke_dir/n50" 2>"$smoke_dir/n50.gc"; then
   echo "n=50 smoke failed or exceeded its 90 s wall-clock budget"
   exit 1
 fi
+# Peak heap is deterministic per seed. It read 20,160,141 words before RBC
+# echo shares were released at certification and 14,203,535 after (OCaml
+# 5.1.1); the cap is the latter plus 10%.
+n50_heap_cap=15624000
+n50_heap=$(awk '/^top_heap_words:/ { print $2 }' "$smoke_dir/n50.gc")
+if [ -z "$n50_heap" ] || [ "$n50_heap" -gt "$n50_heap_cap" ]; then
+  echo "n=50 smoke top_heap_words '${n50_heap}' exceeds its cap $n50_heap_cap"
+  exit 1
+fi
+echo "n=50 top_heap_words $n50_heap (cap $n50_heap_cap)"
 # The pinned fingerprint covers the dense echo/certificate path at a size
 # the n=16 tests under-weight.
 for want in "agree=true" "commit fingerprint: 0x6358547d58ba8ed9"; do

@@ -1029,12 +1029,25 @@ let start_recovery t =
 let block_of t ~round ~source = Hashtbl.find_opt t.blocks (round, source)
 let vertex_of t ~round ~source = Store.find t.store ~round ~source
 let rbc_footprint t = Rbc.footprint t.rbc
+let rbc_retained_shares t = Rbc.retained_shares t.rbc
 
-(* Heap census: this layer's retained state, split by subsystem. Slot
-   bookkeeping is estimated flat (vote bitsets + share lists scale with n);
-   stored blocks are charged at their wire size. See docs/PROFILING.md. *)
-let census t =
-  let slot_words = fst (Rbc.footprint t.rbc) * (24 + Config.n t.config) in
+(* Heap census: this layer's retained state, split by subsystem. Per RBC
+   instance: the core's record, the slot, the table cell and the [agreed]
+   box (27 words); per digest vote record: the record, its voter bitset
+   and the signing hash (13 words + one per 63 voters); per share still
+   held, a list cell and a pair (6). A block is charged at its heap words
+   (record and digest, the txn array, a 5-word record per txn), once
+   across replicas: the replicas share one [Block.t] per (round,
+   proposer), and [seen] holds the slots charged so far. See
+   docs/PROFILING.md. *)
+let census ~seen t =
+  let n = Config.n t.config in
+  let instances, digests = Rbc.footprint t.rbc in
+  let slot_words =
+    (27 * instances)
+    + (digests * (13 + ((n + 62) / 63)))
+    + (6 * Rbc.retained_shares t.rbc)
+  in
   let pending_words =
     Hashtbl.fold
       (fun _ (v : Vertex.t) acc ->
@@ -1049,7 +1062,15 @@ let census t =
       + Hashtbl.length t.no_vote_shares)
   in
   let block_words =
-    Hashtbl.fold (fun _ b acc -> acc + 8 + (Block.wire_size b / 8)) t.blocks 0
+    Hashtbl.fold
+      (fun (round, proposer) b acc ->
+        let slot = (round * n) + proposer in
+        if Hashtbl.mem seen slot then acc
+        else begin
+          Hashtbl.replace seen slot ();
+          acc + 13 + (6 * Block.txn_count b)
+        end)
+      t.blocks 0
   in
   [
     ("consensus.blocks", block_words);

@@ -162,10 +162,13 @@ val block_of : t -> round:int -> source:int -> Block.t option
 
 val dag_size : t -> int
 
-val census : t -> (string * int) list
+val census : seen:(int, unit) Hashtbl.t -> t -> (string * int) list
 (** Heap-census rows for this node's consensus layer:
     [consensus.blocks], [consensus.state], [dag.store] and [keychain]
-    approximate live words. See docs/PROFILING.md. *)
+    approximate live words. Replicas share block values, so a block is
+    charged only if its slot ([round * n + proposer]) is not yet in
+    [seen], which it is then added to; pass one table across all
+    replicas of a run. See docs/PROFILING.md. *)
 
 (** Low-level hooks for fault-injection tests: a Byzantine "node" is built
     by driving the network directly, but tests also need to peek at honest
@@ -175,3 +178,7 @@ val vertex_of : t -> round:int -> source:int -> Vertex.t option
 
 val rbc_footprint : t -> int * int
 (** (broadcast instances, digest vote records) this node holds. *)
+
+val rbc_retained_shares : t -> int
+(** Echo signature shares this node still holds; none once every instance
+    it holds reached this node's own certificate. *)

@@ -143,8 +143,7 @@ let verify t ~signer msg signature =
 
 let forge = String.make 32 '\xff'
 
-let aggregate t ~msg parts =
-  ignore msg;
+let aggregate t parts =
   let total = n t in
   let who = Bitset.create total in
   let ok =

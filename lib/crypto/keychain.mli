@@ -55,10 +55,11 @@ val signature_size : int
 (** Wire bytes of one signature (κ = 64, covering hash- and signature-size
     as the paper does). *)
 
-val aggregate : t -> msg:string -> (int * signature) list -> aggregate option
-(** Combine signatures on [msg]. Mirrors the paper's flow: aggregation never
-    fails (no upfront verification) — this function returns [None] only if a
-    signer index is out of range. The aggregate may later fail
+val aggregate : t -> (int * signature) list -> aggregate option
+(** Combine signatures on one message (needed only to verify the result).
+    Mirrors the paper's flow: aggregation never fails (no upfront
+    verification) — this function returns [None] only if a signer index is
+    out of range or repeated. The aggregate may later fail
     verification if a constituent was forged. *)
 
 val verify_aggregate : t -> msg:string -> aggregate -> bool

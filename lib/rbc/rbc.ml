@@ -355,3 +355,4 @@ let pulling t ~sender ~round =
   | Some inst -> inst.ext.pulling && not inst.delivered
 
 let footprint t = Core.footprint t.core
+let retained_shares t = Core.retained_shares t.core

@@ -11,14 +11,26 @@ module Trace = Clanbft_obs.Trace
 type votes = {
   voters : Bitset.t;
   mutable clan_votes : int;
-  mutable shares : (int * Keychain.signature) list; (* signed mode *)
-  (* Echo signing string for this digest, built and hashed once: every one
-     of the ~n echo receipts and the certificate check verify against the
-     same string, and both rebuilding and rehashing it per receipt showed
-     up in profiles (echo receipts are ~n³ per round at paper scale). *)
-  signing : string;
+  (* Signed mode, until this node's own quorum: the aggregate is formed
+     from them once, and [on_echo] reads no votes after [sent_cert]. *)
+  mutable shares : (int * Keychain.signature) list;
+  (* Hash of the echo signing string for this digest, computed once: every
+     one of the ~n echo receipts and the certificate check verify against
+     it, and both rebuilding and rehashing the string per receipt showed up
+     in profiles (echo receipts are ~n³ per round at paper scale). The
+     string itself is not kept; [send_echo] rebuilds it. *)
   signing_h : Keychain.msg_hash;
 }
+
+(* The absent vote record: lookups return it instead of an option, so the
+   echo path allocates nothing to ask. Never mutated. *)
+let no_votes =
+  {
+    voters = Bitset.create 0;
+    clan_votes = 0;
+    shares = [];
+    signing_h = Keychain.hash_msg "";
+  }
 
 type 'e inst = {
   sender : int;
@@ -26,13 +38,17 @@ type 'e inst = {
   ext : 'e;
   mutable agreed : Digest32.t option;
   mutable delivered : bool;
-  echoes : votes Digest32.Tbl.t;
+  (* Echo votes: the first digest's inline, a table only once a second
+     digest appears (equivocation). *)
+  mutable first : Digest32.t;
+  mutable first_votes : votes;
+  mutable more_echoes : votes Digest32.Tbl.t option;
   mutable readies : votes Digest32.Tbl.t option; (* unsigned mode only *)
   mutable sent_echo : bool;
   mutable sent_ready : bool;
   mutable sent_cert : bool;
   mutable cert : Keychain.aggregate option;
-  served : (int, int) Hashtbl.t; (* peer -> pull replies served *)
+  mutable served : (int, int) Hashtbl.t option; (* peer -> pull replies served *)
 }
 
 type ('e, 'm) ctx = {
@@ -115,26 +131,38 @@ let get c ~sender ~round =
           ext = c.ctx.fresh ();
           agreed = None;
           delivered = false;
-          echoes = Digest32.Tbl.create 2;
+          first = Digest32.zero;
+          first_votes = no_votes;
+          more_echoes = None;
           readies = None;
           sent_echo = false;
           sent_ready = false;
           sent_cert = false;
           cert = None;
-          served = Hashtbl.create 4;
+          served = None;
         }
       in
       Hashtbl.replace c.instances (key c ~sender ~round) i;
       i
 
+let tbl_length = function None -> 0 | Some t -> Digest32.Tbl.length t
+
 let footprint c =
   Hashtbl.fold
     (fun _ i (insts, digests) ->
-      let readies =
-        match i.readies with None -> 0 | Some t -> Digest32.Tbl.length t
-      in
-      (insts + 1, digests + Digest32.Tbl.length i.echoes + readies))
+      let first = if i.first_votes == no_votes then 0 else 1 in
+      (insts + 1, digests + first + tbl_length i.more_echoes + tbl_length i.readies))
     c.instances (0, 0)
+
+let retained_shares c =
+  let count v acc = acc + List.length v.shares in
+  Hashtbl.fold
+    (fun _ i acc ->
+      let acc = count i.first_votes acc in
+      match i.more_echoes with
+      | None -> acc
+      | Some t -> Digest32.Tbl.fold (fun _ v acc -> count v acc) t acc)
+    c.instances 0
 
 let prune_below c ~round =
   let doomed =
@@ -144,23 +172,39 @@ let prune_below c ~round =
   in
   List.iter (Hashtbl.remove c.instances) doomed
 
+(* [known] itself, or a fresh record when it is [no_votes]. *)
 let votes c known ~sender ~round digest =
-  match known with
-  | Some v -> v
-  | None ->
-      let signing = c.ctx.signing ~sender ~round digest in
-      let signing_h = Keychain.hash_msg signing in
-      { voters = Bitset.create c.n; clan_votes = 0; shares = []; signing; signing_h }
+  if known != no_votes then known
+  else
+    let signing_h = Keychain.hash_msg (c.ctx.signing ~sender ~round digest) in
+    { voters = Bitset.create c.n; clan_votes = 0; shares = []; signing_h }
 
-let voters tbl digest =
-  match Digest32.Tbl.find_opt tbl digest with
-  | Some v -> Bitset.to_list v.voters
-  | None -> []
+let find_votes tbl digest =
+  match tbl with
+  | None -> no_votes
+  | Some t -> ( try Digest32.Tbl.find t digest with Not_found -> no_votes)
 
-let echo_voters inst digest = voters inst.echoes digest
+(* The first digest is [Digest32.zero] while [first_votes] is [no_votes],
+   so a match on it is right either way. *)
+let echo_votes inst digest =
+  if Digest32.equal inst.first digest then inst.first_votes
+  else find_votes inst.more_echoes digest
 
-let ready_voters inst digest =
-  match inst.readies with None -> [] | Some t -> voters t digest
+(* [tbl] with [digest]'s votes added, made on the first. *)
+let add_votes tbl digest v =
+  let t = match tbl with Some t -> t | None -> Digest32.Tbl.create 2 in
+  Digest32.Tbl.replace t digest v;
+  Some t
+
+let add_echo_votes inst digest v =
+  if inst.first_votes == no_votes then begin
+    inst.first <- digest;
+    inst.first_votes <- v
+  end
+  else inst.more_echoes <- add_votes inst.more_echoes digest v
+
+let echo_voters inst digest = Bitset.to_list (echo_votes inst digest).voters
+let ready_voters inst digest = Bitset.to_list (find_votes inst.readies digest).voters
 
 (* ------------------------------------------------------------------ *)
 (* Sending *)
@@ -203,7 +247,7 @@ let echo_quorum c inst digest (v : votes) =
   if c.signed then begin
     inst.sent_cert <- true;
     if c.ctx.relays_cert ~sender:inst.sender then begin
-      match Keychain.aggregate c.keychain ~msg:v.signing v.shares with
+      match Keychain.aggregate c.keychain v.shares with
       | None -> ()
       | Some agg ->
           if c.ctx.keep_certs then inst.cert <- Some agg;
@@ -211,6 +255,9 @@ let echo_quorum c inst digest (v : votes) =
             (c.ctx.echo_cert ~sender:inst.sender ~round:inst.round digest agg
                ~clan_echoes:v.clan_votes)
     end;
+    (* [on_echo] reads no votes after [sent_cert]; the aggregate keeps its
+       own parts. *)
+    v.shares <- [];
     Some inst
   end
   else begin
@@ -219,16 +266,14 @@ let echo_quorum c inst digest (v : votes) =
   end
 
 (* Nothing is stored for a message until it has verified: [known] is the
-   instance's vote record for [digest], if any; otherwise a fresh one is
+   instance's vote record for [digest], or [no_votes]; a fresh one is
    attached only once its first message checks out. *)
-let echo_votes found digest =
-  match found with
-  | Some i -> Digest32.Tbl.find_opt i.echoes digest
-  | None -> None
+let known_echo_votes found digest =
+  match found with Some i -> echo_votes i digest | None -> no_votes
 
 let attach c found ~sender ~round digest known v =
   let inst = match found with Some i -> i | None -> get c ~sender ~round in
-  if Option.is_none known then Digest32.Tbl.replace inst.echoes digest v;
+  if known == no_votes then add_echo_votes inst digest v;
   inst
 
 let on_echo c ~sender ~round digest ~signer signature =
@@ -243,7 +288,7 @@ let on_echo c ~sender ~round digest ~signer signature =
        changes no message and no observable state. *)
     | Some inst when inst.sent_cert -> None
     | _ ->
-        let known = echo_votes found digest in
+        let known = known_echo_votes found digest in
         let v = votes c known ~sender ~round digest in
         if
           c.signed
@@ -268,17 +313,9 @@ let on_ready c ~sender ~round digest ~signer =
   if c.signed || not (in_range c sender) then None
   else begin
     let inst = get c ~sender ~round in
-    let tbl =
-      match inst.readies with
-      | Some t -> t
-      | None ->
-          let t = Digest32.Tbl.create 2 in
-          inst.readies <- Some t;
-          t
-    in
-    let known = Digest32.Tbl.find_opt tbl digest in
+    let known = find_votes inst.readies digest in
     let v = votes c known ~sender ~round digest in
-    if Option.is_none known then Digest32.Tbl.replace tbl digest v;
+    if known == no_votes then inst.readies <- add_votes inst.readies digest v;
     if not (Bitset.add v.voters signer) then None
     else begin
       let count = Bitset.cardinal v.voters in
@@ -306,7 +343,7 @@ let on_echo_cert c ~sender ~round digest agg =
           || (threshold > 0 && clan_count c ~sender signers < threshold)
         then None
         else
-          let known = echo_votes found digest in
+          let known = known_echo_votes found digest in
           let v = votes c known ~sender ~round digest in
           if not (Keychain.verify_aggregate_hashed c.keychain ~hash:v.signing_h agg)
           then None
@@ -326,11 +363,17 @@ let serve c ~sender ~round ~src reply =
       match reply inst with
       | None -> ()
       | Some reply ->
-          let served =
-            Option.value ~default:0 (Hashtbl.find_opt inst.served src)
+          let ledger =
+            match inst.served with
+            | Some t -> t
+            | None ->
+                let t = Hashtbl.create 4 in
+                inst.served <- Some t;
+                t
           in
+          let served = Option.value ~default:0 (Hashtbl.find_opt ledger src) in
           if served < c.budget then begin
-            Hashtbl.replace inst.served src (served + 1);
+            Hashtbl.replace ledger src (served + 1);
             Net.send c.net ~src:c.me ~dst:src reply
           end)
 

@@ -4,11 +4,19 @@
     vertex+block instance (§5, over [Msg.t]) are thin adapters over this
     module. An adapter owns its wire format and its payload; the core owns
     what the broadcast decides: per-(sender, round) instances and
-    per-digest votes (the echo signing string built and hashed once per
-    digest); the 2f+1 echo quorum with the sender's clan threshold; in
-    signed mode, certificate forming, relaying and checking, in unsigned
-    mode Bracha's READY amplification; budgeted pull serving; and the pull
-    sweep (one peer per retry, then backoff capped at 16x retry).
+    per-digest votes; the 2f+1 echo quorum with the sender's clan
+    threshold; in signed mode, certificate forming, relaying and checking,
+    in unsigned mode Bracha's READY amplification; budgeted pull serving;
+    and the pull sweep (one peer per retry, then backoff capped at 16x
+    retry).
+
+    An instance keeps its vote state only while it can still change an
+    outcome. A digest's votes keep the hash of the echo signing string,
+    not the string. Its signature shares are released at this node's own
+    quorum (the certificate, if relayed, keeps its own copy), after which
+    echoes are skipped unread. The first digest's votes sit inline in the
+    instance, and a table is made only when an equivocating sender brings
+    a second; the pull-serving ledger is made on the first pull served.
 
     The adapter's side is the narrow {!ctx}. The core never calls back into
     adapter state: receive functions return the instance whose quorum or
@@ -20,7 +28,8 @@
 open Clanbft_crypto
 
 type votes
-(** One digest's voters, clan count and signature shares. *)
+(** One digest's voters, clan count, signing-string hash and, in signed
+    mode until this node's own quorum, signature shares. *)
 
 type 'e inst = {
   sender : int;
@@ -30,13 +39,18 @@ type 'e inst = {
   mutable delivered : bool;
       (** set by the adapter once delivery is final; later certificates
           are ignored *)
-  echoes : votes Digest32.Tbl.t;
+  mutable first : Digest32.t;
+      (** the first echoed digest; {!Digest32.zero} until one is attached *)
+  mutable first_votes : votes;  (** its echo votes *)
+  mutable more_echoes : votes Digest32.Tbl.t option;
+      (** echo votes for further digests, made on the second *)
   mutable readies : votes Digest32.Tbl.t option;  (** unsigned mode only *)
   mutable sent_echo : bool;
   mutable sent_ready : bool;
   mutable sent_cert : bool;  (** own certificate formed; echoes now skipped *)
   mutable cert : Keychain.aggregate option;  (** kept when [keep_certs] *)
-  served : (int, int) Hashtbl.t;  (** pull replies served, per peer *)
+  mutable served : (int, int) Hashtbl.t option;
+      (** pull replies served, per peer; made on the first *)
 }
 
 (** The protocol-specific hooks. [in_clan ~sender i] and
@@ -87,6 +101,10 @@ val get : ('e, 'm) t -> sender:int -> round:int -> 'e inst
 
 val footprint : ('e, 'm) t -> int * int
 (** (instances, digest vote records). *)
+
+val retained_shares : ('e, 'm) t -> int
+(** Echo signature shares still held, over every instance and digest: 0
+    once each instance reached this node's own quorum. *)
 
 val prune_below : ('e, 'm) t -> round:int -> unit
 val echo_voters : 'e inst -> Digest32.t -> int list

@@ -133,12 +133,12 @@ let create ~me ~config ~keychain ~engine ~net ?params ?obs
 
 let start t = Sailfish.start (consensus t)
 
-let census t =
+let census ~seen t =
   (("mempool", Mempool.approx_live_words t.mempool)
   :: (match t.persist with
      | Some p -> [ ("wal", Persist.approx_live_words p) ]
      | None -> []))
-  @ Sailfish.census (consensus t)
+  @ Sailfish.census ~seen (consensus t)
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery *)

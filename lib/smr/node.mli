@@ -81,8 +81,8 @@ val executed_txns : t -> int
 val exec_backlog : t -> int
 (** Committed vertices whose blocks have not yet executed locally. *)
 
-val census : t -> (string * int) list
+val census : seen:(int, unit) Hashtbl.t -> t -> (string * int) list
 (** Heap-census rows for this node: mempool, WAL (when persistence is on)
     and the consensus layer's subsystems (see
-    {!Clanbft_consensus.Sailfish.census}). Approximate live words per
-    subsystem; see docs/PROFILING.md. *)
+    {!Clanbft_consensus.Sailfish.census}, which [seen] is passed to).
+    Approximate live words per subsystem; see docs/PROFILING.md. *)

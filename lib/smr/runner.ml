@@ -380,16 +380,18 @@ let run ?on_wal spec =
       honest_vecs
   in
   (* End-of-run heap census: per-subsystem live words summed across
-     replicas, plus the shared engine/net/trace state. Every contribution
-     is a deterministic function of end-of-run data structures, so the
-     table is byte-identical across same-seed runs. *)
+     replicas, plus the shared engine/net/trace state; blocks the replicas
+     share are charged once. Every contribution is a deterministic
+     function of end-of-run data structures, so the table is
+     byte-identical across same-seed runs. *)
   let census =
     let tbl = Hashtbl.create 16 in
     let bump (name, w) =
       Hashtbl.replace tbl name
         (w + Option.value ~default:0 (Hashtbl.find_opt tbl name))
     in
-    Array.iter (fun node -> List.iter bump (Node.census node)) nodes;
+    let seen = Hashtbl.create 1024 in
+    Array.iter (fun node -> List.iter bump (Node.census ~seen node)) nodes;
     bump ("sim.engine", Engine.approx_live_words engine);
     bump ("sim.net", Net.approx_live_words net);
     bump ("obs.trace", Clanbft_obs.Trace.approx_live_words obs.Obs.trace);

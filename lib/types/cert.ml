@@ -10,7 +10,7 @@ let signing_string kind round =
   | No_vote -> Printf.sprintf "novote|%d" round
 
 let make keychain kind ~round shares =
-  match Keychain.aggregate keychain ~msg:(signing_string kind round) shares with
+  match Keychain.aggregate keychain shares with
   | None -> None
   | Some agg -> Some { kind; round; agg }
 

@@ -414,6 +414,24 @@ let test_forged_traffic_allocates_nothing () =
   Alcotest.(check (pair int int)) "instances, digests" (0, 0)
     (Sailfish.rbc_footprint (node w 0))
 
+(* Echo shares are released at each node's own certificate. After one
+   simulated second the VALs stop, so every open instance either
+   certifies everywhere from the echoes in flight or was never echoed; no
+   node then holds a share. *)
+let test_certified_holds_no_shares () =
+  let w = make_world ~n:4 Config.Full in
+  start w;
+  Engine.run ~until:(Time.s 1.) w.engine;
+  Net.set_filter w.net (fun ~src:_ ~dst:_ -> function Msg.Val _ -> false | _ -> true);
+  Engine.run ~until:(Time.s 2.) w.engine;
+  for i = 0 to 3 do
+    let n = node w i in
+    Alcotest.(check bool) "committed" true (Sailfish.committed_count n > 0);
+    Alcotest.(check bool) "instances held" true (fst (Sailfish.rbc_footprint n) > 0);
+    Alcotest.(check int) (Printf.sprintf "node %d shares" i) 0
+      (Sailfish.rbc_retained_shares n)
+  done
+
 let suites =
   [
     ( "consensus.liveness",
@@ -448,6 +466,8 @@ let suites =
     ( "consensus.resources",
       [
         Alcotest.test_case "GC bounds memory" `Slow test_gc_bounds_memory;
+        Alcotest.test_case "certified instances hold no shares" `Quick
+          test_certified_holds_no_shares;
         Alcotest.test_case "single-clan traffic asymmetry" `Slow
           test_single_clan_traffic_asymmetry;
       ] );

@@ -113,7 +113,7 @@ let test_keychains_independent () =
 let test_aggregate_valid () =
   let msg = "agg-message" in
   let shares = List.init 7 (fun i -> (i, Keychain.sign kc ~signer:i msg)) in
-  match Keychain.aggregate kc ~msg shares with
+  match Keychain.aggregate kc shares with
   | None -> Alcotest.fail "aggregation failed"
   | Some agg ->
       Alcotest.(check bool) "verifies" true (Keychain.verify_aggregate kc ~msg agg);
@@ -125,7 +125,7 @@ let test_aggregate_detects_forgery () =
   let shares =
     (2, Keychain.forge) :: List.init 4 (fun i -> (i + 3, Keychain.sign kc ~signer:(i + 3) msg))
   in
-  match Keychain.aggregate kc ~msg shares with
+  match Keychain.aggregate kc shares with
   | None -> Alcotest.fail "aggregation failed"
   | Some agg ->
       Alcotest.(check bool) "fails verification" false (Keychain.verify_aggregate kc ~msg agg);
@@ -134,17 +134,17 @@ let test_aggregate_detects_forgery () =
 
 let test_aggregate_rejects_bad_signer () =
   Alcotest.(check bool) "out-of-range signer" true
-    (Keychain.aggregate kc ~msg:"m" [ (42, Keychain.forge) ] = None)
+    (Keychain.aggregate kc [ (42, Keychain.forge) ] = None)
 
 let test_aggregate_rejects_duplicates () =
   let s = Keychain.sign kc ~signer:1 "m" in
   Alcotest.(check bool) "duplicate signer" true
-    (Keychain.aggregate kc ~msg:"m" [ (1, s); (1, s) ] = None)
+    (Keychain.aggregate kc [ (1, s); (1, s) ] = None)
 
 let test_aggregate_wire_roundtrip () =
   let msg = "wire" in
   let shares = List.init 5 (fun i -> (i, Keychain.sign kc ~signer:i msg)) in
-  let agg = Option.get (Keychain.aggregate kc ~msg shares) in
+  let agg = Option.get (Keychain.aggregate kc shares) in
   let rebuilt =
     Keychain.aggregate_of_wire ~tag:(Keychain.aggregate_tag agg)
       ~signers:(Keychain.signers agg)

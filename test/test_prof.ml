@@ -261,6 +261,27 @@ let test_metrics_histogram_json () =
      tools can recompute quantiles from the export alone. *)
   has "cumulative" (buckets [ 2; 2; 3 ])
 
+(* The census may not describe more heap than the process ever had: blocks
+   the replicas share are charged once, at their heap words. *)
+let test_census_within_top_heap () =
+  let r =
+    Runner.run
+      {
+        Runner.default_spec with
+        n = 16;
+        protocol = Runner.Full;
+        duration = Sim.Time.s 3.;
+        warmup = Sim.Time.s 1.;
+        seed = 7L;
+      }
+  in
+  Alcotest.(check bool) "agreement" true r.Runner.agreement;
+  let total = List.fold_left (fun acc (_, w) -> acc + w) 0 r.census in
+  let top = (Gc.quick_stat ()).top_heap_words in
+  Alcotest.(check bool)
+    (Printf.sprintf "census total %d <= top heap %d words" total top)
+    true (total <= top)
+
 let suites =
   [
     ( "obs.prof",
@@ -272,6 +293,7 @@ let suites =
         Alcotest.test_case "span is exception-safe" `Quick test_span_exception_safe;
         Alcotest.test_case "disabled is inert" `Quick test_disabled_is_inert;
         Alcotest.test_case "folded stacks" `Quick test_folded_output;
+        Alcotest.test_case "census within top heap" `Slow test_census_within_top_heap;
       ] );
     ( "stats.histogram",
       [

@@ -217,6 +217,19 @@ let test_forged_traffic_allocates_nothing () =
   Alcotest.(check (pair int int)) "one instance, one digest" (1, 1)
     (Rbc.footprint victim)
 
+(* A node releases a digest's echo shares at its own certificate: once
+   every node has certified, none holds a share. *)
+let test_certified_holds_no_shares () =
+  let w = make_world Rbc.Tribe_signed in
+  Rbc.broadcast (node w 0) ~round:1 "released";
+  Engine.run w.engine;
+  Alcotest.(check int) "all deliver" 10 (List.length (outcomes w));
+  for i = 0 to 9 do
+    let n = node w i in
+    Alcotest.(check (pair int int)) "one instance, one digest" (1, 1) (Rbc.footprint n);
+    Alcotest.(check int) (Printf.sprintf "node %d shares" i) 0 (Rbc.retained_shares n)
+  done
+
 let test_rate_limited_pulls () =
   let w = make_world Rbc.Tribe_signed in
   Rbc.broadcast (node w 0) ~round:1 "limited";
@@ -274,6 +287,8 @@ let suites =
           Alcotest.test_case "forged echoes ignored" `Quick test_forged_echo_ignored;
           Alcotest.test_case "forged traffic allocates nothing" `Quick
             test_forged_traffic_allocates_nothing;
+          Alcotest.test_case "certified instances hold no shares" `Quick
+            test_certified_holds_no_shares;
           Alcotest.test_case "pull rate limiting" `Quick test_rate_limited_pulls;
           Alcotest.test_case "2-round faster than 3-round" `Quick test_two_rounds_faster;
         ] );

@@ -241,7 +241,7 @@ let sample_vertex ?(nvc = false) ?(tc = false) () =
 let sample_msgs () =
   let v = sample_vertex ~nvc:true ~tc:true () in
   let sg = Keychain.sign kc ~signer:2 "sig" in
-  let agg = Option.get (Keychain.aggregate kc ~msg:"m" [ (0, Keychain.sign kc ~signer:0 "m") ]) in
+  let agg = Option.get (Keychain.aggregate kc [ (0, Keychain.sign kc ~signer:0 "m") ]) in
   [
     Msg.Val { vertex = v; block = Some sample_block; signature = sg };
     Msg.Val { vertex = sample_vertex (); block = None; signature = sg };
