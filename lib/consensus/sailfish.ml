@@ -47,8 +47,9 @@ type slot = {
 
 type inst = slot Rbc.inst
 
-(* Collection of signature shares for timeout / no-vote certificates. *)
-type share_box = { signers : Bitset.t; mutable shares : (int * Keychain.signature) list }
+(* Verified signature shares for a timeout / no-vote certificate, folded
+   into one running aggregate. *)
+type share_box = { signers : Bitset.t; acc : Keychain.accumulator }
 
 (* Observability handles, resolved once at construction so the hot paths
    pay an integer add plus (for the trace) one enabled-branch. *)
@@ -928,15 +929,19 @@ and add_share t boxes certs kind ~round ~signer signature =
     match Hashtbl.find_opt boxes round with
     | Some b -> b
     | None ->
-        let b = { signers = Bitset.create (Config.n t.config); shares = [] } in
+        let b =
+          { signers = Bitset.create (Config.n t.config); acc = Keychain.accumulator () }
+        in
         Hashtbl.replace boxes round b;
         b
   in
   if not (Bitset.add box.signers signer) then None
   else begin
-    box.shares <- (signer, signature) :: box.shares;
+    Keychain.accumulate box.acc signature;
     if Bitset.cardinal box.signers = quorum t && not (Hashtbl.mem certs round)
-    then Cert.make t.keychain kind ~round box.shares
+    then
+      let agg = Keychain.to_aggregate box.acc ~signers:(Bitset.copy box.signers) in
+      Some (Cert.of_aggregate kind ~round ~agg)
     else None
   end
 
@@ -1029,13 +1034,12 @@ let start_recovery t =
 let block_of t ~round ~source = Hashtbl.find_opt t.blocks (round, source)
 let vertex_of t ~round ~source = Store.find t.store ~round ~source
 let rbc_footprint t = Rbc.footprint t.rbc
-let rbc_retained_shares t = Rbc.retained_shares t.rbc
 
 (* Heap census: this layer's retained state, split by subsystem. Per RBC
    instance: the core's record, the slot, the table cell and the [agreed]
-   box (27 words); per digest vote record: the record, its voter bitset
-   and the signing hash (13 words + one per 63 voters); per share still
-   held, a list cell and a pair (6). A block is charged at its heap words
+   box (27 words); per digest vote record: the record, its voter bitset,
+   the signing hash and the 32-byte echo accumulator (18 words + one per
+   63 voters). A block is charged at its heap words
    (record and digest, the txn array, a 5-word record per txn), once
    across replicas: the replicas share one [Block.t] per (round,
    proposer), and [seen] holds the slots charged so far. See
@@ -1043,11 +1047,7 @@ let rbc_retained_shares t = Rbc.retained_shares t.rbc
 let census ~seen t =
   let n = Config.n t.config in
   let instances, digests = Rbc.footprint t.rbc in
-  let slot_words =
-    (27 * instances)
-    + (digests * (13 + ((n + 62) / 63)))
-    + (6 * Rbc.retained_shares t.rbc)
-  in
+  let slot_words = (27 * instances) + (digests * (18 + ((n + 62) / 63))) in
   let pending_words =
     Hashtbl.fold
       (fun _ (v : Vertex.t) acc ->

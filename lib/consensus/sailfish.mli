@@ -179,6 +179,3 @@ val vertex_of : t -> round:int -> source:int -> Vertex.t option
 val rbc_footprint : t -> int * int
 (** (broadcast instances, digest vote records) this node holds. *)
 
-val rbc_retained_shares : t -> int
-(** Echo signature shares this node still holds; none once every instance
-    it holds reached this node's own certificate. *)

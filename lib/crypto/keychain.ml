@@ -17,11 +17,6 @@ type signature = string
 type aggregate = {
   tag : string; (* combined tag: XOR of constituent signature bytes *)
   who : Bitset.t;
-  (* The simulation keeps the constituents so that [find_faulty_signers]
-     can re-check them individually, as a real implementation would by
-     re-verifying each partial BLS signature. They are NOT accounted on the
-     wire. *)
-  parts : (int * signature) list;
   (* Expected-tag memo: one aggregate object is broadcast to n receivers;
      recomputing its expected tag per receiver would be O(n * quorum)
      lane computations. *)
@@ -143,6 +138,27 @@ let verify t ~signer msg signature =
 
 let forge = String.make 32 '\xff'
 
+(* A running aggregate: the XOR of the signatures added so far, updated in
+   place, as BLS shares can be combined one at a time. A signature is
+   always 32 bytes (every constructor above guarantees it), so a share
+   folds in as four 64-bit words, which the native compiler keeps
+   unboxed. *)
+type accumulator = Bytes.t
+
+let accumulator () = Bytes.make 32 '\x00'
+
+let accumulate acc s =
+  for w = 0 to 3 do
+    let i = 8 * w in
+    Bytes.set_int64_le acc i
+      (Int64.logxor (Bytes.get_int64_le acc i) (String.get_int64_le s i))
+  done
+
+(* The tag is copied: the accumulator may keep growing after a certificate
+   is cut from it. *)
+let to_aggregate acc ~signers =
+  { tag = Bytes.to_string acc; who = signers; expected = None }
+
 let aggregate t parts =
   let total = n t in
   let who = Bitset.create total in
@@ -153,16 +169,9 @@ let aggregate t parts =
   in
   if not ok then None
   else begin
-    let out = Bytes.make 32 '\x00' in
-    List.iter
-      (fun (_, s) ->
-        for i = 0 to min (Bytes.length out) (String.length s) - 1 do
-          Bytes.unsafe_set out i
-            (Char.unsafe_chr
-               (Char.code (Bytes.unsafe_get out i) lxor Char.code s.[i]))
-        done)
-      parts;
-    Some { tag = Bytes.unsafe_to_string out; who; parts; expected = None }
+    let acc = accumulator () in
+    List.iter (fun (_, s) -> accumulate acc s) parts;
+    Some (to_aggregate acc ~signers:who)
   end
 
 (* XOR of honest signatures = per-lane XOR of their lane words, so the
@@ -200,20 +209,19 @@ let verify_aggregate_hashed t ~hash agg =
 let verify_aggregate t ~msg agg =
   verify_aggregate_hashed t ~hash:(hash_msg msg) agg
 
-let find_faulty_signers t ~msg agg =
+let find_faulty_signers t ~msg agg shares =
   if verify_aggregate t ~msg agg then []
   else
     List.filter_map
       (fun (signer, s) ->
         if verify t ~signer msg s then None else Some signer)
-      agg.parts
+      shares
     |> List.sort_uniq Stdlib.compare
 
 let signers agg = agg.who
 let aggregate_size t = signature_size + ((n t + 7) / 8)
 let aggregate_tag agg = agg.tag
-let aggregate_of_wire ~tag ~signers =
-  { tag; who = signers; parts = []; expected = None }
+let aggregate_of_wire ~tag ~signers = { tag; who = signers; expected = None }
 let signature_to_raw s = s
 let approx_live_words t = (2 * (Array.length t.k0 + 1)) + 3
 

@@ -60,14 +60,36 @@ val aggregate : t -> (int * signature) list -> aggregate option
     Mirrors the paper's flow: aggregation never fails (no upfront
     verification) — this function returns [None] only if a signer index is
     out of range or repeated. The aggregate may later fail
-    verification if a constituent was forged. *)
+    verification if a constituent was forged. Equal, tag and signers, to
+    folding the same shares through an {!accumulator}. *)
+
+(** {1 Incremental aggregation}
+
+    BLS shares combine one at a time, so a collector need not hold them:
+    it folds each verified share into an accumulator and cuts the
+    aggregate at its quorum. *)
+
+type accumulator
+
+val accumulator : unit -> accumulator
+(** The empty aggregate. *)
+
+val accumulate : accumulator -> signature -> unit
+(** Fold one signature in, in place; allocates nothing. *)
+
+val to_aggregate : accumulator -> signers:Clanbft_util.Bitset.t -> aggregate
+(** The aggregate of the signatures folded in so far, claimed for
+    [signers]. The tag is copied; [signers] is not, so pass a set that
+    will not change. *)
 
 val verify_aggregate : t -> msg:string -> aggregate -> bool
 
-val find_faulty_signers : t -> msg:string -> aggregate -> int list
-(** Individual re-verification after an aggregate failure: the paper's
-    "identify and penalize the faulty party" path. Empty when the aggregate
-    is actually valid. *)
+val find_faulty_signers :
+  t -> msg:string -> aggregate -> (int * signature) list -> int list
+(** Individual re-verification of the aggregate's shares after an
+    aggregate failure: the paper's "identify and penalize the faulty
+    party" path. Empty when the aggregate is actually valid. The aggregate
+    does not keep its shares, so the caller passes them. *)
 
 val signers : aggregate -> Clanbft_util.Bitset.t
 val aggregate_size : t -> int
@@ -75,10 +97,8 @@ val aggregate_size : t -> int
 
 (** {1 Wire access}
 
-    For the binary codec: an aggregate travels as its combined tag plus the
-    signer bitvector. The constituent shares are a local aggregation aid and
-    never hit the wire, so a decoded aggregate supports {!verify_aggregate}
-    but reports no faulty signers. *)
+    For the binary codec: an aggregate is exactly its combined tag plus the
+    signer bitvector, so a decoded aggregate is as good as a local one. *)
 
 val aggregate_tag : aggregate -> string
 (** The 32-byte combined tag. *)

@@ -114,7 +114,9 @@ type node = {
   on_deliver : sender:int -> round:int -> outcome -> unit;
 }
 
-let in_clan t i = Option.fold ~none:true ~some:(fun c -> Bitset.mem c i) t.clan
+(* A plain match: [Option.fold] would build a closure per echo. *)
+let clan_mem clan i = match clan with None -> true | Some c -> Bitset.mem c i
+let in_clan t i = clan_mem t.clan i
 
 (* Does this node eventually hold the full value? Clan members do; in the
    non-tribe protocols everyone does. *)
@@ -126,8 +128,7 @@ let context ~clan ~clan_quorum =
   {
     Core.fresh = (fun () -> { value = None; outcome = None; pulling = false });
     signing = echo_signing_string;
-    in_clan =
-      (fun ~sender:_ i -> Option.fold ~none:true ~some:(fun c -> Bitset.mem c i) clan);
+    in_clan = (fun ~sender:_ i -> clan_mem clan i);
     clan_threshold = (fun ~sender:_ -> clan_quorum);
     relays_cert = (fun ~sender:_ -> true);
     keep_certs = true;
@@ -278,8 +279,13 @@ and handle_pull_reply t ~value (inst : inst) =
         deliver t inst (Value value)
     | _ -> ()
 
+(* A receive function's result: the instance whose quorum or certificate
+   just completed, if any. Top-level, so handling a message builds no
+   closure. *)
+and settle t found digest =
+  match found with Some inst -> try_deliver t inst digest | None -> ()
+
 and handle t ~src m =
-  let settle = function Some inst -> try_deliver t inst | None -> ignore in
   match m with
   | Val { sender; round; _ } | Val_digest { sender; round; _ } ->
       (* The VAL must come from its claimed sender (authenticated
@@ -300,7 +306,7 @@ and handle t ~src m =
         (match signature with
         | None when is_signed t.protocol -> ()
         | _ ->
-            settle
+            settle t
               (Core.on_echo t.core ~sender ~round digest ~signer
                  (Option.value signature ~default:Keychain.forge))
               digest);
@@ -309,12 +315,12 @@ and handle t ~src m =
   | Ready { sender; round; digest; signer; signature = _ } ->
       if src = signer then begin
         Prof.enter sec_ready;
-        settle (Core.on_ready t.core ~sender ~round digest ~signer) digest;
+        settle t (Core.on_ready t.core ~sender ~round digest ~signer) digest;
         Prof.leave sec_ready
       end
   | Echo_cert { sender; round; digest; agg } ->
       Prof.enter sec_cert;
-      settle (Core.on_echo_cert t.core ~sender ~round digest agg) digest;
+      settle t (Core.on_echo_cert t.core ~sender ~round digest agg) digest;
       Prof.leave sec_cert
   | Pull_request { sender; round } ->
       Core.serve t.core ~sender ~round ~src (fun inst ->
@@ -355,4 +361,3 @@ let pulling t ~sender ~round =
   | Some inst -> inst.ext.pulling && not inst.delivered
 
 let footprint t = Core.footprint t.core
-let retained_shares t = Core.retained_shares t.core

@@ -160,7 +160,3 @@ val footprint : node -> int * int
 (** (instances, digest vote records) this node holds: what unverified
     Byzantine traffic must not be able to grow. *)
 
-val retained_shares : node -> int
-(** Echo signature shares this node still holds. Signed protocols release
-    a digest's shares at this node's own certificate, so a certified
-    instance holds none. *)

@@ -11,9 +11,10 @@ module Trace = Clanbft_obs.Trace
 type votes = {
   voters : Bitset.t;
   mutable clan_votes : int;
-  (* Signed mode, until this node's own quorum: the aggregate is formed
-     from them once, and [on_echo] reads no votes after [sent_cert]. *)
-  mutable shares : (int * Keychain.signature) list;
+  (* Signed mode: the XOR of the verified echo signatures, folded in place
+     as they arrive, so no share is held; the certificate is cut from it at
+     this node's own quorum. *)
+  acc : Keychain.accumulator;
   (* Hash of the echo signing string for this digest, computed once: every
      one of the ~n echo receipts and the certificate check verify against
      it, and both rebuilding and rehashing the string per receipt showed up
@@ -28,7 +29,7 @@ let no_votes =
   {
     voters = Bitset.create 0;
     clan_votes = 0;
-    shares = [];
+    acc = Keychain.accumulator ();
     signing_h = Keychain.hash_msg "";
   }
 
@@ -154,16 +155,6 @@ let footprint c =
       (insts + 1, digests + first + tbl_length i.more_echoes + tbl_length i.readies))
     c.instances (0, 0)
 
-let retained_shares c =
-  let count v acc = acc + List.length v.shares in
-  Hashtbl.fold
-    (fun _ i acc ->
-      let acc = count i.first_votes acc in
-      match i.more_echoes with
-      | None -> acc
-      | Some t -> Digest32.Tbl.fold (fun _ v acc -> count v acc) t acc)
-    c.instances 0
-
 let prune_below c ~round =
   let doomed =
     Hashtbl.fold
@@ -177,7 +168,12 @@ let votes c known ~sender ~round digest =
   if known != no_votes then known
   else
     let signing_h = Keychain.hash_msg (c.ctx.signing ~sender ~round digest) in
-    { voters = Bitset.create c.n; clan_votes = 0; shares = []; signing_h }
+    {
+      voters = Bitset.create c.n;
+      clan_votes = 0;
+      acc = Keychain.accumulator ();
+      signing_h;
+    }
 
 let find_votes tbl digest =
   match tbl with
@@ -247,17 +243,12 @@ let echo_quorum c inst digest (v : votes) =
   if c.signed then begin
     inst.sent_cert <- true;
     if c.ctx.relays_cert ~sender:inst.sender then begin
-      match Keychain.aggregate c.keychain v.shares with
-      | None -> ()
-      | Some agg ->
-          if c.ctx.keep_certs then inst.cert <- Some agg;
-          Net.broadcast c.net ~src:c.me
-            (c.ctx.echo_cert ~sender:inst.sender ~round:inst.round digest agg
-               ~clan_echoes:v.clan_votes)
+      let agg = Keychain.to_aggregate v.acc ~signers:(Bitset.copy v.voters) in
+      if c.ctx.keep_certs then inst.cert <- Some agg;
+      Net.broadcast c.net ~src:c.me
+        (c.ctx.echo_cert ~sender:inst.sender ~round:inst.round digest agg
+           ~clan_echoes:v.clan_votes)
     end;
-    (* [on_echo] reads no votes after [sent_cert]; the aggregate keeps its
-       own parts. *)
-    v.shares <- [];
     Some inst
   end
   else begin
@@ -276,37 +267,48 @@ let attach c found ~sender ~round digest known v =
   if known == no_votes then add_echo_votes inst digest v;
   inst
 
+let verified c v ~signer signature =
+  (not c.signed) || Keychain.verify_hashed c.keychain ~signer v.signing_h signature
+
+(* A verified echo for [digest], whose votes are [v] ([known] is
+   [no_votes] when [v] is fresh). *)
+let count_echo c inst digest known v ~signer signature =
+  if known == no_votes then add_echo_votes inst digest v;
+  if not (Bitset.add v.voters signer) then None
+  else begin
+    let sender = inst.sender in
+    if c.ctx.in_clan ~sender signer then v.clan_votes <- v.clan_votes + 1;
+    if c.signed then Keychain.accumulate v.acc signature;
+    if
+      Bitset.cardinal v.voters >= c.quorum
+      && v.clan_votes >= c.ctx.clan_threshold ~sender
+    then echo_quorum c inst digest v
+    else None
+  end
+
+(* An accepted echo into a known instance and digest allocates nothing:
+   [Hashtbl.find] rather than [find_opt], and the share is folded in. *)
 let on_echo c ~sender ~round digest ~signer signature =
   if not (in_range c sender) then None
   else
-    let found = Hashtbl.find_opt c.instances (key c ~sender ~round) in
-    match found with
+    match Hashtbl.find c.instances (key c ~sender ~round) with
     (* Once this node has formed its certificate every later echo is dead
        weight: the threshold branch is the only consumer of the vote
        bookkeeping, and pull candidates are snapshotted at certification.
        Skipping the ~n - 2f-1 post-certificate echoes (verify included)
        changes no message and no observable state. *)
-    | Some inst when inst.sent_cert -> None
-    | _ ->
-        let known = known_echo_votes found digest in
+    | inst when inst.sent_cert -> None
+    | inst ->
+        let known = echo_votes inst digest in
         let v = votes c known ~sender ~round digest in
-        if
-          c.signed
-          && not (Keychain.verify_hashed c.keychain ~signer v.signing_h signature)
-        then None
-        else begin
-          let inst = attach c found ~sender ~round digest known v in
-          if not (Bitset.add v.voters signer) then None
-          else begin
-            if c.ctx.in_clan ~sender signer then v.clan_votes <- v.clan_votes + 1;
-            if c.signed then v.shares <- (signer, signature) :: v.shares;
-            if
-              Bitset.cardinal v.voters >= c.quorum
-              && v.clan_votes >= c.ctx.clan_threshold ~sender
-            then echo_quorum c inst digest v
-            else None
-          end
-        end
+        if verified c v ~signer signature then
+          count_echo c inst digest known v ~signer signature
+        else None
+    | exception Not_found ->
+        let v = votes c no_votes ~sender ~round digest in
+        if verified c v ~signer signature then
+          count_echo c (get c ~sender ~round) digest no_votes v ~signer signature
+        else None
 
 (* Unsigned mode: f+1 READYs amplify, 2f+1 settle the digest. *)
 let on_ready c ~sender ~round digest ~signer =

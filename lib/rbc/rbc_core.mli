@@ -12,8 +12,9 @@
 
     An instance keeps its vote state only while it can still change an
     outcome. A digest's votes keep the hash of the echo signing string,
-    not the string. Its signature shares are released at this node's own
-    quorum (the certificate, if relayed, keeps its own copy), after which
+    not the string, and no signature shares: each verified echo folds
+    into the digest's {!Clanbft_crypto.Keychain.accumulator} in place, and
+    the certificate is cut from it at this node's own quorum, after which
     echoes are skipped unread. The first digest's votes sit inline in the
     instance, and a table is made only when an equivocating sender brings
     a second; the pull-serving ledger is made on the first pull served.
@@ -29,7 +30,7 @@ open Clanbft_crypto
 
 type votes
 (** One digest's voters, clan count, signing-string hash and, in signed
-    mode until this node's own quorum, signature shares. *)
+    mode, the running aggregate of its verified echo signatures. *)
 
 type 'e inst = {
   sender : int;
@@ -102,9 +103,6 @@ val get : ('e, 'm) t -> sender:int -> round:int -> 'e inst
 val footprint : ('e, 'm) t -> int * int
 (** (instances, digest vote records). *)
 
-val retained_shares : ('e, 'm) t -> int
-(** Echo signature shares still held, over every instance and digest: 0
-    once each instance reached this node's own quorum. *)
 
 val prune_below : ('e, 'm) t -> round:int -> unit
 val echo_voters : 'e inst -> Digest32.t -> int list

@@ -13,21 +13,32 @@ let sec_migrate = Prof.section "engine.migrate"
    ring covers [horizon] µs ahead of the clock; the rare event scheduled
    further out (long timers) parks in an overflow heap and migrates into the
    ring as the clock approaches. Within a microsecond, events run in
-   scheduling order (buckets are consed LIFO and reversed on drain), so runs
-   stay deterministic. *)
+   scheduling order (buckets are LIFO chains, reversed in place on drain),
+   so runs stay deterministic.
+
+   Events live in a struct-of-arrays slot pool, not in heap cells: an
+   in-flight delivery waits ~100 ms, long enough to outlive a minor
+   collection, so a per-event cell was promoted and later swept by the
+   major GC. A slot is an index into parallel arrays (callback, int
+   argument, thunk, [next] link); the ring, the current-µs queue and the
+   drain list are chains through [next], the overflow heap holds slot
+   indices, and freed slots go on a free list that doubles on demand. After
+   the pool has grown, scheduling and running an event allocate nothing. *)
 
 let ring_bits = 21
 let horizon = 1 lsl ring_bits
 (* 2.10 simulated seconds — comfortably past the longest recurring timer
    (the 1.5 s round timeout), so only one-off far-future events take the
    overflow path, while the ring array stays small enough that major-GC
-   marking of its 2M pointer slots is cheap. *)
+   marking of its 2M slots is cheap. *)
 
-(* An event is either a plain thunk or a shared callback applied to an
-   integer. [Ix] exists for fan-out: a broadcast delivering to n recipients
-   schedules one 3-word [Ix] cell per recipient around a single shared
-   closure, instead of n bespoke closures capturing the same environment. *)
-type event = Fn of (unit -> unit) | Ix of (int -> unit) * int
+(* The end of a slot chain, and an empty bucket. *)
+let nil = -1
+
+(* Free slots hold these, so the pool never pins a dead closure. A slot
+   whose thunk is [no_thunk] runs [fn arg]; any other runs the thunk. *)
+let no_ix (_ : int) = ()
+let no_thunk () = ()
 
 (* Bucket-occupancy summary: one bit per ring bucket, 32 buckets per word
    (bit 63 of a native int is unavailable, and 32 keeps the index math to
@@ -62,15 +73,24 @@ let ctz x =
    are parked in a pool instead of the calendar, and an external scheduler
    (lib/check) decides which one runs next via [fire_choice]. With choice
    mode off — the default — those entry points are exact aliases of the
-   calendar ones, so the ordinary simulation path is bit-identical. *)
+   calendar ones, so the ordinary simulation path is bit-identical. Only
+   the pool keeps events as values. *)
 type choice = { id : int; time : Time.t; src : int; dst : int; tag : string }
+type event = Fn of (unit -> unit) | Ix of (int -> unit) * int
 
 type t = {
-  ring : event list array;
-  summary : int array; (* bit (i mod 32) of word (i / 32) ⇔ ring.(i) <> [] *)
-  overflow : event Heap.t;
-  now_queue : event Queue.t; (* scheduled for the current µs *)
-  mutable drain : event list; (* current bucket, FIFO order *)
+  ring : int array; (* bucket -> head slot of its LIFO chain, or [nil] *)
+  summary : int array; (* bit (i mod 32) of word (i / 32) ⇔ ring.(i) <> nil *)
+  overflow : int Heap.t; (* slots past the horizon, keyed by time *)
+  mutable now_head : int; (* FIFO chain scheduled for the current µs *)
+  mutable now_tail : int;
+  mutable drain : int; (* current bucket, FIFO chain *)
+  (* The slot pool. *)
+  mutable fns : (int -> unit) array;
+  mutable args : int array;
+  mutable thunks : (unit -> unit) array;
+  mutable next : int array;
+  mutable free : int; (* free-list head *)
   mutable clock : Time.t;
   mutable pending : int;
   mutable processed : int;
@@ -79,7 +99,14 @@ type t = {
   pool : (int, choice * event) Hashtbl.t; (* pending delivery choices *)
 }
 
-let nothing = Fn (fun () -> ())
+let initial_slots = 64
+
+(* A chain through [next] over the fresh slots [lo, hi). *)
+let link_free next lo hi =
+  for i = lo to hi - 2 do
+    next.(i) <- i + 1
+  done;
+  next.(hi - 1) <- nil
 
 (* [ring_bits] sizes this engine's calendar ring (default: the module
    [horizon]). Small deployments that are rebuilt thousands of times — the
@@ -91,12 +118,20 @@ let create ?(ring_bits = ring_bits) () =
   if ring_bits < summary_shift || ring_bits > 26 then
     invalid_arg "Engine.create: ring_bits out of range";
   let horizon = 1 lsl ring_bits in
+  let next = Array.make initial_slots nil in
+  link_free next 0 initial_slots;
   {
-    ring = Array.make horizon [];
+    ring = Array.make horizon nil;
     summary = Array.make (horizon lsr summary_shift) 0;
-    overflow = Heap.create ~capacity:64 ~dummy:nothing ();
-    now_queue = Queue.create ();
-    drain = [];
+    overflow = Heap.create ~capacity:64 ~dummy:nil ();
+    now_head = nil;
+    now_tail = nil;
+    drain = nil;
+    fns = Array.make initial_slots no_ix;
+    args = Array.make initial_slots 0;
+    thunks = Array.make initial_slots no_thunk;
+    next;
+    free = 0;
     clock = 0;
     pending = 0;
     processed = 0;
@@ -107,21 +142,56 @@ let create ?(ring_bits = ring_bits) () =
 
 let now t = t.clock
 
-let ring_insert t idx ev =
-  t.ring.(idx) <- ev :: t.ring.(idx);
+(* Double the pool; the new half becomes the free list. *)
+let grow t =
+  let cap = Array.length t.next in
+  let extend a fill =
+    let a' = Array.make (2 * cap) fill in
+    Array.blit a 0 a' 0 cap;
+    a'
+  in
+  t.fns <- extend t.fns no_ix;
+  t.args <- extend t.args 0;
+  t.thunks <- extend t.thunks no_thunk;
+  let next = extend t.next nil in
+  link_free next cap (2 * cap);
+  t.next <- next;
+  t.free <- cap
+
+let alloc t time =
+  if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
+  if t.free = nil then grow t;
+  let s = t.free in
+  t.free <- t.next.(s);
+  s
+
+let ring_insert t idx s =
+  t.next.(s) <- t.ring.(idx);
+  t.ring.(idx) <- s;
   let w = idx lsr summary_shift in
   t.summary.(w) <- t.summary.(w) lor (1 lsl (idx land 31))
 
-let enqueue t time ev =
-  if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
+let enqueue t time s =
   t.pending <- t.pending + 1;
-  if time = t.clock then Queue.add ev t.now_queue
+  if time = t.clock then begin
+    t.next.(s) <- nil;
+    if t.now_tail = nil then t.now_head <- s else t.next.(t.now_tail) <- s;
+    t.now_tail <- s
+  end
   else if time - t.clock < Array.length t.ring then
-    ring_insert t (time land (Array.length t.ring - 1)) ev
-  else Heap.push t.overflow time ev
+    ring_insert t (time land (Array.length t.ring - 1)) s
+  else Heap.push t.overflow time s
 
-let schedule_at t time fn = enqueue t time (Fn fn)
-let schedule_ix_at t time fn arg = enqueue t time (Ix (fn, arg))
+let schedule_at t time fn =
+  let s = alloc t time in
+  t.thunks.(s) <- fn;
+  enqueue t time s
+
+let schedule_ix_at t time fn arg =
+  let s = alloc t time in
+  t.fns.(s) <- fn;
+  t.args.(s) <- arg;
+  enqueue t time s
 
 let schedule_after t span fn =
   if span < 0 then invalid_arg "Engine.schedule_after: negative delay";
@@ -139,11 +209,11 @@ let pool_add t time ~src ~dst ~tag ev =
 
 let schedule_choice_at t time ~src ~dst ~tag fn =
   if t.choice_mode then pool_add t time ~src ~dst ~tag (Fn fn)
-  else enqueue t time (Fn fn)
+  else schedule_at t time fn
 
 let schedule_choice_ix_at t time ~src ~dst ~tag fn arg =
   if t.choice_mode then pool_add t time ~src ~dst ~tag (Ix (fn, arg))
-  else enqueue t time (Ix (fn, arg))
+  else schedule_ix_at t time fn arg
 
 let choices t =
   let cs = Hashtbl.fold (fun _ (c, _) acc -> c :: acc) t.pool [] in
@@ -167,17 +237,22 @@ let drop_choice t id =
 (* Move overflow events that now fit in the ring. *)
 let migrate t =
   Prof.enter sec_migrate;
-  let rec go () =
-    match Heap.peek_priority t.overflow with
-    | Some time when time - t.clock < Array.length t.ring ->
-        (match Heap.pop t.overflow with
-        | Some (time, ev) -> ring_insert t (time land (Array.length t.ring - 1)) ev
-        | None -> ());
-        go ()
-    | Some _ | None -> ()
-  in
-  go ();
+  let len = Array.length t.ring in
+  while
+    (not (Heap.is_empty t.overflow)) && Heap.min_priority t.overflow - t.clock < len
+  do
+    let idx = Heap.min_priority t.overflow land (len - 1) in
+    ring_insert t idx (Heap.pop_data t.overflow)
+  done;
   Prof.leave sec_migrate
+
+(* Every clock move goes through here, so overflow events are always at
+   least one horizon past the clock. Without that, an overflow event could
+   migrate into a bucket after a later event for the same µs was inserted
+   there directly, and run behind it. *)
+let set_clock t time =
+  t.clock <- time;
+  migrate t
 
 (* Earliest non-empty ring bucket at a time in (clock, clock + horizon), by
    walking the occupancy summary's set bits. Buckets are visited in
@@ -219,97 +294,125 @@ let scan_ring t =
   Prof.leave sec_scan;
   time
 
-(* Time of the next pending event, advancing the clock up to (but not past)
-   it. Returns [None] when the queue is empty. *)
+(* Time of the next pending event past the current instant, advancing the
+   clock up to (but not past) it; [max_int] when nothing is pending. Only
+   called once the current instant is exhausted. *)
 let next_event_time t =
-  if t.pending = 0 then None
-  else if (not (Queue.is_empty t.now_queue)) || t.drain <> [] then Some t.clock
+  if t.pending = 0 then max_int
   else begin
-    migrate t;
     let time = scan_ring t in
-    if time <> max_int then Some time
-    else
-      (* Ring empty: only overflow events remain, all at least one
-         horizon out. Jump the clock so the earliest fits, migrate, and
-         rescan. *)
-      match Heap.peek_priority t.overflow with
-      | None -> None (* inconsistent pending count; defensive *)
-      | Some time ->
-          t.clock <- time - Array.length t.ring + 1;
-          migrate t;
-          let time = scan_ring t in
-          if time <> max_int then Some time else None
+    if time <> max_int || Heap.is_empty t.overflow then time
+    else begin
+      (* Ring empty: only overflow events remain, all at least one horizon
+         out. Jump the clock so the earliest fits, and rescan. *)
+      set_clock t (Heap.min_priority t.overflow - Array.length t.ring + 1);
+      scan_ring t
+    end
   end
 
+(* Reverse the chain from [s] in place, onto [acc]. *)
+let rec reverse next s acc =
+  if s = nil then acc
+  else begin
+    let rest = next.(s) in
+    next.(s) <- acc;
+    reverse next rest s
+  end
+
+(* Move the clock to [time] and its bucket, in scheduling order, to the
+   drain chain. *)
+let open_bucket t time =
+  set_clock t time;
+  let idx = time land (Array.length t.ring - 1) in
+  t.drain <- reverse t.next t.ring.(idx) nil;
+  t.ring.(idx) <- nil;
+  let w = idx lsr summary_shift in
+  t.summary.(w) <- t.summary.(w) land lnot (1 lsl (idx land 31))
+
+(* The next slot at the current instant, or [nil]. Order within an
+   instant: first the bucket's already-scheduled events (FIFO), then
+   events scheduled for "now" while processing them. *)
+let pop_current t =
+  let s = t.drain in
+  if s <> nil then begin
+    t.drain <- t.next.(s);
+    s
+  end
+  else begin
+    let s = t.now_head in
+    if s <> nil then begin
+      t.now_head <- t.next.(s);
+      if t.now_head = nil then t.now_tail <- nil
+    end;
+    s
+  end
+
+(* Free the slot, then run it: the callback may schedule, and reuse the
+   slot at once. *)
+let dispatch t s =
+  let fn = t.fns.(s) and arg = t.args.(s) and thunk = t.thunks.(s) in
+  if thunk == no_thunk then t.fns.(s) <- no_ix else t.thunks.(s) <- no_thunk;
+  t.next.(s) <- t.free;
+  t.free <- s;
+  t.pending <- t.pending - 1;
+  t.processed <- t.processed + 1;
+  Prof.enter sec_dispatch;
+  if thunk == no_thunk then fn arg else thunk ();
+  Prof.leave sec_dispatch
+
 let step t =
-  match
-    (* Order within an instant: first the bucket's already-scheduled events
-       (FIFO), then events scheduled for "now" while processing them. *)
-    match t.drain with
-    | ev :: rest ->
-        t.drain <- rest;
-        Some ev
-    | [] -> (
-        if not (Queue.is_empty t.now_queue) then Some (Queue.pop t.now_queue)
-        else
-          match next_event_time t with
-          | None -> None
-          | Some time ->
-              t.clock <- time;
-              let idx = time land (Array.length t.ring - 1) in
-              (match List.rev t.ring.(idx) with
-              | ev :: rest ->
-                  t.ring.(idx) <- [];
-                  let w = idx lsr summary_shift in
-                  t.summary.(w) <- t.summary.(w) land lnot (1 lsl (idx land 31));
-                  t.drain <- rest;
-                  Some ev
-              | [] -> None))
-  with
-  | None -> false
-  | Some ev ->
-      t.pending <- t.pending - 1;
-      t.processed <- t.processed + 1;
-      Prof.enter sec_dispatch;
-      (match ev with Fn fn -> fn () | Ix (fn, arg) -> fn arg);
-      Prof.leave sec_dispatch;
-      true
+  let s = pop_current t in
+  let s =
+    if s <> nil then s
+    else begin
+      let time = next_event_time t in
+      if time = max_int then nil
+      else begin
+        open_bucket t time;
+        pop_current t
+      end
+    end
+  in
+  if s = nil then false
+  else begin
+    dispatch t s;
+    true
+  end
 
 let run ?until ?max_events t =
   let budget = ref (match max_events with None -> max_int | Some m -> m) in
+  let hrz = match until with None -> max_int | Some h -> h in
   let continue = ref true in
   while !continue && !budget > 0 do
-    (* Fast path: events at the current instant need no horizon checks. *)
-    if (not (Queue.is_empty t.now_queue)) || t.drain <> [] then begin
-      ignore (step t);
+    let s = pop_current t in
+    if s <> nil then begin
+      dispatch t s;
       decr budget
     end
-    else
-      match next_event_time t with
-      | None -> continue := false
-      | Some time -> (
-          match until with
-          | Some hrz when time > hrz ->
-              t.clock <- hrz;
-              continue := false
-          | _ ->
-              ignore (step t);
-              decr budget)
+    else begin
+      let time = next_event_time t in
+      if time = max_int then continue := false
+      else if time > hrz then begin
+        set_clock t hrz;
+        continue := false
+      end
+      else open_bucket t time
+    end
   done;
   match until with
-  | Some hrz when t.clock < hrz && t.pending = 0 -> t.clock <- hrz
+  | Some hrz when t.clock < hrz && t.pending = 0 -> set_clock t hrz
   | _ -> ()
 
 let pending t = t.pending
 let events_processed t = t.processed
 
-(* Heap-census hook (docs/PROFILING.md): a conservative word estimate of
-   this engine's live structures. Ring and summary arrays dominate; each
-   pending ring event costs a cons cell (3 words) plus its event cell (an
-   [Ix] is 3 words, an [Fn] closure typically a few more — call it 6);
-   overflow entries sit unboxed in two parallel array slots. *)
+(* Heap-census hook (docs/PROFILING.md): the ring and summary arrays, four
+   words per pool slot (callback, argument, thunk, link; the arrays are
+   sized by capacity, not by what is pending), three per overflow entry
+   (priority, sequence, slot) and the choice pool. Thunk environments
+   belong to the subsystems that scheduled them. *)
 let approx_live_words t =
   Array.length t.ring + Array.length t.summary
-  + (t.pending * 9)
-  + (2 * Heap.length t.overflow)
+  + (4 * Array.length t.next)
+  + (3 * Heap.length t.overflow)
   + (12 * Hashtbl.length t.pool)

@@ -29,11 +29,13 @@ val schedule_at : t -> Time.t -> (unit -> unit) -> unit
 val schedule_ix_at : t -> Time.t -> (int -> unit) -> int -> unit
 (** [schedule_ix_at t time fn arg] runs [fn arg] at [time]. Semantically
     [schedule_at t time (fun () -> fn arg)], but the closure is shared:
-    a fan-out delivering one message to [n] recipients schedules [n]
-    compact (callback, index) cells around a {e single} shared callback
-    instead of allocating [n] environments. Ordering within a microsecond
-    is unchanged — [Fn] and [Ix] events interleave in scheduling order.
-    Raises [Invalid_argument] if the time is in the past. *)
+    a fan-out delivering one message to [n] recipients fills [n] pool
+    slots (callback, index) around a {e single} shared callback instead of
+    allocating [n] environments. Once the slot pool has grown to the
+    run's peak, scheduling and running such an event allocate nothing.
+    Ordering within a microsecond is unchanged — thunks and indexed
+    callbacks interleave in scheduling order. Raises [Invalid_argument]
+    if the time is in the past. *)
 
 val schedule_after : t -> Time.span -> (unit -> unit) -> unit
 
@@ -69,7 +71,7 @@ val choice_mode : t -> bool
 
 val schedule_choice_at :
   t -> Time.t -> src:int -> dst:int -> tag:string -> (unit -> unit) -> unit
-(** Like {!schedule_at} when choice mode is off (identical event cell,
+(** Like {!schedule_at} when choice mode is off (identical pool slot,
     identical ordering); pools the event when it is on. The labels are
     metadata for the external scheduler and appear in {!choices}. *)
 
@@ -106,6 +108,6 @@ val pending : t -> int
 val events_processed : t -> int
 
 val approx_live_words : t -> int
-(** Heap-census hook: conservative estimate of the words held live by this
-    engine (ring + summary arrays, pending event cells, overflow heap,
-    choice pool). See docs/PROFILING.md. *)
+(** Heap-census hook: estimate of the words held live by this engine (ring
+    and summary arrays, four words per slot of pool capacity, overflow
+    heap, choice pool). See docs/PROFILING.md. *)

@@ -71,8 +71,8 @@ type 'msg t = {
   by_kind : (string, kind_handles) Hashtbl.t;
   uplink_backlog : Metrics.histogram; (* µs of queued serialization work *)
   uplink_busy : Metrics.counter; (* total µs the uplinks spent serializing *)
-  (* Pooled unicast deliveries: every copy costs one compact [Engine.Ix]
-     cell (shared trampoline + cell index) instead of a fresh closure.
+  (* Pooled unicast deliveries: every copy costs one engine pool slot
+     (shared trampoline + cell index) instead of a fresh closure.
      [deliver_ix] is the single trampoline, tied back to [t] right after
      construction. Under lib/check's choice mode a dropped choice leaks
      its cell until the world is discarded — bounded by the choice pool. *)
@@ -289,7 +289,7 @@ let send_unfiltered t ~src ~dst msg =
    per fan-out instead of once per copy:
 
    - recipients share a single delivery closure, each copy costing one
-     compact [Engine.Ix] cell in the ring instead of its own environment;
+     engine pool slot instead of its own environment;
    - serialization is priced once ([ser]) and the per-copy departures are
      derived from it as the uplink FIFO advances;
    - counters are bumped once with the accepted-copy multiple, and the

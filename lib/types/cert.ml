@@ -14,7 +14,7 @@ let make keychain kind ~round shares =
   | None -> None
   | Some agg -> Some { kind; round; agg }
 
-let of_wire kind ~round ~agg = { kind; round; agg }
+let of_aggregate kind ~round ~agg = { kind; round; agg }
 
 let verify keychain ~quorum t =
   Bitset.cardinal (Keychain.signers t.agg) >= quorum

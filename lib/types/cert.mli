@@ -26,8 +26,9 @@ val make :
     verification (the paper's aggregation strategy): a forged share makes
     {!verify} fail later. *)
 
-val of_wire : kind -> round:int -> agg:Keychain.aggregate -> t
-(** Reassemble a decoded certificate; {!verify} still applies. *)
+val of_aggregate : kind -> round:int -> agg:Keychain.aggregate -> t
+(** A certificate over an already-formed aggregate: a decoded one, or one
+    cut from a {!Keychain.accumulator}. {!verify} still applies. *)
 
 val verify : Keychain.t -> quorum:int -> t -> bool
 (** Valid iff the aggregate checks out and carries at least [quorum]

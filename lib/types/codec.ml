@@ -217,7 +217,7 @@ let read_cert r ~n =
   in
   let round = R.u32 r in
   let agg = R.aggregate r ~n in
-  Cert.of_wire kind ~round ~agg
+  Cert.of_aggregate kind ~round ~agg
 
 let write_cert_opt b ~n = function
   | None -> W.u8 b 0

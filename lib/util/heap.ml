@@ -77,22 +77,22 @@ let push t prio x =
   t.size <- t.size + 1;
   sift_up t i
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let prio = t.prio.(0) and x = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.prio.(0) <- t.prio.(t.size);
-      t.seq.(0) <- t.seq.(t.size);
-      t.data.(0) <- t.data.(t.size)
-    end;
-    t.data.(t.size) <- t.dummy;
-    sift_down t 0;
-    Some (prio, x)
-  end
+let min_priority t =
+  if t.size = 0 then invalid_arg "Heap.min_priority: empty heap";
+  t.prio.(0)
 
-let peek_priority t = if t.size = 0 then None else Some t.prio.(0)
+let pop_data t =
+  if t.size = 0 then invalid_arg "Heap.pop_data: empty heap";
+  let x = t.data.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.prio.(0) <- t.prio.(t.size);
+    t.seq.(0) <- t.seq.(t.size);
+    t.data.(0) <- t.data.(t.size)
+  end;
+  t.data.(t.size) <- t.dummy;
+  sift_down t 0;
+  x
 
 let clear t =
   Array.fill t.data 0 t.size t.dummy;

@@ -414,23 +414,47 @@ let test_forged_traffic_allocates_nothing () =
   Alcotest.(check (pair int int)) "instances, digests" (0, 0)
     (Sailfish.rbc_footprint (node w 0))
 
-(* Echo shares are released at each node's own certificate. After one
-   simulated second the VALs stop, so every open instance either
-   certifies everywhere from the echoes in flight or was never echoed; no
-   node then holds a share. *)
-let test_certified_holds_no_shares () =
-  let w = make_world ~n:4 Config.Full in
+(* Echo and timeout certificates are cut from running XORs, not from held
+   shares. With one node silent, rounds it leads time out, so both kinds
+   form; each carries a quorum of signers, each of whom put a valid share
+   on the wire, and its tag equals [Keychain.aggregate] over exactly those
+   shares. *)
+let test_certificates_match_share_aggregate () =
+  let w = make_world ~n:4 ~byzantine:[ 3 ] Config.Full in
+  let echoes = Hashtbl.create 256 and timeouts = Hashtbl.create 16 in
+  let echo_certs = ref [] and timeout_certs = ref [] in
+  Net.set_filter w.net (fun ~src:_ ~dst:_ m ->
+      (match m with
+      | Msg.Echo { round; source; vertex_digest; signer; signature } ->
+          Hashtbl.replace echoes (round, source, vertex_digest, signer) signature
+      | Msg.Echo_cert { round; source; vertex_digest; agg; _ } ->
+          echo_certs := ((round, source, vertex_digest), agg) :: !echo_certs
+      | Msg.Timeout_share { round; signer; signature } ->
+          Hashtbl.replace timeouts (round, signer) signature
+      | Msg.Timeout_cert c -> timeout_certs := c :: !timeout_certs
+      | _ -> ());
+      true);
   start w;
-  Engine.run ~until:(Time.s 1.) w.engine;
-  Net.set_filter w.net (fun ~src:_ ~dst:_ -> function Msg.Val _ -> false | _ -> true);
-  Engine.run ~until:(Time.s 2.) w.engine;
-  for i = 0 to 3 do
-    let n = node w i in
-    Alcotest.(check bool) "committed" true (Sailfish.committed_count n > 0);
-    Alcotest.(check bool) "instances held" true (fst (Sailfish.rbc_footprint n) > 0);
-    Alcotest.(check int) (Printf.sprintf "node %d shares" i) 0
-      (Sailfish.rbc_retained_shares n)
-  done
+  Engine.run ~until:(Time.s 8.) w.engine;
+  let check_cert agg share =
+    let signers = Keychain.signers agg in
+    Alcotest.(check bool) "quorum of signers" true (Util.Bitset.cardinal signers >= 3);
+    let parts = List.map (fun i -> (i, share i)) (Util.Bitset.to_list signers) in
+    let expect = Option.get (Keychain.aggregate w.keychain parts) in
+    Alcotest.(check string) "tag" (Keychain.aggregate_tag expect) (Keychain.aggregate_tag agg)
+  in
+  Alcotest.(check bool) "echo certificates" true (List.length !echo_certs > 0);
+  Alcotest.(check bool) "timeout certificates" true (List.length !timeout_certs > 0);
+  List.iter
+    (fun ((round, source, digest), agg) ->
+      check_cert agg (fun i -> Hashtbl.find echoes (round, source, digest, i)))
+    !echo_certs;
+  List.iter
+    (fun (c : Cert.t) ->
+      check_cert c.agg (fun i -> Hashtbl.find timeouts (c.round, i));
+      Alcotest.(check bool) "timeout certificate verifies" true
+        (Cert.verify w.keychain ~quorum:3 c))
+    !timeout_certs
 
 let suites =
   [
@@ -466,8 +490,8 @@ let suites =
     ( "consensus.resources",
       [
         Alcotest.test_case "GC bounds memory" `Slow test_gc_bounds_memory;
-        Alcotest.test_case "certified instances hold no shares" `Quick
-          test_certified_holds_no_shares;
+        Alcotest.test_case "certificates equal aggregated shares" `Quick
+          test_certificates_match_share_aggregate;
         Alcotest.test_case "single-clan traffic asymmetry" `Slow
           test_single_clan_traffic_asymmetry;
       ] );

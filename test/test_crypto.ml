@@ -118,7 +118,7 @@ let test_aggregate_valid () =
   | Some agg ->
       Alcotest.(check bool) "verifies" true (Keychain.verify_aggregate kc ~msg agg);
       Alcotest.(check int) "signers" 7 (Bitset.cardinal (Keychain.signers agg));
-      Alcotest.(check (list int)) "no faulty" [] (Keychain.find_faulty_signers kc ~msg agg)
+      Alcotest.(check (list int)) "no faulty" [] (Keychain.find_faulty_signers kc ~msg agg shares)
 
 let test_aggregate_detects_forgery () =
   let msg = "agg-forged" in
@@ -130,7 +130,7 @@ let test_aggregate_detects_forgery () =
   | Some agg ->
       Alcotest.(check bool) "fails verification" false (Keychain.verify_aggregate kc ~msg agg);
       Alcotest.(check (list int)) "culprit found" [ 2 ]
-        (Keychain.find_faulty_signers kc ~msg agg)
+        (Keychain.find_faulty_signers kc ~msg agg shares)
 
 let test_aggregate_rejects_bad_signer () =
   Alcotest.(check bool) "out-of-range signer" true

@@ -8,6 +8,7 @@ module Rng = Util.Rng
 type world = {
   engine : Engine.t;
   net : Rbc.msg Net.t;
+  keychain : Keychain.t;
   nodes : Rbc.node option array;
   deliveries : (int * int * int * int * Rbc.outcome) list ref;
       (* (time, node, sender, round, outcome) *)
@@ -39,7 +40,7 @@ let make_world ?(n = 10) ?(byzantine = []) protocol =
                    (Engine.now engine, me, sender, round, outcome) :: !deliveries)
                ()))
   in
-  { engine; net; nodes; deliveries }
+  { engine; net; keychain; nodes; deliveries }
 
 let node w i = Option.get w.nodes.(i)
 
@@ -193,7 +194,9 @@ let test_forged_echo_ignored () =
   Alcotest.(check int) "no deliveries from forged echoes" 0 (List.length (outcomes w))
 
 (* Forged echoes and certificates, and requests for far-future rounds,
-   allocate nothing at the victim; honest traffic afterwards still does. *)
+   allocate nothing at the victim; honest traffic afterwards still does,
+   but an accepted honest echo after an instance's first allocates no
+   heap word at all. *)
 let test_forged_traffic_allocates_nothing () =
   let w = make_world ~byzantine:[ 1 ] Rbc.Tribe_signed in
   let victim = node w 0 in
@@ -215,20 +218,63 @@ let test_forged_traffic_allocates_nothing () =
   Rbc.broadcast (node w 2) ~round:1 "honest";
   Engine.run w.engine;
   Alcotest.(check (pair int int)) "one instance, one digest" (1, 1)
+    (Rbc.footprint victim);
+  (* Valid echoes for an instance the victim has not certified: the first
+     makes its vote record, each later one is counted in place. *)
+  let digest = Digest32.hash_string "counted" in
+  let signing = Rbc.echo_signing_string ~sender:5 ~round:2 digest in
+  let deliver_echo signer =
+    let signature = Some (Keychain.sign w.keychain ~signer signing) in
+    Net.send w.net ~src:signer ~dst:0
+      (Rbc.Echo { sender = 5; round = 2; digest; signer; signature });
+    Test_sim.minor_words (fun () -> ignore (Engine.step w.engine))
+  in
+  ignore (deliver_echo 2);
+  List.iter
+    (fun signer ->
+      Alcotest.(check int) (Printf.sprintf "echo from %d allocates" signer) 0
+        (deliver_echo signer))
+    [ 3; 4; 6 ];
+  Alcotest.(check (pair int int)) "two instances, two digests" (2, 2)
     (Rbc.footprint victim)
 
-(* A node releases a digest's echo shares at its own certificate: once
-   every node has certified, none holds a share. *)
-let test_certified_holds_no_shares () =
+(* Certificates are cut from a running XOR of the echoes, not from held
+   shares: every certificate a node forms carries a quorum of signers,
+   each of whom put a valid echo share on the wire, and its tag equals
+   [Keychain.aggregate] over exactly those shares. *)
+let test_certificates_match_share_aggregate () =
   let w = make_world Rbc.Tribe_signed in
-  Rbc.broadcast (node w 0) ~round:1 "released";
+  let shares = Hashtbl.create 64 and certs = ref [] in
+  Net.set_filter w.net (fun ~src:_ ~dst:_ m ->
+      (match m with
+      | Rbc.Echo { sender; round; digest; signer; signature = Some s } ->
+          Hashtbl.replace shares (sender, round, digest, signer) s
+      | Rbc.Echo_cert { sender; round; digest; agg } ->
+          certs := (sender, round, digest, agg) :: !certs
+      | _ -> ());
+      true);
+  Rbc.broadcast (node w 0) ~round:1 "aggregated";
+  Rbc.broadcast (node w 3) ~round:1 "twice";
   Engine.run w.engine;
-  Alcotest.(check int) "all deliver" 10 (List.length (outcomes w));
-  for i = 0 to 9 do
-    let n = node w i in
-    Alcotest.(check (pair int int)) "one instance, one digest" (1, 1) (Rbc.footprint n);
-    Alcotest.(check int) (Printf.sprintf "node %d shares" i) 0 (Rbc.retained_shares n)
-  done
+  Alcotest.(check int) "all deliver" 20 (List.length (outcomes w));
+  Alcotest.(check bool) "certificates formed" true (List.length !certs >= 20);
+  List.iter
+    (fun (sender, round, digest, agg) ->
+      let signers = Keychain.signers agg in
+      Alcotest.(check bool) "quorum of signers" true (Util.Bitset.cardinal signers >= 7);
+      let parts =
+        List.map
+          (fun i -> (i, Hashtbl.find shares (sender, round, digest, i)))
+          (Util.Bitset.to_list signers)
+      in
+      let expect = Option.get (Keychain.aggregate w.keychain parts) in
+      Alcotest.(check string) "tag" (Keychain.aggregate_tag expect)
+        (Keychain.aggregate_tag agg);
+      Alcotest.(check bool) "certificate verifies" true
+        (Keychain.verify_aggregate w.keychain
+           ~msg:(Rbc.echo_signing_string ~sender ~round digest)
+           agg))
+    !certs
 
 let test_rate_limited_pulls () =
   let w = make_world Rbc.Tribe_signed in
@@ -287,8 +333,8 @@ let suites =
           Alcotest.test_case "forged echoes ignored" `Quick test_forged_echo_ignored;
           Alcotest.test_case "forged traffic allocates nothing" `Quick
             test_forged_traffic_allocates_nothing;
-          Alcotest.test_case "certified instances hold no shares" `Quick
-            test_certified_holds_no_shares;
+          Alcotest.test_case "certificates equal aggregated shares" `Quick
+            test_certificates_match_share_aggregate;
           Alcotest.test_case "pull rate limiting" `Quick test_rate_limited_pulls;
           Alcotest.test_case "2-round faster than 3-round" `Quick test_two_rounds_faster;
         ] );

@@ -210,6 +210,73 @@ let test_engine_mixed_event_kinds_fifo () =
   Alcotest.(check (list int)) "Fn and Ix interleave in scheduling order"
     [ 0; 1; 2; 3 ] (List.rev !log)
 
+(* Minor-heap words [f] allocates, net of the measurement's own cost. *)
+let minor_words f =
+  let words g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  int_of_float (words f -. words ignore)
+
+let test_engine_ix_allocates_nothing () =
+  (* Once the slot pool has grown to the burst's size, scheduling and
+     running indexed events allocates no heap word. *)
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let count _ = incr fired in
+  let burst () =
+    let base = Engine.now e + 1 in
+    for i = 0 to 9_999 do
+      Engine.schedule_ix_at e (base + (i mod 100)) count i
+    done;
+    while Engine.step e do
+      ()
+    done
+  in
+  burst ();
+  Alcotest.(check int) "burst allocates nothing" 0 (minor_words burst);
+  Alcotest.(check int) "every event ran" 20_000 !fired
+
+let test_engine_fifo_across_growth_reentry_migration () =
+  (* Scheduling order within one microsecond survives the slot pool
+     doubling (64 slots to start), events scheduled re-entrantly for the
+     current microsecond, and the overflow heap's migration into a bucket
+     that later direct inserts share. *)
+  let e = Engine.create () in
+  let log = ref [] in
+  let note i = log := i :: !log in
+  let schedule time i =
+    if i land 1 = 0 then Engine.schedule_at e time (fun () -> note i)
+    else Engine.schedule_ix_at e time note i
+  in
+  let far = Engine.horizon + 1_000 in
+  (* 0..99 at t = 500; the first of them adds 100..199 at t = 500 *)
+  Engine.schedule_at e 500 (fun () ->
+      note 0;
+      for i = 100 to 199 do
+        schedule 500 i
+      done);
+  for i = 1 to 99 do
+    schedule 500 i
+  done;
+  (* 200..279 past the horizon, then 280..359 aimed at the same
+     microsecond from t = 2_000, once it is within the ring's reach *)
+  for i = 200 to 279 do
+    schedule far i
+  done;
+  Engine.schedule_at e 2_000 (fun () ->
+      for i = 280 to 359 do
+        schedule far i
+      done);
+  Engine.run ~until:500 e;
+  Alcotest.(check (list int)) "growth and re-entry" (List.init 200 Fun.id) (List.rev !log);
+  log := [];
+  Engine.run e;
+  Alcotest.(check (list int)) "overflow migration" (List.init 160 (fun i -> 200 + i))
+    (List.rev !log);
+  Alcotest.(check int) "clock at the far instant" far (Engine.now e)
+
 let test_engine_step () =
   let e = Engine.create () in
   Alcotest.(check bool) "empty step" false (Engine.step e);
@@ -507,6 +574,10 @@ let suites =
         Alcotest.test_case "mixed event kinds fifo" `Quick
           test_engine_mixed_event_kinds_fifo;
         Alcotest.test_case "step" `Quick test_engine_step;
+        Alcotest.test_case "indexed events allocate nothing" `Quick
+          test_engine_ix_allocates_nothing;
+        Alcotest.test_case "fifo across growth, re-entry, migration" `Quick
+          test_engine_fifo_across_growth_reentry_migration;
         qtest prop_engine_deterministic;
       ] );
     ( "sim.topology",

@@ -78,27 +78,39 @@ let test_rng_exponential_positive () =
 (* ------------------------------------------------------------------ *)
 (* Heap *)
 
+(* Drain [h] through [min_priority]/[pop_data]. *)
+let heap_drain h =
+  let out = ref [] in
+  while not (Heap.is_empty h) do
+    let p = Heap.min_priority h in
+    out := (p, Heap.pop_data h) :: !out
+  done;
+  List.rev !out
+
 let test_heap_basic_order () =
   let h = Heap.create ~dummy:"" () in
   List.iter (fun (p, v) -> Heap.push h p v) [ (5, "e"); (1, "a"); (3, "c") ];
-  Alcotest.(check (option (pair int string))) "min first" (Some (1, "a")) (Heap.pop h);
-  Alcotest.(check (option (pair int string))) "then 3" (Some (3, "c")) (Heap.pop h);
-  Alcotest.(check (option (pair int string))) "then 5" (Some (5, "e")) (Heap.pop h);
-  Alcotest.(check (option (pair int string))) "empty" None (Heap.pop h)
+  Alcotest.(check (list (pair int string))) "ascending"
+    [ (1, "a"); (3, "c"); (5, "e") ]
+    (heap_drain h);
+  Alcotest.check_raises "empty min" (Invalid_argument "Heap.min_priority: empty heap")
+    (fun () -> ignore (Heap.min_priority h));
+  Alcotest.check_raises "empty pop" (Invalid_argument "Heap.pop_data: empty heap")
+    (fun () -> ignore (Heap.pop_data h))
 
 let test_heap_fifo_ties () =
   let h = Heap.create ~dummy:"" () in
   List.iter (fun v -> Heap.push h 7 v) [ "first"; "second"; "third" ];
-  Alcotest.(check (option (pair int string))) "fifo 1" (Some (7, "first")) (Heap.pop h);
-  Alcotest.(check (option (pair int string))) "fifo 2" (Some (7, "second")) (Heap.pop h);
-  Alcotest.(check (option (pair int string))) "fifo 3" (Some (7, "third")) (Heap.pop h)
+  Alcotest.(check (list (pair int string))) "fifo"
+    [ (7, "first"); (7, "second"); (7, "third") ]
+    (heap_drain h)
 
 let test_heap_peek () =
   let h = Heap.create ~dummy:0 () in
-  Alcotest.(check (option int)) "empty peek" None (Heap.peek_priority h);
+  Alcotest.(check bool) "empty" true (Heap.is_empty h);
   Heap.push h 9 1;
   Heap.push h 2 2;
-  Alcotest.(check (option int)) "peek min" (Some 2) (Heap.peek_priority h);
+  Alcotest.(check int) "peek min" 2 (Heap.min_priority h);
   Alcotest.(check int) "length" 2 (Heap.length h)
 
 let test_heap_clear () =
@@ -115,10 +127,7 @@ let prop_heap_sorts =
     (fun priorities ->
       let h = Heap.create ~dummy:0 () in
       List.iter (fun p -> Heap.push h p p) priorities;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
-      in
-      drain [] = List.sort compare priorities)
+      List.map fst (heap_drain h) = List.sort compare priorities)
 
 let prop_heap_growth =
   QCheck.Test.make ~name:"heap grows past initial capacity" ~count:20
@@ -128,7 +137,7 @@ let prop_heap_growth =
       for i = n downto 1 do
         Heap.push h i i
       done;
-      Heap.length h = n && Heap.peek_priority h = Some 1)
+      Heap.length h = n && Heap.min_priority h = 1)
 
 (* ------------------------------------------------------------------ *)
 (* Bitset *)
