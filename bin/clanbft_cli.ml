@@ -621,7 +621,7 @@ let analyze_cmd =
   let json =
     Arg.(value & flag
          & info [ "json" ]
-             ~doc:"Machine-readable output (schema $(b,clanbft/analysis/v1)) \
+             ~doc:"Machine-readable output (schema $(b,clanbft/analysis/v2)) \
                    instead of the human report.")
   in
   let stall_factor =

@@ -877,12 +877,10 @@ and propose t r =
   Log.debug (fun m ->
       m "node %d proposes r%d (%d strong, %d weak)" t.me r
         (Array.length strong_edges) (Array.length weak_edges));
-  for dst = 0 to Config.n t.config - 1 do
-    let block =
-      if Config.in_payload_clan t.config ~proposer:t.me dst then block else None
-    in
-    Net.send t.net ~src:t.me ~dst (Msg.Val { vertex; block; signature })
-  done;
+  Net.broadcast_split t.net ~src:t.me
+    ~member:(Config.in_payload_clan t.config ~proposer:t.me)
+    (Msg.Val { vertex; block; signature })
+    (Msg.Val { vertex; block = None; signature });
   Prof.leave sec_propose
 
 and arm_timer t =

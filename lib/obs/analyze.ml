@@ -74,7 +74,7 @@ type uplink_info = {
   u_node : int;
   u_busy_us : int;
   u_queue_us : int;
-  u_messages : int;
+  u_bursts : int;
   u_bytes : int;
 }
 
@@ -198,12 +198,12 @@ let analyze ?(stall_factor = 5.0) records =
       incr events;
       see_ts ts;
       match ev with
-      | Trace.Msg_send { src; dst; _ } | Trace.Msg_recv { src; dst; _ } ->
+      | Trace.Msg_recv { src; dst; _ } ->
           see_node src;
           see_node dst
       | Trace.Msg_bcast { src; _ } ->
-          (* Batched fan-out: recipients are discovered via their Msg_recv
-             records; wire accounting comes from the batched Uplink span. *)
+          (* A send burst: recipients are discovered via their Msg_recv
+             records; wire accounting comes from the burst's Uplink span. *)
           see_node src
       | Trace.Uplink { node; bytes; enqueued; start; depart; _ } ->
           see_node node;
@@ -211,7 +211,7 @@ let analyze ?(stall_factor = 5.0) records =
             match Hashtbl.find_opt uplinks node with
             | Some u -> u
             | None ->
-                { u_node = node; u_busy_us = 0; u_queue_us = 0; u_messages = 0;
+                { u_node = node; u_busy_us = 0; u_queue_us = 0; u_bursts = 0;
                   u_bytes = 0 }
           in
           Hashtbl.replace uplinks node
@@ -219,7 +219,7 @@ let analyze ?(stall_factor = 5.0) records =
               u with
               u_busy_us = u.u_busy_us + max 0 (depart - start);
               u_queue_us = u.u_queue_us + max 0 (start - enqueued);
-              u_messages = u.u_messages + 1;
+              u_bursts = u.u_bursts + 1;
               u_bytes = u.u_bytes + bytes;
             }
       | Trace.Rbc_phase { node; sender; round; phase } -> (
@@ -578,13 +578,13 @@ let human r =
   let span = max 1 (r.last_ts - r.first_ts) in
   if r.uplinks <> [] then begin
     pf "\n-- uplink occupancy --\n";
-    pf "%-6s %12s %7s %12s %10s %14s\n" "node" "busy ms" "busy%" "queued ms" "msgs"
+    pf "%-6s %12s %7s %12s %10s %14s\n" "node" "busy ms" "busy%" "queued ms" "bursts"
       "bytes";
     List.iter
       (fun u ->
         pf "%-6d %12.1f %6.1f%% %12.1f %10d %14d\n" u.u_node (ms u.u_busy_us)
           (100.0 *. float_of_int u.u_busy_us /. float_of_int span)
-          (ms u.u_queue_us) u.u_messages u.u_bytes)
+          (ms u.u_queue_us) u.u_bursts u.u_bytes)
       r.uplinks
   end;
   pf "\n-- stalls (median gaps: commit %.1f ms, round %.1f ms) --\n"
@@ -620,7 +620,7 @@ let to_json r =
         ("node", int u.u_node);
         ("busy_us", int u.u_busy_us);
         ("queue_us", int u.u_queue_us);
-        ("messages", int u.u_messages);
+        ("bursts", int u.u_bursts);
         ("bytes", int u.u_bytes);
       ]
   in
@@ -637,7 +637,7 @@ let to_json r =
   Json.pretty
     (Json.Obj
        [
-         ("schema", str "clanbft/analysis/v1");
+         ("schema", str "clanbft/analysis/v2");
          ("n", int r.n);
          ("events", int r.events);
          ("first_ts_us", int r.first_ts);

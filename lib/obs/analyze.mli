@@ -93,7 +93,7 @@ type uplink_info = {
   u_node : int;
   u_busy_us : int;
   u_queue_us : int;
-  u_messages : int;
+  u_bursts : int;  (** send bursts: one [Uplink] span each *)
   u_bytes : int;
 }
 
@@ -150,6 +150,6 @@ val dist_json : dist -> Clanbft_util.Json.t
     and the benchmark baseline share. *)
 
 val to_json : report -> string
-(** Deterministic machine output, schema ["clanbft/analysis/v1"]
+(** Deterministic machine output, schema ["clanbft/analysis/v2"]
     (documented in [docs/ANALYSIS.md]). Per-commit paths are summarized,
     not dumped. *)

@@ -22,7 +22,6 @@ let phase_of_name = function
   | _ -> None
 
 type event =
-  | Msg_send of { src : int; dst : int; kind : string; bytes : int }
   | Msg_bcast of { src : int; kind : string; bytes : int; count : int }
   | Msg_recv of { src : int; dst : int; kind : string; bytes : int }
   | Uplink of {
@@ -47,10 +46,6 @@ type record = { ts : int; ev : event }
 
 let jsonl_of_record { ts; ev } =
   match ev with
-  | Msg_send { src; dst; kind; bytes } ->
-      Printf.sprintf
-        {|{"ts":%d,"type":"msg_send","src":%d,"dst":%d,"kind":"%s","bytes":%d}|}
-        ts src dst (Json.escape kind) bytes
   | Msg_bcast { src; kind; bytes; count } ->
       Printf.sprintf
         {|{"ts":%d,"type":"msg_bcast","src":%d,"kind":"%s","bytes":%d,"count":%d}|}
@@ -97,14 +92,12 @@ let of_jsonl_line line =
   let* typ = str_field "type" in
   let* ev =
     match typ with
-    | "msg_send" | "msg_recv" ->
+    | "msg_recv" ->
         let* src = int_field "src" in
         let* dst = int_field "dst" in
         let* kind = str_field "kind" in
         let* bytes = int_field "bytes" in
-        Some
-          (if typ = "msg_send" then Msg_send { src; dst; kind; bytes }
-           else Msg_recv { src; dst; kind; bytes })
+        Some (Msg_recv { src; dst; kind; bytes })
     | "msg_bcast" ->
         let* src = int_field "src" in
         let* kind = str_field "kind" in
@@ -309,11 +302,6 @@ let write_chrome t path =
   iter t (fun { ts; ev } ->
       incr idx;
       match ev with
-      | Msg_send { src; dst; kind; bytes } ->
-          note_pid src;
-          add
-            (chrome_event ~name:("send " ^ kind) ~cat:"net" ~ts ~pid:src ~tid:0
-               (ints [ ("dst", dst); ("bytes", bytes) ]))
       | Msg_bcast { src; kind; bytes; count } ->
           note_pid src;
           add

@@ -15,7 +15,7 @@
 
     {[
       if Trace.enabled tr then
-        Trace.emit tr ~ts:(Engine.now engine) (Trace.Msg_send { ... })
+        Trace.emit tr ~ts:(Engine.now engine) (Trace.Msg_recv { ... })
     ]}
 
     so a disabled run allocates nothing and executes one branch per
@@ -53,14 +53,11 @@ val phase_of_name : string -> phase option
     the wire-message tag ({!Clanbft_types.Msg.tag} / [Rbc.msg_tag]);
     [bytes] includes the per-message transport overhead. *)
 type event =
-  | Msg_send of { src : int; dst : int; kind : string; bytes : int }
-      (** Enqueued on [src]'s uplink (or the loopback path). *)
   | Msg_bcast of { src : int; kind : string; bytes : int; count : int }
-      (** One batched fan-out ([Net.broadcast] / [Net.multicast]): [count]
-          copies of a [bytes]-sized message left [src] at [ts]. Replaces
-          the [count] individual [Msg_send] records the fan-out would have
-          emitted; per-recipient [Msg_recv] records are still emitted at
-          each arrival. *)
+      (** One send burst ([Net.send] / [Net.broadcast], or one run of a
+          [Net.broadcast_split]): [count] copies of a [bytes]-sized message
+          left [src] at [ts], onto its uplink or the loopback path;
+          per-recipient [Msg_recv] records are emitted at each arrival. *)
   | Msg_recv of { src : int; dst : int; kind : string; bytes : int }
       (** Delivered to [dst]'s handler; the record's [ts] is arrival time. *)
   | Uplink of {

@@ -341,12 +341,9 @@ let broadcast t ~round value =
   Core.trace t.core inst Trace.Propose;
   let digest = Digest32.hash_string value in
   if is_tribe t.protocol then
-    for dst = 0 to t.n - 1 do
-      if in_clan t dst then
-        Net.send t.net ~src:t.me ~dst (Val { sender = t.me; round; value })
-      else
-        Net.send t.net ~src:t.me ~dst (Val_digest { sender = t.me; round; digest })
-    done
+    Net.broadcast_split t.net ~src:t.me ~member:(in_clan t)
+      (Val { sender = t.me; round; value })
+      (Val_digest { sender = t.me; round; digest })
   else Net.broadcast t.net ~src:t.me (Val { sender = t.me; round; value })
 
 let delivered t ~sender ~round =

@@ -52,24 +52,32 @@ val set_handler : 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
 (** Must be installed for every node before traffic reaches it. *)
 
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
-
-val multicast : 'msg t -> src:int -> dsts:int list -> 'msg -> unit
-(** Unicast fan-out: each copy pays its own serialization delay, like TCP
-    fan-out on a real VM.
-
-    Fan-outs of two or more destinations take a batched fast path that is
-    {e timing-equivalent} to per-destination {!send} — identical filter
-    calls, RNG draws, departure and arrival times, and within-microsecond
-    ordering (asserted by [test/test_sim.ml]) — but pays the per-message
-    costs once per fan-out: recipients share one delivery closure, the
-    counters are bumped once with the copy-count multiple, and the trace
-    carries one [Msg_bcast] record plus a single uplink span covering the
-    whole burst instead of per-copy [Msg_send]/[Uplink] records. The
-    backlog histogram records the burst's initial queue depth once rather
-    than a sample per copy. *)
+(** One copy to [dst]: it waits its turn on [src]'s uplink, pays its own
+    serialization delay, then the propagation delay. A copy to [src] itself
+    is a local loopback. *)
 
 val broadcast : 'msg t -> src:int -> 'msg -> unit
-(** [multicast] to all nodes including the sender (self copy is local). *)
+(** One copy to every node including the sender (the self copy is local).
+
+    Every send goes through one batched core: the message is priced once
+    and its copies leave the uplink back to back in destination-id order,
+    timing-equivalent to one {!send} per destination — identical filter
+    calls, RNG draws, departure and arrival times, and within-microsecond
+    ordering (asserted by [test/test_sim.ml]). Recipients share one
+    delivery closure, the counters are bumped once with the copy-count
+    multiple, the backlog histogram records the burst's initial queue depth
+    once, and the trace carries one [Msg_bcast] record plus a single uplink
+    span covering the whole burst. *)
+
+val broadcast_split :
+  'msg t -> src:int -> member:(int -> bool) -> 'msg -> 'msg -> unit
+(** [broadcast_split t ~src ~member inside outside] sends [inside] to every
+    node [i] with [member i] and [outside] to the rest, in id order — the
+    paper's split dissemination (full payload to the clan, digest to the
+    rest of the tribe). Each maximal run of consecutive ids on one side is
+    one burst, so the copies leave the uplink exactly as a per-destination
+    {!send} loop would send them; an interleaved membership costs one burst
+    per copy. *)
 
 val jitter_draw :
   config -> rng:Clanbft_util.Rng.t -> base:Time.span -> Time.span
@@ -115,7 +123,7 @@ val total_bytes : _ t -> int
 val total_messages : _ t -> int
 
 val approx_live_words : _ t -> int
-(** Heap-census hook: conservative word estimate of the pooled delivery
-    cells, free stack and per-node arrays. See docs/PROFILING.md. *)
+(** Heap-census hook: word estimate of the per-node uplink cursors and
+    handler slots. See docs/PROFILING.md. *)
 
 val reset_metrics : _ t -> unit

@@ -65,7 +65,7 @@ let test_benign_run_is_quiet () =
   List.iter
     (fun (u : Analyze.uplink_info) ->
       Alcotest.(check bool) "uplink carried traffic" true
-        (u.Analyze.u_messages > 0 && u.Analyze.u_bytes > 0))
+        (u.Analyze.u_bursts > 0 && u.Analyze.u_bytes > 0))
     rep.Analyze.uplinks
 
 let test_deterministic_output () =
@@ -319,7 +319,7 @@ let test_dead_trace_is_one_big_stall () =
     [
       { Trace.ts = 0; ev = Trace.Rbc_phase { node = 0; sender = 0; round = 0; phase = Trace.Propose } };
       { Trace.ts = 100_000; ev = Trace.Rbc_phase { node = 1; sender = 1; round = 1; phase = Trace.Propose } };
-      { Trace.ts = 900_000; ev = Trace.Msg_send { src = 0; dst = 1; kind = "val"; bytes = 10 } };
+      { Trace.ts = 900_000; ev = Trace.Msg_recv { src = 0; dst = 1; kind = "val"; bytes = 10 } };
     ]
   in
   let rep = Analyze.analyze records in

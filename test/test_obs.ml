@@ -35,7 +35,6 @@ let test_sink_limit () =
 
 let sample_records =
   [
-    { Trace.ts = 0; ev = Trace.Msg_send { src = 0; dst = 15; kind = "val"; bytes = 123_456 } };
     { Trace.ts = 17; ev = Trace.Msg_recv { src = 3; dst = 4; kind = "echo_cert"; bytes = 96 } };
     { Trace.ts = 21; ev = Trace.Msg_bcast { src = 5; kind = "echo"; bytes = 150; count = 149 } };
     {
@@ -62,7 +61,7 @@ let test_jsonl_roundtrip () =
     sample_records;
   (* Escaping: kinds with JSON-hostile characters survive the trip. *)
   let hostile =
-    { Trace.ts = 1; ev = Trace.Msg_send { src = 0; dst = 1; kind = "a\"b\\c\nd"; bytes = 1 } }
+    { Trace.ts = 1; ev = Trace.Msg_recv { src = 0; dst = 1; kind = "a\"b\\c\nd"; bytes = 1 } }
   in
   (match Trace.of_jsonl_line (Trace.jsonl_of_record hostile) with
   | Some r' -> Alcotest.(check bool) "escaped kind" true (hostile = r')
@@ -74,7 +73,7 @@ let test_jsonl_roundtrip () =
   List.iter
     (fun esc ->
       let line =
-        Printf.sprintf {|{"ts":1,"type":"msg_send","src":0,"dst":1,"kind":"%s","bytes":1}|} esc
+        Printf.sprintf {|{"ts":1,"type":"msg_recv","src":0,"dst":1,"kind":"%s","bytes":1}|} esc
       in
       Alcotest.(check bool) ("rejects " ^ esc) true (Trace.of_jsonl_line line = None))
     [ {|\uzz|}; {|\uffff|}; {|\u12|} ]
@@ -90,8 +89,6 @@ let gen_record =
   let ev =
     oneof
       [
-        map3 (fun (src, dst) kind bytes -> Trace.Msg_send { src; dst; kind; bytes })
-          (pair int int) str int;
         map3 (fun (src, dst) kind bytes -> Trace.Msg_recv { src; dst; kind; bytes })
           (pair int int) str int;
         map3 (fun src kind (bytes, count) -> Trace.Msg_bcast { src; kind; bytes; count })
@@ -331,7 +328,6 @@ let test_trace_ordering () =
       | Trace.Vertex_commit { leader_round; round; _ } ->
           incr commits;
           Alcotest.(check bool) "committed under a leader" true (round <= leader_round)
-      | Trace.Msg_send _ -> incr sends
       | Trace.Msg_bcast { count; _ } -> sends := !sends + count
       | Trace.Msg_recv _ -> incr recvs
       | _ -> ());

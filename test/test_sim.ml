@@ -449,41 +449,93 @@ let test_net_reset_metrics_full () =
   Engine.run engine;
   Alcotest.(check int) "uplink cursor cleared" (base + 10_001) !arrival
 
-let test_net_multicast_matches_sends () =
-  (* The batched fan-out fast path must be timing-equivalent to issuing one
-     send per destination: same RNG draws, same departure and arrival
-     times, same per-destination order — with jitter on, any divergence in
-     draw order shows up immediately. *)
+let test_net_broadcast_split_matches_sends () =
+  (* A split broadcast must be timing-equivalent to issuing one send per
+     destination in id order: same filter calls, RNG draws, departure and
+     arrival times, and per-destination order. Jitter and pre-GST delays
+     are on, so any divergence in draw order shows up immediately. *)
+  let n = 8 in
   let record sendf =
-    let config = { Net.default_config with jitter = 0.05 } in
+    let config =
+      { Net.default_config with jitter = 0.05; gst = 1_000_000; pre_gst_max_extra = 5_000 }
+    in
     let engine = Engine.create () in
-    let topology = Topology.uniform ~n:6 ~one_way_ms:10.0 in
+    let topology = Topology.uniform ~n ~one_way_ms:10.0 in
     let net =
       Net.create ~engine ~topology ~config ~size:String.length
         ~rng:(Rng.create 42L) ()
     in
     let log = ref [] in
-    for i = 0 to 5 do
-      Net.set_handler net i (fun ~src:_ _ -> log := (i, Engine.now engine) :: !log)
+    for i = 0 to n - 1 do
+      Net.set_handler net i (fun ~src:_ m -> log := (i, Engine.now engine, m) :: !log)
     done;
     sendf net;
     Engine.run engine;
     List.rev !log
   in
-  let dsts = [ 1; 2; 3; 4; 5 ] in
-  let batched = record (fun net -> Net.multicast net ~src:0 ~dsts "payload") in
-  let unicast =
-    record (fun net -> List.iter (fun dst -> Net.send net ~src:0 ~dst "payload") dsts)
+  let check name ~src member =
+    let split =
+      record (fun net -> Net.broadcast_split net ~src ~member "full" "digest")
+    in
+    let sends =
+      record (fun net ->
+          for dst = 0 to n - 1 do
+            Net.send net ~src ~dst (if member dst then "full" else "digest")
+          done)
+    in
+    Alcotest.(check (list (triple int int string))) name sends split
   in
-  Alcotest.(check (list (pair int int)))
-    "batched fan-out delivers at identical instants in identical order"
-    unicast batched;
-  (* Self-delivery keeps its loopback semantics on the fast path too. *)
-  let batched_self = record (fun net -> Net.multicast net ~src:0 ~dsts:[ 0; 1; 2 ] "p") in
-  let unicast_self =
-    record (fun net -> List.iter (fun dst -> Net.send net ~src:0 ~dst "p") [ 0; 1; 2 ])
+  check "all members" ~src:0 (fun _ -> true);
+  check "alternating, sender inside" ~src:2 (fun i -> i mod 2 = 0);
+  check "alternating, sender outside" ~src:3 (fun i -> i mod 2 = 0);
+  check "middle range, sender inside" ~src:4 (fun i -> i >= 3 && i <= 5);
+  check "middle range, sender outside" ~src:0 (fun i -> i >= 3 && i <= 5)
+
+let test_net_send_filter_consultation () =
+  (* [send] offers its one copy to the filter; [send_unfiltered] bypasses
+     it but is priced identically, so both arrive at the same instant. *)
+  let arrival sendf =
+    let engine, net = mk_net () in
+    let calls = ref 0 and at = ref (-1) in
+    Net.set_filter net (fun ~src:_ ~dst:_ _ ->
+        incr calls;
+        true);
+    Net.set_handler net 1 (fun ~src:_ _ -> at := Engine.now engine);
+    sendf net ~src:0 ~dst:1 "x";
+    Engine.run engine;
+    (!calls, !at)
   in
-  Alcotest.(check (list (pair int int))) "self copy identical" unicast_self batched_self
+  let calls, filtered = arrival Net.send in
+  Alcotest.(check int) "send consults the filter once" 1 calls;
+  let calls, unfiltered = arrival Net.send_unfiltered in
+  Alcotest.(check int) "send_unfiltered never consults it" 0 calls;
+  Alcotest.(check int) "same arrival instant" filtered unfiltered
+
+let test_net_split_allocation_flat () =
+  (* After warm-up, a split broadcast allocates a per-call constant that
+     does not grow with n, and delivering its copies allocates nothing. *)
+  let words n =
+    let engine, net = mk_net ~n ~config:no_jitter () in
+    let fired = ref 0 in
+    let count ~src:_ _ = incr fired in
+    for i = 0 to n - 1 do
+      Net.set_handler net i count
+    done;
+    let split () = Net.broadcast_split net ~src:0 ~member:(fun _ -> true) "in" "out" in
+    let drain () =
+      while Engine.step engine do
+        ()
+      done
+    in
+    split ();
+    drain ();
+    let sent = minor_words split in
+    Alcotest.(check int) (Printf.sprintf "delivery allocates nothing (n=%d)" n) 0
+      (minor_words drain);
+    Alcotest.(check int) "every copy delivered" (2 * n) !fired;
+    sent
+  in
+  Alcotest.(check int) "same words at n=10 and n=50" (words 10) (words 50)
 
 let test_net_jitter_symmetric () =
   (* The jitter draw must be symmetric: round-to-nearest over u uniform in
@@ -596,8 +648,12 @@ let suites =
         Alcotest.test_case "filter drops" `Quick test_net_filter_drops;
         Alcotest.test_case "metrics" `Quick test_net_metrics;
         Alcotest.test_case "reset clears uplink state" `Quick test_net_reset_metrics_full;
-        Alcotest.test_case "multicast matches per-send timing" `Quick
-          test_net_multicast_matches_sends;
+        Alcotest.test_case "split matches per-dst sends" `Quick
+          test_net_broadcast_split_matches_sends;
+        Alcotest.test_case "send filter consultation" `Quick
+          test_net_send_filter_consultation;
+        Alcotest.test_case "split allocation flat in n" `Quick
+          test_net_split_allocation_flat;
         Alcotest.test_case "jitter symmetric" `Quick test_net_jitter_symmetric;
         Alcotest.test_case "broadcast" `Quick test_net_broadcast;
       ] );
