@@ -106,12 +106,12 @@ let adversaries_flag =
 (* ------------------------------------------------------------------ *)
 (* Run-spec flags shared by sim, sweep and profile *)
 
-(* Runner.run refuses what Runner.validate rejects; the CLI reports it as a
-   usage error instead. *)
-let validated spec =
-  match Runner.validate spec with
-  | Ok () -> spec
-  | Error e -> fail2 "bad run spec: %s" e
+(* Runner.run and Harness.build refuse what their validate rejects; the CLI
+   reports it as a usage error instead. *)
+let checked what validate spec =
+  match validate spec with Ok () -> spec | Error e -> fail2 "bad %s spec: %s" what e
+
+let validated = checked "run" Runner.validate
 
 (* One term builds the spec every run-style subcommand starts from: the
    shared flags (protocol with its default clan size, topology, ...), then
@@ -656,32 +656,21 @@ let check_cmd =
     let spec_of_flags () =
       let model =
         match String.lowercase_ascii model with
-        | "sailfish" -> H.Sailfish
-        | "rbc" -> (
-            match String.lowercase_ascii protocol with
-            | "bracha" -> H.Rbc Rbc.Bracha
-            | "signed" -> H.Rbc Rbc.Signed_two_round
-            | "tribe-bracha" -> H.Rbc Rbc.Tribe_bracha
-            | "tribe-signed" -> H.Rbc Rbc.Tribe_signed
-            | _ -> fail2 "protocol: bracha | signed | tribe-bracha | tribe-signed")
-        | _ -> fail2 "model: rbc | sailfish"
+        | "rbc" -> "rbc-" ^ String.lowercase_ascii protocol
+        | m -> m
+      in
+      let model =
+        match H.model_of_string model with Ok m -> m | Error e -> fail2 "%s" e
       in
       let adversary =
-        match String.lowercase_ascii adversary with
-        | "none" -> H.No_adversary
-        | "equivocate" -> H.Equivocate
-        | "collude" -> H.Collude
-        | "grief" -> H.Grief
-        | _ -> fail2 "adversary: none | equivocate | collude | grief"
+        match H.adversary_of_string (String.lowercase_ascii adversary) with
+        | Ok a -> a
+        | Error e -> fail2 "bad adversary: %s" e
       in
-      (match (model, adversary) with
-      | H.Rbc _, H.Grief -> fail2 "adversary grief needs --model sailfish"
-      | H.Sailfish, (H.Equivocate | H.Collude) ->
-          fail2 "the sailfish model takes adversary none or grief"
-      | _ -> ());
       { H.model; n; rounds; adversary; late_join; crashes; sparse_k }
     in
-    let model_name spec = List.assoc "model" (H.spec_meta spec) in
+    let validated = checked "check" H.validate in
+    let model_name spec = H.model_to_string spec.H.model in
     let dump_trace world path =
       match H.obs world with
       | Some o ->
@@ -725,6 +714,7 @@ let check_cmd =
             match H.spec_of_meta meta with
             | Error e -> fail2 "bad schedule meta: %s" e
             | Ok spec -> (
+                let spec = validated spec in
                 let r = E.run_schedule ~trace:(trace_out <> None) spec sched in
                 (match r.E.error with
                 | Some e -> fail2 "schedule does not replay: %s" e
@@ -740,7 +730,7 @@ let check_cmd =
                     exit 1
                 | None -> Printf.printf "verdict: ok\n")))
     | None -> (
-        let spec = spec_of_flags () in
+        let spec = validated (spec_of_flags ()) in
         let mode = if exhaustive then "exhaustive" else "walk" in
         let result =
           if exhaustive then
@@ -788,8 +778,10 @@ let check_cmd =
     Arg.(value & opt string "none"
          & info [ "adversary" ]
              ~doc:"$(b,none) | $(b,equivocate) (1 fault, must stay safe) | \
-                   $(b,collude) (2 faults vs f=1, must be caught) | \
-                   $(b,grief) (timeout-edge proposal delay; Sailfish model).")
+                   $(b,collude) (2 faults vs f=1, must be caught) (RBC \
+                   model), or one $(b,sim --adversary) strategy \
+                   $(b,NODE@STRATEGY[:ARG]) such as $(b,0@grief:0.9), \
+                   $(b,0@censor:1) or $(b,0@reorder:2ms) (Sailfish model).")
   in
   let late_join =
     Arg.(value & flag

@@ -126,6 +126,24 @@ grep -q "verdict: ok" "$smoke_dir/walk_sf" || {
   cat "$smoke_dir/walk_sf"
   exit 1
 }
+echo "== check: strategy adversaries (2500 sailfish walks per strategy) =="
+# The checker installs the runner's own Strategy code, so every attack the
+# simulator ships is explorable. Each spec takes 9-13 s on a 2-core x86
+# host; the 60 s cap is a hard gate.
+for adv in 0@grief:0.9 0@censor:1 0@reorder:2ms; do
+  timeout 60 dune exec bin/clanbft_cli.exe -- check --model sailfish -n 4 \
+    --rounds 4 --adversary "$adv" --walks 2500 --steps 300 --seed 7 \
+    >"$smoke_dir/walk_adv" 2>/dev/null || {
+    echo "strategy walk budget ($adv) failed or exceeded its 60 s wall cap"
+    cat "$smoke_dir/walk_adv" 2>/dev/null || true
+    exit 1
+  }
+  grep -q "verdict: ok" "$smoke_dir/walk_adv" || {
+    echo "strategy walks ($adv) reported a violation"
+    cat "$smoke_dir/walk_adv"
+    exit 1
+  }
+done
 echo "== check: sparse edges (exhaustive n=4 + 2500 walks) =="
 # The sparse coverage rule (leader + link + sampled parents) replaces the
 # dense 2f+1-parents assumption; both search modes must stay violation-free.

@@ -7,9 +7,11 @@ module Sailfish = Clanbft_consensus.Sailfish
 module Config = Clanbft_types.Config
 module Msg = Clanbft_types.Msg
 module Vertex = Clanbft_types.Vertex
+module Adversary = Clanbft_faults.Adversary
+module Strategy = Clanbft_faults.Strategy
 
 type violation = { invariant : string; detail : string }
-type adversary = No_adversary | Equivocate | Collude | Grief
+type adversary = No_adversary | Equivocate | Collude | Strategy of Strategy.spec
 type model = Rbc of Rbc.protocol | Sailfish
 
 type spec = {
@@ -52,14 +54,16 @@ let adversary_to_string = function
   | No_adversary -> "none"
   | Equivocate -> "equivocate"
   | Collude -> "collude"
-  | Grief -> "grief"
+  | Strategy x -> Strategy.to_string x
 
 let adversary_of_string = function
   | "none" -> Ok No_adversary
   | "equivocate" -> Ok Equivocate
   | "collude" -> Ok Collude
-  | "grief" -> Ok Grief
-  | s -> Error ("unknown adversary: " ^ s)
+  | s when String.contains s '@' ->
+      Result.map (fun x -> Strategy x) (Strategy.of_string s)
+  | s ->
+      Error (Printf.sprintf "expected none | equivocate | collude | NODE@STRATEGY[:ARG], got %S" s)
 
 let spec_meta s =
   [
@@ -139,10 +143,11 @@ let byz_of = function
   | No_adversary -> []
   | Equivocate -> [ 0 ]
   | Collude -> [ 0; 1 ]
-  (* The griefer runs the full honest stack — only its proposals are held
-     back — so it is subject to every honest invariant and is no scheduling
-     no-op: it occupies no Byzantine slot. *)
-  | Grief -> []
+  (* A strategy node runs the full honest stack, so it is subject to every
+     honest invariant and is no scheduling no-op: no Byzantine slot. *)
+  | Strategy _ -> []
+
+let strategies s = match s.adversary with Strategy x -> [ x ] | _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* RBC worlds *)
@@ -152,29 +157,33 @@ let byz_of = function
    take the overflow heap, which is semantically identical). *)
 let check_ring_bits = 12
 
-let build_rbc ~trace s protocol =
-  if s.adversary = Grief then
-    invalid_arg "Harness.build: Grief is a Sailfish-model adversary";
-  let n = s.n in
-  let byz = byz_of s.adversary in
+(* What both models share: a choice-mode engine, a jitter-free uniform
+   topology, fixed net and keychain seeds, and a first-violation sink. *)
+let deploy ~trace ~n ~size ~kind =
   let engine = Engine.create ~ring_bits:check_ring_bits () in
   Engine.set_choice_mode engine true;
-  let topology = Topology.uniform ~n ~one_way_ms:10.0 in
-  let config = { Net.default_config with jitter = 0.0 } in
   let obs = if trace then Some (Obs.create ()) else None in
   let net =
-    Net.create ~engine ~topology ~config ~size:(Rbc.msg_size ~n)
-      ~kind:Rbc.msg_tag ?obs ~rng:(Rng.create 1L) ()
-  in
-  let keychain = Keychain.create ~seed:11L ~n in
-  let clan =
-    if Rbc.is_tribe protocol then
-      Some (Array.init (max 3 ((n / 2) + 1)) Fun.id)
-    else None
+    Net.create ~engine ~topology:(Topology.uniform ~n ~one_way_ms:10.0)
+      ~config:{ Net.default_config with jitter = 0.0 } ~size ~kind ?obs
+      ~rng:(Rng.create 1L) ()
   in
   let violation_ref = ref None in
   let set_violation invariant detail =
     if !violation_ref = None then violation_ref := Some { invariant; detail }
+  in
+  (engine, obs, net, Keychain.create ~seed:11L ~n, violation_ref, set_violation)
+
+let build_rbc ~trace s protocol =
+  let n = s.n in
+  let byz = byz_of s.adversary in
+  let engine, obs, net, keychain, violation_ref, set_violation =
+    deploy ~trace ~n ~size:(Rbc.msg_size ~n) ~kind:Rbc.msg_tag
+  in
+  let clan =
+    if Rbc.is_tribe protocol then
+      Some (Array.init (max 3 ((n / 2) + 1)) Fun.id)
+    else None
   in
   let crashed_arr = Array.make n false in
   let joining = ref s.late_join in
@@ -249,69 +258,34 @@ let build_rbc ~trace s protocol =
       Rbc.broadcast (Option.get nodes.(0)) ~round:r (Printf.sprintf "val-%d" r)
     done
   else begin
-    let honest =
-      List.filter (fun i -> not (List.mem i byz)) (List.init n Fun.id)
-    in
-    let in_clan i =
-      match clan with None -> true | Some c -> Array.exists (( = ) i) c
-    in
-    let signed = Rbc.is_signed protocol in
     for r = 1 to s.rounds do
       let va = Printf.sprintf "A-%d" r and vb = Printf.sprintf "B-%d" r in
-      let da = Digest32.hash_string va and db = Digest32.hash_string vb in
-      (* the equivocating VAL split: alternate honest recipients *)
-      List.iteri
-        (fun idx dst ->
-          let v, d = if idx mod 2 = 0 then (va, da) else (vb, db) in
-          if in_clan dst then
-            Net.send net ~src:0 ~dst (Rbc.Val { sender = 0; round = r; value = v })
-          else
-            Net.send net ~src:0 ~dst
-              (Rbc.Val_digest { sender = 0; round = r; digest = d }))
-        honest;
-      (* Every Byzantine signer votes for both digests, with genuine
-         signatures from its own key in the signed family. Under [Collude]
+      let da = Digest32.hash_string va in
+      (* The equivocating VAL split deals A, B, A, ... over ids 1..n-1, so
+         recipient [dst] is fed A iff [(dst - 1) mod 2 = 0]. *)
+      Adversary.run ~sender:0 ~n ?clan ~protocol ~net ~round:r
+        (Adversary.Equivocate { values = [ va; vb ] });
+      (* Every Byzantine signer votes for both digests. Under [Collude]
          the votes are targeted: each honest node only sees the votes for
          the value it was fed, so each half's quorum completes on its own
          digest (broadcasting both sets is actually safe — whichever digest
          first reaches an echo quorum at a node absorbs its single READY /
          certificate, on every ordering). *)
       let vote_dsts d =
-        match s.adversary with
-        | Collude ->
-            List.filteri
-              (fun idx _ -> (if Digest32.equal d da then 0 else 1) = idx mod 2)
-              honest
-        | _ -> List.init n Fun.id
+        List.filter
+          (fun dst ->
+            s.adversary <> Collude
+            || (not (List.mem dst byz))
+               && ((dst - 1) mod 2 = 0) = Digest32.equal d da)
+          (List.init n Fun.id)
       in
       List.iter
-        (fun b ->
+        (fun signer ->
           List.iter
             (fun d ->
-              let signature =
-                if signed then
-                  Some
-                    (Keychain.sign keychain ~signer:b
-                       (Rbc.echo_signing_string ~sender:0 ~round:r d))
-                else None
-              in
-              List.iter
-                (fun dst ->
-                  Net.send net ~src:b ~dst
-                    (Rbc.Echo
-                       { sender = 0; round = r; digest = d; signer = b; signature });
-                  if not signed then
-                    Net.send net ~src:b ~dst
-                      (Rbc.Ready
-                         {
-                           sender = 0;
-                           round = r;
-                           digest = d;
-                           signer = b;
-                           signature = None;
-                         }))
-                (vote_dsts d))
-            [ da; db ])
+              Adversary.vote ~keychain ~protocol ~net ~signer ~sender:0
+                ~round:r ~dsts:(vote_dsts d) d)
+            [ da; Digest32.hash_string vb ])
         byz
     done
   end;
@@ -395,24 +369,10 @@ let build_rbc ~trace s protocol =
 (* Sailfish worlds *)
 
 let build_sailfish ~trace s =
-  (match s.adversary with
-  | No_adversary | Grief -> ()
-  | Equivocate | Collude ->
-      invalid_arg
-        "Harness.build: the Sailfish model takes No_adversary or Grief");
-  if s.late_join then
-    invalid_arg "Harness.build: late_join is an RBC-only scenario";
   let n = s.n in
-  let engine = Engine.create ~ring_bits:check_ring_bits () in
-  Engine.set_choice_mode engine true;
-  let topology = Topology.uniform ~n ~one_way_ms:10.0 in
-  let config = { Net.default_config with jitter = 0.0 } in
-  let obs = if trace then Some (Obs.create ()) else None in
-  let net =
-    Net.create ~engine ~topology ~config ~size:(Msg.wire_size ~n) ~kind:Msg.tag
-      ?obs ~rng:(Rng.create 1L) ()
+  let engine, obs, net, keychain, violation_ref, set_violation =
+    deploy ~trace ~n ~size:(Msg.wire_size ~n) ~kind:Msg.tag
   in
-  let keychain = Keychain.create ~seed:11L ~n in
   (* The checker's edge-selection seed is fixed: schedules replayed from a
      saved spec must rebuild the exact same sparse DAG. *)
   let edge_policy =
@@ -421,10 +381,6 @@ let build_sailfish ~trace s =
     | Some k -> Config.Sparse { k; seed = 1L }
   in
   let cfg = Config.make ~n ~edge_policy Config.Full in
-  let violation_ref = ref None in
-  let set_violation invariant detail =
-    if !violation_ref = None then violation_ref := Some { invariant; detail }
-  in
   let crashed_arr = Array.make n false in
   (* prefix consistency: one canonical global commit order, O(1) per commit *)
   let canon : (int, int * int) Hashtbl.t = Hashtbl.create 256 in
@@ -463,25 +419,12 @@ let build_sailfish ~trace s =
             (Printf.sprintf "slot (%d,%d): node %d accepted a second vertex digest"
                v.round v.source me)
   in
-  (* Grief adversary (node 0): the honest stack runs untouched, but every
-     copy of its own proposals departs just inside the round timeout —
-     the checker-scale twin of [Clanbft_faults.Strategy]'s grief. The held
-     copy re-enters through {!Net.send_unfiltered}, so it is never
-     re-held, and the delay is a calendar event the explorer schedules
-     like any timer. *)
-  (match s.adversary with
-  | Grief ->
-      let hold =
-        9 * Sailfish.default_params.Sailfish.round_timeout / 10
-      in
-      Net.set_filter net (fun ~src ~dst msg ->
-          match msg with
-          | Msg.Val { vertex; _ } when src = 0 && vertex.Vertex.source = 0 ->
-              Engine.schedule_after engine hold (fun () ->
-                  Net.send_unfiltered net ~src ~dst msg);
-              false
-          | _ -> true)
-  | _ -> ());
+  (* A strategy adversary is installed exactly as [Runner.run] installs
+     it: its held or crafted copies become calendar events and pooled
+     deliveries the explorer schedules like any other. *)
+  Strategy.install ~engine ~net ~keychain ~config:cfg
+    ~round_timeout:Sailfish.default_params.Sailfish.round_timeout ?obs
+    (strategies s);
   let nodes =
     Array.init n (fun me ->
         Sailfish.create ~me ~config:cfg ~keychain ~engine ~net ?obs
@@ -521,14 +464,27 @@ let prune w =
         if List.mem c.dst w.byz then Engine.drop_choice w.engine c.id)
       (Engine.choices w.engine)
 
+let validate s =
+  let sailfish = s.model = Sailfish in
+  let problem =
+    if s.n < 4 then Some "n must be at least 4 (= 3f+1)"
+    else if s.rounds < 1 then Some "rounds must be positive"
+    else if s.crashes < 0 then Some "negative crash budget"
+    else if s.late_join && sailfish then Some "late_join is an RBC-only scenario"
+    else if Option.fold ~none:false ~some:(fun k -> k < 1 || not sailfish) s.sparse_k
+    then Some "sparse_k needs the Sailfish model and k >= 1"
+    else if sailfish && (s.adversary = Equivocate || s.adversary = Collude) then
+      Some (adversary_to_string s.adversary ^ " needs an RBC model")
+    else if strategies s <> [] && not sailfish then
+      Some "strategy adversaries need the Sailfish model"
+    else None
+  in
+  match problem with
+  | Some e -> Error ("Harness: " ^ e)
+  | None -> Strategy.validate ~n:s.n (strategies s)
+
 let build ?(trace = false) s =
-  if s.n < 4 then invalid_arg "Harness.build: n must be at least 4 (= 3f+1)";
-  if s.rounds < 1 then invalid_arg "Harness.build: rounds must be positive";
-  if s.crashes < 0 then invalid_arg "Harness.build: negative crash budget";
-  (match s.sparse_k with
-  | Some k when s.model <> Sailfish || k < 1 ->
-      invalid_arg "Harness.build: sparse_k needs the Sailfish model and k >= 1"
-  | _ -> ());
+  Result.iter_error invalid_arg (validate s);
   let w =
     match s.model with
     | Rbc protocol -> build_rbc ~trace s protocol

@@ -50,29 +50,32 @@ type violation = { invariant : string; detail : string }
     ([agreement], [validity], [equivocation], [prefix], [totality]);
     [detail] is the human-readable evidence. *)
 
-type adversary = No_adversary | Equivocate | Collude | Grief
-(** Byzantine load injected at build time, before exploration starts:
+type adversary = No_adversary | Equivocate | Collude | Strategy of Clanbft_faults.Strategy.spec
+(** Byzantine load. The checker crafts none itself: RBC worlds drive
+    {!Clanbft_faults.Adversary}, Sailfish worlds install one
+    {!Clanbft_faults.Strategy} spec exactly as [Runner.run] does.
 
-    - [Equivocate]: the sender (node 0) is Byzantine — it sends value A
-      to half the honest recipients and value B to the rest, and backs
-      {e both} digests with its own ECHOs (and READYs in the Bracha
-      family). One fault with [f = 1] honest tolerance: every explored
-      schedule must stay safe, so this is the standing assurance
-      scenario. (RBC models only.)
-    - [Collude]: [Equivocate] plus a second Byzantine node (node 1) that
-      also votes for both digests. Two faults against [f = 1] — outside
-      the fault model, so agreement {e is} breakable, and the checker
-      must find a breaking schedule. Used by the CI self-test to prove
-      the checker can catch real violations. (RBC models only.)
-    - [Grief]: node 0 runs the full honest stack, but every copy of its
-      own proposals is held back to just inside the round timeout — the
-      checker-scale twin of {!Clanbft_faults.Strategy}'s slow-proposer
-      griefing. Within the fault model: every explored interleaving of
-      the delayed proposals against the timeout machinery must preserve
-      the commit-prefix and vertex-uniqueness invariants, and the world
-      must still commit. (Sailfish model only.) *)
+    - [Equivocate]: the sender (node 0) deals values A and B round-robin
+      over ids 1..n-1 and votes for both digests. One fault against
+      [f = 1]: every explored schedule must stay safe. (RBC models.)
+    - [Collude]: [Equivocate] plus a second Byzantine voter (node 1);
+      each digest's votes go only to the honest nodes fed it. Two faults
+      against [f = 1]: the checker must find the agreement break — the
+      CI self-test. (RBC models.)
+    - [Strategy spec], e.g. [0@grief:0.9], [0@censor:1], [0@reorder:2ms]:
+      the node keeps the full honest stack, so it stays under every
+      honest invariant and takes no Byzantine slot. [equivocate] and
+      [storm] are inert here: blocks are empty and nobody recovers.
+      (Sailfish model.) *)
+
+val adversary_of_string : string -> (adversary, string) result
+(** ["none"], ["equivocate"], ["collude"] or a [sim --adversary] spec. *)
 
 type model = Rbc of Clanbft_rbc.Rbc.protocol | Sailfish
+
+val model_to_string : model -> string
+val model_of_string : string -> (model, string) result
+(** ["sailfish"], or ["rbc-"] and a family: ["rbc-tribe-bracha"], ... *)
 
 type spec = {
   model : model;
@@ -102,16 +105,23 @@ val spec_meta : spec -> (string * string) list
 
 val spec_of_meta : (string * string) list -> (spec, string) result
 (** Rebuild a spec from schedule-file metadata; unknown keys are ignored,
-    missing ones default to {!default_spec}'s values. *)
+    missing ones default to {!default_spec}'s values. Malformed values
+    give [Error], never an exception. *)
+
+val validate : spec -> (unit, string) result
+(** The first reason {!build} would refuse the spec: bad n, rounds,
+    crash budget or [sparse_k], an option or adversary of the other
+    model, or a {!Clanbft_faults.Strategy.validate} error. *)
 
 type world
 
 val build : ?trace:bool -> spec -> world
 (** Construct the deployment, inject initial broadcasts (and adversary
     traffic), and leave every delivery pending in the engine's choice
-    pool. [trace] (default false) records the PR 5 structured event
-    trace ({!Clanbft_obs.Trace}) of everything subsequently fired —
-    the violation-trace artefact. *)
+    pool. [trace] (default false) records the structured event trace
+    ({!Clanbft_obs.Trace}) of everything subsequently fired — the
+    violation-trace artefact, strategy [Fault_fire]s included. Raises
+    [Invalid_argument] with the {!validate} error. *)
 
 val spec : world -> spec
 val engine : world -> Engine.t

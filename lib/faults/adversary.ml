@@ -74,3 +74,21 @@ let run ~sender ~n ?clan ~protocol ~net ~round behaviour =
           end
           else send_digest dst value
       done
+
+let vote ~keychain ~protocol ~net ~signer ~sender ~round ~dsts digest =
+  let signed = Rbc.is_signed protocol in
+  let signature =
+    if signed then
+      Some
+        (Keychain.sign keychain ~signer
+           (Rbc.echo_signing_string ~sender ~round digest))
+    else None
+  in
+  List.iter
+    (fun dst ->
+      Net.send net ~src:signer ~dst
+        (Rbc.Echo { sender; round; digest; signer; signature });
+      if not signed then
+        Net.send net ~src:signer ~dst
+          (Rbc.Ready { sender; round; digest; signer; signature = None }))
+    dsts

@@ -1,8 +1,9 @@
-(** Actively Byzantine RBC senders.
+(** Actively Byzantine RBC senders and voters.
 
     {!Faults} covers everything the network can do to honest traffic; this
     module impersonates a {e sender} that crafts its own first-round
-    dissemination maliciously. The adversary occupies a node id with no
+    dissemination maliciously ({!run}), and a voter that backs digests of
+    its choosing ({!vote}). The adversary occupies a node id with no
     honest protocol instance behind it (give that id a no-op net handler)
     and injects raw {!Clanbft_rbc.Rbc.msg} traffic; the honest nodes'
     quorum rules must then keep the instance safe — and, whenever any
@@ -44,3 +45,17 @@ val run :
     [clan] is required for the tribe protocols (same contract as
     {!Clanbft_rbc.Rbc.create}); for the non-tribe protocols every node
     counts as value-entitled. *)
+
+val vote :
+  keychain:Clanbft_crypto.Keychain.t ->
+  protocol:Clanbft_rbc.Rbc.protocol ->
+  net:Clanbft_rbc.Rbc.msg Clanbft_sim.Net.t ->
+  signer:int ->
+  sender:int ->
+  round:int ->
+  dsts:int list ->
+  Clanbft_crypto.Digest32.t ->
+  unit
+(** Byzantine [signer] backs [digest] for instance [(sender, round)]:
+    each of [dsts], in order, gets an ECHO (signed with [signer]'s key in
+    the signed families) and, in the Bracha families, a READY. *)

@@ -192,18 +192,24 @@ let test_sparse_spec_meta_round_trip () =
   | Error e -> Alcotest.failf "spec_of_meta: %s" e
   | Ok spec' -> Alcotest.(check bool) "sparse spec round-trips" true (spec = spec')
 
-let test_sailfish_grief_exhaustive () =
-  (* Timeout-edge proposal delay is inside the fault model: every
-     interleaving of the held proposals against the timeout machinery
-     (within the budget) must keep the commit invariants. *)
-  let spec =
-    { H.default_spec with H.model = H.Sailfish; rounds = 3; adversary = H.Grief }
-  in
+(* Sailfish world under one of the runner's strategies, in the
+   [sim --adversary] grammar. *)
+let spec_strategy rounds adv =
+  match H.adversary_of_string adv with
+  | Ok adversary -> { H.default_spec with H.model = H.Sailfish; rounds; adversary }
+  | Error e -> Alcotest.failf "%s: %s" adv e
+
+let test_strategy_exhaustive adv () =
+  (* The strategies are inside the fault model: every interleaving of the
+     held or rewritten traffic against the timeout machinery (within the
+     budget) must keep the commit invariants. *)
+  let spec = spec_strategy 3 adv in
   let r = E.exhaustive ~delay_budget:1 ~window:2 ~max_actions:120 spec in
   Alcotest.(check bool) "no violation" true (r.E.violation = None);
   Alcotest.(check bool) "explored >1 run" true (r.E.stats.E.runs > 1);
-  (* And the canonical run still commits: griefed leaders are slow, never
-     skipped, so liveness survives the delay. *)
+  (* And the canonical run still commits: griefed leaders are slow and a
+     censored or reordered node's slots late, never lost, so liveness
+     survives the attack. *)
   let run = E.run_schedule ~max_actions:400 spec [] in
   Alcotest.(check bool) "no violation on canonical run" true
     (run.E.run_violation = None);
@@ -212,23 +218,76 @@ let test_sailfish_grief_exhaustive () =
     with Scanf.Scan_failure _ | Failure _ -> -1
   in
   Alcotest.(check bool)
-    (Printf.sprintf "canonical grief run commits (got %d)" commits)
+    (Printf.sprintf "canonical %s run commits (got %d)" adv commits)
     true (commits > 0)
 
-let test_sailfish_grief_walks () =
-  let spec =
-    { H.default_spec with H.model = H.Sailfish; rounds = 4; adversary = H.Grief }
-  in
-  let r = E.walks ~max_actions:150 ~seed:29L ~count:2500 spec in
+let test_strategy_walks adv () =
+  let r = E.walks ~max_actions:150 ~seed:29L ~count:2500 (spec_strategy 4 adv) in
   Alcotest.(check bool) "no violation in 2500 walks" true (r.E.violation = None)
 
-let test_grief_spec_meta_round_trip () =
-  let spec =
-    { H.default_spec with H.model = H.Sailfish; rounds = 3; adversary = H.Grief }
+let test_strategy_spec_meta_round_trip advs () =
+  List.iter
+    (fun adv ->
+      let spec = spec_strategy 3 adv in
+      match H.spec_of_meta (H.spec_meta spec) with
+      | Error e -> Alcotest.failf "spec_of_meta: %s" e
+      | Ok spec' ->
+          Alcotest.(check bool) (adv ^ " spec round-trips") true (spec = spec'))
+    advs
+
+let test_bad_meta_is_error () =
+  (* Schedule files are outside input: a malformed value is an [Error],
+     never an exception. *)
+  List.iter
+    (fun (key, v) ->
+      match H.spec_of_meta [ (key, v) ] with
+      | Ok _ -> Alcotest.failf "%s=%s accepted" key v
+      | Error _ -> ())
+    [
+      ("adversary", "3@bogus");
+      ("adversary", "3@censor:xx");
+      ("adversary", "0@reorder:");
+      ("adversary", "grief");
+      ("n", "four");
+    ]
+
+let test_validate () =
+  let bad =
+    [
+      { H.default_spec with H.n = 3 };
+      { H.default_spec with H.rounds = 0 };
+      { H.default_spec with H.model = H.Sailfish; late_join = true };
+      { (spec_strategy 2 "0@grief:0.9") with H.model = H.Rbc Rbc.Bracha };
+      spec_strategy 2 "4@grief:0.9";
+      spec_strategy 2 "0@censor:0";
+      { H.default_spec with H.model = H.Sailfish; adversary = H.Collude };
+    ]
   in
-  match H.spec_of_meta (H.spec_meta spec) with
-  | Error e -> Alcotest.failf "spec_of_meta: %s" e
-  | Ok spec' -> Alcotest.(check bool) "grief spec round-trips" true (spec = spec')
+  List.iter
+    (fun spec ->
+      Alcotest.(check bool) "rejected" true (Result.is_error (H.validate spec));
+      match H.build spec with
+      | _ -> Alcotest.fail "build accepted an invalid spec"
+      | exception Invalid_argument _ -> ())
+    bad;
+  Alcotest.(check bool) "grief accepted" true
+    (H.validate (spec_strategy 2 "0@grief:0.9") = Ok ())
+
+let test_strategy_trace_names_attack () =
+  (* A traced strategy world carries the strategy's Fault_fire records
+     (rule -2), which is what lets [analyze] attribute the stall. *)
+  let run =
+    E.run_schedule ~trace:true ~max_actions:120 (spec_strategy 3 "0@grief:0.9") []
+  in
+  match H.obs run.E.world with
+  | None -> Alcotest.fail "traced world has no obs"
+  | Some o ->
+      let fires = ref 0 in
+      Trace.iter o.Obs.trace (fun r ->
+          match r.Trace.ev with
+          | Trace.Fault_fire { rule = -2; action = "grief"; _ } -> incr fires
+          | _ -> ());
+      Alcotest.(check bool) "grief fault_fire records" true (!fires > 0)
 
 let test_dpor_prunes () =
   (* Sleep sets must only remove redundant interleavings: same verdict,
@@ -271,11 +330,27 @@ let suites =
         Alcotest.test_case "sparse sailfish walks stay consistent" `Quick
           test_sailfish_sparse_walks;
         Alcotest.test_case "grief schedules keep invariants" `Quick
-          test_sailfish_grief_exhaustive;
+          (test_strategy_exhaustive "0@grief:0.9");
         Alcotest.test_case "grief survives 2500 walks" `Slow
-          test_sailfish_grief_walks;
+          (test_strategy_walks "0@grief:0.9");
         Alcotest.test_case "grief spec meta round-trip" `Quick
-          test_grief_spec_meta_round_trip;
+          (test_strategy_spec_meta_round_trip [ "0@grief:0.9" ]);
         Alcotest.test_case "sleep sets prune soundly" `Quick test_dpor_prunes;
+        Alcotest.test_case "censor schedules keep invariants" `Quick
+          (test_strategy_exhaustive "0@censor:1");
+        Alcotest.test_case "reorder schedules keep invariants" `Quick
+          (test_strategy_exhaustive "0@reorder:2ms");
+        Alcotest.test_case "censor survives 2500 walks" `Slow
+          (test_strategy_walks "0@censor:1");
+        Alcotest.test_case "reorder survives 2500 walks" `Slow
+          (test_strategy_walks "0@reorder:2ms");
+        Alcotest.test_case "strategy spec meta round-trip" `Quick
+          (test_strategy_spec_meta_round_trip
+             [ "0@censor:1"; "0@reorder:2ms"; "2@storm:8"; "1@equivocate" ]);
+        Alcotest.test_case "malformed meta is an Error" `Quick
+          test_bad_meta_is_error;
+        Alcotest.test_case "validate rejects bad specs" `Quick test_validate;
+        Alcotest.test_case "traced grief names the attack" `Quick
+          test_strategy_trace_names_attack;
       ] );
   ]
