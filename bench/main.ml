@@ -242,25 +242,26 @@ let print_figure_rows title points =
     points
 
 let fig5_sizes () =
-  (* (figure, n, clan size, multi-clan q option, loads, duration, warmup, scale) *)
+  (* figure letter -> (title, n, clan size, multi-clan q option, loads,
+     duration, warmup, scale) *)
   let paper_loads = [ 1; 32; 63; 125; 250; 500; 1000; 1500; 2000; 3000; 4000; 5000; 6000 ] in
   match profile with
   | Quick ->
       [
-        ("Figure 5a (scaled: n=20, clan 13)", 20, 13, None, [ 500; 2000; 6000 ], 6.0, 2.0, 10);
-        ("Figure 5c (scaled: n=30, clan 17, q=2)", 30, 17, Some 2, [ 500; 2000 ], 6.0, 2.0, 10);
+        ('a', ("Figure 5a (scaled: n=20, clan 13)", 20, 13, None, [ 500; 2000; 6000 ], 6.0, 2.0, 10));
+        ('c', ("Figure 5c (scaled: n=30, clan 17, q=2)", 30, 17, Some 2, [ 500; 2000 ], 6.0, 2.0, 10));
       ]
   | Paper ->
       [
-        ("Figure 5a (n=50, clan 32)", 50, 32, None, [ 125; 500; 1500; 3000; 6000 ], 6.0, 2.0, 25);
-        ("Figure 5b (n=100, clan 60)", 100, 60, None, [ 500; 1500; 6000 ], 4.5, 1.5, 25);
-        ("Figure 5c (n=150, clan 80, q=2)", 150, 80, Some 2, [ 500; 1500 ], 3.0, 0.9, 50);
+        ('a', ("Figure 5a (n=50, clan 32)", 50, 32, None, [ 125; 500; 1500; 3000; 6000 ], 6.0, 2.0, 25));
+        ('b', ("Figure 5b (n=100, clan 60)", 100, 60, None, [ 500; 1500; 6000 ], 4.5, 1.5, 25));
+        ('c', ("Figure 5c (n=150, clan 80, q=2)", 150, 80, Some 2, [ 500; 1500 ], 3.0, 0.9, 50));
       ]
   | Full ->
       [
-        ("Figure 5a (n=50, clan 32)", 50, 32, None, paper_loads, 10.0, 3.0, 10);
-        ("Figure 5b (n=100, clan 60)", 100, 60, None, paper_loads, 10.0, 3.0, 10);
-        ("Figure 5c (n=150, clan 80, q=2)", 150, 80, Some 2, paper_loads, 10.0, 3.0, 25);
+        ('a', ("Figure 5a (n=50, clan 32)", 50, 32, None, paper_loads, 10.0, 3.0, 10));
+        ('b', ("Figure 5b (n=100, clan 60)", 100, 60, None, paper_loads, 10.0, 3.0, 10));
+        ('c', ("Figure 5c (n=150, clan 80, q=2)", 150, 80, Some 2, paper_loads, 10.0, 3.0, 25));
       ]
 
 let figure_protocols ~nc ~multi =
@@ -284,39 +285,36 @@ let figure_points ~n ~protocols ~loads ~duration ~warmup ~scale =
     protocols
 
 let fig5 which () =
-  let sizes = fig5_sizes () in
-  let idx = match which with `A -> 0 | `B -> 1 | `C -> 2 in
-  if idx < List.length sizes then begin
-    let title, n, nc, multi, loads, duration, warmup, scale = List.nth sizes idx in
-    section_header
-      (Printf.sprintf "%s — throughput vs latency [%s profile]" title profile_name);
-    let protocols = figure_protocols ~nc ~multi in
-    prefetch (figure_points ~n ~protocols ~loads ~duration ~warmup ~scale);
-    List.iter
-      (fun protocol ->
-        let points =
-          List.map
-            (fun load ->
-              run_point
-                { pn = n; pprotocol = protocol; pload = load; pduration = duration;
-                  pwarmup = warmup; pscale = scale })
-            loads
-        in
-        print_figure_rows (Runner.protocol_label protocol) points)
-      protocols;
-    Printf.printf
-      "\n  Expected shape (paper): Sailfish saturates first; single-clan reaches\n\
-      \  higher throughput with lower latency; multi-clan roughly doubles the\n\
-      \  single-clan throughput at n=150.\n"
-  end
+  match List.assoc_opt which (fig5_sizes ()) with
+  | None ->
+      section_header
+        (Printf.sprintf "Figure 5%c — throughput vs latency [%s profile]" which profile_name);
+      Printf.printf "  skipped at the %s profile\n" profile_name
+  | Some (title, n, nc, multi, loads, duration, warmup, scale) ->
+      section_header
+        (Printf.sprintf "%s — throughput vs latency [%s profile]" title profile_name);
+      let protocols = figure_protocols ~nc ~multi in
+      prefetch (figure_points ~n ~protocols ~loads ~duration ~warmup ~scale);
+      List.iter
+        (fun protocol ->
+          let points =
+            List.map
+              (fun load ->
+                run_point
+                  { pn = n; pprotocol = protocol; pload = load; pduration = duration;
+                    pwarmup = warmup; pscale = scale })
+              loads
+          in
+          print_figure_rows (Runner.protocol_label protocol) points)
+        protocols;
+      Printf.printf
+        "\n  Expected shape (paper): Sailfish saturates first; single-clan reaches\n\
+        \  higher throughput with lower latency; multi-clan roughly doubles the\n\
+        \  single-clan throughput at n=150.\n"
 
 (* Figure 6 re-presents the Figure 5c sweep as throughput vs input load. *)
 let fig6 () =
-  let sizes = fig5_sizes () in
-  let title, n, nc, multi, loads, duration, warmup, scale =
-    List.nth sizes (List.length sizes - 1)
-  in
-  ignore title;
+  let _, n, nc, multi, loads, duration, warmup, scale = List.assoc 'c' (fig5_sizes ()) in
   section_header
     (Printf.sprintf
        "Figure 6. Throughput vs transactions per proposal at n=%d [%s profile]" n
@@ -1005,7 +1003,7 @@ let profile_section () =
         pf.pf_rows;
       List.iter
         (fun (name, words) ->
-          Printf.printf "  %-18s %12s %14d   census live\n" name "" words)
+          Printf.printf "  %-18s %12s %14d   census words\n" name "" words)
         pf.pf_census;
       (* The ranking is by exclusive wall time — machine-dependent, so it
          goes to stderr with the other timings. *)
@@ -1444,9 +1442,9 @@ let sections =
     ("table1", table1);
     ("fig1", fig1);
     ("concrete", concrete);
-    ("fig5a", fig5 `A);
-    ("fig5b", fig5 `B);
-    ("fig5c", fig5 `C);
+    ("fig5a", fig5 'a');
+    ("fig5b", fig5 'b');
+    ("fig5c", fig5 'c');
     ("fig6", fig6);
     ("paper-scale", paper_scale);
     ("ablation-latency", ablation_latency);
@@ -1504,16 +1502,19 @@ let () =
   let requested =
     match requested with [] -> List.map fst sections | names -> names
   in
+  (* Every name is checked before any section runs: a typo must not cost
+     the sections listed before it, nor pass as success. *)
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name sections) then begin
+        Printf.eprintf "unknown section %S; available: %s\n" name
+          (String.concat ", " (List.map fst sections));
+        exit 2
+      end)
+    requested;
   Printf.printf "clanbft benchmark harness — profile: %s\n" profile_name;
   Printf.printf "(set CLANBFT_BENCH=quick|paper|full to change scope)\n";
   let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name sections with
-      | Some f -> f ()
-      | None ->
-          Printf.eprintf "unknown section %S; available: %s\n" name
-            (String.concat ", " (List.map fst sections)))
-    requested;
+  List.iter (fun name -> List.assoc name sections ()) requested;
   progress "\nTotal wall time: %.1f s\n" (Unix.gettimeofday () -. t0);
   if Lazy.is_val pool then Pool.shutdown (Lazy.force pool)

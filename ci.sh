@@ -174,12 +174,14 @@ grep -q "verdict: ok" "$smoke_dir/walk_sparse" || {
 }
 rm -rf "$smoke_dir"
 
-echo "== parallel bench smoke (perf section, CLANBFT_JOBS=2) =="
+echo "== parallel bench smoke (perf and profile sections, CLANBFT_JOBS=2) =="
 smoke_dir=$(mktemp -d)
 (cd "$smoke_dir" \
-  && CLANBFT_BENCH=quick dune exec --root "$OLDPWD" bench/main.exe -- --jobs 1 perf >stdout.jobs1 2>/dev/null \
-  && CLANBFT_BENCH=quick CLANBFT_JOBS=2 dune exec --root "$OLDPWD" bench/main.exe -- perf >stdout.jobs2 2>/dev/null)
-# Deterministic stdout: parallel dispatch must not change a byte.
+  && CLANBFT_BENCH=quick dune exec --root "$OLDPWD" bench/main.exe -- --jobs 1 perf profile >stdout.jobs1 2>/dev/null \
+  && CLANBFT_BENCH=quick CLANBFT_JOBS=2 dune exec --root "$OLDPWD" bench/main.exe -- perf profile >stdout.jobs2 2>/dev/null)
+# Deterministic stdout: parallel dispatch must not change a byte, the
+# profiler's call counts, words and heap census included (the profiled
+# runs are sequential and shared with perf, so [profile] adds none).
 if ! cmp -s "$smoke_dir/stdout.jobs1" "$smoke_dir/stdout.jobs2"; then
   echo "bench stdout differs between --jobs 1 and CLANBFT_JOBS=2"
   diff "$smoke_dir/stdout.jobs1" "$smoke_dir/stdout.jobs2" || true

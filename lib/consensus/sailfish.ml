@@ -1033,48 +1033,22 @@ let block_of t ~round ~source = Hashtbl.find_opt t.blocks (round, source)
 let vertex_of t ~round ~source = Store.find t.store ~round ~source
 let rbc_footprint t = Rbc.footprint t.rbc
 
-(* Heap census: this layer's retained state, split by subsystem. Per RBC
-   instance: the core's record, the slot, the table cell and the [agreed]
-   box (27 words); per digest vote record: the record, its voter bitset,
-   the signing hash and the 32-byte echo accumulator (18 words + one per
-   63 voters). A block is charged at its heap words
-   (record and digest, the txn array, a 5-word record per txn), once
-   across replicas: the replicas share one [Block.t] per (round,
-   proposer), and [seen] holds the slots charged so far. See
-   docs/PROFILING.md. *)
-let census ~seen t =
-  let n = Config.n t.config in
-  let instances, digests = Rbc.footprint t.rbc in
-  let slot_words = (27 * instances) + (digests * (18 + ((n + 62) / 63))) in
-  let pending_words =
-    Hashtbl.fold
-      (fun _ (v : Vertex.t) acc ->
-        acc + 22 + (9 * (Array.length v.strong_edges + Array.length v.weak_edges)))
-      t.pending 0
-  in
-  let aux_words =
-    6
-    * (Hashtbl.length t.waiters + Hashtbl.length t.ordered
-      + Hashtbl.length t.covered + Hashtbl.length t.uncovered
-      + Hashtbl.length t.leader_votes + Hashtbl.length t.timeout_shares
-      + Hashtbl.length t.no_vote_shares)
-  in
-  let block_words =
-    Hashtbl.fold
-      (fun (round, proposer) b acc ->
-        let slot = (round * n) + proposer in
-        if Hashtbl.mem seen slot then acc
-        else begin
-          Hashtbl.replace seen slot ();
-          acc + 13 + (6 * Block.txn_count b)
-        end)
-      t.blocks 0
-  in
+(* Census roots, in charging order: the data tables only, so no root
+   reaches a closure, the engine or the network. *)
+let heap_roots ts =
+  let row name roots = (name, List.concat_map roots ts) in
   [
-    ("consensus.blocks", block_words);
-    ("consensus.state", slot_words + pending_words + aux_words);
-    ("dag.store", Store.approx_live_words t.store);
-    ("keychain", Keychain.approx_live_words t.keychain);
+    row "consensus.blocks" (fun t -> [ Obj.repr t.blocks ]);
+    row "dag.store" (fun t -> [ Obj.repr t.store ]);
+    row "consensus.rbc" (fun t -> [ Rbc.heap_root t.rbc ]);
+    row "consensus.state" (fun t ->
+        [
+          Obj.repr t.pending; Obj.repr t.waiters; Obj.repr t.sync_seen_rounds;
+          Obj.repr t.timeout_sent; Obj.repr t.timeout_shares;
+          Obj.repr t.no_vote_shares; Obj.repr t.tcs; Obj.repr t.nvcs;
+          Obj.repr t.leader_votes; Obj.repr t.commit_ready; Obj.repr t.ordered;
+          Obj.repr t.covered; Obj.repr t.uncovered;
+        ]);
   ]
 
 (* The merged instance's hooks (§5): ECHO covers the vertex digest and the

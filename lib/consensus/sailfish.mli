@@ -162,13 +162,13 @@ val block_of : t -> round:int -> source:int -> Block.t option
 
 val dag_size : t -> int
 
-val census : seen:(int, unit) Hashtbl.t -> t -> (string * int) list
-(** Heap-census rows for this node's consensus layer:
-    [consensus.blocks], [consensus.state], [dag.store] and [keychain]
-    approximate live words. Replicas share block values, so a block is
-    charged only if its slot ([round * n + proposer]) is not yet in
-    [seen], which it is then added to; pass one table across all
-    replicas of a run. See docs/PROFILING.md. *)
+val heap_roots : t list -> (string * Obj.t list) list
+(** {!Clanbft_obs.Prof.census} rows for these replicas' consensus layer,
+    in charging order: [consensus.blocks] (the block tables),
+    [dag.store], [consensus.rbc] (the RBC instance tables) and
+    [consensus.state] (pending vertices, waiters, vote and share
+    tables). Each row holds every replica's roots; no root reaches a
+    closure, the engine or the network. See docs/PROFILING.md. *)
 
 (** Low-level hooks for fault-injection tests: a Byzantine "node" is built
     by driving the network directly, but tests also need to peek at honest

@@ -223,8 +223,6 @@ let aggregate_size t = signature_size + ((n t + 7) / 8)
 let aggregate_tag agg = agg.tag
 let aggregate_of_wire ~tag ~signers = { tag; who = signers; expected = None }
 let signature_to_raw s = s
-let approx_live_words t = (2 * (Array.length t.k0 + 1)) + 3
-
 let signature_of_raw s =
   if String.length s <> 32 then invalid_arg "Keychain.signature_of_raw";
   s

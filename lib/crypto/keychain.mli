@@ -110,8 +110,3 @@ val signature_to_raw : signature -> string
 
 val signature_of_raw : string -> signature
 (** Raises [Invalid_argument] unless given 32 bytes. *)
-
-val approx_live_words : t -> int
-(** Heap-census hook: word estimate of the per-party key arrays. Expected-tag
-    memos live on the aggregates themselves and are counted with the messages
-    that carry them. See docs/PROFILING.md. *)

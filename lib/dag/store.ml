@@ -201,24 +201,3 @@ let prune_below t ~round =
   end
 
 let size t = t.size
-
-(* Heap census: slot arrays plus a flat per-vertex estimate (header, two
-   digests, edge arrays at one vref = ~9 words each, cached wire size).
-   Payload bytes live in the block store, not here. *)
-let approx_live_words t =
-  let words =
-    ref (Hashtbl.length t.rounds * (t.n + 8) + Hashtbl.length t.counts * 6)
-  in
-  Hashtbl.iter
-    (fun _ a ->
-      Array.iter
-        (function
-          | Some (v : Vertex.t) ->
-              words :=
-                !words + 22
-                + (9 * Array.length v.strong_edges)
-                + (9 * Array.length v.weak_edges)
-          | None -> ())
-        a)
-    t.rounds;
-  !words

@@ -96,8 +96,3 @@ val prune_below : t -> round:int -> unit
 
 val size : t -> int
 (** Number of vertices currently stored. *)
-
-val approx_live_words : t -> int
-(** Heap-census hook: conservative word estimate of the slot arrays and
-    stored vertices (headers, digests, edge arrays — payloads are counted
-    by the owning block store). See docs/PROFILING.md. *)

@@ -3,8 +3,8 @@
    contract (see the .mli). All counters are native ints.
 
    Allocation attribution subtracts a calibrated constant per span: the
-   probe reads themselves allocate (boxed floats from [Gc.minor_words]/
-   [Gc.major_words], a boxed int64 from the clock), and since that cost is
+   probe reads themselves allocate (the [Gc.counters] tuple and its float
+   boxes, a boxed int64 from the clock), and since that cost is
    a constant number of words per probe it can be measured once and
    removed exactly — keeping the reported words deterministic and equal to
    what the instrumented code itself allocated. *)
@@ -13,11 +13,15 @@ module Json = Clanbft_util.Json
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
-(* One [Gc.counters] call reads both heaps; its own allocations (a tuple
-   and three float boxes) are part of the calibrated probe constant. *)
+(* Minor words come from [Gc.minor_words], which is exact: the minor count
+   in OCaml 5.1's [Gc.counters] advances only at minor collections. Major
+   words are the ones allocated there directly; promotions are left out,
+   since they land in whichever span a minor collection happens to
+   interrupt. The probes' own allocations (the [Gc.counters] tuple and
+   float boxes) are part of the calibrated probe constant. *)
 let heap_words () =
-  let minor, _, major = Gc.counters () in
-  (int_of_float minor, int_of_float major)
+  let _, promoted, major = Gc.counters () in
+  (int_of_float (Gc.minor_words ()), int_of_float (major -. promoted))
 
 (* ------------------------------------------------------------------ *)
 (* Sections *)
@@ -263,8 +267,7 @@ let span s f =
 (* Calibration: measure the probe constants with the real machinery, then
    wipe the scratch data. Runs once, on the first enable (nothing can have
    accumulated while disabled, so the reset loses nothing). Repetitions
-   take the minimum so a minor collection landing inside one rep (whose
-   promotion would inflate the major delta) cannot skew the constant. *)
+   take the minimum, so one odd rep cannot skew the constant. *)
 
 let calibrate () =
   let s1 = section "prof.calib.a" and s2 = section "prof.calib.b" in
@@ -376,6 +379,24 @@ let folded () =
       Buffer.add_char b '\n');
   Buffer.contents b
 
+(* ------------------------------------------------------------------ *)
+(* Heap census *)
+
+(* Each row is charged what its roots add to the words reachable from the
+   rows before it, so a value several rows reach counts once, for the
+   first. The prefix is one list whose cons cells (3 words per root) the
+   pass also reaches; they are taken back out. *)
+let census rows =
+  let _, _, charged =
+    List.fold_left
+      (fun (prefix, before, charged) (name, roots) ->
+        let prefix = List.rev_append roots prefix in
+        let reached = Obj.reachable_words (Obj.repr prefix) in
+        (prefix, reached, (name, reached - before - (3 * List.length roots)) :: charged))
+      ([], 0, []) rows
+  in
+  List.rev charged
+
 let to_json ?census () =
   let int i = Json.Int i in
   let section r =
@@ -410,7 +431,7 @@ let to_json ?census () =
         let row (name, words) =
           Json.Obj [ ("subsystem", Json.String name); ("live_words", int words) ]
         in
-        [ ("census", Json.List (List.map row (List.sort compare rows))) ]
+        [ ("census", Json.List (List.map row rows)) ]
   in
   Json.pretty
     (Json.Obj
@@ -446,10 +467,9 @@ let table ?census () =
   (match census with
   | None -> ()
   | Some rows ->
-      let rows = List.sort compare rows in
       let total = List.fold_left (fun acc (_, w) -> acc + w) 0 rows in
-      pf "\n-- heap census: approx live words by subsystem --\n";
-      pf "%-24s %14s %10s\n" "subsystem" "live words" "~MiB";
+      pf "\n-- heap census: reachable words by subsystem, in charging order --\n";
+      pf "%-24s %14s %10s\n" "subsystem" "words" "MiB";
       List.iter
         (fun (name, words) ->
           pf "%-24s %14d %10.2f\n" name words

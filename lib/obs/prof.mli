@@ -30,8 +30,10 @@
     allocated-word figures are {b byte-identical across runs}: OCaml
     allocation is a deterministic function of the program, and the profiler
     calibrates away its own constant per-span probe cost (the boxes
-    allocated by [Gc.minor_words]/[Gc.major_words]/the clock read) so the
-    reported words are the instrumented code's own. Wall-time fields
+    allocated by the [Gc.counters] and clock reads) so the reported words
+    are the instrumented code's own. Minor words are exact; major words
+    count direct major-heap allocation only, not promotions, whose timing
+    depends on the heap the run started from. Wall-time fields
     ([*_ns]) are real-clock measurements and are {b non-deterministic}; CI
     comparisons must strip them (see docs/PROFILING.md).
 
@@ -88,8 +90,9 @@ type row = {
   self_minor_words : int;  (** minor words allocated, excluding children *)
   incl_minor_words : int;
   self_major_words : int;
-      (** major-heap words allocated (including promotions), excluding
-          children *)
+      (** words allocated directly on the major heap, excluding children;
+          promotions are not counted (they depend on when minor
+          collections land) *)
   incl_major_words : int;
 }
 
@@ -104,15 +107,25 @@ val folded : unit -> string
     path in depth-first order, consumable by [flamegraph.pl] and
     speedscope. Values are self wall microseconds (non-deterministic). *)
 
+val census : (string * Obj.t list) list -> (string * int) list
+(** [census rows] measures the heap words reachable from each row's roots
+    ([Obj.reachable_words]), charging a value to the first row that
+    reaches it: a row gets what its roots add to the rows before it. The
+    rows therefore sum to the words reachable from all roots together.
+    Costs one heap pass per row, over everything the earlier rows reach.
+    See docs/PROFILING.md. *)
+
 val to_json : ?census:(string * int) list -> unit -> string
 (** [clanbft/profile/v1] JSON: the report rows (sorted by name), the call
-    tree, and the optional per-subsystem live-words census. All [*_ns]
-    fields are labelled non-deterministic in docs and must be jq-stripped
-    before byte comparisons; everything else is deterministic. *)
+    tree, and the optional {!census} rows (measured reachable words, in
+    the order given). All [*_ns] fields are labelled non-deterministic in
+    docs and must be jq-stripped before byte comparisons; everything else
+    is deterministic. *)
 
 val table : ?census:(string * int) list -> unit -> string
 (** Human-readable self/total table sorted by self time (descending), plus
-    the census when given. *)
+    the {!census} rows, measured reachable words in the order given, and
+    their total when given. *)
 
 val probe_overhead : unit -> int * int
 (** [(minor, major)] words the calibration measured for one leaf span's own

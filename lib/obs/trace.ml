@@ -192,12 +192,6 @@ let emit t ~ts ev =
 let length = function Null -> 0 | Sink s -> s.len | Stream s -> s.written
 let dropped = function Null | Stream _ -> 0 | Sink s -> s.dropped
 
-(* Heap census: the buffer array plus ~10 words per boxed record (cell +
-   event payload). Streaming sinks retain nothing. *)
-let approx_live_words = function
-  | Null | Stream _ -> 0
-  | Sink s -> 4 + Array.length s.records + (10 * s.len)
-
 let iter t f =
   match t with
   | Null | Stream _ -> ()

@@ -125,10 +125,6 @@ val emit : t -> ts:int -> event -> unit
 val length : t -> int
 val dropped : t -> int
 
-val approx_live_words : t -> int
-(** Heap-census hook: word estimate of a buffered sink's record array
-    (0 for {!null} and streaming sinks). See docs/PROFILING.md. *)
-
 val iter : t -> (record -> unit) -> unit
 (** In emission order. Records emitted from the same engine callback share
     a timestamp; [Uplink] records carry a future [depart]. Visits nothing

@@ -155,6 +155,8 @@ let footprint c =
       (insts + 1, digests + first + tbl_length i.more_echoes + tbl_length i.readies))
     c.instances (0, 0)
 
+let heap_root c = Obj.repr c.instances
+
 let prune_below c ~round =
   let doomed =
     Hashtbl.fold

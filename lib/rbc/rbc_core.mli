@@ -103,6 +103,11 @@ val get : ('e, 'm) t -> sender:int -> round:int -> 'e inst
 val footprint : ('e, 'm) t -> int * int
 (** (instances, digest vote records). *)
 
+val heap_root : ('e, 'm) t -> Obj.t
+(** The instance table, a {!Clanbft_obs.Prof.census} root: it reaches the
+    instances, their votes and payload state, and no closure, engine or
+    network. *)
+
 
 val prune_below : ('e, 'm) t -> round:int -> unit
 val echo_voters : 'e inst -> Digest32.t -> int list

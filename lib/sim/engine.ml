@@ -405,14 +405,3 @@ let run ?until ?max_events t =
 
 let pending t = t.pending
 let events_processed t = t.processed
-
-(* Heap-census hook (docs/PROFILING.md): the ring and summary arrays, four
-   words per pool slot (callback, argument, thunk, link; the arrays are
-   sized by capacity, not by what is pending), three per overflow entry
-   (priority, sequence, slot) and the choice pool. Thunk environments
-   belong to the subsystems that scheduled them. *)
-let approx_live_words t =
-  Array.length t.ring + Array.length t.summary
-  + (4 * Array.length t.next)
-  + (3 * Heap.length t.overflow)
-  + (12 * Hashtbl.length t.pool)

@@ -106,8 +106,3 @@ val step : t -> bool
 
 val pending : t -> int
 val events_processed : t -> int
-
-val approx_live_words : t -> int
-(** Heap-census hook: estimate of the words held live by this engine (ring
-    and summary arrays, four words per slot of pool capacity, overflow
-    heap, choice pool). See docs/PROFILING.md. *)

@@ -255,11 +255,6 @@ let messages_sent t i = Metrics.counter_value t.messages_sent.(i)
 let total_bytes t = Metrics.counter_value t.total_bytes
 let total_messages t = Metrics.counter_value t.total_messages
 
-(* Heap-census hook: the uplink cursors and handler slots. Message
-   payloads in flight are held by engine slots and counted by their owning
-   subsystems, not here. *)
-let approx_live_words t = Array.length t.uplink_free + Array.length t.handlers
-
 let reset_metrics t =
   Array.iter Metrics.reset_counter t.bytes_sent;
   Array.iter Metrics.reset_counter t.bytes_received;

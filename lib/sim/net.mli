@@ -122,8 +122,4 @@ val messages_sent : _ t -> int -> int
 val total_bytes : _ t -> int
 val total_messages : _ t -> int
 
-val approx_live_words : _ t -> int
-(** Heap-census hook: word estimate of the per-node uplink cursors and
-    handler slots. See docs/PROFILING.md. *)
-
 val reset_metrics : _ t -> unit

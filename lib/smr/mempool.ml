@@ -38,7 +38,3 @@ let take t ~max =
 let pending t = Queue.length t.queue
 let submitted_total t = t.submitted
 let rejected_total t = t.rejected
-
-(* Heap census: one Queue cell (~4 words) plus the transaction record per
-   pending entry. *)
-let approx_live_words t = 8 + (Queue.length t.queue * (4 + 8))

@@ -17,7 +17,3 @@ val take : t -> max:int -> Transaction.t array
 val pending : t -> int
 val submitted_total : t -> int
 val rejected_total : t -> int
-
-val approx_live_words : t -> int
-(** Heap-census hook: word estimate of the queued transactions. See
-    docs/PROFILING.md. *)

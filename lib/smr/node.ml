@@ -133,12 +133,13 @@ let create ~me ~config ~keychain ~engine ~net ?params ?obs
 
 let start t = Sailfish.start (consensus t)
 
-let census ~seen t =
-  (("mempool", Mempool.approx_live_words t.mempool)
-  :: (match t.persist with
-     | Some p -> [ ("wal", Persist.approx_live_words p) ]
-     | None -> []))
-  @ Sailfish.census ~seen (consensus t)
+let heap_roots ts =
+  Sailfish.heap_roots (List.map consensus ts)
+  @ [
+      ("mempool", List.map (fun t -> Obj.repr t.mempool) ts);
+      ( "wal",
+        List.concat_map (fun t -> Option.fold ~none:[] ~some:Persist.heap_roots t.persist) ts );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery *)

@@ -81,8 +81,8 @@ val executed_txns : t -> int
 val exec_backlog : t -> int
 (** Committed vertices whose blocks have not yet executed locally. *)
 
-val census : seen:(int, unit) Hashtbl.t -> t -> (string * int) list
-(** Heap-census rows for this node: mempool, WAL (when persistence is on)
-    and the consensus layer's subsystems (see
-    {!Clanbft_consensus.Sailfish.census}, which [seen] is passed to).
-    Approximate live words per subsystem; see docs/PROFILING.md. *)
+val heap_roots : t list -> (string * Obj.t list) list
+(** {!Clanbft_obs.Prof.census} rows for these replicas, in charging
+    order: the consensus layer's ({!Clanbft_consensus.Sailfish.heap_roots}),
+    then [mempool] and [wal] (empty without persistence). No root reaches
+    a closure, the engine or the network. *)

@@ -100,14 +100,7 @@ let wal_iter t f =
     (List.rev t.wal);
   Prof.leave sec_replay
 
-(* Heap census: the WAL's own tables. The logged blocks and vertices are
-   the values consensus holds, counted there. Per durable record a list
-   cell (3 words) and its constructor box (2); per [wal_seen] entry a
-   bucket (4) and its slot tuple (4); [wal_pending] shares the tuple. *)
-let approx_live_words t =
-  16 + (5 * t.wal_count)
-  + (8 * Hashtbl.length t.wal_seen)
-  + (4 * Hashtbl.length t.wal_pending)
+let heap_roots t = [ Obj.repr t.wal; Obj.repr t.wal_seen; Obj.repr t.wal_pending ]
 
 let crash t =
   t.epoch <- t.epoch + 1;

@@ -60,11 +60,8 @@ val wal_iter : t -> (size:int -> record -> unit) -> unit
     durability order — the disk queue is FIFO, so this equals append
     order, and a prefix of it survives any crash. *)
 
-val approx_live_words : t -> int
-(** Heap-census hook: word estimate of the WAL's own tables. The logged
-    blocks and vertices are shared with the consensus layer and counted
-    there, so the census charges each value once. See
-    docs/PROFILING.md. *)
+val heap_roots : t -> Obj.t list
+(** The WAL's tables, as {!Clanbft_obs.Prof.census} roots. *)
 
 val crash : t -> unit
 (** Simulate the node's process dying: writes scheduled but not yet

@@ -8,6 +8,7 @@ module Rng = Clanbft_util.Rng
 module Faults = Clanbft_faults.Faults
 module Strategy = Clanbft_faults.Strategy
 module Obs = Clanbft_obs.Obs
+module Prof = Clanbft_obs.Prof
 module Metrics = Clanbft_obs.Metrics
 module Bitset = Clanbft_util.Bitset
 
@@ -379,24 +380,19 @@ let run ?on_wal spec =
       (List.length honest_vecs)
       honest_vecs
   in
-  (* End-of-run heap census: per-subsystem live words summed across
-     replicas, plus the shared engine/net/trace state; blocks the replicas
-     share are charged once. Every contribution is a deterministic
-     function of end-of-run data structures, so the table is
-     byte-identical across same-seed runs. *)
+  (* End-of-run heap census, measured only under the profiler (k+1 heap
+     passes): the replicas' data roots row by row, then whatever else the
+     simulation reaches (callbacks, messages in flight, the net). *)
   let census =
-    let tbl = Hashtbl.create 16 in
-    let bump (name, w) =
-      Hashtbl.replace tbl name
-        (w + Option.value ~default:0 (Hashtbl.find_opt tbl name))
-    in
-    let seen = Hashtbl.create 1024 in
-    Array.iter (fun node -> List.iter bump (Node.census ~seen node)) nodes;
-    bump ("sim.engine", Engine.approx_live_words engine);
-    bump ("sim.net", Net.approx_live_words net);
-    bump ("obs.trace", Clanbft_obs.Trace.approx_live_words obs.Obs.trace);
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    if not (Prof.enabled ()) then []
+    else
+      Prof.census
+        (Node.heap_roots (Array.to_list nodes)
+        @ [
+            ("keychain", [ Obj.repr keychain ]);
+            ("obs.trace", [ Obj.repr obs.Obs.trace ]);
+            ("other", [ Obj.repr nodes; Obj.repr engine; Obj.repr net; Obj.repr obs ]);
+          ])
   in
   let window_s = Time.to_s (spec.duration - spec.warmup) in
   let max_round =

@@ -110,10 +110,13 @@ type result = {
           counts genuinely new post-recovery progress). Empty when
           [restarts] is empty. *)
   census : (string * int) list;
-      (** End-of-run heap census, sorted by subsystem name: approximate
-          live words per subsystem, summed across replicas, plus the shared
-          engine/net/trace state. Deterministic per seed (a function of
-          end-of-run data-structure sizes). See docs/PROFILING.md. *)
+      (** End-of-run heap census ({!Clanbft_obs.Prof.census}): measured
+          reachable words per subsystem, summed across replicas, in
+          charging order; the last row, [other], holds what else the
+          simulation reaches (callbacks, messages in flight, the net). The
+          rows sum to the words reachable from the simulation and are
+          byte-identical per seed. Empty unless the profiler is enabled.
+          See docs/PROFILING.md. *)
 }
 
 val validate : spec -> (unit, string) Stdlib.result

@@ -68,12 +68,10 @@ let test_recursion_folds () =
 
 let test_alloc_attribution () =
   with_prof (fun () ->
-      (* OCaml 5's minor-allocation counter advances at minor collections,
-         not per allocation, so each span forces one before closing — its
-         window then contains its own allocations plus a small GC-stub
-         residue. A 99-element float array is 100 words, so the
-         ten-extra-arrays differential between the two spans isolates
-         1000 words with the residue cancelled. *)
+      (* Each span forces a minor collection before closing, so its
+         window also holds a small GC-stub residue. A 99-element float
+         array is 100 words, so the ten-extra-arrays differential between
+         the two spans isolates 1000 words with the residue cancelled. *)
       let alloc_k k =
         for _ = 1 to k do
           ignore (Sys.opaque_identity (Array.make 99 0.))
@@ -261,26 +259,53 @@ let test_metrics_histogram_json () =
      tools can recompute quantiles from the export alone. *)
   has "cumulative" (buckets [ 2; 2; 3 ])
 
-(* The census may not describe more heap than the process ever had: blocks
-   the replicas share are charged once, at their heap words. *)
-let test_census_within_top_heap () =
-  let r =
-    Runner.run
-      {
-        Runner.default_spec with
-        n = 16;
-        protocol = Runner.Full;
-        duration = Sim.Time.s 3.;
-        warmup = Sim.Time.s 1.;
-        seed = 7L;
-      }
-  in
+(* Prof.census on hand-built values: the words are exact (header plus
+   fields per block), and a block two rows reach goes to the first. *)
+let test_census_charging () =
+  let shared = Array.make 10 0 in
+  let a = (shared, Array.make 4 0) and b = [| shared |] in
+  let check msg want rows = Alcotest.(check (list (pair string int))) msg want (Prof.census rows) in
+  check "shared array charged to a" [ ("a", 3 + 11 + 5); ("b", 2); ("none", 0) ]
+    [ ("a", [ Obj.repr a ]); ("b", [ Obj.repr b ]); ("none", []) ];
+  check "shared array charged to b" [ ("b", 2 + 11); ("a", 3 + 5) ]
+    [ ("b", [ Obj.repr b ]); ("a", [ Obj.repr a ]) ];
+  check "a root listed twice counts once" [ ("ab", 3 + 11 + 5 + 2) ]
+    [ ("ab", [ Obj.repr a; Obj.repr b; Obj.repr a ]) ]
+
+let census_spec ~n ~load ~duration ~warmup =
+  {
+    Runner.default_spec with
+    n;
+    protocol = Runner.Full;
+    txns_per_proposal = load;
+    duration = Sim.Time.s duration;
+    warmup = Sim.Time.s warmup;
+    seed = 7L;
+  }
+
+let profiled_census spec =
+  let r = with_prof (fun () -> Runner.run spec) in
   Alcotest.(check bool) "agreement" true r.Runner.agreement;
-  let total = List.fold_left (fun acc (_, w) -> acc + w) 0 r.census in
+  r.Runner.census
+
+(* The census may not describe more heap than the process ever had: every
+   row is measured, and a value several replicas share is charged once. *)
+let test_census_within_top_heap spec () =
+  let total = List.fold_left (fun acc (_, w) -> acc + w) 0 (profiled_census spec) in
   let top = (Gc.quick_stat ()).top_heap_words in
   Alcotest.(check bool)
     (Printf.sprintf "census total %d <= top heap %d words" total top)
     true (total <= top)
+
+let test_census_deterministic () =
+  let spec = census_spec ~n:16 ~load:500 ~duration:1. ~warmup:0.5 in
+  let a = profiled_census spec in
+  Alcotest.(check (list (pair string int))) "same seed, same rows" a (profiled_census spec)
+
+let test_census_needs_profiler () =
+  Prof.set_enabled false;
+  let r = Runner.run (census_spec ~n:16 ~load:500 ~duration:1. ~warmup:0.5) in
+  Alcotest.(check (list (pair string int))) "no census" [] r.Runner.census
 
 let suites =
   [
@@ -293,7 +318,15 @@ let suites =
         Alcotest.test_case "span is exception-safe" `Quick test_span_exception_safe;
         Alcotest.test_case "disabled is inert" `Quick test_disabled_is_inert;
         Alcotest.test_case "folded stacks" `Quick test_folded_output;
-        Alcotest.test_case "census within top heap" `Slow test_census_within_top_heap;
+        Alcotest.test_case "census charging" `Quick test_census_charging;
+        Alcotest.test_case "census within top heap" `Slow
+          (test_census_within_top_heap
+             (census_spec ~n:16 ~load:500 ~duration:3. ~warmup:1.));
+        Alcotest.test_case "census within heap n=50" `Slow
+          (test_census_within_top_heap
+             (census_spec ~n:50 ~load:200 ~duration:2. ~warmup:0.5));
+        Alcotest.test_case "census deterministic" `Slow test_census_deterministic;
+        Alcotest.test_case "census needs profiler" `Quick test_census_needs_profiler;
       ] );
     ( "stats.histogram",
       [
