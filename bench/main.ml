@@ -1,5 +1,5 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation, plus the ablations called out in DESIGN.md, a bechamel
+   evaluation, plus the ablations called out in DESIGN.md, a hot-path
    micro-benchmark suite, and a perf-regression section (BENCH_sim.json).
 
    Profiles (CLANBFT_BENCH environment variable):
@@ -171,16 +171,6 @@ type point = {
 let point_key p =
   Printf.sprintf "%s/%d/%d" (Runner.protocol_label p.pprotocol) p.pn p.pload
 
-(* FNV-1a over the point key: a fixed, scheduling-independent seed per
-   simulation point. *)
-let point_seed key =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    key;
-  !h
-
 let spec_of_point p =
   {
     Runner.default_spec with
@@ -190,7 +180,7 @@ let spec_of_point p =
     txn_scale = p.pscale;
     duration = Time.s p.pduration;
     warmup = Time.s p.pwarmup;
-    seed = point_seed (point_key p);
+    seed = Rng.seed_of_string (point_key p);
   }
 
 let result_cache : (string, Runner.result) Hashtbl.t = Hashtbl.create 64
@@ -450,28 +440,17 @@ let ablation_rbc () =
   Printf.printf "  %-16s %14s %14s %12s\n" "protocol" "latency (ms)" "total MB" "messages";
   List.iter
     (fun protocol ->
-      let engine = Engine.create () in
-      let topology = Topology.gcp_table1 ~n in
-      let net =
-        Net.create ~engine ~topology ~config:Net.default_config
-          ~size:(Rbc.msg_size ~n) ~rng:(Rng.create 13L) ()
+      let w =
+        Rbc_world.create ~topology:(Topology.gcp_table1 ~n) ~config:Net.default_config
+          ~seed:13L ~clan protocol
       in
-      let keychain = Crypto.Keychain.create ~seed:17L ~n in
-      let last_delivery = ref 0 in
-      let nodes =
-        Array.init n (fun me ->
-            Rbc.create ~me ~n ~clan ~protocol ~engine ~net ~keychain
-              ~on_deliver:(fun ~sender:_ ~round:_ _ ->
-                last_delivery := max !last_delivery (Engine.now engine))
-              ())
-      in
-      Rbc.broadcast nodes.(0) ~round:1 (String.make 1_000_000 'x');
-      Engine.run engine;
+      Rbc.broadcast (Rbc_world.node w 0) ~round:1 (String.make 1_000_000 'x');
+      Engine.run w.engine;
       Printf.printf "  %-16s %14.1f %14.2f %12d\n"
         (Rbc.protocol_name protocol)
-        (Time.to_ms !last_delivery)
-        (float_of_int (Net.total_bytes net) /. 1e6)
-        (Net.total_messages net))
+        (Time.to_ms (Rbc_world.summary w).last)
+        (float_of_int (Net.total_bytes w.net) /. 1e6)
+        (Net.total_messages w.net))
     Rbc.[ Bracha; Signed_two_round; Tribe_bracha; Tribe_signed ];
   Printf.printf
     "\n  Tribe-assisted variants ship the payload to the clan only (16/40 nodes);\n\
@@ -493,50 +472,23 @@ let faults () =
      agrees on the digest via READYs/certificate with an empty echo table,
      the regression that used to stall its pull path forever. *)
   let rbc_scenario protocol behaviour plan_specs =
-    let engine = Engine.create () in
-    let topology = Topology.gcp_table1 ~n in
-    let rng = Rng.create 911L in
-    let net =
-      Net.create ~engine ~topology ~config:Net.default_config
-        ~size:(Rbc.msg_size ~n) ~rng ()
-    in
-    let keychain = Crypto.Keychain.create ~seed:17L ~n in
     let plan =
       match Faults.plan_of_specs ~rules:plan_specs () with
       | Ok p -> p
       | Error e -> failwith e
     in
-    let injector =
-      if Faults.is_empty plan then None
-      else
-        Some
-          (Faults.install ~engine ~net ~rng:(Rng.split rng)
-             ~classify:Rbc.msg_tag ~round_of:Rbc.msg_round plan)
+    let w =
+      Rbc_world.create ~topology:(Topology.gcp_table1 ~n) ~config:Net.default_config
+        ~seed:911L ~clan ~byzantine:[ 0 ] ~plan protocol
     in
-    let values = ref 0 and digests = ref 0 and last = ref 0 in
-    let _nodes =
-      Array.init n (fun me ->
-          if me = 0 then begin
-            Net.set_handler net me (fun ~src:_ _ -> ());
-            None
-          end
-          else
-            Some
-              (Rbc.create ~me ~n ~clan ~protocol ~engine ~net ~keychain
-                 ~on_deliver:(fun ~sender:_ ~round:_ outcome ->
-                   last := Engine.now engine;
-                   match outcome with
-                   | Rbc.Value _ -> incr values
-                   | Rbc.Digest_only _ -> incr digests)
-                 ()))
-    in
-    Adversary.run ~sender:0 ~n ~clan ~protocol ~net ~round:1 behaviour;
-    Engine.run ~until:(Time.s 30.) engine;
+    Adversary.run ~sender:0 ~n ~clan ~protocol ~net:w.net ~round:1 behaviour;
+    Engine.run ~until:(Time.s 30.) w.engine;
+    let s = Rbc_world.summary w in
     Printf.printf "  %-16s %-22s %3d full %3d digest %5.0f ms%s\n"
       (Rbc.protocol_name protocol)
       (Adversary.behaviour_name behaviour)
-      !values !digests (Time.to_ms !last)
-      (match injector with
+      s.values s.digests (Time.to_ms s.last)
+      (match w.injector with
       | None -> ""
       | Some i -> Printf.sprintf "  (%d msgs dropped)" (Faults.dropped i))
   in
@@ -605,7 +557,7 @@ let recovery () =
       txns_per_proposal = 200;
       duration = Time.s 12.;
       warmup = Time.s 2.;
-      seed = point_seed "recovery-n16";
+      seed = Rng.seed_of_string "recovery-n16";
       restarts =
         [ { Faults.node = 3; crash_at = Time.s 4.; recover_at = Time.s 8. } ];
       obs = Some obs;
@@ -723,105 +675,136 @@ let metrics () =
     runs
 
 (* ------------------------------------------------------------------ *)
-(* Micro-benchmarks (bechamel) *)
+(* Micro-benchmarks: hot-path throughput, measured once per process and
+   read by both the [micro] section and the perf baseline (BENCH_sim.json). *)
 
-let micro () =
-  section_header
-    "Micro-benchmarks (bechamel; measured ns/op and derived throughput on stderr)";
-  let open Bechamel in
-  let open Toolkit in
-  let payload_1k = String.make 1024 'x' in
-  let payload_64k = String.make 65536 'x' in
-  let kc = Crypto.Keychain.create ~seed:1L ~n:100 in
-  let txns =
-    Array.init 100 (fun i -> Transaction.make ~id:i ~client:0 ~created_at:0 ())
+(* ops/sec of [f] measured over at least [min_time] seconds, calling [f]
+   in batches of [batch] between clock reads. *)
+let ops_per_s ?(min_time = 0.3) ?(batch = 100) f =
+  ignore (f ());
+  let t0 = Unix.gettimeofday () in
+  let count = ref 0 in
+  let elapsed = ref 0.0 in
+  while !elapsed < min_time do
+    for _ = 1 to batch do
+      ignore (f ())
+    done;
+    count := !count + batch;
+    elapsed := Unix.gettimeofday () -. t0
+  done;
+  float_of_int !count /. !elapsed
+
+let measure_micros () =
+  (* SHA-256 bulk throughput. *)
+  let mb = String.make (1 lsl 20) '\xa7' in
+  let hashes = ops_per_s ~batch:2 (fun () -> Crypto.Sha256.digest_string mb) in
+  let sha_mb_s = hashes *. float_of_int (String.length mb) /. 1e6 in
+  (* Signing over realistic ~64-byte signing strings, cycling 256 distinct
+     messages like a broadcast's per-slot signing payloads. *)
+  let kc = Crypto.Keychain.create ~seed:1L ~n:64 in
+  let msgs =
+    Array.init 256 (fun i -> Printf.sprintf "echo|%d|%d|%032d" (i mod 50) i i)
   in
-  let block = Block.make ~proposer:0 ~round:1 ~txns in
-  let big_txns =
-    Array.init 6000 (fun i -> Transaction.make ~id:i ~client:0 ~created_at:0 ())
+  let i = ref 0 in
+  let sign_ops =
+    ops_per_s (fun () ->
+        incr i;
+        Crypto.Keychain.sign kc ~signer:(!i land 63) msgs.(!i land 255))
   in
-  let big_block = Block.make ~proposer:0 ~round:1 ~txns:big_txns in
-  let vertex =
-    Vertex.make ~round:1 ~source:0 ~block_digest:(Block.digest big_block)
-      ~strong_edges:
-        (Array.init 11 (fun i ->
-             { Vertex.round = 0; source = i; digest = Block.digest block }))
-      ~weak_edges:[||] ()
-  in
-  let val_msg =
-    Msg.Val
-      {
-        vertex;
-        block = Some big_block;
-        signature = Crypto.Keychain.sign kc ~signer:0 "v";
-      }
-  in
+  (* Codec round-trip ops. *)
   let echo =
     Msg.Echo
       {
         round = 1;
         source = 0;
-        vertex_digest = Block.digest block;
+        vertex_digest = Crypto.Digest32.hash_string "b";
         signer = 3;
         signature = Crypto.Keychain.sign kc ~signer:3 "x";
       }
   in
-  let encoded_echo = Codec.encode ~n:100 echo in
+  let encoded = Codec.encode ~n:100 echo in
+  let enc_ops = ops_per_s (fun () -> Codec.encode ~n:100 echo) in
+  let dec_ops = ops_per_s (fun () -> Codec.decode ~n:100 encoded) in
+  (* Net send path: price + enqueue + uplink accounting + delivery of a
+     full-size Val carrying a 500-txn block, on the GCP topology. The
+     engine drains between batches so memory stays flat. *)
+  let n = 50 in
+  let engine = Engine.create () in
+  let net =
+    Net.create ~engine ~topology:(Topology.gcp_table1 ~n)
+      ~config:Net.default_config ~size:(Msg.wire_size ~n) ~kind:Msg.tag
+      ~rng:(Rng.create 7L) ()
+  in
+  for node = 0 to n - 1 do
+    Net.set_handler net node (fun ~src:_ _ -> ())
+  done;
+  let txns =
+    Array.init 500 (fun i -> Transaction.make ~id:i ~client:0 ~created_at:0 ())
+  in
+  let block = Block.make ~proposer:0 ~round:1 ~txns in
+  let vertex =
+    Vertex.make ~round:1 ~source:0 ~block_digest:(Block.digest block)
+      ~strong_edges:[||] ~weak_edges:[||] ()
+  in
+  let val_msg =
+    Msg.Val { vertex; block = Some block; signature = Crypto.Keychain.sign kc ~signer:0 "v" }
+  in
+  let sent = ref 0 in
+  let send_ops =
+    ops_per_s ~batch:1 (fun () ->
+        for _ = 1 to 1000 do
+          incr sent;
+          Net.send net ~src:(!sent mod n) ~dst:((!sent + 1) mod n) val_msg
+        done;
+        Engine.run engine)
+  in
+  let send_ops = send_ops *. 1000.0 in
+  (* Block construction (hashes its 100 txns), a cached binomial of the
+     committee analysis, pricing a 6000-txn VAL, and one RNG draw. *)
+  let txns_100 = Array.sub txns 0 100 in
+  let block_ops = ops_per_s (fun () -> Block.make ~proposer:0 ~round:1 ~txns:txns_100) in
+  let binomial_ops = ops_per_s (fun () -> Committee.binomial 500 166) in
+  let big_block =
+    Block.make ~proposer:0 ~round:1
+      ~txns:(Array.init 6000 (fun i -> Transaction.make ~id:i ~client:0 ~created_at:0 ()))
+  in
+  let big_val =
+    Msg.Val
+      {
+        vertex =
+          Vertex.make ~round:1 ~source:0 ~block_digest:(Block.digest big_block)
+            ~strong_edges:
+              (Array.init 11 (fun i ->
+                   { Vertex.round = 0; source = i; digest = Block.digest block }))
+            ~weak_edges:[||] ();
+        block = Some big_block;
+        signature = Crypto.Keychain.sign kc ~signer:0 "v";
+      }
+  in
+  let wire_ops = ops_per_s (fun () -> Msg.wire_size ~n:100 big_val) in
   let rng = Rng.create 99L in
-  let tests =
-    Test.make_grouped ~name:"clanbft"
-      [
-        Test.make ~name:"sha256-1KiB" (Staged.stage (fun () ->
-            ignore (Crypto.Sha256.digest_string payload_1k)));
-        Test.make ~name:"sha256-64KiB" (Staged.stage (fun () ->
-            ignore (Crypto.Sha256.digest_string payload_64k)));
-        Test.make ~name:"block-digest-100txn" (Staged.stage (fun () ->
-            ignore (Block.make ~proposer:0 ~round:1 ~txns)));
-        Test.make ~name:"binomial-C(500,166)-cached" (Staged.stage (fun () ->
-            ignore (Committee.binomial 500 166)));
-        Test.make ~name:"codec-encode-echo" (Staged.stage (fun () ->
-            ignore (Codec.encode ~n:100 echo)));
-        Test.make ~name:"codec-decode-echo" (Staged.stage (fun () ->
-            ignore (Codec.decode ~n:100 encoded_echo)));
-        Test.make ~name:"wire-size-val-6000txn" (Staged.stage (fun () ->
-            ignore (Msg.wire_size ~n:100 val_msg)));
-        Test.make ~name:"rng-int" (Staged.stage (fun () -> ignore (Rng.int rng 1000)));
-        Test.make ~name:"sign" (Staged.stage (fun () ->
-            ignore (Crypto.Keychain.sign kc ~signer:1 payload_1k)));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Bechamel.Time.second 0.3) () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name v acc -> (name, v) :: acc) results [] in
-  let estimates =
-    List.filter_map
-      (fun (name, v) ->
-        match Analyze.OLS.estimates v with
-        | Some [ est ] -> Some (name, est)
-        | _ -> None)
-      rows
-    |> List.sort compare
-  in
+  let rng_ops = ops_per_s (fun () -> Rng.int rng 1000) in
+  [
+    ("sha256_mb_per_s", sha_mb_s);
+    ("sign_ops_per_s", sign_ops);
+    ("encode_ops_per_s", enc_ops);
+    ("decode_ops_per_s", dec_ops);
+    ("net_send_ops_per_s", send_ops);
+    ("block_make_ops_per_s", block_ops);
+    ("binomial_cached_ops_per_s", binomial_ops);
+    ("wire_size_val_ops_per_s", wire_ops);
+    ("rng_int_ops_per_s", rng_ops);
+  ]
+
+let micro_suite = lazy (measure_micros ())
+
+let micro () =
+  section_header "Micro-benchmarks (hot-path ops/s, measured numbers on stderr)";
+  let suite = Lazy.force micro_suite in
   (* Measured numbers vary run to run: stderr, like every other timing. *)
-  List.iter
-    (fun (name, est) -> progress "  %-34s %12.1f ns/run\n" name est)
-    estimates;
-  let find name = List.assoc_opt ("clanbft/" ^ name) estimates in
-  Option.iter
-    (fun ns -> progress "  %-34s %12.1f MB/s\n" "sha256 throughput" (65536.0 /. ns *. 1e3))
-    (find "sha256-64KiB");
-  Option.iter
-    (fun ns -> progress "  %-34s %12.2f Mops/s\n" "codec encode" (1e3 /. ns))
-    (find "codec-encode-echo");
-  Option.iter
-    (fun ns -> progress "  %-34s %12.2f Mops/s\n" "codec decode" (1e3 /. ns))
-    (find "codec-decode-echo");
+  List.iter (fun (name, v) -> progress "  %-26s %14.1f\n" name v) suite;
   (* Deterministic part for stdout: the suite composition. *)
-  List.iter (fun (name, _) -> Printf.printf "  measured %s\n" name) estimates
+  List.iter (fun (name, _) -> Printf.printf "  measured %s\n" name) suite
 
 (* ------------------------------------------------------------------ *)
 (* Perf section: the regression baseline (BENCH_sim.json).
@@ -847,7 +830,7 @@ let mk_perf_scenario ?(n = 16) ?(duration = 4.) ?(warmup = 1.) name protocol loa
         txns_per_proposal = load;
         duration = Time.s duration;
         warmup = Time.s warmup;
-        seed = point_seed name;
+        seed = Rng.seed_of_string name;
       };
   }
 
@@ -1063,7 +1046,7 @@ let attack_spec ~proto_name ~protocol ~restart adversaries =
     txns_per_proposal = 200;
     duration = Time.s 4.;
     warmup = Time.s 1.;
-    seed = point_seed ("attacks-" ^ proto_name);
+    seed = Rng.seed_of_string ("attacks-" ^ proto_name);
     adversaries;
     restarts = (if restart then attack_restart else []);
   }
@@ -1148,95 +1131,6 @@ let attacks () =
       end)
     (Lazy.force attack_rows)
 
-(* ops/sec of [f] measured over at least [min_time] seconds, calling [f]
-   in batches of [batch] between clock reads. *)
-let ops_per_s ?(min_time = 0.3) ?(batch = 100) f =
-  ignore (f ());
-  let t0 = Unix.gettimeofday () in
-  let count = ref 0 in
-  let elapsed = ref 0.0 in
-  while !elapsed < min_time do
-    for _ = 1 to batch do
-      ignore (f ())
-    done;
-    count := !count + batch;
-    elapsed := Unix.gettimeofday () -. t0
-  done;
-  float_of_int !count /. !elapsed
-
-let perf_micro () =
-  (* SHA-256 bulk throughput. *)
-  let mb = String.make (1 lsl 20) '\xa7' in
-  let hashes = ops_per_s ~batch:2 (fun () -> Crypto.Sha256.digest_string mb) in
-  let sha_mb_s = hashes *. float_of_int (String.length mb) /. 1e6 in
-  (* Signing over realistic ~64-byte signing strings, cycling 256 distinct
-     messages like a broadcast's per-slot signing payloads. *)
-  let kc = Crypto.Keychain.create ~seed:1L ~n:64 in
-  let msgs =
-    Array.init 256 (fun i -> Printf.sprintf "echo|%d|%d|%032d" (i mod 50) i i)
-  in
-  let i = ref 0 in
-  let sign_ops =
-    ops_per_s (fun () ->
-        incr i;
-        Crypto.Keychain.sign kc ~signer:(!i land 63) msgs.(!i land 255))
-  in
-  (* Codec round-trip ops. *)
-  let echo =
-    Msg.Echo
-      {
-        round = 1;
-        source = 0;
-        vertex_digest = Crypto.Digest32.hash_string "b";
-        signer = 3;
-        signature = Crypto.Keychain.sign kc ~signer:3 "x";
-      }
-  in
-  let encoded = Codec.encode ~n:100 echo in
-  let enc_ops = ops_per_s (fun () -> Codec.encode ~n:100 echo) in
-  let dec_ops = ops_per_s (fun () -> Codec.decode ~n:100 encoded) in
-  (* Net send path: price + enqueue + uplink accounting + delivery of a
-     full-size Val carrying a 500-txn block, on the GCP topology. The
-     engine drains between batches so memory stays flat. *)
-  let n = 50 in
-  let engine = Engine.create () in
-  let net =
-    Net.create ~engine ~topology:(Topology.gcp_table1 ~n)
-      ~config:Net.default_config ~size:(Msg.wire_size ~n) ~kind:Msg.tag
-      ~rng:(Rng.create 7L) ()
-  in
-  for node = 0 to n - 1 do
-    Net.set_handler net node (fun ~src:_ _ -> ())
-  done;
-  let txns =
-    Array.init 500 (fun i -> Transaction.make ~id:i ~client:0 ~created_at:0 ())
-  in
-  let block = Block.make ~proposer:0 ~round:1 ~txns in
-  let vertex =
-    Vertex.make ~round:1 ~source:0 ~block_digest:(Block.digest block)
-      ~strong_edges:[||] ~weak_edges:[||] ()
-  in
-  let val_msg =
-    Msg.Val { vertex; block = Some block; signature = Crypto.Keychain.sign kc ~signer:0 "v" }
-  in
-  let sent = ref 0 in
-  let send_ops =
-    ops_per_s ~batch:1 (fun () ->
-        for _ = 1 to 1000 do
-          incr sent;
-          Net.send net ~src:(!sent mod n) ~dst:((!sent + 1) mod n) val_msg
-        done;
-        Engine.run engine)
-  in
-  let send_ops = send_ops *. 1000.0 in
-  [
-    ("sha256_mb_per_s", sha_mb_s);
-    ("sign_ops_per_s", sign_ops);
-    ("encode_ops_per_s", enc_ops);
-    ("decode_ops_per_s", dec_ops);
-    ("net_send_ops_per_s", send_ops);
-  ]
-
 let perf () =
   section_header
     (Printf.sprintf "Perf baseline — pinned scenarios + hot-path micros -> %s"
@@ -1274,7 +1168,7 @@ let perf () =
         (sc, r, secs, events_per_s, minor, major, promoted, live, top))
       scenarios
   in
-  let micros = perf_micro () in
+  let micros = Lazy.force micro_suite in
   (* Tracing overhead: traced vs untraced same-seed wall ratio for the
      first pinned scenario, measured back-to-back so GC and code-cache
      state are comparable. The ratio rides in the micro object; being a

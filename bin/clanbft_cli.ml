@@ -348,62 +348,23 @@ let rbc_cmd =
       | _ ->
           fail2 "adversary: none | silent | equivocate | equivocate-biased | withhold"
     in
-    let engine = Engine.create () in
-    let topology = Topology.gcp_table1 ~n in
-    let rng = Util.Rng.create (Int64.of_int seed) in
-    let net =
-      Net.create ~engine ~topology ~config:Net.default_config
-        ~size:(Rbc.msg_size ~n) ~rng ()
-    in
-    let keychain = Crypto.Keychain.create ~seed:3L ~n in
     let clan = Committee.elect_balanced ~n ~nc in
-    let deliveries = ref [] and last = ref 0 in
-    let nodes =
-      Array.init n (fun me ->
-          if me = 0 && behaviour <> None then begin
-            (* The Byzantine sender runs no honest instance. *)
-            Net.set_handler net me (fun ~src:_ _ -> ());
-            None
-          end
-          else
-            Some
-              (Rbc.create ~me ~n ~clan ~protocol ~engine ~net ~keychain
-                 ~on_deliver:(fun ~sender:_ ~round:_ outcome ->
-                   last := Engine.now engine;
-                   deliveries := (me, outcome) :: !deliveries)
-                 ()))
-    in
-    let injector =
-      if Faults.is_empty fault_plan then None
-      else
-        Some
-          (Faults.install ~engine ~net ~rng:(Util.Rng.split rng)
-             ~classify:Rbc.msg_tag ~round_of:Rbc.msg_round fault_plan)
+    let w =
+      (* The Byzantine sender runs no honest instance. *)
+      Rbc_world.create ~topology:(Topology.gcp_table1 ~n) ~config:Net.default_config
+        ~seed:(Int64.of_int seed) ~clan
+        ~byzantine:(if behaviour = None then [] else [ 0 ])
+        ~plan:fault_plan protocol
     in
     (match behaviour with
-    | None -> Rbc.broadcast (Option.get nodes.(0)) ~round:1 value
-    | Some b -> Adversary.run ~sender:0 ~n ~clan ~protocol ~net ~round:1 b);
+    | None -> Rbc.broadcast (Rbc_world.node w 0) ~round:1 value
+    | Some b -> Adversary.run ~sender:0 ~n ~clan ~protocol ~net:w.net ~round:1 b);
     (* Adversarial scenarios can legitimately never deliver (e.g. a silent
        or cleanly equivocating sender), so bound the run. *)
-    if behaviour = None && injector = None then Engine.run engine
-    else Engine.run ~until:(Time.s duration) engine;
-    let values =
-      List.length
-        (List.filter (fun (_, o) -> match o with Rbc.Value _ -> true | _ -> false)
-           !deliveries)
-    in
-    let digests = List.length !deliveries - values in
-    let honest = Array.to_list nodes |> List.filter_map Fun.id in
-    let stalled = List.length honest - List.length !deliveries in
-    let distinct =
-      List.sort_uniq compare
-        (List.map
-           (fun (_, o) ->
-             match o with
-             | Rbc.Value v -> Crypto.Digest32.to_raw (Crypto.Digest32.hash_string v)
-             | Rbc.Digest_only d -> Crypto.Digest32.to_raw d)
-           !deliveries)
-    in
+    if behaviour = None && w.injector = None then Engine.run w.engine
+    else Engine.run ~until:(Time.s duration) w.engine;
+    let s = Rbc_world.summary w in
+    let delivered = s.values + s.digests in
     (match behaviour with
     | None -> ()
     | Some b ->
@@ -412,20 +373,20 @@ let rbc_cmd =
     Printf.printf
       "%s: %d/%d honest nodes delivered (%d full values, %d digests, %d stalled)\n"
       (Rbc.protocol_name protocol)
-      (List.length !deliveries) (List.length honest) values digests stalled;
+      delivered (delivered + s.stalled) s.values s.digests s.stalled;
     Printf.printf "agreement: %s\n"
-      (if List.length distinct <= 1 then "ok (single digest)"
-       else Printf.sprintf "VIOLATED (%d distinct digests)" (List.length distinct));
-    if !deliveries <> [] then
+      (if s.distinct <= 1 then "ok (single digest)"
+       else Printf.sprintf "VIOLATED (%d distinct digests)" s.distinct);
+    if delivered > 0 then
       Printf.printf "last delivery at %.1f ms; %.2f MB total on the wire\n"
-        (Time.to_ms !last)
-        (float_of_int (Net.total_bytes net) /. 1e6);
-    (match injector with
-    | None -> ()
-    | Some i ->
+        (Time.to_ms s.last)
+        (float_of_int (Net.total_bytes w.net) /. 1e6);
+    Option.iter
+      (fun i ->
         Printf.printf "fault injector: %d dropped, %d delayed, %d duplicated\n"
-          (Faults.dropped i) (Faults.delayed i) (Faults.duplicated i));
-    if List.length distinct > 1 then exit 1
+          (Faults.dropped i) (Faults.delayed i) (Faults.duplicated i))
+      w.injector;
+    if s.distinct > 1 then exit 1
   in
   let n = Arg.(value & opt int 40 & info [ "n" ] ~doc:"Tribe size.") in
   let nc = Arg.(value & opt int 16 & info [ "clan-size" ] ~doc:"Clan size.") in

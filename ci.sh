@@ -174,14 +174,17 @@ grep -q "verdict: ok" "$smoke_dir/walk_sparse" || {
 }
 rm -rf "$smoke_dir"
 
-echo "== parallel bench smoke (perf and profile sections, CLANBFT_JOBS=2) =="
+echo "== parallel bench smoke (perf, profile, RBC and micro sections, CLANBFT_JOBS=2) =="
 smoke_dir=$(mktemp -d)
+bench_sections="perf profile ablation-rbc faults micro"
 (cd "$smoke_dir" \
-  && CLANBFT_BENCH=quick dune exec --root "$OLDPWD" bench/main.exe -- --jobs 1 perf profile >stdout.jobs1 2>/dev/null \
-  && CLANBFT_BENCH=quick CLANBFT_JOBS=2 dune exec --root "$OLDPWD" bench/main.exe -- perf profile >stdout.jobs2 2>/dev/null)
+  && CLANBFT_BENCH=quick dune exec --root "$OLDPWD" bench/main.exe -- --jobs 1 $bench_sections >stdout.jobs1 2>/dev/null \
+  && CLANBFT_BENCH=quick CLANBFT_JOBS=2 dune exec --root "$OLDPWD" bench/main.exe -- $bench_sections >stdout.jobs2 2>/dev/null)
 # Deterministic stdout: parallel dispatch must not change a byte, the
 # profiler's call counts, words and heap census included (the profiled
-# runs are sequential and shared with perf, so [profile] adds none).
+# runs are sequential and shared with perf, so [profile] adds none). The
+# standalone RBC ablations and the fault scenarios (~5 s) print simulated
+# facts only; [micro] reuses perf's measurements and prints their names.
 if ! cmp -s "$smoke_dir/stdout.jobs1" "$smoke_dir/stdout.jobs2"; then
   echo "bench stdout differs between --jobs 1 and CLANBFT_JOBS=2"
   diff "$smoke_dir/stdout.jobs1" "$smoke_dir/stdout.jobs2" || true

@@ -9,6 +9,7 @@ module Msg = Clanbft_types.Msg
 module Vertex = Clanbft_types.Vertex
 module Adversary = Clanbft_faults.Adversary
 module Strategy = Clanbft_faults.Strategy
+module Rbc_world = Clanbft_faults.Rbc_world
 
 type violation = { invariant : string; detail : string }
 type adversary = No_adversary | Equivocate | Collude | Strategy of Strategy.spec
@@ -157,29 +158,25 @@ let strategies s = match s.adversary with Strategy x -> [ x ] | _ -> []
    take the overflow heap, which is semantically identical). *)
 let check_ring_bits = 12
 
-(* What both models share: a choice-mode engine, a jitter-free uniform
-   topology, fixed net and keychain seeds, and a first-violation sink. *)
-let deploy ~trace ~n ~size ~kind =
+(* What both models share: a jitter-free uniform topology for a net seeded
+   with 1, a choice-mode engine and a first-violation sink. *)
+let topology n = Topology.uniform ~n ~one_way_ms:10.0
+let net_config = { Net.default_config with jitter = 0.0 }
+
+let deploy ~trace =
   let engine = Engine.create ~ring_bits:check_ring_bits () in
   Engine.set_choice_mode engine true;
   let obs = if trace then Some (Obs.create ()) else None in
-  let net =
-    Net.create ~engine ~topology:(Topology.uniform ~n ~one_way_ms:10.0)
-      ~config:{ Net.default_config with jitter = 0.0 } ~size ~kind ?obs
-      ~rng:(Rng.create 1L) ()
-  in
   let violation_ref = ref None in
   let set_violation invariant detail =
     if !violation_ref = None then violation_ref := Some { invariant; detail }
   in
-  (engine, obs, net, Keychain.create ~seed:11L ~n, violation_ref, set_violation)
+  (engine, obs, violation_ref, set_violation)
 
 let build_rbc ~trace s protocol =
   let n = s.n in
   let byz = byz_of s.adversary in
-  let engine, obs, net, keychain, violation_ref, set_violation =
-    deploy ~trace ~n ~size:(Rbc.msg_size ~n) ~kind:Rbc.msg_tag
-  in
+  let engine, obs, violation_ref, set_violation = deploy ~trace in
   let clan =
     if Rbc.is_tribe protocol then
       Some (Array.init (max 3 ((n / 2) + 1)) Fun.id)
@@ -189,7 +186,7 @@ let build_rbc ~trace s protocol =
   let joining = ref s.late_join in
   (* agreement / validity, observed at the delivery hook *)
   let first : (int * int, int * Digest32.t) Hashtbl.t = Hashtbl.create 16 in
-  let deliver_count = ref 0 and state_hash = ref 0 in
+  let state_hash = ref 0 in
   let honest_sender = s.adversary = No_adversary in
   let on_deliver me ~sender ~round outcome =
     let d =
@@ -197,7 +194,6 @@ let build_rbc ~trace s protocol =
       | Rbc.Value v -> Digest32.hash_string v
       | Rbc.Digest_only d -> d
     in
-    incr deliver_count;
     state_hash :=
       mix !state_hash
         ((((me * 131) + sender) * 8191) + (round * 17) + Digest32.hash d);
@@ -217,17 +213,11 @@ let build_rbc ~trace s protocol =
         (Printf.sprintf "instance (0,%d): node %d delivered %s, not the broadcast value"
            round me (Digest32.short d))
   in
-  let nodes =
-    Array.init n (fun me ->
-        if List.mem me byz then begin
-          Net.set_handler net me (fun ~src:_ _ -> ());
-          None
-        end
-        else
-          Some
-            (Rbc.create ~me ~n ?clan ~protocol ~engine ~net ~keychain ?obs
-               ~on_deliver:(on_deliver me) ()))
+  let world =
+    Rbc_world.create ~engine ?obs ~topology:(topology n) ~config:net_config ~seed:1L
+      ?clan ~byzantine:byz ~on_deliver protocol
   in
+  let net = world.net and nodes = world.nodes in
   (* honest echo/ready no-equivocation, observed from the wire *)
   let votes : (string * int * int * int, Digest32.t) Hashtbl.t =
     Hashtbl.create 64
@@ -283,7 +273,7 @@ let build_rbc ~trace s protocol =
         (fun signer ->
           List.iter
             (fun d ->
-              Adversary.vote ~keychain ~protocol ~net ~signer ~sender:0
+              Adversary.vote ~keychain:world.keychain ~protocol ~net ~signer ~sender:0
                 ~round:r ~dsts:(vote_dsts d) d)
             [ da; Digest32.hash_string vb ])
         byz
@@ -347,7 +337,8 @@ let build_rbc ~trace s protocol =
     !viol
   in
   let state_hook () =
-    Printf.sprintf "deliveries=%d hash=%012x pool=%d" !deliver_count
+    Printf.sprintf "deliveries=%d hash=%012x pool=%d"
+      (List.length (Rbc_world.deliveries world))
       (!state_hash land 0xffffffffffff)
       (Engine.choice_count engine)
   in
@@ -370,9 +361,12 @@ let build_rbc ~trace s protocol =
 
 let build_sailfish ~trace s =
   let n = s.n in
-  let engine, obs, net, keychain, violation_ref, set_violation =
-    deploy ~trace ~n ~size:(Msg.wire_size ~n) ~kind:Msg.tag
+  let engine, obs, violation_ref, set_violation = deploy ~trace in
+  let net =
+    Net.create ~engine ~topology:(topology n) ~config:net_config
+      ~size:(Msg.wire_size ~n) ~kind:Msg.tag ?obs ~rng:(Rng.create 1L) ()
   in
+  let keychain = Keychain.create ~seed:11L ~n in
   (* The checker's edge-selection seed is fixed: schedules replayed from a
      saved spec must rebuild the exact same sparse DAG. *)
   let edge_policy =

@@ -28,9 +28,6 @@ type t = action list
 val action_to_string : action -> string
 (** [deliver 12], [step], [crash 2], [recover 2]. *)
 
-val action_of_string : string -> (action, string) result
-(** Inverse of {!action_to_string}; [Error] names the offending token. *)
-
 val save :
   path:string -> meta:(string * string) list -> ?notes:string list -> t -> unit
 (** Write a schedule file. [meta] pairs must contain no whitespace in

@@ -119,7 +119,6 @@ let me t = t.me
 let current_round t = t.round
 let last_committed_round t = t.last_committed
 let committed_count t = t.ordered_total
-let ordered_hash t = t.ordered_hash
 
 (* FNV-1a-style chaining, same mix the bench fingerprints use: cheap, and
    any divergence in commit order or content changes every later value. *)

@@ -149,14 +149,6 @@ val last_committed_round : t -> int
 val committed_count : t -> int
 (** Total vertices ordered so far. *)
 
-val ordered_hash : t -> int
-(** Chained fingerprint of this node's total order: every committed
-    (round, source) is folded in commit order, so two replicas whose
-    ledgers are prefix-consistent show identical values once they have
-    committed equally many vertices — an O(1)-state invariant-observation
-    hook for the [lib/check] explorer (and a quick cross-replica
-    divergence probe in tests). *)
-
 val block_of : t -> round:int -> source:int -> Block.t option
 (** Locally available blocks (clan members only, in clan modes). *)
 

@@ -73,6 +73,7 @@ module Rbc = Clanbft_rbc.Rbc
 module Faults = Clanbft_faults.Faults
 module Adversary = Clanbft_faults.Adversary
 module Strategy = Clanbft_faults.Strategy
+module Rbc_world = Clanbft_faults.Rbc_world
 
 (** {1 DAG and consensus (paper §5–§6)} *)
 

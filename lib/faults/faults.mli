@@ -22,8 +22,6 @@ open Clanbft_sim
 
 type selector = All | Only of int list | Except of int list
 
-val selects : selector -> int -> bool
-
 type action =
   | Drop of float  (** drop probability; [>= 1.0] drops unconditionally *)
   | Delay of { min : Time.span; max : Time.span }

@@ -49,8 +49,6 @@
 (** One per-commit latency segment, in critical-path order. *)
 type segment = Dissemination | Echo_wait | Quorum_wait | Dag_wait | Order_wait
 
-val segment_count : int
-
 val all_segments : segment array
 (** In path order: dissemination first, ordering wait last. *)
 
@@ -77,7 +75,7 @@ type path = {
           when the trace predates the [Propose] phase) *)
   p_commit : int;  (** µs *)
   p_segments : int array;
-      (** [segment_count] durations in {!all_segments} order, summing
+      (** one duration per segment, in {!all_segments} order, summing
           exactly to [p_commit - p_origin] *)
 }
 

@@ -60,7 +60,6 @@ let add (c : counter) n = c := !c + n
 let counter_value (c : counter) = !c
 let reset_counter (c : counter) = c := 0
 let set (g : gauge) v = g := v
-let gauge_value (g : gauge) = !g
 let observe (h : histogram) x = Stats.Histogram.observe h x
 let hist (h : histogram) = h
 

@@ -63,7 +63,6 @@ val reset_counter : counter -> unit
     run sections ([Net.reset_metrics]); protocol code never resets. *)
 
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val observe : histogram -> float -> unit
 

@@ -4,14 +4,18 @@
 
    Allocation attribution subtracts a calibrated constant per span: the
    probe reads themselves allocate (the [Gc.counters] tuple and its float
-   boxes, a boxed int64 from the clock), and since that cost is
+   boxes; the clock read allocates nothing), and since that cost is
    a constant number of words per probe it can be measured once and
    removed exactly — keeping the reported words deterministic and equal to
    what the instrumented code itself allocated. *)
 
 module Json = Clanbft_util.Json
 
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
+external monotonic_ns : unit -> (int64[@unboxed])
+  = "clanbft_monotonic_ns_byte" "clanbft_monotonic_ns"
+[@@noalloc]
+
+let now_ns () = Int64.to_int (monotonic_ns ())
 
 (* Minor words come from [Gc.minor_words], which is exact: the minor count
    in OCaml 5.1's [Gc.counters] advances only at minor collections. Major
@@ -49,8 +53,6 @@ let section name =
       incr sec_count;
       Hashtbl.replace sec_tbl name id;
       id
-
-let section_name s = sec_names.(s)
 
 (* ------------------------------------------------------------------ *)
 (* Per-section aggregates *)

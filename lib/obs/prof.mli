@@ -30,7 +30,7 @@
     allocated-word figures are {b byte-identical across runs}: OCaml
     allocation is a deterministic function of the program, and the profiler
     calibrates away its own constant per-span probe cost (the boxes
-    allocated by the [Gc.counters] and clock reads) so the reported words
+    allocated by the [Gc.counters] reads) so the reported words
     are the instrumented code's own. Minor words are exact; major words
     count direct major-heap allocation only, not promotions, whose timing
     depends on the heap the run started from. Wall-time fields
@@ -55,8 +55,6 @@ val section : string -> section
 (** [section name] interns [name] and returns its handle; idempotent. The
     name must be non-empty and must not contain [';'], spaces or newlines
     (it becomes a folded-stack frame). At most 512 distinct sections. *)
-
-val section_name : section -> string
 
 val set_enabled : bool -> unit
 (** Toggle the global switch. The first [set_enabled true] runs a one-time

@@ -200,7 +200,6 @@ let schedule_after t span fn =
 (* ---- delivery-choice points ---- *)
 
 let set_choice_mode t on = t.choice_mode <- on
-let choice_mode t = t.choice_mode
 
 let pool_add t time ~src ~dst ~tag ev =
   let id = t.next_choice_id in

@@ -67,8 +67,6 @@ val set_choice_mode : t -> bool -> unit
 (** Turn choice mode on or off. Flip it before any traffic is scheduled:
     already-pooled (or already-enqueued) events are not migrated. *)
 
-val choice_mode : t -> bool
-
 val schedule_choice_at :
   t -> Time.t -> src:int -> dst:int -> tag:string -> (unit -> unit) -> unit
 (** Like {!schedule_at} when choice mode is off (identical pool slot,

@@ -19,7 +19,6 @@ let apply_block t (b : Block.t) =
 
 let skip_block t digest = fold_digest t digest
 let state_digest t = t.state
-let executed_blocks t = t.blocks
 let executed_txns t = t.txns
 
 let response t (txn : Transaction.t) =

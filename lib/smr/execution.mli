@@ -24,7 +24,6 @@ val skip_block : t -> Digest32.t -> unit
     clans while the payload stays remote. *)
 
 val state_digest : t -> Digest32.t
-val executed_blocks : t -> int
 val executed_txns : t -> int
 
 val response : t -> Transaction.t -> Digest32.t

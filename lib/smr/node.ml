@@ -20,7 +20,6 @@ let execution t = t.execution
 let mempool t = t.mempool
 let submit t txn = Mempool.submit t.mempool txn
 let executed_txns t = Execution.executed_txns t.execution
-let exec_backlog t = Queue.length t.exec_queue
 
 (* Drain the execution queue in order; stop at the first vertex whose block
    is still in flight (it is being pulled — §5's "execution lags

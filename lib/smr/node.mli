@@ -78,8 +78,6 @@ val execution : t -> Execution.t
 val mempool : t -> Mempool.t
 
 val executed_txns : t -> int
-val exec_backlog : t -> int
-(** Committed vertices whose blocks have not yet executed locally. *)
 
 val heap_roots : t list -> (string * Obj.t list) list
 (** {!Clanbft_obs.Prof.census} rows for these replicas, in charging

@@ -41,7 +41,6 @@ type spec = {
   restarts : Faults.restart list;
   adversaries : Strategy.spec list;
   persist : bool;
-  clan_random : bool;
   obs : Obs.t option;
 }
 
@@ -63,7 +62,6 @@ let default_spec =
     restarts = [];
     adversaries = [];
     persist = false;
-    clan_random = false;
     obs = None;
   }
 
@@ -110,21 +108,11 @@ let mix h x =
   let h = h lxor (h lsr 29) in
   h * 0xBF58476D1CE4E5B |> fun h -> h lxor (h lsr 32)
 
-let dissemination_of spec rng =
+let dissemination_of spec =
   match spec.protocol with
   | Full | Sparse _ -> Config.Full
-  | Single_clan { nc } ->
-      let clan =
-        if spec.clan_random then Analysis.elect_random rng ~n:spec.n ~nc
-        else Analysis.elect_balanced ~n:spec.n ~nc
-      in
-      Config.Single_clan clan
-  | Multi_clan { q } ->
-      let clans =
-        if spec.clan_random then Analysis.partition_random rng ~n:spec.n ~q
-        else Analysis.partition_balanced ~n:spec.n ~q
-      in
-      Config.Multi_clan clans
+  | Single_clan { nc } -> Config.Single_clan (Analysis.elect_balanced ~n:spec.n ~nc)
+  | Multi_clan { q } -> Config.Multi_clan (Analysis.partition_balanced ~n:spec.n ~q)
 
 (* Per proposed block: what the workload generator produced for it. A block
    is "committed by all" once every replica required to commit it has —
@@ -190,7 +178,7 @@ let run ?on_wal spec =
     | Sparse { k } -> Config.Sparse { k; seed = spec.seed }
     | Full | Single_clan _ | Multi_clan _ -> Config.Dense
   in
-  let config = Config.make ~n:spec.n ~edge_policy (dissemination_of spec rng) in
+  let config = Config.make ~n:spec.n ~edge_policy (dissemination_of spec) in
   let crashed = Array.make spec.n false in
   List.iter (fun i -> crashed.(i) <- true) spec.crashed;
   let restart_of = Array.make spec.n None in

@@ -64,7 +64,6 @@ type spec = {
           exactly like muted replicas. Empty = nothing installed; benign
           runs stay bit-identical. *)
   persist : bool;
-  clan_random : bool;  (** random clan election instead of region-balanced *)
   obs : Clanbft_obs.Obs.t option;
       (** Observability handle threaded through net, consensus and fault
           injector. [None] (the default) gives each run a private disabled

@@ -108,7 +108,6 @@ let in_payload_clan t ~proposer i =
 
 let executes_blocks t i = t.clan_of.(i) <> None
 let clan_of t i = t.clan_of.(i)
-let clan_members t c = t.clans.(c)
 let clan_count t = Array.length t.clans
 
 let pp ppf t =

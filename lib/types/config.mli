@@ -95,7 +95,6 @@ val clan_of : t -> int -> int option
 (** Index of the clan party [i] belongs to; [None] outside every clan.
     In [Full] mode everyone is in clan 0. *)
 
-val clan_members : t -> int -> int array
 val clan_count : t -> int
 val clan_fault_bound : t -> int -> int
 (** [fc] of clan [c] = ⌈nc/2⌉ - 1. *)

@@ -12,6 +12,10 @@ val create : int64 -> t
 (** [create seed] returns a fresh generator. Two generators created with the
     same seed produce identical streams. *)
 
+val seed_of_string : string -> int64
+(** FNV-1a of the string: a fixed seed per named scenario, so a scenario's
+    run does not depend on which other scenarios run or in what order. *)
+
 val split : t -> t
 (** [split t] derives an independent generator; both [t] and the result keep
     producing values without correlation. Used to give each simulated node

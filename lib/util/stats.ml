@@ -80,16 +80,6 @@ let summary t =
     Printf.sprintf "n=%d mean=%.3f p50=%.3f p99=%.3f max=%.3f" t.len (mean t)
       (percentile t 50.0) (percentile t 99.0) (max t)
 
-module Counter = struct
-  type t = int ref
-
-  let create () = ref 0
-  let incr t = Stdlib.incr t
-  let add t n = t := !t + n
-  let get t = !t
-  let reset t = t := 0
-end
-
 module Histogram = struct
   type t = {
     edges : float array; (* strictly increasing upper edges *)
@@ -178,41 +168,4 @@ module Histogram = struct
     Array.fill t.counts 0 (Array.length t.counts) 0;
     t.total <- 0;
     t.sum <- 0.0
-end
-
-module Rate = struct
-  (* A queue of (timestamp, amount) pairs pruned to the window on every
-     operation; [acc] caches the in-window sum. *)
-  type t = {
-    window : int;
-    entries : (int * float) Queue.t;
-    mutable acc : float;
-  }
-
-  let create ?(window_us = 1_000_000) () =
-    if window_us <= 0 then invalid_arg "Stats.Rate.create: window must be positive";
-    { window = window_us; entries = Queue.create (); acc = 0.0 }
-
-  let prune t ~now_us =
-    let horizon = now_us - t.window in
-    let continue = ref true in
-    while !continue do
-      match Queue.peek_opt t.entries with
-      | Some (ts, amount) when ts <= horizon ->
-          ignore (Queue.pop t.entries);
-          t.acc <- t.acc -. amount
-      | _ -> continue := false
-    done
-
-  let add t ~now_us amount =
-    prune t ~now_us;
-    Queue.add (now_us, amount) t.entries;
-    t.acc <- t.acc +. amount
-
-  let total t ~now_us =
-    prune t ~now_us;
-    t.acc
-
-  let per_second t ~now_us =
-    total t ~now_us *. 1e6 /. float_of_int t.window
 end

@@ -1,15 +1,13 @@
 (** Sample collection and summary statistics for experiment metrics.
 
-    Three shapes of instrument live here, all allocation-light and safe to
+    Two shapes of instrument live here, both allocation-light and safe to
     call on hot paths:
 
     - a float {e reservoir} ({!t}) that keeps every sample for exact
       percentiles — right for end-of-run latency summaries;
     - fixed-bucket {!Histogram}s that keep only counts — right for always-on
       metrics (commit latency per replica, uplink backlog) where the sample
-      stream is unbounded;
-    - time-windowed {!Rate} meters for "how fast right now" questions
-      (egress bytes/s over the last second).
+      stream is unbounded.
 
     Everything is total: querying an empty collector yields [nan] / ["empty"]
     rather than raising, so metric plumbing never needs emptiness guards. *)
@@ -38,18 +36,6 @@ val percentile : t -> float -> float
 val summary : t -> string
 (** One-line human-readable summary: n/mean/p50/p99/max; ["empty"] when no
     samples have been recorded. *)
-
-(** {1 Counters} *)
-
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val get : t -> int
-  val reset : t -> unit
-end
 
 (** {1 Fixed-bucket histograms}
 
@@ -94,29 +80,4 @@ module Histogram : sig
       empty. *)
 
   val reset : t -> unit
-end
-
-(** {1 Time-windowed rates}
-
-    A sliding-window meter over integer-microsecond timestamps (the
-    simulator's clock). Samples older than the window are discarded on
-    every operation, so memory is bounded by the event rate within one
-    window. *)
-
-module Rate : sig
-  type t
-
-  val create : ?window_us:int -> unit -> t
-  (** Default window: 1 s. Raises [Invalid_argument] on a non-positive
-      window. *)
-
-  val add : t -> now_us:int -> float -> unit
-  (** Record [amount] at the given timestamp. Timestamps must be
-      non-decreasing (simulation time never goes backwards). *)
-
-  val total : t -> now_us:int -> float
-  (** Sum of the amounts recorded within the window ending at [now_us]. *)
-
-  val per_second : t -> now_us:int -> float
-  (** Windowed rate in amount/second: {!total} scaled by the window. *)
 end

@@ -13,45 +13,10 @@ module Rng = Util.Rng
 
 let clan = [| 0; 2; 4; 6; 8 |]
 
-type world = {
-  engine : Engine.t;
-  net : Rbc.msg Net.t;
-  nodes : Rbc.node option array;
-  deliveries : (int * int * Rbc.outcome) list ref; (* (time, node, outcome) *)
-  injector : Rbc.msg Faults.t option;
-}
-
-let make_world ?(n = 10) ?(byzantine = []) ?(plan = Faults.empty) protocol =
-  let engine = Engine.create () in
-  let topology = Topology.uniform ~n ~one_way_ms:10.0 in
-  let config = { Net.default_config with jitter = 0.0 } in
-  let rng = Rng.create 7L in
-  let net =
-    Net.create ~engine ~topology ~config ~size:(Rbc.msg_size ~n) ~rng ()
-  in
-  let injector =
-    if Faults.is_empty plan then None
-    else
-      Some
-        (Faults.install ~engine ~net ~rng:(Rng.split rng)
-           ~classify:Rbc.msg_tag ~round_of:Rbc.msg_round plan)
-  in
-  let keychain = Keychain.create ~seed:11L ~n in
-  let deliveries = ref [] in
-  let nodes =
-    Array.init n (fun me ->
-        if List.mem me byzantine then begin
-          Net.set_handler net me (fun ~src:_ _ -> ());
-          None
-        end
-        else
-          Some
-            (Rbc.create ~me ~n ~clan ~protocol ~engine ~net ~keychain
-               ~on_deliver:(fun ~sender:_ ~round:_ outcome ->
-                 deliveries := (Engine.now engine, me, outcome) :: !deliveries)
-               ()))
-  in
-  { engine; net; nodes; deliveries; injector }
+let make_world ?byzantine ?plan protocol =
+  Rbc_world.create ~topology:(Topology.uniform ~n:10 ~one_way_ms:10.0)
+    ~config:{ Net.default_config with jitter = 0.0 } ~seed:7L ~clan ?byzantine ?plan
+    protocol
 
 let plan_exn ?(rules = []) ?(partitions = []) ?(mutes = []) () =
   match Faults.plan_of_specs ~rules ~partitions ~mutes () with
@@ -60,22 +25,8 @@ let plan_exn ?(rules = []) ?(partitions = []) ?(mutes = []) () =
 
 let outcome_of w i =
   List.find_map
-    (fun (_, me, o) -> if me = i then Some o else None)
-    !(w.deliveries)
-
-let value_count w =
-  List.length
-    (List.filter (fun (_, _, o) -> match o with Rbc.Value _ -> true | _ -> false)
-       !(w.deliveries))
-
-let distinct_digests w =
-  List.sort_uniq compare
-    (List.map
-       (fun (_, _, o) ->
-         match o with
-         | Rbc.Value v -> Digest32.to_raw (Digest32.hash_string v)
-         | Rbc.Digest_only d -> Digest32.to_raw d)
-       !(w.deliveries))
+    (fun (_, me, _, _, o) -> if me = i then Some o else None)
+    (Rbc_world.deliveries w)
 
 (* ------------------------------------------------------------------ *)
 (* Headline regression: a clan member that agrees on the digest via the
@@ -97,7 +48,7 @@ let test_pull_after_ready_only_agreement protocol () =
   | None -> assert false);
   (* All nine honest nodes deliver; every honest clan member — including
      the echo-starved one — gets the full value. *)
-  Alcotest.(check int) "all honest deliver" 9 (List.length !(w.deliveries));
+  Alcotest.(check int) "all honest deliver" 9 (List.length (Rbc_world.deliveries w));
   List.iter
     (fun i ->
       match outcome_of w i with
@@ -109,7 +60,7 @@ let test_pull_after_ready_only_agreement protocol () =
           Alcotest.failf "clan member %d only got the digest" i
       | None -> Alcotest.failf "clan member %d stalled" i)
     [ 2; 4; 6; 8 ];
-  Alcotest.(check int) "single digest" 1 (List.length (distinct_digests w))
+  Alcotest.(check int) "single digest" 1 (Rbc_world.summary w).distinct
 
 (* Transient loss: every pull request is dropped for the first 3 s. A
    single sweep over the candidates exhausts well before that, so only
@@ -127,7 +78,9 @@ let test_pull_retries_survive_transient_loss protocol () =
   | Some (Rbc.Digest_only _) | None ->
       Alcotest.fail "node 8 did not recover after the loss window");
   let t8 =
-    List.find_map (fun (t, me, _) -> if me = 8 then Some t else None) !(w.deliveries)
+    List.find_map
+      (fun (t, me, _, _, _) -> if me = 8 then Some t else None)
+      (Rbc_world.deliveries w)
   in
   Alcotest.(check bool) "delivered after the loss window" true
     (Option.get t8 >= Time.s 3.)
@@ -141,8 +94,8 @@ let test_equivocating_sender protocol () =
   Adversary.run ~sender:0 ~n:10 ~clan ~protocol ~net:w.net ~round:1
     (Adversary.Equivocate_biased { value = "majority"; decoy = "decoy"; decoys = 1 });
   Engine.run ~until:(Time.s 30.) w.engine;
-  Alcotest.(check int) "single digest" 1 (List.length (distinct_digests w));
-  Alcotest.(check int) "all honest deliver" 9 (List.length !(w.deliveries));
+  Alcotest.(check int) "single digest" 1 (Rbc_world.summary w).distinct;
+  Alcotest.(check int) "all honest deliver" 9 (List.length (Rbc_world.deliveries w));
   let entitled =
     if Rbc.is_tribe protocol then [ 2; 4; 6; 8 ]
     else [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
@@ -154,7 +107,7 @@ let test_equivocating_sender protocol () =
           Alcotest.(check string) (Printf.sprintf "node %d payload" i) "majority" v
       | _ -> Alcotest.failf "entitled node %d missing the agreed value" i)
     entitled;
-  Alcotest.(check int) "value deliveries" (List.length entitled) (value_count w)
+  Alcotest.(check int) "value deliveries" (List.length entitled) (Rbc_world.summary w).values
 
 (* A Byzantine sender ships a full (wrong) value to a non-clan node. The
    recipient must treat it as its digest: no storage, and no serving it
@@ -373,13 +326,13 @@ let test_adversarial_replay_deterministic () =
     Engine.run ~until:(Time.s 30.) w.engine;
     ( List.sort compare
         (List.map
-           (fun (t, me, o) ->
+           (fun (t, me, _, _, o) ->
              ( t,
                me,
                match o with
                | Rbc.Value v -> "v:" ^ v
                | Rbc.Digest_only d -> "d:" ^ Digest32.to_raw d ))
-           !(w.deliveries)),
+           (Rbc_world.deliveries w)),
       Net.total_bytes w.net,
       Net.total_messages w.net )
   in

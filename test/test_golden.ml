@@ -5,15 +5,6 @@
 open Clanbft
 module Time = Sim.Time
 
-(* FNV-1a over the scenario name: the bench's per-scenario seed. *)
-let point_seed key =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    key;
-  !h
-
 (* The bench's pinned n=16 perf scenarios. *)
 let perf_spec name protocol load =
   {
@@ -23,7 +14,7 @@ let perf_spec name protocol load =
     txns_per_proposal = load;
     duration = Time.s 4.;
     warmup = Time.s 1.;
-    seed = point_seed name;
+    seed = Util.Rng.seed_of_string name;  (* the bench's per-scenario seed *)
   }
 
 (* perfbench's crash-recover workload: a persisted WAL, one replica down

@@ -1,50 +1,19 @@
 open Clanbft
 open Clanbft.Sim
 open Clanbft.Crypto
-module Rng = Util.Rng
-
-(* Harness: n nodes over a uniform 10 ms network; [byzantine] ids get a
-   no-op handler so tests can drive them by injecting raw messages. *)
-type world = {
-  engine : Engine.t;
-  net : Rbc.msg Net.t;
-  keychain : Keychain.t;
-  nodes : Rbc.node option array;
-  deliveries : (int * int * int * int * Rbc.outcome) list ref;
-      (* (time, node, sender, round, outcome) *)
-}
 
 let clan = [| 0; 2; 4; 6; 8 |]
 
-let make_world ?(n = 10) ?(byzantine = []) protocol =
-  let engine = Engine.create () in
-  let topology = Topology.uniform ~n ~one_way_ms:10.0 in
-  let config = { Net.default_config with jitter = 0.0 } in
-  let net =
-    Net.create ~engine ~topology ~config ~size:(Rbc.msg_size ~n)
-      ~rng:(Rng.create 7L) ()
-  in
-  let keychain = Keychain.create ~seed:11L ~n in
-  let deliveries = ref [] in
-  let nodes =
-    Array.init n (fun me ->
-        if List.mem me byzantine then begin
-          Net.set_handler net me (fun ~src:_ _ -> ());
-          None
-        end
-        else
-          Some
-            (Rbc.create ~me ~n ~clan ~protocol ~engine ~net ~keychain
-               ~on_deliver:(fun ~sender ~round outcome ->
-                 deliveries :=
-                   (Engine.now engine, me, sender, round, outcome) :: !deliveries)
-               ()))
-  in
-  { engine; net; keychain; nodes; deliveries }
+(* n nodes over a uniform 10 ms network; [byzantine] ids get a no-op
+   handler so tests can drive them by injecting raw messages. *)
+let make_world ?(n = 10) ?byzantine protocol =
+  Rbc_world.create ~topology:(Topology.uniform ~n ~one_way_ms:10.0)
+    ~config:{ Net.default_config with jitter = 0.0 } ~seed:7L ~clan ?byzantine
+    protocol
 
-let node w i = Option.get w.nodes.(i)
+let node = Rbc_world.node
 
-let outcomes w = List.rev_map (fun (_, me, _, _, o) -> (me, o)) !(w.deliveries)
+let outcomes w = List.map (fun (_, me, _, _, o) -> (me, o)) (Rbc_world.deliveries w)
 
 let value_deliveries w =
   List.filter (fun (_, o) -> match o with Rbc.Value _ -> true | _ -> false) (outcomes w)
@@ -74,7 +43,7 @@ let test_honest_delivery protocol () =
       | Rbc.Digest_only d ->
           Alcotest.(check bool) "digest matches" true
             (Digest32.equal d (Digest32.hash_string "payload-abc")))
-    !(w.deliveries)
+    (Rbc_world.deliveries w)
 
 let test_tribe_outcome_split protocol () =
   let w = make_world protocol in
@@ -88,7 +57,7 @@ let test_tribe_outcome_split protocol () =
       | Rbc.Digest_only _ ->
           Alcotest.(check bool) (Printf.sprintf "digest only outside (%d)" me) true
             (not (in_clan me)))
-    !(w.deliveries)
+    (Rbc_world.deliveries w)
 
 let test_multiple_rounds protocol () =
   let w = make_world protocol in
@@ -132,7 +101,7 @@ let test_equivocation_no_disagreement protocol () =
         match o with
         | Rbc.Value v -> Some v
         | Rbc.Digest_only d -> Some (Digest32.to_raw d))
-      !(w.deliveries)
+      (Rbc_world.deliveries w)
   in
   let distinct = List.sort_uniq compare values in
   Alcotest.(check bool) "at most one outcome value" true (List.length distinct <= 1)
@@ -297,7 +266,7 @@ let test_two_rounds_faster () =
     let w = make_world protocol in
     Rbc.broadcast (node w 0) ~round:1 "latency";
     Engine.run w.engine;
-    List.fold_left (fun acc (time, _, _, _, _) -> max acc time) 0 !(w.deliveries)
+    List.fold_left (fun acc (time, _, _, _, _) -> max acc time) 0 (Rbc_world.deliveries w)
   in
   let bracha = last_delivery Rbc.Tribe_bracha in
   let signed = last_delivery Rbc.Tribe_signed in

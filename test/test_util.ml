@@ -295,20 +295,6 @@ let test_histogram_bad_edges () =
     (Invalid_argument "Stats.Histogram.create: edges must be strictly increasing")
     (fun () -> ignore (Stats.Histogram.create ~buckets:[| 1.0; 1.0 |]))
 
-let test_rate_window () =
-  let r = Stats.Rate.create ~window_us:1_000_000 () in
-  Stats.Rate.add r ~now_us:0 100.0;
-  Stats.Rate.add r ~now_us:500_000 200.0;
-  Alcotest.(check (float 1e-9)) "both in window" 300.0
-    (Stats.Rate.total r ~now_us:900_000);
-  (* at t=1_000_000 the t=0 entry ages out (ts <= now - window) *)
-  Alcotest.(check (float 1e-9)) "first aged out" 200.0
-    (Stats.Rate.total r ~now_us:1_000_000);
-  Alcotest.(check (float 1e-9)) "per second" 200.0
-    (Stats.Rate.per_second r ~now_us:1_400_000);
-  Alcotest.(check (float 1e-9)) "all aged out" 0.0
-    (Stats.Rate.total r ~now_us:2_000_000)
-
 let test_stats_add_after_sort () =
   (* percentile sorts internally; adding afterwards must still work *)
   let s = Stats.create () in
@@ -322,14 +308,6 @@ let test_stats_stddev () =
   List.iter (Stats.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
   Alcotest.(check bool) "stddev near 2.14" true
     (abs_float (Stats.stddev s -. 2.138) < 0.01)
-
-let test_counter () =
-  let c = Stats.Counter.create () in
-  Stats.Counter.incr c;
-  Stats.Counter.add c 5;
-  Alcotest.(check int) "value" 6 (Stats.Counter.get c);
-  Stats.Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Stats.Counter.get c)
 
 (* ------------------------------------------------------------------ *)
 (* Hex *)
@@ -512,10 +490,8 @@ let suites =
         Alcotest.test_case "empty is total" `Quick test_stats_empty_total;
         Alcotest.test_case "add after sort" `Quick test_stats_add_after_sort;
         Alcotest.test_case "stddev" `Quick test_stats_stddev;
-        Alcotest.test_case "counter" `Quick test_counter;
         Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
         Alcotest.test_case "histogram bad edges" `Quick test_histogram_bad_edges;
-        Alcotest.test_case "rate window" `Quick test_rate_window;
       ] );
     ( "util.hex",
       [
