@@ -153,18 +153,13 @@ let strategies s = match s.adversary with Strategy x -> [ x ] | _ -> []
 (* ------------------------------------------------------------------ *)
 (* RBC worlds *)
 
-(* Check worlds are rebuilt thousands of times per search; a 4 ms calendar
-   ring keeps Engine.create allocation-free at that cadence (longer timers
-   take the overflow heap, which is semantically identical). *)
-let check_ring_bits = 12
-
 (* What both models share: a jitter-free uniform topology for a net seeded
    with 1, a choice-mode engine and a first-violation sink. *)
 let topology n = Topology.uniform ~n ~one_way_ms:10.0
 let net_config = { Net.default_config with jitter = 0.0 }
 
 let deploy ~trace =
-  let engine = Engine.create ~ring_bits:check_ring_bits () in
+  let engine = Engine.create () in
   Engine.set_choice_mode engine true;
   let obs = if trace then Some (Obs.create ()) else None in
   let violation_ref = ref None in

@@ -10,11 +10,18 @@ let sec_migrate = Prof.section "engine.migrate"
 (* The event queue is a calendar (bucket ring) keyed by microsecond
    timestamp: large experiments keep millions of events in flight, and a
    binary heap's O(log n) per operation dominated the whole simulator. The
-   ring covers [horizon] µs ahead of the clock; the rare event scheduled
-   further out (long timers) parks in an overflow heap and migrates into the
-   ring as the clock approaches. Within a microsecond, events run in
-   scheduling order (buckets are LIFO chains, reversed in place on drain),
-   so runs stay deterministic.
+   ring covers [Array.length ring] µs ahead of the clock (its horizon); an
+   event scheduled further out parks in an overflow heap and migrates into
+   the ring as the clock approaches. Within a microsecond, events run in
+   scheduling order (buckets are LIFO chains, reversed in place on drain,
+   and the heap breaks priority ties FIFO), so runs stay deterministic.
+
+   The ring sizes itself from the traffic. It starts at [initial_ring_bits]
+   (4 ms, ample for the lib/check worlds that are rebuilt per branch) and
+   doubles, up to [max_ring_bits], whenever the overflow heap holds a real
+   share of the pending events: more than [max 1024 (pending / 8)]. A few
+   far-off round timers never trigger it; a WAN run's message delays do, and
+   grow the ring to about the longest delay in flight. It never shrinks.
 
    Events live in a struct-of-arrays slot pool, not in heap cells: an
    in-flight delivery waits ~100 ms, long enough to outlive a minor
@@ -25,12 +32,8 @@ let sec_migrate = Prof.section "engine.migrate"
    indices, and freed slots go on a free list that doubles on demand. After
    the pool has grown, scheduling and running an event allocate nothing. *)
 
-let ring_bits = 21
-let horizon = 1 lsl ring_bits
-(* 2.10 simulated seconds — comfortably past the longest recurring timer
-   (the 1.5 s round timeout), so only one-off far-future events take the
-   overflow path, while the ring array stays small enough that major-GC
-   marking of its 2M slots is cheap. *)
+let initial_ring_bits = 12
+let max_ring_bits = 22
 
 (* The end of a slot chain, and an empty bucket. *)
 let nil = -1
@@ -79,8 +82,8 @@ type choice = { id : int; time : Time.t; src : int; dst : int; tag : string }
 type event = Fn of (unit -> unit) | Ix of (int -> unit) * int
 
 type t = {
-  ring : int array; (* bucket -> head slot of its LIFO chain, or [nil] *)
-  summary : int array; (* bit (i mod 32) of word (i / 32) ⇔ ring.(i) <> nil *)
+  mutable ring : int array; (* bucket -> head slot of its LIFO chain, or [nil] *)
+  mutable summary : int array; (* bit (i mod 32) of word (i / 32) ⇔ ring.(i) <> nil *)
   overflow : int Heap.t; (* slots past the horizon, keyed by time *)
   mutable now_head : int; (* FIFO chain scheduled for the current µs *)
   mutable now_tail : int;
@@ -108,21 +111,13 @@ let link_free next lo hi =
   done;
   next.(hi - 1) <- nil
 
-(* [ring_bits] sizes this engine's calendar ring (default: the module
-   [horizon]). Small deployments that are rebuilt thousands of times — the
-   lib/check schedule explorer re-executes a fresh world per branch — use a
-   small ring so [create] does not allocate 2M bucket slots per world;
-   events past the (smaller) horizon simply take the overflow-heap path,
-   which is semantically identical. *)
-let create ?(ring_bits = ring_bits) () =
-  if ring_bits < summary_shift || ring_bits > 26 then
-    invalid_arg "Engine.create: ring_bits out of range";
-  let horizon = 1 lsl ring_bits in
+let create () =
+  let len = 1 lsl initial_ring_bits in
   let next = Array.make initial_slots nil in
   link_free next 0 initial_slots;
   {
-    ring = Array.make horizon nil;
-    summary = Array.make (horizon lsr summary_shift) 0;
+    ring = Array.make len nil;
+    summary = Array.make (len lsr summary_shift) 0;
     overflow = Heap.create ~capacity:64 ~dummy:nil ();
     now_head = nil;
     now_tail = nil;
@@ -141,6 +136,11 @@ let create ?(ring_bits = ring_bits) () =
   }
 
 let now t = t.clock
+let horizon t = Array.length t.ring
+
+(* The calendar's data, for the heap census: no closure is reachable. *)
+let heap_roots t =
+  [ Obj.repr t.ring; Obj.repr t.summary; Obj.repr t.next; Obj.repr t.args; Obj.repr t.overflow ]
 
 (* Double the pool; the new half becomes the free list. *)
 let grow t =
@@ -171,6 +171,42 @@ let ring_insert t idx s =
   let w = idx lsr summary_shift in
   t.summary.(w) <- t.summary.(w) lor (1 lsl (idx land 31))
 
+(* Move overflow events that now fit in the ring. *)
+let migrate t =
+  Prof.enter sec_migrate;
+  let len = Array.length t.ring in
+  while
+    (not (Heap.is_empty t.overflow)) && Heap.min_priority t.overflow - t.clock < len
+  do
+    let idx = Heap.min_priority t.overflow land (len - 1) in
+    ring_insert t idx (Heap.pop_data t.overflow)
+  done;
+  Prof.leave sec_migrate
+
+(* Double the ring while the overflow heap holds a real share of the
+   pending events. Ring events lie in (clock, clock + len), so each bucket
+   holds one instant and its chain moves whole to that instant's bucket in
+   the wider ring; the migration then pulls in the overflow events the new
+   horizon covers, keeping every overflow event at least one horizon past
+   the clock. Neither step reorders events of one instant. *)
+let grow_ring t =
+  let len = Array.length t.ring in
+  let len' = 2 * len in
+  let ring = Array.make len' nil and summary = Array.make (len' lsr summary_shift) 0 in
+  for idx = 0 to len - 1 do
+    let s = t.ring.(idx) in
+    if s <> nil then begin
+      let time = t.clock + 1 + ((idx - t.clock - 1) land (len - 1)) in
+      let idx' = time land (len' - 1) in
+      ring.(idx') <- s;
+      let w = idx' lsr summary_shift in
+      summary.(w) <- summary.(w) lor (1 lsl (idx' land 31))
+    end
+  done;
+  t.ring <- ring;
+  t.summary <- summary;
+  migrate t
+
 let enqueue t time s =
   t.pending <- t.pending + 1;
   if time = t.clock then begin
@@ -180,7 +216,13 @@ let enqueue t time s =
   end
   else if time - t.clock < Array.length t.ring then
     ring_insert t (time land (Array.length t.ring - 1)) s
-  else Heap.push t.overflow time s
+  else begin
+    Heap.push t.overflow time s;
+    if
+      Heap.length t.overflow > max 1024 (t.pending / 8)
+      && Array.length t.ring < 1 lsl max_ring_bits
+    then grow_ring t
+  end
 
 let schedule_at t time fn =
   let s = alloc t time in
@@ -232,18 +274,6 @@ let drop_choice t id =
   if not (Hashtbl.mem t.pool id) then
     invalid_arg "Engine.drop_choice: unknown or already-fired choice";
   Hashtbl.remove t.pool id
-
-(* Move overflow events that now fit in the ring. *)
-let migrate t =
-  Prof.enter sec_migrate;
-  let len = Array.length t.ring in
-  while
-    (not (Heap.is_empty t.overflow)) && Heap.min_priority t.overflow - t.clock < len
-  do
-    let idx = Heap.min_priority t.overflow land (len - 1) in
-    ring_insert t idx (Heap.pop_data t.overflow)
-  done;
-  Prof.leave sec_migrate
 
 (* Every clock move goes through here, so overflow events are always at
    least one horizon past the clock. Without that, an overflow event could

@@ -7,19 +7,24 @@
 
 type t
 
-val horizon : Time.span
+val create : unit -> t
+(** A fresh engine at time 0. Its calendar ring starts at 2^12 µs, so
+    [create] allocates only a few thousand words — cheap enough for the
+    [lib/check] explorer, which rebuilds a world per branch. *)
+
+val horizon : t -> Time.span
 (** Width of the calendar ring, in µs: events within [horizon] of the
     clock sit in O(1) ring buckets, anything further parks in an overflow
-    heap and migrates in as the clock approaches. Exposed so boundary
-    tests track the constant. *)
+    heap and migrates in as the clock approaches. The ring sizes itself:
+    it doubles (up to 2^22 µs) whenever the overflow heap holds more than
+    [max 1024 (pending / 8)] events, and never shrinks, so memory follows
+    the events in flight. Growth never reorders events. Exposed so
+    boundary tests can aim at the edge. *)
 
-val create : ?ring_bits:int -> unit -> t
-(** [ring_bits] sizes the calendar ring ([2^ring_bits] µs, default the
-    module-level {!horizon}); events beyond it take the overflow-heap path,
-    so the choice is performance-only. Small rings make [create] cheap —
-    the [lib/check] explorer rebuilds thousands of n = 4 worlds per search
-    and must not pay a 2M-slot allocation each time. Raises
-    [Invalid_argument] outside [5..26]. *)
+val heap_roots : t -> Obj.t list
+(** The calendar's data — ring, occupancy summary, slot links and
+    arguments, overflow heap — as {!Clanbft_obs.Prof.census} roots. They
+    reach no closure. *)
 
 val now : t -> Time.t
 

@@ -133,7 +133,8 @@ let serialization_us config bytes =
 let jitter_draw config ~rng ~base =
   if config.jitter = 0.0 then 0
   else
-    let u = (2.0 *. Rng.float rng 1.0) -. 1.0 in
+    (* [Rng.float rng 1.0], computed here so no boxed float is returned. *)
+    let u = (2.0 *. (float_of_int (Rng.bits53 rng) *. 0x1p-53)) -. 1.0 in
     int_of_float (Float.round (float_of_int base *. config.jitter *. u))
 
 (* The one send core: [msg] to every destination in [lo..hi], in id order.

@@ -369,8 +369,9 @@ let run ?on_wal spec =
       honest_vecs
   in
   (* End-of-run heap census, measured only under the profiler (k+1 heap
-     passes): the replicas' data roots row by row, then whatever else the
-     simulation reaches (callbacks, messages in flight, the net). *)
+     passes): the replicas' data roots row by row, the engine's calendar,
+     then whatever else the simulation reaches (callbacks, messages in
+     flight, the net). *)
   let census =
     if not (Prof.enabled ()) then []
     else
@@ -379,6 +380,7 @@ let run ?on_wal spec =
         @ [
             ("keychain", [ Obj.repr keychain ]);
             ("obs.trace", [ Obj.repr obs.Obs.trace ]);
+            ("sim.engine", Engine.heap_roots engine);
             ("other", [ Obj.repr nodes; Obj.repr engine; Obj.repr net; Obj.repr obs ]);
           ])
   in

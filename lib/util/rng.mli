@@ -27,6 +27,10 @@ val next_int64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 
+val bits53 : t -> int
+(** Uniform in [\[0, 2^53)]: the draw behind {!float}, as an [int] so a
+    caller scaling it allocates nothing. *)
+
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 

@@ -48,18 +48,24 @@ let test_choice_mode_off_is_calendar () =
   Alcotest.(check int) "nothing pooled" 0 (Engine.choice_count engine)
 
 let test_small_ring_equivalence () =
-  (* A tiny ring must produce the same execution as the default one:
-     far-future events overflow to the heap but fire at the same times. *)
-  let run bits =
-    let engine = Engine.create ?ring_bits:bits () in
+  (* A fresh (small) ring must produce the same execution as one that
+     traffic has grown: events past the small horizon overflow to the heap
+     but fire at the same times. *)
+  let run ~grown =
+    let engine = if grown then Test_sim.grown_engine () else Engine.create () in
+    if grown then
+      Alcotest.(check bool) "grown ring covers 100 ms" true (Engine.horizon engine > 100_000);
+    let base = Engine.now engine in
     let log = ref [] in
-    let ev t = Engine.schedule_at engine t (fun () -> log := (t, Engine.now engine) :: !log) in
+    let ev t =
+      Engine.schedule_at engine (base + t) (fun () -> log := (t, Engine.now engine - base) :: !log)
+    in
     List.iter ev [ 10; 100_000; 3; 5_000_000; 42 ];
     Engine.run engine;
     List.rev !log
   in
   Alcotest.(check (list (pair int int)))
-    "ring_bits=6 == default" (run None) (run (Some 6))
+    "small ring == grown ring" (run ~grown:false) (run ~grown:true)
 
 (* ------------------------------------------------------------------ *)
 (* Schedule files *)
@@ -307,7 +313,7 @@ let suites =
         Alcotest.test_case "choice pooling + fire order" `Quick test_choice_pooling;
         Alcotest.test_case "unknown choice id raises" `Quick test_choice_unknown_id;
         Alcotest.test_case "choice mode off == calendar" `Quick test_choice_mode_off_is_calendar;
-        Alcotest.test_case "small ring == default ring" `Quick test_small_ring_equivalence;
+        Alcotest.test_case "small ring == grown ring" `Quick test_small_ring_equivalence;
       ] );
     ( "check.schedule",
       [

@@ -92,29 +92,47 @@ let test_engine_far_future () =
     (List.rev !log);
   Alcotest.(check int) "clock" 60_000_000 (Engine.now e)
 
+(* An engine whose calendar ring has grown past its initial width: 4,096
+   events in flight beyond the horizon, spread over 131 ms, force several
+   doublings. Returned drained, with the clock past the burst. *)
+let grown_engine () =
+  let e = Engine.create () in
+  let h0 = Engine.horizon e in
+  for i = 1 to 4_096 do
+    Engine.schedule_at e (h0 + (i * 32)) ignore
+  done;
+  Engine.run e;
+  Alcotest.(check bool) "ring grew" true (Engine.horizon e >= 4 * h0);
+  e
+
 let test_engine_ring_horizon_boundary () =
   (* The calendar ring covers [clock, clock + horizon); an event exactly at
      the horizon parks in the overflow heap and must migrate back and fire
-     at its precise microsecond, interleaved correctly with ring events. *)
-  let horizon = Engine.horizon in
-  let e = Engine.create () in
-  let log = ref [] in
-  Engine.schedule_at e horizon (fun () -> log := ("boundary", Engine.now e) :: !log);
-  Engine.schedule_at e (horizon - 1) (fun () -> log := ("ring", Engine.now e) :: !log);
-  Engine.schedule_at e (horizon + 1) (fun () -> log := ("past", Engine.now e) :: !log);
-  Engine.run e;
-  Alcotest.(check (list (pair string int)))
-    "overflow events fire at their exact instants"
-    [ ("ring", horizon - 1); ("boundary", horizon); ("past", horizon + 1) ]
-    (List.rev !log)
+     at its precise microsecond, interleaved correctly with ring events —
+     on a fresh ring and on one that traffic has grown. *)
+  let check e =
+    let base = Engine.now e and horizon = Engine.horizon e in
+    let log = ref [] in
+    let at dt tag = Engine.schedule_at e (base + dt) (fun () -> log := (tag, Engine.now e - base) :: !log) in
+    at horizon "boundary";
+    at (horizon - 1) "ring";
+    at (horizon + 1) "past";
+    Engine.run e;
+    Alcotest.(check (list (pair string int)))
+      "overflow events fire at their exact instants"
+      [ ("ring", horizon - 1); ("boundary", horizon); ("past", horizon + 1) ]
+      (List.rev !log);
+    Alcotest.(check int) "three events do not grow the ring" horizon (Engine.horizon e)
+  in
+  check (Engine.create ());
+  check (grown_engine ())
 
 let test_engine_overflow_migration_keeps_time () =
   (* An overflow event whose slot the clock approaches gradually (so it
      migrates rather than being jumped to) shares its instant with a
      late-scheduled ring event; both must run at that exact time. *)
-  let horizon = Engine.horizon in
-  let target = horizon + 500 in
   let e = Engine.create () in
+  let target = Engine.horizon e + 500 in
   let log = ref [] in
   Engine.schedule_at e target (fun () -> log := "overflow" :: !log);
   (* Walk the clock close enough that the overflow event enters the ring,
@@ -168,25 +186,30 @@ let test_engine_cascading () =
 let test_engine_last_ring_slot () =
   (* An event at horizon - 1 is the furthest that still fits in the ring;
      it must stay there (no overflow round-trip) and fire on time even when
-     the ring index wraps (clock > 0 at scheduling time). *)
-  let horizon = Engine.horizon in
-  let e = Engine.create () in
-  let log = ref [] in
-  Engine.schedule_at e 7 (fun () ->
-      (* From clock = 7 the furthest ring slot is 7 + horizon - 1. *)
-      Engine.schedule_after e (horizon - 1) (fun () ->
-          log := ("edge", Engine.now e) :: !log));
-  Engine.run e;
-  Alcotest.(check (list (pair string int)))
-    "edge-of-ring event fires at its exact instant"
-    [ ("edge", 7 + horizon - 1) ]
-    (List.rev !log)
+     the ring index wraps (clock > 0 at scheduling time), on a fresh ring
+     and on a grown one. *)
+  let check e =
+    let base = Engine.now e and horizon = Engine.horizon e in
+    let log = ref [] in
+    Engine.schedule_at e (base + 7) (fun () ->
+        (* From clock = base + 7 the furthest ring slot is
+           base + 7 + horizon - 1. *)
+        Engine.schedule_after e (horizon - 1) (fun () ->
+            log := ("edge", Engine.now e - base) :: !log));
+    Engine.run e;
+    Alcotest.(check (list (pair string int)))
+      "edge-of-ring event fires at its exact instant"
+      [ ("edge", 7 + horizon - 1) ]
+      (List.rev !log)
+  in
+  check (Engine.create ());
+  check (grown_engine ())
 
 let test_engine_overflow_same_instant_fifo () =
   (* Several overflow events aimed at one microsecond migrate in the order
      they were scheduled (the heap breaks priority ties FIFO). *)
-  let target = Engine.horizon + 123 in
   let e = Engine.create () in
+  let target = Engine.horizon e + 123 in
   let log = ref [] in
   for i = 1 to 4 do
     Engine.schedule_at e target (fun () -> log := i :: !log)
@@ -250,7 +273,7 @@ let test_engine_fifo_across_growth_reentry_migration () =
     if i land 1 = 0 then Engine.schedule_at e time (fun () -> note i)
     else Engine.schedule_ix_at e time note i
   in
-  let far = Engine.horizon + 1_000 in
+  let far = Engine.horizon e + 1_000 in
   (* 0..99 at t = 500; the first of them adds 100..199 at t = 500 *)
   Engine.schedule_at e 500 (fun () ->
       note 0;
@@ -513,9 +536,10 @@ let test_net_send_filter_consultation () =
 
 let test_net_split_allocation_flat () =
   (* After warm-up, a split broadcast allocates a per-call constant that
-     does not grow with n, and delivering its copies allocates nothing. *)
-  let words n =
-    let engine, net = mk_net ~n ~config:no_jitter () in
+     does not grow with n, and delivering its copies allocates nothing —
+     with jitter off and on (each remote copy draws its jitter). *)
+  let words ~config n =
+    let engine, net = mk_net ~n ~config () in
     let fired = ref 0 in
     let count ~src:_ _ = incr fired in
     for i = 0 to n - 1 do
@@ -535,7 +559,22 @@ let test_net_split_allocation_flat () =
     Alcotest.(check int) "every copy delivered" (2 * n) !fired;
     sent
   in
-  Alcotest.(check int) "same words at n=10 and n=50" (words 10) (words 50)
+  List.iter
+    (fun (label, config) ->
+      Alcotest.(check int) ("same words at n=10 and n=50, " ^ label) (words ~config 10)
+        (words ~config 50))
+    [ ("no jitter", no_jitter); ("jitter", Net.default_config) ]
+
+let test_net_jitter_draw_allocates_nothing () =
+  let rng = Rng.create 5L in
+  let sink = ref 0 in
+  let draws () =
+    for base = 1 to 1_000 do
+      sink := !sink + Net.jitter_draw Net.default_config ~rng ~base
+    done
+  in
+  draws ();
+  Alcotest.(check int) "jitter_draw allocates nothing" 0 (minor_words draws)
 
 let test_net_jitter_symmetric () =
   (* The jitter draw must be symmetric: round-to-nearest over u uniform in
@@ -600,6 +639,96 @@ let prop_engine_deterministic =
       in
       run () = run ())
 
+(* A random schedule as a forest: a root is scheduled up front at its
+   absolute time; when an event runs, its handler schedules each child at
+   [now + delay]. Delays mix re-entrant zero (the current instant), ties,
+   near and far-past-the-horizon offsets and 1.5 s round timers. *)
+type sched = Ev of int * sched list
+
+let gen_schedule =
+  let open QCheck.Gen in
+  let delay =
+    frequency
+      [
+        (3, return 0);
+        (3, int_range 1 8);
+        (4, int_range 1 5_000);
+        (3, int_range 5_000 400_000);
+        (1, int_range 1_400_000 1_600_000);
+      ]
+  in
+  let leaf = map (fun d -> Ev (d, [])) delay in
+  let inner = map2 (fun d kids -> Ev (d, kids)) delay (list_size (int_range 0 3) leaf) in
+  let root = map2 (fun t kids -> Ev (t, kids)) (int_range 0 20_000) (list_size (int_range 0 4) inner) in
+  (* A mid-run burst far enough past the initial horizon to grow the ring
+     several times while events are running. *)
+  let burst =
+    map2
+      (fun t kids -> Ev (t, kids))
+      (int_range 1_000 2_000)
+      (list_size (int_range 2_048 4_096)
+         (map2 (fun d kids -> Ev (d, kids)) (int_range 1 (1 lsl 19)) (list_size (int_range 0 1) leaf)))
+  in
+  map2 (fun roots b -> b :: roots) (list_size (int_range 1 20) root) burst
+
+(* Executions as (id, time), ids numbering events in scheduling order. *)
+let engine_order roots =
+  let e = Engine.create () in
+  let log = ref [] and next_id = ref 0 in
+  let rec schedule time (Ev (_, kids)) =
+    let id = !next_id in
+    incr next_id;
+    let fire (_ : int) =
+      log := (id, Engine.now e) :: !log;
+      List.iter (fun (Ev (d, _) as k) -> schedule (Engine.now e + d) k) kids
+    in
+    if id land 1 = 0 then Engine.schedule_at e time (fun () -> fire 0)
+    else Engine.schedule_ix_at e time fire id
+  in
+  List.iter (fun (Ev (t, _) as r) -> schedule t r) roots;
+  let h0 = Engine.horizon e in
+  Engine.run e;
+  (List.rev !log, h0, Engine.horizon e)
+
+(* The reference: a stable sort by (time, scheduling sequence). *)
+let model_order roots =
+  let module S = Set.Make (struct
+    type t = int * int * sched
+
+    let compare (t1, i1, _) (t2, i2, _) = compare (t1, i1) (t2, i2)
+  end) in
+  let next_id = ref 0 in
+  let add time ev q =
+    let id = !next_id in
+    incr next_id;
+    S.add (time, id, ev) q
+  in
+  let rec go q acc =
+    match S.min_elt_opt q with
+    | None -> List.rev acc
+    | Some ((time, id, Ev (_, kids)) as x) ->
+        let q = List.fold_left (fun q (Ev (d, _) as k) -> add (time + d) k q) (S.remove x q) kids in
+        go q ((id, time) :: acc)
+  in
+  go (List.fold_left (fun q (Ev (t, _) as r) -> add t r q) S.empty roots) []
+
+let prop_engine_matches_model =
+  QCheck.Test.make ~name:"engine order == (time, sequence) model, across ring growth"
+    ~count:25 (QCheck.make gen_schedule) (fun roots ->
+      let got, h0, h1 = engine_order roots in
+      if h1 < 4 * h0 then QCheck.Test.fail_reportf "ring grew only %d -> %d" h0 h1;
+      got = model_order roots)
+
+let test_engine_create_small () =
+  (* A fresh engine is cheap: no horizon-sized ring up front. *)
+  let words () = Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8) in
+  let before = words () in
+  let e = Engine.create () in
+  let used = words () -. before in
+  ignore (Sys.opaque_identity e);
+  Alcotest.(check bool) (Printf.sprintf "create allocates %.0f < 8192 words" used) true
+    (used < 8_192.)
+
 let suites =
   [
     ("sim.time", [ Alcotest.test_case "conversions" `Quick test_time_conversions ]);
@@ -630,7 +759,9 @@ let suites =
           test_engine_ix_allocates_nothing;
         Alcotest.test_case "fifo across growth, re-entry, migration" `Quick
           test_engine_fifo_across_growth_reentry_migration;
+        Alcotest.test_case "create allocates little" `Quick test_engine_create_small;
         qtest prop_engine_deterministic;
+        qtest prop_engine_matches_model;
       ] );
     ( "sim.topology",
       [
@@ -655,6 +786,8 @@ let suites =
         Alcotest.test_case "split allocation flat in n" `Quick
           test_net_split_allocation_flat;
         Alcotest.test_case "jitter symmetric" `Quick test_net_jitter_symmetric;
+        Alcotest.test_case "jitter draw allocates nothing" `Quick
+          test_net_jitter_draw_allocates_nothing;
         Alcotest.test_case "broadcast" `Quick test_net_broadcast;
       ] );
   ]

@@ -11,6 +11,45 @@ let test_rng_deterministic () =
     Alcotest.(check int64) "same stream" (Rng.next_int64 a) (Rng.next_int64 b)
   done
 
+let test_rng_pinned_stream () =
+  (* splitmix64 at seed 42, recorded before the state moved into unboxed
+     bytes: every seeded experiment depends on this exact stream. *)
+  let r = Rng.create 42L in
+  let first16 = List.init 16 (fun _ -> Rng.next_int64 r) in
+  Alcotest.(check (list int64)) "first 16 draws"
+    [
+      -4767286540954276203L; 2949826092126892291L; 5139283748462763858L;
+      6349198060258255764L; 701532786141963250L; -2430762948046562554L;
+      4028864712777624925L; -3677692746721775708L; 6270620877612482005L;
+      -7037763681458882642L; 3779771651426294207L; 9094045341461139646L;
+      -8976257307478440218L; -8854191821003330121L; -6176718654468026660L;
+      3752715396868486130L;
+    ]
+    first16;
+  let r = Rng.create 42L in
+  let child = Rng.split r in
+  Alcotest.(check int64) "split child" (-4204815582636234286L) (Rng.next_int64 child);
+  Alcotest.(check int64) "parent after split" 2949826092126892291L (Rng.next_int64 r);
+  let seed = Rng.seed_of_string "dense-n50" in
+  Alcotest.(check int64) "seed_of_string" (-7690147102788910754L) seed;
+  let r = Rng.create seed in
+  Alcotest.(check (list int)) "int" [ 523; 119; 390; 477; 774; 23; 291; 683 ]
+    (List.init 8 (fun _ -> Rng.int r 1000));
+  Alcotest.(check (list (float 0.0))) "float"
+    [ 0x1.6574513afddeap-2; 0x1.c021af1f83ab7p-1; 0x1.f00f748be2786p-1; 0x1.1bb8cb7212fb9p-1 ]
+    (List.init 4 (fun _ -> Rng.float r 1.0))
+
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create 3L in
+  let sink = ref 0 in
+  let draws () =
+    for i = 1 to 1_000 do
+      sink := !sink + Rng.int r i + Rng.bits53 r
+    done
+  in
+  draws ();
+  Alcotest.(check int) "int and bits53 allocate nothing" 0 (Test_sim.minor_words draws)
+
 let test_rng_seed_sensitivity () =
   let a = Rng.create 1L and b = Rng.create 2L in
   let distinct = ref 0 in
@@ -451,6 +490,8 @@ let suites =
     ( "util.rng",
       [
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
+        Alcotest.test_case "pinned stream" `Quick test_rng_pinned_stream;
+        Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
         Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
         Alcotest.test_case "split independent" `Quick test_rng_split_independent;
         Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
