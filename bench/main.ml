@@ -1096,28 +1096,43 @@ let attack_rows =
          { ac_attack = aname; ac_protocol = pname; ac_result = r; ac_base = base })
        tagged)
 
+(* An attack row's (throughput, p50, p99) relative to its benign
+   same-seed baseline; [None] on the baseline rows. *)
+let attack_ratios c =
+  Option.map
+    (fun b ->
+      let r = c.ac_result in
+      ( r.Runner.throughput_ktps /. b.Runner.throughput_ktps,
+        r.Runner.latency_p50_ms /. b.Runner.latency_p50_ms,
+        r.Runner.latency_p99_ms /. b.Runner.latency_p99_ms ))
+    c.ac_base
+
+(* Degradation envelope: the most damage any attack may do relative to
+   its baseline. Runs are deterministic, so a row outside it is a
+   behaviour change, and the section fails rather than print it quietly. *)
+let within_envelope (tput, p50, p99) =
+  let inside lo hi x = x >= lo && x <= hi in
+  inside 0.55 1.08 tput && inside 0.85 1.3 p50 && inside 0.85 3.2 p99
+
 let attacks () =
   section_header
     "Attack corpus — strategic adversaries vs benign same-seed baselines (n=16)";
   Printf.printf "  %-8s %-15s %8s %8s %8s %6s %6s %6s %6s\n" "protocol"
     "attack" "kTPS" "p50 ms" "p99 ms" "tput x" "p50 x" "p99 x" "agree";
-  let ratio a b = a /. b in
   List.iter
     (fun c ->
       let r = c.ac_result in
-      (match c.ac_base with
+      let ratios = attack_ratios c in
+      (match ratios with
       | None ->
           Printf.printf "  %-8s %-15s %8.1f %8.1f %8.1f %6s %6s %6s %6b\n"
             c.ac_protocol c.ac_attack r.Runner.throughput_ktps
             r.Runner.latency_p50_ms r.Runner.latency_p99_ms "-" "-" "-"
             r.Runner.agreement
-      | Some b ->
+      | Some (tput, p50, p99) ->
           Printf.printf "  %-8s %-15s %8.1f %8.1f %8.1f %6.2f %6.2f %6.2f %6b\n"
             c.ac_protocol c.ac_attack r.Runner.throughput_ktps
-            r.Runner.latency_p50_ms r.Runner.latency_p99_ms
-            (ratio r.Runner.throughput_ktps b.Runner.throughput_ktps)
-            (ratio r.Runner.latency_p50_ms b.Runner.latency_p50_ms)
-            (ratio r.Runner.latency_p99_ms b.Runner.latency_p99_ms)
+            r.Runner.latency_p50_ms r.Runner.latency_p99_ms tput p50 p99
             r.Runner.agreement);
       if not r.Runner.agreement then begin
         Printf.eprintf "  AGREEMENT VIOLATED under %s/%s\n" c.ac_protocol
@@ -1128,7 +1143,15 @@ let attacks () =
         Printf.eprintf "  LIVENESS LOST under %s/%s\n" c.ac_protocol
           c.ac_attack;
         exit 1
-      end)
+      end;
+      match ratios with
+      | Some ((tput, p50, p99) as x) when not (within_envelope x) ->
+          Printf.eprintf
+            "  DEGRADATION ENVELOPE BREACHED under %s/%s: tput x%.3f p50 x%.3f \
+             p99 x%.3f\n"
+            c.ac_protocol c.ac_attack tput p50 p99;
+          exit 1
+      | _ -> ())
     (Lazy.force attack_rows)
 
 let perf () =
@@ -1288,14 +1311,10 @@ let perf () =
   let attack c =
     let r = c.ac_result in
     let ratios =
-      match c.ac_base with
+      match attack_ratios c with
       | None -> []
-      | Some base ->
-          [
-            ("tput_ratio", float (r.Runner.throughput_ktps /. base.Runner.throughput_ktps));
-            ("p50_ratio", float (r.Runner.latency_p50_ms /. base.Runner.latency_p50_ms));
-            ("p99_ratio", float (r.Runner.latency_p99_ms /. base.Runner.latency_p99_ms));
-          ]
+      | Some (tput, p50, p99) ->
+          [ ("tput_ratio", float tput); ("p50_ratio", float p50); ("p99_ratio", float p99) ]
     in
     Json.Obj
       ([

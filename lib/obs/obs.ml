@@ -5,8 +5,7 @@ type t = {
 
 let disabled = { trace = Trace.null; metrics = Metrics.create_registry () }
 
-let create ?trace_limit () =
-  { trace = Trace.create ?limit:trace_limit (); metrics = Metrics.create_registry () }
+let create () = { trace = Trace.create (); metrics = Metrics.create_registry () }
 
 let metrics_only () =
   { trace = Trace.null; metrics = Metrics.create_registry () }

@@ -17,7 +17,7 @@ val disabled : t
 (** The default: a {!Trace.null} sink and a registry nobody reads.
     {!tracing} is [false]. *)
 
-val create : ?trace_limit:int -> unit -> t
+val create : unit -> t
 (** Fresh recording trace sink (see {!Trace.create}) and fresh registry. *)
 
 val metrics_only : unit -> t

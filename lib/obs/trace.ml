@@ -153,8 +153,6 @@ type t =
   | Sink of {
       mutable records : record array;
       mutable len : int;
-      limit : int; (* max_int when unbounded *)
-      mutable dropped : int;
     }
   | Stream of { oc : out_channel; mutable written : int }
 
@@ -162,9 +160,7 @@ let null = Null
 
 let dummy = { ts = 0; ev = Vertex_deliver { node = 0; round = 0; source = 0 } }
 
-let create ?(limit = max_int) () =
-  if limit < 0 then invalid_arg "Trace.create: negative limit";
-  Sink { records = Array.make 1024 dummy; len = 0; limit; dropped = 0 }
+let create () = Sink { records = Array.make 1024 dummy; len = 0 }
 
 let stream oc = Stream { oc; written = 0 }
 
@@ -174,23 +170,19 @@ let emit t ~ts ev =
   match t with
   | Null -> ()
   | Sink s ->
-      if s.len >= s.limit then s.dropped <- s.dropped + 1
-      else begin
-        if s.len = Array.length s.records then begin
-          let bigger = Array.make (2 * s.len) dummy in
-          Array.blit s.records 0 bigger 0 s.len;
-          s.records <- bigger
-        end;
-        s.records.(s.len) <- { ts; ev };
-        s.len <- s.len + 1
-      end
+      if s.len = Array.length s.records then begin
+        let bigger = Array.make (2 * s.len) dummy in
+        Array.blit s.records 0 bigger 0 s.len;
+        s.records <- bigger
+      end;
+      s.records.(s.len) <- { ts; ev };
+      s.len <- s.len + 1
   | Stream s ->
       output_string s.oc (jsonl_of_record { ts; ev });
       output_char s.oc '\n';
       s.written <- s.written + 1
 
 let length = function Null -> 0 | Sink s -> s.len | Stream s -> s.written
-let dropped = function Null | Stream _ -> 0 | Sink s -> s.dropped
 
 let iter t f =
   match t with

@@ -104,10 +104,8 @@ type t
 val null : t
 (** The disabled sink: {!enabled} is [false], {!emit} is a no-op. *)
 
-val create : ?limit:int -> unit -> t
-(** A recording sink. [limit] caps the number of retained records (default
-    unbounded); past the cap, new events are counted in {!dropped} and
-    discarded — the run itself is never perturbed. *)
+val create : unit -> t
+(** A recording sink: retains every emitted record, growing as needed. *)
 
 val stream : out_channel -> t
 (** A streaming sink: every {!emit} writes one JSONL line to the channel
@@ -123,7 +121,6 @@ val enabled : t -> bool
 
 val emit : t -> ts:int -> event -> unit
 val length : t -> int
-val dropped : t -> int
 
 val iter : t -> (record -> unit) -> unit
 (** In emission order. Records emitted from the same engine callback share

@@ -145,8 +145,12 @@ let context ~clan ~clan_quorum =
         Echo_cert { sender; round; digest; agg });
   }
 
+(* One pull request per peer every [pull_retry]; at most [pull_budget]
+   pulls served per (instance, peer). *)
+let pull_retry = Clanbft_sim.Time.ms 200.
+let pull_budget = 8
+
 let rec create ~me ~n ?f ?clan ~protocol ~engine ~net ~keychain
-    ?(pull_retry = Clanbft_sim.Time.ms 200.) ?(pull_budget = 8)
     ?(obs = Obs.disabled) ~on_deliver () =
   let f = match f with Some f -> f | None -> (n - 1) / 3 in
   if f < 0 || (3 * f) + 1 > n then invalid_arg "Rbc.create: need n >= 3f+1";

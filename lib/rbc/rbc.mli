@@ -98,21 +98,19 @@ val create :
   engine:Clanbft_sim.Engine.t ->
   net:msg Clanbft_sim.Net.t ->
   keychain:Keychain.t ->
-  ?pull_retry:Clanbft_sim.Time.span ->
-  ?pull_budget:int ->
   ?obs:Clanbft_obs.Obs.t ->
   on_deliver:(sender:int -> round:int -> outcome -> unit) ->
   unit ->
   node
 (** Builds an honest node and installs its network handler. [clan] is
-    required (and only meaningful) for the tribe protocols. [pull_budget]
-    caps how many pull requests per (instance, peer) this node will serve
-    (rate limiting). [on_deliver] fires exactly once per (sender, round).
+    required (and only meaningful) for the tribe protocols. The node serves
+    at most 8 pull requests per (instance, peer) (rate limiting).
+    [on_deliver] fires exactly once per (sender, round).
 
     A node that agreed on a digest it lacks the payload for pulls from ECHO
     voters, then READY voters, then every other clan member, retrying one
-    peer per [pull_retry]; exhausted sweeps restart under exponential
-    backoff (capped at 16 x [pull_retry]) until delivery, so transient loss
+    peer every 200 ms; exhausted sweeps restart under exponential
+    backoff (capped at 16 x 200 ms) until delivery, so transient loss
     or Byzantine non-repliers cannot stall a clan member forever.
 
     [obs] (default {!Clanbft_obs.Obs.disabled}) records every phase

@@ -408,16 +408,12 @@ let step t =
     true
   end
 
-let run ?until ?max_events t =
-  let budget = ref (match max_events with None -> max_int | Some m -> m) in
+let run ?until t =
   let hrz = match until with None -> max_int | Some h -> h in
   let continue = ref true in
-  while !continue && !budget > 0 do
+  while !continue do
     let s = pop_current t in
-    if s <> nil then begin
-      dispatch t s;
-      decr budget
-    end
+    if s <> nil then dispatch t s
     else begin
       let time = next_event_time t in
       if time = max_int then continue := false

@@ -99,10 +99,10 @@ val drop_choice : t -> int -> unit
     a crashed node's queued deliveries). Raises [Invalid_argument] for an
     unknown id. *)
 
-val run : ?until:Time.t -> ?max_events:int -> t -> unit
-(** Process events in time order until the queue empties, the clock passes
-    [until], or [max_events] have run. When stopping on [until], the clock is
-    left at [until] and any later events stay queued. *)
+val run : ?until:Time.t -> t -> unit
+(** Process events in time order until the queue empties or the clock
+    passes [until]. When stopping on [until], the clock is left at [until]
+    and any later events stay queued. *)
 
 val step : t -> bool
 (** Process one event; [false] when the queue is empty. *)

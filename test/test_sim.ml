@@ -71,15 +71,6 @@ let test_engine_until_empty_queue () =
   Engine.run ~until:12345 e;
   Alcotest.(check int) "clock advances to horizon" 12345 (Engine.now e)
 
-let test_engine_max_events () =
-  let e = Engine.create () in
-  let ran = ref 0 in
-  for i = 1 to 10 do
-    Engine.schedule_at e i (fun () -> incr ran)
-  done;
-  Engine.run ~max_events:4 e;
-  Alcotest.(check int) "budget respected" 4 !ran
-
 let test_engine_far_future () =
   (* Beyond the calendar ring horizon: exercises the overflow heap. *)
   let e = Engine.create () in
@@ -740,7 +731,6 @@ let suites =
         Alcotest.test_case "past rejected" `Quick test_engine_past_rejected;
         Alcotest.test_case "until" `Quick test_engine_until;
         Alcotest.test_case "until empty" `Quick test_engine_until_empty_queue;
-        Alcotest.test_case "max events" `Quick test_engine_max_events;
         Alcotest.test_case "far future (overflow ring)" `Quick test_engine_far_future;
         Alcotest.test_case "ring horizon boundary" `Quick test_engine_ring_horizon_boundary;
         Alcotest.test_case "overflow migration exact time" `Quick
