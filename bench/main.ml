@@ -2,32 +2,29 @@
    evaluation, plus the ablations called out in DESIGN.md, a hot-path
    micro-benchmark suite, and a perf-regression section (BENCH_sim.json).
 
-   Profiles (CLANBFT_BENCH environment variable):
-     quick — scaled-down sizes, ~2 minutes; CI smoke run.
+   Profiles (CLANBFT_BENCH environment variable, the only scale knob):
+     quick — scaled-down sizes, ~30 s at two domains; CI smoke run.
      paper — the default: the paper's system sizes with trimmed load sweeps
              (the knee-revealing points); ~20-25 minutes on one core.
-     full  — the complete 13-point sweeps of §7; hours.
+     full  — the complete 13-point sweeps of §7, plus the n=150/300/500
+             perf rows and the n=150 profiled run; hours.
 
-   Parallelism: every (protocol × n × load) simulation point is an
-   independent deterministic job; points fan out across a Domain pool
-   (--jobs N / CLANBFT_JOBS, default Domain.recommended_domain_count).
+   Every simulation is a [Runner.spec] built by [scenario] and, unless it
+   is measured (perf timings, traced analysis, global profiler), runs
+   through [run_all]: uncached specs fan out across a Domain pool
+   (--jobs N / CLANBFT_JOBS, default Domain.recommended_domain_count),
+   results are cached by key, and any disagreement exits 1.
 
    Output discipline: stdout carries only deterministic tables — every
-   simulation point runs from a seed derived from its (protocol, n, load)
-   key, so stdout is byte-identical at any --jobs width and diffable
-   across runs. Wall-clock timings, progress lines and measured
-   micro-benchmark numbers go to stderr (and, for the perf section, to
-   BENCH_sim.json).
+   simulation runs from a seed fixed by its scenario, so stdout is
+   byte-identical at any --jobs width and diffable across runs.
+   Wall-clock timings, progress lines and measured micro-benchmark
+   numbers go to stderr (and, for the perf section, to BENCH_sim.json).
 
    Sections can be selected on the command line:
-     dune exec bench/main.exe -- [--jobs N] [--paper-scale] table1 fig1 \
-       concrete fig5a fig5b fig5c fig6 paper-scale ablation-latency \
-       ablation-rbc faults recovery metrics micro analysis profile \
-       attacks perf
-
-   --paper-scale (or CLANBFT_PAPER_SCALE=1) unlocks the n=150 work: the
-   paper-scale sweep section, the n=150 perf-baseline entry and the
-   n=150 self-profiler run. *)
+     dune exec bench/main.exe -- [--jobs N] table1 fig1 concrete fig5a \
+       fig5b fig5c fig6 ablation-latency ablation-rbc faults recovery \
+       metrics micro analysis profile attacks perf *)
 
 open Clanbft
 open Clanbft.Sim
@@ -48,12 +45,6 @@ let profile =
 
 let profile_name = match profile with Quick -> "quick" | Paper -> "paper" | Full -> "full"
 
-(* Paper-scale knob: the n=150 sweep and the n=150 perf-baseline entry are
-   minutes of single-core work, so they only run when explicitly requested
-   (--paper-scale or CLANBFT_PAPER_SCALE=1). The default quick profile
-   stays CI-fast. *)
-let paper_scale_enabled = ref (Sys.getenv_opt "CLANBFT_PAPER_SCALE" <> None)
-
 let section_header title =
   Printf.printf "\n%s\n%s\n%s\n" (String.make 78 '=') title (String.make 78 '=')
 
@@ -72,17 +63,70 @@ let progress fmt =
     fmt
 
 (* ------------------------------------------------------------------ *)
-(* Worker pool: set from --jobs / CLANBFT_JOBS before sections run. *)
+(* Worker pool: its width is set from --jobs / CLANBFT_JOBS before
+   sections run. *)
 
-let requested_jobs = ref None
+let jobs = ref 1
 
 let pool =
   lazy
-    (let jobs =
-       match !requested_jobs with Some j -> j | None -> Pool.default_jobs ()
-     in
-     progress "using %d worker domain(s)\n" jobs;
-     Pool.create ~jobs ())
+    (progress "using %d worker domain(s)\n" !jobs;
+     Pool.create ~jobs:!jobs ())
+
+(* ------------------------------------------------------------------ *)
+(* Scenarios: every simulation in the bench is a [Runner.spec] built here.
+   A [seed] names the scenario and fixes its RNG, so a result does not
+   depend on which other runs happen, on which domain, or in what order;
+   without one the run keeps [Runner.default_spec]'s seed. Fields the
+   constructor does not take (topology, faults, adversaries, the obs
+   registry) are set with [{ (scenario ...) with ... }]. *)
+
+let scenario ?(n = 16) ?(duration = 4.) ?(warmup = 1.) ?(scale = 1) ?seed
+    protocol load =
+  {
+    Runner.default_spec with
+    n;
+    protocol;
+    txns_per_proposal = load;
+    txn_scale = scale;
+    duration = Time.s duration;
+    warmup = Time.s warmup;
+    seed =
+      Option.fold ~none:Runner.default_spec.seed ~some:Rng.seed_of_string seed;
+  }
+
+(* The agreement gate: a run whose replicas disagree ends the bench. *)
+let check_agreement key (r : Runner.result) =
+  if not r.agreement then begin
+    Printf.eprintf "  AGREEMENT VIOLATED: %s\n%!" key;
+    exit 1
+  end
+
+let result_cache : (string, Runner.result) Hashtbl.t = Hashtbl.create 64
+
+(* The one run path for unmeasured simulations: the keyed specs not yet
+   cached fan out across the pool, each result passes the agreement gate,
+   and the results come back in input order. A key must name every spec
+   field its section varies; sections read the same key back from the
+   cache instead of re-running it. *)
+let run_all runs =
+  let todo = List.filter (fun (key, _) -> not (Hashtbl.mem result_cache key)) runs in
+  if todo <> [] then begin
+    let results, secs =
+      wall (fun () ->
+          Runner.run_many ~pool:(Lazy.force pool) (Array.of_list (List.map snd todo)))
+    in
+    List.iteri
+      (fun i (key, _) ->
+        let r = results.(i) in
+        progress "    %-44s -> %8.1f kTPS  %7.1f ms\n" key r.Runner.throughput_ktps
+          r.Runner.latency_mean_ms;
+        check_agreement key r;
+        Hashtbl.replace result_cache key r)
+      todo;
+    progress "  %d run(s), %.0fs wall\n" (List.length todo) secs
+  end;
+  List.map (fun (key, _) -> Hashtbl.find result_cache key) runs
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: inter-region RTTs used by the simulator *)
@@ -151,85 +195,10 @@ let concrete () =
     [ 50; 100; 150 ]
 
 (* ------------------------------------------------------------------ *)
-(* Figures 5a/5b/5c and 6: throughput vs latency, by protocol.
-
-   Every (protocol, n, load) point is one independent simulation job.
-   [prefetch] fans the uncached points of a figure out across the pool;
-   the printing code then reads results from the cache in deterministic
-   order. Each point derives its RNG seed from its own key, so a result
-   does not depend on which domain (or in which order) computed it. *)
-
-type point = {
-  pn : int;
-  pprotocol : Runner.protocol;
-  pload : int;
-  pduration : float;
-  pwarmup : float;
-  pscale : int;
-}
-
-let point_key p =
-  Printf.sprintf "%s/%d/%d" (Runner.protocol_label p.pprotocol) p.pn p.pload
-
-let spec_of_point p =
-  {
-    Runner.default_spec with
-    n = p.pn;
-    protocol = p.pprotocol;
-    txns_per_proposal = p.pload;
-    txn_scale = p.pscale;
-    duration = Time.s p.pduration;
-    warmup = Time.s p.pwarmup;
-    seed = Rng.seed_of_string (point_key p);
-  }
-
-let result_cache : (string, Runner.result) Hashtbl.t = Hashtbl.create 64
-
-let compute_point p =
-  let r, secs = wall (fun () -> Runner.run (spec_of_point p)) in
-  progress "    %-26s load=%-5d -> %8.1f kTPS  %7.1f ms  [%4.0fs wall]\n"
-    (Runner.protocol_label p.pprotocol)
-    p.pload r.throughput_ktps r.latency_mean_ms secs;
-  r
-
-let prefetch points =
-  let seen = Hashtbl.create 16 in
-  let todo =
-    List.filter
-      (fun p ->
-        let k = point_key p in
-        if Hashtbl.mem result_cache k || Hashtbl.mem seen k then false
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      points
-  in
-  if todo <> [] then begin
-    let todo = Array.of_list todo in
-    let results = Pool.map (Lazy.force pool) compute_point todo in
-    Array.iteri
-      (fun i r -> Hashtbl.replace result_cache (point_key todo.(i)) r)
-      results
-  end
-
-let run_point p =
-  match Hashtbl.find_opt result_cache (point_key p) with
-  | Some r -> r
-  | None ->
-      let r = compute_point p in
-      Hashtbl.replace result_cache (point_key p) r;
-      r
-
-let print_figure_rows title points =
-  Printf.printf "\n  %s\n" title;
-  Printf.printf "  %-26s %8s %12s %12s %10s %8s\n" "protocol" "load/prop"
-    "tput (kTPS)" "latency (ms)" "MB/s/node" "agree";
-  List.iter
-    (fun (r : Runner.result) ->
-      Printf.printf "  %-26s %8s %12.1f %12.1f %10.1f %8b\n"
-        r.label "" r.throughput_ktps r.latency_mean_ms r.mb_per_node_per_s r.agreement)
-    points
+(* Figures 5a/5b/5c and 6: throughput vs latency, by protocol. Every
+   (protocol, n, load) point is one run seeded from "protocol/n/load";
+   its cache key adds the window and scale, which differ between
+   profiles. *)
 
 let fig5_sizes () =
   (* figure letter -> (title, n, clan size, multi-clan q option, loads,
@@ -254,125 +223,90 @@ let fig5_sizes () =
         ('c', ("Figure 5c (n=150, clan 80, q=2)", 150, 80, Some 2, paper_loads, 10.0, 3.0, 25));
       ]
 
-let figure_protocols ~nc ~multi =
-  [ Runner.Full; Runner.Single_clan { nc } ]
-  @ (match multi with Some q -> [ Runner.Multi_clan { q } ] | None -> [])
-
-let figure_points ~n ~protocols ~loads ~duration ~warmup ~scale =
-  List.concat_map
-    (fun protocol ->
-      List.map
-        (fun load ->
-          {
-            pn = n;
-            pprotocol = protocol;
-            pload = load;
-            pduration = duration;
-            pwarmup = warmup;
-            pscale = scale;
-          })
-        loads)
-    protocols
+(* Figure [which]'s title, size, loads and per-protocol results in load
+   order; [None] when the profile skips it. All points run in one batch. *)
+let figure which =
+  Option.map
+    (fun (title, n, nc, multi, loads, duration, warmup, scale) ->
+      let protocols =
+        [ Runner.Full; Runner.Single_clan { nc } ]
+        @ Option.fold ~none:[] ~some:(fun q -> [ Runner.Multi_clan { q } ]) multi
+      in
+      let point protocol load =
+        let seed = Printf.sprintf "%s/%d/%d" (Runner.protocol_label protocol) n load in
+        ( Printf.sprintf "%s/%gs/%gs/x%d" seed duration warmup scale,
+          scenario ~n ~duration ~warmup ~scale ~seed protocol load )
+      in
+      let points = List.map (fun p -> (p, List.map (point p) loads)) protocols in
+      ignore (run_all (List.concat_map snd points));
+      (title, n, loads, List.map (fun (p, runs) -> (p, run_all runs)) points))
+    (List.assoc_opt which (fig5_sizes ()))
 
 let fig5 which () =
-  match List.assoc_opt which (fig5_sizes ()) with
+  match figure which with
   | None ->
       section_header
         (Printf.sprintf "Figure 5%c — throughput vs latency [%s profile]" which profile_name);
       Printf.printf "  skipped at the %s profile\n" profile_name
-  | Some (title, n, nc, multi, loads, duration, warmup, scale) ->
+  | Some (title, _, loads, by_protocol) ->
       section_header
         (Printf.sprintf "%s — throughput vs latency [%s profile]" title profile_name);
-      let protocols = figure_protocols ~nc ~multi in
-      prefetch (figure_points ~n ~protocols ~loads ~duration ~warmup ~scale);
+      let width =
+        List.fold_left
+          (fun w (_, rs) ->
+            List.fold_left (fun w (r : Runner.result) -> max w (String.length r.label)) w rs)
+          26 by_protocol
+      in
       List.iter
-        (fun protocol ->
-          let points =
-            List.map
-              (fun load ->
-                run_point
-                  { pn = n; pprotocol = protocol; pload = load; pduration = duration;
-                    pwarmup = warmup; pscale = scale })
-              loads
-          in
-          print_figure_rows (Runner.protocol_label protocol) points)
-        protocols;
+        (fun (protocol, rs) ->
+          Printf.printf "\n  %s\n" (Runner.protocol_label protocol);
+          Printf.printf "  %-*s %9s %12s %12s %10s %8s\n" width "protocol" "load/prop"
+            "tput (kTPS)" "latency (ms)" "MB/s/node" "agree";
+          List.iter2
+            (fun load (r : Runner.result) ->
+              Printf.printf "  %-*s %9d %12.1f %12.1f %10.1f %8b\n" width r.label load
+                r.throughput_ktps r.latency_mean_ms r.mb_per_node_per_s r.agreement)
+            loads rs)
+        by_protocol;
       Printf.printf
         "\n  Expected shape (paper): Sailfish saturates first; single-clan reaches\n\
-        \  higher throughput with lower latency; multi-clan roughly doubles the\n\
-        \  single-clan throughput at n=150.\n"
+        \  higher throughput with lower latency";
+      match by_protocol with
+      | [ (_, sailfish); (_, single); (_, multi) ] ->
+          Printf.printf
+            "; multi-clan roughly doubles the\n  single-clan throughput at n=150.\n";
+          (* The Fig. 5a-c story, checked mechanically at peak: single-clan
+             beats Sailfish (payload leaves one uplink set, not every
+             uplink), and multi-clan recovers proposer parallelism on top. *)
+          let peak =
+            List.fold_left (fun acc (r : Runner.result) -> Float.max acc r.throughput_ktps) 0.0
+          in
+          let sailfish = peak sailfish and single = peak single and multi = peak multi in
+          Printf.printf
+            "\n  Peak throughput: sailfish %.1f kTPS, single-clan %.1f kTPS, multi-clan %.1f kTPS\n"
+            sailfish single multi;
+          Printf.printf "  shape: single-clan > sailfish: %b; multi-clan > single-clan: %b\n"
+            (single > sailfish) (multi > single)
+      | _ -> Printf.printf ".\n"
 
 (* Figure 6 re-presents the Figure 5c sweep as throughput vs input load. *)
 let fig6 () =
-  let _, n, nc, multi, loads, duration, warmup, scale = List.assoc 'c' (fig5_sizes ()) in
+  let _, n, loads, by_protocol = Option.get (figure 'c') in
   section_header
     (Printf.sprintf
        "Figure 6. Throughput vs transactions per proposal at n=%d [%s profile]" n
        profile_name);
-  let protocols = figure_protocols ~nc ~multi in
-  prefetch (figure_points ~n ~protocols ~loads ~duration ~warmup ~scale);
   Printf.printf "  %-12s" "load";
-  List.iter (fun p -> Printf.printf "%26s" (Runner.protocol_label p)) protocols;
+  List.iter (fun (p, _) -> Printf.printf "%26s" (Runner.protocol_label p)) by_protocol;
   Printf.printf "\n";
-  List.iter
-    (fun load ->
+  List.iteri
+    (fun i load ->
       Printf.printf "  %-12d" load;
       List.iter
-        (fun protocol ->
-          let r =
-            run_point
-              { pn = n; pprotocol = protocol; pload = load; pduration = duration;
-                pwarmup = warmup; pscale = scale }
-          in
-          Printf.printf "%20.1f kTPS" r.throughput_ktps)
-        protocols;
+        (fun (_, rs) -> Printf.printf "%20.1f kTPS" (List.nth rs i).Runner.throughput_ktps)
+        by_protocol;
       Printf.printf "\n%!")
     loads
-
-(* ------------------------------------------------------------------ *)
-(* Paper-scale sweep: the full n=150 system size of Fig. 5c, all three
-   protocols, exercising the batched fan-out fast path at its design
-   scale (149 remote copies per broadcast). *)
-
-let paper_scale () =
-  section_header "Paper-scale sweep — n=150, clan 80, all three protocols (Fig. 5 shape)";
-  if not !paper_scale_enabled then
-    Printf.printf
-      "  skipped: pass --paper-scale (or set CLANBFT_PAPER_SCALE=1) to run\n"
-  else begin
-    let n = 150 and nc = 80 in
-    let loads = [ 500; 1500 ] in
-    let duration = 3.0 and warmup = 0.9 and scale = 50 in
-    let protocols = figure_protocols ~nc ~multi:(Some 2) in
-    prefetch (figure_points ~n ~protocols ~loads ~duration ~warmup ~scale);
-    let result protocol load =
-      run_point
-        { pn = n; pprotocol = protocol; pload = load; pduration = duration;
-          pwarmup = warmup; pscale = scale }
-    in
-    List.iter
-      (fun protocol ->
-        print_figure_rows (Runner.protocol_label protocol)
-          (List.map (result protocol) loads))
-      protocols;
-    (* The Fig. 5a-c story, checked mechanically at the saturating load:
-       single-clan beats Sailfish on throughput (payload leaves one uplink
-       set, not every uplink), and multi-clan recovers proposer parallelism
-       on top of that. *)
-    let peak protocol =
-      List.fold_left
-        (fun acc load -> Float.max acc (result protocol load).Runner.throughput_ktps)
-        0.0 loads
-    in
-    let sailfish = peak Runner.Full in
-    let single = peak (Runner.Single_clan { nc }) in
-    let multi = peak (Runner.Multi_clan { q = 2 }) in
-    Printf.printf
-      "\n  Peak throughput: sailfish %.1f kTPS, single-clan %.1f kTPS, multi-clan %.1f kTPS\n"
-      sailfish single multi;
-    Printf.printf "  shape: single-clan > sailfish: %b; multi-clan > single-clan: %b\n"
-      (single > sailfish) (multi > single)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Ablation A1: latency architecture comparison (§1, §8) *)
@@ -389,15 +323,13 @@ let ablation_latency () =
      negligible payload, measure mean commit latency / delta. *)
   let delta_ms = 40.0 in
   let r =
-    Runner.run
-      {
-        Runner.default_spec with
-        n = 10;
-        topology = `Uniform delta_ms;
-        txns_per_proposal = 1;
-        duration = Time.s 8.;
-        warmup = Time.s 2.;
-      }
+    List.hd
+      (run_all
+         [
+           ( "ablation-latency/sailfish-n10-uniform",
+             { (scenario ~n:10 ~duration:8. ~warmup:2. Runner.Full 1) with
+               topology = `Uniform delta_ms } );
+         ])
   in
   Printf.printf
     "\n  Measured (simulated Sailfish, n=10, uniform delta=%.0f ms):\n\
@@ -522,25 +454,17 @@ let faults () =
     | Ok p -> p
     | Error e -> failwith e
   in
-  let spec =
-    {
-      Runner.default_spec with
-      n = 16;
-      protocol = Runner.Single_clan { nc = 11 };
-      txns_per_proposal = 100;
-      duration = Time.s 10.;
-      warmup = Time.s 4.;
-      fault_plan = plan;
-    }
+  let r =
+    List.hd
+      (run_all
+         [
+           ( "faults/single-clan-partition-loss",
+             { (scenario ~duration:10. ~warmup:4. (Runner.Single_clan { nc = 11 }) 100) with
+               fault_plan = plan } );
+         ])
   in
-  let r, secs = wall (fun () -> Runner.run spec) in
-  progress "  faults SMR run: %.0fs wall\n" secs;
   Printf.printf "  %-26s -> %8.1f kTPS  %7.1f ms  agree=%b\n" r.label
-    r.throughput_ktps r.latency_mean_ms r.agreement;
-  if not r.agreement then begin
-    Printf.eprintf "  AGREEMENT VIOLATED under faults\n";
-    exit 1
-  end
+    r.throughput_ktps r.latency_mean_ms r.agreement
 
 (* ------------------------------------------------------------------ *)
 (* Crash–recovery: WAL replay + state sync (docs/RECOVERY.md) *)
@@ -549,22 +473,21 @@ let recovery () =
   section_header
     "Crash-recovery — replica 3 crashes at 4 s, restarts from its WAL at 8 s";
   let obs = Obs.metrics_only () in
-  let spec =
-    {
-      Runner.default_spec with
-      n = 16;
-      protocol = Runner.Single_clan { nc = 11 };
-      txns_per_proposal = 200;
-      duration = Time.s 12.;
-      warmup = Time.s 2.;
-      seed = Rng.seed_of_string "recovery-n16";
-      restarts =
-        [ { Faults.node = 3; crash_at = Time.s 4.; recover_at = Time.s 8. } ];
-      obs = Some obs;
-    }
+  let r =
+    List.hd
+      (run_all
+         [
+           ( "recovery-n16",
+             {
+               (scenario ~duration:12. ~warmup:2. ~seed:"recovery-n16"
+                  (Runner.Single_clan { nc = 11 }) 200)
+               with
+               restarts =
+                 [ { Faults.node = 3; crash_at = Time.s 4.; recover_at = Time.s 8. } ];
+               obs = Some obs;
+             } );
+         ])
   in
-  let r, secs = wall (fun () -> Runner.run spec) in
-  progress "  recovery run: %.0fs wall\n" secs;
   Printf.printf "  %-26s -> %8.1f kTPS  %7.1f ms  agree=%b\n" r.label
     r.throughput_ktps r.latency_mean_ms r.agreement;
   let fetched =
@@ -579,10 +502,6 @@ let recovery () =
       Printf.printf "  post-recovery commits [replica %d]: %d\n" node c)
     r.post_recovery_commits;
   Printf.printf "  commit fingerprint: %#x\n" r.commit_fingerprint;
-  if not r.agreement then begin
-    Printf.eprintf "  AGREEMENT VIOLATED after recovery\n";
-    exit 1
-  end;
   if fetched = 0 || List.exists (fun (_, c) -> c = 0) r.post_recovery_commits
   then begin
     Printf.eprintf "  recovered replica made no post-recovery progress\n";
@@ -613,33 +532,20 @@ let metrics () =
     | Quick -> (16, 11, 4.0, 1.0, 100)
     | Paper | Full -> (50, 32, 6.0, 2.0, 500)
   in
-  let protocols =
-    [| Runner.Full; Runner.Single_clan { nc }; Runner.Multi_clan { q = 2 } |]
-  in
+  let protocols = [ Runner.Full; Runner.Single_clan { nc }; Runner.Multi_clan { q = 2 } ] in
   (* Each run owns a private registry, so the three protocols fan out
      across the pool; rows print sequentially afterwards. *)
-  let runs =
-    Pool.map (Lazy.force pool)
-      (fun protocol ->
-        let obs = Obs.metrics_only () in
-        let spec =
-          {
-            Runner.default_spec with
-            n;
-            protocol;
-            txns_per_proposal = load;
-            duration = Time.s duration;
-            warmup = Time.s warmup;
-            obs = Some obs;
-          }
-        in
-        let r, secs = wall (fun () -> Runner.run spec) in
-        progress "  %-26s done [%3.0fs wall]\n" r.Runner.label secs;
-        (protocol, obs, r))
-      protocols
+  let registries = List.map (fun protocol -> (protocol, Obs.metrics_only ())) protocols in
+  let results =
+    run_all
+      (List.map
+         (fun (protocol, obs) ->
+           ( "metrics/" ^ Runner.protocol_label protocol,
+             { (scenario ~n ~duration ~warmup protocol load) with obs = Some obs } ))
+         registries)
   in
-  Array.iter
-    (fun (protocol, obs, (r : Runner.result)) ->
+  List.iter2
+    (fun (protocol, obs) (r : Runner.result) ->
       Printf.printf "\n  %-26s %8.1f kTPS  %7.1f ms  agree=%b\n"
         r.label r.throughput_ktps r.latency_mean_ms r.agreement;
       (* Per-kind byte breakdown: the numbers behind Fig. 5's bandwidth
@@ -672,7 +578,7 @@ let metrics () =
       in
       Metrics.write_json obs.Obs.metrics path;
       Printf.printf "  registry -> %s\n%!" path)
-    runs
+    registries results
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks: hot-path throughput, measured once per process and
@@ -817,58 +723,46 @@ let micro () =
 
 let bench_sim_json = "BENCH_sim.json"
 
-type perf_scenario = { ps_name : string; ps_spec : Runner.spec }
-
-let mk_perf_scenario ?(n = 16) ?(duration = 4.) ?(warmup = 1.) name protocol load =
-  {
-    ps_name = name;
-    ps_spec =
-      {
-        Runner.default_spec with
-        n;
-        protocol;
-        txns_per_proposal = load;
-        duration = Time.s duration;
-        warmup = Time.s warmup;
-        seed = Rng.seed_of_string name;
-      };
-  }
+(* A perf scenario is named by its seed string. *)
+let perf_scenario ?n ?duration ?warmup name protocol load =
+  (name, scenario ?n ?duration ?warmup ~seed:name protocol load)
 
 (* The four pinned n=16 scenarios: the fingerprinted determinism anchors,
    and the only ones traced for the analysis section (tracing an n=150 run
    would dominate the whole bench). *)
-let pinned_perf_scenarios () =
+let pinned_perf_scenarios =
   [
-    mk_perf_scenario "sailfish-n16-load200" Runner.Full 200;
-    mk_perf_scenario "single-clan-n16-load400" (Runner.Single_clan { nc = 11 }) 400;
-    mk_perf_scenario "multi-clan-n16q2-load200" (Runner.Multi_clan { q = 2 }) 200;
-    mk_perf_scenario "sparse-n16-load200" (Runner.Sparse { k = 3 }) 200;
+    perf_scenario "sailfish-n16-load200" Runner.Full 200;
+    perf_scenario "single-clan-n16-load400" (Runner.Single_clan { nc = 11 }) 400;
+    perf_scenario "multi-clan-n16q2-load200" (Runner.Multi_clan { q = 2 }) 200;
+    perf_scenario "sparse-n16-load200" (Runner.Sparse { k = 3 }) 200;
   ]
+
+(* The n=150 dense run: a perf row and a profiled run at the full profile. *)
+let sailfish_n150 =
+  perf_scenario ~n:150 ~duration:1. ~warmup:0.25 "sailfish-n150-load200" Runner.Full 200
 
 (* Scale scenarios ride in BENCH_sim.json behind the pinned quartet: n=50
    always (cheap enough for CI, catches fan-out regressions the n=16 runs
    under-weight), the dense-vs-sparse n=150 head-to-head plus the n=300
-   dense and n=500 sparse stretch runs only at --paper-scale. The stretch
+   dense and n=500 sparse stretch runs at the full profile. The stretch
    durations shrink with n: event volume grows with n^3 (echo fan-out),
    so the sim horizon is what keeps the wall time in minutes. *)
-let perf_scenarios () =
-  pinned_perf_scenarios ()
+let perf_scenarios =
+  pinned_perf_scenarios
   @ [
-      mk_perf_scenario ~n:50 ~duration:2. ~warmup:0.5 "sailfish-n50-load200"
-        Runner.Full 200;
-      mk_perf_scenario ~n:50 ~duration:2. ~warmup:0.5 "sparse-n50-load200"
+      perf_scenario ~n:50 ~duration:2. ~warmup:0.5 "sailfish-n50-load200" Runner.Full 200;
+      perf_scenario ~n:50 ~duration:2. ~warmup:0.5 "sparse-n50-load200"
         (Runner.Sparse { k = 6 }) 200;
     ]
   @
-  if !paper_scale_enabled then
+  if profile = Full then
     [
-      mk_perf_scenario ~n:150 ~duration:1. ~warmup:0.25 "sailfish-n150-load200"
-        Runner.Full 200;
-      mk_perf_scenario ~n:150 ~duration:1. ~warmup:0.25 "sparse-n150-load200"
+      sailfish_n150;
+      perf_scenario ~n:150 ~duration:1. ~warmup:0.25 "sparse-n150-load200"
         (Runner.Sparse { k = 8 }) 200;
-      mk_perf_scenario ~n:300 ~duration:0.5 ~warmup:0.1 "sailfish-n300-load200"
-        Runner.Full 200;
-      mk_perf_scenario ~n:500 ~duration:0.4 ~warmup:0.1 "sparse-n500-load200"
+      perf_scenario ~n:300 ~duration:0.5 ~warmup:0.1 "sailfish-n300-load200" Runner.Full 200;
+      perf_scenario ~n:500 ~duration:0.4 ~warmup:0.1 "sparse-n500-load200"
         (Runner.Sparse { k = 9 }) 200;
     ]
   else []
@@ -882,16 +776,14 @@ let perf_scenarios () =
 let analysis_rows =
   lazy
     (List.map
-       (fun sc ->
+       (fun (name, spec) ->
          let obs = Obs.create () in
-         let r, secs =
-           wall (fun () -> Runner.run { sc.ps_spec with Runner.obs = Some obs })
-         in
-         progress "  %-26s %6.2fs wall (traced, %d events)\n" sc.ps_name secs
+         let r, secs = wall (fun () -> Runner.run { spec with Runner.obs = Some obs }) in
+         progress "  %-26s %6.2fs wall (traced, %d events)\n" name secs
            (Trace.length obs.Obs.trace);
-         assert r.Runner.agreement;
-         (sc, Analyze.analyze (Trace.records obs.Obs.trace)))
-       (pinned_perf_scenarios ()))
+         check_agreement name r;
+         (name, Analyze.analyze (Trace.records obs.Obs.trace)))
+       pinned_perf_scenarios)
 
 let analysis () =
   section_header
@@ -899,9 +791,9 @@ let analysis () =
   Printf.printf "  %-26s %-14s %9s %9s %9s\n" "scenario" "segment" "p50 ms"
     "p99 ms" "max ms";
   List.iter
-    (fun (sc, (rep : Analyze.report)) ->
+    (fun (scenario_name, (rep : Analyze.report)) ->
       let row name (d : Analyze.dist) =
-        Printf.printf "  %-26s %-14s %9.1f %9.1f %9.1f\n" sc.ps_name name
+        Printf.printf "  %-26s %-14s %9.1f %9.1f %9.1f\n" scenario_name name
           (float_of_int d.Analyze.p50_us /. 1000.)
           (float_of_int d.Analyze.p99_us /. 1000.)
           (float_of_int d.Analyze.max_us /. 1000.)
@@ -910,14 +802,14 @@ let analysis () =
         (fun (seg, d) -> row (Analyze.segment_name seg) d)
         rep.Analyze.segments;
       row "end_to_end" rep.Analyze.e2e;
-      Printf.printf "  %-26s %-14s %9d %9d\n" sc.ps_name "paths/stalls"
+      Printf.printf "  %-26s %-14s %9d %9d\n" scenario_name "paths/stalls"
         rep.Analyze.e2e.Analyze.count
         (List.length rep.Analyze.stalls))
     (Lazy.force analysis_rows)
 
 (* ------------------------------------------------------------------ *)
 (* Self-profiler sweep — the pinned perf quartet re-run sequentially with
-   the Prof sections enabled (plus the n=150 dense run at --paper-scale).
+   the Prof sections enabled (plus the n=150 dense run at the full profile).
    Deterministic profiler facts — per-section call counts, allocated
    words, the heap census, the commit fingerprint — go to stdout and into
    BENCH_sim.json; wall-time attribution is a real-clock measurement and
@@ -934,37 +826,30 @@ type profiled_run = {
   pf_census : (string * int) list;
 }
 
-let profile_scenarios () =
-  pinned_perf_scenarios ()
-  @
-  if !paper_scale_enabled then
-    [
-      mk_perf_scenario ~n:150 ~duration:1. ~warmup:0.25 "sailfish-n150-load200"
-        Runner.Full 200;
-    ]
-  else []
+let profile_scenarios =
+  pinned_perf_scenarios @ if profile = Full then [ sailfish_n150 ] else []
 
 let profile_rows =
   lazy
     (List.map
-       (fun sc ->
+       (fun (name, spec) ->
          Gc.full_major ();
          Prof.reset ();
          Prof.set_enabled true;
-         let r, secs = wall (fun () -> Runner.run sc.ps_spec) in
+         let r, secs = wall (fun () -> Runner.run spec) in
          Prof.set_enabled false;
          let rows = Prof.report () in
-         progress "  %-26s %6.2fs wall (profiled, %d sections)\n" sc.ps_name
-           secs (List.length rows);
-         assert r.Runner.agreement;
+         progress "  %-26s %6.2fs wall (profiled, %d sections)\n" name secs
+           (List.length rows);
+         check_agreement name r;
          {
-           pf_name = sc.ps_name;
+           pf_name = name;
            pf_fingerprint = r.Runner.commit_fingerprint;
            pf_wall_s = secs;
            pf_rows = rows;
            pf_census = r.Runner.census;
          })
-       (profile_scenarios ()))
+       profile_scenarios)
 
 let top_by_self k rows =
   List.filteri
@@ -1033,24 +918,6 @@ let attack_restart =
    measures the amplification, not the crash. *)
 let attack_baseline_of restart = if restart then "benign+restart" else "benign"
 
-let attack_spec ~proto_name ~protocol ~restart adversaries =
-  let adversaries =
-    match Strategy.of_specs adversaries with
-    | Ok l -> l
-    | Error e -> failwith e
-  in
-  {
-    Runner.default_spec with
-    n = 16;
-    protocol;
-    txns_per_proposal = 200;
-    duration = Time.s 4.;
-    warmup = Time.s 1.;
-    seed = Rng.seed_of_string ("attacks-" ^ proto_name);
-    adversaries;
-    restarts = (if restart then attack_restart else []);
-  }
-
 type attack_cell = {
   ac_attack : string;
   ac_protocol : string;
@@ -1060,25 +927,29 @@ type attack_cell = {
 
 let attack_rows =
   lazy
-    (let specs =
+    (let runs =
        List.concat_map
          (fun (pname, protocol) ->
-           let mk = attack_spec ~proto_name:pname ~protocol in
-           ("benign", pname, mk ~restart:false [])
-           :: ("benign+restart", pname, mk ~restart:true [])
-           :: List.map
-                (fun (aname, dsl, restart) -> (aname, pname, mk ~restart dsl))
-                attack_corpus)
+           let run aname ~restart dsl =
+             let adversaries =
+               match Strategy.of_specs dsl with Ok l -> l | Error e -> failwith e
+             in
+             ( (aname, pname),
+               ( Printf.sprintf "attacks/%s/%s" pname aname,
+                 {
+                   (scenario ~seed:("attacks-" ^ pname) protocol 200) with
+                   adversaries;
+                   restarts = (if restart then attack_restart else []);
+                 } ) )
+           in
+           run "benign" ~restart:false []
+           :: run "benign+restart" ~restart:true []
+           :: List.map (fun (aname, dsl, restart) -> run aname ~restart dsl) attack_corpus)
          attack_protocols
      in
-     let results, secs =
-       wall (fun () ->
-           Runner.run_many ~pool:(Lazy.force pool)
-             (Array.of_list (List.map (fun (_, _, s) -> s) specs)))
+     let tagged =
+       List.map2 (fun ((a, p), _) r -> (a, p, r)) runs (run_all (List.map snd runs))
      in
-     progress "  attack corpus: %d runs, %.0fs wall\n" (Array.length results)
-       secs;
-     let tagged = List.mapi (fun i (a, p, _) -> (a, p, results.(i))) specs in
      let baseline name pname =
        List.find_map
          (fun (a, p, r) -> if a = name && p = pname then Some r else None)
@@ -1134,11 +1005,6 @@ let attacks () =
             c.ac_protocol c.ac_attack r.Runner.throughput_ktps
             r.Runner.latency_p50_ms r.Runner.latency_p99_ms tput p50 p99
             r.Runner.agreement);
-      if not r.Runner.agreement then begin
-        Printf.eprintf "  AGREEMENT VIOLATED under %s/%s\n" c.ac_protocol
-          c.ac_attack;
-        exit 1
-      end;
       if r.Runner.committed_txns = 0 then begin
         Printf.eprintf "  LIVENESS LOST under %s/%s\n" c.ac_protocol
           c.ac_attack;
@@ -1154,20 +1020,33 @@ let attacks () =
       | _ -> ())
     (Lazy.force attack_rows)
 
+(* One timed perf run: its result, wall time and GC word deltas. *)
+type perf_run = {
+  pr_name : string;
+  pr_spec : Runner.spec;
+  pr_result : Runner.result;
+  pr_wall_s : float;
+  pr_minor : float;
+  pr_major : float;
+  pr_promoted : float;
+  pr_live : int;
+  pr_top : int;
+}
+
 let perf () =
   section_header
     (Printf.sprintf "Perf baseline — pinned scenarios + hot-path micros -> %s"
        bench_sim_json);
-  let scenarios = perf_scenarios () in
   Printf.printf "  %-26s %4s %6s %10s %12s %8s %18s\n" "scenario" "n" "load"
     "committed" "events" "agree" "fingerprint";
   let measured =
     List.map
-      (fun sc ->
+      (fun (name, spec) ->
         Gc.full_major ();
         let g0 = Gc.quick_stat () in
-        let r, secs = wall (fun () -> Runner.run sc.ps_spec) in
+        let r, secs = wall (fun () -> Runner.run spec) in
         let g1 = Gc.quick_stat () in
+        check_agreement name r;
         let minor = g1.Gc.minor_words -. g0.Gc.minor_words in
         let major = g1.Gc.major_words -. g0.Gc.major_words in
         let promoted = g1.Gc.promoted_words -. g0.Gc.promoted_words in
@@ -1183,13 +1062,22 @@ let perf () =
         progress
           "  %-26s %6.2fs wall  %9.0f events/s  minor %11.0f w  major %10.0f \
            w  live %9d w  top %9d w\n"
-          sc.ps_name secs events_per_s minor major live top;
-        Printf.printf "  %-26s %4d %6d %10d %12d %8b %#18x\n" sc.ps_name
-          sc.ps_spec.Runner.n sc.ps_spec.Runner.txns_per_proposal
-          r.Runner.committed_txns r.Runner.events r.Runner.agreement
-          r.Runner.commit_fingerprint;
-        (sc, r, secs, events_per_s, minor, major, promoted, live, top))
-      scenarios
+          name secs events_per_s minor major live top;
+        Printf.printf "  %-26s %4d %6d %10d %12d %8b %#18x\n" name spec.Runner.n
+          spec.Runner.txns_per_proposal r.Runner.committed_txns r.Runner.events
+          r.Runner.agreement r.Runner.commit_fingerprint;
+        {
+          pr_name = name;
+          pr_spec = spec;
+          pr_result = r;
+          pr_wall_s = secs;
+          pr_minor = minor;
+          pr_major = major;
+          pr_promoted = promoted;
+          pr_live = live;
+          pr_top = top;
+        })
+      perf_scenarios
   in
   let micros = Lazy.force micro_suite in
   (* Tracing overhead: traced vs untraced same-seed wall ratio for the
@@ -1197,22 +1085,20 @@ let perf () =
      state are comparable. The ratio rides in the micro object; being a
      wall-clock fact, the detail line goes to stderr. *)
   let trace_overhead =
-    let sc = List.hd scenarios in
+    let name, spec = List.hd perf_scenarios in
     Gc.full_major ();
-    let plain, plain_s = wall (fun () -> Runner.run sc.ps_spec) in
+    let plain, plain_s = wall (fun () -> Runner.run spec) in
     Gc.full_major ();
     let obs = Obs.create () in
-    let traced, traced_s =
-      wall (fun () -> Runner.run { sc.ps_spec with Runner.obs = Some obs })
-    in
+    let traced, traced_s = wall (fun () -> Runner.run { spec with Runner.obs = Some obs }) in
     if plain.Runner.commit_fingerprint <> traced.Runner.commit_fingerprint
     then begin
-      Printf.eprintf "  TRACING CHANGED THE RUN on %s\n" sc.ps_name;
+      Printf.eprintf "  TRACING CHANGED THE RUN on %s\n" name;
       exit 1
     end;
     let ratio = traced_s /. plain_s in
     progress "  trace overhead (%s): %.2fs untraced, %.2fs traced, x%.3f\n"
-      sc.ps_name plain_s traced_s ratio;
+      name plain_s traced_s ratio;
     ratio
   in
   let micros = micros @ [ ("trace_overhead", trace_overhead) ] in
@@ -1224,12 +1110,8 @@ let perf () =
   let profiled = Lazy.force profile_rows in
   List.iter
     (fun pf ->
-      match
-        List.find_opt
-          (fun (sc, _, _, _, _, _, _, _, _) -> sc.ps_name = pf.pf_name)
-          measured
-      with
-      | Some (_, (r : Runner.result), _, _, _, _, _, _, _) ->
+      match List.find_opt (fun m -> m.pr_name = pf.pf_name) measured with
+      | Some { pr_result = r; _ } ->
           if r.Runner.commit_fingerprint <> pf.pf_fingerprint then begin
             Printf.eprintf "  PROFILER PERTURBED %s: %#x <> %#x\n" pf.pf_name
               r.Runner.commit_fingerprint pf.pf_fingerprint;
@@ -1242,22 +1124,23 @@ let perf () =
   (* GC word counts are integral even though [Gc] reports floats. *)
   let words w = Json.Int (int_of_float w) in
   let fingerprint fp = Json.String (Printf.sprintf "%#x" fp) in
-  let scenario (sc, (r : Runner.result), secs, eps, minor, major, promoted, live, top) =
+  let scenario m =
+    let r = m.pr_result in
     Json.Obj
       [
-        ("name", str sc.ps_name);
-        ("protocol", str (Runner.protocol_label sc.ps_spec.Runner.protocol));
-        ("n", int sc.ps_spec.Runner.n);
-        ("load", int sc.ps_spec.Runner.txns_per_proposal);
-        ("sim_duration_s", float (Time.to_s sc.ps_spec.Runner.duration));
-        ("wall_s", float secs);
+        ("name", str m.pr_name);
+        ("protocol", str (Runner.protocol_label m.pr_spec.Runner.protocol));
+        ("n", int m.pr_spec.Runner.n);
+        ("load", int m.pr_spec.Runner.txns_per_proposal);
+        ("sim_duration_s", float (Time.to_s m.pr_spec.Runner.duration));
+        ("wall_s", float m.pr_wall_s);
         ("events", int r.events);
-        ("events_per_s", float eps);
-        ("minor_words", words minor);
-        ("major_words", words major);
-        ("promoted_words", words promoted);
-        ("live_words", int live);
-        ("top_heap_words", int top);
+        ("events_per_s", float (float_of_int r.events /. m.pr_wall_s));
+        ("minor_words", words m.pr_minor);
+        ("major_words", words m.pr_major);
+        ("promoted_words", words m.pr_promoted);
+        ("live_words", int m.pr_live);
+        ("top_heap_words", int m.pr_top);
         ("committed_txns", int r.committed_txns);
         ("throughput_ktps", float r.throughput_ktps);
         ("latency_mean_ms", float r.latency_mean_ms);
@@ -1265,8 +1148,8 @@ let perf () =
         ("commit_fingerprint", fingerprint r.commit_fingerprint);
       ]
   in
-  let analysis (sc, (rep : Analyze.report)) =
-    ( sc.ps_name,
+  let analysis (name, (rep : Analyze.report)) =
+    ( name,
       Json.Obj
         [
           ("e2e", Analyze.dist_json rep.Analyze.e2e);
@@ -1359,7 +1242,6 @@ let sections =
     ("fig5b", fig5 'b');
     ("fig5c", fig5 'c');
     ("fig6", fig6);
-    ("paper-scale", paper_scale);
     ("ablation-latency", ablation_latency);
     ("ablation-rbc", ablation_rbc);
     ("faults", faults);
@@ -1384,36 +1266,35 @@ let () =
     | [ "--jobs" ] ->
         Printf.eprintf "--jobs: missing value\n";
         exit 2
-    | "--paper-scale" :: rest ->
-        paper_scale_enabled := true;
-        parse_args jobs names rest
-    | arg :: rest when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" -> (
+    | arg :: rest when String.starts_with ~prefix:"--jobs=" arg ->
         let v = String.sub arg 7 (String.length arg - 7) in
-        match int_of_string_opt v with
-        | Some j when j >= 1 -> parse_args (Some j) names rest
-        | _ ->
-            Printf.eprintf "--jobs: expected a positive integer, got %S\n" v;
-            exit 2)
+        parse_args jobs names ("--jobs" :: v :: rest)
     | name :: rest -> parse_args jobs (name :: names) rest
   in
-  let jobs, requested =
+  let requested_jobs, requested =
     parse_args None [] (List.tl (Array.to_list Sys.argv))
   in
   (* Resolve the width now: a malformed CLANBFT_JOBS should fail before
      any simulation runs, not when the lazy pool is first forced. *)
-  let jobs =
-    match jobs with
-    | Some j -> Some j
-    | None -> (
-        match Pool.default_jobs () with
-        | j -> Some j
-        | exception Invalid_argument msg ->
-            Printf.eprintf "%s\n" msg;
-            exit 2)
-  in
-  requested_jobs := jobs;
+  (jobs :=
+     match requested_jobs with
+     | Some j -> j
+     | None -> (
+         try Pool.default_jobs ()
+         with Invalid_argument msg ->
+           Printf.eprintf "%s\n" msg;
+           exit 2));
+  (* A section named twice runs once: sections reading run registries
+     (metrics, recovery) would otherwise meet cached results with fresh,
+     empty registries. *)
   let requested =
-    match requested with [] -> List.map fst sections | names -> names
+    match requested with
+    | [] -> List.map fst sections
+    | names ->
+        List.rev
+          (List.fold_left
+             (fun acc name -> if List.mem name acc then acc else name :: acc)
+             [] names)
   in
   (* Every name is checked before any section runs: a typo must not cost
      the sections listed before it, nor pass as success. *)

@@ -159,9 +159,9 @@ grep -q "verdict: ok" "$smoke_dir/walk_sparse" || {
 }
 rm -rf "$smoke_dir"
 
-echo "== parallel bench smoke (perf, profile, RBC and micro sections, CLANBFT_JOBS=2) =="
+echo "== parallel bench smoke (perf, profile, figure, RBC, recovery and micro sections, CLANBFT_JOBS=2) =="
 smoke_dir=$(mktemp -d)
-bench_sections="perf profile ablation-rbc faults micro"
+bench_sections="perf profile fig5c fig6 ablation-latency ablation-rbc faults recovery micro"
 (cd "$smoke_dir" \
   && CLANBFT_BENCH=quick dune exec --root "$OLDPWD" bench/main.exe -- --jobs 1 $bench_sections >stdout.jobs1 2>/dev/null \
   && CLANBFT_BENCH=quick CLANBFT_JOBS=2 dune exec --root "$OLDPWD" bench/main.exe -- $bench_sections >stdout.jobs2 2>stderr.jobs2)
@@ -170,6 +170,8 @@ bench_sections="perf profile ablation-rbc faults micro"
 # runs are sequential and shared with perf, so [profile] adds none). The
 # standalone RBC ablations and the fault scenarios (~5 s) print simulated
 # facts only; [micro] reuses perf's measurements and prints their names.
+# The figure points, the latency ablation and the recovery run (~5.5 s)
+# go through the bench's pooled, cached run path.
 if ! cmp -s "$smoke_dir/stdout.jobs1" "$smoke_dir/stdout.jobs2"; then
   echo "bench stdout differs between --jobs 1 and CLANBFT_JOBS=2"
   diff "$smoke_dir/stdout.jobs1" "$smoke_dir/stdout.jobs2" || true
