@@ -19,31 +19,18 @@ open Clanbft.Crypto
 let n = 7
 let clan = [| 0; 2; 4; 6 |]
 
+(* Node 0 is Byzantine: it runs no replica, and we drive it by hand over
+   the raw network. *)
 let build_world () =
-  let engine = Engine.create () in
-  let topology = Topology.uniform ~n ~one_way_ms:15.0 in
-  let net =
-    Net.create ~engine ~topology ~config:{ Net.default_config with jitter = 0.0 }
-      ~size:(Msg.wire_size ~n) ~rng:(Util.Rng.create 9L) ()
-  in
-  let keychain = Keychain.create ~seed:31L ~n in
-  let config = Config.make ~n (Config.Single_clan clan) in
-  (* Node 0 is Byzantine: we drive it by hand over the raw network. *)
-  Net.set_handler net 0 (fun ~src:_ _ -> ());
   let params =
     { Sailfish.default_params with round_timeout = Time.ms 250.; gc_depth = 1_000_000 }
   in
-  let nodes =
-    Array.init n (fun me ->
-        if me = 0 then None
-        else
-          Some
-            (Sailfish.create ~me ~config ~keychain ~engine ~net ~params
-               ~make_block:(fun ~round:_ -> [||])
-               ~on_commit:(fun ~leader:_ _ -> ())
-               ()))
+  let world =
+    Smr_world.create ~topology:(Topology.uniform ~n ~one_way_ms:15.0)
+      ~net:{ Net.default_config with jitter = 0.0 } ~seed:9L ~params ~absent:[ 0 ]
+      (Config.make ~n (Config.Single_clan clan))
   in
-  (engine, net, keychain, nodes)
+  (world, Array.map (Option.map Node.consensus) world.nodes)
 
 let forge_proposal keychain ~tag =
   let txns =
@@ -62,17 +49,17 @@ let forge_proposal keychain ~tag =
 
 let () =
   Printf.printf "=== Scene 1: equivocation ===\n";
-  let engine, net, keychain, nodes = build_world () in
-  let v1, b1, s1 = forge_proposal keychain ~tag:1 in
-  let v2, b2, s2 = forge_proposal keychain ~tag:2 in
+  let world, nodes = build_world () in
+  let v1, b1, s1 = forge_proposal world.keychain ~tag:1 in
+  let v2, b2, s2 = forge_proposal world.keychain ~tag:2 in
   Printf.printf "Byzantine node 0 proposes %s to nodes 1-3 and %s to nodes 4-6\n"
     (Digest32.short v1.Vertex.digest) (Digest32.short v2.Vertex.digest);
-  Array.iter (function Some node -> Sailfish.start node | None -> ()) nodes;
+  Smr_world.start world;
   for dst = 1 to 6 do
     let v, b, s = if dst <= 3 then (v1, b1, s1) else (v2, b2, s2) in
-    Net.send net ~src:0 ~dst (Msg.Val { vertex = v; block = Some b; signature = s })
+    Net.send world.net ~src:0 ~dst (Msg.Val { vertex = v; block = Some b; signature = s })
   done;
-  Engine.run ~until:(Time.s 5.) engine;
+  Engine.run ~until:(Time.s 5.) world.engine;
   let delivered =
     List.filter_map
       (fun i ->
@@ -94,17 +81,17 @@ let () =
   | None -> ());
 
   Printf.printf "\n=== Scene 2: withheld block ===\n";
-  let engine, net, keychain, nodes = build_world () in
-  let v, b, s = forge_proposal keychain ~tag:3 in
+  let world, nodes = build_world () in
+  let v, b, s = forge_proposal world.keychain ~tag:3 in
   Printf.printf
     "Byzantine node 0 sends vertex+block only to clan members 2,4;\n\
      bare vertex to everyone else (clan member 6 gets the vertex, no block)\n";
-  Array.iter (function Some node -> Sailfish.start node | None -> ()) nodes;
+  Smr_world.start world;
   for dst = 1 to 6 do
     let block = if dst = 2 || dst = 4 then Some b else None in
-    Net.send net ~src:0 ~dst (Msg.Val { vertex = v; block; signature = s })
+    Net.send world.net ~src:0 ~dst (Msg.Val { vertex = v; block; signature = s })
   done;
-  Engine.run ~until:(Time.s 5.) engine;
+  Engine.run ~until:(Time.s 5.) world.engine;
   (match nodes.(6) with
   | Some node -> (
       match Sailfish.block_of node ~round:0 ~source:0 with

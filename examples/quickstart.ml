@@ -23,21 +23,11 @@ let () =
   Printf.printf "clan size for n=%d at failure < 1e-6: %d\n" n nc;
   let clan = Committee.elect_balanced ~n ~nc in
 
-  (* 2. Build the simulated world: engine, GCP topology (Table 1), network
-     with per-node uplink bandwidth, keys. *)
+  (* 2. The client: it accepts a result once fc+1 clan members vouch for
+     it. *)
   let engine = Engine.create () in
-  let topology = Topology.gcp_table1 ~n in
-  let net =
-    Net.create ~engine ~topology ~config:Net.default_config
-      ~size:(Msg.wire_size ~n)
-      ~rng:(Util.Rng.create 42L) ()
-  in
-  let keychain = Crypto.Keychain.create ~seed:7L ~n in
   let config = Config.make ~n (Config.Single_clan clan) in
   Format.printf "%a@." Config.pp config;
-
-  (* 3. A client that accepts a result once fc+1 clan members vouch for
-     it. *)
   let client =
     Client.create ~engine ~config ~id:1
       ~on_complete:(fun txn ~latency ->
@@ -46,38 +36,40 @@ let () =
       ()
   in
 
-  (* 4. Replicas: consensus + mempool + execution, wired to the network.
-     Execution receipts flow back to the client with the reverse one-way
-     delay. *)
-  let nodes =
-    Array.init n (fun me ->
-        Node.create ~me ~config ~keychain ~engine ~net
-          ~on_txn_executed:(fun txn receipt ->
-            Engine.schedule_after engine (Topology.one_way topology ~src:me ~dst:0)
-              (fun () -> Client.deliver_response client ~executor:me txn receipt))
-          ())
+  (* 3. The simulated world: GCP topology (Table 1), a network with
+     per-node uplink bandwidth, keys, and one replica per node —
+     consensus + mempool + execution. Execution receipts flow back to the
+     client with the reverse one-way delay. *)
+  let topology = Topology.gcp_table1 ~n in
+  let world =
+    Smr_world.create ~engine ~topology ~net:Net.default_config ~seed:42L
+      ~on_txn_executed:(fun me txn receipt ->
+        Engine.schedule_after engine (Topology.one_way topology ~src:me ~dst:0)
+          (fun () -> Client.deliver_response client ~executor:me txn receipt))
+      config
   in
-  Array.iter Node.start nodes;
+  Smr_world.start world;
+  let node = Smr_world.node world in
 
-  (* 5. Submit a few transactions to clan proposers (clients only talk to
+  (* 4. Submit a few transactions to clan proposers (clients only talk to
      the clan, §5) and run the simulation. *)
   let proposers = Array.of_list (Config.block_proposers config) in
   for i = 0 to 19 do
     Engine.schedule_at engine (Time.ms (float_of_int (100 * i))) (fun () ->
         let txn = Client.make_txn client () in
         Client.track client txn ~clan:0;
-        ignore (Node.submit nodes.(proposers.(i mod Array.length proposers)) txn))
+        ignore (Node.submit (node proposers.(i mod Array.length proposers)) txn))
   done;
   Engine.run ~until:(Time.s 8.) engine;
 
-  (* 6. Report. *)
+  (* 5. Report. *)
   Printf.printf "\ncompleted %d/20 transactions, mean accept latency %.1f ms\n"
     (Client.completed client) (Client.mean_latency_ms client);
   Printf.printf "node 0: round=%d, ordered %d vertices, executed %d txns\n"
-    (Sailfish.current_round (Node.consensus nodes.(0)))
-    (Sailfish.committed_count (Node.consensus nodes.(0)))
-    (Node.executed_txns nodes.(0));
-  let inside = Execution.state_digest (Node.execution nodes.(clan.(0))) in
-  let other = Execution.state_digest (Node.execution nodes.(clan.(1))) in
+    (Sailfish.current_round (Node.consensus (node 0)))
+    (Sailfish.committed_count (Node.consensus (node 0)))
+    (Node.executed_txns (node 0));
+  let inside = Execution.state_digest (Node.execution (node clan.(0))) in
+  let other = Execution.state_digest (Node.execution (node clan.(1))) in
   Printf.printf "replicated state digests agree across the clan: %b\n"
     (Crypto.Digest32.equal inside other)

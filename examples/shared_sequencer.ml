@@ -12,14 +12,6 @@ let apps = [| "dex"; "game" |]
 
 let () =
   let n = 12 in
-  let engine = Engine.create () in
-  let topology = Topology.gcp_table1 ~n in
-  let net =
-    Net.create ~engine ~topology ~config:Net.default_config
-      ~size:(Msg.wire_size ~n) ~rng:(Util.Rng.create 11L) ()
-  in
-  let keychain = Crypto.Keychain.create ~seed:23L ~n in
-
   (* Two disjoint clans partition the tribe; clan c sequences app c. *)
   let clans = Committee.partition_balanced ~n ~q:2 in
   let config = Config.make ~n (Config.Multi_clan clans) in
@@ -36,27 +28,27 @@ let () =
   let next_txn = ref 0 in
   let executed = Array.make 2 0 in
   let sequenced = ref [] in
-  let nodes =
-    Array.init n (fun me ->
-        Node.create ~me ~config ~keychain ~engine ~net
-          ~on_commit:(fun ~leader:_ vertices ->
-            if me = 0 then
-              (* Node 0 narrates the global sequence: every vertex is
-                 ordered tribe-wide even though payloads stay clan-local. *)
-              List.iter
-                (fun (v : Vertex.t) ->
-                  match Config.clan_of config v.source with
-                  | Some c when List.length !sequenced < 12 ->
-                      sequenced := (v.round, v.source, apps.(c)) :: !sequenced
-                  | _ -> ())
-                vertices)
-          ~on_txn_executed:(fun _txn _receipt ->
-            match Config.clan_of config me with
-            | Some c -> executed.(c) <- executed.(c) + 1
-            | None -> ())
-          ())
+  let world =
+    Smr_world.create ~topology:(Topology.gcp_table1 ~n) ~net:Net.default_config ~seed:11L
+      ~on_commit:(fun me ~leader:_ vertices ->
+        if me = 0 then
+          (* Node 0 narrates the global sequence: every vertex is ordered
+             tribe-wide even though payloads stay clan-local. *)
+          List.iter
+            (fun (v : Vertex.t) ->
+              match Config.clan_of config v.source with
+              | Some c when List.length !sequenced < 12 ->
+                  sequenced := (v.round, v.source, apps.(c)) :: !sequenced
+              | _ -> ())
+            vertices)
+      ~on_txn_executed:(fun me _txn _receipt ->
+        match Config.clan_of config me with
+        | Some c -> executed.(c) <- executed.(c) + 1
+        | None -> ())
+      config
   in
-  Array.iter Node.start nodes;
+  let engine = world.engine and node = Smr_world.node world in
+  Smr_world.start world;
 
   (* Clients: app "dex" is busier than app "game". *)
   let submit ~app_clan count =
@@ -67,7 +59,7 @@ let () =
         Transaction.make ~id:!next_txn ~client:(100 + app_clan)
           ~created_at:(Engine.now engine) ()
       in
-      ignore (Node.submit nodes.(members.(i mod Array.length members)) txn)
+      ignore (Node.submit (node members.(i mod Array.length members)) txn)
     done
   in
   for tick = 0 to 9 do
@@ -86,6 +78,6 @@ let () =
   Array.iteri (fun c count -> Printf.printf "  %-5s: %d\n" apps.(c) count) executed;
   (* Each clan executes only its own app's payloads, yet the digest chains
      agree tribe-wide because remote blocks fold in by digest. *)
-  let d0 = Execution.state_digest (Node.execution nodes.(clans.(0).(0))) in
-  let d1 = Execution.state_digest (Node.execution nodes.(clans.(1).(0))) in
+  let d0 = Execution.state_digest (Node.execution (node clans.(0).(0))) in
+  let d1 = Execution.state_digest (Node.execution (node clans.(1).(0))) in
   Printf.printf "\ncross-clan ordering chains agree: %b\n" (Crypto.Digest32.equal d0 d1)

@@ -1,15 +1,13 @@
 open Clanbft_sim
 open Clanbft_crypto
-module Rng = Clanbft_util.Rng
 module Obs = Clanbft_obs.Obs
 module Rbc = Clanbft_rbc.Rbc
-module Sailfish = Clanbft_consensus.Sailfish
 module Config = Clanbft_types.Config
-module Msg = Clanbft_types.Msg
 module Vertex = Clanbft_types.Vertex
 module Adversary = Clanbft_faults.Adversary
 module Strategy = Clanbft_faults.Strategy
 module Rbc_world = Clanbft_faults.Rbc_world
+module Smr_world = Clanbft_smr.Smr_world
 
 type violation = { invariant : string; detail : string }
 type adversary = No_adversary | Equivocate | Collude | Strategy of Strategy.spec
@@ -115,7 +113,7 @@ type world = {
   crashed_arr : bool array;
   joining : bool ref;
   mutable crashes_left : int;
-  violation_ref : violation option ref;
+  violation_hook : unit -> violation option;
   quiesce_hook : unit -> bool;
   wrapup_hook : unit -> violation option;
   state_hook : unit -> string;
@@ -125,7 +123,7 @@ let spec w = w.spec
 let engine w = w.engine
 let obs w = w.obs
 let crashes_left w = w.crashes_left
-let violation w = !(w.violation_ref)
+let violation w = w.violation_hook ()
 let state_line w = w.state_hook ()
 let on_quiescence w = w.quiesce_hook ()
 let wrapup w = w.wrapup_hook ()
@@ -345,7 +343,7 @@ let build_rbc ~trace s protocol =
     crashed_arr;
     joining;
     crashes_left = s.crashes;
-    violation_ref;
+    violation_hook = (fun () -> !violation_ref);
     quiesce_hook;
     wrapup_hook;
     state_hook;
@@ -357,11 +355,6 @@ let build_rbc ~trace s protocol =
 let build_sailfish ~trace s =
   let n = s.n in
   let engine, obs, violation_ref, set_violation = deploy ~trace in
-  let net =
-    Net.create ~engine ~topology:(topology n) ~config:net_config
-      ~size:(Msg.wire_size ~n) ~kind:Msg.tag ?obs ~rng:(Rng.create 1L) ()
-  in
-  let keychain = Keychain.create ~seed:11L ~n in
   (* The checker's edge-selection seed is fixed: schedules replayed from a
      saved spec must rebuild the exact same sparse DAG. *)
   let edge_policy =
@@ -369,32 +362,12 @@ let build_sailfish ~trace s =
     | None -> Config.Dense
     | Some k -> Config.Sparse { k; seed = 1L }
   in
-  let cfg = Config.make ~n ~edge_policy Config.Full in
-  let crashed_arr = Array.make n false in
-  (* prefix consistency: one canonical global commit order, O(1) per commit *)
-  let canon : (int, int * int) Hashtbl.t = Hashtbl.create 256 in
-  let canon_len = ref 0 in
-  let pos = Array.make n 0 in
   let commits = ref 0 and state_hash = ref 0 in
   let on_commit me ~leader:_ ordered =
     List.iter
       (fun (v : Vertex.t) ->
         incr commits;
-        state_hash := mix !state_hash (((me * 8191) + (v.round * 131)) + v.source);
-        let p = pos.(me) in
-        pos.(me) <- p + 1;
-        if p < !canon_len then begin
-          let r0, s0 = Hashtbl.find canon p in
-          if (r0, s0) <> (v.round, v.source) then
-            set_violation "prefix"
-              (Printf.sprintf
-                 "node %d committed (%d,%d) at position %d where the canonical order has (%d,%d)"
-                 me v.round v.source p r0 s0)
-        end
-        else begin
-          Hashtbl.replace canon p (v.round, v.source);
-          incr canon_len
-        end)
+        state_hash := mix !state_hash (((me * 8191) + (v.round * 131)) + v.source))
       ordered
   in
   (* one (round, source) slot must never resolve to two vertex digests *)
@@ -408,33 +381,38 @@ let build_sailfish ~trace s =
             (Printf.sprintf "slot (%d,%d): node %d accepted a second vertex digest"
                v.round v.source me)
   in
-  (* A strategy adversary is installed exactly as [Runner.run] installs
-     it: its held or crafted copies become calendar events and pooled
+  (* The same deployment [Runner.run] builds, every replica compared. A
+     strategy adversary is installed exactly as the runner installs it:
+     its held or crafted copies become calendar events and pooled
      deliveries the explorer schedules like any other. *)
-  Strategy.install ~engine ~net ~keychain ~config:cfg
-    ~round_timeout:Sailfish.default_params.Sailfish.round_timeout ?obs
-    (strategies s);
-  let nodes =
-    Array.init n (fun me ->
-        Sailfish.create ~me ~config:cfg ~keychain ~engine ~net ?obs
-          ~make_block:(fun ~round:_ -> [||])
-          ~on_commit:(on_commit me) ~on_deliver:(on_deliver me) ())
+  let world =
+    Smr_world.create ~engine ?obs ~topology:(topology n) ~net:net_config ~seed:1L
+      ~adversaries:(strategies s) ~on_commit ~on_deliver
+      (Config.make ~n ~edge_policy Config.Full)
   in
-  Array.iter Sailfish.start nodes;
+  Smr_world.start world;
   let state_hook () =
     Printf.sprintf "commits=%d hash=%012x pool=%d" !commits
       (!state_hash land 0xffffffffffff)
       (Engine.choice_count engine)
+  in
+  let violation_hook () =
+    match !violation_ref with
+    | Some _ as v -> v
+    | None ->
+        Option.map
+          (fun d -> { invariant = "prefix"; detail = Smr_world.describe d })
+          (Smr_world.divergence world)
   in
   {
     spec = s;
     engine;
     obs;
     byz = [];
-    crashed_arr;
+    crashed_arr = Array.make n false;
     joining = ref false;
     crashes_left = s.crashes;
-    violation_ref;
+    violation_hook;
     quiesce_hook = (fun () -> false);
     wrapup_hook = (fun () -> None);
     state_hook;

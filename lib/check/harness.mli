@@ -1,7 +1,10 @@
 (** Checkable worlds: small protocol deployments under external scheduling.
 
-    A {!world} is a deterministic protocol deployment — TA-RBC (any of the
-    four {!Clanbft_rbc.Rbc.protocol} families) or Sailfish consensus —
+    A {!world} is a deterministic protocol deployment — a TA-RBC tribe
+    (any of the four {!Clanbft_rbc.Rbc.protocol} families, built by
+    {!Clanbft_faults.Rbc_world}) or a Sailfish deployment of
+    {!Clanbft_smr.Node} replicas (built by {!Clanbft_smr.Smr_world}, as
+    [Runner.run] builds it) —
     whose message deliveries are parked at the engine's delivery-choice
     points ({!Clanbft_sim.Engine.set_choice_mode}) instead of running in
     calendar order. The explorer ({!Explore}) decides, action by action,
@@ -31,8 +34,9 @@
        two digests of one instance (observed from the wire via a
        transparent network tap);}
     {- {b prefix-consistency} (Sailfish) — every replica's commit
-       sequence is a prefix of one canonical total order, checked O(1)
-       per commit against a shared model sequence;}
+       sequence is a prefix of one canonical total order: the
+       {!Clanbft_smr.Smr_world} rule, checked O(1) per commit against the
+       first replica to reach each position, shared with [Runner.run];}
     {- {b vertex-no-equivocation} (Sailfish) — one (round, source) slot
        never resolves to two distinct vertex digests across replicas.}}
 

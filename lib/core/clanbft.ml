@@ -6,8 +6,9 @@
     - {!Committee} to size and elect clans (Fig. 1 / §6.2 analysis);
     - {!Rbc} for the standalone tribe-assisted reliable broadcast
       primitives (Fig. 2 / Fig. 3);
-    - {!Config} + {!Runner} (or {!Node} for manual wiring) to run the
-      single-clan / multi-clan Sailfish protocols of §5–§6;
+    - {!Config} + {!Runner} (or {!Smr_world} for a hand-driven
+      deployment of {!Node} replicas) to run the single-clan / multi-clan
+      Sailfish protocols of §5–§6;
     - {!Sim} to host everything on the deterministic simulator.
 
     See [examples/] for runnable entry points. *)
@@ -96,5 +97,6 @@ module Mempool = Clanbft_smr.Mempool
 module Execution = Clanbft_smr.Execution
 module Persist = Clanbft_smr.Persist
 module Node = Clanbft_smr.Node
+module Smr_world = Clanbft_smr.Smr_world
 module Client = Clanbft_smr.Client
 module Runner = Clanbft_smr.Runner

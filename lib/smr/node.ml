@@ -86,21 +86,25 @@ let on_block_internal t (b : Block.t) =
    it, and every own-proposal round before its VAL messages leave. Records
    are the values themselves, charged at their wire size. *)
 
-let journal_deliver t v =
-  match t.persist with
+let journal_deliver t external_hook v =
+  (match t.persist with
   | None -> ()
   | Some p ->
       Persist.wal_append p
         ~size:(Vertex.wire_size ~n:(Config.n t.config) v)
-        (Persist.Vertex v)
+        (Persist.Vertex v));
+  Option.iter (fun hook -> hook v) external_hook
 
 let journal_propose t ~round =
   match t.persist with
   | None -> ()
   | Some p -> Persist.wal_append p ~size:0 (Persist.Proposed round)
 
-let create ~me ~config ~keychain ~engine ~net ?params ?obs
-    ?(max_block_txns = 6000) ?persist ?generate ?on_commit ?on_txn_executed () =
+(* The paper's largest proposal. *)
+let max_block_txns = 6000
+
+let create ~me ~config ~keychain ~engine ~net ?params ?obs ?persist ?generate
+    ?on_commit ?on_deliver ?on_txn_executed () =
   let t =
     {
       me;
@@ -123,7 +127,7 @@ let create ~me ~config ~keychain ~engine ~net ?params ?obs
     Sailfish.create ~me ~config ~keychain ~engine ~net ?params ?obs ~make_block
       ~on_commit:(on_commit_internal t on_commit)
       ~on_block:(on_block_internal t)
-      ~on_deliver:(journal_deliver t)
+      ~on_deliver:(journal_deliver t on_deliver)
       ~on_propose:(fun ~round -> journal_propose t ~round)
       ()
   in

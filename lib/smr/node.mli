@@ -26,19 +26,21 @@ val create :
   net:Msg.t Clanbft_sim.Net.t ->
   ?params:Clanbft_consensus.Sailfish.params ->
   ?obs:Clanbft_obs.Obs.t ->
-  ?max_block_txns:int ->
   ?persist:Persist.t ->
   ?generate:(round:int -> Transaction.t array) ->
   ?on_commit:(leader:Vertex.t -> Vertex.t list -> unit) ->
+  ?on_deliver:(Vertex.t -> unit) ->
   ?on_txn_executed:(Transaction.t -> Digest32.t -> unit) ->
   unit ->
   t
 (** [generate] overrides the mempool as the proposal source (synthetic
     workloads stamp transactions at proposal time, like §7's load
-    generator). [max_block_txns] caps a proposal (default 6000, the paper's
-    maximum). [on_commit] observes the raw a_deliver stream;
-    [on_txn_executed] observes execution receipts (clan members only).
-    [obs] is forwarded to {!Clanbft_consensus.Sailfish.create}. *)
+    generator); a mempool proposal carries at most 6000 transactions, the
+    paper's maximum. [on_commit] observes the raw a_deliver stream;
+    [on_deliver] each vertex the broadcast layer delivers, after it is
+    journalled; [on_txn_executed] observes execution receipts (clan
+    members only).
+    [obs] is forwarded to the consensus instance. *)
 
 val start : t -> unit
 

@@ -1,10 +1,8 @@
 open Clanbft_types
-open Clanbft_crypto
 open Clanbft_sim
 module Analysis = Clanbft_committee.Analysis
 module Sailfish = Clanbft_consensus.Sailfish
 module Stats = Clanbft_util.Stats
-module Rng = Clanbft_util.Rng
 module Faults = Clanbft_faults.Faults
 module Strategy = Clanbft_faults.Strategy
 module Obs = Clanbft_obs.Obs
@@ -84,30 +82,6 @@ type result = {
   census : (string * int) list;
 }
 
-(* Growable int array for per-node commit-prefix hashes. *)
-module Intvec = struct
-  type t = { mutable data : int array; mutable len : int }
-
-  let create () = { data = Array.make 256 0; len = 0 }
-
-  let push v x =
-    if v.len = Array.length v.data then begin
-      let bigger = Array.make (2 * v.len) 0 in
-      Array.blit v.data 0 bigger 0 v.len;
-      v.data <- bigger
-    end;
-    v.data.(v.len) <- x;
-    v.len <- v.len + 1
-
-  let get v i = v.data.(i)
-  let length v = v.len
-end
-
-let mix h x =
-  let h = h lxor (x * 0x9E3779B97F4A7C1) in
-  let h = h lxor (h lsr 29) in
-  h * 0xBF58476D1CE4E5B |> fun h -> h lxor (h lsr 32)
-
 let dissemination_of spec =
   match spec.protocol with
   | Full | Sparse _ -> Config.Full
@@ -155,7 +129,6 @@ let validate spec =
 let run ?on_wal spec =
   Result.iter_error invalid_arg (validate spec);
   let engine = Engine.create () in
-  let rng = Rng.create spec.seed in
   let topology =
     match spec.topology with
     | `Gcp -> Topology.gcp_table1 ~n:spec.n
@@ -164,13 +137,6 @@ let run ?on_wal spec =
   (* One obs per run unless the caller shares its own: the registry must
      not accumulate across runs, and the default spec is reused freely. *)
   let obs = match spec.obs with Some o -> o | None -> Obs.metrics_only () in
-  let net =
-    Net.create ~engine ~topology ~config:spec.net
-      ~size:(Msg.wire_size ~n:spec.n)
-      ~kind:Msg.tag ~obs
-      ~rng:(Rng.split rng) ()
-  in
-  let keychain = Keychain.create ~seed:(Rng.next_int64 rng) ~n:spec.n in
   (* The sparse edge-selection seed derives from the run seed, so two runs
      of one spec sample identical parent sets and stay bit-reproducible. *)
   let edge_policy =
@@ -191,7 +157,7 @@ let run ?on_wal spec =
   in
   (* Strategy-occupied nodes are the modelled Byzantine parties: like muted
      replicas they are never required to commit a block, and their ledgers
-     make no honest claims (excluded from the agreement check below). *)
+     make no honest claims (left out of the commit-prefix check). *)
   let adversary_nodes =
     List.map (fun (s : Strategy.spec) -> s.Strategy.node) spec.adversaries
   in
@@ -231,7 +197,6 @@ let run ?on_wal spec =
             ~size:(spec.txn_size * spec.txn_scale) ())
     end
   in
-  let prefix_hash = Array.init spec.n (fun _ -> Intvec.create ()) in
   (* Per-replica commit latency (creation → committed by THIS replica),
      complementing the committed-by-all reservoir below. *)
   let commit_hist =
@@ -253,9 +218,6 @@ let run ?on_wal spec =
     | _ -> ());
     List.iter
       (fun (v : Vertex.t) ->
-        let vec = prefix_hash.(me) in
-        let prev = if Intvec.length vec = 0 then 0 else Intvec.get vec (Intvec.length vec - 1) in
-        Intvec.push vec (mix prev ((v.round * 1_000_003) + v.source));
         match Hashtbl.find_opt metas (v.source, v.round) with
         | None -> ()
         | Some meta when meta.done_ -> ()
@@ -283,91 +245,27 @@ let run ?on_wal spec =
             end)
       vertices
   in
-  (* Restarting replicas need the write-ahead log even if the spec did not
-     ask for persistence explicitly. *)
-  let use_persist = spec.persist || spec.restarts <> [] in
-  let persist =
-    if use_persist then Array.init spec.n (fun _ -> Persist.create ~engine ())
-    else [||]
+  let world =
+    Smr_world.create ~engine ~obs ~topology ~net:spec.net ~seed:spec.seed
+      ~params:spec.params ~unchecked:(spec.crashed @ adversary_nodes)
+      ~plan:spec.fault_plan ~adversaries:spec.adversaries ~persist:spec.persist
+      ~restarts:spec.restarts ~generate ~on_commit config
   in
-  let make_node me =
-    Node.create ~me ~config ~keychain ~engine ~net ~params:spec.params ~obs
-      ?persist:(if use_persist then Some persist.(me) else None)
-      ~generate:(generate me)
-      ~on_commit:(fun ~leader vs -> on_commit me ~leader vs)
-      ()
-  in
-  let nodes = Array.init spec.n make_node in
-  (* Installed last so an empty plan consumes no RNG draws: benign runs
-     stay bit-identical to their pre-fault-harness behaviour per seed.
-     Restart scheduling likewise only exists when restarts were asked for
-     (node construction and WAL replay draw no randomness, so the restart
-     path perturbs nothing else). *)
-  if not (Faults.is_empty spec.fault_plan) then
-    ignore
-      (Faults.install ~engine ~net
-         ~rng:(Rng.split rng)
-         ~classify:Msg.tag ~round_of:Msg.round ~obs spec.fault_plan);
-  (* Strategies wrap whatever filter the fault plan installed (or the
-     default pass-through): they rule first, delegating untouched traffic
-     to the network fault rules below. An empty list installs nothing, so
-     benign runs stay bit-identical. *)
-  Strategy.install ~engine ~net ~keychain ~config
-    ~round_timeout:spec.params.Sailfish.round_timeout ~obs spec.adversaries;
-  List.iter
-    (fun (r : Faults.restart) ->
-      Engine.schedule_at engine r.crash_at (fun () ->
-          Node.stop nodes.(r.node));
-      Engine.schedule_at engine r.recover_at (fun () ->
-          (* The replayed node rebuilds its ledger from genesis, so its
-             commit-prefix vector restarts too. *)
-          prefix_hash.(r.node) <- Intvec.create ();
-          let node = make_node r.node in
-          nodes.(r.node) <- node;
-          Node.recover node;
-          Node.start_recovered node))
-    spec.restarts;
-  Array.iteri (fun i node -> if not crashed.(i) then Node.start node) nodes;
+  Array.iteri
+    (fun i node -> if not crashed.(i) then Option.iter Node.start node)
+    world.nodes;
   Engine.run ~until:spec.duration engine;
-  Option.iter (fun f -> Array.iteri f persist) on_wal;
-  (* ---- agreement: common prefix of commit sequences ---- *)
+  Option.iter (fun f -> Array.iteri f world.persist) on_wal;
   (* A replica that snapshot-joined past a GC'd gap rebuilt its ledger from
-     a peer's floor, not from genesis: its full-history vector is not
-     comparable and is left out (its continued liveness is still visible in
-     [post_recovery_commits]). Fully replayed replicas stay in — their
-     vectors rebuild from genesis and must match. *)
-  let honest_vecs =
-    List.filteri
-      (fun i _ ->
-        (not crashed.(i))
-        && (not (List.mem i adversary_nodes))
-        && not (Sailfish.snapshot_joined (Node.consensus nodes.(i))))
-      (Array.to_list prefix_hash)
-  in
-  let min_len =
-    List.fold_left (fun acc v -> min acc (Intvec.length v)) max_int honest_vecs
-  in
-  let agreement =
-    match honest_vecs with
-    | [] | [ _ ] -> true
-    | first :: rest ->
-        min_len = 0
-        || List.for_all
-             (fun v -> Intvec.get v (min_len - 1) = Intvec.get first (min_len - 1))
-             rest
-  in
-  (* One integer summarizing every honest replica's full commit sequence:
-     two runs commit bit-identical sequences iff fingerprints match (up to
-     hash collision). The determinism tests compare this across
-     tracing-on/off runs. *)
-  let commit_fingerprint =
-    List.fold_left
-      (fun acc v ->
-        mix acc (if Intvec.length v = 0 then 0 else Intvec.get v (Intvec.length v - 1))
-        |> fun acc -> mix acc (Intvec.length v))
-      (List.length honest_vecs)
-      honest_vecs
-  in
+     a peer's floor, not from genesis: its ledger is left out (its
+     continued liveness is still visible in [post_recovery_commits]).
+     Fully replayed replicas stay in — their ledgers rebuild from genesis
+     and must match. One integer then summarizes every compared replica's
+     full commit sequence: two runs commit bit-identical sequences iff
+     fingerprints match (up to hash collision). The determinism tests
+     compare this across tracing-on/off runs. *)
+  let compared = List.filter (Smr_world.compared world) (List.init spec.n Fun.id) in
+  let replicas = Smr_world.replicas world in
   (* End-of-run heap census, measured only under the profiler (k+1 heap
      passes): the replicas' data roots row by row, the engine's calendar,
      then whatever else the simulation reaches (callbacks, messages in
@@ -376,20 +274,22 @@ let run ?on_wal spec =
     if not (Prof.enabled ()) then []
     else
       Prof.census
-        (Node.heap_roots (Array.to_list nodes)
+        (Node.heap_roots replicas
         @ [
-            ("keychain", [ Obj.repr keychain ]);
+            ("keychain", [ Obj.repr world.keychain ]);
             ("obs.trace", [ Obj.repr obs.Obs.trace ]);
             ("sim.engine", Engine.heap_roots engine);
-            ("other", [ Obj.repr nodes; Obj.repr engine; Obj.repr net; Obj.repr obs ]);
+            ( "other",
+              [ Obj.repr world.nodes; Obj.repr engine; Obj.repr world.net; Obj.repr obs ] );
           ])
   in
   let window_s = Time.to_s (spec.duration - spec.warmup) in
   let max_round =
-    Array.fold_left
+    List.fold_left
       (fun acc node -> max acc (Sailfish.current_round (Node.consensus node)))
-      0 nodes
+      0 replicas
   in
+  let net = world.net in
   {
     label =
       Printf.sprintf "%s n=%d load=%d" (protocol_label spec.protocol) spec.n
@@ -407,19 +307,13 @@ let run ?on_wal spec =
       float_of_int (Net.total_bytes net)
       /. float_of_int spec.n /. Time.to_s spec.duration /. 1e6;
     events = Engine.events_processed engine;
-    agreement;
-    commit_fingerprint;
+    agreement = Smr_world.divergence world = None;
+    commit_fingerprint = Smr_world.Ledger.fingerprint world.ledger compared;
     commit_chain =
-      (let owner =
-         let rec find i =
-           if i >= spec.n then 0
-           else if always_required.(i) then i
-           else find (i + 1)
-         in
-         find 0
+      (let rec owner i =
+         if i >= spec.n then 0 else if always_required.(i) then i else owner (i + 1)
        in
-       let v = prefix_hash.(owner) in
-       Array.init (Intvec.length v) (Intvec.get v));
+       Smr_world.Ledger.chain world.ledger (owner 0));
     post_recovery_commits =
       List.map
         (fun (r : Faults.restart) -> (r.node, post_recovery.(r.node)))

@@ -89,7 +89,10 @@ type result = {
   bytes_total : int;
   mb_per_node_per_s : float;  (** mean egress rate per replica *)
   events : int;
-  agreement : bool;  (** all replicas committed a common sequence prefix *)
+  agreement : bool;
+      (** no compared replica's commit diverged from the canonical order
+          ({!Smr_world.divergence}); crashed, strategy-occupied and
+          snapshot-joined replicas are not compared *)
   commit_fingerprint : int;
       (** Hash folding every honest replica's entire commit sequence (and
           its length): equal fingerprints ⇔ bit-identical commit sequences,

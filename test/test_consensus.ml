@@ -1,83 +1,51 @@
 open Clanbft
 open Clanbft.Sim
 open Clanbft.Crypto
-module Rng = Util.Rng
 
 (* ------------------------------------------------------------------ *)
 (* Harness *)
 
 type world = {
+  smr : Smr_world.t;
   engine : Engine.t;
   net : Msg.t Net.t;
-  config : Config.t;
   keychain : Keychain.t;
-  nodes : Sailfish.t option array; (* None = not an honest protocol node *)
   commits : (int * int) list ref array; (* per node, reversed commit order *)
-  blocks_seen : (int * int, Block.t) Hashtbl.t; (* proposer-side registry *)
 }
 
 let make_world ?(n = 7) ?(one_way_ms = 10.) ?(net_config = { Net.default_config with jitter = 0.0 })
     ?(byzantine = []) ?(load = 5) ?params dissemination =
   let engine = Engine.create () in
-  let topology = Topology.uniform ~n ~one_way_ms in
-  let net =
-    Net.create ~engine ~topology ~config:net_config ~size:(Msg.wire_size ~n)
-      ~rng:(Rng.create 3L) ()
-  in
-  let keychain = Keychain.create ~seed:5L ~n in
-  let config = Config.make ~n dissemination in
   let commits = Array.init n (fun _ -> ref []) in
-  let blocks_seen = Hashtbl.create 64 in
   let next = ref 0 in
-  let nodes =
-    Array.init n (fun me ->
-        if List.mem me byzantine then begin
-          Net.set_handler net me (fun ~src:_ _ -> ());
-          None
-        end
-        else
-          Some
-            (Sailfish.create ~me ~config ~keychain ~engine ~net ?params
-               ~make_block:(fun ~round:_ ->
-                 Array.init load (fun _ ->
-                     incr next;
-                     Transaction.make ~id:!next ~client:me
-                       ~created_at:(Engine.now engine) ~size:256 ()))
-               ~on_commit:(fun ~leader:_ vs ->
-                 List.iter
-                   (fun (v : Vertex.t) ->
-                     commits.(me) := (v.round, v.source) :: !(commits.(me)))
-                   vs)
-               ()))
+  let smr =
+    Smr_world.create ~engine ~topology:(Topology.uniform ~n ~one_way_ms) ~net:net_config
+      ~seed:3L ?params ~absent:byzantine
+      ~generate:(fun me ~round:_ ->
+        Array.init load (fun _ ->
+            incr next;
+            Transaction.make ~id:!next ~client:me ~created_at:(Engine.now engine) ~size:256 ()))
+      ~on_commit:(fun me ~leader:_ vs ->
+        List.iter (fun (v : Vertex.t) -> commits.(me) := (v.round, v.source) :: !(commits.(me))) vs)
+      (Config.make ~n dissemination)
   in
-  { engine; net; config; keychain; nodes; commits; blocks_seen }
+  { smr; engine; net = smr.net; keychain = smr.keychain; commits }
 
-let start w = Array.iter (function Some n -> Sailfish.start n | None -> ()) w.nodes
-let node w i = Option.get w.nodes.(i)
+let start w = Smr_world.start w.smr
+let node w i = Node.consensus (Smr_world.node w.smr i)
 
 let honest_sequences w =
-  Array.to_list w.nodes
-  |> List.mapi (fun i n -> (i, n))
-  |> List.filter_map (fun (i, n) ->
-         match n with Some _ -> Some (Array.of_list (List.rev !(w.commits.(i)))) | None -> None)
+  List.filter_map
+    (fun i ->
+      if Option.is_none w.smr.nodes.(i) then None
+      else Some (Array.of_list (List.rev !(w.commits.(i)))))
+    (List.init (Array.length w.commits) Fun.id)
 
-(* Every pair of honest sequences must agree on their common prefix. *)
+(* Every honest commit sequence must follow the world's one canonical
+   order. *)
 let check_prefix_agreement w =
-  let seqs = honest_sequences w in
-  List.iteri
-    (fun i a ->
-      List.iteri
-        (fun j b ->
-          if i < j then begin
-            let common = min (Array.length a) (Array.length b) in
-            for k = 0 to common - 1 do
-              if a.(k) <> b.(k) then
-                Alcotest.failf "sequences %d and %d diverge at position %d" i j k
-            done
-          end)
-        seqs)
-    seqs;
-  seqs
+  Option.iter (fun d -> Alcotest.fail (Smr_world.describe d)) (Smr_world.divergence w.smr);
+  honest_sequences w
 
 let min_committed w =
   List.fold_left (fun acc s -> min acc (Array.length s)) max_int (honest_sequences w)

@@ -5,7 +5,6 @@
 open Clanbft
 open Clanbft.Sim
 open Clanbft.Crypto
-module Rng = Util.Rng
 module Store = Dag_store
 
 (* ------------------------------------------------------------------ *)
@@ -196,33 +195,24 @@ let test_store_horizon_boundary () =
 
 let run_late_joiner protocol =
   let n = 4 in
-  let engine = Engine.create () in
-  let topology = Topology.uniform ~n ~one_way_ms:5.0 in
-  let net =
-    Net.create ~engine ~topology ~config:{ Net.default_config with jitter = 0.0 }
-      ~size:(Rbc.msg_size ~n) ~rng:(Rng.create 9L) ()
+  (* node 3 is down — every message to it is lost — while the instance
+     completes among 0..2 *)
+  let plan = Result.get_ok (Faults.plan_of_specs ~rules:[ "drop:dst=3:until=1s" ] ()) in
+  let w =
+    Rbc_world.create ~topology:(Topology.uniform ~n ~one_way_ms:5.0)
+      ~config:{ Net.default_config with jitter = 0.0 } ~seed:9L ~plan protocol
   in
-  let keychain = Keychain.create ~seed:5L ~n in
-  let delivered = Array.make n false in
-  let mk me =
-    Rbc.create ~me ~n ~protocol ~engine ~net ~keychain
-      ~on_deliver:(fun ~sender:_ ~round:_ _ -> delivered.(me) <- true)
-      ()
-  in
-  (* node 3 is down while the instance completes among 0..2 *)
-  Net.set_handler net 3 (fun ~src:_ _ -> ());
-  let n0 = mk 0 in
-  let _ = mk 1 and _ = mk 2 in
-  Rbc.broadcast n0 ~round:1 "payload";
-  Engine.run engine;
+  let delivered i = List.exists (fun (_, me, _, _, _) -> me = i) (Rbc_world.deliveries w) in
+  Rbc.broadcast (Rbc_world.node w 0) ~round:1 "payload";
+  Engine.run w.engine;
   Alcotest.(check bool) "live peers delivered" true
-    (delivered.(0) && delivered.(1) && delivered.(2));
-  Alcotest.(check bool) "joiner missed the instance" false delivered.(3);
+    (delivered 0 && delivered 1 && delivered 2);
+  Alcotest.(check bool) "joiner missed the instance" false (delivered 3);
   (* the node comes back with no protocol state and asks peers to re-prove *)
-  let n3 = mk 3 in
-  Rbc.request_sync n3 ~sender:0 ~round:1;
-  Engine.run engine;
-  Alcotest.(check bool) "joiner delivered after sync" true delivered.(3);
+  let n3 = Rbc_world.node w 3 in
+  Engine.schedule_at w.engine (Time.s 1.) (fun () -> Rbc.request_sync n3 ~sender:0 ~round:1);
+  Engine.run w.engine;
+  Alcotest.(check bool) "joiner delivered after sync" true (delivered 3);
   match Rbc.delivered n3 ~sender:0 ~round:1 with
   | Some (Rbc.Value v) -> Alcotest.(check string) "full value recovered" "payload" v
   | _ -> Alcotest.fail "expected a full-value delivery"

@@ -1,7 +1,6 @@
 open Clanbft
 open Clanbft.Sim
 open Clanbft.Crypto
-module Rng = Util.Rng
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -192,20 +191,17 @@ let test_client_unique_ids () =
 (* ------------------------------------------------------------------ *)
 (* Node-level integration: mempool -> consensus -> execution *)
 
-let run_cluster ?(n = 4) ?(duration = 4.0) ~dissemination ~submit () =
-  let engine = Engine.create () in
-  let topology = Topology.uniform ~n ~one_way_ms:5.0 in
-  let net =
-    Net.create ~engine ~topology ~config:{ Net.default_config with jitter = 0.0 }
-      ~size:(Msg.wire_size ~n) ~rng:(Rng.create 4L) ()
+let cluster ?(n = 4) ?on_txn_executed dissemination =
+  let w =
+    Smr_world.create ~topology:(Topology.uniform ~n ~one_way_ms:5.0)
+      ~net:{ Net.default_config with jitter = 0.0 } ~seed:4L ?on_txn_executed
+      (Config.make ~n dissemination)
   in
-  let keychain = Keychain.create ~seed:6L ~n in
-  let config = Config.make ~n dissemination in
-  let nodes =
-    Array.init n (fun me ->
-        Node.create ~me ~config ~keychain ~engine ~net ~max_block_txns:100 ())
-  in
-  Array.iter Node.start nodes;
+  Smr_world.start w;
+  (w.engine, Array.of_list (Smr_world.replicas w))
+
+let run_cluster ?(duration = 4.0) ~dissemination ~submit () =
+  let engine, nodes = cluster dissemination in
   submit engine nodes;
   Engine.run ~until:(Time.s duration) engine;
   (engine, nodes)
@@ -273,24 +269,14 @@ let test_node_multi_clan_execution_split () =
        (Execution.state_digest (Node.execution nodes.(2))))
 
 let test_node_txn_receipts () =
-  let engine = Engine.create () in
   let n = 4 in
-  let topology = Topology.uniform ~n ~one_way_ms:5.0 in
-  let net =
-    Net.create ~engine ~topology ~config:{ Net.default_config with jitter = 0.0 }
-      ~size:(Msg.wire_size ~n) ~rng:(Rng.create 4L) ()
-  in
-  let keychain = Keychain.create ~seed:6L ~n in
-  let config = Config.make ~n Config.Full in
   let receipts = Array.init n (fun _ -> ref []) in
-  let nodes =
-    Array.init n (fun me ->
-        Node.create ~me ~config ~keychain ~engine ~net ~max_block_txns:10
-          ~on_txn_executed:(fun txn digest ->
-            receipts.(me) := (txn.Transaction.id, digest) :: !(receipts.(me)))
-          ())
+  let engine, nodes =
+    cluster ~n
+      ~on_txn_executed:(fun me txn digest ->
+        receipts.(me) := (txn.Transaction.id, digest) :: !(receipts.(me)))
+      Config.Full
   in
-  Array.iter Node.start nodes;
   ignore (Node.submit nodes.(1) (mk_txn 42));
   Engine.run ~until:(Time.s 3.) engine;
   (* All replicas produce the same receipt for txn 42 — the f_c+1 matching
@@ -301,6 +287,63 @@ let test_node_txn_receipts () =
       Alcotest.(check bool) (Printf.sprintf "receipt %d matches" i) true
         (Digest32.equal r0 (List.assoc 42 !r)))
     receipts
+
+(* ------------------------------------------------------------------ *)
+(* Ledger: the one commit-prefix rule *)
+
+module Ledger = Smr_world.Ledger
+
+let ledger_of sequences =
+  let l = Ledger.create ~n:(List.length sequences) in
+  List.iteri
+    (fun me seq ->
+      List.iter (fun (round, source) -> Ledger.commit l me ~checked:true ~round ~source) seq)
+    sequences;
+  l
+
+let divergence_testable =
+  Alcotest.testable (fun ppf d -> Format.pp_print_string ppf (Smr_world.describe d)) ( = )
+
+(* Comparing every ledger at the shortest one's last position cannot see
+   either of these divergences; checking each commit against the first
+   replica to reach its position sees both. *)
+let test_ledger_divergence_past_shortest () =
+  let l = ledger_of [ [ (0, 0); (0, 1); (1, 0) ]; [ (0, 0); (0, 1); (1, 2) ]; [ (0, 0) ] ] in
+  Alcotest.(check (option divergence_testable))
+    "replica 1 diverges at position 2"
+    (Some { Smr_world.node = 1; position = 2; slot = (1, 2); canonical = (1, 0) })
+    (Ledger.divergence l)
+
+let test_ledger_divergence_with_empty_ledger () =
+  let l = ledger_of [ [ (0, 0) ]; [ (0, 1) ]; [] ] in
+  Alcotest.(check (option divergence_testable))
+    "replica 1 diverges at position 0"
+    (Some { Smr_world.node = 1; position = 0; slot = (0, 1); canonical = (0, 0) })
+    (Ledger.divergence l);
+  Alcotest.(check string) "detail"
+    "node 1 committed (0,1) at position 0 where the canonical order has (0,0)"
+    (Smr_world.describe (Option.get (Ledger.divergence l)))
+
+(* An unchecked ledger claims nothing; a replayed one restarts at position
+   0 and is checked again from genesis. *)
+let test_ledger_unchecked_and_replayed () =
+  let l3 = Ledger.create ~n:3 in
+  List.iter
+    (fun (me, checked, round, source) -> Ledger.commit l3 me ~checked ~round ~source)
+    [ (0, true, 0, 0); (0, true, 0, 1); (2, false, 0, 3); (1, true, 0, 0) ];
+  Ledger.reset l3 1;
+  List.iter (fun (round, source) -> Ledger.commit l3 1 ~checked:true ~round ~source) [ (0, 0); (0, 1) ];
+  Alcotest.(check (option divergence_testable)) "no divergence" None (Ledger.divergence l3);
+  Alcotest.(check int) "replayed length" 2 (Ledger.length l3 1);
+  Alcotest.(check (array int)) "replayed chain" (Ledger.chain l3 0) (Ledger.chain l3 1);
+  Alcotest.(check int) "replayed fingerprint"
+    (Ledger.fingerprint (ledger_of [ [ (0, 0); (0, 1) ]; [ (0, 0); (0, 1) ] ]) [ 0; 1 ])
+    (Ledger.fingerprint l3 [ 0; 1 ]);
+  Ledger.commit l3 1 ~checked:true ~round:1 ~source:3;
+  Ledger.commit l3 0 ~checked:true ~round:1 ~source:0;
+  Alcotest.(check (option divergence_testable)) "the later commit diverges"
+    (Some { Smr_world.node = 0; position = 2; slot = (1, 0); canonical = (1, 3) })
+    (Ledger.divergence l3)
 
 (* ------------------------------------------------------------------ *)
 (* Runner *)
@@ -461,6 +504,15 @@ let suites =
         Alcotest.test_case "single-clan execution split" `Slow test_node_single_clan_execution_split;
         Alcotest.test_case "multi-clan execution split" `Slow test_node_multi_clan_execution_split;
         Alcotest.test_case "txn receipts" `Slow test_node_txn_receipts;
+      ] );
+    ( "smr.ledger",
+      [
+        Alcotest.test_case "divergence past the shortest ledger" `Quick
+          test_ledger_divergence_past_shortest;
+        Alcotest.test_case "divergence beside an empty ledger" `Quick
+          test_ledger_divergence_with_empty_ledger;
+        Alcotest.test_case "unchecked and replayed ledgers" `Quick
+          test_ledger_unchecked_and_replayed;
       ] );
     ( "smr.runner",
       [
