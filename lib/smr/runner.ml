@@ -247,13 +247,11 @@ let run ?on_wal spec =
   in
   let world =
     Smr_world.create ~engine ~obs ~topology ~net:spec.net ~seed:spec.seed
-      ~params:spec.params ~unchecked:(spec.crashed @ adversary_nodes)
+      ~params:spec.params ~absent:spec.crashed ~unchecked:adversary_nodes
       ~plan:spec.fault_plan ~adversaries:spec.adversaries ~persist:spec.persist
       ~restarts:spec.restarts ~generate ~on_commit config
   in
-  Array.iteri
-    (fun i node -> if not crashed.(i) then Option.iter Node.start node)
-    world.nodes;
+  Smr_world.start world;
   Engine.run ~until:spec.duration engine;
   Option.iter (fun f -> Array.iteri f world.persist) on_wal;
   (* A replica that snapshot-joined past a GC'd gap rebuilt its ledger from

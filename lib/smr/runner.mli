@@ -38,7 +38,10 @@ type spec = {
   seed : int64;
   net : Net.config;
   params : Clanbft_consensus.Sailfish.params;
-  crashed : int list;  (** replicas that never start (crash faults) *)
+  crashed : int list;
+      (** replicas down for the whole run (crash faults): their ids run no
+          replica, so they send nothing and their inbound traffic is
+          discarded *)
   fault_plan : Clanbft_faults.Faults.plan;
       (** Byzantine-network scenario (drop/delay/duplication rules,
           partitions, mute-after-round crashes) injected via the net
@@ -91,8 +94,8 @@ type result = {
   events : int;
   agreement : bool;
       (** no compared replica's commit diverged from the canonical order
-          ({!Smr_world.divergence}); crashed, strategy-occupied and
-          snapshot-joined replicas are not compared *)
+          ({!Smr_world.divergence}); strategy-occupied and snapshot-joined
+          replicas are not compared, crashed ones commit nothing *)
   commit_fingerprint : int;
       (** Hash folding every honest replica's entire commit sequence (and
           its length): equal fingerprints ⇔ bit-identical commit sequences,

@@ -28,7 +28,10 @@ let crash_recover_spec =
 let test_crash_recover () =
   let r = Runner.run crash_recover_spec in
   Alcotest.(check bool) "agreement" true r.Runner.agreement;
-  Alcotest.(check string) "commit fingerprint" "0x84afc86354db0b5"
+  (* Re-pinned from 0x84afc86354db0b5 when crashed replicas stopped
+     running: replica 9 used to answer traffic and echo toward quorums
+     although it never started. *)
+  Alcotest.(check string) "commit fingerprint" "0x3a6ff678b8d4b119"
     (Printf.sprintf "%#x" r.Runner.commit_fingerprint)
 
 let suites =

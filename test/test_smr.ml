@@ -413,6 +413,38 @@ let test_runner_sparse_all_parents_matches_dense () =
     dense.commit_chain.(len - 1)
     sparse.commit_chain.(len - 1)
 
+(* A crashed replica runs nothing: no send, no broadcast phase, no
+   commit — so it never echoes toward the other replicas' quorums. *)
+let test_runner_crashed_replica_is_silent () =
+  let obs = Obs.create () in
+  let r =
+    Runner.run
+      {
+        Runner.default_spec with
+        n = 16;
+        seed = 1L;
+        txns_per_proposal = 30;
+        duration = Time.s 3.;
+        warmup = Time.s 1.;
+        crashed = [ 9 ];
+        obs = Some obs;
+      }
+  in
+  Alcotest.(check bool) "agreement" true r.agreement;
+  let acts = ref 0 in
+  Trace.iter obs.Obs.trace (fun { Trace.ev; _ } ->
+      match ev with
+      | Trace.Msg_bcast { src = 9; _ }
+      | Msg_recv { src = 9; _ }
+      | Uplink { node = 9; _ }
+      | Rbc_phase { node = 9; _ }
+      | Vertex_deliver { node = 9; _ }
+      | Vertex_commit { node = 9; _ } ->
+          incr acts
+      | _ -> ());
+  Alcotest.(check bool) "traced" true (Trace.length obs.Obs.trace > 0);
+  Alcotest.(check int) "records of crashed replica 9" 0 !acts
+
 let test_runner_crash_faults () =
   let r = Runner.run { base_spec with crashed = [ 1; 4; 7 ]; duration = Time.s 8. } in
   Alcotest.(check bool) "progress with f crashes" true (r.committed_txns > 0);
@@ -523,6 +555,8 @@ let suites =
         Alcotest.test_case "sparse k=all == dense" `Slow
           test_runner_sparse_all_parents_matches_dense;
         Alcotest.test_case "crash faults" `Slow test_runner_crash_faults;
+        Alcotest.test_case "crashed replica is silent" `Slow
+          test_runner_crashed_replica_is_silent;
         Alcotest.test_case "topology matters" `Slow test_runner_topology_matters;
         Alcotest.test_case "deterministic" `Slow test_runner_deterministic;
         Alcotest.test_case "seed sensitivity" `Slow test_runner_seed_sensitivity;
