@@ -246,7 +246,9 @@ let sim_cmd =
   in
   let extras =
     let crashed =
-      Arg.(value & opt (list int) [] & info [ "crash" ] ~doc:"Replica ids that never start.")
+      Arg.(
+        value & opt (list int) []
+        & info [ "crash" ] ~doc:"Replica ids down for the whole run: they run no replica.")
     in
     let persist =
       persist_flag

@@ -41,11 +41,7 @@ let forge_proposal keychain ~tag =
     Vertex.make ~round:0 ~source:0 ~block_digest:(Block.digest block)
       ~strong_edges:[||] ~weak_edges:[||] ()
   in
-  let signature =
-    Keychain.sign keychain ~signer:0
-      (String.concat "" [ "val|0|0|"; Digest32.to_raw vertex.Vertex.digest ])
-  in
-  (vertex, block, signature)
+  (vertex, block, Keychain.sign keychain ~signer:0 (Msg.val_signing_string vertex))
 
 let () =
   Printf.printf "=== Scene 1: equivocation ===\n";

@@ -152,10 +152,9 @@ let stop t =
   Option.iter Persist.crash t.persist
 
 let recover t =
-  match t.persist with
-  | None -> ()
-  | Some p ->
-      let c = consensus t in
+  let c = consensus t in
+  Option.iter
+    (fun p ->
       (* Blocks first so replayed vertices find their payloads, then
          vertices in journal (= insertion) order, then proposal markers. *)
       Persist.wal_iter p (fun ~size:_ -> function
@@ -166,6 +165,6 @@ let recover t =
         | Block _ | Proposed _ -> ());
       Persist.wal_iter p (fun ~size:_ -> function
         | Persist.Proposed round -> Sailfish.note_proposed c ~round
-        | Vertex _ | Block _ -> ())
-
-let start_recovered t = Sailfish.start_recovery (consensus t)
+        | Vertex _ | Block _ -> ()))
+    t.persist;
+  Sailfish.start_recovery c

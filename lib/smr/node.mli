@@ -52,7 +52,7 @@ val start : t -> unit
     with their payload, and each round this node proposes in is marked
     before the proposal leaves. The restart sequence is: {!stop} the dying
     node; [create] a fresh one over the {e same} [Persist.t]; {!recover}
-    it from the log; {!start_recovered} it (instead of [start]). See
+    it from the log and rejoin (instead of [start]). See
     [docs/RECOVERY.md]. *)
 
 val stop : t -> unit
@@ -61,15 +61,13 @@ val stop : t -> unit
     writes that were not yet durable are lost. *)
 
 val recover : t -> unit
-(** Replay the write-ahead log into a freshly created node: blocks first,
-    then vertices in journal order (re-committing and re-executing the
-    pre-crash ledger prefix), then own-proposal markers (equivocation
-    guard). A no-op without a persistent store. *)
-
-val start_recovered : t -> unit
-(** Enter state sync ({!Clanbft_consensus.Sailfish.start_recovery}):
-    fetch certified vertices past the journal's end from peers and start
-    proposing only once caught up. *)
+(** Replay the write-ahead log into a freshly created node — blocks
+    first, then vertices in journal order (re-committing and re-executing
+    the pre-crash ledger prefix), then own-proposal markers (equivocation
+    guard); nothing without a persistent store — and enter state sync
+    ({!Clanbft_consensus.Sailfish.start_recovery}): fetch certified
+    vertices past the journal's end from peers and start proposing only
+    once caught up. *)
 
 val me : t -> int
 val submit : t -> Transaction.t -> bool

@@ -145,8 +145,6 @@ let run ?on_wal spec =
     | Full | Single_clan _ | Multi_clan _ -> Config.Dense
   in
   let config = Config.make ~n:spec.n ~edge_policy (dissemination_of spec) in
-  let crashed = Array.make spec.n false in
-  List.iter (fun i -> crashed.(i) <- true) spec.crashed;
   let restart_of = Array.make spec.n None in
   List.iter (fun (r : Faults.restart) -> restart_of.(r.node) <- Some r) spec.restarts;
   (* Replicas that must commit a block before it counts as committed-by-all:
@@ -163,7 +161,7 @@ let run ?on_wal spec =
   in
   let always_required =
     Array.init spec.n (fun i ->
-        (not crashed.(i))
+        (not (List.mem i spec.crashed))
         && (not (List.mem i muted_nodes))
         && (not (List.mem i adversary_nodes))
         && restart_of.(i) = None)

@@ -51,7 +51,7 @@ type spec = {
       (** Crash–recovery schedule: each entry tears the replica down at
           [crash_at] ({!Node.stop} — consensus halted, pending disk writes
           lost) and rebuilds it at [recover_at] from its write-ahead log
-          plus peer state sync ({!Node.recover} / {!Node.start_recovered}).
+          plus peer state sync ({!Node.recover}).
           Persistence is forced on for all replicas when non-empty. An
           empty list schedules nothing and draws no randomness, so benign
           runs are bit-identical to pre-recovery-subsystem behaviour. At

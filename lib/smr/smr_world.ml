@@ -25,17 +25,9 @@ module Intvec = struct
   let create () = { data = Array.make 256 0; len = 0 }
 
   let push v x =
-    if v.len = Array.length v.data then begin
-      let bigger = Array.make (2 * v.len) 0 in
-      Array.blit v.data 0 bigger 0 v.len;
-      v.data <- bigger
-    end;
+    if v.len = Array.length v.data then v.data <- Array.append v.data (Array.make v.len 0);
     v.data.(v.len) <- x;
     v.len <- v.len + 1
-
-  let get v i = v.data.(i)
-  let length v = v.len
-  let last v = if v.len = 0 then 0 else v.data.(v.len - 1)
 end
 
 let mix h x =
@@ -44,42 +36,49 @@ let mix h x =
   h * 0xBF58476D1CE4E5B |> fun h -> h lxor (h lsr 32)
 
 module Ledger = struct
+  (* Slots are keyed by one int per (round, source); sources stay below
+     the multiplier. *)
   type t = {
-    chains : Intvec.t array; (* per replica: chained prefix hashes *)
-    canon : Intvec.t; (* slot key per position, from the first checked replica there *)
+    seqs : Intvec.t array; (* per replica: its committed slot keys *)
+    canon : Intvec.t; (* per position: the key the first checked replica there committed *)
     mutable divergence : divergence option;
   }
 
-  (* One int per (round, source); sources stay below the multiplier. *)
   let key_base = 1_000_003
   let slot_of key = (key / key_base, key mod key_base)
 
   let create ~n =
-    { chains = Array.init n (fun _ -> Intvec.create ()); canon = Intvec.create (); divergence = None }
+    { seqs = Array.init n (fun _ -> Intvec.create ()); canon = Intvec.create (); divergence = None }
 
   let commit t me ~checked ~round ~source =
-    let chain = t.chains.(me) in
-    let key = (round * key_base) + source in
-    let position = Intvec.length chain in
-    Intvec.push chain (mix (Intvec.last chain) key);
+    let seq = t.seqs.(me) and key = (round * key_base) + source in
+    let position = seq.len in
+    Intvec.push seq key;
     if checked then
-      if position = Intvec.length t.canon then Intvec.push t.canon key
-      else if position < Intvec.length t.canon then begin
-        let canonical = Intvec.get t.canon position in
-        if canonical <> key && t.divergence = None then
-          t.divergence <-
-            Some { node = me; position; slot = (round, source); canonical = slot_of canonical }
-      end
+      if position = t.canon.len then Intvec.push t.canon key
+      else if position < t.canon.len && t.canon.data.(position) <> key && t.divergence = None
+      then
+        t.divergence <-
+          Some
+            { node = me; position; slot = (round, source); canonical = slot_of t.canon.data.(position) }
 
-  let reset t me = t.chains.(me) <- Intvec.create ()
-  let length t me = Intvec.length t.chains.(me)
-  let chain t me = let v = t.chains.(me) in Array.init (Intvec.length v) (Intvec.get v)
+  let reset t me = t.seqs.(me) <- Intvec.create ()
+  let sequence t me = let v = t.seqs.(me) in Array.init v.len (fun i -> slot_of v.data.(i))
+
+  let chain t me =
+    let v = t.seqs.(me) and h = ref 0 in
+    Array.init v.len (fun i ->
+        h := mix !h v.data.(i);
+        !h)
 
   let fingerprint t ids =
     List.fold_left
       (fun acc i ->
-        let v = t.chains.(i) in
-        mix (mix acc (Intvec.last v)) (Intvec.length v))
+        let v = t.seqs.(i) and h = ref 0 in
+        for j = 0 to v.len - 1 do
+          h := mix !h v.data.(j)
+        done;
+        mix (mix acc !h) v.len)
       (List.length ids) ids
 
   let divergence t = t.divergence
@@ -89,17 +88,16 @@ type t = {
   engine : Engine.t;
   net : Msg.t Net.t;
   keychain : Keychain.t;
-  config : Config.t;
   nodes : Node.t option array;
   persist : Persist.t array;
   unchecked : int list;
   ledger : Ledger.t;
 }
 
-let checked_in ~unchecked nodes me =
-  (not (List.mem me unchecked))
+let compared w me =
+  (not (List.mem me w.unchecked))
   &&
-  match nodes.(me) with
+  match w.nodes.(me) with
   | Some node -> not (Sailfish.snapshot_joined (Node.consensus node))
   | None -> false
 
@@ -114,22 +112,28 @@ let create ?(engine = Engine.create ()) ?obs ~topology ~net:net_config ~seed ?pa
       ?obs ~rng:(Rng.split rng) ()
   in
   let keychain = Keychain.create ~seed:(Rng.next_int64 rng) ~n in
-  (* A restarting replica replays its write-ahead log. *)
-  let persist =
-    if persist || restarts <> [] then Array.init n (fun _ -> Persist.create ~engine ())
-    else [||]
+  let w =
+    {
+      engine;
+      net;
+      keychain;
+      nodes = Array.make n None;
+      (* A restarting replica replays its write-ahead log. *)
+      persist =
+        (if persist || restarts <> [] then Array.init n (fun _ -> Persist.create ~engine ())
+         else [||]);
+      unchecked;
+      ledger = Ledger.create ~n;
+    }
   in
-  let ledger = Ledger.create ~n in
-  let nodes = Array.make n None in
-  let checked me = checked_in ~unchecked nodes me in
   let make_node me =
     Node.create ~me ~config ~keychain ~engine ~net ?params ?obs
-      ?persist:(if Array.length persist = 0 then None else Some persist.(me))
+      ?persist:(if Array.length w.persist = 0 then None else Some w.persist.(me))
       ?generate:(Option.map (fun g -> g me) generate)
       ~on_commit:(fun ~leader vertices ->
-        let checked = checked me in
+        let checked = compared w me in
         List.iter
-          (fun (v : Vertex.t) -> Ledger.commit ledger me ~checked ~round:v.round ~source:v.source)
+          (fun (v : Vertex.t) -> Ledger.commit w.ledger me ~checked ~round:v.round ~source:v.source)
           vertices;
         on_commit me ~leader vertices)
       ?on_deliver:(Option.map (fun f -> f me) on_deliver)
@@ -138,7 +142,7 @@ let create ?(engine = Engine.create ()) ?obs ~topology ~net:net_config ~seed ?pa
   in
   for me = 0 to n - 1 do
     if List.mem me absent then Net.set_handler net me (fun ~src:_ _ -> ())
-    else nodes.(me) <- Some (make_node me)
+    else w.nodes.(me) <- Some (make_node me)
   done;
   (* Installed after the nodes so an empty plan consumes no RNG draws: a
      benign run draws the same stream as one without an injector. *)
@@ -156,15 +160,14 @@ let create ?(engine = Engine.create ()) ?obs ~topology ~net:net_config ~seed ?pa
      path perturbs nothing else. *)
   List.iter
     (fun (r : Faults.restart) ->
-      Engine.schedule_at engine r.crash_at (fun () -> Option.iter Node.stop nodes.(r.node));
+      Engine.schedule_at engine r.crash_at (fun () -> Option.iter Node.stop w.nodes.(r.node));
       Engine.schedule_at engine r.recover_at (fun () ->
-          Ledger.reset ledger r.node;
+          Ledger.reset w.ledger r.node;
           let node = make_node r.node in
-          nodes.(r.node) <- Some node;
-          Node.recover node;
-          Node.start_recovered node))
+          w.nodes.(r.node) <- Some node;
+          Node.recover node))
     restarts;
-  { engine; net; keychain; config; nodes; persist; unchecked; ledger }
+  w
 
 let replicas w = List.filter_map Fun.id (Array.to_list w.nodes)
 let start w = List.iter Node.start (replicas w)
@@ -173,7 +176,5 @@ let node w i =
   match w.nodes.(i) with
   | Some node -> node
   | None -> invalid_arg (Printf.sprintf "Smr_world.node: %d runs no replica" i)
-
-let compared w i = checked_in ~unchecked:w.unchecked w.nodes i
 
 let divergence w = Ledger.divergence w.ledger

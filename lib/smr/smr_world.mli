@@ -2,14 +2,8 @@
     shared by every place that runs consensus (the [Runner], the checker's
     Sailfish worlds, the consensus and SMR tests and the examples).
 
-    {!create} wires a net priced by {!Clanbft_types.Msg.wire_size} and
-    tagged by {!Clanbft_types.Msg.tag}, a keychain, one {!Node} per
-    replica (a no-op handler at every id that runs none), the fault plan,
-    the strategy adversaries and the crash–recovery schedule. Callers
-    {!start} the replicas and drive the engine themselves.
-
-    The world also owns the one commit-prefix rule: each replica's commit
-    sequence is recorded in a {!Ledger}, and every commit of a compared
+    The world also owns the one commit-prefix rule: every replica's commit
+    sequence is recorded in a {!Ledger}, and each commit of a compared
     replica is checked against the first compared replica that reached
     that position. *)
 
@@ -20,9 +14,7 @@ type divergence = {
   node : int;
   position : int;  (** 0-based index into [node]'s commit sequence *)
   slot : int * int;  (** the (round, source) [node] committed there *)
-  canonical : int * int;
-      (** the (round, source) the first replica to reach [position]
-          committed there *)
+  canonical : int * int;  (** what the first replica to reach [position] committed *)
 }
 
 val describe : divergence -> string
@@ -39,22 +31,20 @@ module Ledger : sig
   (** Append one committed vertex to a replica's sequence. A [checked]
       commit at a position no checked commit reached yet extends the
       canonical order; at any other position it must match it, and the
-      first mismatch is recorded. An unchecked commit only extends the
-      replica's own sequence. *)
+      first mismatch is recorded. *)
 
   val reset : t -> int -> unit
-  (** The replica rebuilds its ledger from genesis (WAL replay). *)
+  (** The replica rebuilds its sequence from genesis (WAL replay). *)
 
-  val length : t -> int -> int
+  val sequence : t -> int -> (int * int) array
+  (** The replica's committed (round, source) slots, in order. *)
 
   val chain : t -> int -> int array
-  (** Chained prefix hashes: element [i] hashes the replica's sequence
-      prefix of length [i+1]. *)
+  (** Chained prefix hashes: element [i] hashes the prefix of length [i+1]. *)
 
   val fingerprint : t -> int list -> int
-  (** One hash of the listed replicas' whole sequences (each one's last
-      chained hash and its length): equal fingerprints ⇔ identical
-      sequences, up to hash collision. *)
+  (** One hash of the listed replicas' whole sequences: equal fingerprints
+      ⇔ identical sequences, up to hash collision. *)
 
   val divergence : t -> divergence option
   (** The first divergence from the canonical order, if any. *)
@@ -64,7 +54,6 @@ type t = {
   engine : Engine.t;
   net : Msg.t Net.t;
   keychain : Clanbft_crypto.Keychain.t;
-  config : Config.t;
   nodes : Node.t option array;
       (** [None] at ids that run no replica; a restart replaces the entry *)
   persist : Persist.t array;  (** one store per id with persistence, else empty *)
@@ -91,31 +80,28 @@ val create :
   ?on_txn_executed:(int -> Transaction.t -> Clanbft_crypto.Digest32.t -> unit) ->
   Config.t ->
   t
-(** The deployment spans [Config.n] ids. [seed] seeds one RNG: the net
-    draws from a {!Clanbft_util.Rng.split} of it, the keychain seed is its
-    next draw, and a non-empty [plan] (default {!Clanbft_faults.Faults.empty})
-    is installed with a further split after the nodes are built, so a
-    benign run draws the same stream as one without an injector. The
-    [adversaries] (default none) are installed above the plan's filter.
+(** A net over [Config.n] ids priced by {!Msg.wire_size} and tagged by
+    {!Msg.tag}, a keychain, one {!Node} per id, the fault [plan] (default
+    none) and the strategy [adversaries] (default none, installed above
+    the plan's filter). [seed] seeds one RNG: the net draws from a
+    {!Clanbft_util.Rng.split} of it, the keychain seed is its next draw,
+    and a non-empty plan takes a further split after the nodes are built,
+    so a benign run draws the same stream as one without an injector.
 
-    [absent] ids run no replica: their inbound traffic is discarded, so
-    they neither vote nor commit. Commits of [unchecked] replicas (default
-    none) and of replicas that snapshot-joined past a garbage-collected gap
-    ({!Clanbft_consensus.Sailfish.snapshot_joined}) are recorded but not
-    compared: their ledgers make no claim on the canonical order.
+    [absent] ids run no replica: their inbound traffic is discarded.
+    Commits of [unchecked] replicas and of replicas that snapshot-joined
+    past a garbage-collected gap are recorded but not compared.
 
-    [persist] (default false, forced on by a non-empty [restarts]) gives
-    every id a {!Persist.t} write-ahead log. Each [restarts] entry stops
-    its replica at [crash_at] and, at [recover_at], re-creates it over
-    the same store, replays the log from genesis (its ledger restarts
-    too) and rejoins through state sync. [engine] defaults to a fresh one; [obs]
-    reaches the net, the replicas and the injectors. The hooks receive
-    the replica's id first; [on_commit] runs after the ledger has
-    recorded the commits. *)
+    [persist] (forced on by a non-empty [restarts]) gives every id a
+    {!Persist.t}. Each restart stops its replica at [crash_at] and, at
+    [recover_at], re-creates it over the same store, replays the log (its
+    ledger restarts from genesis) and rejoins ({!Node.recover}). [engine]
+    defaults to a fresh one; [obs] reaches the net, the replicas and the
+    injectors. The hooks receive the replica's id first; [on_commit] runs
+    after the ledger has recorded the commits. Callers {!start} the
+    replicas and drive the engine. *)
 
 val start : t -> unit
-(** Start every replica. *)
-
 val node : t -> int -> Node.t
 (** The replica at an id; raises [Invalid_argument] at an absent id. *)
 
@@ -123,8 +109,7 @@ val replicas : t -> Node.t list
 (** The running replicas, in id order. *)
 
 val compared : t -> int -> bool
-(** Is the replica's ledger compared at the end of the run: present, not
-    [unchecked] and not snapshot-joined? *)
+(** Is the replica's ledger compared: present, not [unchecked] and not
+    snapshot-joined? *)
 
 val divergence : t -> divergence option
-(** [Ledger.divergence] of the world's ledger. *)

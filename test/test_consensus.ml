@@ -5,50 +5,47 @@ open Clanbft.Crypto
 (* ------------------------------------------------------------------ *)
 (* Harness *)
 
-type world = {
-  smr : Smr_world.t;
-  engine : Engine.t;
-  net : Msg.t Net.t;
-  keychain : Keychain.t;
-  commits : (int * int) list ref array; (* per node, reversed commit order *)
-}
-
 let make_world ?(n = 7) ?(one_way_ms = 10.) ?(net_config = { Net.default_config with jitter = 0.0 })
     ?(byzantine = []) ?(load = 5) ?params dissemination =
   let engine = Engine.create () in
-  let commits = Array.init n (fun _ -> ref []) in
   let next = ref 0 in
-  let smr =
-    Smr_world.create ~engine ~topology:(Topology.uniform ~n ~one_way_ms) ~net:net_config
-      ~seed:3L ?params ~absent:byzantine
-      ~generate:(fun me ~round:_ ->
-        Array.init load (fun _ ->
-            incr next;
-            Transaction.make ~id:!next ~client:me ~created_at:(Engine.now engine) ~size:256 ()))
-      ~on_commit:(fun me ~leader:_ vs ->
-        List.iter (fun (v : Vertex.t) -> commits.(me) := (v.round, v.source) :: !(commits.(me))) vs)
-      (Config.make ~n dissemination)
-  in
-  { smr; engine; net = smr.net; keychain = smr.keychain; commits }
+  Smr_world.create ~engine ~topology:(Topology.uniform ~n ~one_way_ms) ~net:net_config ~seed:3L
+    ?params ~absent:byzantine
+    ~generate:(fun me ~round:_ ->
+      Array.init load (fun _ ->
+          incr next;
+          Transaction.make ~id:!next ~client:me ~created_at:(Engine.now engine) ~size:256 ()))
+    (Config.make ~n dissemination)
 
-let start w = Smr_world.start w.smr
-let node w i = Node.consensus (Smr_world.node w.smr i)
+let start = Smr_world.start
+let node w i = Node.consensus (Smr_world.node w i)
 
-let honest_sequences w =
+let honest_sequences (w : Smr_world.t) =
   List.filter_map
-    (fun i ->
-      if Option.is_none w.smr.nodes.(i) then None
-      else Some (Array.of_list (List.rev !(w.commits.(i)))))
-    (List.init (Array.length w.commits) Fun.id)
+    (fun i -> Option.map (fun _ -> Smr_world.Ledger.sequence w.ledger i) w.nodes.(i))
+    (List.init (Array.length w.nodes) Fun.id)
 
 (* Every honest commit sequence must follow the world's one canonical
    order. *)
 let check_prefix_agreement w =
-  Option.iter (fun d -> Alcotest.fail (Smr_world.describe d)) (Smr_world.divergence w.smr);
+  Option.iter (fun d -> Alcotest.fail (Smr_world.describe d)) (Smr_world.divergence w);
   honest_sequences w
 
 let min_committed w =
   List.fold_left (fun acc s -> min acc (Array.length s)) max_int (honest_sequences w)
+
+(* A round-0 proposal of (Byzantine) node 0 carrying [count] transactions
+   numbered from [first_id], signed with node 0's key. *)
+let forge_proposal (w : Smr_world.t) ~first_id ~count =
+  let txns =
+    Array.init count (fun i -> Transaction.make ~id:(first_id + i) ~client:0 ~created_at:0 ())
+  in
+  let block = Block.make ~proposer:0 ~round:0 ~txns in
+  let vertex =
+    Vertex.make ~round:0 ~source:0 ~block_digest:(Block.digest block) ~strong_edges:[||]
+      ~weak_edges:[||] ()
+  in
+  (vertex, block, Keychain.sign w.keychain ~signer:0 (Msg.val_signing_string vertex))
 
 (* ------------------------------------------------------------------ *)
 (* Happy-path liveness + agreement, all three modes *)
@@ -142,20 +139,7 @@ let test_equivocating_proposer () =
   let params = { Sailfish.default_params with round_timeout = Time.ms 200. } in
   let w = make_world ~byzantine:[ 0 ] ~params Config.Full in
   let mk_proposal tag =
-    let txns =
-      Array.init 3 (fun i ->
-          Transaction.make ~id:(1000 + i + (100 * tag)) ~client:0 ~created_at:0 ())
-    in
-    let block = Block.make ~proposer:0 ~round:0 ~txns in
-    let vertex =
-      Vertex.make ~round:0 ~source:0 ~block_digest:(Block.digest block)
-        ~strong_edges:[||] ~weak_edges:[||] ()
-    in
-    let signature =
-      Keychain.sign w.keychain ~signer:0
-        (String.concat ""
-           [ "val|0|0|"; Digest32.to_raw vertex.Vertex.digest ])
-    in
+    let vertex, block, signature = forge_proposal w ~first_id:(1000 + (100 * tag)) ~count:3 in
     Msg.Val { vertex; block = Some block; signature }
   in
   let v1 = mk_proposal 1 and v2 = mk_proposal 2 in
@@ -204,16 +188,7 @@ let test_byzantine_partial_block_dissemination () =
     { Sailfish.default_params with round_timeout = Time.ms 200.; gc_depth = 1_000_000 }
   in
   let w = make_world ~byzantine:[ 0 ] ~params (Config.Single_clan clan) in
-  let txns = Array.init 3 (fun i -> Transaction.make ~id:(2000 + i) ~client:0 ~created_at:0 ()) in
-  let block = Block.make ~proposer:0 ~round:0 ~txns in
-  let vertex =
-    Vertex.make ~round:0 ~source:0 ~block_digest:(Block.digest block)
-      ~strong_edges:[||] ~weak_edges:[||] ()
-  in
-  let signature =
-    Keychain.sign w.keychain ~signer:0
-      (String.concat "" [ "val|0|0|"; Digest32.to_raw vertex.Vertex.digest ])
-  in
+  let vertex, block, signature = forge_proposal w ~first_id:2000 ~count:3 in
   start w;
   (* Block to clan members 2 and 4 (fc+1 = 2); bare vertex to the rest. *)
   for dst = 1 to 6 do
@@ -240,16 +215,7 @@ let test_ancient_round_traffic_ignored () =
   Engine.run ~until:(Time.s 2.) w.engine;
   Alcotest.(check bool) "gc active" true (Sailfish.last_committed_round (node w 1) > 10);
   (* Replay an ancient proposal, echo, and block request from "node 0". *)
-  let txns = Array.init 2 (fun i -> Transaction.make ~id:(9000 + i) ~client:0 ~created_at:0 ()) in
-  let block = Block.make ~proposer:0 ~round:0 ~txns in
-  let vertex =
-    Vertex.make ~round:0 ~source:0 ~block_digest:(Block.digest block)
-      ~strong_edges:[||] ~weak_edges:[||] ()
-  in
-  let signature =
-    Keychain.sign w.keychain ~signer:0
-      (String.concat "" [ "val|0|0|"; Digest32.to_raw vertex.Vertex.digest ])
-  in
+  let vertex, block, signature = forge_proposal w ~first_id:9000 ~count:2 in
   for dst = 1 to 6 do
     Net.send w.net ~src:0 ~dst (Msg.Val { vertex; block = Some block; signature });
     Net.send w.net ~src:0 ~dst (Msg.Block_request { round = 0; source = 1 });
