@@ -200,20 +200,19 @@ let cluster ?(n = 4) ?on_txn_executed dissemination =
   Smr_world.start w;
   (w.engine, Array.of_list (Smr_world.replicas w))
 
-let run_cluster ?(duration = 4.0) ~dissemination ~submit () =
+(* Submit to a fresh 4-replica cluster, then run it for 4 s. *)
+let run_cluster dissemination submit =
   let engine, nodes = cluster dissemination in
-  submit engine nodes;
-  Engine.run ~until:(Time.s duration) engine;
-  (engine, nodes)
+  submit nodes;
+  Engine.run ~until:(Time.s 4.) engine;
+  nodes
 
 let test_node_executes_submitted_txns () =
-  let _, nodes =
-    run_cluster ~dissemination:Config.Full
-      ~submit:(fun _engine nodes ->
+  let nodes =
+    run_cluster Config.Full (fun nodes ->
         for i = 1 to 50 do
           ignore (Node.submit nodes.(i mod 4) (mk_txn i))
         done)
-      ()
   in
   Array.iter
     (fun node ->
@@ -231,14 +230,12 @@ let test_node_executes_submitted_txns () =
 
 let test_node_single_clan_execution_split () =
   let clan = [| 0; 2 |] in
-  let _, nodes =
-    run_cluster ~dissemination:(Config.Single_clan clan)
-      ~submit:(fun _engine nodes ->
+  let nodes =
+    run_cluster (Config.Single_clan clan) (fun nodes ->
         for i = 1 to 30 do
           (* clients submit to clan members only (§5) *)
           ignore (Node.submit nodes.(if i mod 2 = 0 then 0 else 2) (mk_txn i))
         done)
-      ()
   in
   Alcotest.(check int) "clan member 0 executed" 30 (Node.executed_txns nodes.(0));
   Alcotest.(check int) "clan member 2 executed" 30 (Node.executed_txns nodes.(2));
@@ -250,14 +247,12 @@ let test_node_single_clan_execution_split () =
 
 let test_node_multi_clan_execution_split () =
   let clans = [| [| 0; 1 |]; [| 2; 3 |] |] in
-  let _, nodes =
-    run_cluster ~dissemination:(Config.Multi_clan clans)
-      ~submit:(fun _engine nodes ->
+  let nodes =
+    run_cluster (Config.Multi_clan clans) (fun nodes ->
         for i = 1 to 20 do
           ignore (Node.submit nodes.(0) (mk_txn i));
           ignore (Node.submit nodes.(2) (mk_txn (1000 + i)))
         done)
-      ()
   in
   (* Each clan executes only its own payloads... *)
   Alcotest.(check int) "clan 0 member" 20 (Node.executed_txns nodes.(0));
