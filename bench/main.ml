@@ -1037,8 +1037,8 @@ let perf () =
   section_header
     (Printf.sprintf "Perf baseline — pinned scenarios + hot-path micros -> %s"
        bench_sim_json);
-  Printf.printf "  %-26s %4s %6s %10s %12s %8s %18s\n" "scenario" "n" "load"
-    "committed" "events" "agree" "fingerprint";
+  Printf.printf "  %-26s %4s %6s %10s %12s %12s %8s %18s\n" "scenario" "n" "load"
+    "committed" "events" "dispatched" "agree" "fingerprint";
   let measured =
     List.map
       (fun (name, spec) ->
@@ -1063,9 +1063,9 @@ let perf () =
           "  %-26s %6.2fs wall  %9.0f events/s  minor %11.0f w  major %10.0f \
            w  live %9d w  top %9d w\n"
           name secs events_per_s minor major live top;
-        Printf.printf "  %-26s %4d %6d %10d %12d %8b %#18x\n" name spec.Runner.n
+        Printf.printf "  %-26s %4d %6d %10d %12d %12d %8b %#18x\n" name spec.Runner.n
           spec.Runner.txns_per_proposal r.Runner.committed_txns r.Runner.events
-          r.Runner.agreement r.Runner.commit_fingerprint;
+          r.Runner.dispatched r.Runner.agreement r.Runner.commit_fingerprint;
         {
           pr_name = name;
           pr_spec = spec;
@@ -1135,6 +1135,7 @@ let perf () =
         ("sim_duration_s", float (Time.to_s m.pr_spec.Runner.duration));
         ("wall_s", float m.pr_wall_s);
         ("events", int r.events);
+        ("dispatched", int r.dispatched);
         ("events_per_s", float (float_of_int r.events /. m.pr_wall_s));
         ("minor_words", words m.pr_minor);
         ("major_words", words m.pr_major);

@@ -10,6 +10,7 @@ module Metrics = Clanbft_obs.Metrics
 module Trace = Clanbft_obs.Trace
 module Prof = Clanbft_obs.Prof
 module Rbc = Clanbft_rbc.Rbc_core
+module Round_rows = Clanbft_util.Round_rows
 
 let sec_propose = Prof.section "sailfish.propose"
 let sec_echo = Prof.section "sailfish.echo"
@@ -81,7 +82,7 @@ type t = {
      of re-filtering every pending vertex's full parent list — the old
      O(|pending| · edges) rescan per insert dominated at paper scale. *)
   waiters : (int * int, (int * int) list ref) Hashtbl.t;
-  blocks : (int * int, Block.t) Hashtbl.t; (* available blocks I store *)
+  blocks : Block.t Round_rows.t; (* available blocks I store *)
   (* round progression *)
   mutable round : int;
   mutable proposed : bool; (* proposed in current round? *)
@@ -107,12 +108,12 @@ type t = {
   leader_votes : (int, Bitset.t) Hashtbl.t; (* round -> voters for its leader *)
   commit_ready : (int, unit) Hashtbl.t; (* direct quorum reached *)
   mutable last_committed : int;
-  ordered : (int * int, unit) Hashtbl.t;
+  ordered : unit Round_rows.t;
   mutable ordered_total : int;
   mutable ordered_hash : int; (* chained fingerprint of the total order *)
   (* weak-edge bookkeeping *)
-  covered : (int * int, unit) Hashtbl.t; (* causal history of my proposals *)
-  uncovered : (int * int, Vertex.t) Hashtbl.t;
+  covered : unit Round_rows.t; (* causal history of my proposals *)
+  uncovered : Vertex.t Round_rows.t;
 }
 
 let me t = t.me
@@ -282,6 +283,32 @@ let msg_round = function
      dispatched before the GC-floor gate; never consulted. *)
   | Msg.Sync_request _ | Msg.Sync_reply _ -> max_int
 
+(* The messages [handle] is certain to ignore, now and for as long as this
+   replica runs: everything once halted, anything below the GC floor, an
+   echo relayed by anyone but its signer or for an instance this node has
+   certified, and a certificate for a delivered instance. Every clause is
+   monotone ([halted], the floor, [sent_cert] and [delivered] never go
+   back; an instance is pruned only below the floor), as {!Net.set_handler}
+   requires: the net skips such copies without scheduling them. It runs
+   once per copy sent, so the common kinds are tested first and an
+   instance that exists is not also compared with the floor (a [false]
+   only costs a delivery). *)
+let settled t ~src msg =
+  match msg with
+  | Msg.Echo { round; source; signer; _ } -> (
+      src <> signer || t.halted
+      ||
+      match Rbc.find t.rbc ~sender:source ~round with
+      | Some i -> i.sent_cert
+      | None -> round < Store.floor t.store)
+  | Msg.Echo_cert { round; source; _ } -> (
+      t.halted
+      ||
+      match Rbc.find t.rbc ~sender:source ~round with
+      | Some i -> i.delivered
+      | None -> round < Store.floor t.store)
+  | _ -> t.halted || msg_round msg < Store.floor t.store
+
 let rec handle t ~src msg =
   if not t.halted then
     match msg with
@@ -423,8 +450,8 @@ and insert t (v : Vertex.t) =
   if Trace.enabled t.obsh.o_trace then
     Trace.emit t.obsh.o_trace ~ts:(Engine.now t.engine)
       (Trace.Vertex_deliver { node = t.me; round = v.round; source = v.source });
-  if not (Hashtbl.mem t.covered (v.round, v.source)) then
-    Hashtbl.replace t.uncovered (v.round, v.source) v;
+  if not (Round_rows.mem t.covered ~round:v.round ~source:v.source) then
+    Round_rows.set t.uncovered ~round:v.round ~source:v.source v;
   (* Wake only the children buffered on this slot. A woken child may still
      miss other parents (its waiter entries on those slots remain), so it
      is re-checked, not blindly inserted. *)
@@ -518,8 +545,8 @@ and on_block_reply t (b : Block.t) =
   | _ -> ()
 
 and block_available t (inst : inst) b =
-  if not (Hashtbl.mem t.blocks (inst.round, inst.sender)) then begin
-    Hashtbl.replace t.blocks (inst.round, inst.sender) b;
+  if not (Round_rows.mem t.blocks ~round:inst.round ~source:inst.sender) then begin
+    Round_rows.set t.blocks ~round:inst.round ~source:inst.sender b;
     t.on_block b
   end
 
@@ -560,7 +587,7 @@ and on_sync_request t ~src ~from_round =
       (fun (vertex : Vertex.t) ->
         let block =
           if Config.in_payload_clan t.config ~proposer:vertex.source src then
-            Hashtbl.find_opt t.blocks (vertex.round, vertex.source)
+            Round_rows.find t.blocks ~round:vertex.round ~source:vertex.source
           else None
         in
         Net.send t.net ~src:t.me ~dst:src (Msg.Vertex_reply { vertex; block }))
@@ -687,11 +714,11 @@ and try_commit t =
         (fun (l : Vertex.t) ->
           let history =
             Store.causal_history t.store l ~skip:(fun ~round ~source ->
-                Hashtbl.mem t.ordered (round, source))
+                Round_rows.mem t.ordered ~round ~source)
           in
           List.iter
             (fun (v : Vertex.t) ->
-              Hashtbl.replace t.ordered (v.round, v.source) ();
+              Round_rows.set t.ordered ~round:v.round ~source:v.source ();
               t.ordered_hash <-
                 mix_commit t.ordered_hash ~round:v.round ~source:v.source;
               if Trace.enabled t.obsh.o_trace then
@@ -716,10 +743,10 @@ and garbage_collect t =
   let horizon = t.last_committed - t.params.gc_depth in
   if horizon > 0 then begin
     Store.prune_below t.store ~round:horizon;
-    drop_below t.ordered horizon;
-    drop_below t.covered horizon;
-    drop_below t.uncovered horizon;
-    drop_below t.blocks horizon;
+    Round_rows.drop_below t.ordered horizon;
+    Round_rows.drop_below t.covered horizon;
+    Round_rows.drop_below t.uncovered horizon;
+    Round_rows.drop_below t.blocks horizon;
     drop_below t.pending horizon;
     drop_below t.waiters horizon;
     Rbc.prune_below t.rbc ~round:horizon;
@@ -794,9 +821,14 @@ and maybe_propose t =
    it never needs a weak edge from me again. Amortised O(1) per vertex. *)
 and mark_covered t refs =
   let rec visit (r : Vertex.vref) =
-    if not (Hashtbl.mem t.covered (r.round, r.source)) then begin
-      Hashtbl.replace t.covered (r.round, r.source) ();
-      Hashtbl.remove t.uncovered (r.round, r.source);
+    (* A reference outside the committee names no vertex to cover. *)
+    if
+      r.source >= 0
+      && r.source < Config.n t.config
+      && not (Round_rows.mem t.covered ~round:r.round ~source:r.source)
+    then begin
+      Round_rows.set t.covered ~round:r.round ~source:r.source ();
+      Round_rows.remove t.uncovered ~round:r.round ~source:r.source;
       match Store.find_ref t.store r with
       | Some v ->
           Array.iter visit v.strong_edges;
@@ -832,8 +864,8 @@ and propose t r =
      and drains oldest-first over later rounds. *)
   let weak_cap = Config.sparse_weak_cap policy in
   let weak_edges =
-    Hashtbl.fold
-      (fun (round, _) v acc -> if round < r - 1 then v :: acc else acc)
+    Round_rows.fold
+      (fun (v : Vertex.t) acc -> if v.round < r - 1 then v :: acc else acc)
       t.uncovered []
     |> List.sort (fun (a : Vertex.t) b ->
            Vertex.Id.compare (a.round, a.source) (b.round, b.source))
@@ -993,8 +1025,8 @@ let note_proposed t ~round =
 let replay_block t (b : Block.t) =
   let slot = (Rbc.get t.rbc ~sender:b.proposer ~round:b.round).ext in
   if slot.block = None then slot.block <- Some b;
-  if not (Hashtbl.mem t.blocks (b.round, b.proposer)) then
-    Hashtbl.replace t.blocks (b.round, b.proposer) b
+  if not (Round_rows.mem t.blocks ~round:b.round ~source:b.proposer) then
+    Round_rows.set t.blocks ~round:b.round ~source:b.proposer b
 
 let replay_vertex t (v : Vertex.t) =
   if
@@ -1012,7 +1044,7 @@ let replay_vertex t (v : Vertex.t) =
     inst.sent_cert <- true;
     Option.iter
       (fun b -> inst.ext.block <- Some b)
-      (Hashtbl.find_opt t.blocks (v.round, v.source));
+      (Round_rows.find t.blocks ~round:v.round ~source:v.source);
     register_vote t v;
     try_insert t v
   end
@@ -1028,7 +1060,7 @@ let start_recovery t =
   sync_tick t ~cursor:(t.me + 1) ~cycles:0 ~last_frontier:(-1);
   maybe_advance t
 
-let block_of t ~round ~source = Hashtbl.find_opt t.blocks (round, source)
+let block_of t ~round ~source = Round_rows.find t.blocks ~round ~source
 let vertex_of t ~round ~source = Store.find t.store ~round ~source
 let rbc_footprint t = Rbc.footprint t.rbc
 
@@ -1125,7 +1157,7 @@ let create ~me ~config ~keychain ~engine ~net ?(params = default_params)
           ~pull_retries:obsh.o_pull_retries (rbc_context ~me config);
       pending = Hashtbl.create 16;
       waiters = Hashtbl.create 16;
-      blocks = Hashtbl.create 256;
+      blocks = Round_rows.create ~n:(Config.n config);
       round = 0;
       proposed = false;
       started = false;
@@ -1148,12 +1180,14 @@ let create ~me ~config ~keychain ~engine ~net ?(params = default_params)
       leader_votes = Hashtbl.create 64;
       commit_ready = Hashtbl.create 64;
       last_committed = -1;
-      ordered = Hashtbl.create 1024;
+      ordered = Round_rows.create ~n:(Config.n config);
       ordered_total = 0;
       ordered_hash = 0;
-      covered = Hashtbl.create 1024;
-      uncovered = Hashtbl.create 64;
+      covered = Round_rows.create ~n:(Config.n config);
+      uncovered = Round_rows.create ~n:(Config.n config);
     }
   in
-  Net.set_handler net me (fun ~src msg -> handle t ~src msg);
+  Net.set_handler net me
+    ~settled:(fun ~src msg -> settled t ~src msg)
+    (fun ~src msg -> handle t ~src msg);
   t

@@ -19,6 +19,7 @@ module Util = struct
   module Rng = Clanbft_util.Rng
   module Bitset = Clanbft_util.Bitset
   module Heap = Clanbft_util.Heap
+  module Round_rows = Clanbft_util.Round_rows
   module Stats = Clanbft_util.Stats
   module Hex = Clanbft_util.Hex
   module Pool = Clanbft_util.Pool

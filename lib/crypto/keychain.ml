@@ -85,15 +85,12 @@ let set_lane b off v =
     Bytes.unsafe_set b (off + i) (Char.unsafe_chr ((v lsr (8 * i)) land 0xff))
   done
 
-(* Byte 7 of each lane carries at most 7 significant bits (63-bit lanes),
-   so a valid tag never has 0xff there — [forge] can never verify. *)
+(* A lane is a 63-bit value stored little-endian in 8 bytes, so bit 63 of
+   a valid tag's word is always clear — [forge] (all 0xff) never verifies.
+   One 64-bit load per lane; [Int64.to_int] keeps the low 63 bits. *)
 let lane_matches s off v =
-  let ok = ref true in
-  for i = 0 to 7 do
-    if Char.code (String.unsafe_get s (off + i)) <> (v lsr (8 * i)) land 0xff
-    then ok := false
-  done;
-  !ok
+  let w = String.get_int64_le s off in
+  w >= 0L && Int64.to_int w = v
 
 (* Precomputed message hash: the echo path verifies n distinct signers
    against the SAME signing string (once per slot per receiver), so the

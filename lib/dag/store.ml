@@ -1,41 +1,26 @@
 open Clanbft_types
 module Prof = Clanbft_obs.Prof
+module Round_rows = Clanbft_util.Round_rows
 
 let sec_insert = Prof.section "dag.insert"
 let sec_prune = Prof.section "dag.prune"
 let sec_parents = Prof.section "dag.parents"
 
 type t = {
-  n : int;
-  rounds : (int, Vertex.t option array) Hashtbl.t; (* round -> slot per source *)
-  counts : (int, int ref) Hashtbl.t;
+  rounds : Vertex.t Round_rows.t; (* (round, source) -> vertex, with per-round counts *)
   mutable highest : int;
   mutable floor : int; (* rounds below this were pruned *)
-  mutable size : int;
 }
 
 let create ~n =
   if n <= 0 then invalid_arg "Store.create: n must be positive";
-  { n; rounds = Hashtbl.create 64; counts = Hashtbl.create 64; highest = -1; floor = 0; size = 0 }
+  { rounds = Round_rows.create ~n; highest = -1; floor = 0 }
 
-let n t = t.n
+let n t = Round_rows.n t.rounds
 
-let slots t round =
-  match Hashtbl.find_opt t.rounds round with
-  | Some a -> a
-  | None ->
-      let a = Array.make t.n None in
-      Hashtbl.replace t.rounds round a;
-      a
+let find t ~round ~source = Round_rows.find t.rounds ~round ~source
 
-let find t ~round ~source =
-  if source < 0 || source >= t.n then None
-  else
-    match Hashtbl.find_opt t.rounds round with
-    | None -> None
-    | Some a -> a.(source)
-
-let mem t ~round ~source = find t ~round ~source <> None
+let mem t ~round ~source = Option.is_some (find t ~round ~source)
 
 let find_ref t (r : Vertex.vref) =
   match find t ~round:r.round ~source:r.source with
@@ -44,30 +29,24 @@ let find_ref t (r : Vertex.vref) =
 
 (* References below the GC floor count as satisfied: their subtree was
    already ordered and pruned. *)
-let ref_satisfied t (r : Vertex.vref) = r.round < t.floor || find_ref t r <> None
+let ref_satisfied t (r : Vertex.vref) = r.round < t.floor || Option.is_some (find_ref t r)
 
 (* Allocation-free insertion guard. Strong edges all target [v.round - 1],
-   so the per-round count doubles as a missing-parent counter: an empty
-   previous round (above the floor) fails every strong edge at once, and the
-   slot array is resolved with a single table lookup instead of one per
-   edge. Weak edges are rare and probed individually. *)
+   so an empty previous round (above the floor) fails every strong edge at
+   once; otherwise each edge is one cached-row slot probe. Weak edges are
+   rare and probed individually. *)
 let parents_present t (v : Vertex.t) =
   Prof.enter sec_parents;
   let strong_ok =
     Array.length v.strong_edges = 0
     || v.round - 1 < t.floor
-    ||
-    match Hashtbl.find_opt t.rounds (v.round - 1) with
-    | None -> false
-    | Some a ->
-        Array.for_all
-          (fun (r : Vertex.vref) ->
-            r.source >= 0 && r.source < t.n
-            &&
-            match a.(r.source) with
-            | Some p -> Clanbft_crypto.Digest32.equal p.digest r.digest
-            | None -> false)
-          v.strong_edges
+    || Round_rows.count t.rounds (v.round - 1) > 0
+       && Array.for_all
+            (fun (r : Vertex.vref) ->
+              match find t ~round:(v.round - 1) ~source:r.source with
+              | Some p -> Clanbft_crypto.Digest32.equal p.digest r.digest
+              | None -> false)
+            v.strong_edges
   in
   let ok = strong_ok && Array.for_all (ref_satisfied t) v.weak_edges in
   Prof.leave sec_parents;
@@ -95,22 +74,16 @@ let add t (v : Vertex.t) =
         Prof.leave sec_insert;
         invalid_arg "Store.add: parent missing"
       end;
-      (slots t v.round).(v.source) <- Some v;
-      (match Hashtbl.find_opt t.counts v.round with
-      | Some c -> incr c
-      | None -> Hashtbl.replace t.counts v.round (ref 1));
-      t.size <- t.size + 1;
+      Round_rows.set t.rounds ~round:v.round ~source:v.source v;
       if v.round > t.highest then t.highest <- v.round);
   Prof.leave sec_insert
 
 let vertices_at t round =
-  match Hashtbl.find_opt t.rounds round with
-  | None -> []
-  | Some a ->
-      Array.to_list a |> List.filter_map (fun x -> x)
+  let acc = ref [] in
+  Round_rows.iter_row t.rounds round (fun v -> acc := v :: !acc);
+  List.rev !acc
 
-let count_at t round =
-  match Hashtbl.find_opt t.counts round with Some c -> !c | None -> 0
+let count_at t round = Round_rows.count t.rounds round
 
 (* BFS down strong edges; rounds strictly decrease, so the frontier dies out
    once it passes the target round. *)
@@ -118,7 +91,7 @@ let strong_path t (from : Vertex.t) ~round ~source =
   if from.round = round && from.source = source then true
   else if round >= from.round then false
   else begin
-    let visited = Hashtbl.create 32 in
+    let visited = Round_rows.create ~n:(n t) in
     let rec go frontier =
       match frontier with
       | [] -> false
@@ -128,13 +101,15 @@ let strong_path t (from : Vertex.t) ~round ~source =
           Array.iter
             (fun (e : Vertex.vref) ->
               if e.round = round && e.source = source then hits := true
-              else if e.round > round && not (Hashtbl.mem visited (e.round, e.source))
-              then begin
-                Hashtbl.replace visited (e.round, e.source) ();
+              else if
+                e.round > round
+                && Option.is_none (Round_rows.find visited ~round:e.round ~source:e.source)
+              then
                 match find_ref t e with
-                | Some parent -> next := parent :: !next
-                | None -> ()
-              end)
+                | Some parent ->
+                    Round_rows.set visited ~round:e.round ~source:e.source ();
+                    next := parent :: !next
+                | None -> ())
             v.strong_edges;
           !hits || go !next
     in
@@ -142,11 +117,11 @@ let strong_path t (from : Vertex.t) ~round ~source =
   end
 
 let causal_history t (v : Vertex.t) ~skip =
-  let visited = Hashtbl.create 64 in
+  let visited = Round_rows.create ~n:(n t) in
   let acc = ref [] in
   let rec visit (v : Vertex.t) =
-    if not (Hashtbl.mem visited (v.round, v.source)) then begin
-      Hashtbl.replace visited (v.round, v.source) ();
+    if Option.is_none (Round_rows.find visited ~round:v.round ~source:v.source) then begin
+      Round_rows.set visited ~round:v.round ~source:v.source ();
       if not (skip ~round:v.round ~source:v.source) then begin
         acc := v :: !acc;
         Vertex.iter_edges v (fun r ->
@@ -166,38 +141,9 @@ let floor t = t.floor
 let prune_below t ~round =
   if round > t.floor then begin
     Prof.enter sec_prune;
-    (* Key-driven when the gap outnumbers the live rounds: after a long
-       idle stretch or a snapshot join the floor can jump by millions of
-       rounds while the store holds only a handful, so iterating the
-       integer range would be O(gap). *)
-    let gap = round - t.floor in
-    let drop r =
-      (match Hashtbl.find_opt t.counts r with
-      | Some c -> t.size <- t.size - !c
-      | None -> ());
-      Hashtbl.remove t.rounds r;
-      Hashtbl.remove t.counts r
-    in
-    if gap <= Hashtbl.length t.rounds + Hashtbl.length t.counts then
-      for r = t.floor to round - 1 do
-        drop r
-      done
-    else begin
-      let doomed =
-        Hashtbl.fold (fun r _ acc -> if r < round then r :: acc else acc)
-          t.rounds []
-      in
-      List.iter drop doomed;
-      (* [counts] keys mirror [rounds], but sweep defensively in case a
-         future change lets them diverge. *)
-      let doomed =
-        Hashtbl.fold (fun r _ acc -> if r < round then r :: acc else acc)
-          t.counts []
-      in
-      List.iter drop doomed
-    end;
+    Round_rows.drop_below t.rounds round;
     t.floor <- round;
     Prof.leave sec_prune
   end
 
-let size t = t.size
+let size t = Round_rows.size t.rounds

@@ -20,8 +20,11 @@
       below the horizon count as present ({!missing_parents}) because
       their subtree was already ordered and collected.
 
-    Rounds are dense small integers, so per-round storage is an array of
-    [n] options: slot lookup is O(1), {!vertices_at} is O(n). Observability
+    Slots live in a {!Clanbft_util.Round_rows}: one [n]-wide row per
+    round with its occupancy count, the rounds in flight cached, so slot
+    lookup is an array index, {!vertices_at} is O(n) and {!prune_below}
+    drops whole rows at a cost proportional to the rows dropped, however
+    far the floor jumps. Observability
     of insertions/commits lives one layer up (see
     {!Clanbft_consensus.Sailfish} and [docs/OBSERVABILITY.md] —
     [dag_vertices_inserted], [dag_vertices_committed],

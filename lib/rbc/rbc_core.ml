@@ -1,5 +1,6 @@
 open Clanbft_crypto
 module Bitset = Clanbft_util.Bitset
+module Round_rows = Clanbft_util.Round_rows
 module Engine = Clanbft_sim.Engine
 module Net = Clanbft_sim.Net
 module Time = Clanbft_sim.Time
@@ -80,10 +81,9 @@ type ('e, 'm) t = {
   trace : Trace.t;
   pull_retries : Metrics.counter;
   ctx : ('e, 'm) ctx;
-  (* keyed by [round * n + sender]: echo receipts probe this table ~n³
-     times per round, and a packed int key avoids the per-probe pair
-     allocation and structural hash of an (int * int) key *)
-  instances : (int, 'e inst) Hashtbl.t;
+  (* (round, sender) -> instance: echo and certificate receipts look up
+     ~n³ times per round, each an index into a cached row *)
+  instances : 'e inst Round_rows.t;
 }
 
 let create ~me ~n ~f ~signed ~engine ~net ~keychain ~retry ~budget ~trace
@@ -102,7 +102,7 @@ let create ~me ~n ~f ~signed ~engine ~net ~keychain ~retry ~budget ~trace
     trace;
     pull_retries;
     ctx;
-    instances = Hashtbl.create 256;
+    instances = Round_rows.create ~n;
   }
 
 let trace_phase c ~sender ~round phase =
@@ -111,18 +111,12 @@ let trace_phase c ~sender ~round phase =
       (Trace.Rbc_phase { node = c.me; sender; round; phase })
 
 let trace c inst phase = trace_phase c ~sender:inst.sender ~round:inst.round phase
-let key c ~sender ~round = (round * c.n) + sender
-
-(* Senders come off the wire; one outside the committee would alias another
-   instance's packed key. *)
+(* Senders come off the wire: one outside the committee has no instance. *)
 let in_range c sender = sender >= 0 && sender < c.n
-
-let find c ~sender ~round =
-  if in_range c sender then Hashtbl.find_opt c.instances (key c ~sender ~round)
-  else None
+let find c ~sender ~round = Round_rows.find c.instances ~round ~source:sender
 
 let get c ~sender ~round =
-  match Hashtbl.find_opt c.instances (key c ~sender ~round) with
+  match find c ~sender ~round with
   | Some i -> i
   | None ->
       let i =
@@ -143,27 +137,20 @@ let get c ~sender ~round =
           served = None;
         }
       in
-      Hashtbl.replace c.instances (key c ~sender ~round) i;
+      Round_rows.set c.instances ~round ~source:sender i;
       i
 
 let tbl_length = function None -> 0 | Some t -> Digest32.Tbl.length t
 
 let footprint c =
-  Hashtbl.fold
-    (fun _ i (insts, digests) ->
+  Round_rows.fold
+    (fun i (insts, digests) ->
       let first = if i.first_votes == no_votes then 0 else 1 in
       (insts + 1, digests + first + tbl_length i.more_echoes + tbl_length i.readies))
     c.instances (0, 0)
 
 let heap_root c = Obj.repr c.instances
-
-let prune_below c ~round =
-  let doomed =
-    Hashtbl.fold
-      (fun k i acc -> if i.round < round then k :: acc else acc)
-      c.instances []
-  in
-  List.iter (Hashtbl.remove c.instances) doomed
+let prune_below c ~round = Round_rows.drop_below c.instances round
 
 (* [known] itself, or a fresh record when it is [no_votes]. *)
 let votes c known ~sender ~round digest =
@@ -289,24 +276,24 @@ let count_echo c inst digest known v ~signer signature =
   end
 
 (* An accepted echo into a known instance and digest allocates nothing:
-   [Hashtbl.find] rather than [find_opt], and the share is folded in. *)
+   the instance is a cached-row index and the share is folded in. *)
 let on_echo c ~sender ~round digest ~signer signature =
   if not (in_range c sender) then None
   else
-    match Hashtbl.find c.instances (key c ~sender ~round) with
+    match find c ~sender ~round with
     (* Once this node has formed its certificate every later echo is dead
        weight: the threshold branch is the only consumer of the vote
        bookkeeping, and pull candidates are snapshotted at certification.
        Skipping the ~n - 2f-1 post-certificate echoes (verify included)
        changes no message and no observable state. *)
-    | inst when inst.sent_cert -> None
-    | inst ->
+    | Some inst when inst.sent_cert -> None
+    | Some inst ->
         let known = echo_votes inst digest in
         let v = votes c known ~sender ~round digest in
         if verified c v ~signer signature then
           count_echo c inst digest known v ~signer signature
         else None
-    | exception Not_found ->
+    | None ->
         let v = votes c no_votes ~sender ~round digest in
         if verified c v ~signer signature then
           count_echo c (get c ~sender ~round) digest no_votes v ~signer signature
@@ -336,7 +323,7 @@ let clan_count c ~sender signers =
 let on_echo_cert c ~sender ~round digest agg =
   if (not c.signed) || not (in_range c sender) then None
   else
-    let found = Hashtbl.find_opt c.instances (key c ~sender ~round) in
+    let found = find c ~sender ~round in
     match found with
     | Some inst when inst.delivered -> None
     | _ ->

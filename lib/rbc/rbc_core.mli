@@ -98,18 +98,20 @@ val find : ('e, 'm) t -> sender:int -> round:int -> 'e inst option
 
 val get : ('e, 'm) t -> sender:int -> round:int -> 'e inst
 (** Creating, for locally justified state only: an authenticated VAL, a
-    certified reference, a replayed journal. *)
+    certified reference, a replayed journal. Raises [Invalid_argument]
+    for a sender outside the committee. *)
 
 val footprint : ('e, 'm) t -> int * int
 (** (instances, digest vote records). *)
 
 val heap_root : ('e, 'm) t -> Obj.t
-(** The instance table, a {!Clanbft_obs.Prof.census} root: it reaches the
+(** The instance rows, a {!Clanbft_obs.Prof.census} root: it reaches the
     instances, their votes and payload state, and no closure, engine or
     network. *)
 
-
 val prune_below : ('e, 'm) t -> round:int -> unit
+(** Drop the instances of every round below [round], row by row. *)
+
 val echo_voters : 'e inst -> Digest32.t -> int list
 val ready_voters : 'e inst -> Digest32.t -> int list
 

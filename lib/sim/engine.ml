@@ -96,7 +96,9 @@ type t = {
   mutable free : int; (* free-list head *)
   mutable clock : Time.t;
   mutable pending : int;
-  mutable processed : int;
+  mutable processed : int; (* dispatched, plus elided events *)
+  mutable dispatched : int;
+  mutable until : Time.t; (* the current [run]'s horizon; [min_int] outside [run] *)
   mutable choice_mode : bool;
   mutable next_choice_id : int;
   pool : (int, choice * event) Hashtbl.t; (* pending delivery choices *)
@@ -130,6 +132,8 @@ let create () =
     clock = 0;
     pending = 0;
     processed = 0;
+    dispatched = 0;
+    until = min_int;
     choice_mode = false;
     next_choice_id = 0;
     pool = Hashtbl.create 64;
@@ -268,6 +272,7 @@ let fire_choice t id =
   | Some (_, ev) ->
       Hashtbl.remove t.pool id;
       t.processed <- t.processed + 1;
+      t.dispatched <- t.dispatched + 1;
       (match ev with Fn fn -> fn () | Ix (fn, arg) -> fn arg)
 
 let drop_choice t id =
@@ -385,6 +390,7 @@ let dispatch t s =
   t.free <- s;
   t.pending <- t.pending - 1;
   t.processed <- t.processed + 1;
+  t.dispatched <- t.dispatched + 1;
   Prof.enter sec_dispatch;
   if thunk == no_thunk then fn arg else thunk ();
   Prof.leave sec_dispatch
@@ -410,6 +416,7 @@ let step t =
 
 let run ?until t =
   let hrz = match until with None -> max_int | Some h -> h in
+  t.until <- hrz;
   let continue = ref true in
   while !continue do
     let s = pop_current t in
@@ -424,9 +431,22 @@ let run ?until t =
       else open_bucket t time
     end
   done;
+  t.until <- min_int;
   match until with
   | Some hrz when t.clock < hrz && t.pending = 0 -> set_clock t hrz
   | _ -> ()
 
+(* An event at [time] that would do nothing when run: counting it now
+   instead of scheduling it is invisible at the end of this [run], where
+   the scheduled event would have run too. Choice mode keeps every event,
+   so the external scheduler sees the same pool. *)
+let elide t time =
+  if t.choice_mode || time > t.until || time < t.clock then false
+  else begin
+    t.processed <- t.processed + 1;
+    true
+  end
+
 let pending t = t.pending
 let events_processed t = t.processed
+let events_dispatched t = t.dispatched

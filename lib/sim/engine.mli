@@ -104,8 +104,23 @@ val run : ?until:Time.t -> t -> unit
     passes [until]. When stopping on [until], the clock is left at [until]
     and any later events stay queued. *)
 
+val elide : t -> Time.t -> bool
+(** [elide t time] is for an event at [time] that the caller knows would
+    do nothing when run (a message its receiver is certain to ignore).
+    When it returns [true] the event counts as processed now
+    ({!events_processed}) but is never scheduled or dispatched, which no
+    observer can tell apart once the current {!run} returns. It returns
+    [false], counting nothing, outside {!run}, in choice mode, and when
+    [time] lies past the current run's [until] (or before the clock): then
+    the caller schedules the event as usual. *)
+
 val step : t -> bool
 (** Process one event; [false] when the queue is empty. *)
 
 val pending : t -> int
+
 val events_processed : t -> int
+(** Events run so far, plus those {!elide} accounted for. *)
+
+val events_dispatched : t -> int
+(** Events actually run: {!events_processed} less the elided ones. *)

@@ -48,8 +48,28 @@ val create :
 
 val n : _ t -> int
 
-val set_handler : 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
-(** Must be installed for every node before traffic reaches it. *)
+val set_handler :
+  'msg t -> int -> ?settled:(src:int -> 'msg -> bool) -> (src:int -> 'msg -> unit) -> unit
+(** Must be installed for every node before traffic reaches it.
+
+    [settled ~src msg] (default: never) says that this handler is certain
+    to ignore [msg] from [src]. It must be monotone for the handler's
+    lifetime: once it holds for a message it holds until the handler is
+    replaced. A copy it holds for {e when the copy is sent} is still
+    filtered, priced, queued on the uplink and drawn for (RNG included);
+    but when {!Engine.elide} accepts its arrival time it is never
+    scheduled, and counts in {!bytes_received} and
+    {!Engine.events_processed} at once rather than on arrival — the same
+    totals once the current [Engine.run] returns, though a reader inside
+    the run sees them early.
+    Copies are never elided while tracing, in choice mode, past the
+    current [Engine.run ~until], or when {!will_replace} announced a
+    replacement at or before their arrival. *)
+
+val will_replace : 'msg t -> int -> at:Time.t -> unit
+(** The handler at this id will be replaced at [at] (a replica restart):
+    a copy arriving at or after [at] is delivered whatever the current
+    handler's [settled] says. *)
 
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** One copy to [dst]: it waits its turn on [src]'s uplink, pays its own

@@ -75,6 +75,7 @@ type result = {
   bytes_total : int;
   mb_per_node_per_s : float;
   events : int;
+  dispatched : int;
   agreement : bool;
   commit_fingerprint : int;
   commit_chain : int array;
@@ -303,6 +304,7 @@ let run ?on_wal spec =
       float_of_int (Net.total_bytes net)
       /. float_of_int spec.n /. Time.to_s spec.duration /. 1e6;
     events = Engine.events_processed engine;
+    dispatched = Engine.events_dispatched engine;
     agreement = Smr_world.divergence world = None;
     commit_fingerprint = Smr_world.Ledger.fingerprint world.ledger compared;
     commit_chain =

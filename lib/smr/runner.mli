@@ -91,7 +91,10 @@ type result = {
   leaders_committed : int;
   bytes_total : int;
   mb_per_node_per_s : float;  (** mean egress rate per replica *)
-  events : int;
+  events : int;  (** engine events processed, elided deliveries included *)
+  dispatched : int;
+      (** engine events actually run: [events] less the deliveries the net
+          elided because their receiver was certain to ignore them *)
   agreement : bool;
       (** no compared replica's commit diverged from the canonical order
           ({!Smr_world.divergence}); strategy-occupied and snapshot-joined

@@ -141,7 +141,8 @@ let create ?(engine = Engine.create ()) ?obs ~topology ~net:net_config ~seed ?pa
       ()
   in
   for me = 0 to n - 1 do
-    if List.mem me absent then Net.set_handler net me (fun ~src:_ _ -> ())
+    if List.mem me absent then
+      Net.set_handler net me ~settled:(fun ~src:_ _ -> true) (fun ~src:_ _ -> ())
     else w.nodes.(me) <- Some (make_node me)
   done;
   (* Installed after the nodes so an empty plan consumes no RNG draws: a
@@ -160,6 +161,7 @@ let create ?(engine = Engine.create ()) ?obs ~topology ~net:net_config ~seed ?pa
      path perturbs nothing else. *)
   List.iter
     (fun (r : Faults.restart) ->
+      Net.will_replace net r.node ~at:r.recover_at;
       Engine.schedule_at engine r.crash_at (fun () -> Option.iter Node.stop w.nodes.(r.node));
       Engine.schedule_at engine r.recover_at (fun () ->
           Ledger.reset w.ledger r.node;

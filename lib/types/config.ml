@@ -11,7 +11,7 @@ type t = {
   dissemination : dissemination;
   edge_policy : edge_policy;
   clans : int array array; (* [Full] -> [| all |] *)
-  clan_of : int option array; (* party -> clan index *)
+  clan_id : int array; (* party -> clan index, or -1 *)
 }
 
 let validate_clan ~n seen clan =
@@ -40,11 +40,9 @@ let make ~n ?f ?(edge_policy = Dense) dissemination =
   in
   let seen = Array.make n false in
   Array.iter (fun clan -> validate_clan ~n seen clan) clans;
-  let clan_of = Array.make n None in
-  Array.iteri
-    (fun c members -> Array.iter (fun i -> clan_of.(i) <- Some c) members)
-    clans;
-  { n; f; dissemination; edge_policy; clans; clan_of }
+  let clan_id = Array.make n (-1) in
+  Array.iteri (fun c members -> Array.iter (fun i -> clan_id.(i) <- c) members) clans;
+  { n; f; dissemination; edge_policy; clans; clan_id }
 
 let n t = t.n
 let f t = t.f
@@ -70,19 +68,25 @@ let sparse_weak_cap = function
   | Sparse { k; _ } -> max 16 (4 * k)
 let leader_of_round t round = round mod t.n
 
+(* Clan tests run on every counted echo, so they compare plain ints: the
+   clan index, -1 for none. *)
 let is_block_proposer t i =
   match t.dissemination with
   | Full | Multi_clan _ -> i >= 0 && i < t.n
-  | Single_clan _ -> t.clan_of.(i) = Some 0
+  | Single_clan _ -> t.clan_id.(i) = 0
 
 let block_proposers t =
   List.filter (is_block_proposer t) (List.init t.n (fun i -> i))
 
-let proposer_clan t ~proposer =
+let proposer_clan_id t ~proposer =
   match t.dissemination with
-  | Full -> Some 0
-  | Single_clan _ -> if t.clan_of.(proposer) = Some 0 then Some 0 else None
-  | Multi_clan _ -> t.clan_of.(proposer)
+  | Full -> 0
+  | Single_clan _ -> if t.clan_id.(proposer) = 0 then 0 else -1
+  | Multi_clan _ -> t.clan_id.(proposer)
+
+let proposer_clan t ~proposer =
+  let c = proposer_clan_id t ~proposer in
+  if c < 0 then None else Some c
 
 let payload_clan t ~proposer =
   match proposer_clan t ~proposer with
@@ -96,18 +100,16 @@ let clan_fault_bound t c =
 let clan_echo_threshold t ~proposer =
   match t.dissemination with
   | Full -> 0
-  | Single_clan _ | Multi_clan _ -> (
-      match proposer_clan t ~proposer with
-      | None -> 0
-      | Some c -> clan_fault_bound t c + 1)
+  | Single_clan _ | Multi_clan _ ->
+      let c = proposer_clan_id t ~proposer in
+      if c < 0 then 0 else clan_fault_bound t c + 1
 
 let in_payload_clan t ~proposer i =
-  match proposer_clan t ~proposer with
-  | None -> false
-  | Some c -> t.clan_of.(i) = Some c
+  let c = proposer_clan_id t ~proposer in
+  c >= 0 && t.clan_id.(i) = c
 
-let executes_blocks t i = t.clan_of.(i) <> None
-let clan_of t i = t.clan_of.(i)
+let executes_blocks t i = t.clan_id.(i) >= 0
+let clan_of t i = if t.clan_id.(i) < 0 then None else Some t.clan_id.(i)
 let clan_count t = Array.length t.clans
 
 let pp ppf t =

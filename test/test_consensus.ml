@@ -390,6 +390,36 @@ let test_certificates_match_share_aggregate () =
         (Cert.verify w.keychain ~quorum:3 c))
     !timeout_certs
 
+(* The instance and DAG rows hold exactly what the keyed tables held:
+   per-replica (instances, digests) and DAG sizes after a 4 s run at
+   n = 16 with one replica absent and a GC depth of 4, so rounds are
+   pruned all along, pinned from the table-based implementation. *)
+let test_footprint_pinned () =
+  let n = 16 in
+  let engine = Engine.create () in
+  let next = ref 0 in
+  let w =
+    Smr_world.create ~engine ~topology:(Topology.gcp_table1 ~n) ~net:Net.default_config
+      ~seed:1L ~params:{ Sailfish.default_params with gc_depth = 4 } ~absent:[ 9 ]
+      ~generate:(fun me ~round:_ ->
+        Array.init 20 (fun _ ->
+            incr next;
+            Transaction.make ~id:!next ~client:me ~created_at:(Engine.now engine) ~size:256 ()))
+      (Config.make ~n Config.Full)
+  in
+  start w;
+  Engine.run ~until:(Time.s 4.) engine;
+  let expect = [| 90; 93; 90; 87; 87; 90; 93; 90; 87; 0; 90; 93; 90; 87; 87; 90 |] in
+  let dag = [| 83; 87; 83; 84; 85; 83; 87; 83; 84; 0; 83; 87; 83; 84; 85; 83 |] in
+  List.iter
+    (fun i ->
+      let c = node w i in
+      Alcotest.(check (pair int int)) (Printf.sprintf "node %d footprint" i)
+        (expect.(i), expect.(i)) (Sailfish.rbc_footprint c);
+      Alcotest.(check int) (Printf.sprintf "node %d dag" i) dag.(i) (Sailfish.dag_size c);
+      Alcotest.(check int) (Printf.sprintf "node %d commits" i) 177 (Sailfish.committed_count c))
+    (List.filter (fun i -> i <> 9) (List.init n Fun.id))
+
 let suites =
   [
     ( "consensus.liveness",
@@ -423,6 +453,7 @@ let suites =
       ] );
     ( "consensus.resources",
       [
+        Alcotest.test_case "footprint pinned" `Quick test_footprint_pinned;
         Alcotest.test_case "GC bounds memory" `Slow test_gc_bounds_memory;
         Alcotest.test_case "certificates equal aggregated shares" `Quick
           test_certificates_match_share_aggregate;

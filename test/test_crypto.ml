@@ -101,6 +101,33 @@ let test_sign_verify () =
   Alcotest.(check bool) "wrong message" false (Keychain.verify kc ~signer:3 "other" s);
   Alcotest.(check bool) "forged" false (Keychain.verify kc ~signer:3 "message" Keychain.forge)
 
+(* Verification compares each 8-byte lane as one word: every single-byte
+   change must still fail, and so must a lane whose low 63 bits match but
+   whose bit 63 is set (a valid lane never has it). *)
+let test_verify_wordwise () =
+  let s = Keychain.signature_to_raw (Keychain.sign kc ~signer:3 "message") in
+  let verify raw = Keychain.verify kc ~signer:3 "message" (Keychain.signature_of_raw raw) in
+  let edit i f =
+    let b = Bytes.of_string s in
+    Bytes.set b i (Char.chr (f (Char.code s.[i]) land 0xff));
+    Bytes.to_string b
+  in
+  Alcotest.(check bool) "valid" true (verify s);
+  Alcotest.(check bool) "forge" false
+    (Keychain.verify kc ~signer:3 "message" Keychain.forge);
+  for i = 0 to 31 do
+    Alcotest.(check bool) (Printf.sprintf "byte %d flipped" i) false (verify (edit i lnot))
+  done;
+  List.iter
+    (fun lane ->
+      let top = (8 * lane) + 7 in
+      Alcotest.(check bool) "valid top byte below 0x80" true (Char.code s.[top] < 0x80);
+      Alcotest.(check bool)
+        (Printf.sprintf "lane %d with bit 63 set" lane)
+        false
+        (verify (edit top (fun c -> c lor 0x80))))
+    [ 0; 1; 2; 3 ]
+
 let test_sign_bad_signer () =
   Alcotest.check_raises "bad signer" (Invalid_argument "Keychain.sign: bad signer")
     (fun () -> ignore (Keychain.sign kc ~signer:10 "m"))
@@ -223,6 +250,7 @@ let suites =
     ( "crypto.keychain",
       [
         Alcotest.test_case "sign/verify" `Quick test_sign_verify;
+        Alcotest.test_case "word-wise verify" `Quick test_verify_wordwise;
         Alcotest.test_case "bad signer" `Quick test_sign_bad_signer;
         Alcotest.test_case "keychains independent" `Quick test_keychains_independent;
         Alcotest.test_case "aggregate valid" `Quick test_aggregate_valid;

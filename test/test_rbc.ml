@@ -284,6 +284,80 @@ let protocol_cases name protocol =
     Alcotest.test_case (name ^ ": crash faults") `Quick (test_crash_faults protocol);
   ]
 
+(* The instance core on Byzantine coordinates: echoes and certificates
+   for round -1, max_int or a sender outside the committee return [None]
+   and raise nothing, whether their signatures verify or not; pruning
+   drops whole rounds. *)
+module Core = Clanbft_rbc.Rbc_core
+
+let test_core_total () =
+  let n = 4 in
+  let engine = Engine.create () in
+  let net =
+    Net.create ~engine ~topology:(Topology.uniform ~n ~one_way_ms:10.0)
+      ~config:Net.default_config ~size:(fun _ -> 1) ~rng:(Util.Rng.create 1L) ()
+  in
+  for i = 0 to n - 1 do
+    Net.set_handler net i (fun ~src:_ _ -> ())
+  done;
+  let keychain = Keychain.create ~seed:1L ~n in
+  let signing ~sender ~round d = Rbc.echo_signing_string ~sender ~round d in
+  let ctx =
+    {
+      Core.fresh = (fun () -> ());
+      signing;
+      in_clan = (fun ~sender:_ _ -> false);
+      clan_threshold = (fun ~sender:_ -> 0);
+      relays_cert = (fun ~sender:_ -> true);
+      keep_certs = false;
+      echo = (fun ~sender:_ ~round:_ _ ~signer:_ _ -> ());
+      ready = (fun ~sender:_ ~round:_ _ ~signer:_ -> ());
+      echo_cert = (fun ~sender:_ ~round:_ _ _ ~clan_echoes:_ -> ());
+    }
+  in
+  let c =
+    Core.create ~me:0 ~n ~f:1 ~signed:true ~engine ~net ~keychain ~retry:1_000 ~budget:1
+      ~trace:Obs.disabled.Obs.trace
+      ~pull_retries:(Metrics.counter (Metrics.create_registry ()) "pulls")
+      ctx
+  in
+  let digest = Digest32.hash_string "d" in
+  let signers = Util.Bitset.of_list n [ 0; 1; 2 ] in
+  let forged = Keychain.aggregate_of_wire ~tag:(String.make 32 'x') ~signers in
+  List.iter
+    (fun (round, sender) ->
+      let what = Printf.sprintf "round %d sender %d" round sender in
+      let signer = 1 in
+      let valid = Keychain.sign keychain ~signer (signing ~sender ~round digest) in
+      List.iter
+        (fun signature ->
+          Alcotest.(check bool) (what ^ ": echo") true
+            (Core.on_echo c ~sender ~round digest ~signer signature = None))
+        [ valid; Keychain.forge ];
+      let agg =
+        Option.get
+          (Keychain.aggregate keychain
+             (List.map
+                (fun i -> (i, Keychain.sign keychain ~signer:i (signing ~sender ~round digest)))
+                [ 0; 1; 2 ]))
+      in
+      List.iter
+        (fun agg ->
+          let got = Core.on_echo_cert c ~sender ~round digest agg in
+          (* A valid certificate for an in-range sender completes the
+             instance; nothing else does. *)
+          Alcotest.(check bool) (what ^ ": certificate") (sender >= 0 && sender < n && agg != forged)
+            (got <> None))
+        [ forged; agg ])
+    [ (-1, 0); (max_int, 3); (min_int, 1); (5, -1); (5, n); (5, max_int) ];
+  Alcotest.(check (pair int int)) "in-range instances only" (3, 3) (Core.footprint c);
+  Core.prune_below c ~round:0;
+  Alcotest.(check (pair int int)) "rounds below 0 dropped" (1, 1) (Core.footprint c);
+  Alcotest.(check bool) "round -1 gone" true (Core.find c ~sender:0 ~round:(-1) = None);
+  Core.prune_below c ~round:max_int;
+  Alcotest.(check (pair int int)) "only round max_int left" (1, 1) (Core.footprint c);
+  Alcotest.(check bool) "round max_int kept" true (Core.find c ~sender:3 ~round:max_int <> None)
+
 let suites =
   [
     ("rbc.bracha", protocol_cases "bracha" Rbc.Bracha);
@@ -300,6 +374,7 @@ let suites =
           Alcotest.test_case "outcome split" `Quick (test_tribe_outcome_split Rbc.Tribe_signed);
           Alcotest.test_case "pull path" `Quick (test_pull_path Rbc.Tribe_signed);
           Alcotest.test_case "forged echoes ignored" `Quick test_forged_echo_ignored;
+          Alcotest.test_case "core total on Byzantine rounds" `Quick test_core_total;
           Alcotest.test_case "forged traffic allocates nothing" `Quick
             test_forged_traffic_allocates_nothing;
           Alcotest.test_case "certificates equal aggregated shares" `Quick

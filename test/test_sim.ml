@@ -605,6 +605,68 @@ let test_net_jitter_symmetric () =
   Alcotest.(check int) "no draw when jitter off" (Rng.int r2 1_000_000)
     (Rng.int r1 1_000_000)
 
+(* Settled-copy elision. Node 1 declares every message settled; the copy
+   from 0 arrives at 10_001 µs (no jitter). Inside one [run] covering the
+   arrival it is counted and never dispatched; a run that stops before the
+   arrival must schedule it instead, so splitting the run at any point
+   counts the same events. *)
+let settled_net () =
+  let engine, net = mk_net ~config:no_jitter () in
+  let got = ref 0 in
+  Net.set_handler net 0 (fun ~src:_ _ -> ());
+  Net.set_handler net 1 ~settled:(fun ~src:_ _ -> true) (fun ~src:_ _ -> incr got);
+  Engine.schedule_at engine 1 (fun () -> Net.send net ~src:0 ~dst:1 "x");
+  (engine, net, got)
+
+let test_net_elide_within_horizon () =
+  let engine, net, got = settled_net () in
+  Engine.run ~until:20_000 engine;
+  Alcotest.(check int) "processed: the send and the copy" 2 (Engine.events_processed engine);
+  Alcotest.(check int) "dispatched: the send only" 1 (Engine.events_dispatched engine);
+  Alcotest.(check int) "handler not called" 0 !got;
+  Alcotest.(check int) "bytes charged" 61 (Net.bytes_received net 1)
+
+let test_net_elide_split_run () =
+  let engine, net, _ = settled_net () in
+  Engine.run ~until:5_000 engine;
+  Alcotest.(check int) "copy past the horizon stays queued" 1 (Engine.pending engine);
+  Alcotest.(check int) "not counted yet" 1 (Engine.events_processed engine);
+  Alcotest.(check int) "not charged yet" 0 (Net.bytes_received net 1);
+  Engine.run ~until:20_000 engine;
+  Alcotest.(check int) "split == single run" 2 (Engine.events_processed engine);
+  Alcotest.(check int) "and it was dispatched" 2 (Engine.events_dispatched engine);
+  Alcotest.(check int) "bytes charged" 61 (Net.bytes_received net 1)
+
+let test_net_elide_outside_run () =
+  (* A send outside [run] (here: before it) is never elided. *)
+  let engine, net = mk_net ~config:no_jitter () in
+  Net.set_handler net 0 (fun ~src:_ _ -> ());
+  Net.set_handler net 1 ~settled:(fun ~src:_ _ -> true) (fun ~src:_ _ -> ());
+  Net.send net ~src:0 ~dst:1 "x";
+  Engine.run engine;
+  Alcotest.(check int) "dispatched" 1 (Engine.events_dispatched engine)
+
+let test_net_elide_restart () =
+  (* The handler at 1 is replaced at 6_000 µs: a copy sent at 1 µs that
+     arrives at 10_001 must reach the new handler, whatever the old one
+     declared. A copy arriving before the replacement is still elided. *)
+  let engine, net = mk_net ~config:no_jitter () in
+  let old_got = ref 0 and new_got = ref 0 in
+  Net.set_handler net 0 (fun ~src:_ _ -> ());
+  Net.set_handler net 1 ~settled:(fun ~src:_ _ -> true) (fun ~src:_ _ -> incr old_got);
+  Net.will_replace net 1 ~at:6_000;
+  Engine.schedule_at engine 6_000 (fun () ->
+      Net.set_handler net 1 (fun ~src:_ _ -> incr new_got));
+  Engine.schedule_at engine 1 (fun () -> Net.send net ~src:0 ~dst:1 "x");
+  Engine.schedule_at engine 7_000 (fun () ->
+      Net.set_handler net 1 ~settled:(fun ~src:_ _ -> true) (fun ~src:_ _ -> incr new_got);
+      Net.send net ~src:0 ~dst:1 "y");
+  Engine.run engine;
+  Alcotest.(check int) "old handler never called" 0 !old_got;
+  Alcotest.(check int) "the new replica got the first copy" 1 !new_got;
+  Alcotest.(check int) "processed" 5 (Engine.events_processed engine);
+  Alcotest.(check int) "the second copy was elided" 4 (Engine.events_dispatched engine)
+
 let test_net_broadcast () =
   let engine, net = mk_net ~config:no_jitter () in
   let got = Array.make 4 0 in
@@ -779,5 +841,9 @@ let suites =
         Alcotest.test_case "jitter draw allocates nothing" `Quick
           test_net_jitter_draw_allocates_nothing;
         Alcotest.test_case "broadcast" `Quick test_net_broadcast;
+        Alcotest.test_case "elide within horizon" `Quick test_net_elide_within_horizon;
+        Alcotest.test_case "elide split run" `Quick test_net_elide_split_run;
+        Alcotest.test_case "elide outside run" `Quick test_net_elide_outside_run;
+        Alcotest.test_case "elide restart" `Quick test_net_elide_restart;
       ] );
   ]

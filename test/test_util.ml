@@ -485,6 +485,70 @@ let prop_json_roundtrip =
       Json.of_string (Json.to_string v) = Ok (expected v)
       && Json.of_string (Json.pretty v) = Ok (expected v))
 
+(* ------------------------------------------------------------------ *)
+(* Round_rows *)
+
+let test_round_rows_basics () =
+  let t = Round_rows.create ~n:4 in
+  Round_rows.set t ~round:3 ~source:1 "a";
+  Round_rows.set t ~round:3 ~source:0 "b";
+  Round_rows.set t ~round:11 ~source:1 "c" (* same cache entry as round 3 *);
+  Round_rows.set t ~round:3 ~source:1 "a'";
+  Alcotest.(check (option string)) "overwritten" (Some "a'") (Round_rows.find t ~round:3 ~source:1);
+  Alcotest.(check (option string)) "evicted row still found" (Some "b")
+    (Round_rows.find t ~round:3 ~source:0);
+  Alcotest.(check (option string)) "empty slot" None (Round_rows.find t ~round:3 ~source:2);
+  Alcotest.(check int) "count" 2 (Round_rows.count t 3);
+  Alcotest.(check int) "size" 3 (Round_rows.size t);
+  Alcotest.(check int) "other row" 1 (Round_rows.count t 11);
+  let seen = ref [] in
+  Round_rows.iter_row t 3 (fun x -> seen := x :: !seen);
+  Alcotest.(check (list string)) "row in source order" [ "b"; "a'" ] (List.rev !seen);
+  Alcotest.(check int) "fold" 3 (Round_rows.fold (fun _ k -> k + 1) t 0)
+
+(* Lookups take any round and source without raising; only [set] rejects
+   a source outside the row. *)
+let test_round_rows_total () =
+  let t = Round_rows.create ~n:4 in
+  Round_rows.set t ~round:(-1) ~source:0 1;
+  Round_rows.set t ~round:max_int ~source:3 2;
+  Round_rows.set t ~round:min_int ~source:2 3;
+  List.iter
+    (fun (round, source, want) ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "find %d %d" round source)
+        want
+        (Round_rows.find t ~round ~source))
+    [
+      (-1, 0, Some 1); (max_int, 3, Some 2); (min_int, 2, Some 3); (min_int, 0, None);
+      (max_int, 4, None); (max_int, -1, None); (0, max_int, None); (7, 0, None);
+    ];
+  Alcotest.(check int) "count of a missing round" 0 (Round_rows.count t 12);
+  Alcotest.check_raises "set out of range"
+    (Invalid_argument "Round_rows.set: source out of range") (fun () ->
+      Round_rows.set t ~round:0 ~source:4 0)
+
+let test_round_rows_drop () =
+  let t = Round_rows.create ~n:3 in
+  for round = 0 to 19 do
+    Round_rows.set t ~round ~source:(round mod 3) round
+  done;
+  Round_rows.drop_below t 15;
+  Alcotest.(check int) "size left" 5 (Round_rows.size t);
+  for round = 0 to 19 do
+    Alcotest.(check (option int)) (Printf.sprintf "round %d" round)
+      (if round >= 15 then Some round else None)
+      (Round_rows.find t ~round ~source:(round mod 3))
+  done;
+  (* A row made below the last drop goes with the next one; a far jump
+     costs only the rows held. *)
+  Round_rows.set t ~round:2 ~source:0 2;
+  Alcotest.(check (option int)) "late row" (Some 2) (Round_rows.find t ~round:2 ~source:0);
+  Round_rows.drop_below t max_int;
+  Alcotest.(check int) "all dropped" 0 (Round_rows.size t);
+  Alcotest.(check int) "fold finds none" 0 (Round_rows.fold (fun _ k -> k + 1) t 0);
+  Alcotest.(check (option int)) "late row dropped" None (Round_rows.find t ~round:2 ~source:0)
+
 let suites =
   [
     ( "util.rng",
@@ -510,6 +574,12 @@ let suites =
         Alcotest.test_case "clear" `Quick test_heap_clear;
         qtest prop_heap_sorts;
         qtest prop_heap_growth;
+      ] );
+    ( "util.round_rows",
+      [
+        Alcotest.test_case "basics" `Quick test_round_rows_basics;
+        Alcotest.test_case "total lookups" `Quick test_round_rows_total;
+        Alcotest.test_case "drop below" `Quick test_round_rows_drop;
       ] );
     ( "util.bitset",
       [
