@@ -178,11 +178,35 @@ let strong_edges_ok t (v : Vertex.t) =
     | Config.Sparse _ as p ->
         count >= 1 && count <= Config.sparse_strong_cap p
 
+(* Edge sources index per-source slots, so each must lie in [0 .. n-1]; a
+   dense vertex's 2f+1 strong parents must also be distinct. Honest strong
+   edges are strictly ascending by source ([Store.vertices_at],
+   [sparse_strong_parents]), so the dense check demands exactly that. Plain
+   recursive functions: no closure, no allocation per received vertex. *)
+let rec sources_in_range (edges : Vertex.vref array) n i =
+  i >= Array.length edges
+  || (edges.(i).source >= 0 && edges.(i).source < n && sources_in_range edges n (i + 1))
+
+let rec sources_ascending (edges : Vertex.vref array) n i prev =
+  i >= Array.length edges
+  ||
+  let s = edges.(i).source in
+  s > prev && s < n && sources_ascending edges n (i + 1) s
+
+let edge_sources_ok t (v : Vertex.t) =
+  let n = Config.n t.config in
+  sources_in_range v.weak_edges n 0
+  &&
+  match Config.edge_policy t.config with
+  | Config.Dense -> sources_ascending v.strong_edges n 0 (-1)
+  | Config.Sparse _ -> sources_in_range v.strong_edges n 0
+
 let vertex_valid t (v : Vertex.t) =
   v.round >= 0
   && v.source >= 0
   && v.source < Config.n t.config
   && strong_edges_ok t v
+  && edge_sources_ok t v
   && leader_edge_ok t v
 
 (* Does this proposer's slot carry a real block? Vertex-only proposers use
