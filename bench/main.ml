@@ -128,6 +128,87 @@ let run_all runs =
   end;
   List.map (fun (key, _) -> Hashtbl.find result_cache key) runs
 
+let run_one key spec = List.hd (run_all [ (key, spec) ])
+
+(* ------------------------------------------------------------------ *)
+(* Rows and tables. A row is a JSON object's fields, computed once: the
+   tables below render rows, and BENCH_sim.json embeds the same rows. *)
+
+type align = Left | Right
+
+(* How a table shows one field of its rows: a float prints [prec]
+   decimals. *)
+type column = { key : string; header : string; width : int; align : align; prec : int }
+
+let col ?(align = Right) ?(prec = 1) key header width = { key; header; width; align; prec }
+
+(* The fields tables show and BENCH_sim.json records, each key spelled
+   here once; a table adjusts a header or a width with [{ c with ... }]. *)
+module C = struct
+  let name = col ~align:Left "name" "scenario" 26
+  let protocol = col ~align:Left "protocol" "protocol" 8
+  let attack = col ~align:Left "attack" "attack" 15
+  let n = col "n" "n" 4
+  let load = col "load" "load" 6
+  let wall = col ~prec:2 "wall_s" "wall s" 8
+  let committed = col "committed_txns" "committed" 10
+  let events = col "events" "events" 12
+  let dispatched = col "dispatched" "dispatched" 12
+  let tput = col "throughput_ktps" "kTPS" 8
+  let latency = col "latency_mean_ms" "latency (ms)" 12
+  let p50 = col "p50_ms" "p50 ms" 8
+  let p99 = col "p99_ms" "p99 ms" 8
+  let tput_x = col ~prec:2 "tput_ratio" "tput x" 6
+  let p50_x = col ~prec:2 "p50_ratio" "p50 x" 6
+  let p99_x = col ~prec:2 "p99_ratio" "p99 x" 6
+  let agree = col "agreement" "agree" 8
+  let fingerprint = col "commit_fingerprint" "fingerprint" 18
+  let calls = col "calls" "calls" 12
+  let minor = col "self_minor_words" "minor words" 14
+  let major = col "self_major_words" "major words" 12
+end
+
+(* A cell's text: [Null] is "-" and a missing field leaves it blank. *)
+let cell c row =
+  match List.assoc_opt c.key row with
+  | None -> ""
+  | Some Json.Null -> "-"
+  | Some (Json.Float f) -> Printf.sprintf "%.*f" c.prec f
+  | Some (Json.String s) -> s
+  | Some v -> Json.to_string v
+
+(* The one table renderer: a header line (unless [~header:false]), then a
+   line per row, two spaces in, one space between columns, trailing
+   blanks trimmed. *)
+let print_table ?(header = true) columns rows =
+  let pad c s =
+    let fill = String.make (max 0 (c.width - String.length s)) ' ' in
+    match c.align with Left -> s ^ fill | Right -> fill ^ s
+  in
+  let line cells =
+    let s = String.concat " " (List.map2 pad columns cells) in
+    let rec used i = if i > 0 && s.[i - 1] = ' ' then used (i - 1) else i in
+    Printf.printf "  %s\n" (String.sub s 0 (used (String.length s)))
+  in
+  if header then line (List.map (fun c -> c.header) columns);
+  List.iter (fun row -> line (List.map (fun c -> cell c row) columns)) rows
+
+let fingerprint_json fp = Json.String (Printf.sprintf "%#x" fp)
+
+(* The fields every simulation's row carries. *)
+let result_fields (r : Runner.result) =
+  [
+    (C.committed.key, Json.Int r.committed_txns);
+    (C.events.key, Json.Int r.events);
+    (C.dispatched.key, Json.Int r.dispatched);
+    (C.tput.key, Json.Float r.throughput_ktps);
+    (C.latency.key, Json.Float r.latency_mean_ms);
+    (C.p50.key, Json.Float r.latency_p50_ms);
+    (C.p99.key, Json.Float r.latency_p99_ms);
+    (C.agree.key, Json.Bool r.agreement);
+    (C.fingerprint.key, fingerprint_json r.commit_fingerprint);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Table 1: inter-region RTTs used by the simulator *)
 
@@ -257,16 +338,27 @@ let fig5 which () =
             List.fold_left (fun w (r : Runner.result) -> max w (String.length r.label)) w rs)
           26 by_protocol
       in
+      let columns =
+        [
+          col ~align:Left "label" "protocol" width;
+          { C.load with header = "load/prop"; width = 9 };
+          { C.tput with header = "tput (kTPS)"; width = 12 };
+          C.latency;
+          col "mb_per_node_per_s" "MB/s/node" 10;
+          C.agree;
+        ]
+      in
       List.iter
         (fun (protocol, rs) ->
           Printf.printf "\n  %s\n" (Runner.protocol_label protocol);
-          Printf.printf "  %-*s %9s %12s %12s %10s %8s\n" width "protocol" "load/prop"
-            "tput (kTPS)" "latency (ms)" "MB/s/node" "agree";
-          List.iter2
-            (fun load (r : Runner.result) ->
-              Printf.printf "  %-*s %9d %12.1f %12.1f %10.1f %8b\n" width r.label load
-                r.throughput_ktps r.latency_mean_ms r.mb_per_node_per_s r.agreement)
-            loads rs)
+          print_table columns
+            (List.map2
+               (fun load (r : Runner.result) ->
+                 ("label", Json.String r.label)
+                 :: (C.load.key, Json.Int load)
+                 :: ("mb_per_node_per_s", Json.Float r.mb_per_node_per_s)
+                 :: result_fields r)
+               loads rs))
         by_protocol;
       Printf.printf
         "\n  Expected shape (paper): Sailfish saturates first; single-clan reaches\n\
@@ -296,17 +388,18 @@ let fig6 () =
     (Printf.sprintf
        "Figure 6. Throughput vs transactions per proposal at n=%d [%s profile]" n
        profile_name);
-  Printf.printf "  %-12s" "load";
-  List.iter (fun (p, _) -> Printf.printf "%26s" (Runner.protocol_label p)) by_protocol;
-  Printf.printf "\n";
-  List.iteri
-    (fun i load ->
-      Printf.printf "  %-12d" load;
-      List.iter
-        (fun (_, rs) -> Printf.printf "%20.1f kTPS" (List.nth rs i).Runner.throughput_ktps)
-        by_protocol;
-      Printf.printf "\n%!")
-    loads
+  let labels = List.map (fun (p, _) -> Runner.protocol_label p) by_protocol in
+  print_table
+    ({ C.load with align = Left; width = 12 } :: List.map (fun l -> col l l 24) labels)
+    (List.mapi
+       (fun i load ->
+         (C.load.key, Json.Int load)
+         :: List.map2
+              (fun l (_, rs) ->
+                let tput = (List.nth rs i).Runner.throughput_ktps in
+                (l, Json.String (Printf.sprintf "%.1f kTPS" tput)))
+              labels by_protocol)
+       loads)
 
 (* ------------------------------------------------------------------ *)
 (* Ablation A1: latency architecture comparison (§1, §8) *)
@@ -323,13 +416,8 @@ let ablation_latency () =
      negligible payload, measure mean commit latency / delta. *)
   let delta_ms = 40.0 in
   let r =
-    List.hd
-      (run_all
-         [
-           ( "ablation-latency/sailfish-n10-uniform",
-             { (scenario ~n:10 ~duration:8. ~warmup:2. Runner.Full 1) with
-               topology = `Uniform delta_ms } );
-         ])
+    run_one "ablation-latency/sailfish-n10-uniform"
+      { (scenario ~n:10 ~duration:8. ~warmup:2. Runner.Full 1) with topology = `Uniform delta_ms }
   in
   Printf.printf
     "\n  Measured (simulated Sailfish, n=10, uniform delta=%.0f ms):\n\
@@ -369,21 +457,28 @@ let ablation_rbc () =
   section_header "Ablation A2. Reliable broadcast primitives (n=40, clan 16, 1 MB value)";
   let n = 40 in
   let clan = Array.init 16 (fun i -> i) in
-  Printf.printf "  %-16s %14s %14s %12s\n" "protocol" "latency (ms)" "total MB" "messages";
-  List.iter
-    (fun protocol ->
-      let w =
-        Rbc_world.create ~topology:(Topology.gcp_table1 ~n) ~config:Net.default_config
-          ~seed:13L ~clan protocol
-      in
-      Rbc.broadcast (Rbc_world.node w 0) ~round:1 (String.make 1_000_000 'x');
-      Engine.run w.engine;
-      Printf.printf "  %-16s %14.1f %14.2f %12d\n"
-        (Rbc.protocol_name protocol)
-        (Time.to_ms (Rbc_world.summary w).last)
-        (float_of_int (Net.total_bytes w.net) /. 1e6)
-        (Net.total_messages w.net))
-    Rbc.[ Bracha; Signed_two_round; Tribe_bracha; Tribe_signed ];
+  print_table
+    [
+      { C.protocol with width = 16 };
+      col "latency_ms" "latency (ms)" 14;
+      col ~prec:2 "total_mb" "total MB" 14;
+      col "messages" "messages" 12;
+    ]
+    (List.map
+       (fun protocol ->
+         let w =
+           Rbc_world.create ~topology:(Topology.gcp_table1 ~n) ~config:Net.default_config
+             ~seed:13L ~clan protocol
+         in
+         Rbc.broadcast (Rbc_world.node w 0) ~round:1 (String.make 1_000_000 'x');
+         Engine.run w.engine;
+         [
+           (C.protocol.key, Json.String (Rbc.protocol_name protocol));
+           ("latency_ms", Json.Float (Time.to_ms (Rbc_world.summary w).last));
+           ("total_mb", Json.Float (float_of_int (Net.total_bytes w.net) /. 1e6));
+           ("messages", Json.Int (Net.total_messages w.net));
+         ])
+       Rbc.[ Bracha; Signed_two_round; Tribe_bracha; Tribe_signed ]);
   Printf.printf
     "\n  Tribe-assisted variants ship the payload to the clan only (16/40 nodes);\n\
     \  the signed variants finish one message round earlier.\n"
@@ -455,13 +550,9 @@ let faults () =
     | Error e -> failwith e
   in
   let r =
-    List.hd
-      (run_all
-         [
-           ( "faults/single-clan-partition-loss",
-             { (scenario ~duration:10. ~warmup:4. (Runner.Single_clan { nc = 11 }) 100) with
-               fault_plan = plan } );
-         ])
+    run_one "faults/single-clan-partition-loss"
+      { (scenario ~duration:10. ~warmup:4. (Runner.Single_clan { nc = 11 }) 100) with
+        fault_plan = plan }
   in
   Printf.printf "  %-26s -> %8.1f kTPS  %7.1f ms  agree=%b\n" r.label
     r.throughput_ktps r.latency_mean_ms r.agreement
@@ -474,19 +565,14 @@ let recovery () =
     "Crash-recovery — replica 3 crashes at 4 s, restarts from its WAL at 8 s";
   let obs = Obs.metrics_only () in
   let r =
-    List.hd
-      (run_all
-         [
-           ( "recovery-n16",
-             {
-               (scenario ~duration:12. ~warmup:2. ~seed:"recovery-n16"
-                  (Runner.Single_clan { nc = 11 }) 200)
-               with
-               restarts =
-                 [ { Faults.node = 3; crash_at = Time.s 4.; recover_at = Time.s 8. } ];
-               obs = Some obs;
-             } );
-         ])
+    run_one "recovery-n16"
+      {
+        (scenario ~duration:12. ~warmup:2. ~seed:"recovery-n16"
+           (Runner.Single_clan { nc = 11 }) 200)
+        with
+        restarts = [ { Faults.node = 3; crash_at = Time.s 4.; recover_at = Time.s 8. } ];
+        obs = Some obs;
+      }
   in
   Printf.printf "  %-26s -> %8.1f kTPS  %7.1f ms  agree=%b\n" r.label
     r.throughput_ktps r.latency_mean_ms r.agreement;
@@ -551,27 +637,35 @@ let metrics () =
       (* Per-kind byte breakdown: the numbers behind Fig. 5's bandwidth
          story — clan modes shift bytes from val (payload) to header-sized
          vertex/echo/ready traffic. *)
-      Printf.printf "  %-12s %14s %12s %9s\n" "kind" "bytes" "messages" "share";
       let total = float_of_int (max 1 r.bytes_total) in
-      let rows =
+      let kinds =
         Metrics.fold obs.Obs.metrics ~init:[] ~f:(fun acc ~name ~labels v ->
             match (name, labels, v) with
             | "net_bytes_by_kind", [ ("kind", k) ], Metrics.Counter_v b ->
                 let msgs =
-                  match
-                    Metrics.find obs.Obs.metrics ~labels "net_messages_by_kind"
-                  with
+                  match Metrics.find obs.Obs.metrics ~labels "net_messages_by_kind" with
                   | Some (Metrics.Counter_v m) -> m
                   | _ -> 0
                 in
-                (k, b, msgs) :: acc
+                let share = Printf.sprintf "%.1f%%" (100.0 *. float_of_int b /. total) in
+                ( b,
+                  [
+                    ("kind", Json.String k);
+                    ("bytes", Json.Int b);
+                    ("messages", Json.Int msgs);
+                    ("share", Json.String share);
+                  ] )
+                :: acc
             | _ -> acc)
       in
-      List.iter
-        (fun (k, b, m) ->
-          Printf.printf "  %-12s %14d %12d %8.1f%%\n" k b m
-            (100.0 *. float_of_int b /. total))
-        (List.sort (fun (_, a, _) (_, b, _) -> compare b a) rows);
+      print_table
+        [
+          col ~align:Left "kind" "kind" 12;
+          col "bytes" "bytes" 14;
+          col "messages" "messages" 12;
+          col "share" "share" 9;
+        ]
+        (List.map snd (List.sort (fun (a, _) (b, _) -> compare b a) kinds));
       let path =
         Filename.concat metrics_dir
           (sanitize_label (Runner.protocol_label protocol) ^ ".metrics.json")
@@ -767,45 +861,84 @@ let perf_scenarios =
     ]
   else []
 
+(* The one measured-run path (perf, analysis, profile): sequential, never
+   pooled, so concurrent domains cannot pollute the timings. A full major
+   collection first, so no earlier run's garbage is charged here; then the
+   wall time, the agreement gate and a progress line. Returns the result,
+   the wall time and the run's allocation as row fields. *)
+let measured_run kind (name, spec) =
+  Gc.full_major ();
+  let g0 = Gc.quick_stat () in
+  let r, secs = wall (fun () -> Runner.run spec) in
+  let g1 = Gc.quick_stat () in
+  check_agreement name r;
+  progress "  %-26s %6.2fs wall  %9.0f events/s  (%s)\n" name secs
+    (float_of_int r.Runner.events /. secs)
+    kind;
+  (* GC word counts are integral even though [Gc] reports floats. *)
+  let words f = Json.Int (int_of_float (f g1 -. f g0)) in
+  ( r,
+    secs,
+    [
+      ("minor_words", words (fun g -> g.Gc.minor_words));
+      ("major_words", words (fun g -> g.Gc.major_words));
+      ("promoted_words", words (fun g -> g.Gc.promoted_words));
+    ] )
+
 (* Traced re-runs of the pinned perf scenarios, analyzed by the Analyze
    engine. Segment percentiles are simulated-time facts — fully
-   deterministic, so they print to stdout and hard-gate in ci.sh
-   alongside throughput. Lazy and shared: the [analysis] section and the
-   BENCH_sim.json writer both consume it, but the traced runs happen at
-   most once per process. *)
-let analysis_rows =
+   deterministic, so they print to stdout. Lazy and shared: the
+   [analysis] section prints the table rows, the BENCH_sim.json writer
+   embeds the fields (with the fingerprint the tracing gate compares), and
+   the traced runs happen at most once per process (tracing an n=150 run
+   would dominate the whole bench). *)
+let analysis_runs =
   lazy
     (List.map
        (fun (name, spec) ->
          let obs = Obs.create () in
-         let r, secs = wall (fun () -> Runner.run { spec with Runner.obs = Some obs }) in
-         progress "  %-26s %6.2fs wall (traced, %d events)\n" name secs
-           (Trace.length obs.Obs.trace);
-         check_agreement name r;
-         (name, Analyze.analyze (Trace.records obs.Obs.trace)))
+         let r, secs, _ = measured_run "traced" (name, { spec with Runner.obs = Some obs }) in
+         let rep = Analyze.analyze (Trace.records obs.Obs.trace) in
+         let row segment p50 p99 rest =
+           (C.name.key, Json.String name) :: ("segment", Json.String segment)
+           :: (C.p50.key, p50) :: (C.p99.key, p99) :: rest
+         in
+         let dist segment (d : Analyze.dist) =
+           let ms us = Json.Float (float_of_int us /. 1000.) in
+           row segment (ms d.p50_us) (ms d.p99_us) [ ("max_ms", ms d.max_us) ]
+         in
+         let stalls = List.length rep.stalls in
+         ( name,
+           [
+             (C.fingerprint.key, fingerprint_json r.commit_fingerprint);
+             (C.wall.key, Json.Float secs);
+             ("e2e", Analyze.dist_json rep.e2e);
+             ( "segments",
+               Json.Obj
+                 (List.map
+                    (fun (seg, d) -> (Analyze.segment_name seg, Analyze.dist_json d))
+                    rep.segments) );
+             ("stalls", Json.Int stalls);
+           ],
+           List.map (fun (seg, d) -> dist (Analyze.segment_name seg) d) rep.segments
+           @ [
+               dist "end_to_end" rep.e2e;
+               row "paths/stalls" (Json.Int rep.e2e.count) (Json.Int stalls) [];
+             ] ))
        pinned_perf_scenarios)
 
 let analysis () =
   section_header
     "Trace analysis — commit critical-path attribution over the perf scenarios";
-  Printf.printf "  %-26s %-14s %9s %9s %9s\n" "scenario" "segment" "p50 ms"
-    "p99 ms" "max ms";
-  List.iter
-    (fun (scenario_name, (rep : Analyze.report)) ->
-      let row name (d : Analyze.dist) =
-        Printf.printf "  %-26s %-14s %9.1f %9.1f %9.1f\n" scenario_name name
-          (float_of_int d.Analyze.p50_us /. 1000.)
-          (float_of_int d.Analyze.p99_us /. 1000.)
-          (float_of_int d.Analyze.max_us /. 1000.)
-      in
-      List.iter
-        (fun (seg, d) -> row (Analyze.segment_name seg) d)
-        rep.Analyze.segments;
-      row "end_to_end" rep.Analyze.e2e;
-      Printf.printf "  %-26s %-14s %9d %9d\n" scenario_name "paths/stalls"
-        rep.Analyze.e2e.Analyze.count
-        (List.length rep.Analyze.stalls))
-    (Lazy.force analysis_rows)
+  print_table
+    [
+      C.name;
+      col ~align:Left "segment" "segment" 14;
+      { C.p50 with width = 9 };
+      { C.p99 with width = 9 };
+      col "max_ms" "max ms" 9;
+    ]
+    (List.concat_map (fun (_, _, rows) -> rows) (Lazy.force analysis_runs))
 
 (* ------------------------------------------------------------------ *)
 (* Self-profiler sweep — the pinned perf quartet re-run sequentially with
@@ -814,81 +947,81 @@ let analysis () =
    words, the heap census, the commit fingerprint — go to stdout and into
    BENCH_sim.json; wall-time attribution is a real-clock measurement and
    stays on stderr / in the [_ns]-suffixed JSON fields that determinism
-   comparisons strip (see docs/PROFILING.md). Lazy and shared: the
-   [profile] section prints the tables, the BENCH_sim.json writer embeds
-   the rows, the profiled runs happen once. *)
-
-type profiled_run = {
-  pf_name : string;
-  pf_fingerprint : int;
-  pf_wall_s : float;
-  pf_rows : Prof.row list;
-  pf_census : (string * int) list;
-}
+   comparisons strip (see docs/PROFILING.md). Lazy and shared like the
+   traced runs: each run yields its BENCH_sim.json fields, its section
+   rows and its census rows. *)
 
 let profile_scenarios =
   pinned_perf_scenarios @ if profile = Full then [ sailfish_n150 ] else []
 
-let profile_rows =
+let profile_runs =
   lazy
     (List.map
        (fun (name, spec) ->
-         Gc.full_major ();
          Prof.reset ();
          Prof.set_enabled true;
-         let r, secs = wall (fun () -> Runner.run spec) in
+         let r, secs, _ = measured_run "profiled" (name, spec) in
          Prof.set_enabled false;
-         let rows = Prof.report () in
-         progress "  %-26s %6.2fs wall (profiled, %d sections)\n" name secs
-           (List.length rows);
-         check_agreement name r;
-         {
-           pf_name = name;
-           pf_fingerprint = r.Runner.commit_fingerprint;
-           pf_wall_s = secs;
-           pf_rows = rows;
-           pf_census = r.Runner.census;
-         })
+         let prof = Prof.report () in
+         let top =
+           List.filteri (fun i _ -> i < 3)
+             (List.sort (fun (a : Prof.row) b -> compare b.self_ns a.self_ns) prof)
+         in
+         (* The ranking is by exclusive wall time — machine-dependent, so
+            it goes to stderr with the other timings. *)
+         List.iteri
+           (fun i (p : Prof.row) ->
+             progress "  top%d by self time: %-18s %10.1f ms self\n" (i + 1) p.name
+               (float_of_int p.self_ns /. 1e6))
+           top;
+         let sections =
+           List.map
+             (fun (p : Prof.row) ->
+               ( p.name,
+                 [
+                   (C.calls.key, Json.Int p.calls);
+                   (C.minor.key, Json.Int p.self_minor_words);
+                   (C.major.key, Json.Int p.self_major_words);
+                   ("self_ns", Json.Int p.self_ns);
+                   ("incl_ns", Json.Int p.incl_ns);
+                 ] ))
+             prof
+         in
+         let census = List.map (fun (k, w) -> (k, Json.Int w)) r.census in
+         ( name,
+           [
+             (C.fingerprint.key, fingerprint_json r.commit_fingerprint);
+             ("wall_ns", Json.Int (int_of_float (secs *. 1e9)));
+             ( "top_by_self_ns",
+               Json.List (List.map (fun (p : Prof.row) -> Json.String p.name) top) );
+             ("sections", Json.Obj (List.map (fun (k, row) -> (k, Json.Obj row)) sections));
+             ("census", Json.Obj census);
+           ],
+           ( List.map (fun (k, row) -> ("section", Json.String k) :: row) sections,
+             List.map
+               (fun (k, w) ->
+                 [ ("section", Json.String k); ("words", w); ("unit", Json.String "census words") ])
+               census ) ))
        profile_scenarios)
-
-let top_by_self k rows =
-  List.filteri
-    (fun i _ -> i < k)
-    (List.sort (fun a b -> compare b.Prof.self_ns a.Prof.self_ns) rows)
 
 let profile_section () =
   section_header
     "Self-profiler — phase/allocation attribution over the pinned scenarios";
+  let section = col ~align:Left "section" "section" 18 in
   List.iter
-    (fun pf ->
-      Printf.printf "\n  %s  (fingerprint %#x)\n" pf.pf_name pf.pf_fingerprint;
-      Printf.printf "  %-18s %12s %14s %12s\n" "section" "calls" "minor words"
-        "major words";
-      List.iter
-        (fun (r : Prof.row) ->
-          Printf.printf "  %-18s %12d %14d %12d\n" r.Prof.name r.Prof.calls
-            r.Prof.self_minor_words r.Prof.self_major_words)
-        pf.pf_rows;
-      List.iter
-        (fun (name, words) ->
-          Printf.printf "  %-18s %12s %14d   census words\n" name "" words)
-        pf.pf_census;
-      (* The ranking is by exclusive wall time — machine-dependent, so it
-         goes to stderr with the other timings. *)
-      List.iteri
-        (fun i (r : Prof.row) ->
-          progress "  top%d by self time: %-18s %10.1f ms self\n" (i + 1)
-            r.Prof.name
-            (float_of_int r.Prof.self_ns /. 1e6))
-        (top_by_self 3 pf.pf_rows))
-    (Lazy.force profile_rows)
+    (fun (name, fields, (sections, census)) ->
+      Printf.printf "\n  %s  (fingerprint %s)\n" name (cell C.fingerprint fields);
+      print_table [ section; C.calls; C.minor; C.major ] sections;
+      (* A census row's words sit in the minor-words column. *)
+      print_table ~header:false [ section; C.calls; col "words" "" 14; col "unit" "" 14 ] census)
+    (Lazy.force profile_runs)
 
 (* ------------------------------------------------------------------ *)
 (* Attack corpus — every Strategy kind against three protocol shapes
    (dense Sailfish, sparse edges, single-clan tribe), with a benign
    same-seed baseline per shape so the degradation ratios isolate the
-   attack. Lazy and shared: the [attacks] section prints the table, the
-   BENCH_sim.json writer embeds the rows, the runs happen once. *)
+   attack. Lazy and shared: the [attacks] section prints the rows, the
+   BENCH_sim.json writer embeds them, the runs happen once. *)
 
 let attack_protocols =
   [
@@ -913,18 +1046,22 @@ let attack_corpus =
 let attack_restart =
   [ { Faults.node = 5; crash_at = Time.s 1.5; recover_at = Time.s 2.5 } ]
 
-(* Benign baselines come in two flavours: plain, and with the same
-   restart schedule the sync_storm run carries — so the storm's ratio
-   measures the amplification, not the crash. *)
-let attack_baseline_of restart = if restart then "benign+restart" else "benign"
+(* Degradation envelope: per ratio column, the metric it compares and the
+   most damage any attack may do relative to its baseline. Runs are
+   deterministic, so a row outside it is a behaviour change, and the bench
+   fails rather than record it quietly. *)
+let envelope =
+  [
+    (C.tput_x, (fun (r : Runner.result) -> r.throughput_ktps), 0.55, 1.08);
+    (C.p50_x, (fun (r : Runner.result) -> r.latency_p50_ms), 0.85, 1.3);
+    (C.p99_x, (fun (r : Runner.result) -> r.latency_p99_ms), 0.85, 3.2);
+  ]
 
-type attack_cell = {
-  ac_attack : string;
-  ac_protocol : string;
-  ac_result : Runner.result;
-  ac_base : Runner.result option;  (** [None] on the baseline rows *)
-}
-
+(* Each attack row carries its envelope ratios against its benign
+   same-seed baseline, [Null] on the baseline rows. Baselines come in two
+   flavours: plain, and with the restart schedule the sync_storm run
+   carries, so the storm's ratio measures the amplification, not the
+   crash. A run that commits nothing or leaves the envelope exits 1. *)
 let attack_rows =
   lazy
     (let runs =
@@ -947,284 +1084,110 @@ let attack_rows =
            :: List.map (fun (aname, dsl, restart) -> run aname ~restart dsl) attack_corpus)
          attack_protocols
      in
-     let tagged =
-       List.map2 (fun ((a, p), _) r -> (a, p, r)) runs (run_all (List.map snd runs))
-     in
-     let baseline name pname =
-       List.find_map
-         (fun (a, p, r) -> if a = name && p = pname then Some r else None)
-         tagged
-     in
+     let results = List.combine (List.map fst runs) (run_all (List.map snd runs)) in
      List.map
-       (fun (aname, pname, r) ->
-         let base =
-           match
-             List.find_opt (fun (a, _, _) -> a = aname) attack_corpus
-           with
-           | Some (_, _, restart) -> baseline (attack_baseline_of restart) pname
-           | None -> None
+       (fun ((aname, pname), (r : Runner.result)) ->
+         let fail what =
+           Printf.eprintf "  %s under %s/%s\n" what pname aname;
+           exit 1
          in
-         { ac_attack = aname; ac_protocol = pname; ac_result = r; ac_base = base })
-       tagged)
-
-(* An attack row's (throughput, p50, p99) relative to its benign
-   same-seed baseline; [None] on the baseline rows. *)
-let attack_ratios c =
-  Option.map
-    (fun b ->
-      let r = c.ac_result in
-      ( r.Runner.throughput_ktps /. b.Runner.throughput_ktps,
-        r.Runner.latency_p50_ms /. b.Runner.latency_p50_ms,
-        r.Runner.latency_p99_ms /. b.Runner.latency_p99_ms ))
-    c.ac_base
-
-(* Degradation envelope: the most damage any attack may do relative to
-   its baseline. Runs are deterministic, so a row outside it is a
-   behaviour change, and the section fails rather than print it quietly. *)
-let within_envelope (tput, p50, p99) =
-  let inside lo hi x = x >= lo && x <= hi in
-  inside 0.55 1.08 tput && inside 0.85 1.3 p50 && inside 0.85 3.2 p99
+         if r.committed_txns = 0 then fail "LIVENESS LOST";
+         let base =
+           Option.map
+             (fun (_, _, restart) ->
+               List.assoc ((if restart then "benign+restart" else "benign"), pname) results)
+             (List.find_opt (fun (a, _, _) -> a = aname) attack_corpus)
+         in
+         let ratio (c, metric, lo, hi) =
+           match base with
+           | None -> (c.key, Json.Null)
+           | Some b ->
+               let x = metric r /. metric b in
+               if not (x >= lo && x <= hi) then
+                 fail (Printf.sprintf "DEGRADATION ENVELOPE BREACHED (%s %.3f)" c.header x);
+               (c.key, Json.Float x)
+         in
+         ((C.attack.key, Json.String aname) :: (C.protocol.key, Json.String pname)
+          :: List.map ratio envelope)
+         @ result_fields r)
+       results)
 
 let attacks () =
   section_header
     "Attack corpus — strategic adversaries vs benign same-seed baselines (n=16)";
-  Printf.printf "  %-8s %-15s %8s %8s %8s %6s %6s %6s %6s\n" "protocol"
-    "attack" "kTPS" "p50 ms" "p99 ms" "tput x" "p50 x" "p99 x" "agree";
-  List.iter
-    (fun c ->
-      let r = c.ac_result in
-      let ratios = attack_ratios c in
-      (match ratios with
-      | None ->
-          Printf.printf "  %-8s %-15s %8.1f %8.1f %8.1f %6s %6s %6s %6b\n"
-            c.ac_protocol c.ac_attack r.Runner.throughput_ktps
-            r.Runner.latency_p50_ms r.Runner.latency_p99_ms "-" "-" "-"
-            r.Runner.agreement
-      | Some (tput, p50, p99) ->
-          Printf.printf "  %-8s %-15s %8.1f %8.1f %8.1f %6.2f %6.2f %6.2f %6b\n"
-            c.ac_protocol c.ac_attack r.Runner.throughput_ktps
-            r.Runner.latency_p50_ms r.Runner.latency_p99_ms tput p50 p99
-            r.Runner.agreement);
-      if r.Runner.committed_txns = 0 then begin
-        Printf.eprintf "  LIVENESS LOST under %s/%s\n" c.ac_protocol
-          c.ac_attack;
-        exit 1
-      end;
-      match ratios with
-      | Some ((tput, p50, p99) as x) when not (within_envelope x) ->
-          Printf.eprintf
-            "  DEGRADATION ENVELOPE BREACHED under %s/%s: tput x%.3f p50 x%.3f \
-             p99 x%.3f\n"
-            c.ac_protocol c.ac_attack tput p50 p99;
-          exit 1
-      | _ -> ())
+  print_table
+    [
+      C.protocol; C.attack; C.tput; C.p50; C.p99; C.tput_x; C.p50_x; C.p99_x;
+      { C.agree with width = 6 };
+    ]
     (Lazy.force attack_rows)
 
-(* One timed perf run: its result, wall time and GC word deltas. *)
-type perf_run = {
-  pr_name : string;
-  pr_spec : Runner.spec;
-  pr_result : Runner.result;
-  pr_wall_s : float;
-  pr_minor : float;
-  pr_major : float;
-  pr_promoted : float;
-  pr_live : int;
-  pr_top : int;
-}
+(* ------------------------------------------------------------------ *)
+
+(* Tracing and profiling must be pure observation: every traced and every
+   profiled run commits exactly what the plain run of its scenario does. *)
+let check_unperturbed what runs rows =
+  List.iter
+    (fun (name, fields, _) ->
+      let fp = List.assoc C.fingerprint.key in
+      match List.find_opt (fun row -> List.assoc C.name.key row = Json.String name) rows with
+      | Some row when fp row <> fp fields ->
+          Printf.eprintf "  %s CHANGED THE RUN of %s: %s <> %s\n" what name
+            (Json.to_string (fp fields)) (Json.to_string (fp row));
+          exit 1
+      | _ -> ())
+    runs
 
 let perf () =
   section_header
     (Printf.sprintf "Perf baseline — pinned scenarios + hot-path micros -> %s"
        bench_sim_json);
-  Printf.printf "  %-26s %4s %6s %10s %12s %12s %8s %18s\n" "scenario" "n" "load"
-    "committed" "events" "dispatched" "agree" "fingerprint";
-  let measured =
+  let rows =
     List.map
-      (fun (name, spec) ->
-        Gc.full_major ();
-        let g0 = Gc.quick_stat () in
-        let r, secs = wall (fun () -> Runner.run spec) in
-        let g1 = Gc.quick_stat () in
-        check_agreement name r;
-        let minor = g1.Gc.minor_words -. g0.Gc.minor_words in
-        let major = g1.Gc.major_words -. g0.Gc.major_words in
-        let promoted = g1.Gc.promoted_words -. g0.Gc.promoted_words in
-        (* Heap footprint: live words retained once the run's garbage is
-           collected (the run's data structures plus anything cached so
-           far), and the process peak. [Gc.stat] — not [quick_stat], which
-           reports live_words as 0. top_heap_words is monotone across
-           scenarios, so only its first growth is attributable. *)
-        Gc.full_major ();
-        let heap = Gc.stat () in
-        let live = heap.Gc.live_words and top = heap.Gc.top_heap_words in
-        let events_per_s = float_of_int r.Runner.events /. secs in
-        progress
-          "  %-26s %6.2fs wall  %9.0f events/s  minor %11.0f w  major %10.0f \
-           w  live %9d w  top %9d w\n"
-          name secs events_per_s minor major live top;
-        Printf.printf "  %-26s %4d %6d %10d %12d %12d %8b %#18x\n" name spec.Runner.n
-          spec.Runner.txns_per_proposal r.Runner.committed_txns r.Runner.events
-          r.Runner.dispatched r.Runner.agreement r.Runner.commit_fingerprint;
-        {
-          pr_name = name;
-          pr_spec = spec;
-          pr_result = r;
-          pr_wall_s = secs;
-          pr_minor = minor;
-          pr_major = major;
-          pr_promoted = promoted;
-          pr_live = live;
-          pr_top = top;
-        })
+      (fun (name, (spec : Runner.spec)) ->
+        let r, secs, words = measured_run "plain" (name, spec) in
+        [
+          (C.name.key, Json.String name);
+          (C.protocol.key, Json.String (Runner.protocol_label spec.protocol));
+          (C.n.key, Json.Int spec.n);
+          (C.load.key, Json.Int spec.txns_per_proposal);
+          ("sim_duration_s", Json.Float (Time.to_s spec.duration));
+          (C.wall.key, Json.Float secs);
+          ("events_per_s", Json.Float (float_of_int r.events /. secs));
+        ]
+        @ words @ result_fields r)
       perf_scenarios
   in
-  let micros = Lazy.force micro_suite in
-  (* Tracing overhead: traced vs untraced same-seed wall ratio for the
-     first pinned scenario, measured back-to-back so GC and code-cache
-     state are comparable. The ratio rides in the micro object; being a
-     wall-clock fact, the detail line goes to stderr. *)
+  print_table
+    [ C.name; C.n; C.load; C.committed; C.events; C.dispatched; C.agree; C.fingerprint ]
+    rows;
+  let traced = Lazy.force analysis_runs and profiled = Lazy.force profile_runs in
+  check_unperturbed "TRACING" traced rows;
+  check_unperturbed "PROFILING" profiled rows;
+  (* Tracing overhead: the traced over the plain wall time of the first
+     pinned scenario. A wall-clock fact: it rides in the micro object and
+     on stderr. *)
   let trace_overhead =
-    let name, spec = List.hd perf_scenarios in
-    Gc.full_major ();
-    let plain, plain_s = wall (fun () -> Runner.run spec) in
-    Gc.full_major ();
-    let obs = Obs.create () in
-    let traced, traced_s = wall (fun () -> Runner.run { spec with Runner.obs = Some obs }) in
-    if plain.Runner.commit_fingerprint <> traced.Runner.commit_fingerprint
-    then begin
-      Printf.eprintf "  TRACING CHANGED THE RUN on %s\n" name;
-      exit 1
-    end;
-    let ratio = traced_s /. plain_s in
-    progress "  trace overhead (%s): %.2fs untraced, %.2fs traced, x%.3f\n"
-      name plain_s traced_s ratio;
-    ratio
+    let _, fields, _ = List.hd traced in
+    match (List.assoc C.wall.key fields, List.assoc C.wall.key (List.hd rows)) with
+    | Json.Float traced, Json.Float plain -> traced /. plain
+    | _ -> nan
   in
-  let micros = micros @ [ ("trace_overhead", trace_overhead) ] in
-  List.iter
-    (fun (k, v) -> progress "  %-26s %14.1f\n" k v)
-    micros;
-  (* The profiler must be pure observation: a profiled run's commit
-     fingerprint must match the plain perf run of the same scenario. *)
-  let profiled = Lazy.force profile_rows in
-  List.iter
-    (fun pf ->
-      match List.find_opt (fun m -> m.pr_name = pf.pf_name) measured with
-      | Some { pr_result = r; _ } ->
-          if r.Runner.commit_fingerprint <> pf.pf_fingerprint then begin
-            Printf.eprintf "  PROFILER PERTURBED %s: %#x <> %#x\n" pf.pf_name
-              r.Runner.commit_fingerprint pf.pf_fingerprint;
-            exit 1
-          end
-      | None -> ())
-    profiled;
-  (* BENCH_sim.json *)
-  let str s = Json.String s and int i = Json.Int i and float f = Json.Float f in
-  (* GC word counts are integral even though [Gc] reports floats. *)
-  let words w = Json.Int (int_of_float w) in
-  let fingerprint fp = Json.String (Printf.sprintf "%#x" fp) in
-  let scenario m =
-    let r = m.pr_result in
-    Json.Obj
-      [
-        ("name", str m.pr_name);
-        ("protocol", str (Runner.protocol_label m.pr_spec.Runner.protocol));
-        ("n", int m.pr_spec.Runner.n);
-        ("load", int m.pr_spec.Runner.txns_per_proposal);
-        ("sim_duration_s", float (Time.to_s m.pr_spec.Runner.duration));
-        ("wall_s", float m.pr_wall_s);
-        ("events", int r.events);
-        ("dispatched", int r.dispatched);
-        ("events_per_s", float (float_of_int r.events /. m.pr_wall_s));
-        ("minor_words", words m.pr_minor);
-        ("major_words", words m.pr_major);
-        ("promoted_words", words m.pr_promoted);
-        ("live_words", int m.pr_live);
-        ("top_heap_words", int m.pr_top);
-        ("committed_txns", int r.committed_txns);
-        ("throughput_ktps", float r.throughput_ktps);
-        ("latency_mean_ms", float r.latency_mean_ms);
-        ("agreement", Json.Bool r.agreement);
-        ("commit_fingerprint", fingerprint r.commit_fingerprint);
-      ]
-  in
-  let analysis (name, (rep : Analyze.report)) =
-    ( name,
-      Json.Obj
-        [
-          ("e2e", Analyze.dist_json rep.Analyze.e2e);
-          ( "segments",
-            Json.Obj
-              (List.map
-                 (fun (seg, d) -> (Analyze.segment_name seg, Analyze.dist_json d))
-                 rep.Analyze.segments) );
-          ("stalls", int (List.length rep.Analyze.stalls));
-        ] )
-  in
-  (* Self-profiler rows: calls/words/census are deterministic per seed;
-     every [_ns]-suffixed key is wall-clock and must be stripped before
-     comparisons (docs/PROFILING.md). *)
-  let profiler pf =
-    ( pf.pf_name,
-      Json.Obj
-        [
-          ("commit_fingerprint", fingerprint pf.pf_fingerprint);
-          ("wall_ns", int (int_of_float (pf.pf_wall_s *. 1e9)));
-          ( "top_by_self_ns",
-            Json.List
-              (List.map (fun (r : Prof.row) -> str r.Prof.name) (top_by_self 3 pf.pf_rows))
-          );
-          ( "sections",
-            Json.Obj
-              (List.map
-                 (fun (r : Prof.row) ->
-                   ( r.Prof.name,
-                     Json.Obj
-                       [
-                         ("calls", int r.Prof.calls);
-                         ("self_minor_words", int r.Prof.self_minor_words);
-                         ("self_major_words", int r.Prof.self_major_words);
-                         ("self_ns", int r.Prof.self_ns);
-                         ("incl_ns", int r.Prof.incl_ns);
-                       ] ))
-                 pf.pf_rows) );
-          ("census", Json.Obj (List.map (fun (name, w) -> (name, int w)) pf.pf_census));
-        ] )
-  in
-  let attack c =
-    let r = c.ac_result in
-    let ratios =
-      match attack_ratios c with
-      | None -> []
-      | Some (tput, p50, p99) ->
-          [ ("tput_ratio", float tput); ("p50_ratio", float p50); ("p99_ratio", float p99) ]
-    in
-    Json.Obj
-      ([
-         ("attack", str c.ac_attack);
-         ("protocol", str c.ac_protocol);
-         ("throughput_ktps", float r.Runner.throughput_ktps);
-         ("p50_ms", float r.Runner.latency_p50_ms);
-         ("p99_ms", float r.Runner.latency_p99_ms);
-       ]
-      @ ratios
-      @ [
-          ("agreement", Json.Bool r.Runner.agreement);
-          ("commit_fingerprint", fingerprint r.Runner.commit_fingerprint);
-        ])
-  in
+  progress "  trace overhead (%s): x%.3f\n" (fst (List.hd perf_scenarios)) trace_overhead;
+  let micros = Lazy.force micro_suite @ [ ("trace_overhead", trace_overhead) ] in
+  let named runs = Json.Obj (List.map (fun (name, fields, _) -> (name, Json.Obj fields)) runs) in
+  let objs rows = Json.List (List.map (fun row -> Json.Obj row) rows) in
   let doc =
     Json.Obj
       [
-        ("schema", str "clanbft/bench-sim/v3");
-        ("profile", str profile_name);
-        ("jobs", int (Pool.jobs (Lazy.force pool)));
-        ("scenarios", Json.List (List.map scenario measured));
-        ("micro", Json.Obj (List.map (fun (k, v) -> (k, float v)) micros));
-        ("analysis", Json.Obj (List.map analysis (Lazy.force analysis_rows)));
-        ("profiler", Json.Obj (List.map profiler profiled));
-        ("attacks", Json.List (List.map attack (Lazy.force attack_rows)));
+        ("schema", Json.String "clanbft/bench-sim/v4");
+        ("profile", Json.String profile_name);
+        ("jobs", Json.Int (Pool.jobs (Lazy.force pool)));
+        ("scenarios", objs rows);
+        ("micro", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) micros));
+        ("analysis", named traced);
+        ("profiler", named profiled);
+        ("attacks", objs (Lazy.force attack_rows));
       ]
   in
   let oc = open_out bench_sim_json in

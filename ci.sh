@@ -159,19 +159,22 @@ grep -q "verdict: ok" "$smoke_dir/walk_sparse" || {
 }
 rm -rf "$smoke_dir"
 
-echo "== parallel bench smoke (perf, profile, figure, RBC, recovery and micro sections, CLANBFT_JOBS=2) =="
+# The sections test/bench.t pins: every quick section but fig5b, which the
+# quick profile skips.
+bench_sections="perf analysis attacks metrics table1 fig1 concrete fig5a fig5c fig6 ablation-latency ablation-rbc faults recovery micro profile"
+echo "== parallel bench smoke (the pinned sections, --jobs 1 vs CLANBFT_JOBS=2) =="
 smoke_dir=$(mktemp -d)
-bench_sections="perf profile fig5c fig6 ablation-latency ablation-rbc faults recovery micro"
 (cd "$smoke_dir" \
   && CLANBFT_BENCH=quick dune exec --root "$OLDPWD" bench/main.exe -- --jobs 1 $bench_sections >stdout.jobs1 2>/dev/null \
   && CLANBFT_BENCH=quick CLANBFT_JOBS=2 dune exec --root "$OLDPWD" bench/main.exe -- $bench_sections >stdout.jobs2 2>stderr.jobs2)
 # Deterministic stdout: parallel dispatch must not change a byte, the
-# profiler's call counts, words and heap census included (the profiled
-# runs are sequential and shared with perf, so [profile] adds none). The
-# standalone RBC ablations and the fault scenarios (~5 s) print simulated
-# facts only; [micro] reuses perf's measurements and prints their names.
-# The figure points, the latency ablation and the recovery run (~5.5 s)
-# go through the bench's pooled, cached run path.
+# profiler's call counts, words and heap census included. The measured
+# runs (perf, traced analysis, profile) are sequential and shared, so
+# their sections add none; the attack corpus, the metrics dumps, the
+# figure points, the latency ablation and the fault and recovery runs go
+# through the bench's pooled, cached run path, so width 2 really runs
+# them two at a time. The standalone RBC ablations print simulated facts
+# only; [micro] reuses perf's measurements and prints their names.
 if ! cmp -s "$smoke_dir/stdout.jobs1" "$smoke_dir/stdout.jobs2"; then
   echo "bench stdout differs between --jobs 1 and CLANBFT_JOBS=2"
   diff "$smoke_dir/stdout.jobs1" "$smoke_dir/stdout.jobs2" || true
