@@ -190,6 +190,7 @@ let print_summary ?(traffic = false) (r : Runner.result) =
       r.committed_txns r.rounds r.leaders_committed
       (float_of_int r.bytes_total /. 1e6);
   Format.printf "commit fingerprint: %#x@." r.commit_fingerprint;
+  Format.printf "events %d  dispatched %d@." r.events r.dispatched;
   List.iter
     (fun (node, commits) ->
       Format.printf "post-recovery commits [replica %d]: %d@." node commits)

@@ -61,6 +61,17 @@ if [ -z "$n50_heap" ] || [ "$n50_heap" -gt "$n50_heap_cap" ]; then
   exit 1
 fi
 echo "n=50 top_heap_words $n50_heap (cap $n50_heap_cap)"
+# Dispatched events are deterministic per seed too: the engine events
+# run, less the deliveries the net elided because their receiver was
+# certain to ignore them at their arrival. 1,440,267 of 2,607,023 events
+# are dispatched; the cap is that plus 2%.
+n50_dispatched_cap=1469072
+n50_dispatched=$(awk '/^events / { print $4 }' "$smoke_dir/n50")
+if [ -z "$n50_dispatched" ] || [ "$n50_dispatched" -gt "$n50_dispatched_cap" ]; then
+  echo "n=50 smoke dispatched '${n50_dispatched}' exceeds its cap $n50_dispatched_cap"
+  exit 1
+fi
+echo "n=50 dispatched $n50_dispatched (cap $n50_dispatched_cap)"
 # The pinned fingerprint covers the dense echo/certificate path at a size
 # the n=16 tests under-weight.
 for want in "agree=true" "commit fingerprint: 0x6358547d58ba8ed9"; do

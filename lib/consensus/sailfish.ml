@@ -114,6 +114,9 @@ type t = {
   (* weak-edge bookkeeping *)
   covered : unit Round_rows.t; (* causal history of my proposals *)
   uncovered : Vertex.t Round_rows.t;
+  (* Per undelivered instance: the earliest arrival of a valid certificate
+     the net was told to deliver (see [settled]). *)
+  cert_arrivals : Time.t Round_rows.t;
 }
 
 let me t = t.me
@@ -307,30 +310,36 @@ let msg_round = function
      dispatched before the GC-floor gate; never consulted. *)
   | Msg.Sync_request _ | Msg.Sync_reply _ -> max_int
 
-(* The messages [handle] is certain to ignore, now and for as long as this
-   replica runs: everything once halted, anything below the GC floor, an
-   echo relayed by anyone but its signer or for an instance this node has
-   certified, and a certificate for a delivered instance. Every clause is
-   monotone ([halted], the floor, [sent_cert] and [delivered] never go
-   back; an instance is pruned only below the floor), as {!Net.set_handler}
-   requires: the net skips such copies without scheduling them. It runs
-   once per copy sent, so the common kinds are tested first and an
-   instance that exists is not also compared with the floor (a [false]
-   only costs a delivery). *)
-let settled t ~src msg =
+(* The copies [handle] is certain to ignore at their arrival: everything
+   once halted, anything below the GC floor, an echo relayed by anyone but
+   its signer, and a certificate for a delivered instance or one landing
+   at or after a valid certificate for the same instance already let
+   through. That one is delivered first (the net schedules every copy
+   answered [false] at the arrival it was asked about, and same-µs events
+   run in scheduling order), and the instance then ignores certificates.
+   [halted], the floor and [delivered] never go back, and an instance is
+   pruned only below the floor, as {!Net.set_handler} requires. The echo
+   clause runs for ~n³ copies a round, so it makes O(1) tests only; the
+   certificate clause verifies a copy only when it would become the
+   earliest one let through. *)
+let settled t ~src ~arrival msg =
   match msg with
-  | Msg.Echo { round; source; signer; _ } -> (
-      src <> signer || t.halted
-      ||
-      match Rbc.find t.rbc ~sender:source ~round with
-      | Some i -> i.sent_cert
-      | None -> round < Store.floor t.store)
-  | Msg.Echo_cert { round; source; _ } -> (
+  | Msg.Echo { round; signer; _ } -> src <> signer || t.halted || round < Store.floor t.store
+  | Msg.Echo_cert { round; source; vertex_digest; agg; _ } -> (
       t.halted
+      || round < Store.floor t.store
       ||
-      match Rbc.find t.rbc ~sender:source ~round with
-      | Some i -> i.delivered
-      | None -> round < Store.floor t.store)
+      match Round_rows.find t.cert_arrivals ~round ~source with
+      | Some first when arrival >= first -> true
+      | _ ->
+          (match Rbc.find t.rbc ~sender:source ~round with
+          | Some i -> i.delivered
+          | None -> false)
+          || begin
+               if Rbc.cert_valid t.rbc ~sender:source ~round vertex_digest agg then
+                 Round_rows.set t.cert_arrivals ~round ~source arrival;
+               false
+             end)
   | _ -> t.halted || msg_round msg < Store.floor t.store
 
 let rec handle t ~src msg =
@@ -420,6 +429,7 @@ and adopt t (inst : inst) (v : Vertex.t) block =
 and certified t (inst : inst) digest =
   if not inst.delivered then begin
     inst.delivered <- true;
+    Round_rows.remove t.cert_arrivals ~round:inst.round ~source:inst.sender;
     Rbc.agree t.rbc inst digest;
     let slot = inst.ext in
     match slot.vertex with
@@ -771,6 +781,7 @@ and garbage_collect t =
     Round_rows.drop_below t.covered horizon;
     Round_rows.drop_below t.uncovered horizon;
     Round_rows.drop_below t.blocks horizon;
+    Round_rows.drop_below t.cert_arrivals horizon;
     drop_below t.pending horizon;
     drop_below t.waiters horizon;
     Rbc.prune_below t.rbc ~round:horizon;
@@ -1102,7 +1113,7 @@ let heap_roots ts =
           Obj.repr t.timeout_sent; Obj.repr t.timeout_shares;
           Obj.repr t.no_vote_shares; Obj.repr t.tcs; Obj.repr t.nvcs;
           Obj.repr t.leader_votes; Obj.repr t.commit_ready; Obj.repr t.ordered;
-          Obj.repr t.covered; Obj.repr t.uncovered;
+          Obj.repr t.covered; Obj.repr t.uncovered; Obj.repr t.cert_arrivals;
         ]);
   ]
 
@@ -1209,9 +1220,10 @@ let create ~me ~config ~keychain ~engine ~net ?(params = default_params)
       ordered_hash = 0;
       covered = Round_rows.create ~n:(Config.n config);
       uncovered = Round_rows.create ~n:(Config.n config);
+      cert_arrivals = Round_rows.create ~n:(Config.n config);
     }
   in
   Net.set_handler net me
-    ~settled:(fun ~src msg -> settled t ~src msg)
+    ~settled:(fun ~src ~arrival msg -> settled t ~src ~arrival msg)
     (fun ~src msg -> handle t ~src msg);
   t

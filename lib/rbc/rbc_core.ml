@@ -152,16 +152,21 @@ let footprint c =
 let heap_root c = Obj.repr c.instances
 let prune_below c ~round = Round_rows.drop_below c.instances round
 
+(* The hash of [digest]'s echo signing string: [known]'s, unless it is
+   [no_votes]. *)
+let signing_hash c known ~sender ~round digest =
+  if known != no_votes then known.signing_h
+  else Keychain.hash_msg (c.ctx.signing ~sender ~round digest)
+
 (* [known] itself, or a fresh record when it is [no_votes]. *)
 let votes c known ~sender ~round digest =
   if known != no_votes then known
   else
-    let signing_h = Keychain.hash_msg (c.ctx.signing ~sender ~round digest) in
     {
       voters = Bitset.create c.n;
       clan_votes = 0;
       acc = Keychain.accumulator ();
-      signing_h;
+      signing_h = signing_hash c known ~sender ~round digest;
     }
 
 let find_votes tbl digest =
@@ -320,6 +325,21 @@ let clan_count c ~sender signers =
     (fun i acc -> if c.ctx.in_clan ~sender i then acc + 1 else acc)
     signers 0
 
+(* A certificate's checks, given the hash of its echo signing string:
+   2f+1 signers, the clan threshold, and the aggregate verified. *)
+let cert_checks c ~sender agg hash =
+  let signers = Keychain.signers agg in
+  let threshold = c.ctx.clan_threshold ~sender in
+  Bitset.cardinal signers >= c.quorum
+  && (threshold = 0 || clan_count c ~sender signers >= threshold)
+  && Keychain.verify_aggregate_hashed c.keychain ~hash agg
+
+let cert_valid c ~sender ~round digest agg =
+  c.signed && in_range c sender
+  &&
+  let known = known_echo_votes (find c ~sender ~round) digest in
+  cert_checks c ~sender agg (signing_hash c known ~sender ~round digest)
+
 let on_echo_cert c ~sender ~round digest agg =
   if (not c.signed) || not (in_range c sender) then None
   else
@@ -327,22 +347,14 @@ let on_echo_cert c ~sender ~round digest agg =
     match found with
     | Some inst when inst.delivered -> None
     | _ ->
-        let signers = Keychain.signers agg in
-        let threshold = c.ctx.clan_threshold ~sender in
-        if
-          Bitset.cardinal signers < c.quorum
-          || (threshold > 0 && clan_count c ~sender signers < threshold)
-        then None
-        else
-          let known = known_echo_votes found digest in
-          let v = votes c known ~sender ~round digest in
-          if not (Keychain.verify_aggregate_hashed c.keychain ~hash:v.signing_h agg)
-          then None
-          else begin
-            let inst = attach c found ~sender ~round digest known v in
-            if c.ctx.keep_certs then inst.cert <- Some agg;
-            Some inst
-          end
+        let known = known_echo_votes found digest in
+        let v = votes c known ~sender ~round digest in
+        if not (cert_checks c ~sender agg v.signing_h) then None
+        else begin
+          let inst = attach c found ~sender ~round digest known v in
+          if c.ctx.keep_certs then inst.cert <- Some agg;
+          Some inst
+        end
 
 (* ------------------------------------------------------------------ *)
 (* Pulling *)

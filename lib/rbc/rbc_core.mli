@@ -143,11 +143,16 @@ val on_ready :
   ('e, 'm) t -> sender:int -> round:int -> Digest32.t -> signer:int -> 'e inst option
 (** Unsigned mode: f+1 READYs send ours, 2f+1 return the instance. *)
 
+val cert_valid :
+  ('e, 'm) t -> sender:int -> round:int -> Digest32.t -> Keychain.aggregate -> bool
+(** Signed mode: the certificate has 2f+1 signers, meets the clan
+    threshold and verifies — the checks {!on_echo_cert} makes. The answer
+    does not depend on which node asks, and nothing is stored. *)
+
 val on_echo_cert :
   ('e, 'm) t -> sender:int -> round:int -> Digest32.t -> Keychain.aggregate ->
   'e inst option
-(** Signed mode, undelivered instances: the instance if the certificate
-    has 2f+1 signers, meets the clan threshold and verifies. *)
+(** Signed mode, undelivered instances: the instance if {!cert_valid}. *)
 
 val serve :
   ('e, 'm) t -> sender:int -> round:int -> src:int -> ('e inst -> 'm option) -> unit

@@ -44,10 +44,10 @@ type 'msg t = {
   rng : Rng.t;
   obs : Obs.t;
   handlers : (src:int -> 'msg -> unit) array;
-  (* Per receiver: copies its current handler is certain to ignore, and
-     when that handler is replaced (copies arriving then or later are
-     always delivered). *)
-  settled : (src:int -> 'msg -> bool) array;
+  (* Per receiver: copies its current handler is certain to ignore at
+     their arrival, and when that handler is replaced (copies arriving then
+     or later are always delivered). *)
+  settled : (src:int -> arrival:Time.t -> 'msg -> bool) array;
   replaced : Time.t list array;
   uplink_free : Time.t array; (* when each node's uplink next idles *)
   mutable filter : src:int -> dst:int -> 'msg -> bool;
@@ -66,7 +66,7 @@ type 'msg t = {
 let no_handler ~src:_ _ =
   failwith "Net: message delivered to a node with no handler installed"
 
-let never ~src:_ _ = false
+let never ~src:_ ~arrival:_ _ = false
 
 let create ~engine ~topology ~config ~size ?(kind = fun _ -> "msg") ?obs ~rng () =
   let n = Topology.n topology in
@@ -178,11 +178,14 @@ let rec replaced_within ats ~now ~arrival =
    so the uplink cursor [t.uplink_free.(src)] is re-read on every copy
    rather than cached.
 
-   A copy its receiver has declared settled is priced, timed and counted
-   like any other, but when {!Engine.elide} accepts its arrival time it is
-   charged to the receiver at once and never scheduled: no calendar slot,
-   no dispatch, no handler call (DESIGN.md §6). Tracing keeps every copy,
-   since each one is a receive record. *)
+   A copy its receiver declares settled at its arrival is priced, timed and
+   counted like any other, but when {!Engine.elide} accepts that arrival
+   it is charged to the receiver at once and never scheduled: no calendar
+   slot, no dispatch, no handler call (DESIGN.md §6). A copy the predicate
+   answers [false] for is scheduled at exactly the arrival it was asked
+   about, which is what lets a receiver reason about the copies it let
+   through. Tracing keeps every copy, since each one is a receive
+   record, and then the predicate is not asked. *)
 let fanout t ~filtered ~src ~lo ~hi msg =
   Prof.enter sec_fanout;
   let bytes = t.size msg + t.config.per_message_overhead and kind = t.kind msg in
@@ -226,7 +229,7 @@ let fanout t ~filtered ~src ~lo ~hi msg =
       in
       if
         elides
-        && t.settled.(dst) ~src msg
+        && t.settled.(dst) ~src ~arrival msg
         && (not (replaced_within t.replaced.(dst) ~now ~arrival))
         && Engine.elide t.engine arrival
       then Metrics.add t.bytes_received.(dst) bytes

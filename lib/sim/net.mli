@@ -49,22 +49,31 @@ val create :
 val n : _ t -> int
 
 val set_handler :
-  'msg t -> int -> ?settled:(src:int -> 'msg -> bool) -> (src:int -> 'msg -> unit) -> unit
+  'msg t ->
+  int ->
+  ?settled:(src:int -> arrival:Time.t -> 'msg -> bool) ->
+  (src:int -> 'msg -> unit) ->
+  unit
 (** Must be installed for every node before traffic reaches it.
 
-    [settled ~src msg] (default: never) says that this handler is certain
-    to ignore [msg] from [src]. It must be monotone for the handler's
-    lifetime: once it holds for a message it holds until the handler is
-    replaced. A copy it holds for {e when the copy is sent} is still
-    filtered, priced, queued on the uplink and drawn for (RNG included);
-    but when {!Engine.elide} accepts its arrival time it is never
-    scheduled, and counts in {!bytes_received} and
-    {!Engine.events_processed} at once rather than on arrival — the same
-    totals once the current [Engine.run] returns, though a reader inside
-    the run sees them early.
-    Copies are never elided while tracing, in choice mode, past the
-    current [Engine.run ~until], or when {!will_replace} announced a
-    replacement at or before their arrival. *)
+    [settled ~src ~arrival msg] (default: never) says that this handler is
+    certain to ignore the copy of [msg] from [src] that arrives at
+    [arrival], given the copies already let through. The net asks it once
+    per copy, when the copy is sent, with the copy's true delivery time
+    (uplink queueing, jitter and pre-GST delay included), and schedules
+    every copy it answers [false] for at exactly that arrival. So a
+    receiver may remember what it let through: a copy arriving at or
+    after one it let through runs after it, since same-microsecond events
+    run in scheduling order. A [true] answer must stay right until the
+    handler is replaced. A copy it holds for is still filtered, priced,
+    queued on the uplink and drawn for (RNG included); but when
+    {!Engine.elide} accepts its arrival time it is never scheduled, and
+    counts in {!bytes_received} and {!Engine.events_processed} at once
+    rather than on arrival — the same totals once the current
+    [Engine.run] returns, though a reader inside the run sees them early.
+    Copies are never elided while tracing (the predicate is then not
+    asked), in choice mode, past the current [Engine.run ~until], or when
+    {!will_replace} announced a replacement at or before their arrival. *)
 
 val will_replace : 'msg t -> int -> at:Time.t -> unit
 (** The handler at this id will be replaced at [at] (a replica restart):

@@ -142,7 +142,7 @@ let create ?(engine = Engine.create ()) ?obs ~topology ~net:net_config ~seed ?pa
   in
   for me = 0 to n - 1 do
     if List.mem me absent then
-      Net.set_handler net me ~settled:(fun ~src:_ _ -> true) (fun ~src:_ _ -> ())
+      Net.set_handler net me ~settled:(fun ~src:_ ~arrival:_ _ -> true) (fun ~src:_ _ -> ())
     else w.nodes.(me) <- Some (make_node me)
   done;
   (* Installed after the nodes so an empty plan consumes no RNG draws: a

@@ -491,6 +491,52 @@ let test_out_of_range_edge_rejected () =
   Alcotest.(check int) "no echo" 0 echoes;
   ignore (check_prefix_agreement w)
 
+(* A forged certificate in flight ahead of valid ones must not suppress
+   them. n = 4 Full, node 3 absent; no echo for slot (0, 1) reaches
+   replica 0, so it can deliver that slot only from a certificate. At
+   1 µs node 3 sends replica 0 a certificate for the slot with 2f+1
+   signers and a bad aggregate; it lands at 10 ms, well ahead of the
+   valid ones. A receiver that let the forgery stand for the slot's
+   first certificate would skip the valid copies landing after it, and
+   replica 0 would get the vertex only by pulling it, once round 1
+   names it as a parent. *)
+let test_forged_cert_does_not_settle () =
+  let w = make_world ~n:4 ~byzantine:[ 3 ] Config.Full in
+  let certs = ref 0 in
+  Net.set_filter w.net (fun ~src:_ ~dst m ->
+      match m with
+      | Msg.Echo { round = 0; source = 1; _ } -> dst <> 0
+      | Msg.Echo_cert { round = 0; source = 1; _ } ->
+          if dst = 0 then incr certs;
+          true
+      | _ -> true);
+  let agg =
+    Keychain.aggregate_of_wire ~tag:(String.make 32 'x')
+      ~signers:(Util.Bitset.of_list 4 [ 0; 1; 2 ])
+  in
+  Engine.schedule_at w.engine 1 (fun () ->
+      Net.send w.net ~src:3 ~dst:0
+        (Msg.Echo_cert
+           {
+             round = 0;
+             source = 1;
+             vertex_digest = Digest32.hash_string "forged";
+             agg;
+             clan_echoes = 0;
+           }));
+  start w;
+  let delivered () = Sailfish.vertex_of (node w 0) ~round:0 ~source:1 <> None in
+  (* Probed from inside one run: a copy landing past [until] is never
+     elided. *)
+  let early = ref true in
+  Engine.schedule_at w.engine (Time.ms 25.) (fun () -> early := delivered ());
+  Engine.run ~until:(Time.ms 40.) w.engine;
+  Alcotest.(check bool) "not before the valid certificates land" false !early;
+  Alcotest.(check int) "the forgery and the relayers' certificates" 3 !certs;
+  Alcotest.(check bool) "delivered from a valid certificate" true (delivered ());
+  Engine.run ~until:(Time.s 2.) w.engine;
+  ignore (check_prefix_agreement w)
+
 (* Random edge arrays through replica 1's VAL handler (n = 4, node 0
    absent, nothing started): sources drawn from -2 .. n+2, mostly in
    range, repeats allowed, and half the strong arrays sorted and
@@ -560,6 +606,8 @@ let suites =
           test_repeated_strong_edges_rejected;
         Alcotest.test_case "out-of-range edge source rejected" `Quick
           test_out_of_range_edge_rejected;
+        Alcotest.test_case "forged certificate settles nothing" `Quick
+          test_forged_cert_does_not_settle;
         QCheck_alcotest.to_alcotest prop_edge_sources_total;
       ] );
     ( "consensus.resources",

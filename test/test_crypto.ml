@@ -144,6 +144,11 @@ let test_aggregate_valid () =
   | None -> Alcotest.fail "aggregation failed"
   | Some agg ->
       Alcotest.(check bool) "verifies" true (Keychain.verify_aggregate kc ~msg agg);
+      (* The same aggregate object, once checked, is still checked per
+         message. *)
+      Alcotest.(check bool) "not for another message" false
+        (Keychain.verify_aggregate kc ~msg:"other-message" agg);
+      Alcotest.(check bool) "still for its own" true (Keychain.verify_aggregate kc ~msg agg);
       Alcotest.(check int) "signers" 7 (Bitset.cardinal (Keychain.signers agg));
       Alcotest.(check (list int)) "no faulty" [] (Keychain.find_faulty_signers kc ~msg agg shares)
 
@@ -161,7 +166,13 @@ let test_aggregate_detects_forgery () =
 
 let test_aggregate_rejects_bad_signer () =
   Alcotest.(check bool) "out-of-range signer" true
-    (Keychain.aggregate kc [ (42, Keychain.forge) ] = None)
+    (Keychain.aggregate kc [ (42, Keychain.forge) ] = None);
+  (* A decoded aggregate may claim signers the registry does not have:
+     verification says no, and reads no key outside the registry. *)
+  let wide = Bitset.of_list 1_000_000 [ 0; 1; 999_999 ] in
+  Alcotest.(check bool) "out-of-range signer on the wire" false
+    (Keychain.verify_aggregate kc ~msg:"m"
+       (Keychain.aggregate_of_wire ~tag:(String.make 32 'x') ~signers:wide))
 
 let test_aggregate_rejects_duplicates () =
   let s = Keychain.sign kc ~signer:1 "m" in

@@ -373,10 +373,11 @@ let test_tracing_is_inert () =
     traced'.Runner.commit_fingerprint
 
 (* Settled-copy elision is exact: an untraced run skips the echo and
-   certificate copies its receivers are certain to ignore, a traced run
-   schedules every copy, and both report the same run — fingerprint,
-   events, per-node received bytes and per-kind message and byte counts.
-   The counters are every net counter of the registry. *)
+   certificate copies its receivers are certain to ignore at their
+   arrival, a traced run schedules every copy, and both report the same
+   run — fingerprint, events, per-node received bytes and per-kind
+   message and byte counts. The counters are every net counter of the
+   registry. *)
 let net_counters reg =
   Metrics.fold reg ~init:[] ~f:(fun acc ~name ~labels v ->
       match v with
@@ -416,6 +417,8 @@ let test_elision_exact () =
     }
   in
   check_elision_exact "dense n=16" base;
+  check_elision_exact "sparse k=3" { base with protocol = Runner.Sparse { k = 3 } };
+  check_elision_exact "single clan" { base with protocol = Runner.Single_clan { nc = 11 } };
   check_elision_exact "crash and restart"
     {
       base with

@@ -614,7 +614,7 @@ let settled_net () =
   let engine, net = mk_net ~config:no_jitter () in
   let got = ref 0 in
   Net.set_handler net 0 (fun ~src:_ _ -> ());
-  Net.set_handler net 1 ~settled:(fun ~src:_ _ -> true) (fun ~src:_ _ -> incr got);
+  Net.set_handler net 1 ~settled:(fun ~src:_ ~arrival:_ _ -> true) (fun ~src:_ _ -> incr got);
   Engine.schedule_at engine 1 (fun () -> Net.send net ~src:0 ~dst:1 "x");
   (engine, net, got)
 
@@ -641,7 +641,7 @@ let test_net_elide_outside_run () =
   (* A send outside [run] (here: before it) is never elided. *)
   let engine, net = mk_net ~config:no_jitter () in
   Net.set_handler net 0 (fun ~src:_ _ -> ());
-  Net.set_handler net 1 ~settled:(fun ~src:_ _ -> true) (fun ~src:_ _ -> ());
+  Net.set_handler net 1 ~settled:(fun ~src:_ ~arrival:_ _ -> true) (fun ~src:_ _ -> ());
   Net.send net ~src:0 ~dst:1 "x";
   Engine.run engine;
   Alcotest.(check int) "dispatched" 1 (Engine.events_dispatched engine)
@@ -653,19 +653,65 @@ let test_net_elide_restart () =
   let engine, net = mk_net ~config:no_jitter () in
   let old_got = ref 0 and new_got = ref 0 in
   Net.set_handler net 0 (fun ~src:_ _ -> ());
-  Net.set_handler net 1 ~settled:(fun ~src:_ _ -> true) (fun ~src:_ _ -> incr old_got);
+  Net.set_handler net 1 ~settled:(fun ~src:_ ~arrival:_ _ -> true) (fun ~src:_ _ -> incr old_got);
   Net.will_replace net 1 ~at:6_000;
   Engine.schedule_at engine 6_000 (fun () ->
       Net.set_handler net 1 (fun ~src:_ _ -> incr new_got));
   Engine.schedule_at engine 1 (fun () -> Net.send net ~src:0 ~dst:1 "x");
   Engine.schedule_at engine 7_000 (fun () ->
-      Net.set_handler net 1 ~settled:(fun ~src:_ _ -> true) (fun ~src:_ _ -> incr new_got);
+      Net.set_handler net 1 ~settled:(fun ~src:_ ~arrival:_ _ -> true) (fun ~src:_ _ -> incr new_got);
       Net.send net ~src:0 ~dst:1 "y");
   Engine.run engine;
   Alcotest.(check int) "old handler never called" 0 !old_got;
   Alcotest.(check int) "the new replica got the first copy" 1 !new_got;
   Alcotest.(check int) "processed" 5 (Engine.events_processed engine);
   Alcotest.(check int) "the second copy was elided" 4 (Engine.events_dispatched engine)
+
+(* [settled] is asked with each copy's true delivery time. Every node
+   answers [false] and logs (src, dst, msg, arrival); every handler logs
+   (src, dst, msg, now). With jitter, uplink queueing and pre-GST delays
+   on, the two logs must be the same set of copies, and the delays must
+   actually move arrivals: a run without them logs other times. *)
+let settled_arrivals config =
+  let n = 6 in
+  let engine = Engine.create () in
+  let net =
+    Net.create ~engine ~topology:(Topology.gcp_table1 ~n) ~config ~size:String.length
+      ~rng:(Rng.create 5L) ()
+  in
+  let asked = ref [] and got = ref [] in
+  for dst = 0 to n - 1 do
+    Net.set_handler net dst
+      ~settled:(fun ~src ~arrival msg ->
+        asked := (src, dst, msg, arrival) :: !asked;
+        false)
+      (fun ~src msg -> got := (src, dst, msg, Engine.now engine) :: !got)
+  done;
+  List.iteri
+    (fun k at ->
+      Engine.schedule_at engine at (fun () ->
+          let src = k mod n in
+          let msg = Printf.sprintf "m%d%s" k (String.make (k * 40_000) 'x') in
+          if k mod 3 = 2 then Net.send net ~src ~dst:((src + 1) mod n) msg
+          else if k mod 3 = 1 then
+            Net.broadcast_split net ~src ~member:(fun i -> i mod 2 = 0) msg (msg ^ "'")
+          else Net.broadcast net ~src msg))
+    [ 1; 2; 500; 90_000; 150_000; 150_001; 250_000; 400_000; 400_000 ];
+  Engine.run engine;
+  (List.sort compare !asked, List.sort compare !got)
+
+let test_net_settled_sees_arrival () =
+  let delayed =
+    { Net.default_config with jitter = 0.05; gst = 200_000; pre_gst_max_extra = 80_000 }
+  in
+  let asked, got = settled_arrivals delayed in
+  Alcotest.(check int) "every copy asked" 39 (List.length asked);
+  Alcotest.(check (list (pair (pair int int) (pair string int))))
+    "asked at each copy's delivery time"
+    (List.map (fun (s, d, m, t) -> ((s, d), (m, t))) got)
+    (List.map (fun (s, d, m, t) -> ((s, d), (m, t))) asked);
+  let plain, _ = settled_arrivals { delayed with jitter = 0.0; pre_gst_max_extra = 0 } in
+  Alcotest.(check bool) "jitter and pre-GST delay move arrivals" true (plain <> asked)
 
 let test_net_broadcast () =
   let engine, net = mk_net ~config:no_jitter () in
@@ -845,5 +891,6 @@ let suites =
         Alcotest.test_case "elide split run" `Quick test_net_elide_split_run;
         Alcotest.test_case "elide outside run" `Quick test_net_elide_outside_run;
         Alcotest.test_case "elide restart" `Quick test_net_elide_restart;
+        Alcotest.test_case "settled sees each arrival" `Quick test_net_settled_sees_arrival;
       ] );
   ]
