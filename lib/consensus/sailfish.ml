@@ -329,17 +329,15 @@ let settled t ~src ~arrival msg =
       t.halted
       || round < Store.floor t.store
       ||
-      match Round_rows.find t.cert_arrivals ~round ~source with
-      | Some first when arrival >= first -> true
-      | _ ->
-          (match Rbc.find t.rbc ~sender:source ~round with
-          | Some i -> i.delivered
-          | None -> false)
-          || begin
-               if Rbc.cert_valid t.rbc ~sender:source ~round vertex_digest agg then
-                 Round_rows.set t.cert_arrivals ~round ~source arrival;
-               false
-             end)
+      (* Arrivals are below [max_int]: a slot without a record settles
+         nothing here. *)
+      arrival >= Round_rows.find_or t.cert_arrivals ~round ~source max_int
+      || Rbc.delivered t.rbc ~sender:source ~round
+      || begin
+           if Rbc.cert_valid t.rbc ~sender:source ~round vertex_digest agg then
+             Round_rows.set t.cert_arrivals ~round ~source arrival;
+           false
+         end)
   | _ -> t.halted || msg_round msg < Store.floor t.store
 
 let rec handle t ~src msg =
@@ -614,8 +612,8 @@ and on_sync_request t ~src ~from_round =
   let floor = Store.floor t.store in
   let highest = Store.highest_round t.store in
   Net.send t.net ~src:t.me ~dst:src (Msg.Sync_reply { floor; highest });
-  let lo = max from_round floor in
-  let hi = min highest (lo + t.params.sync_chunk - 1) in
+  let lo = Int.max from_round floor in
+  let hi = Int.min highest (lo + t.params.sync_chunk - 1) in
   for r = lo to hi do
     List.iter
       (fun (vertex : Vertex.t) ->
@@ -679,7 +677,7 @@ and sync_tick t ~cursor ~cycles ~last_frontier =
     Metrics.incr t.obsh.o_pull_retries;
     Net.send t.net ~src:t.me ~dst:peer
       (Msg.Sync_request { from_round = frontier + 1 });
-    let backoff = t.params.sync_retry * (1 lsl min cycles 4) in
+    let backoff = t.params.sync_retry * (1 lsl Int.min cycles 4) in
     Engine.schedule_after t.engine backoff (fun () ->
         sync_tick t ~cursor:(peer + 1) ~cycles:(cycles + 1)
           ~last_frontier:frontier);
@@ -729,20 +727,20 @@ and try_commit t =
   | None -> ()
   | Some r ->
       let leader_vertex s =
-        Store.find t.store ~round:s ~source:(leader_of t s)
+        Store.find_or_absent t.store ~round:s ~source:(leader_of t s)
       in
-      let anchor = Option.get (leader_vertex r) in
+      let anchor = leader_vertex r in
       (* Walk back across skipped rounds collecting indirectly committed
          leaders. *)
       let chain = ref [ anchor ] in
       let current = ref anchor in
       for s = r - 1 downto t.last_committed + 1 do
-        match leader_vertex s with
-        | Some l
-          when Store.strong_path t.store !current ~round:s ~source:l.source ->
-            chain := l :: !chain;
-            current := l
-        | _ -> ()
+        let l = leader_vertex s in
+        if l != Store.absent && Store.strong_path t.store !current ~round:s ~source:l.source
+        then begin
+          chain := l :: !chain;
+          current := l
+        end
       done;
       List.iter
         (fun (l : Vertex.t) ->

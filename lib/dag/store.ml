@@ -18,37 +18,48 @@ let create ~n =
 
 let n t = Round_rows.n t.rounds
 
+(* What the allocation-free lookups answer for an empty slot; never
+   stored (its source is out of range). *)
+let absent =
+  Vertex.make ~round:0 ~source:(-1) ~block_digest:Clanbft_crypto.Digest32.zero
+    ~strong_edges:[||] ~weak_edges:[||] ()
+
 let find t ~round ~source = Round_rows.find t.rounds ~round ~source
+let find_or_absent t ~round ~source = Round_rows.find_or t.rounds ~round ~source absent
+let mem t ~round ~source = Round_rows.mem t.rounds ~round ~source
 
-let mem t ~round ~source = Option.is_some (find t ~round ~source)
+(* The referenced vertex, or [absent] (also on a digest mismatch). *)
+let resolve t (r : Vertex.vref) =
+  let v = find_or_absent t ~round:r.round ~source:r.source in
+  if v != absent && Clanbft_crypto.Digest32.equal v.digest r.digest then v else absent
 
-let find_ref t (r : Vertex.vref) =
-  match find t ~round:r.round ~source:r.source with
-  | Some v when Clanbft_crypto.Digest32.equal v.digest r.digest -> Some v
-  | Some _ | None -> None
+let find_ref t r =
+  let v = resolve t r in
+  if v == absent then None else Some v
 
 (* References below the GC floor count as satisfied: their subtree was
    already ordered and pruned. *)
-let ref_satisfied t (r : Vertex.vref) = r.round < t.floor || Option.is_some (find_ref t r)
+let ref_satisfied t (r : Vertex.vref) = r.round < t.floor || resolve t r != absent
 
 (* Allocation-free insertion guard. Strong edges all target [v.round - 1],
    so an empty previous round (above the floor) fails every strong edge at
    once; otherwise each edge is one cached-row slot probe. Weak edges are
-   rare and probed individually. *)
+   rare and probed individually. Plain recursive loops, so no closure is
+   made per call. *)
+let rec all_resolve t (refs : Vertex.vref array) i =
+  i >= Array.length refs || (resolve t refs.(i) != absent && all_resolve t refs (i + 1))
+
+let rec all_satisfied t (refs : Vertex.vref array) i =
+  i >= Array.length refs || (ref_satisfied t refs.(i) && all_satisfied t refs (i + 1))
+
 let parents_present t (v : Vertex.t) =
   Prof.enter sec_parents;
   let strong_ok =
     Array.length v.strong_edges = 0
     || v.round - 1 < t.floor
-    || Round_rows.count t.rounds (v.round - 1) > 0
-       && Array.for_all
-            (fun (r : Vertex.vref) ->
-              match find t ~round:(v.round - 1) ~source:r.source with
-              | Some p -> Clanbft_crypto.Digest32.equal p.digest r.digest
-              | None -> false)
-            v.strong_edges
+    || (Round_rows.count t.rounds (v.round - 1) > 0 && all_resolve t v.strong_edges 0)
   in
-  let ok = strong_ok && Array.for_all (ref_satisfied t) v.weak_edges in
+  let ok = strong_ok && all_satisfied t v.weak_edges 0 in
   Prof.leave sec_parents;
   ok
 
@@ -63,19 +74,21 @@ let missing_parents t (v : Vertex.t) =
 let add t (v : Vertex.t) =
   if v.round < t.floor then invalid_arg "Store.add: below pruned horizon";
   Prof.enter sec_insert;
-  (match find t ~round:v.round ~source:v.source with
-  | Some existing ->
-      if not (Clanbft_crypto.Digest32.equal existing.digest v.digest) then begin
-        Prof.leave sec_insert;
-        invalid_arg "Store.add: conflicting vertex for an occupied slot"
-      end
-  | None ->
-      if not (parents_present t v) then begin
-        Prof.leave sec_insert;
-        invalid_arg "Store.add: parent missing"
-      end;
-      Round_rows.set t.rounds ~round:v.round ~source:v.source v;
-      if v.round > t.highest then t.highest <- v.round);
+  let existing = find_or_absent t ~round:v.round ~source:v.source in
+  if existing != absent then begin
+    if not (Clanbft_crypto.Digest32.equal existing.digest v.digest) then begin
+      Prof.leave sec_insert;
+      invalid_arg "Store.add: conflicting vertex for an occupied slot"
+    end
+  end
+  else begin
+    if not (parents_present t v) then begin
+      Prof.leave sec_insert;
+      invalid_arg "Store.add: parent missing"
+    end;
+    Round_rows.set t.rounds ~round:v.round ~source:v.source v;
+    if v.round > t.highest then t.highest <- v.round
+  end;
   Prof.leave sec_insert
 
 let vertices_at t round =
@@ -101,15 +114,14 @@ let strong_path t (from : Vertex.t) ~round ~source =
           Array.iter
             (fun (e : Vertex.vref) ->
               if e.round = round && e.source = source then hits := true
-              else if
-                e.round > round
-                && Option.is_none (Round_rows.find visited ~round:e.round ~source:e.source)
-              then
-                match find_ref t e with
-                | Some parent ->
-                    Round_rows.set visited ~round:e.round ~source:e.source ();
-                    next := parent :: !next
-                | None -> ())
+              else if e.round > round && not (Round_rows.mem visited ~round:e.round ~source:e.source)
+              then begin
+                let parent = resolve t e in
+                if parent != absent then begin
+                  Round_rows.set visited ~round:e.round ~source:e.source ();
+                  next := parent :: !next
+                end
+              end)
             v.strong_edges;
           !hits || go !next
     in
@@ -120,12 +132,13 @@ let causal_history t (v : Vertex.t) ~skip =
   let visited = Round_rows.create ~n:(n t) in
   let acc = ref [] in
   let rec visit (v : Vertex.t) =
-    if Option.is_none (Round_rows.find visited ~round:v.round ~source:v.source) then begin
+    if not (Round_rows.mem visited ~round:v.round ~source:v.source) then begin
       Round_rows.set visited ~round:v.round ~source:v.source ();
       if not (skip ~round:v.round ~source:v.source) then begin
         acc := v :: !acc;
         Vertex.iter_edges v (fun r ->
-            match find_ref t r with Some p -> visit p | None -> ())
+            let p = resolve t r in
+            if p != absent then visit p)
       end
     end
   in

@@ -157,7 +157,7 @@ let install ~engine ~net ~rng ?(classify = fun _ -> "") ?(round_of = fun _ -> No
                       in
                       t.delayed <- t.delayed + 1;
                       fire ~rule:idx ~action:"delay" ~kind ~src ~dst;
-                      Engine.schedule_after engine (Stdlib.max 0 extra)
+                      Engine.schedule_after engine (Int.max 0 extra)
                         (resend ~src ~dst msg);
                       false
                   | Duplicate k ->

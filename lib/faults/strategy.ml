@@ -179,11 +179,11 @@ let install ~engine ~net ~keychain ~config ~round_timeout
                 | None -> 0
                 | Some members ->
                     let nc = Array.length members in
-                    min f (nc - Config.clan_echo_threshold config ~proposer:node)
+                    Int.min f (nc - Config.clan_echo_threshold config ~proposer:node)
               in
               S_equivocate
                 {
-                  eq_decoys = max 0 decoys;
+                  eq_decoys = Int.max 0 decoys;
                   eq_forged = Hashtbl.create 64;
                   eq_handed = Hashtbl.create 64;
                 }

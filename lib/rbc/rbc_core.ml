@@ -84,7 +84,29 @@ type ('e, 'm) t = {
   (* (round, sender) -> instance: echo and certificate receipts look up
      ~n³ times per round, each an index into a cached row *)
   instances : 'e inst Round_rows.t;
+  (* What [lookup] answers for a slot without an instance, so the receive
+     paths ask without allocating an option. Never stored, returned or
+     mutated. *)
+  absent : 'e inst;
 }
+
+let new_inst ext ~sender ~round =
+  {
+    sender;
+    round;
+    ext;
+    agreed = None;
+    delivered = false;
+    first = Digest32.zero;
+    first_votes = no_votes;
+    more_echoes = None;
+    readies = None;
+    sent_echo = false;
+    sent_ready = false;
+    sent_cert = false;
+    cert = None;
+    served = None;
+  }
 
 let create ~me ~n ~f ~signed ~engine ~net ~keychain ~retry ~budget ~trace
     ~pull_retries ctx =
@@ -103,6 +125,7 @@ let create ~me ~n ~f ~signed ~engine ~net ~keychain ~retry ~budget ~trace
     pull_retries;
     ctx;
     instances = Round_rows.create ~n;
+    absent = new_inst (ctx.fresh ()) ~sender:(-1) ~round:min_int;
   }
 
 let trace_phase c ~sender ~round phase =
@@ -115,30 +138,18 @@ let trace c inst phase = trace_phase c ~sender:inst.sender ~round:inst.round pha
 let in_range c sender = sender >= 0 && sender < c.n
 let find c ~sender ~round = Round_rows.find c.instances ~round ~source:sender
 
+(* The instance, or [c.absent] (also for a sender outside the committee). *)
+let lookup c ~sender ~round = Round_rows.find_or c.instances ~round ~source:sender c.absent
+let delivered c ~sender ~round = (lookup c ~sender ~round).delivered
+
 let get c ~sender ~round =
-  match find c ~sender ~round with
-  | Some i -> i
-  | None ->
-      let i =
-        {
-          sender;
-          round;
-          ext = c.ctx.fresh ();
-          agreed = None;
-          delivered = false;
-          first = Digest32.zero;
-          first_votes = no_votes;
-          more_echoes = None;
-          readies = None;
-          sent_echo = false;
-          sent_ready = false;
-          sent_cert = false;
-          cert = None;
-          served = None;
-        }
-      in
-      Round_rows.set c.instances ~round ~source:sender i;
-      i
+  let i = lookup c ~sender ~round in
+  if i != c.absent then i
+  else begin
+    let i = new_inst (c.ctx.fresh ()) ~sender ~round in
+    Round_rows.set c.instances ~round ~source:sender i;
+    i
+  end
 
 let tbl_length = function None -> 0 | Some t -> Digest32.Tbl.length t
 
@@ -252,12 +263,13 @@ let echo_quorum c inst digest (v : votes) =
 
 (* Nothing is stored for a message until it has verified: [known] is the
    instance's vote record for [digest], or [no_votes]; a fresh one is
-   attached only once its first message checks out. *)
-let known_echo_votes found digest =
-  match found with Some i -> echo_votes i digest | None -> no_votes
+   attached only once its first message checks out. [found] is the
+   instance or [c.absent]. *)
+let known_echo_votes c found digest =
+  if found == c.absent then no_votes else echo_votes found digest
 
 let attach c found ~sender ~round digest known v =
-  let inst = match found with Some i -> i | None -> get c ~sender ~round in
+  let inst = if found == c.absent then get c ~sender ~round else found in
   if known == no_votes then add_echo_votes inst digest v;
   inst
 
@@ -283,26 +295,26 @@ let count_echo c inst digest known v ~signer signature =
 (* An accepted echo into a known instance and digest allocates nothing:
    the instance is a cached-row index and the share is folded in. *)
 let on_echo c ~sender ~round digest ~signer signature =
-  if not (in_range c sender) then None
-  else
-    match find c ~sender ~round with
-    (* Once this node has formed its certificate every later echo is dead
-       weight: the threshold branch is the only consumer of the vote
-       bookkeeping, and pull candidates are snapshotted at certification.
-       Skipping the ~n - 2f-1 post-certificate echoes (verify included)
-       changes no message and no observable state. *)
-    | Some inst when inst.sent_cert -> None
-    | Some inst ->
-        let known = echo_votes inst digest in
-        let v = votes c known ~sender ~round digest in
-        if verified c v ~signer signature then
-          count_echo c inst digest known v ~signer signature
-        else None
-    | None ->
-        let v = votes c no_votes ~sender ~round digest in
-        if verified c v ~signer signature then
-          count_echo c (get c ~sender ~round) digest no_votes v ~signer signature
-        else None
+  let inst = lookup c ~sender ~round in
+  (* Once this node has formed its certificate every later echo is dead
+     weight: the threshold branch is the only consumer of the vote
+     bookkeeping, and pull candidates are snapshotted at certification.
+     Skipping the ~n - 2f-1 post-certificate echoes (verify included)
+     changes no message and no observable state. *)
+  if inst.sent_cert then None
+  else if inst != c.absent then begin
+    let known = echo_votes inst digest in
+    let v = votes c known ~sender ~round digest in
+    if verified c v ~signer signature then count_echo c inst digest known v ~signer signature
+    else None
+  end
+  else if not (in_range c sender) then None
+  else begin
+    let v = votes c no_votes ~sender ~round digest in
+    if verified c v ~signer signature then
+      count_echo c (get c ~sender ~round) digest no_votes v ~signer signature
+    else None
+  end
 
 (* Unsigned mode: f+1 READYs amplify, 2f+1 settle the digest. *)
 let on_ready c ~sender ~round digest ~signer =
@@ -337,24 +349,24 @@ let cert_checks c ~sender agg hash =
 let cert_valid c ~sender ~round digest agg =
   c.signed && in_range c sender
   &&
-  let known = known_echo_votes (find c ~sender ~round) digest in
+  let known = known_echo_votes c (lookup c ~sender ~round) digest in
   cert_checks c ~sender agg (signing_hash c known ~sender ~round digest)
 
 let on_echo_cert c ~sender ~round digest agg =
   if (not c.signed) || not (in_range c sender) then None
   else
-    let found = find c ~sender ~round in
-    match found with
-    | Some inst when inst.delivered -> None
-    | _ ->
-        let known = known_echo_votes found digest in
-        let v = votes c known ~sender ~round digest in
-        if not (cert_checks c ~sender agg v.signing_h) then None
-        else begin
-          let inst = attach c found ~sender ~round digest known v in
-          if c.ctx.keep_certs then inst.cert <- Some agg;
-          Some inst
-        end
+    let found = lookup c ~sender ~round in
+    if found.delivered then None
+    else begin
+      let known = known_echo_votes c found digest in
+      let v = votes c known ~sender ~round digest in
+      if not (cert_checks c ~sender agg v.signing_h) then None
+      else begin
+        let inst = attach c found ~sender ~round digest known v in
+        if c.ctx.keep_certs then inst.cert <- Some agg;
+        Some inst
+      end
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Pulling *)
@@ -395,5 +407,5 @@ let rec sweep c inst ~live ~request ~cycles ~restart candidates =
            constant-rate one is a pull storm: go around again under
            exponential backoff capped at 16 x retry. *)
         Engine.schedule_after c.engine
-          (c.retry * (1 lsl min cycles 4))
+          (c.retry * (1 lsl Int.min cycles 4))
           (fun () -> restart (cycles + 1))

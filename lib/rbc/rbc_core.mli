@@ -94,7 +94,11 @@ val create :
     request sent counts in [pull_retries] and traces [Pull_retry]. *)
 
 val find : ('e, 'm) t -> sender:int -> round:int -> 'e inst option
-(** Without creating; [None] for a sender outside the committee. *)
+(** Without creating; [None] for a sender outside the committee. Allocates
+    the [Some]; the receive paths look instances up without allocating. *)
+
+val delivered : ('e, 'm) t -> sender:int -> round:int -> bool
+(** The instance exists and is delivered. Allocates nothing. *)
 
 val get : ('e, 'm) t -> sender:int -> round:int -> 'e inst
 (** Creating, for locally justified state only: an authenticated VAL, a

@@ -19,18 +19,22 @@ let sec_migrate = Prof.section "engine.migrate"
    The ring sizes itself from the traffic. It starts at [initial_ring_bits]
    (4 ms, ample for the lib/check worlds that are rebuilt per branch) and
    doubles, up to [max_ring_bits], whenever the overflow heap holds a real
-   share of the pending events: more than [max 1024 (pending / 8)]. A few
+   share of the pending events: more than [Int.max 1024 (pending / 8)]. A few
    far-off round timers never trigger it; a WAN run's message delays do, and
    grow the ring to about the longest delay in flight. It never shrinks.
 
-   Events live in a struct-of-arrays slot pool, not in heap cells: an
-   in-flight delivery waits ~100 ms, long enough to outlive a minor
-   collection, so a per-event cell was promoted and later swept by the
-   major GC. A slot is an index into parallel arrays (callback, int
-   argument, thunk, [next] link); the ring, the current-µs queue and the
-   drain list are chains through [next], the overflow heap holds slot
-   indices, and freed slots go on a free list that doubles on demand. After
-   the pool has grown, scheduling and running an event allocate nothing. *)
+   Events live in a slot pool, not in heap cells: an in-flight delivery
+   waits ~100 ms, long enough to outlive a minor collection, so a per-event
+   cell was promoted and later swept by the major GC. A slot [s] is an
+   index into two arrays: [fns.(s)], its callback, and [meta], which holds
+   the slot's int argument at [2s] and its [next] link at [2s + 1], side by
+   side, so chaining, draining and dispatching a slot touch one metadata
+   cache line and one callback. A timer thunk is stored as the callback
+   itself with argument 0, which is the representation of [()]. The ring,
+   the current-µs queue and the drain list are chains through the links,
+   the overflow heap holds slot indices, and freed slots go on a free list
+   that doubles on demand. After the pool has grown, scheduling and running
+   an event allocate nothing. *)
 
 let initial_ring_bits = 12
 let max_ring_bits = 22
@@ -38,10 +42,17 @@ let max_ring_bits = 22
 (* The end of a slot chain, and an empty bucket. *)
 let nil = -1
 
-(* Free slots hold these, so the pool never pins a dead closure. A slot
-   whose thunk is [no_thunk] runs [fn arg]; any other runs the thunk. *)
+(* Free slots hold this, so the pool never pins a dead closure. *)
 let no_ix (_ : int) = ()
-let no_thunk () = ()
+
+(* A thunk as a slot callback. [()] is the immediate 0, so applying the
+   thunk to the slot's argument 0 is applying it to [()]: one code path
+   runs both kinds of event, and a timer allocates no wrapper. *)
+let thunk_fn (fn : unit -> unit) : int -> unit = Obj.magic fn
+
+(* Slot [s]'s argument and [next] link in [meta]. *)
+let[@inline] arg_ix s = 2 * s
+let[@inline] next_ix s = (2 * s) + 1
 
 (* Bucket-occupancy summary: one bit per ring bucket, 32 buckets per word
    (bit 63 of a native int is unavailable, and 32 keeps the index math to
@@ -79,7 +90,6 @@ let ctz x =
    calendar ones, so the ordinary simulation path is bit-identical. Only
    the pool keeps events as values. *)
 type choice = { id : int; time : Time.t; src : int; dst : int; tag : string }
-type event = Fn of (unit -> unit) | Ix of (int -> unit) * int
 
 type t = {
   mutable ring : int array; (* bucket -> head slot of its LIFO chain, or [nil] *)
@@ -90,9 +100,7 @@ type t = {
   mutable drain : int; (* current bucket, FIFO chain *)
   (* The slot pool. *)
   mutable fns : (int -> unit) array;
-  mutable args : int array;
-  mutable thunks : (unit -> unit) array;
-  mutable next : int array;
+  mutable meta : int array; (* argument at [2s], [next] link at [2s + 1] *)
   mutable free : int; (* free-list head *)
   mutable clock : Time.t;
   mutable pending : int;
@@ -101,22 +109,22 @@ type t = {
   mutable until : Time.t; (* the current [run]'s horizon; [min_int] outside [run] *)
   mutable choice_mode : bool;
   mutable next_choice_id : int;
-  pool : (int, choice * event) Hashtbl.t; (* pending delivery choices *)
+  pool : (int, choice * (int -> unit) * int) Hashtbl.t; (* pending delivery choices *)
 }
 
 let initial_slots = 64
 
-(* A chain through [next] over the fresh slots [lo, hi). *)
-let link_free next lo hi =
+(* A chain through the links over the fresh slots [lo, hi). *)
+let link_free meta lo hi =
   for i = lo to hi - 2 do
-    next.(i) <- i + 1
+    meta.(next_ix i) <- i + 1
   done;
-  next.(hi - 1) <- nil
+  meta.(next_ix (hi - 1)) <- nil
 
 let create () =
   let len = 1 lsl initial_ring_bits in
-  let next = Array.make initial_slots nil in
-  link_free next 0 initial_slots;
+  let meta = Array.make (2 * initial_slots) 0 in
+  link_free meta 0 initial_slots;
   {
     ring = Array.make len nil;
     summary = Array.make (len lsr summary_shift) 0;
@@ -125,9 +133,7 @@ let create () =
     now_tail = nil;
     drain = nil;
     fns = Array.make initial_slots no_ix;
-    args = Array.make initial_slots 0;
-    thunks = Array.make initial_slots no_thunk;
-    next;
+    meta;
     free = 0;
     clock = 0;
     pending = 0;
@@ -144,33 +150,32 @@ let horizon t = Array.length t.ring
 
 (* The calendar's data, for the heap census: no closure is reachable. *)
 let heap_roots t =
-  [ Obj.repr t.ring; Obj.repr t.summary; Obj.repr t.next; Obj.repr t.args; Obj.repr t.overflow ]
+  [ Obj.repr t.ring; Obj.repr t.summary; Obj.repr t.meta; Obj.repr t.overflow ]
 
 (* Double the pool; the new half becomes the free list. *)
 let grow t =
-  let cap = Array.length t.next in
+  let cap = Array.length t.fns in
   let extend a fill =
-    let a' = Array.make (2 * cap) fill in
-    Array.blit a 0 a' 0 cap;
+    let len = Array.length a in
+    let a' = Array.make (2 * len) fill in
+    Array.blit a 0 a' 0 len;
     a'
   in
   t.fns <- extend t.fns no_ix;
-  t.args <- extend t.args 0;
-  t.thunks <- extend t.thunks no_thunk;
-  let next = extend t.next nil in
-  link_free next cap (2 * cap);
-  t.next <- next;
+  let meta = extend t.meta 0 in
+  link_free meta cap (2 * cap);
+  t.meta <- meta;
   t.free <- cap
 
 let alloc t time =
   if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
   if t.free = nil then grow t;
   let s = t.free in
-  t.free <- t.next.(s);
+  t.free <- t.meta.(next_ix s);
   s
 
 let ring_insert t idx s =
-  t.next.(s) <- t.ring.(idx);
+  t.meta.(next_ix s) <- t.ring.(idx);
   t.ring.(idx) <- s;
   let w = idx lsr summary_shift in
   t.summary.(w) <- t.summary.(w) lor (1 lsl (idx land 31))
@@ -214,8 +219,8 @@ let grow_ring t =
 let enqueue t time s =
   t.pending <- t.pending + 1;
   if time = t.clock then begin
-    t.next.(s) <- nil;
-    if t.now_tail = nil then t.now_head <- s else t.next.(t.now_tail) <- s;
+    t.meta.(next_ix s) <- nil;
+    if t.now_tail = nil then t.now_head <- s else t.meta.(next_ix t.now_tail) <- s;
     t.now_tail <- s
   end
   else if time - t.clock < Array.length t.ring then
@@ -223,21 +228,18 @@ let enqueue t time s =
   else begin
     Heap.push t.overflow time s;
     if
-      Heap.length t.overflow > max 1024 (t.pending / 8)
+      Heap.length t.overflow > Int.max 1024 (t.pending / 8)
       && Array.length t.ring < 1 lsl max_ring_bits
     then grow_ring t
   end
 
-let schedule_at t time fn =
-  let s = alloc t time in
-  t.thunks.(s) <- fn;
-  enqueue t time s
-
 let schedule_ix_at t time fn arg =
   let s = alloc t time in
   t.fns.(s) <- fn;
-  t.args.(s) <- arg;
+  t.meta.(arg_ix s) <- arg;
   enqueue t time s
+
+let schedule_at t time fn = schedule_ix_at t time (thunk_fn fn) 0
 
 let schedule_after t span fn =
   if span < 0 then invalid_arg "Engine.schedule_after: negative delay";
@@ -247,21 +249,21 @@ let schedule_after t span fn =
 
 let set_choice_mode t on = t.choice_mode <- on
 
-let pool_add t time ~src ~dst ~tag ev =
+let pool_add t time ~src ~dst ~tag fn arg =
   let id = t.next_choice_id in
   t.next_choice_id <- id + 1;
-  Hashtbl.replace t.pool id ({ id; time; src; dst; tag }, ev)
+  Hashtbl.replace t.pool id ({ id; time; src; dst; tag }, fn, arg)
 
 let schedule_choice_at t time ~src ~dst ~tag fn =
-  if t.choice_mode then pool_add t time ~src ~dst ~tag (Fn fn)
+  if t.choice_mode then pool_add t time ~src ~dst ~tag (thunk_fn fn) 0
   else schedule_at t time fn
 
 let schedule_choice_ix_at t time ~src ~dst ~tag fn arg =
-  if t.choice_mode then pool_add t time ~src ~dst ~tag (Ix (fn, arg))
+  if t.choice_mode then pool_add t time ~src ~dst ~tag fn arg
   else schedule_ix_at t time fn arg
 
 let choices t =
-  let cs = Hashtbl.fold (fun _ (c, _) acc -> c :: acc) t.pool [] in
+  let cs = Hashtbl.fold (fun _ (c, _, _) acc -> c :: acc) t.pool [] in
   List.sort (fun a b -> compare a.id b.id) cs
 
 let choice_count t = Hashtbl.length t.pool
@@ -269,11 +271,11 @@ let choice_count t = Hashtbl.length t.pool
 let fire_choice t id =
   match Hashtbl.find_opt t.pool id with
   | None -> invalid_arg "Engine.fire_choice: unknown or already-fired choice"
-  | Some (_, ev) ->
+  | Some (_, fn, arg) ->
       Hashtbl.remove t.pool id;
       t.processed <- t.processed + 1;
       t.dispatched <- t.dispatched + 1;
-      (match ev with Fn fn -> fn () | Ix (fn, arg) -> fn arg)
+      fn arg
 
 let drop_choice t id =
   if not (Hashtbl.mem t.pool id) then
@@ -345,12 +347,12 @@ let next_event_time t =
   end
 
 (* Reverse the chain from [s] in place, onto [acc]. *)
-let rec reverse next s acc =
+let rec reverse meta s acc =
   if s = nil then acc
   else begin
-    let rest = next.(s) in
-    next.(s) <- acc;
-    reverse next rest s
+    let rest = meta.(next_ix s) in
+    meta.(next_ix s) <- acc;
+    reverse meta rest s
   end
 
 (* Move the clock to [time] and its bucket, in scheduling order, to the
@@ -358,7 +360,7 @@ let rec reverse next s acc =
 let open_bucket t time =
   set_clock t time;
   let idx = time land (Array.length t.ring - 1) in
-  t.drain <- reverse t.next t.ring.(idx) nil;
+  t.drain <- reverse t.meta t.ring.(idx) nil;
   t.ring.(idx) <- nil;
   let w = idx lsr summary_shift in
   t.summary.(w) <- t.summary.(w) land lnot (1 lsl (idx land 31))
@@ -369,13 +371,13 @@ let open_bucket t time =
 let pop_current t =
   let s = t.drain in
   if s <> nil then begin
-    t.drain <- t.next.(s);
+    t.drain <- t.meta.(next_ix s);
     s
   end
   else begin
     let s = t.now_head in
     if s <> nil then begin
-      t.now_head <- t.next.(s);
+      t.now_head <- t.meta.(next_ix s);
       if t.now_head = nil then t.now_tail <- nil
     end;
     s
@@ -384,15 +386,15 @@ let pop_current t =
 (* Free the slot, then run it: the callback may schedule, and reuse the
    slot at once. *)
 let dispatch t s =
-  let fn = t.fns.(s) and arg = t.args.(s) and thunk = t.thunks.(s) in
-  if thunk == no_thunk then t.fns.(s) <- no_ix else t.thunks.(s) <- no_thunk;
-  t.next.(s) <- t.free;
+  let fn = t.fns.(s) and arg = t.meta.(arg_ix s) in
+  t.fns.(s) <- no_ix;
+  t.meta.(next_ix s) <- t.free;
   t.free <- s;
   t.pending <- t.pending - 1;
   t.processed <- t.processed + 1;
   t.dispatched <- t.dispatched + 1;
   Prof.enter sec_dispatch;
-  if thunk == no_thunk then fn arg else thunk ();
+  fn arg;
   Prof.leave sec_dispatch
 
 let step t =

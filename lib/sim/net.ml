@@ -68,6 +68,9 @@ let no_handler ~src:_ _ =
 
 let never ~src:_ ~arrival:_ _ = false
 
+(* The filter of a net without one installed: [fanout] skips the call. *)
+let pass_all ~src:_ ~dst:_ _ = true
+
 let create ~engine ~topology ~config ~size ?(kind = fun _ -> "msg") ?obs ~rng () =
   let n = Topology.n topology in
   (* Each net gets its own registry unless the caller shares one: the
@@ -91,7 +94,7 @@ let create ~engine ~topology ~config ~size ?(kind = fun _ -> "msg") ?obs ~rng ()
     settled = Array.make n never;
     replaced = Array.make n [];
     uplink_free = Array.make n 0;
-    filter = (fun ~src:_ ~dst:_ _ -> true);
+    filter = pass_all;
     bytes_sent = per_node "net_bytes_sent";
     bytes_received = per_node "net_bytes_received";
     messages_sent = per_node "net_messages_sent";
@@ -199,6 +202,7 @@ let fanout t ~filtered ~src ~lo ~hi msg =
     t.handlers.(dst) ~src msg
   in
   let elides = not (Trace.enabled t.obs.Obs.trace) in
+  let filtered = filtered && t.filter != pass_all in
   let accepted = ref 0 and remote = ref 0 in
   let first_backlog = ref 0 and first_start = ref 0 and last_depart = ref 0 in
   for dst = lo to hi do
@@ -208,11 +212,11 @@ let fanout t ~filtered ~src ~lo ~hi msg =
         if dst = src then now + t.config.local_delivery
         else begin
           let free = t.uplink_free.(src) in
-          let start = max now free in
+          let start = Int.max now free in
           let depart = start + ser in
           t.uplink_free.(src) <- depart;
           if !remote = 0 then begin
-            first_backlog := max 0 (free - now);
+            first_backlog := Int.max 0 (free - now);
             first_start := start
           end;
           incr remote;
@@ -224,7 +228,7 @@ let fanout t ~filtered ~src ~lo ~hi msg =
               Rng.int t.rng (t.config.pre_gst_max_extra + 1)
             else 0
           in
-          depart + max 0 (base_latency + jitter) + adversarial
+          depart + Int.max 0 (base_latency + jitter) + adversarial
         end
       in
       if

@@ -7,7 +7,14 @@
     on — cost one array load, one compare and one array index, with no C
     call and no allocation. Rounds may be any [int] (a row is made only by
     {!set}), so Byzantine input cannot break a lookup; pruning drops whole
-    rows, lowest round first, at a cost proportional to the rows dropped. *)
+    rows, lowest round first, at a cost proportional to the rows dropped.
+
+    A filled slot holds the value itself, with no [Some] cell, and the
+    cache holds each cached row's slot array, so a hit reads the cache
+    entry and then the slot. {!find_or}, {!mem}, {!count} and {!set} on an
+    existing row allocate nothing; {!find} allocates the [Some] it
+    returns, so per-message and per-commit probes use {!find_or} with a
+    default of their own. *)
 
 type 'a t
 
@@ -18,7 +25,11 @@ val n : 'a t -> int
 
 val find : 'a t -> round:int -> source:int -> 'a option
 (** [None] for an empty slot, a round without a row, or a source outside
-    [0 .. n-1]. Never raises. *)
+    [0 .. n-1]. Never raises. Allocates the [Some]. *)
+
+val find_or : 'a t -> round:int -> source:int -> 'a -> 'a
+(** [find_or t ~round ~source default] is the slot's value, or [default]
+    where {!find} is [None]. Never raises and allocates nothing. *)
 
 val set : 'a t -> round:int -> source:int -> 'a -> unit
 (** Fill a slot, making its row on first use; overwriting a full slot

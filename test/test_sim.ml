@@ -291,6 +291,29 @@ let test_engine_fifo_across_growth_reentry_migration () =
     (List.rev !log);
   Alcotest.(check int) "clock at the far instant" far (Engine.now e)
 
+let test_engine_mixed_kinds_across_growth () =
+  (* Thunks and indexed events share one slot pool and one callback
+     array. Aimed at the same microseconds in an interleaved order, while
+     the pool grows from 64 slots to thousands and the ring doubles under
+     the overflow load, they still run in (time, scheduling order). *)
+  let e = Engine.create () in
+  let h0 = Engine.horizon e in
+  let log = ref [] in
+  let note i = log := (Engine.now e, i) :: !log in
+  let count = 6_000 in
+  let time i = h0 + (i * 7_919 mod 60 * 331) in
+  for i = 0 to count - 1 do
+    if i mod 3 = 0 then Engine.schedule_at e (time i) (fun () -> note i)
+    else Engine.schedule_ix_at e (time i) note i
+  done;
+  Alcotest.(check bool) "ring doubled" true (Engine.horizon e >= 4 * h0);
+  Engine.run e;
+  let want =
+    List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) (List.init count (fun i -> (time i, i)))
+  in
+  Alcotest.(check (list (pair int int))) "time, then scheduling order" want (List.rev !log);
+  Alcotest.(check int) "every event dispatched" count (Engine.events_dispatched e)
+
 let test_engine_step () =
   let e = Engine.create () in
   Alcotest.(check bool) "empty step" false (Engine.step e);
@@ -853,6 +876,8 @@ let suites =
         Alcotest.test_case "mixed event kinds fifo" `Quick
           test_engine_mixed_event_kinds_fifo;
         Alcotest.test_case "step" `Quick test_engine_step;
+        Alcotest.test_case "mixed kinds across pool and ring growth" `Quick
+          test_engine_mixed_kinds_across_growth;
         Alcotest.test_case "indexed events allocate nothing" `Quick
           test_engine_ix_allocates_nothing;
         Alcotest.test_case "fifo across growth, re-entry, migration" `Quick

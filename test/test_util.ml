@@ -549,6 +549,126 @@ let test_round_rows_drop () =
   Alcotest.(check int) "fold finds none" 0 (Round_rows.fold (fun _ k -> k + 1) t 0);
   Alcotest.(check (option int)) "late row dropped" None (Round_rows.find t ~round:2 ~source:0)
 
+(* Random operation sequences against a [Hashtbl] model. Rounds come
+   from a pool where several share a cache entry (r, r + 8, r - 8), with
+   negative and [max_int]/[min_int]-adjacent ones; sources include
+   out-of-range values; drops interleave with sets, so rows are re-made
+   below a dropped horizon. *)
+type 'a rr_op =
+  | Rr_set of int * int * 'a
+  | Rr_remove of int * int
+  | Rr_find of int * int
+  | Rr_find_or of int * int
+  | Rr_mem of int * int
+  | Rr_count of int
+  | Rr_iter_row of int
+  | Rr_fold
+  | Rr_size
+  | Rr_drop_below of int
+
+let rr_rounds =
+  [| 0; 1; 7; 8; 9; 16; -1; -8; -9; max_int; max_int - 1; max_int - 8; min_int; min_int + 1;
+     min_int + 8 |]
+
+let rr_sources = [| 0; 1; 2; 3; 0; 1; 2; 3; -1; 4; max_int; min_int |]
+
+let rr_gen gen_v =
+  let open QCheck.Gen in
+  let round = map (Array.get rr_rounds) (int_bound (Array.length rr_rounds - 1)) in
+  let source = map (Array.get rr_sources) (int_bound (Array.length rr_sources - 1)) in
+  let op =
+    frequency
+      [
+        (6, map3 (fun r s x -> Rr_set (r, s, x)) round source gen_v);
+        (2, map2 (fun r s -> Rr_remove (r, s)) round source);
+        (3, map2 (fun r s -> Rr_find (r, s)) round source);
+        (3, map2 (fun r s -> Rr_find_or (r, s)) round source);
+        (2, map2 (fun r s -> Rr_mem (r, s)) round source);
+        (1, map (fun r -> Rr_count r) round);
+        (1, map (fun r -> Rr_iter_row r) round);
+        (1, return Rr_fold);
+        (1, return Rr_size);
+        (1, map (fun r -> Rr_drop_below r) round);
+      ]
+  in
+  list_size (1 -- 80) op
+
+let rr_print show op =
+  match op with
+  | Rr_set (r, s, x) -> Printf.sprintf "set %d %d %s" r s (show x)
+  | Rr_remove (r, s) -> Printf.sprintf "remove %d %d" r s
+  | Rr_find (r, s) -> Printf.sprintf "find %d %d" r s
+  | Rr_find_or (r, s) -> Printf.sprintf "find_or %d %d" r s
+  | Rr_mem (r, s) -> Printf.sprintf "mem %d %d" r s
+  | Rr_count r -> Printf.sprintf "count %d" r
+  | Rr_iter_row r -> Printf.sprintf "iter_row %d" r
+  | Rr_fold -> "fold"
+  | Rr_size -> "size"
+  | Rr_drop_below r -> Printf.sprintf "drop_below %d" r
+
+(* Every answer agrees with the model; [default] is no generated value. *)
+let rr_agrees ~default ops =
+  let n = 4 in
+  let t = Round_rows.create ~n in
+  let m = Hashtbl.create 16 in
+  let row r =
+    Hashtbl.fold (fun (r', s) x acc -> if r' = r then (s, x) :: acc else acc) m []
+    |> List.sort compare |> List.map snd
+  in
+  List.for_all
+    (fun op ->
+      match op with
+      | Rr_set (round, source, x) ->
+          if source >= 0 && source < n then begin
+            Round_rows.set t ~round ~source x;
+            Hashtbl.replace m (round, source) x;
+            true
+          end
+          else (
+            match Round_rows.set t ~round ~source x with
+            | () -> false
+            | exception Invalid_argument _ -> true)
+      | Rr_remove (round, source) ->
+          Round_rows.remove t ~round ~source;
+          Hashtbl.remove m (round, source);
+          true
+      | Rr_find (round, source) ->
+          Round_rows.find t ~round ~source = Hashtbl.find_opt m (round, source)
+      | Rr_find_or (round, source) ->
+          Round_rows.find_or t ~round ~source default
+          = Option.value ~default (Hashtbl.find_opt m (round, source))
+      | Rr_mem (round, source) -> Round_rows.mem t ~round ~source = Hashtbl.mem m (round, source)
+      | Rr_count round -> Round_rows.count t round = List.length (row round)
+      | Rr_iter_row round ->
+          let got = ref [] in
+          Round_rows.iter_row t round (fun x -> got := x :: !got);
+          List.rev !got = row round
+      | Rr_fold ->
+          List.sort compare (Round_rows.fold List.cons t [])
+          = List.sort compare (Hashtbl.fold (fun _ x acc -> x :: acc) m [])
+      | Rr_size -> Round_rows.size t = Hashtbl.length m
+      | Rr_drop_below round ->
+          Round_rows.drop_below t round;
+          Hashtbl.filter_map_inplace (fun (r, _) x -> if r < round then None else Some x) m;
+          true)
+    ops
+
+let prop_round_rows_model name gen_v show ~default =
+  QCheck.Test.make ~name:("round_rows agrees with a Hashtbl model: " ^ name) ~count:300
+    (QCheck.make ~print:(QCheck.Print.list (rr_print show)) (rr_gen gen_v))
+    (rr_agrees ~default)
+
+let prop_round_rows_unit =
+  prop_round_rows_model "unit" (QCheck.Gen.return ()) (fun () -> "()") ~default:()
+
+let prop_round_rows_int =
+  prop_round_rows_model "int" QCheck.Gen.(0 -- 1_000) string_of_int ~default:(-1)
+
+let prop_round_rows_float =
+  prop_round_rows_model "boxed float"
+    QCheck.Gen.(map (fun i -> float_of_int i +. 0.5) (0 -- 1_000))
+    string_of_float ~default:(-1.0)
+
 let suites =
   [
     ( "util.rng",
@@ -580,6 +700,9 @@ let suites =
         Alcotest.test_case "basics" `Quick test_round_rows_basics;
         Alcotest.test_case "total lookups" `Quick test_round_rows_total;
         Alcotest.test_case "drop below" `Quick test_round_rows_drop;
+        qtest prop_round_rows_unit;
+        qtest prop_round_rows_int;
+        qtest prop_round_rows_float;
       ] );
     ( "util.bitset",
       [
