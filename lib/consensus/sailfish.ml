@@ -727,20 +727,20 @@ and try_commit t =
   | None -> ()
   | Some r ->
       let leader_vertex s =
-        Store.find_or_absent t.store ~round:s ~source:(leader_of t s)
+        Store.find t.store ~round:s ~source:(leader_of t s)
       in
-      let anchor = leader_vertex r in
+      let anchor = Option.get (leader_vertex r) in
       (* Walk back across skipped rounds collecting indirectly committed
          leaders. *)
       let chain = ref [ anchor ] in
       let current = ref anchor in
       for s = r - 1 downto t.last_committed + 1 do
-        let l = leader_vertex s in
-        if l != Store.absent && Store.strong_path t.store !current ~round:s ~source:l.source
-        then begin
-          chain := l :: !chain;
-          current := l
-        end
+        match leader_vertex s with
+        | Some l
+          when Store.strong_path t.store !current ~round:s ~source:l.source ->
+            chain := l :: !chain;
+            current := l
+        | _ -> ()
       done;
       List.iter
         (fun (l : Vertex.t) ->

@@ -52,14 +52,9 @@ val add : t -> Vertex.t -> unit
 val mem : t -> round:int -> source:int -> bool
 
 val find : t -> round:int -> source:int -> Vertex.t option
-(** Allocates the [Some]; per-commit probes use {!find_or_absent}. *)
-
-val absent : Vertex.t
-(** A vertex no store ever holds (its source is out of range), compared
-    by physical equality: the empty-slot answer of {!find_or_absent}. *)
-
-val find_or_absent : t -> round:int -> source:int -> Vertex.t
-(** The slot's vertex, or {!absent}. Allocates nothing. *)
+(** Allocates the [Some]; the store's own per-copy probes ({!mem},
+    {!parents_present}, {!strong_path}, {!causal_history}) allocate
+    nothing. *)
 
 val find_ref : t -> Vertex.vref -> Vertex.t option
 (** Lookup by reference; [None] also when the stored vertex's digest does

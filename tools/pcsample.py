@@ -168,7 +168,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--interval", type=float, default=0.001, help="seconds between samples")
     ap.add_argument("--top", type=int, default=40, help="functions to list")
-    ap.add_argument("--raw", action="store_true", help="list raw symbol names")
     ap.add_argument("--dump", metavar="PATH", help="write each sample's link-time address")
     ap.add_argument("command", nargs=argparse.REMAINDER)
     args = ap.parse_args()
@@ -187,7 +186,7 @@ def main():
         own.append(pc - base)
         i = bisect.bisect_right(addrs, pc - base) - 1
         name = names[i] if i >= 0 else "?"
-        counts[name if args.raw else pretty(name)] += 1
+        counts[pretty(name)] += 1
     if args.dump:
         with open(args.dump, "w") as f:
             f.writelines("%x\n" % pc for pc in own)
