@@ -7,64 +7,71 @@ let sec_dispatch = Prof.section "engine.dispatch"
 let sec_scan = Prof.section "engine.ring_scan"
 let sec_migrate = Prof.section "engine.migrate"
 
-(* The event queue is a calendar (bucket ring) keyed by microsecond
-   timestamp: large experiments keep millions of events in flight, and a
-   binary heap's O(log n) per operation dominated the whole simulator. The
-   ring covers [Array.length ring] µs ahead of the clock (its horizon); an
-   event scheduled further out parks in an overflow heap and migrates into
-   the ring as the clock approaches. Within a microsecond, events run in
-   scheduling order (buckets are LIFO chains, reversed in place on drain,
-   and the heap breaks priority ties FIFO), so runs stay deterministic.
+(* The event queue is a calendar: a ring of buckets [bucket_width] µs wide
+   whose events sit inline. Large experiments keep millions of events in
+   flight, and a binary heap's O(log n) per operation dominated the whole
+   simulator.
 
-   The ring sizes itself from the traffic. It starts at [initial_ring_bits]
+   A bucket is a circular chain of [chunk_len]-entry chunks drawn from one
+   pool of [times]/[fns]/[args] arrays. Scheduling appends to the tail
+   chunk, so a bucket holds its events in scheduling order. When the clock
+   reaches a bucket, its entries are sorted once by µs offset into [order]
+   (a counting sort, or an insertion sort for small buckets; both stable,
+   so ties keep scheduling order) and drain through it. Events scheduled
+   into the open bucket go to the [late] heap (FIFO ties); on equal times
+   the sorted entries, scheduled earlier, run first. A drained bucket
+   closes at once and its chunks rejoin the free list, so the next burst
+   into it is sorted too, not heaped. Runs follow (time, scheduling order)
+   exactly, so they stay deterministic.
+
+   The ring covers the clock's bucket and those after it, [horizon] µs in
+   all. A later event parks in an overflow heap and migrates in whenever
+   the clock's bucket changes, so every overflow event stays at least one
+   horizon past the clock's bucket. The ring starts at [initial_ring_bits]
    (4 ms, ample for the lib/check worlds that are rebuilt per branch) and
-   doubles, up to [max_ring_bits], whenever the overflow heap holds a real
-   share of the pending events: more than [Int.max 1024 (pending / 8)]. A few
-   far-off round timers never trigger it; a WAN run's message delays do, and
-   grow the ring to about the longest delay in flight. It never shrinks.
+   doubles, up to [max_ring_bits], whenever the overflow heap holds more
+   than [Int.max 1024 (pending / 8)] events: a few far-off round timers
+   never trigger it, a WAN run's message delays do. It never shrinks.
 
-   Events live in a slot pool, not in heap cells: an in-flight delivery
-   waits ~100 ms, long enough to outlive a minor collection, so a per-event
-   cell was promoted and later swept by the major GC. A slot [s] is an
-   index into two arrays: [fns.(s)], its callback, and [meta], which holds
-   the slot's int argument at [2s] and its [next] link at [2s + 1], side by
-   side, so chaining, draining and dispatching a slot touch one metadata
-   cache line and one callback. A timer thunk is stored as the callback
-   itself with argument 0, which is the representation of [()]. The ring,
-   the current-µs queue and the drain list are chains through the links,
-   the overflow heap holds slot indices, and freed slots go on a free list
-   that doubles on demand. After the pool has grown, scheduling and running
-   an event allocate nothing. *)
+   Pool entries, not heap cells, hold events: a delivery waits ~100 ms,
+   long enough to be promoted and later swept by the major GC. A timer
+   thunk is stored as the callback itself with argument 0, the
+   representation of [()]. Overflow events take single entries, on a free
+   list linked through [args]; both heaps hold entry positions. Once the
+   pool, [order] and the heaps have grown to a run's peak, scheduling and
+   running an event allocate nothing. *)
 
+let bucket_bits = 10
+let bucket_width = 1 lsl bucket_bits
+let chunk_bits = 6
+let chunk_len = 1 lsl chunk_bits
 let initial_ring_bits = 12
 let max_ring_bits = 22
 
-(* The end of a slot chain, and an empty bucket. *)
+(* Buckets up to this size sort by insertion; they fit in one chunk. *)
+let small_bucket = 32
+
+(* The end of a chunk list, and no open bucket. *)
 let nil = -1
 
-(* Free slots hold this, so the pool never pins a dead closure. *)
+(* Free entries hold this, so the pool never pins a dead closure. *)
 let no_ix (_ : int) = ()
 
-(* A thunk as a slot callback. [()] is the immediate 0, so applying the
-   thunk to the slot's argument 0 is applying it to [()]: one code path
-   runs both kinds of event, and a timer allocates no wrapper. *)
+(* A thunk as an event callback. [()] is the immediate 0, so applying the
+   thunk to the argument 0 is applying it to [()]: one code path runs both
+   kinds of event, and a timer allocates no wrapper. *)
 let thunk_fn (fn : unit -> unit) : int -> unit = Obj.magic fn
-
-(* Slot [s]'s argument and [next] link in [meta]. *)
-let[@inline] arg_ix s = 2 * s
-let[@inline] next_ix s = (2 * s) + 1
 
 (* Bucket-occupancy summary: one bit per ring bucket, 32 buckets per word
    (bit 63 of a native int is unavailable, and 32 keeps the index math to
-   shifts). The next-event scan walks set bits instead of probing empty
-   buckets µs by µs — with a mean inter-event gap of tens of µs, that turns
-   ~20 array loads per advance into one or two. *)
+   shifts). The next-bucket scan walks set bits instead of probing empty
+   buckets one by one. *)
 let summary_shift = 5
 
 let word_mask = 0xFFFFFFFF
 
 (* Trailing-zero count of a non-zero 32-bit value: byte probe + table.
-   Runs on the next-event path, so it must not allocate. *)
+   Runs on the next-bucket path, so it must not allocate. *)
 let ctz8 =
   Array.init 256 (fun i ->
       if i = 0 then 8
@@ -92,16 +99,23 @@ let ctz x =
 type choice = { id : int; time : Time.t; src : int; dst : int; tag : string }
 
 type t = {
-  mutable ring : int array; (* bucket -> head slot of its LIFO chain, or [nil] *)
-  mutable summary : int array; (* bit (i mod 32) of word (i / 32) ⇔ ring.(i) <> nil *)
-  overflow : int Heap.t; (* slots past the horizon, keyed by time *)
-  mutable now_head : int; (* FIFO chain scheduled for the current µs *)
-  mutable now_tail : int;
-  mutable drain : int; (* current bucket, FIFO chain *)
-  (* The slot pool. *)
+  mutable buckets : int array; (* ring index i: tail chunk at [2i], entry count at [2i + 1] *)
+  mutable summary : int array; (* bit (i mod 32) of word (i / 32) ⇔ a closed bucket i holds events *)
+  (* The chunk pool: entry [p] belongs to chunk [p lsr chunk_bits]. *)
+  mutable times : int array;
   mutable fns : (int -> unit) array;
-  mutable meta : int array; (* argument at [2s], [next] link at [2s + 1] *)
-  mutable free : int; (* free-list head *)
+  mutable args : int array;
+  mutable links : int array; (* chunk -> next: circular per bucket, [nil]-ended free list *)
+  mutable free : int; (* free chunks *)
+  mutable far_free : int; (* free overflow entries, linked through [args] *)
+  overflow : int Heap.t; (* overflow entries, keyed by time *)
+  (* The open bucket: always the clock's, when there is one. *)
+  mutable cur : int; (* its bucket number, or [nil] *)
+  mutable order : int array; (* its entries at opening, in (time, scheduling) order *)
+  mutable next : int; (* [order.(next)] runs next *)
+  mutable len : int;
+  counts : int array; (* counting-sort histogram, zero between sorts *)
+  late : int Heap.t; (* entries scheduled into it after it opened *)
   mutable clock : Time.t;
   mutable pending : int;
   mutable processed : int; (* dispatched, plus elided events *)
@@ -112,29 +126,26 @@ type t = {
   pool : (int, choice * (int -> unit) * int) Hashtbl.t; (* pending delivery choices *)
 }
 
-let initial_slots = 64
-
-(* A chain through the links over the fresh slots [lo, hi). *)
-let link_free meta lo hi =
-  for i = lo to hi - 2 do
-    meta.(next_ix i) <- i + 1
-  done;
-  meta.(next_ix (hi - 1)) <- nil
+let initial_chunks = 4
 
 let create () =
-  let len = 1 lsl initial_ring_bits in
-  let meta = Array.make (2 * initial_slots) 0 in
-  link_free meta 0 initial_slots;
+  let nb = 1 lsl (initial_ring_bits - bucket_bits) and entries = initial_chunks * chunk_len in
   {
-    ring = Array.make len nil;
-    summary = Array.make (len lsr summary_shift) 0;
-    overflow = Heap.create ~capacity:64 ~dummy:nil ();
-    now_head = nil;
-    now_tail = nil;
-    drain = nil;
-    fns = Array.make initial_slots no_ix;
-    meta;
+    buckets = Array.make (2 * nb) 0;
+    summary = Array.make 1 0;
+    times = Array.make entries 0;
+    fns = Array.make entries no_ix;
+    args = Array.make entries 0;
+    links = Array.init initial_chunks (fun c -> if c = initial_chunks - 1 then nil else c + 1);
     free = 0;
+    far_free = nil;
+    overflow = Heap.create ~capacity:16 ~dummy:nil ();
+    cur = nil;
+    order = Array.make chunk_len 0;
+    next = 0;
+    len = 0;
+    counts = Array.make (bucket_width + 1) 0;
+    late = Heap.create ~capacity:16 ~dummy:nil ();
     clock = 0;
     pending = 0;
     processed = 0;
@@ -146,98 +157,136 @@ let create () =
   }
 
 let now t = t.clock
-let horizon t = Array.length t.ring
+let[@inline] ring_len t = Array.length t.buckets lsr 1
+let horizon t = ring_len t lsl bucket_bits
 
 (* The calendar's data, for the heap census: no closure is reachable. *)
 let heap_roots t =
-  [ Obj.repr t.ring; Obj.repr t.summary; Obj.repr t.meta; Obj.repr t.overflow ]
+  List.map Obj.repr [ t.buckets; t.summary; t.times; t.args; t.links; t.order; t.counts ]
+  @ [ Obj.repr t.late; Obj.repr t.overflow ]
 
-(* Double the pool; the new half becomes the free list. *)
-let grow t =
-  let cap = Array.length t.fns in
+(* Double the pool; the new chunks become the free list. *)
+let grow_pool t =
+  let chunks = Array.length t.links in
   let extend a fill =
     let len = Array.length a in
     let a' = Array.make (2 * len) fill in
     Array.blit a 0 a' 0 len;
     a'
   in
+  t.times <- extend t.times 0;
   t.fns <- extend t.fns no_ix;
-  let meta = extend t.meta 0 in
-  link_free meta cap (2 * cap);
-  t.meta <- meta;
-  t.free <- cap
+  t.args <- extend t.args 0;
+  let links = extend t.links nil in
+  for c = chunks to (2 * chunks) - 2 do
+    links.(c) <- c + 1
+  done;
+  t.links <- links;
+  t.free <- chunks
 
-let alloc t time =
-  if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
-  if t.free = nil then grow t;
-  let s = t.free in
-  t.free <- t.meta.(next_ix s);
-  s
+let take_chunk t =
+  if t.free = nil then grow_pool t;
+  let c = t.free in
+  t.free <- t.links.(c);
+  c
 
-let ring_insert t idx s =
-  t.meta.(next_ix s) <- t.ring.(idx);
-  t.ring.(idx) <- s;
+let[@inline] mark t idx =
   let w = idx lsr summary_shift in
   t.summary.(w) <- t.summary.(w) lor (1 lsl (idx land 31))
 
-(* Move overflow events that now fit in the ring. *)
+(* Append an event to ring bucket [idx]'s chain. *)
+let append t idx time fn arg =
+  let n = t.buckets.((2 * idx) + 1) in
+  let k = n land (chunk_len - 1) in
+  let c =
+    if k <> 0 then t.buckets.(2 * idx)
+    else begin
+      let c = take_chunk t in
+      let tail = if n = 0 then c else t.buckets.(2 * idx) in
+      t.links.(c) <- t.links.(tail);
+      t.links.(tail) <- c;
+      t.buckets.(2 * idx) <- c;
+      c
+    end
+  in
+  t.buckets.((2 * idx) + 1) <- n + 1;
+  let p = (c lsl chunk_bits) lor k in
+  t.times.(p) <- time;
+  t.fns.(p) <- fn;
+  t.args.(p) <- arg;
+  p
+
+(* Move overflow events whose bucket the ring now covers. They land past
+   the open bucket, in buckets no direct insert has reached yet, so they
+   keep their (time, scheduling) order. *)
 let migrate t =
   Prof.enter sec_migrate;
-  let len = Array.length t.ring in
+  let nb = ring_len t and cb = t.clock lsr bucket_bits in
   while
-    (not (Heap.is_empty t.overflow)) && Heap.min_priority t.overflow - t.clock < len
+    (not (Heap.is_empty t.overflow))
+    && (Heap.min_priority t.overflow lsr bucket_bits) - cb < nb
   do
-    let idx = Heap.min_priority t.overflow land (len - 1) in
-    ring_insert t idx (Heap.pop_data t.overflow)
+    let time = Heap.min_priority t.overflow in
+    let f = Heap.pop_data t.overflow in
+    let idx = (time lsr bucket_bits) land (nb - 1) in
+    ignore (append t idx time t.fns.(f) t.args.(f) : int);
+    mark t idx;
+    t.fns.(f) <- no_ix;
+    t.args.(f) <- t.far_free;
+    t.far_free <- f
   done;
   Prof.leave sec_migrate
 
 (* Double the ring while the overflow heap holds a real share of the
-   pending events. Ring events lie in (clock, clock + len), so each bucket
-   holds one instant and its chain moves whole to that instant's bucket in
-   the wider ring; the migration then pulls in the overflow events the new
-   horizon covers, keeping every overflow event at least one horizon past
-   the clock. Neither step reorders events of one instant. *)
+   pending events. Ring buckets lie in [clock's bucket, + ring length), so
+   each chain moves whole to its bucket's index in the wider ring, the open
+   one included; the migration then pulls in the overflow events the new
+   horizon covers. Neither step reorders events. *)
 let grow_ring t =
-  let len = Array.length t.ring in
-  let len' = 2 * len in
-  let ring = Array.make len' nil and summary = Array.make (len' lsr summary_shift) 0 in
-  for idx = 0 to len - 1 do
-    let s = t.ring.(idx) in
-    if s <> nil then begin
-      let time = t.clock + 1 + ((idx - t.clock - 1) land (len - 1)) in
-      let idx' = time land (len' - 1) in
-      ring.(idx') <- s;
-      let w = idx' lsr summary_shift in
-      summary.(w) <- summary.(w) lor (1 lsl (idx' land 31))
+  let nb = ring_len t in
+  let nb' = 2 * nb and cb = t.clock lsr bucket_bits in
+  let old = t.buckets in
+  t.buckets <- Array.make (2 * nb') 0;
+  t.summary <- Array.make (Int.max 1 (nb' lsr summary_shift)) 0;
+  for idx = 0 to nb - 1 do
+    if old.((2 * idx) + 1) > 0 then begin
+      let b = cb + ((idx - cb) land (nb - 1)) in
+      let idx' = b land (nb' - 1) in
+      t.buckets.(2 * idx') <- old.(2 * idx);
+      t.buckets.((2 * idx') + 1) <- old.((2 * idx) + 1);
+      if b <> t.cur then mark t idx'
     end
   done;
-  t.ring <- ring;
-  t.summary <- summary;
   migrate t
 
-let enqueue t time s =
+let schedule_ix_at t time fn arg =
+  if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
   t.pending <- t.pending + 1;
-  if time = t.clock then begin
-    t.meta.(next_ix s) <- nil;
-    if t.now_tail = nil then t.now_head <- s else t.meta.(next_ix t.now_tail) <- s;
-    t.now_tail <- s
+  let b = time lsr bucket_bits and nb = ring_len t in
+  if b - (t.clock lsr bucket_bits) < nb then begin
+    let idx = b land (nb - 1) in
+    let p = append t idx time fn arg in
+    if b = t.cur then Heap.push t.late time p else mark t idx
   end
-  else if time - t.clock < Array.length t.ring then
-    ring_insert t (time land (Array.length t.ring - 1)) s
   else begin
-    Heap.push t.overflow time s;
+    if t.far_free = nil then begin
+      let base = take_chunk t lsl chunk_bits in
+      for p = base to base + chunk_len - 2 do
+        t.args.(p) <- p + 1
+      done;
+      t.args.(base + chunk_len - 1) <- nil;
+      t.far_free <- base
+    end;
+    let f = t.far_free in
+    t.far_free <- t.args.(f);
+    t.fns.(f) <- fn;
+    t.args.(f) <- arg;
+    Heap.push t.overflow time f;
     if
       Heap.length t.overflow > Int.max 1024 (t.pending / 8)
-      && Array.length t.ring < 1 lsl max_ring_bits
+      && nb < 1 lsl (max_ring_bits - bucket_bits)
     then grow_ring t
   end
-
-let schedule_ix_at t time fn arg =
-  let s = alloc t time in
-  t.fns.(s) <- fn;
-  t.meta.(arg_ix s) <- arg;
-  enqueue t time s
 
 let schedule_at t time fn = schedule_ix_at t time (thunk_fn fn) 0
 
@@ -282,114 +331,153 @@ let drop_choice t id =
     invalid_arg "Engine.drop_choice: unknown or already-fired choice";
   Hashtbl.remove t.pool id
 
-(* Every clock move goes through here, so overflow events are always at
-   least one horizon past the clock. Without that, an overflow event could
-   migrate into a bucket after a later event for the same µs was inserted
-   there directly, and run behind it. *)
+(* Every move of the clock to another bucket goes through here, so
+   overflow events are always at least one horizon past the clock's
+   bucket. Without that, an overflow event could migrate into a bucket
+   after a later event for the same µs was appended there directly, and
+   run behind it. *)
 let set_clock t time =
+  let moved = time lsr bucket_bits <> t.clock lsr bucket_bits in
   t.clock <- time;
-  migrate t
+  if moved then migrate t
 
-(* Earliest non-empty ring bucket at a time in (clock, clock + horizon), by
-   walking the occupancy summary's set bits. Buckets are visited in
-   circular index order starting just past the clock, which is exactly
-   ascending time order: every ring event lies within one horizon of the
-   clock (enqueue guarantees it on insert, and the clock never passes an
-   event without draining its bucket). Returns the event time, or
-   [max_int] when the whole ring is empty — plain loops and an int
-   sentinel because this runs once per bucket advance and must not
-   allocate. *)
-let[@inline] bucket_time t ~start w bits =
+(* Earliest non-empty closed bucket, by walking the occupancy summary's
+   set bits from the clock's own bucket. Buckets are visited in circular
+   index order, which is ascending bucket order: every ring event lies in
+   the ring's span from the clock's bucket (schedule guarantees it on
+   insert, and the clock never leaves a bucket holding events). Returns
+   the bucket number, or [nil] when the ring is empty — plain loops and an
+   int sentinel because this runs once per bucket and must not allocate. *)
+let[@inline] bucket_of t ~start w bits =
   let idx = (w lsl summary_shift) lor ctz bits in
-  t.clock + 1 + ((idx - start) land (Array.length t.ring - 1))
+  (t.clock lsr bucket_bits) + ((idx - start) land (ring_len t - 1))
 
 let scan_ring t =
-  Prof.enter sec_scan;
-  let start = (t.clock + 1) land (Array.length t.ring - 1) in
-  let w0 = start lsr summary_shift and b0 = start land 31 in
-  let bits0 = t.summary.(w0) land (word_mask lsl b0) land word_mask in
-  let time =
-    if bits0 <> 0 then bucket_time t ~start w0 bits0
-    else begin
-      let res = ref max_int in
-      let i = ref 1 in
-      while !res = max_int && !i < Array.length t.summary do
-        let w = (w0 + !i) land (Array.length t.summary - 1) in
-        let bits = t.summary.(w) in
-        if bits <> 0 then res := bucket_time t ~start w bits;
-        incr i
-      done;
-      if !res = max_int then begin
-        (* Wrapped: only the start word's low bits remain unseen. *)
-        let bits = t.summary.(w0) land ((1 lsl b0) - 1) in
-        if bits <> 0 then res := bucket_time t ~start w0 bits
-      end;
-      !res
-    end
-  in
-  Prof.leave sec_scan;
-  time
+  let start = (t.clock lsr bucket_bits) land (ring_len t - 1) in
+  let w0 = start lsr summary_shift and b0 = start land 31 and nw = Array.length t.summary in
+  let res = ref nil and i = ref 0 in
+  (* The start word's high bits first, its low bits last, after the wrap. *)
+  while !res = nil && !i <= nw do
+    let w = (w0 + !i) land (nw - 1) in
+    let keep = if !i = 0 then word_mask lsl b0 else if !i = nw then (1 lsl b0) - 1 else word_mask in
+    let bits = t.summary.(w) land keep in
+    if bits <> 0 then res := bucket_of t ~start w bits;
+    incr i
+  done;
+  !res
 
-(* Time of the next pending event past the current instant, advancing the
-   clock up to (but not past) it; [max_int] when nothing is pending. Only
-   called once the current instant is exhausted. *)
-let next_event_time t =
-  if t.pending = 0 then max_int
-  else begin
-    let time = scan_ring t in
-    if time <> max_int || Heap.is_empty t.overflow then time
-    else begin
-      (* Ring empty: only overflow events remain, all at least one horizon
-         out. Jump the clock so the earliest fits, and rescan. *)
-      set_clock t (Heap.min_priority t.overflow - Array.length t.ring + 1);
-      scan_ring t
-    end
-  end
-
-(* Reverse the chain from [s] in place, onto [acc]. *)
-let rec reverse meta s acc =
-  if s = nil then acc
-  else begin
-    let rest = meta.(next_ix s) in
-    meta.(next_ix s) <- acc;
-    reverse meta rest s
-  end
-
-(* Move the clock to [time] and its bucket, in scheduling order, to the
-   drain chain. *)
-let open_bucket t time =
-  set_clock t time;
-  let idx = time land (Array.length t.ring - 1) in
-  t.drain <- reverse t.meta t.ring.(idx) nil;
-  t.ring.(idx) <- nil;
+(* Sort bucket [b]'s entries into [order] and make it the open bucket. *)
+let open_bucket t b =
+  let idx = b land (ring_len t - 1) in
   let w = idx lsr summary_shift in
-  t.summary.(w) <- t.summary.(w) land lnot (1 lsl (idx land 31))
-
-(* The next slot at the current instant, or [nil]. Order within an
-   instant: first the bucket's already-scheduled events (FIFO), then
-   events scheduled for "now" while processing them. *)
-let pop_current t =
-  let s = t.drain in
-  if s <> nil then begin
-    t.drain <- t.meta.(next_ix s);
-    s
-  end
+  t.summary.(w) <- t.summary.(w) land lnot (1 lsl (idx land 31));
+  t.cur <- b;
+  let n = t.buckets.((2 * idx) + 1) in
+  if Array.length t.order < n then t.order <- Array.make (Int.max n (2 * Array.length t.order)) 0;
+  let order = t.order and times = t.times in
+  let head = t.links.(t.buckets.(2 * idx)) in
+  if n <= small_bucket then
+    for k = 0 to n - 1 do
+      let p = (head lsl chunk_bits) lor k in
+      let time = times.(p) in
+      let j = ref k in
+      while !j > 0 && times.(order.(!j - 1)) > time do
+        order.(!j) <- order.(!j - 1);
+        decr j
+      done;
+      order.(!j) <- p
+    done
   else begin
-    let s = t.now_head in
-    if s <> nil then begin
-      t.now_head <- t.meta.(next_ix s);
-      if t.now_head = nil then t.now_tail <- nil
-    end;
-    s
-  end
+    (* Counting sort by µs offset, over the offsets present. *)
+    let counts = t.counts and mask = bucket_width - 1 in
+    let lo = ref bucket_width and hi = ref 0 in
+    let c = ref head in
+    for i = 0 to n - 1 do
+      let o = times.((!c lsl chunk_bits) lor (i land (chunk_len - 1))) land mask in
+      counts.(o + 1) <- counts.(o + 1) + 1;
+      if o < !lo then lo := o;
+      if o > !hi then hi := o;
+      if i land (chunk_len - 1) = chunk_len - 1 then c := t.links.(!c)
+    done;
+    for o = !lo + 1 to !hi do
+      counts.(o) <- counts.(o) + counts.(o - 1)
+    done;
+    c := head;
+    for i = 0 to n - 1 do
+      let p = (!c lsl chunk_bits) lor (i land (chunk_len - 1)) in
+      let o = times.(p) land mask in
+      order.(counts.(o)) <- p;
+      counts.(o) <- counts.(o) + 1;
+      if i land (chunk_len - 1) = chunk_len - 1 then c := t.links.(!c)
+    done;
+    Array.fill counts !lo (!hi - !lo + 2) 0
+  end;
+  t.next <- 0;
+  t.len <- n
 
-(* Free the slot, then run it: the callback may schedule, and reuse the
-   slot at once. *)
-let dispatch t s =
-  let fn = t.fns.(s) and arg = t.meta.(arg_ix s) in
-  t.fns.(s) <- no_ix;
-  t.meta.(next_ix s) <- t.free;
-  t.free <- s;
+(* Close the drained open bucket: its chunks rejoin the free list. Every
+   entry was dispatched, which cleared its callback. *)
+let close t =
+  let idx = t.cur land (ring_len t - 1) in
+  let tail = t.buckets.(2 * idx) in
+  let head = t.links.(tail) in
+  t.links.(tail) <- t.free;
+  t.free <- head;
+  t.buckets.((2 * idx) + 1) <- 0;
+  t.cur <- nil
+
+(* Open the bucket of the next pending event, if that event may lie at or
+   before [hrz]. The clock moves at most to the bucket's start or to the
+   earliest overflow event, never past [hrz]: a [run ~until] that stops
+   short leaves every overflow event where it belongs. *)
+let rec open_next t hrz =
+  t.pending > 0
+  && begin
+       Prof.enter sec_scan;
+       let b = scan_ring t in
+       let opens = b <> nil && (b = t.clock lsr bucket_bits || b lsl bucket_bits <= hrz) in
+       if opens then begin
+         set_clock t (Int.max t.clock (b lsl bucket_bits));
+         open_bucket t b
+       end;
+       Prof.leave sec_scan;
+       opens
+       || b = nil
+          && (not (Heap.is_empty t.overflow))
+          && Heap.min_priority t.overflow <= hrz
+          && begin
+               (* Ring empty: only overflow events remain. Jump the clock
+                  to the earliest, which migrates it, and rescan. *)
+               set_clock t (Heap.min_priority t.overflow);
+               open_next t hrz
+             end
+     end
+
+(* The entry of the next event, if it lies at or before [hrz], taken off
+   the queue; [nil] otherwise. *)
+let rec pop t hrz =
+  if
+    t.next < t.len
+    && (Heap.is_empty t.late || t.times.(t.order.(t.next)) <= Heap.min_priority t.late)
+  then begin
+    let p = t.order.(t.next) in
+    if t.times.(p) <= hrz then begin
+      t.next <- t.next + 1;
+      p
+    end
+    else nil
+  end
+  else if not (Heap.is_empty t.late) then
+    if Heap.min_priority t.late <= hrz then Heap.pop_data t.late else nil
+  else if t.cur <> nil then (close t; pop t hrz)
+  else if open_next t hrz then pop t hrz
+  else nil
+
+(* Clear the entry, then run it: the callback may schedule. *)
+let dispatch t p =
+  let fn = t.fns.(p) and arg = t.args.(p) in
+  t.clock <- t.times.(p);
+  t.fns.(p) <- no_ix;
   t.pending <- t.pending - 1;
   t.processed <- t.processed + 1;
   t.dispatched <- t.dispatched + 1;
@@ -398,45 +486,23 @@ let dispatch t s =
   Prof.leave sec_dispatch
 
 let step t =
-  let s = pop_current t in
-  let s =
-    if s <> nil then s
-    else begin
-      let time = next_event_time t in
-      if time = max_int then nil
-      else begin
-        open_bucket t time;
-        pop_current t
-      end
-    end
-  in
-  if s = nil then false
+  let p = pop t max_int in
+  if p = nil then false
   else begin
-    dispatch t s;
+    dispatch t p;
     true
   end
 
 let run ?until t =
   let hrz = match until with None -> max_int | Some h -> h in
   t.until <- hrz;
-  let continue = ref true in
-  while !continue do
-    let s = pop_current t in
-    if s <> nil then dispatch t s
-    else begin
-      let time = next_event_time t in
-      if time = max_int then continue := false
-      else if time > hrz then begin
-        set_clock t hrz;
-        continue := false
-      end
-      else open_bucket t time
-    end
+  let p = ref (pop t hrz) in
+  while !p <> nil do
+    dispatch t !p;
+    p := pop t hrz
   done;
   t.until <- min_int;
-  match until with
-  | Some hrz when t.clock < hrz && t.pending = 0 -> set_clock t hrz
-  | _ -> ()
+  match until with Some hrz when t.clock < hrz -> set_clock t hrz | _ -> ()
 
 (* An event at [time] that would do nothing when run: counting it now
    instead of scheduling it is invisible at the end of this [run], where

@@ -8,23 +8,27 @@
 type t
 
 val create : unit -> t
-(** A fresh engine at time 0. Its calendar ring starts at 2^12 µs, so
-    [create] allocates only a few thousand words — cheap enough for the
+(** A fresh engine at time 0. Its calendar ring starts at four 1,024 µs
+    buckets (2^12 µs) over a pool of four 64-entry chunks, so [create]
+    allocates only about a thousand words — cheap enough for the
     [lib/check] explorer, which rebuilds a world per branch. *)
 
 val horizon : t -> Time.span
-(** Width of the calendar ring, in µs: events within [horizon] of the
-    clock sit in O(1) ring buckets, anything further parks in an overflow
-    heap and migrates in as the clock approaches. The ring sizes itself:
-    it doubles (up to 2^22 µs) whenever the overflow heap holds more than
-    [max 1024 (pending / 8)] events, and never shrinks, so memory follows
-    the events in flight. Growth never reorders events. Exposed so
-    boundary tests can aim at the edge. *)
+(** Width of the calendar ring, in µs: a ring of 1,024 µs buckets that
+    starts at the clock's bucket. An event whose bucket lies within the
+    ring is appended to that bucket in O(1); anything further parks in an
+    overflow heap and migrates in whenever the clock's bucket changes. The
+    ring sizes itself: it doubles (up to 2^22 µs) whenever the overflow
+    heap holds more than [max 1024 (pending / 8)] events, and never
+    shrinks, so memory follows the events in flight. Growth never reorders
+    events. Exposed so boundary tests can aim at the edge. *)
 
 val heap_roots : t -> Obj.t list
-(** The calendar's data — ring, occupancy summary, slot links and
-    arguments, overflow heap — as {!Clanbft_obs.Prof.census} roots. They
-    reach no closure. *)
+(** The calendar's data — bucket table, occupancy summary, the chunk
+    pool's time, argument and link arrays, the sort scratch, and the late
+    and overflow heaps of entry positions — as
+    {!Clanbft_obs.Prof.census} roots. They reach no closure: the pool's
+    callback array is left out. *)
 
 val now : t -> Time.t
 
@@ -34,13 +38,13 @@ val schedule_at : t -> Time.t -> (unit -> unit) -> unit
 val schedule_ix_at : t -> Time.t -> (int -> unit) -> int -> unit
 (** [schedule_ix_at t time fn arg] runs [fn arg] at [time]. Semantically
     [schedule_at t time (fun () -> fn arg)], but the closure is shared:
-    a fan-out delivering one message to [n] recipients fills [n] pool
-    slots (callback, index) around a {e single} shared callback instead of
-    allocating [n] environments. Once the slot pool has grown to the
-    run's peak, scheduling and running such an event allocate nothing.
-    Ordering within a microsecond is unchanged — thunks and indexed
-    callbacks interleave in scheduling order. Raises [Invalid_argument]
-    if the time is in the past. *)
+    a fan-out delivering one message to [n] recipients appends [n] pool
+    entries (time, callback, index) around a {e single} shared callback
+    instead of allocating [n] environments. Once the chunk pool has grown
+    to the run's peak, scheduling and running such an event allocate
+    nothing. Ordering within a microsecond is unchanged — thunks and
+    indexed callbacks interleave in scheduling order. Raises
+    [Invalid_argument] if the time is in the past. *)
 
 val schedule_after : t -> Time.span -> (unit -> unit) -> unit
 
@@ -74,7 +78,7 @@ val set_choice_mode : t -> bool -> unit
 
 val schedule_choice_at :
   t -> Time.t -> src:int -> dst:int -> tag:string -> (unit -> unit) -> unit
-(** Like {!schedule_at} when choice mode is off (identical pool slot,
+(** Like {!schedule_at} when choice mode is off (identical pool entry,
     identical ordering); pools the event when it is on. The labels are
     metadata for the external scheduler and appear in {!choices}. *)
 
@@ -102,7 +106,8 @@ val drop_choice : t -> int -> unit
 val run : ?until:Time.t -> t -> unit
 (** Process events in time order until the queue empties or the clock
     passes [until]. When stopping on [until], the clock is left at [until]
-    and any later events stay queued. *)
+    and any later events stay queued; the clock never passes [until], also
+    when only events beyond the ring's horizon remain. *)
 
 val elide : t -> Time.t -> bool
 (** [elide t time] is for an event at [time] that the caller knows would

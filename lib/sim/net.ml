@@ -169,7 +169,7 @@ let rec replaced_within ats ~now ~arrival =
    while the per-message costs are paid once per call:
 
    - the message is priced once and every recipient shares one delivery
-     closure, each copy costing one engine pool slot;
+     closure, each copy costing one engine pool entry;
    - counters are bumped once with the accepted-copy multiple, and the
      backlog histogram records the burst's initial queue depth;
    - the trace carries one [Msg_bcast] record plus one uplink span covering
@@ -184,7 +184,7 @@ let rec replaced_within ats ~now ~arrival =
    A copy its receiver declares settled at its arrival is priced, timed and
    counted like any other, but when {!Engine.elide} accepts that arrival
    it is charged to the receiver at once and never scheduled: no calendar
-   slot, no dispatch, no handler call (DESIGN.md §6). A copy the predicate
+   entry, no dispatch, no handler call (DESIGN.md §6). A copy the predicate
    answers [false] for is scheduled at exactly the arrival it was asked
    about, which is what lets a receiver reason about the copies it let
    through. Tracing keeps every copy, since each one is a receive

@@ -234,8 +234,10 @@ let minor_words f =
   int_of_float (words f -. words ignore)
 
 let test_engine_ix_allocates_nothing () =
-  (* Once the slot pool has grown to the burst's size, scheduling and
-     running indexed events allocates no heap word. *)
+  (* Once the chunk pool and the sort's order array have grown to the
+     burst's size, scheduling and running indexed events allocates no heap
+     word: the drained bucket closes, so the second burst into it is
+     sorted again rather than sent through the late heap. *)
   let e = Engine.create () in
   let fired = ref 0 in
   let count _ = incr fired in
@@ -253,12 +255,12 @@ let test_engine_ix_allocates_nothing () =
   Alcotest.(check int) "every event ran" 20_000 !fired
 
 let test_engine_fifo_across_growth_reentry_migration () =
-  (* Scheduling order within one microsecond survives the slot pool
-     doubling (64 slots to start), events scheduled re-entrantly for the
-     current microsecond, the overflow heap's migration into a bucket
-     that later direct inserts share, and the ring doubling. Thunks and
-     indexed events alternate throughout: they share one slot pool and
-     one callback array. *)
+  (* Scheduling order within one microsecond survives the chunk pool
+     doubling (four 64-entry chunks to start), events scheduled
+     re-entrantly for the current microsecond, the overflow heap's
+     migration into a bucket that later direct inserts share, and the ring
+     doubling. Thunks and indexed events alternate throughout: they share
+     one pool and one callback array. *)
   let e = Engine.create () in
   let log = ref [] in
   let note i = log := i :: !log in
@@ -304,6 +306,104 @@ let test_engine_fifo_across_growth_reentry_migration () =
   Engine.run e;
   let by_time = List.stable_sort (fun a b -> Int.compare (time a) (time b)) in
   Alcotest.(check (list int)) "ring growth" (by_time (List.init 1_100 Fun.id)) (List.rev !log)
+
+(* The calendar's buckets are 1,024 µs wide, so multiples of 1,024 are
+   bucket edges. Each test logs (tag, time) and checks the execution. *)
+let logging_engine () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let at time tag = Engine.schedule_at e time (fun () -> log := (tag, Engine.now e) :: !log) in
+  (e, at, fun () -> List.rev !log)
+
+let check_log = Alcotest.(check (list (pair string int)))
+
+let test_engine_bucket_edges () =
+  (* Events just before and after several edges, scheduled out of order,
+     run in time order, and ties at an edge keep scheduling order. *)
+  let e, at, log = logging_engine () in
+  List.iter
+    (fun (time, tag) -> at time tag)
+    [ (2_048, "e2a"); (1_024, "e1"); (2_047, "b2"); (1_023, "b1"); (2_049, "a2"); (2_048, "e2b"); (1_025, "a1") ];
+  Engine.run e;
+  check_log "time order across edges"
+    [ ("b1", 1_023); ("e1", 1_024); ("a1", 1_025); ("b2", 2_047); ("e2a", 2_048); ("e2b", 2_048); ("a2", 2_049) ]
+    (log ())
+
+let test_engine_reentry_open_bucket () =
+  (* A running event schedules into its own bucket, at its own µs and at
+     later ones; those run after the bucket's earlier-scheduled events of
+     the same µs, in scheduling order among themselves. *)
+  let e, at, log = logging_engine () in
+  Engine.schedule_at e 2_050 (fun () ->
+      at 2_060 "y";
+      at 2_050 "x";
+      at 2_055 "z";
+      at 2_050 "x2");
+  at 2_050 "b";
+  at 2_055 "c";
+  at 2_060 "d";
+  Engine.run e;
+  check_log "sorted entries first, then re-entrant ones"
+    [ ("b", 2_050); ("x", 2_050); ("x2", 2_050); ("c", 2_055); ("z", 2_055); ("d", 2_060); ("y", 2_060) ]
+    (log ())
+
+let test_engine_until_inside_bucket () =
+  (* [run ~until] stops inside an open bucket; events then scheduled
+     earlier in that bucket, or at its pending event's µs, keep (time,
+     scheduling) order. *)
+  let e, at, log = logging_engine () in
+  at 4_100 "first";
+  at 4_900 "pending";
+  Engine.run ~until:4_500 e;
+  Alcotest.(check int) "clock at until" 4_500 (Engine.now e);
+  at 4_900 "tie";
+  at 4_600 "earlier";
+  at 4_500 "now";
+  Engine.run e;
+  check_log "merged in time order"
+    [ ("first", 4_100); ("now", 4_500); ("earlier", 4_600); ("pending", 4_900); ("tie", 4_900) ]
+    (log ())
+
+let test_engine_growth_open_bucket () =
+  (* The ring doubles while a bucket is open: its sorted and re-entrant
+     events, scheduled before and after the growth, keep their order, and
+     the far events that forced the growth run after them in time order. *)
+  let e, at, log = logging_engine () in
+  let h0 = Engine.horizon e in
+  Engine.schedule_at e 5_000 (fun () ->
+      at 5_015 "l1";
+      for i = 0 to 1_099 do
+        at (5_000 + (4 * h0) + (i mod 7)) (string_of_int (i mod 7))
+      done;
+      Alcotest.(check bool) "ring grew inside the bucket" true (Engine.horizon e > h0);
+      at 5_015 "l2";
+      at 5_005 "l3");
+  at 5_010 "b";
+  at 5_020 "c";
+  Engine.run e;
+  let open_bucket, far = List.partition (fun (_, t) -> t < 6_000) (log ()) in
+  check_log "open bucket order"
+    [ ("l3", 5_005); ("b", 5_010); ("l1", 5_015); ("l2", 5_015); ("c", 5_020) ]
+    open_bucket;
+  let want =
+    List.init 7 (fun k -> List.init 1_100 Fun.id |> List.filter (fun i -> i mod 7 = k))
+    |> List.concat_map (List.map (fun i -> (string_of_int (i mod 7), 5_000 + (4 * h0) + (i mod 7))))
+  in
+  check_log "far events in time order" want far
+
+let test_engine_until_far_only () =
+  (* Regression: with only a far event pending, [run ~until] jumped the
+     clock toward that event before comparing with [until], then set it
+     back, which left the event in the ring a horizon early: it ran at
+     1,002,752 instead of 20,000,000, and ahead of events scheduled for
+     earlier times. *)
+  let e, at, log = logging_engine () in
+  at 20_000_000 "far";
+  Engine.run ~until:1_000_000 e;
+  Alcotest.(check int) "clock at until" 1_000_000 (Engine.now e);
+  at 1_500_000 "earlier";
+  Engine.run e;
+  check_log "each at its own time" [ ("earlier", 1_500_000); ("far", 20_000_000) ] (log ())
 
 let test_engine_step () =
   let e = Engine.create () in
@@ -758,21 +858,24 @@ let prop_engine_deterministic =
    near and far-past-the-horizon offsets and 1.5 s round timers. *)
 type sched = Ev of int * sched list
 
+let gen_delay =
+  QCheck.Gen.frequency
+    [
+      (3, QCheck.Gen.return 0);
+      (3, QCheck.Gen.int_range 1 8);
+      (4, QCheck.Gen.int_range 1 5_000);
+      (3, QCheck.Gen.int_range 5_000 400_000);
+      (1, QCheck.Gen.int_range 1_400_000 1_600_000);
+    ]
+
+let gen_leaf = QCheck.Gen.map (fun d -> Ev (d, [])) gen_delay
+
+let gen_inner =
+  QCheck.Gen.(map2 (fun d kids -> Ev (d, kids)) gen_delay (list_size (int_range 0 3) gen_leaf))
+
 let gen_schedule =
   let open QCheck.Gen in
-  let delay =
-    frequency
-      [
-        (3, return 0);
-        (3, int_range 1 8);
-        (4, int_range 1 5_000);
-        (3, int_range 5_000 400_000);
-        (1, int_range 1_400_000 1_600_000);
-      ]
-  in
-  let leaf = map (fun d -> Ev (d, [])) delay in
-  let inner = map2 (fun d kids -> Ev (d, kids)) delay (list_size (int_range 0 3) leaf) in
-  let root = map2 (fun t kids -> Ev (t, kids)) (int_range 0 20_000) (list_size (int_range 0 4) inner) in
+  let root = map2 (fun t kids -> Ev (t, kids)) (int_range 0 20_000) (list_size (int_range 0 4) gen_inner) in
   (* A mid-run burst far enough past the initial horizon to grow the ring
      several times while events are running. *)
   let burst =
@@ -780,12 +883,13 @@ let gen_schedule =
       (fun t kids -> Ev (t, kids))
       (int_range 1_000 2_000)
       (list_size (int_range 2_048 4_096)
-         (map2 (fun d kids -> Ev (d, kids)) (int_range 1 (1 lsl 19)) (list_size (int_range 0 1) leaf)))
+         (map2 (fun d kids -> Ev (d, kids)) (int_range 1 (1 lsl 19)) (list_size (int_range 0 1) gen_leaf)))
   in
   map2 (fun roots b -> b :: roots) (list_size (int_range 1 20) root) burst
 
-(* Executions as (id, time), ids numbering events in scheduling order. *)
-let engine_order roots =
+(* An engine that logs executions as (id, time), ids numbering events in
+   scheduling order, and the function that schedules a [sched] tree on it. *)
+let engine_driver () =
   let e = Engine.create () in
   let log = ref [] and next_id = ref 0 in
   let rec schedule time (Ev (_, kids)) =
@@ -798,32 +902,47 @@ let engine_order roots =
     if id land 1 = 0 then Engine.schedule_at e time (fun () -> fire 0)
     else Engine.schedule_ix_at e time fire id
   in
+  (e, schedule, log)
+
+let engine_order roots =
+  let e, schedule, log = engine_driver () in
   List.iter (fun (Ev (t, _) as r) -> schedule t r) roots;
   let h0 = Engine.horizon e in
   Engine.run e;
   (List.rev !log, h0, Engine.horizon e)
 
-(* The reference: a stable sort by (time, scheduling sequence). *)
-let model_order roots =
-  let module S = Set.Make (struct
+(* The reference: a priority queue over (time, scheduling sequence), which
+   [run_until] drains up to a horizon, the way [Engine.run ~until] does. *)
+module Model = struct
+  module S = Set.Make (struct
     type t = int * int * sched
 
     let compare (t1, i1, _) (t2, i2, _) = compare (t1, i1) (t2, i2)
-  end) in
-  let next_id = ref 0 in
-  let add time ev q =
-    let id = !next_id in
-    incr next_id;
-    S.add (time, id, ev) q
-  in
-  let rec go q acc =
-    match S.min_elt_opt q with
-    | None -> List.rev acc
-    | Some ((time, id, Ev (_, kids)) as x) ->
-        let q = List.fold_left (fun q (Ev (d, _) as k) -> add (time + d) k q) (S.remove x q) kids in
-        go q ((id, time) :: acc)
-  in
-  go (List.fold_left (fun q (Ev (t, _) as r) -> add t r q) S.empty roots) []
+  end)
+
+  type t = { mutable q : S.t; mutable next_id : int; mutable log : (int * int) list }
+
+  let create () = { q = S.empty; next_id = 0; log = [] }
+
+  let add m time ev =
+    m.q <- S.add (time, m.next_id, ev) m.q;
+    m.next_id <- m.next_id + 1
+
+  let rec run_until m until =
+    match S.min_elt_opt m.q with
+    | Some ((time, id, Ev (_, kids)) as x) when time <= until ->
+        m.q <- S.remove x m.q;
+        m.log <- (id, time) :: m.log;
+        List.iter (fun (Ev (d, _) as k) -> add m (time + d) k) kids;
+        run_until m until
+    | _ -> ()
+end
+
+let model_order roots =
+  let m = Model.create () in
+  List.iter (fun (Ev (t, _) as r) -> Model.add m t r) roots;
+  Model.run_until m max_int;
+  List.rev m.log
 
 let prop_engine_matches_model =
   QCheck.Test.make ~name:"engine order == (time, sequence) model, across ring growth"
@@ -831,6 +950,47 @@ let prop_engine_matches_model =
       let got, h0, h1 = engine_order roots in
       if h1 < 4 * h0 then QCheck.Test.fail_reportf "ring grew only %d -> %d" h0 h1;
       got = model_order roots)
+
+(* The same schedules, run in random [run ~until] windows with external
+   schedules between them (delays relative to the window's end), then one
+   far-only window: a single event several horizons out, a stop short of
+   it, and an earlier event scheduled after the stop. *)
+let gen_windowed =
+  let open QCheck.Gen in
+  let span =
+    frequency [ (3, int_range 0 2_000); (3, int_range 0 50_000); (1, int_range 0 2_000_000) ]
+  in
+  pair gen_schedule (list_size (int_range 1 12) (pair span (list_size (int_range 0 4) gen_inner)))
+
+let windowed_orders (roots, windows) =
+  let e, schedule, log = engine_driver () in
+  let m = Model.create () in
+  let both time ev =
+    schedule time ev;
+    Model.add m time ev
+  in
+  let window until extras =
+    Engine.run ~until e;
+    Model.run_until m until;
+    if Engine.now e <> until then QCheck.Test.fail_reportf "clock %d after run ~until:%d" (Engine.now e) until;
+    List.iter (fun (Ev (d, _) as x) -> both (until + d) x) extras
+  in
+  List.iter (fun (Ev (t, _) as r) -> both t r) roots;
+  List.iter (fun (span, extras) -> window (Engine.now e + span) extras) windows;
+  Engine.run e;
+  Model.run_until m max_int;
+  let now = Engine.now e and h = Engine.horizon e in
+  both (now + (3 * h) + 77) (Ev (0, []));
+  window (now + h) [ Ev (5, []) ];
+  Engine.run e;
+  Model.run_until m max_int;
+  (List.rev !log, List.rev m.log)
+
+let prop_engine_windows_match_model =
+  QCheck.Test.make ~name:"run windows: engine order == (time, sequence) model"
+    ~count:25 (QCheck.make gen_windowed) (fun input ->
+      let got, want = windowed_orders input in
+      got = want)
 
 let test_engine_create_small () =
   (* A fresh engine is cheap: no horizon-sized ring up front. *)
@@ -867,6 +1027,11 @@ let suites =
         Alcotest.test_case "mixed event kinds fifo" `Quick
           test_engine_mixed_event_kinds_fifo;
         Alcotest.test_case "step" `Quick test_engine_step;
+        Alcotest.test_case "bucket edges" `Quick test_engine_bucket_edges;
+        Alcotest.test_case "re-entry into the open bucket" `Quick test_engine_reentry_open_bucket;
+        Alcotest.test_case "until inside a bucket" `Quick test_engine_until_inside_bucket;
+        Alcotest.test_case "ring growth with a bucket open" `Quick test_engine_growth_open_bucket;
+        Alcotest.test_case "until with only far events" `Quick test_engine_until_far_only;
         Alcotest.test_case "indexed events allocate nothing" `Quick
           test_engine_ix_allocates_nothing;
         Alcotest.test_case "fifo across growth, re-entry, migration" `Quick
@@ -874,6 +1039,7 @@ let suites =
         Alcotest.test_case "create allocates little" `Quick test_engine_create_small;
         qtest prop_engine_deterministic;
         qtest prop_engine_matches_model;
+        qtest prop_engine_windows_match_model;
       ] );
     ( "sim.topology",
       [
