@@ -22,9 +22,7 @@ let clan = [| 0; 2; 4; 6 |]
 (* Node 0 is Byzantine: it runs no replica, and we drive it by hand over
    the raw network. *)
 let build_world () =
-  let params =
-    { Sailfish.default_params with round_timeout = Time.ms 250.; gc_depth = 1_000_000 }
-  in
+  let params = { Sailfish.round_timeout = Time.ms 250.; gc_depth = 1_000_000 } in
   let world =
     Smr_world.create ~topology:(Topology.uniform ~n ~one_way_ms:15.0)
       ~net:{ Net.default_config with jitter = 0.0 } ~seed:9L ~params ~absent:[ 0 ]

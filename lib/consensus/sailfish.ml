@@ -20,28 +20,26 @@ let src_log = Logs.Src.create "clanbft.sailfish" ~doc:"Sailfish consensus"
 
 module Log = (val Logs.src_log src_log)
 
-type params = {
-  round_timeout : Time.span;
-  sync_retry : Time.span;
-  pull_budget : int;
-  gc_depth : int;
-  sync_chunk : int;
-}
+type params = { round_timeout : Time.span; gc_depth : int }
 
-let default_params =
-  {
-    round_timeout = Time.ms 1_500.;
-    sync_retry = Time.ms 150.;
-    pull_budget = 8;
-    gc_depth = 64;
-    sync_chunk = 64;
-  }
+let default_params = { round_timeout = Time.ms 1_500.; gc_depth = 64 }
+
+(* Pull pacing: a missing block or vertex is re-requested from the next
+   peer every [sync_retry] (state sync backs off from the same base), a
+   peer serves at most [pull_budget] pulls per (slot, requester), and one
+   state-sync request streams at most [sync_chunk] rounds of vertices. *)
+let sync_retry = Time.ms 150.
+let pull_budget = 8
+let sync_chunk = 64
 
 (* This layer's side of one merged vertex+block instance (§5): the content
-   as first received, and which pulls are running. *)
+   as first received, and which pulls are running. [stored] marks [block]
+   final: the slot was delivered with its vertex (or replayed from the
+   journal) and [on_block] has fired for it. *)
 type slot = {
   mutable vertex : Vertex.t option;
   mutable block : Block.t option;
+  mutable stored : bool;
   mutable fetching_vertex : bool;
   mutable fetching_block : bool;
 }
@@ -51,6 +49,33 @@ type inst = slot Rbc.inst
 (* Verified signature shares for a timeout / no-vote certificate, folded
    into one running aggregate. *)
 type share_box = { signers : Bitset.t; acc : Keychain.accumulator }
+
+(* One certificate kind in one round: its shares (made on the first) and
+   the certificate, formed from them or received whole. *)
+type cert_state = { mutable shares : share_box option; mutable cert : Cert.t option }
+
+(* Everything kept per round: the voters for its leader (the quorum-th
+   makes it ready to commit directly), whether this node sent its timeout
+   share, the timeout and no-vote certificates (no-vote shares only as
+   leader of r+1), and whether state sync counted the round as fetched. *)
+type round_state = {
+  votes : Bitset.t;
+  mutable timeout_sent : bool;
+  mutable sync_seen : bool;
+  timeout : cert_state;
+  no_vote : cert_state;
+}
+
+let new_round n =
+  let cert () = { shares = None; cert = None } in
+  { votes = Bitset.create n; timeout_sent = false; sync_seen = false;
+    timeout = cert (); no_vote = cert () }
+
+(* What read-only lookups answer for a round without state, so they
+   allocate nothing. Never stored or mutated. *)
+let absent_round = new_round 0
+
+let cert_state rs = function Cert.Timeout -> rs.timeout | Cert.No_vote -> rs.no_vote
 
 (* Observability handles, resolved once at construction so the hot paths
    pay an integer add plus (for the trace) one enabled-branch. *)
@@ -82,7 +107,7 @@ type t = {
      of re-filtering every pending vertex's full parent list — the old
      O(|pending| · edges) rescan per insert dominated at paper scale. *)
   waiters : (int * int, (int * int) list ref) Hashtbl.t;
-  blocks : Block.t Round_rows.t; (* available blocks I store *)
+  rounds : (int, round_state) Hashtbl.t;
   (* round progression *)
   mutable round : int;
   mutable proposed : bool; (* proposed in current round? *)
@@ -96,21 +121,12 @@ type t = {
   mutable min_propose_round : int; (* never re-propose a journalled round *)
   mutable snapshot_joined : bool; (* rejoined past a GC'd gap *)
   mutable recovery_started_at : Time.t;
-  sync_seen_rounds : (int, unit) Hashtbl.t;
   on_deliver : Vertex.t -> unit; (* journal hook, fired before insertion *)
   on_propose : round:int -> unit; (* journal hook, fired before VAL sends *)
-  timeout_sent : (int, unit) Hashtbl.t;
-  timeout_shares : (int, share_box) Hashtbl.t;
-  no_vote_shares : (int, share_box) Hashtbl.t; (* only as leader of r+1 *)
-  tcs : (int, Cert.t) Hashtbl.t;
-  nvcs : (int, Cert.t) Hashtbl.t;
   (* commit machinery *)
-  leader_votes : (int, Bitset.t) Hashtbl.t; (* round -> voters for its leader *)
-  commit_ready : (int, unit) Hashtbl.t; (* direct quorum reached *)
   mutable last_committed : int;
   ordered : unit Round_rows.t;
   mutable ordered_total : int;
-  mutable ordered_hash : int; (* chained fingerprint of the total order *)
   (* weak-edge bookkeeping *)
   covered : unit Round_rows.t; (* causal history of my proposals *)
   uncovered : Vertex.t Round_rows.t;
@@ -123,13 +139,6 @@ let me t = t.me
 let current_round t = t.round
 let last_committed_round t = t.last_committed
 let committed_count t = t.ordered_total
-
-(* FNV-1a-style chaining, same mix the bench fingerprints use: cheap, and
-   any divergence in commit order or content changes every later value. *)
-let mix_commit h ~round ~source =
-  let h = h lxor ((round * 1_000_003) + source) in
-  let h = h * 0x100000001b3 in
-  h land max_int
 let dag_size t = Store.size t.store
 let quorum t = Config.quorum t.config
 let leader_of t round = Config.leader_of_round t.config round
@@ -149,6 +158,25 @@ let drop_below tbl (horizon : int) =
 let drop_rounds_below tbl (horizon : int) =
   Hashtbl.fold (fun r _ acc -> if r < horizon then r :: acc else acc) tbl []
   |> List.iter (Hashtbl.remove tbl)
+
+(* The round's state, or [absent_round]: for reads, allocates nothing. *)
+let round_of t r =
+  match Hashtbl.find t.rounds r with rs -> rs | exception Not_found -> absent_round
+
+(* The round's state, made on first use: for writes. *)
+let round_state t r =
+  match Hashtbl.find t.rounds r with
+  | rs -> rs
+  | exception Not_found ->
+      let rs = new_round (Config.n t.config) in
+      Hashtbl.replace t.rounds r rs;
+      rs
+
+(* The slot's block once stored; see [slot]. *)
+let block_of t ~round ~source =
+  match Rbc.find t.rbc ~sender:source ~round with
+  | Some { ext = { stored = true; block; _ }; _ } -> block
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Vertex validity (checked before echoing) *)
@@ -216,6 +244,10 @@ let vertex_valid t (v : Vertex.t) =
    the zero digest. *)
 let expects_block (v : Vertex.t) =
   not (Digest32.equal v.block_digest Digest32.zero)
+
+let block_matches (v : Vertex.t) = function
+  | Some b -> Digest32.equal (Block.digest b) v.block_digest
+  | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Sparse-edge parent selection *)
@@ -366,9 +398,9 @@ let rec handle t ~src msg =
         | Some inst -> certified t inst digest
         | None -> ())
     | Msg.Timeout_share { round; signer; signature } ->
-        if src = signer then on_timeout_share t ~round ~signer ~signature
+        if src = signer then on_share t Cert.Timeout ~round ~signer signature
     | Msg.No_vote_share { round; signer; signature } ->
-        if src = signer then on_no_vote_share t ~round ~signer ~signature
+        if src = signer then on_share t Cert.No_vote ~round ~signer signature
     | Msg.Timeout_cert c -> on_timeout_cert t c
     | Msg.Block_request { round; source } ->
         Rbc.serve t.rbc ~sender:source ~round ~src (fun inst ->
@@ -407,20 +439,13 @@ and acceptable (inst : inst) (v : Vertex.t) =
 
 and adopt t (inst : inst) (v : Vertex.t) block =
   let slot = inst.ext in
+  let clan = in_payload_clan_of t ~proposer:v.source in
   slot.vertex <- Some v;
-  (match block with
-  | Some b
-    when in_payload_clan_of t ~proposer:v.source
-         && Digest32.equal (Block.digest b) v.block_digest ->
-      slot.block <- Some b
-  | _ -> ());
+  if clan && (not slot.stored) && block_matches v block then slot.block <- block;
   (* Clan members echo only once they hold both the vertex and its block
      (§5); everybody else echoes on the vertex alone. *)
-  if
-    (not (expects_block v))
-    || (not (in_payload_clan_of t ~proposer:v.source))
-    || slot.block <> None
-  then Rbc.send_echo t.rbc inst v.digest;
+  if (not (expects_block v)) || (not clan) || block_matches v slot.block then
+    Rbc.send_echo t.rbc inst v.digest;
   if inst.delivered then vertex_available t inst v
 
 (* The slot's vertex digest is certified: the RBC instance completes. *)
@@ -433,10 +458,11 @@ and certified t (inst : inst) digest =
     match slot.vertex with
     | Some v when Digest32.equal v.digest digest -> vertex_available t inst v
     | held ->
-        (* Discard an equivocator's non-certified copy. *)
+        (* Discard an equivocator's non-certified copy; a stored block is
+           the certified vertex's. *)
         if Option.is_some held then begin
           slot.vertex <- None;
-          slot.block <- None
+          if not slot.stored then slot.block <- None
         end;
         fetch_vertex t inst
   end
@@ -567,9 +593,12 @@ and maybe_fetch_block ?(cycles = 0) t (inst : inst) =
           maybe_fetch_block ~cycles t inst)
   | _ -> ()
 
+(* Blocks are pulled only for delivered slots, and only the certified
+   vertex's block is taken: an unsolicited reply for an undelivered slot
+   could carry an equivocator's block for a copy that never certifies. *)
 and on_block_reply t (b : Block.t) =
   match Rbc.find t.rbc ~sender:b.proposer ~round:b.round with
-  | Some ({ ext = { vertex = Some v; block = None; _ } as slot; _ } as inst)
+  | Some ({ delivered = true; ext = { vertex = Some v; block = None; _ } as slot; _ } as inst)
     when Digest32.equal (Block.digest b) v.block_digest
          && in_payload_clan_of t ~proposer:b.proposer ->
       slot.block <- Some b;
@@ -577,17 +606,20 @@ and on_block_reply t (b : Block.t) =
   | _ -> ()
 
 and block_available t (inst : inst) b =
-  if not (Round_rows.mem t.blocks ~round:inst.round ~source:inst.sender) then begin
-    Round_rows.set t.blocks ~round:inst.round ~source:inst.sender b;
+  if not inst.ext.stored then begin
+    inst.ext.stored <- true;
     t.on_block b
   end
 
 and on_vertex_reply t (v : Vertex.t) block =
   (* Recovery progress metric: count each distinct round we receive sync /
      pull material for while catching up. *)
-  if t.syncing && not (Hashtbl.mem t.sync_seen_rounds v.round) then begin
-    Hashtbl.replace t.sync_seen_rounds v.round ();
-    Metrics.incr t.obsh.o_sync_rounds
+  if t.syncing then begin
+    let rs = round_state t v.round in
+    if not rs.sync_seen then begin
+      rs.sync_seen <- true;
+      Metrics.incr t.obsh.o_sync_rounds
+    end
   end;
   match Rbc.find t.rbc ~sender:v.source ~round:v.round with
   | Some { ext = { vertex = Some _; _ }; _ } -> ()
@@ -613,13 +645,13 @@ and on_sync_request t ~src ~from_round =
   let highest = Store.highest_round t.store in
   Net.send t.net ~src:t.me ~dst:src (Msg.Sync_reply { floor; highest });
   let lo = Int.max from_round floor in
-  let hi = Int.min highest (lo + t.params.sync_chunk - 1) in
+  let hi = Int.min highest (lo + sync_chunk - 1) in
   for r = lo to hi do
     List.iter
       (fun (vertex : Vertex.t) ->
         let block =
           if Config.in_payload_clan t.config ~proposer:vertex.source src then
-            Round_rows.find t.blocks ~round:vertex.round ~source:vertex.source
+            block_of t ~round:vertex.round ~source:vertex.source
           else None
         in
         Net.send t.net ~src:t.me ~dst:src (Msg.Vertex_reply { vertex; block }))
@@ -677,7 +709,7 @@ and sync_tick t ~cursor ~cycles ~last_frontier =
     Metrics.incr t.obsh.o_pull_retries;
     Net.send t.net ~src:t.me ~dst:peer
       (Msg.Sync_request { from_round = frontier + 1 });
-    let backoff = t.params.sync_retry * (1 lsl Int.min cycles 4) in
+    let backoff = sync_retry * (1 lsl Int.min cycles 4) in
     Engine.schedule_after t.engine backoff (fun () ->
         sync_tick t ~cursor:(peer + 1) ~cycles:(cycles + 1)
           ~last_frontier:frontier);
@@ -689,24 +721,10 @@ and sync_tick t ~cursor ~cycles ~last_frontier =
 and register_vote t (v : Vertex.t) =
   if v.round > 0 then begin
     let prev = v.round - 1 in
-    let lead = leader_of t prev in
-    if Vertex.has_strong_edge_to v ~round:prev ~source:lead then begin
-      let votes =
-        match Hashtbl.find_opt t.leader_votes prev with
-        | Some b -> b
-        | None ->
-            let b = Bitset.create (Config.n t.config) in
-            Hashtbl.replace t.leader_votes prev b;
-            b
-      in
-      if
-        Bitset.add votes v.source
-        && Bitset.cardinal votes >= quorum t
-        && not (Hashtbl.mem t.commit_ready prev)
-      then begin
-        Hashtbl.replace t.commit_ready prev ();
-        try_commit t
-      end
+    if Vertex.has_strong_edge_to v ~round:prev ~source:(leader_of t prev) then begin
+      let votes = (round_state t prev).votes in
+      (* The quorum-th vote makes the round ready to commit directly. *)
+      if Bitset.add votes v.source && Bitset.cardinal votes = quorum t then try_commit t
     end
   end
 
@@ -718,8 +736,8 @@ and try_commit t =
   let rec next_ready r =
     if r <= t.last_committed then None
     else if
-      Hashtbl.mem t.commit_ready r
-      && Store.mem t.store ~round:r ~source:(leader_of t r)
+      Store.mem t.store ~round:r ~source:(leader_of t r)
+      && Bitset.cardinal (round_of t r).votes >= quorum t
     then Some r
     else next_ready (r - 1)
   in
@@ -751,8 +769,6 @@ and try_commit t =
           List.iter
             (fun (v : Vertex.t) ->
               Round_rows.set t.ordered ~round:v.round ~source:v.source ();
-              t.ordered_hash <-
-                mix_commit t.ordered_hash ~round:v.round ~source:v.source;
               if Trace.enabled t.obsh.o_trace then
                 Trace.emit t.obsh.o_trace ~ts:(Engine.now t.engine)
                   (Trace.Vertex_commit
@@ -778,18 +794,11 @@ and garbage_collect t =
     Round_rows.drop_below t.ordered horizon;
     Round_rows.drop_below t.covered horizon;
     Round_rows.drop_below t.uncovered horizon;
-    Round_rows.drop_below t.blocks horizon;
     Round_rows.drop_below t.cert_arrivals horizon;
     drop_below t.pending horizon;
     drop_below t.waiters horizon;
     Rbc.prune_below t.rbc ~round:horizon;
-    drop_rounds_below t.leader_votes horizon;
-    drop_rounds_below t.commit_ready horizon;
-    drop_rounds_below t.timeout_shares horizon;
-    drop_rounds_below t.no_vote_shares horizon;
-    drop_rounds_below t.tcs horizon;
-    drop_rounds_below t.nvcs horizon;
-    drop_rounds_below t.timeout_sent horizon;
+    drop_rounds_below t.rounds horizon;
     insert_unblocked t
   end
 
@@ -816,7 +825,7 @@ and maybe_advance t =
       Store.count_at t.store r >= quorum t
       && (t.syncing
          || Store.mem t.store ~round:r ~source:(leader_of t r)
-         || Hashtbl.mem t.tcs r)
+         || Option.is_some (round_of t r).timeout.cert)
     then advance t (r + 1)
     else maybe_propose t
   end
@@ -846,7 +855,7 @@ and maybe_propose t =
     if
       r = 0 || t.me <> leader_of t r
       || Store.mem t.store ~round:(r - 1) ~source:(leader_of t (r - 1))
-      || Hashtbl.mem t.nvcs (r - 1)
+      || Option.is_some (round_of t (r - 1)).no_vote.cert
     then propose t r
   end
 
@@ -923,8 +932,9 @@ and propose t r =
   let unjustified = r > 0 && not prev_leader_edge in
   let leader = t.me = leader_of t r in
   if unjustified && not leader then send_no_vote t ~round:(r - 1) ~dst:(leader_of t r);
-  let nvc = if unjustified && leader then Hashtbl.find_opt t.nvcs (r - 1) else None in
-  let tc = if unjustified && not leader then Hashtbl.find_opt t.tcs (r - 1) else None in
+  let prev = round_of t (r - 1) in
+  let nvc = if unjustified && leader then prev.no_vote.cert else None in
+  let tc = if unjustified && not leader then prev.timeout.cert else None in
   let block =
     if Config.is_block_proposer t.config t.me then
       Some (Block.make ~proposer:t.me ~round:r ~txns:(t.make_block ~round:r))
@@ -955,8 +965,9 @@ and arm_timer t =
       if t.timer_epoch = epoch && t.round = r then on_round_timeout t r)
 
 and on_round_timeout t r =
-  if (not t.halted) && not (Hashtbl.mem t.timeout_sent r) then begin
-    Hashtbl.replace t.timeout_sent r ();
+  let rs = round_state t r in
+  if (not t.halted) && not rs.timeout_sent then begin
+    rs.timeout_sent <- true;
     let signature =
       Keychain.sign t.keychain ~signer:t.me (Cert.signing_string Cert.Timeout r)
     in
@@ -985,60 +996,47 @@ and send_no_vote t ~round ~dst =
   in
   Net.send t.net ~src:t.me ~dst (Msg.No_vote_share { round; signer = t.me; signature })
 
-(* A verified share; the quorum-th distinct one forms the certificate. *)
-and add_share t boxes certs kind ~round ~signer signature =
-  let box =
-    match Hashtbl.find_opt boxes round with
-    | Some b -> b
-    | None ->
-        let b =
-          { signers = Bitset.create (Config.n t.config); acc = Keychain.accumulator () }
-        in
-        Hashtbl.replace boxes round b;
-        b
-  in
-  if not (Bitset.add box.signers signer) then None
-  else begin
-    Keychain.accumulate box.acc signature;
-    if Bitset.cardinal box.signers = quorum t && not (Hashtbl.mem certs round)
-    then
-      let agg = Keychain.to_aggregate box.acc ~signers:(Bitset.copy box.signers) in
-      Some (Cert.of_aggregate kind ~round ~agg)
-    else None
+(* A verified share; the quorum-th distinct one forms the certificate.
+   No-vote shares are collected only as the next round's leader. *)
+and on_share t kind ~round ~signer signature =
+  if
+    (kind = Cert.Timeout || t.me = leader_of t (round + 1))
+    && Keychain.verify t.keychain ~signer (Cert.signing_string kind round) signature
+  then begin
+    let cs = cert_state (round_state t round) kind in
+    let box =
+      match cs.shares with
+      | Some b -> b
+      | None ->
+          let n = Config.n t.config in
+          let b = { signers = Bitset.create n; acc = Keychain.accumulator () } in
+          cs.shares <- Some b;
+          b
+    in
+    if Bitset.add box.signers signer then begin
+      Keychain.accumulate box.acc signature;
+      if Bitset.cardinal box.signers = quorum t && Option.is_none cs.cert then begin
+        let agg = Keychain.to_aggregate box.acc ~signers:(Bitset.copy box.signers) in
+        let c = Cert.of_aggregate kind ~round ~agg in
+        cs.cert <- Some c;
+        match kind with
+        | Cert.Timeout ->
+            Net.broadcast t.net ~src:t.me (Msg.Timeout_cert c);
+            maybe_advance t
+        | Cert.No_vote -> maybe_propose t
+      end
+    end
   end
-
-and on_timeout_share t ~round ~signer ~signature =
-  if Keychain.verify t.keychain ~signer (Cert.signing_string Cert.Timeout round) signature
-  then
-    match add_share t t.timeout_shares t.tcs Cert.Timeout ~round ~signer signature with
-    | Some c ->
-        Hashtbl.replace t.tcs round c;
-        Net.broadcast t.net ~src:t.me (Msg.Timeout_cert c);
-        maybe_advance t
-    | None -> ()
 
 and on_timeout_cert t (c : Cert.t) =
   if
     c.kind = Cert.Timeout
-    && (not (Hashtbl.mem t.tcs c.round))
+    && Option.is_none (round_of t c.round).timeout.cert
     && Cert.verify t.keychain ~quorum:(quorum t) c
   then begin
-    Hashtbl.replace t.tcs c.round c;
+    (round_state t c.round).timeout.cert <- Some c;
     maybe_advance t
   end
-
-and on_no_vote_share t ~round ~signer ~signature =
-  if
-    t.me = leader_of t (round + 1)
-    && Keychain.verify t.keychain ~signer
-         (Cert.signing_string Cert.No_vote round)
-         signature
-  then
-    match add_share t t.no_vote_shares t.nvcs Cert.No_vote ~round ~signer signature with
-    | Some c ->
-        Hashtbl.replace t.nvcs round c;
-        maybe_propose t
-    | None -> ()
 
 let start t =
   t.started <- true;
@@ -1055,11 +1053,14 @@ let snapshot_joined t = t.snapshot_joined
 let note_proposed t ~round =
   if round + 1 > t.min_propose_round then t.min_propose_round <- round + 1
 
+(* A journalled block was stored before the crash: [on_block] does not
+   fire for it again. *)
 let replay_block t (b : Block.t) =
   let slot = (Rbc.get t.rbc ~sender:b.proposer ~round:b.round).ext in
-  if slot.block = None then slot.block <- Some b;
-  if not (Round_rows.mem t.blocks ~round:b.round ~source:b.proposer) then
-    Round_rows.set t.blocks ~round:b.round ~source:b.proposer b
+  if not slot.stored then begin
+    slot.block <- Some b;
+    slot.stored <- true
+  end
 
 let replay_vertex t (v : Vertex.t) =
   if
@@ -1075,9 +1076,6 @@ let replay_vertex t (v : Vertex.t) =
     inst.agreed <- Some v.digest;
     inst.sent_echo <- true;
     inst.sent_cert <- true;
-    Option.iter
-      (fun b -> inst.ext.block <- Some b)
-      (Round_rows.find t.blocks ~round:v.round ~source:v.source);
     register_vote t v;
     try_insert t v
   end
@@ -1093,7 +1091,6 @@ let start_recovery t =
   sync_tick t ~cursor:(t.me + 1) ~cycles:0 ~last_frontier:(-1);
   maybe_advance t
 
-let block_of t ~round ~source = Round_rows.find t.blocks ~round ~source
 let vertex_of t ~round ~source = Store.find t.store ~round ~source
 let rbc_footprint t = Rbc.footprint t.rbc
 
@@ -1102,15 +1099,16 @@ let rbc_footprint t = Rbc.footprint t.rbc
 let heap_roots ts =
   let row name roots = (name, List.concat_map roots ts) in
   [
-    row "consensus.blocks" (fun t -> [ Obj.repr t.blocks ]);
+    row "consensus.blocks" (fun t ->
+        Rbc.fold
+          (fun i acc ->
+            match i.ext with { stored = true; block = Some b; _ } -> Obj.repr b :: acc | _ -> acc)
+          t.rbc []);
     row "dag.store" (fun t -> [ Obj.repr t.store ]);
     row "consensus.rbc" (fun t -> [ Rbc.heap_root t.rbc ]);
     row "consensus.state" (fun t ->
         [
-          Obj.repr t.pending; Obj.repr t.waiters; Obj.repr t.sync_seen_rounds;
-          Obj.repr t.timeout_sent; Obj.repr t.timeout_shares;
-          Obj.repr t.no_vote_shares; Obj.repr t.tcs; Obj.repr t.nvcs;
-          Obj.repr t.leader_votes; Obj.repr t.commit_ready; Obj.repr t.ordered;
+          Obj.repr t.pending; Obj.repr t.waiters; Obj.repr t.rounds; Obj.repr t.ordered;
           Obj.repr t.covered; Obj.repr t.uncovered; Obj.repr t.cert_arrivals;
         ]);
   ]
@@ -1131,7 +1129,8 @@ let rbc_context ~me config =
   {
     Rbc.fresh =
       (fun () ->
-        { vertex = None; block = None; fetching_vertex = false; fetching_block = false });
+        { vertex = None; block = None; stored = false; fetching_vertex = false;
+          fetching_block = false });
     signing =
       (fun ~sender ~round digest -> Msg.echo_signing_string ~round ~source:sender digest);
     in_clan = (fun ~sender i -> Config.in_payload_clan config ~proposer:sender i);
@@ -1185,12 +1184,11 @@ let create ~me ~config ~keychain ~engine ~net ?(params = default_params)
       on_block;
       rbc =
         Rbc.create ~me ~n:(Config.n config) ~f:(Config.f config) ~signed:true
-          ~engine ~net ~keychain ~retry:params.sync_retry
-          ~budget:params.pull_budget ~trace:obsh.o_trace
+          ~engine ~net ~keychain ~retry:sync_retry ~budget:pull_budget ~trace:obsh.o_trace
           ~pull_retries:obsh.o_pull_retries (rbc_context ~me config);
       pending = Hashtbl.create 16;
       waiters = Hashtbl.create 16;
-      blocks = Round_rows.create ~n:(Config.n config);
+      rounds = Hashtbl.create 64;
       round = 0;
       proposed = false;
       started = false;
@@ -1202,20 +1200,11 @@ let create ~me ~config ~keychain ~engine ~net ?(params = default_params)
       min_propose_round = 0;
       snapshot_joined = false;
       recovery_started_at = Time.zero;
-      sync_seen_rounds = Hashtbl.create 64;
       on_deliver;
       on_propose;
-      timeout_sent = Hashtbl.create 8;
-      timeout_shares = Hashtbl.create 8;
-      no_vote_shares = Hashtbl.create 8;
-      tcs = Hashtbl.create 8;
-      nvcs = Hashtbl.create 8;
-      leader_votes = Hashtbl.create 64;
-      commit_ready = Hashtbl.create 64;
       last_committed = -1;
       ordered = Round_rows.create ~n:(Config.n config);
       ordered_total = 0;
-      ordered_hash = 0;
       covered = Round_rows.create ~n:(Config.n config);
       uncovered = Round_rows.create ~n:(Config.n config);
       cert_arrivals = Round_rows.create ~n:(Config.n config);

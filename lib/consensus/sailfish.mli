@@ -41,13 +41,10 @@ open Clanbft_crypto
 type params = {
   round_timeout : Clanbft_sim.Time.span;
       (** timer before a party gives up on a round's leader *)
-  sync_retry : Clanbft_sim.Time.span;
-      (** re-request cadence for missing blocks / vertices *)
-  pull_budget : int;  (** served pulls per (slot, peer): rate limiting *)
   gc_depth : int;  (** rounds kept below the last committed leader *)
-  sync_chunk : int;
-      (** max rounds of vertices streamed per state-sync request *)
 }
+(** Pull pacing is fixed: a 150 ms re-request cadence (state sync backs
+    off from it), 8 served pulls per (slot, peer), 64-round sync chunks. *)
 
 val default_params : params
 
@@ -72,8 +69,9 @@ val create :
     it. [make_block] is the mempool hook, called once per round this node
     proposes a block in. [on_commit] receives each newly committed leader
     and its newly ordered causal history (ascending (round, source)) —
-    the a_deliver stream. [on_block] fires whenever a block this node
-    stores becomes locally available (dissemination or pull).
+    the a_deliver stream. [on_block] fires at most once per slot, when
+    the block of its certified vertex becomes locally available to a
+    clan member (dissemination or pull), never for a replayed one.
 
     [obs] (default {!Clanbft_obs.Obs.disabled}) receives RBC phase
     transitions (VAL accepted / ECHO sent / certificate), vertex
@@ -108,8 +106,9 @@ val halt : t -> unit
     the process dying; pair with [Persist.crash] for its disk. *)
 
 val replay_block : t -> Block.t -> unit
-(** Restore one journalled block (call before the vertices that carry
-    it). Does not re-fire [on_block]. *)
+(** Restore one journalled block into its slot (call before the vertices
+    that carry it). The block counts as stored: [on_block] never fires
+    for the slot again. *)
 
 val replay_vertex : t -> Vertex.t -> unit
 (** Restore one journalled (hence RBC-delivered) vertex: the slot is
@@ -150,16 +149,18 @@ val committed_count : t -> int
 (** Total vertices ordered so far. *)
 
 val block_of : t -> round:int -> source:int -> Block.t option
-(** Locally available blocks (clan members only, in clan modes). *)
+(** The slot's stored block: its certified vertex's, held by payload-clan
+    members once the slot is delivered with it or replayed; [None] before
+    that, for vertex-only slots, outside the clan and below the GC floor. *)
 
 val dag_size : t -> int
 
 val heap_roots : t list -> (string * Obj.t list) list
 (** {!Clanbft_obs.Prof.census} rows for these replicas' consensus layer,
-    in charging order: [consensus.blocks] (the block tables),
+    in charging order: [consensus.blocks] (the stored slots' blocks),
     [dag.store], [consensus.rbc] (the RBC instance tables) and
-    [consensus.state] (pending vertices, waiters, vote and share
-    tables). Each row holds every replica's roots; no root reaches a
+    [consensus.state] (pending vertices, waiters, the per-round vote,
+    share and certificate table). Each row holds every replica's roots; no root reaches a
     closure, the engine or the network. See docs/PROFILING.md. *)
 
 (** Low-level hooks for fault-injection tests: a Byzantine "node" is built

@@ -153,12 +153,14 @@ let get c ~sender ~round =
 
 let tbl_length = function None -> 0 | Some t -> Digest32.Tbl.length t
 
+let fold f c acc = Round_rows.fold f c.instances acc
+
 let footprint c =
-  Round_rows.fold
+  fold
     (fun i (insts, digests) ->
       let first = if i.first_votes == no_votes then 0 else 1 in
       (insts + 1, digests + first + tbl_length i.more_echoes + tbl_length i.readies))
-    c.instances (0, 0)
+    c (0, 0)
 
 let heap_root c = Obj.repr c.instances
 let prune_below c ~round = Round_rows.drop_below c.instances round

@@ -105,6 +105,9 @@ val get : ('e, 'm) t -> sender:int -> round:int -> 'e inst
     certified reference, a replayed journal. Raises [Invalid_argument]
     for a sender outside the committee. *)
 
+val fold : ('e inst -> 'acc -> 'acc) -> ('e, 'm) t -> 'acc -> 'acc
+(** Every instance, in unspecified order. *)
+
 val footprint : ('e, 'm) t -> int * int
 (** (instances, digest vote records). *)
 

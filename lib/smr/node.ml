@@ -37,6 +37,8 @@ let rec drain t =
       else if Config.in_payload_clan t.config ~proposer:v.source t.me then begin
         match Sailfish.block_of (consensus t) ~round:v.round ~source:v.source with
         | Some block ->
+            (* Consensus stores only the certified vertex's block. *)
+            assert (Digest32.equal (Block.digest block) v.block_digest);
             ignore (Queue.pop t.exec_queue);
             Execution.apply_block t.execution block;
             (match t.on_txn_executed with

@@ -184,9 +184,7 @@ let test_byzantine_partial_block_dissemination () =
      the rest of the clan must pull it and still execute/commit. *)
   let clan = [| 0; 2; 4; 6 |] in
   (* gc_depth large enough that round 0 survives the whole run *)
-  let params =
-    { Sailfish.default_params with round_timeout = Time.ms 200.; gc_depth = 1_000_000 }
-  in
+  let params = { Sailfish.round_timeout = Time.ms 200.; gc_depth = 1_000_000 } in
   let w = make_world ~byzantine:[ 0 ] ~params (Config.Single_clan clan) in
   let vertex, block, signature = forge_proposal w ~first_id:2000 ~count:3 in
   start w;
@@ -204,6 +202,33 @@ let test_byzantine_partial_block_dissemination () =
       Alcotest.(check bool) "pulled block matches digest" true
         (Digest32.equal (Block.digest b) (Block.digest block))
   | None -> Alcotest.fail "clan member 6 never obtained the Byzantine proposer's block"
+
+let test_unsolicited_block_reply () =
+  (* Byzantine node 0 shows node 1 a round-0 vertex A without its block and
+     then, unasked, A's block in a Block_reply; nodes 2-6 get a conflicting
+     vertex B with its block, and B certifies. Node 1 must drop A's block
+     with A, fetch B, and store and execute B's block like everyone else. *)
+  let params = { Sailfish.round_timeout = Time.ms 200.; gc_depth = 1_000_000 } in
+  let w = make_world ~byzantine:[ 0 ] ~params Config.Full in
+  let va, ba, sa = forge_proposal w ~first_id:3000 ~count:3 in
+  let vb, bb, sb = forge_proposal w ~first_id:4000 ~count:3 in
+  start w;
+  Net.send w.net ~src:0 ~dst:1 (Msg.Val { vertex = va; block = None; signature = sa });
+  Net.send w.net ~src:0 ~dst:1 (Msg.Block_reply { block = ba });
+  for dst = 2 to 6 do
+    Net.send w.net ~src:0 ~dst (Msg.Val { vertex = vb; block = Some bb; signature = sb })
+  done;
+  Engine.run ~until:(Time.s 3.) w.engine;
+  ignore (check_prefix_agreement w);
+  let hex = Digest32.to_hex and n1 = node w 1 in
+  Alcotest.(check (option string))
+    "B certified" (Some (hex vb.Vertex.digest))
+    (Option.map (fun (v : Vertex.t) -> hex v.digest) (Sailfish.vertex_of n1 ~round:0 ~source:0));
+  Alcotest.(check (option string))
+    "node 1 stores the certified vertex's block" (Some (hex vb.block_digest))
+    (Option.map (fun b -> hex (Block.digest b)) (Sailfish.block_of n1 ~round:0 ~source:0));
+  let state i = hex (Execution.state_digest (Node.execution (Smr_world.node w i))) in
+  Alcotest.(check string) "node 1 executes what node 2 does" (state 2) (state 1)
 
 let test_ancient_round_traffic_ignored () =
   (* After garbage collection, replayed messages for pruned rounds must be
@@ -598,6 +623,7 @@ let suites =
         Alcotest.test_case "partial synchrony recovery" `Slow test_partial_synchrony_recovery;
         Alcotest.test_case "Byzantine partial block dissemination" `Slow
           test_byzantine_partial_block_dissemination;
+        Alcotest.test_case "unsolicited block reply ignored" `Slow test_unsolicited_block_reply;
         Alcotest.test_case "ancient-round replay ignored" `Slow
           test_ancient_round_traffic_ignored;
         Alcotest.test_case "forged traffic allocates nothing" `Quick

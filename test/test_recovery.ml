@@ -238,11 +238,19 @@ let recovery_spec =
 
 (* The WAL stores values and charges their wire size: check that every
    record the restarted replica replays still round-trips through the
-   codec at exactly the bytes it was charged. *)
+   codec at exactly the bytes it was charged, and that no slot's block is
+   journalled twice. *)
 let audit_wal ~n p =
   let records = ref 0 in
+  let blocks = Hashtbl.create 64 in
   Persist.wal_iter p (fun ~size record ->
       incr records;
+      (match record with
+      | Persist.Block b ->
+          if Hashtbl.mem blocks (b.round, b.proposer) then
+            Alcotest.failf "block (%d, %d) journalled twice" b.round b.proposer;
+          Hashtbl.add blocks (b.round, b.proposer) ()
+      | Persist.Vertex _ | Persist.Proposed _ -> ());
       let encoded =
         match record with
         | Persist.Vertex v ->
@@ -295,6 +303,48 @@ let test_recovery_flagship () =
   Alcotest.(check bool)
     (Printf.sprintf "state sync fetched rounds (%d)" fetched)
     true (fetched > 0)
+
+let test_recovery_replayed_blocks () =
+  (* Every round is kept, so the restarted replica's round-0 slots are the
+     ones it replayed from its journal: each holds the block its vertex
+     names, and so does every committed slot it holds a block for. *)
+  let n = 7 in
+  let engine = Engine.create () in
+  let next = ref 0 in
+  let w =
+    Smr_world.create ~engine ~topology:(Topology.uniform ~n ~one_way_ms:10.)
+      ~net:{ Net.default_config with jitter = 0.0 } ~seed:5L
+      ~params:{ Sailfish.round_timeout = Time.ms 200.; gc_depth = 1_000_000 }
+      ~restarts:[ { Faults.node = 3; crash_at = Time.s 1.; recover_at = Time.s 2. } ]
+      ~generate:(fun me ~round:_ ->
+        Array.init 5 (fun _ ->
+            incr next;
+            Transaction.make ~id:!next ~client:me ~created_at:(Engine.now engine) ~size:256 ()))
+      (Config.make ~n Config.Full)
+  in
+  Smr_world.start w;
+  Engine.run ~until:(Time.s 4.) engine;
+  audit_wal ~n w.persist.(3);
+  let c = Node.consensus (Smr_world.node w 3) in
+  let stored ~round ~source =
+    match (Sailfish.vertex_of c ~round ~source, Sailfish.block_of c ~round ~source) with
+    | Some v, Some b ->
+        if not (Digest32.equal (Block.digest b) v.block_digest) then
+          Alcotest.failf "slot (%d, %d) stores a block its vertex does not name" round source;
+        true
+    | _ -> false
+  in
+  for source = 0 to n - 1 do
+    if not (stored ~round:0 ~source) then
+      Alcotest.failf "replayed slot (0, %d) lost its block" source
+  done;
+  let committed =
+    Array.fold_left
+      (fun acc (round, source) -> if stored ~round ~source then acc + 1 else acc)
+      0 (Smr_world.Ledger.sequence w.ledger 3)
+  in
+  Alcotest.(check bool) (Printf.sprintf "committed slots with blocks (%d)" committed) true
+    (committed > 100)
 
 let test_recovery_deterministic () =
   let a = Runner.run recovery_spec and b = Runner.run recovery_spec in
@@ -461,6 +511,8 @@ let suites =
       [
         Alcotest.test_case "crash and recover" `Slow test_recovery_flagship;
         Alcotest.test_case "deterministic" `Slow test_recovery_deterministic;
+        Alcotest.test_case "replayed blocks match their vertices" `Slow
+          test_recovery_replayed_blocks;
         Alcotest.test_case "prefix vs benign run" `Slow test_recovery_prefix_vs_benign;
         Alcotest.test_case "snapshot join past GC" `Slow test_recovery_snapshot_join;
         Alcotest.test_case "restart during partition" `Slow test_recovery_during_partition;
