@@ -498,7 +498,7 @@ let faults () =
      drops every ECHO addressed to one stiffed clan member — that member
      agrees on the digest via READYs/certificate with an empty echo table,
      the regression that used to stall its pull path forever. *)
-  let rbc_scenario protocol behaviour plan_specs =
+  let rbc_scenario protocol kind plan_specs =
     let plan =
       match Faults.plan_of_specs ~rules:plan_specs () with
       | Ok p -> p
@@ -506,14 +506,14 @@ let faults () =
     in
     let w =
       Rbc_world.create ~topology:(Topology.gcp_table1 ~n) ~config:Net.default_config
-        ~seed:911L ~clan ~byzantine:[ 0 ] ~plan protocol
+        ~seed:911L ~clan ~adversaries:[ { Strategy.node = 0; kind } ] ~plan protocol
     in
-    Adversary.run ~sender:0 ~n ~clan ~protocol ~net:w.net ~round:1 behaviour;
+    Rbc_world.broadcast w ~sender:0 ~round:1 value;
     Engine.run ~until:(Time.s 30.) w.engine;
     let s = Rbc_world.summary w in
     Printf.printf "  %-16s %-22s %3d full %3d digest %5.0f ms%s\n"
       (Rbc.protocol_name protocol)
-      (Adversary.behaviour_name behaviour)
+      (Strategy.kind_name kind)
       s.values s.digests (Time.to_ms s.last)
       (match w.injector with
       | None -> ""
@@ -524,16 +524,11 @@ let faults () =
     n nc fc;
   List.iter
     (fun protocol ->
-      rbc_scenario protocol
-        (Adversary.Withhold { value; reveal = fc + 1 })
+      rbc_scenario protocol Strategy.Withhold
         [ Printf.sprintf "drop:kind=echo:dst=%d" clan.(nc - 1) ])
     Rbc.[ Tribe_bracha; Tribe_signed ];
   List.iter
-    (fun protocol ->
-      rbc_scenario protocol
-        (Adversary.Equivocate_biased
-           { value; decoy = String.make 100_000 'y'; decoys = 1 })
-        [])
+    (fun protocol -> rbc_scenario protocol Strategy.Equivocate [])
     Rbc.[ Bracha; Signed_two_round; Tribe_bracha; Tribe_signed ];
   (* Full-protocol run under a pre-GST partition plus lossy links: agreement
      must hold and the system must still commit after the partition heals. *)

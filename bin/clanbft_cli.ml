@@ -89,11 +89,16 @@ let adversaries_flag =
   let advs =
     Arg.(value & opt_all string []
          & info [ "adversary" ]
-             ~doc:"Strategic adversary occupying a node for the whole run, \
-                   $(b,NODE@STRATEGY[:ARG]): $(b,3@equivocate), \
-                   $(b,3@censor:5) (censor node 5), $(b,3@grief:0.8) \
-                   (proposals ride at 0.8 x round_timeout), $(b,3@storm:32) \
-                   (sync-request amplification) or $(b,3@reorder:2ms). \
+             ~doc:"Byzantine party occupying a node, $(b,NODE@KIND[:ARG]). \
+                   Sailfish runs: $(b,3@censor:5) (censor node 5), \
+                   $(b,3@grief:0.8) (proposals ride at 0.8 x \
+                   round_timeout), $(b,3@storm:32) (sync-request \
+                   amplification) or $(b,3@reorder:2ms). RBC runs, where \
+                   node 0 is the sender: $(b,0@silent), $(b,0@split) \
+                   (round-robin value and decoy, votes for both), \
+                   $(b,0@withhold) (value to f_c+1 clan members only) or \
+                   $(b,1@collude) (a second voter for a split sender). \
+                   Both: $(b,3@equivocate) (decoy to the first recipients). \
                    Repeatable; see docs/ATTACKS.md.")
   in
   Term.(
@@ -325,7 +330,7 @@ let clan_size_cmd =
 (* rbc *)
 
 let rbc_cmd =
-  let run n nc protocol bytes adversary reveal decoys seed duration fault_plan =
+  let run n nc protocol bytes adversaries seed duration fault_plan =
     let protocol =
       match String.lowercase_ascii protocol with
       | "bracha" -> Rbc.Bracha
@@ -335,44 +340,32 @@ let rbc_cmd =
       | _ ->
           fail2 "protocol: bracha | signed | tribe-bracha | tribe-signed"
     in
-    let value = String.make bytes 'x' in
-    let behaviour =
-      (* Default reveal is f_c + 1: the smallest clan exposure that still
-         lets the echo quorum form, forcing the rest of the clan to pull. *)
-      let reveal = match reveal with Some r -> r | None -> (nc + 1) / 2 in
-      let decoy = String.make bytes 'y' in
-      match String.lowercase_ascii adversary with
-      | "none" -> None
-      | "silent" -> Some Adversary.Silent
-      | "equivocate" -> Some (Adversary.Equivocate { values = [ value; decoy ] })
-      | "equivocate-biased" ->
-          Some (Adversary.Equivocate_biased { value; decoy; decoys })
-      | "withhold" -> Some (Adversary.Withhold { value; reveal })
-      | _ ->
-          fail2 "adversary: none | silent | equivocate | equivocate-biased | withhold"
+    let adversaries =
+      checked "rbc"
+        (fun advs ->
+          if n < 1 then Error "n must be positive"
+          else if nc < 1 || nc > n then
+            Error (Printf.sprintf "clan size %d is not in 1..%d" nc n)
+          else if bytes < 1 then Error "bytes must be positive"
+          else Strategy.validate ~n ~wire:`Rbc advs)
+        adversaries
     in
-    let clan = Committee.elect_balanced ~n ~nc in
     let w =
-      (* The Byzantine sender runs no honest instance. *)
       Rbc_world.create ~topology:(Topology.gcp_table1 ~n) ~config:Net.default_config
-        ~seed:(Int64.of_int seed) ~clan
-        ~byzantine:(if behaviour = None then [] else [ 0 ])
+        ~seed:(Int64.of_int seed) ~clan:(Committee.elect_balanced ~n ~nc) ~adversaries
         ~plan:fault_plan protocol
     in
-    (match behaviour with
-    | None -> Rbc.broadcast (Rbc_world.node w 0) ~round:1 value
-    | Some b -> Adversary.run ~sender:0 ~n ~clan ~protocol ~net:w.net ~round:1 b);
+    Rbc_world.broadcast w ~sender:0 ~round:1 (String.make bytes 'x');
     (* Adversarial scenarios can legitimately never deliver (e.g. a silent
        or cleanly equivocating sender), so bound the run. *)
-    if behaviour = None && w.injector = None then Engine.run w.engine
+    if adversaries = [] && w.injector = None then Engine.run w.engine
     else Engine.run ~until:(Time.s duration) w.engine;
     let s = Rbc_world.summary w in
     let delivered = s.values + s.digests in
-    (match behaviour with
-    | None -> ()
-    | Some b ->
-        Printf.printf "adversary: %s (sender 0, seed %d)\n"
-          (Adversary.behaviour_name b) seed);
+    if adversaries <> [] then
+      Printf.printf "adversary: %s (seed %d)\n"
+        (String.concat " " (List.map Strategy.to_string adversaries))
+        seed;
     Printf.printf
       "%s: %d/%d honest nodes delivered (%d full values, %d digests, %d stalled)\n"
       (Rbc.protocol_name protocol)
@@ -397,23 +390,6 @@ let rbc_cmd =
     Arg.(value & opt string "tribe-signed" & info [ "p"; "protocol" ] ~doc:"RBC variant.")
   in
   let bytes = Arg.(value & opt int 1_000_000 & info [ "bytes" ] ~doc:"Value size.") in
-  let adversary =
-    Arg.(value & opt string "none"
-         & info [ "adversary" ]
-             ~doc:"Byzantine sender behaviour: $(b,none) | $(b,silent) | \
-                   $(b,equivocate) | $(b,equivocate-biased) | $(b,withhold).")
-  in
-  let reveal =
-    Arg.(value & opt (some int) None
-         & info [ "reveal" ]
-             ~doc:"Clan members the withholding sender sends the full value \
-                   to (default: exactly f_c+1).")
-  in
-  let decoys =
-    Arg.(value & opt int 1
-         & info [ "decoys" ]
-             ~doc:"Recipients fed the decoy value by equivocate-biased.")
-  in
   let seed = Arg.(value & opt int 77 & info [ "seed" ] ~doc:"Random seed.") in
   let dur =
     Arg.(value & opt float 60.0
@@ -424,8 +400,8 @@ let rbc_cmd =
        ~doc:"Run one reliable-broadcast instance (optionally under a \
              Byzantine sender and injected network faults) and report cost")
     Term.(
-      const run $ n $ nc $ protocol $ bytes $ adversary $ reveal $ decoys $ seed
-      $ dur $ fault_flags)
+      const run $ n $ nc $ protocol $ bytes $ adversaries_flag $ seed $ dur
+      $ fault_flags)
 
 (* ------------------------------------------------------------------ *)
 (* sweep *)
@@ -626,11 +602,6 @@ let check_cmd =
       let model =
         match H.model_of_string model with Ok m -> m | Error e -> fail2 "%s" e
       in
-      let adversary =
-        match H.adversary_of_string (String.lowercase_ascii adversary) with
-        | Ok a -> a
-        | Error e -> fail2 "bad adversary: %s" e
-      in
       { H.model; n; rounds; adversary; late_join; crashes; sparse_k }
     in
     let validated = checked "check" H.validate in
@@ -738,15 +709,6 @@ let check_cmd =
   let rounds =
     Arg.(value & opt int 2 & info [ "rounds" ] ~doc:"Broadcast instances.")
   in
-  let adversary =
-    Arg.(value & opt string "none"
-         & info [ "adversary" ]
-             ~doc:"$(b,none) | $(b,equivocate) (1 fault, must stay safe) | \
-                   $(b,collude) (2 faults vs f=1, must be caught) (RBC \
-                   model), or one $(b,sim --adversary) strategy \
-                   $(b,NODE@STRATEGY[:ARG]) such as $(b,0@grief:0.9), \
-                   $(b,0@censor:1) or $(b,0@reorder:2ms) (Sailfish model).")
-  in
   let late_join =
     Arg.(value & flag
          & info [ "late-join" ]
@@ -818,7 +780,7 @@ let check_cmd =
              no-equivocation invariants; counterexamples are minimized and \
              replayable (docs/CHECKING.md)")
     Term.(
-      const run $ model $ protocol $ n $ rounds $ adversary $ late_join
+      const run $ model $ protocol $ n $ rounds $ adversaries_flag $ late_join
       $ crashes $ check_sparse_k $ exhaustive $ delay_budget $ window
       $ max_actions $ no_dpor $ walks $ steps $ seed $ replay $ schedule_out
       $ trace_out)

@@ -90,25 +90,31 @@ fi
 echo "n=50 committed $n50_txns txns within budget"
 rm -rf "$smoke_dir"
 
-echo "== check: exhaustive schedule exploration (n=4, 2 rounds, both TA-RBC families) =="
+echo "== check: exhaustive schedule exploration (both TA-RBC families: honest, split and withholding senders) =="
 # Bounded model checking (docs/CHECKING.md): every delivery reordering
 # within the delay budget must keep agreement/validity/no-equivocation/
-# totality. Wall cap is a hard gate — the checker regressing past it
+# totality. Honest and split (equivocating, f = 1) senders run at n=4 over
+# 2 rounds; the withholding sender at n=7, where clan member 3 is stiffed
+# and must pull. On a 2-vCPU host the slowest case (split, tribe-bracha)
+# takes ~10 s. Wall cap is a hard gate — the checker regressing past it
 # means the stateless-replay fast path broke.
 smoke_dir=$(mktemp -d)
 for fam in tribe-bracha tribe-signed; do
-  if ! timeout 60 dune exec bin/clanbft_cli.exe -- check -p "$fam" -n 4 \
-    --rounds 2 --exhaustive >"$smoke_dir/$fam" 2>/dev/null; then
-    echo "exhaustive check ($fam) failed or exceeded its 60 s wall cap"
-    cat "$smoke_dir/$fam" 2>/dev/null || true
-    exit 1
-  fi
-  grep -q "verdict: ok" "$smoke_dir/$fam" || {
-    echo "exhaustive check ($fam) reported a violation"
-    cat "$smoke_dir/$fam"
-    exit 1
-  }
-  sed -n 's/^check: /  '"$fam"': /p' "$smoke_dir/$fam"
+  for args in "-n 4 --rounds 2" "-n 4 --rounds 2 --adversary 0@split" \
+    "-n 7 --rounds 1 --adversary 0@withhold"; do
+    if ! timeout 60 dune exec bin/clanbft_cli.exe -- check -p "$fam" $args \
+      --exhaustive >"$smoke_dir/$fam" 2>/dev/null; then
+      echo "exhaustive check ($fam $args) failed or exceeded its 60 s wall cap"
+      cat "$smoke_dir/$fam" 2>/dev/null || true
+      exit 1
+    fi
+    grep -q "verdict: ok" "$smoke_dir/$fam" || {
+      echo "exhaustive check ($fam $args) reported a violation"
+      cat "$smoke_dir/$fam"
+      exit 1
+    }
+    sed -n 's/^check: /  '"$fam $args"': /p' "$smoke_dir/$fam"
+  done
 done
 
 echo "== check: fixed-seed random walks (10k sailfish walks) =="

@@ -4,20 +4,18 @@ module Obs = Clanbft_obs.Obs
 module Rbc = Clanbft_rbc.Rbc
 module Config = Clanbft_types.Config
 module Vertex = Clanbft_types.Vertex
-module Adversary = Clanbft_faults.Adversary
 module Strategy = Clanbft_faults.Strategy
 module Rbc_world = Clanbft_faults.Rbc_world
 module Smr_world = Clanbft_smr.Smr_world
 
 type violation = { invariant : string; detail : string }
-type adversary = No_adversary | Equivocate | Collude | Strategy of Strategy.spec
 type model = Rbc of Rbc.protocol | Sailfish
 
 type spec = {
   model : model;
   n : int;
   rounds : int;
-  adversary : adversary;
+  adversary : Strategy.spec list;
   late_join : bool;
   crashes : int;
   sparse_k : int option;
@@ -28,7 +26,7 @@ let default_spec =
     model = Rbc Rbc.Tribe_bracha;
     n = 4;
     rounds = 2;
-    adversary = No_adversary;
+    adversary = [];
     late_join = false;
     crashes = 0;
     sparse_k = None;
@@ -49,30 +47,14 @@ let model_of_string = function
   | "sailfish" -> Ok Sailfish
   | s -> Error ("unknown model: " ^ s)
 
-let adversary_to_string = function
-  | No_adversary -> "none"
-  | Equivocate -> "equivocate"
-  | Collude -> "collude"
-  | Strategy x -> Strategy.to_string x
-
-let adversary_of_string = function
-  | "none" -> Ok No_adversary
-  | "equivocate" -> Ok Equivocate
-  | "collude" -> Ok Collude
-  | s when String.contains s '@' ->
-      Result.map (fun x -> Strategy x) (Strategy.of_string s)
-  | s ->
-      Error (Printf.sprintf "expected none | equivocate | collude | NODE@STRATEGY[:ARG], got %S" s)
-
 let spec_meta s =
   [
     ("model", model_to_string s.model);
     ("n", string_of_int s.n);
     ("rounds", string_of_int s.rounds);
-    ("adversary", adversary_to_string s.adversary);
-    ("late_join", string_of_bool s.late_join);
-    ("crashes", string_of_int s.crashes);
   ]
+  @ List.map (fun a -> ("adversary", Strategy.to_string a)) s.adversary
+  @ [ ("late_join", string_of_bool s.late_join); ("crashes", string_of_int s.crashes) ]
   @ match s.sparse_k with
     | None -> []
     | Some k -> [ ("sparse_k", string_of_int k) ]
@@ -93,8 +75,8 @@ let spec_of_meta meta =
           | "rounds" -> int_field "rounds" v (fun rounds -> { s with rounds })
           | "adversary" ->
               Result.map
-                (fun adversary -> { s with adversary })
-                (adversary_of_string v)
+                (fun a -> { s with adversary = s.adversary @ [ a ] })
+                (Strategy.of_string v)
           | "late_join" -> (
               match bool_of_string_opt v with
               | Some late_join -> Ok { s with late_join }
@@ -138,16 +120,6 @@ let byzantine w = w.byz
 (* FNV-style fold used by the [state_line] fingerprints. *)
 let mix h x = ((h lxor x) * 0x100000001b3) land max_int
 
-let byz_of = function
-  | No_adversary -> []
-  | Equivocate -> [ 0 ]
-  | Collude -> [ 0; 1 ]
-  (* A strategy node runs the full honest stack, so it is subject to every
-     honest invariant and is no scheduling no-op: no Byzantine slot. *)
-  | Strategy _ -> []
-
-let strategies s = match s.adversary with Strategy x -> [ x ] | _ -> []
-
 (* ------------------------------------------------------------------ *)
 (* RBC worlds *)
 
@@ -168,7 +140,7 @@ let deploy ~trace =
 
 let build_rbc ~trace s protocol =
   let n = s.n in
-  let byz = byz_of s.adversary in
+  let byz = List.map (fun (a : Strategy.spec) -> a.node) s.adversary in
   let engine, obs, violation_ref, set_violation = deploy ~trace in
   let clan =
     if Rbc.is_tribe protocol then
@@ -180,7 +152,7 @@ let build_rbc ~trace s protocol =
   (* agreement / validity, observed at the delivery hook *)
   let first : (int * int, int * Digest32.t) Hashtbl.t = Hashtbl.create 16 in
   let state_hash = ref 0 in
-  let honest_sender = s.adversary = No_adversary in
+  let honest_sender = not (List.mem 0 byz) in
   let on_deliver me ~sender ~round outcome =
     let d =
       match outcome with
@@ -208,9 +180,9 @@ let build_rbc ~trace s protocol =
   in
   let world =
     Rbc_world.create ~engine ?obs ~topology:(topology n) ~config:net_config ~seed:1L
-      ?clan ~byzantine:byz ~on_deliver protocol
+      ?clan ~adversaries:s.adversary ~on_deliver protocol
   in
-  let net = world.net and nodes = world.nodes in
+  let net = world.net in
   (* honest echo/ready no-equivocation, observed from the wire *)
   let votes : (string * int * int * int, Digest32.t) Hashtbl.t =
     Hashtbl.create 64
@@ -235,43 +207,12 @@ let build_rbc ~trace s protocol =
           tap "ready" ~signer ~sender ~round digest
       | _ -> ());
       true);
-  (* initial traffic: honest broadcasts, or the adversary's split *)
-  if honest_sender then
-    for r = 1 to s.rounds do
-      Rbc.broadcast (Option.get nodes.(0)) ~round:r (Printf.sprintf "val-%d" r)
-    done
-  else begin
-    for r = 1 to s.rounds do
-      let va = Printf.sprintf "A-%d" r and vb = Printf.sprintf "B-%d" r in
-      let da = Digest32.hash_string va in
-      (* The equivocating VAL split deals A, B, A, ... over ids 1..n-1, so
-         recipient [dst] is fed A iff [(dst - 1) mod 2 = 0]. *)
-      Adversary.run ~sender:0 ~n ?clan ~protocol ~net ~round:r
-        (Adversary.Equivocate { values = [ va; vb ] });
-      (* Every Byzantine signer votes for both digests. Under [Collude]
-         the votes are targeted: each honest node only sees the votes for
-         the value it was fed, so each half's quorum completes on its own
-         digest (broadcasting both sets is actually safe — whichever digest
-         first reaches an echo quorum at a node absorbs its single READY /
-         certificate, on every ordering). *)
-      let vote_dsts d =
-        List.filter
-          (fun dst ->
-            s.adversary <> Collude
-            || (not (List.mem dst byz))
-               && ((dst - 1) mod 2 = 0) = Digest32.equal d da)
-          (List.init n Fun.id)
-      in
-      List.iter
-        (fun signer ->
-          List.iter
-            (fun d ->
-              Adversary.vote ~keychain:world.keychain ~protocol ~net ~signer ~sender:0
-                ~round:r ~dsts:(vote_dsts d) d)
-            [ da; Digest32.hash_string vb ])
-        byz
-    done
-  end;
+  (* Initial traffic: node 0 opens every instance. An occupied sender's
+     value reads A-r, so a decoy it deals reads B-r. *)
+  for r = 1 to s.rounds do
+    Rbc_world.broadcast world ~sender:0 ~round:r
+      (if honest_sender then Printf.sprintf "val-%d" r else Printf.sprintf "A-%d" r)
+  done;
   let quiesce_hook () =
     if !joining then begin
       joining := false;
@@ -280,12 +221,12 @@ let build_rbc ~trace s protocol =
         (fun (c : Engine.choice) ->
           if c.dst = j then Engine.drop_choice engine c.id)
         (Engine.choices engine);
-      (match nodes.(j) with
-      | Some node ->
+      (match world.nodes.(j) with
+      | Rbc_world.Honest node ->
           for r = 1 to s.rounds do
             Rbc.request_sync node ~sender:0 ~round:r
           done
-      | None -> ());
+      | Rbc_world.Byzantine _ -> ());
       true
     end
     else false
@@ -298,7 +239,7 @@ let build_rbc ~trace s protocol =
     let viol = ref None in
     for r = 1 to s.rounds do
       if !viol = None then begin
-        let status i = Rbc.delivered (Option.get nodes.(i)) ~sender:0 ~round:r in
+        let status i = Rbc.delivered (Rbc_world.node world i) ~sender:0 ~round:r in
         let live_ids = List.filter live (List.init n Fun.id) in
         match List.find_opt (fun i -> status i <> None) live_ids with
         | None -> ()
@@ -306,7 +247,7 @@ let build_rbc ~trace s protocol =
             List.iter
               (fun i ->
                 if !viol = None && status i = None then begin
-                  let node = Option.get nodes.(i) in
+                  let node = Rbc_world.node world i in
                   let shape =
                     match Rbc.agreed node ~sender:0 ~round:r with
                     | Some _ when not (Rbc.pulling node ~sender:0 ~round:r) ->
@@ -381,13 +322,13 @@ let build_sailfish ~trace s =
             (Printf.sprintf "slot (%d,%d): node %d accepted a second vertex digest"
                v.round v.source me)
   in
-  (* The same deployment [Runner.run] builds, every replica compared. A
-     strategy adversary is installed exactly as the runner installs it:
+  (* The same deployment [Runner.run] builds, every replica compared.
+     Strategy adversaries are installed exactly as the runner installs them:
      its held or crafted copies become calendar events and pooled
      deliveries the explorer schedules like any other. *)
   let world =
     Smr_world.create ~engine ?obs ~topology:(topology n) ~net:net_config ~seed:1L
-      ~adversaries:(strategies s) ~on_commit ~on_deliver
+      ~adversaries:s.adversary ~on_commit ~on_deliver
       (Config.make ~n ~edge_policy Config.Full)
   in
   Smr_world.start world;
@@ -440,15 +381,12 @@ let validate s =
     else if s.late_join && sailfish then Some "late_join is an RBC-only scenario"
     else if Option.fold ~none:false ~some:(fun k -> k < 1 || not sailfish) s.sparse_k
     then Some "sparse_k needs the Sailfish model and k >= 1"
-    else if sailfish && (s.adversary = Equivocate || s.adversary = Collude) then
-      Some (adversary_to_string s.adversary ^ " needs an RBC model")
-    else if strategies s <> [] && not sailfish then
-      Some "strategy adversaries need the Sailfish model"
     else None
   in
   match problem with
   | Some e -> Error ("Harness: " ^ e)
-  | None -> Strategy.validate ~n:s.n (strategies s)
+  | None ->
+      Strategy.validate ~n:s.n ~wire:(if sailfish then `Sailfish else `Rbc) s.adversary
 
 let build ?(trace = false) s =
   Result.iter_error invalid_arg (validate s);

@@ -54,27 +54,6 @@ type violation = { invariant : string; detail : string }
     ([agreement], [validity], [equivocation], [prefix], [totality]);
     [detail] is the human-readable evidence. *)
 
-type adversary = No_adversary | Equivocate | Collude | Strategy of Clanbft_faults.Strategy.spec
-(** Byzantine load. The checker crafts none itself: RBC worlds drive
-    {!Clanbft_faults.Adversary}, Sailfish worlds install one
-    {!Clanbft_faults.Strategy} spec exactly as [Runner.run] does.
-
-    - [Equivocate]: the sender (node 0) deals values A and B round-robin
-      over ids 1..n-1 and votes for both digests. One fault against
-      [f = 1]: every explored schedule must stay safe. (RBC models.)
-    - [Collude]: [Equivocate] plus a second Byzantine voter (node 1);
-      each digest's votes go only to the honest nodes fed it. Two faults
-      against [f = 1]: the checker must find the agreement break — the
-      CI self-test. (RBC models.)
-    - [Strategy spec], e.g. [0@grief:0.9], [0@censor:1], [0@reorder:2ms]:
-      the node keeps the full honest stack, so it stays under every
-      honest invariant and takes no Byzantine slot. [equivocate] and
-      [storm] are inert here: blocks are empty and nobody recovers.
-      (Sailfish model.) *)
-
-val adversary_of_string : string -> (adversary, string) result
-(** ["none"], ["equivocate"], ["collude"] or a [sim --adversary] spec. *)
-
 type model = Rbc of Clanbft_rbc.Rbc.protocol | Sailfish
 
 val model_to_string : model -> string
@@ -85,7 +64,18 @@ type spec = {
   model : model;
   n : int;  (** tribe size (default 4, the smallest n = 3f+1 with f = 1) *)
   rounds : int;  (** RBC instances to broadcast / Sailfish round horizon *)
-  adversary : adversary;
+  adversary : Clanbft_faults.Strategy.spec list;
+      (** Byzantine load, in the [sim --adversary] vocabulary. The checker
+          crafts none itself. RBC worlds hand the specs to
+          {!Clanbft_faults.Rbc_world}: node 0 opens every instance, so
+          [0@split] is the f = 1 equivocating sender every schedule must
+          survive, and [0@split] with [1@collude] is two faults against
+          f = 1, the agreement break the checker must find (its CI
+          self-test). Sailfish worlds install the specs exactly as
+          [Runner.run] does: a strategy node keeps the full honest stack,
+          so it stays under every honest invariant and takes no Byzantine
+          slot; [equivocate] and [storm] are inert there (blocks are empty
+          and nobody recovers). *)
   late_join : bool;
       (** hold node n-1 out of the run; at first quiescence it loses its
           queued traffic and rejoins via {!Clanbft_rbc.Rbc.request_sync},
@@ -105,7 +95,8 @@ val default_spec : spec
     no crashes, dense edges. *)
 
 val spec_meta : spec -> (string * string) list
-(** Serialize a spec as schedule-file metadata ({!Schedule.save}). *)
+(** Serialize a spec as schedule-file metadata ({!Schedule.save}): one
+    [adversary] entry per spec, in order. *)
 
 val spec_of_meta : (string * string) list -> (spec, string) result
 (** Rebuild a spec from schedule-file metadata; unknown keys are ignored,
@@ -114,8 +105,8 @@ val spec_of_meta : (string * string) list -> (spec, string) result
 
 val validate : spec -> (unit, string) result
 (** The first reason {!build} would refuse the spec: bad n, rounds,
-    crash budget or [sparse_k], an option or adversary of the other
-    model, or a {!Clanbft_faults.Strategy.validate} error. *)
+    crash budget or [sparse_k], an option of the other model, or a
+    {!Clanbft_faults.Strategy.validate} error on the model's wire. *)
 
 type world
 
@@ -153,8 +144,9 @@ val crash_paused : world -> int list
     through [Recover]). Ascending order. *)
 
 val byzantine : world -> int list
-(** Byzantine node ids of this world's adversary (never crash targets;
-    their inbound traffic is discarded eagerly). *)
+(** The ids an RBC world's adversary specs occupy (never crash targets;
+    their inbound traffic is discarded eagerly). Empty in Sailfish worlds,
+    whose strategy nodes keep the honest stack. *)
 
 val crashes_left : world -> int
 (** Remaining crash/recover action budget. *)

@@ -73,7 +73,6 @@ module Rbc = Clanbft_rbc.Rbc
 (** {1 Byzantine fault injection} *)
 
 module Faults = Clanbft_faults.Faults
-module Adversary = Clanbft_faults.Adversary
 module Strategy = Clanbft_faults.Strategy
 module Rbc_world = Clanbft_faults.Rbc_world
 

@@ -12,6 +12,10 @@ type kind =
   | Grief of float
   | Sync_storm of int
   | Reorder of Time.span
+  | Silent
+  | Split
+  | Withhold
+  | Collude
 
 type spec = { node : int; kind : kind }
 
@@ -21,14 +25,27 @@ let kind_name = function
   | Grief _ -> "grief"
   | Sync_storm _ -> "sync_storm"
   | Reorder _ -> "reorder"
+  | Silent -> "silent"
+  | Split -> "split"
+  | Withhold -> "withhold"
+  | Collude -> "collude"
 
 let to_string { node; kind } =
   match kind with
-  | Equivocate -> Printf.sprintf "%d@equivocate" node
   | Censor v -> Printf.sprintf "%d@censor:%d" node v
   | Grief f -> Printf.sprintf "%d@grief:%g" node f
   | Sync_storm b -> Printf.sprintf "%d@storm:%d" node b
   | Reorder s -> Printf.sprintf "%d@reorder:%dus" node s
+  | Equivocate | Silent | Split | Withhold | Collude ->
+      Printf.sprintf "%d@%s" node (kind_name kind)
+
+type wire = [ `Rbc | `Sailfish ]
+
+(* The wire a kind is confined to; [None] for a kind both wires run. *)
+let wire_only = function
+  | Equivocate -> None
+  | Censor _ | Grief _ | Sync_storm _ | Reorder _ -> Some `Sailfish
+  | Silent | Split | Withhold | Collude -> Some `Rbc
 
 (* ------------------------------------------------------------------ *)
 (* "NODE@STRATEGY[:ARG]" — same '@'-then-':' shape as restart specs. *)
@@ -62,11 +79,17 @@ let of_string s =
             | Some x when x > 0 -> Ok x
             | _ -> Error (Printf.sprintf "bad %s argument %S" name a))
       in
+      let bare kind =
+        match arg with
+        | None -> Ok { node; kind }
+        | Some _ -> Error (name ^ " takes no argument")
+      in
       match name with
-      | "equivocate" -> (
-          match arg with
-          | None -> Ok { node; kind = Equivocate }
-          | Some _ -> Error "equivocate takes no argument")
+      | "equivocate" -> bare Equivocate
+      | "silent" -> bare Silent
+      | "split" -> bare Split
+      | "withhold" -> bare Withhold
+      | "collude" -> bare Collude
       | "censor" -> (
           match arg with
           | None -> Error "censor needs a victim node id"
@@ -137,23 +160,36 @@ type node_state =
   | S_storm of int
   | S_reorder of Time.span * int ref (* slack, held-message parity counter *)
 
-let validate ~n specs =
-  let problem { node; kind } =
+let validate ~n ~wire specs =
+  let problem seen ({ node; kind } as spec) =
     if node < 0 || node >= n then
       Some (Printf.sprintf "Strategy: bad node id %d for n=%d" node n)
+    else if List.mem node seen then
+      Some (Printf.sprintf "Strategy: node %d occupied twice" node)
     else
-      match kind with
-      | Censor v when v < 0 || v >= n || v = node ->
+      match (kind, wire_only kind) with
+      | _, Some w when w <> wire ->
+          Some
+            (Printf.sprintf "Strategy: %s runs on the %s wire only" (to_string spec)
+               (match w with `Rbc -> "RBC" | `Sailfish -> "Sailfish"))
+      | Censor v, _ when v < 0 || v >= n || v = node ->
           Some (Printf.sprintf "Strategy: bad censor victim %d for node %d" v node)
       | _ -> None
   in
-  match List.find_map problem specs with None -> Ok () | Some e -> Error e
+  let rec go seen = function
+    | [] -> Ok ()
+    | spec :: rest -> (
+        match problem seen spec with
+        | Some e -> Error e
+        | None -> go (spec.node :: seen) rest)
+  in
+  go [] specs
 
 let install ~engine ~net ~keychain ~config ~round_timeout
     ?(obs = Obs.disabled) specs =
   if specs <> [] then begin
     let n = Config.n config in
-    Result.iter_error invalid_arg (validate ~n specs);
+    Result.iter_error invalid_arg (validate ~n ~wire:`Sailfish specs);
     let prev = Net.filter net in
     let tr = obs.Obs.trace in
     let fire ~action ~kind ~src ~dst =
@@ -192,6 +228,8 @@ let install ~engine ~net ~keychain ~config ~round_timeout
               S_grief (int_of_float (frac *. float_of_int round_timeout))
           | Sync_storm burst -> S_storm burst
           | Reorder slack -> S_reorder (slack, ref 0)
+          (* RBC-wire kinds: refused by [validate] above. *)
+          | Silent | Split | Withhold | Collude -> assert false
         in
         state.(node) <- Some s)
       specs;

@@ -125,7 +125,7 @@ let validate spec =
     | None -> (
         match List.find_map restart_problem spec.restarts with
         | Some e -> Error e
-        | None -> Strategy.validate ~n spec.adversaries)
+        | None -> Strategy.validate ~n ~wire:`Sailfish spec.adversaries)
 
 let run ?on_wal spec =
   Result.iter_error invalid_arg (validate spec);

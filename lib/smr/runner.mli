@@ -131,7 +131,8 @@ val validate : spec -> (unit, string) Stdlib.result
 (** The first reason {!run} would refuse the spec: a bad load or
     [txn_scale], an out-of-range crashed, restarting or adversary node id,
     a restart of a crashed replica, two restarts of one replica, an empty
-    restart window, or a bad censor victim ({!Clanbft_faults.Strategy.validate}). *)
+    restart window, or an adversary spec {!Clanbft_faults.Strategy.validate}
+    refuses on the Sailfish wire. *)
 
 val run : ?on_wal:(int -> Persist.t -> unit) -> spec -> result
 (** Raises [Invalid_argument] with the {!validate} error. [on_wal] is called after the simulation with each replica's id and

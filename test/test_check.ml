@@ -8,6 +8,15 @@ module S = Check.Schedule
 module H = Check.Harness
 module E = Check.Explore
 
+(* Adversary specs in the [--adversary] grammar. *)
+let advs specs =
+  match Strategy.of_specs specs with
+  | Ok l -> l
+  | Error e -> Alcotest.failf "%s" e
+
+let split = advs [ "0@split" ]
+let collude = advs [ "0@split"; "1@collude" ]
+
 (* ------------------------------------------------------------------ *)
 (* Engine: delivery-choice points *)
 
@@ -94,7 +103,7 @@ let test_schedule_bad_line () =
 
 let test_spec_meta_round_trip () =
   let spec =
-    { H.default_spec with H.adversary = H.Collude; late_join = true; crashes = 2 }
+    { H.default_spec with H.adversary = collude; late_join = true; crashes = 2 }
   in
   match H.spec_of_meta (H.spec_meta spec) with
   | Error e -> Alcotest.failf "spec_of_meta: %s" e
@@ -111,7 +120,7 @@ let test_exhaustive_honest () =
      must satisfy agreement, validity, no-equivocation and totality. *)
   List.iter
     (fun p ->
-      let r = E.exhaustive (spec_rbc p 1 H.No_adversary) in
+      let r = E.exhaustive (spec_rbc p 1 []) in
       Alcotest.(check bool) "no violation" true (r.E.violation = None);
       Alcotest.(check bool) "explored >1 run" true (r.E.stats.E.runs > 1);
       Alcotest.(check int) "no truncation" 0 r.E.stats.E.truncated)
@@ -120,13 +129,13 @@ let test_exhaustive_honest () =
 let test_exhaustive_equivocate_safe () =
   (* f=1 equivocating sender: within the fault model, so every schedule
      must still be safe. *)
-  let r = E.exhaustive (spec_rbc Rbc.Tribe_signed 1 H.Equivocate) in
+  let r = E.exhaustive (spec_rbc Rbc.Tribe_signed 1 split) in
   Alcotest.(check bool) "no violation" true (r.E.violation = None)
 
 let test_exhaustive_collude_violates () =
   (* Two byz nodes against f=1: outside the fault model, the checker
      must find an agreement violation and minimize it. *)
-  let spec = spec_rbc Rbc.Tribe_bracha 1 H.Collude in
+  let spec = spec_rbc Rbc.Tribe_bracha 1 collude in
   let r = E.exhaustive spec in
   (match r.E.violation with
   | None -> Alcotest.fail "collude schedule not found"
@@ -140,10 +149,22 @@ let test_exhaustive_collude_violates () =
   | None -> Alcotest.fail "minimized schedule lost the violation"
   | Some v -> Alcotest.(check string) "same invariant" "agreement" v.H.invariant)
 
+let test_withhold_sender p () =
+  (* n=7: the harness clan is {0..3}, so a withholding sender 0 reveals
+     the value to f_c+1 = 2 members (1 and 2) and stiffs member 3, which
+     must pull it. At n=4 the reveal would cover the whole clan. *)
+  let spec = { (spec_rbc p 1 (advs [ "0@withhold" ])) with H.n = 7 } in
+  let run = E.run_schedule spec [] in
+  Alcotest.(check bool) "canonical run safe" true (run.E.run_violation = None);
+  Alcotest.(check string) "every honest node delivers" "deliveries=6"
+    (List.hd (String.split_on_char ' ' (H.state_line run.E.world)));
+  let r = E.walks ~seed:42L ~count:2500 spec in
+  Alcotest.(check bool) "no violation in 2500 walks" true (r.E.violation = None)
+
 let test_replay_identical () =
   (* Two independent replays of one schedule end in identical states and
      execute identical action sequences. *)
-  let spec = spec_rbc Rbc.Tribe_signed 1 H.Collude in
+  let spec = spec_rbc Rbc.Tribe_signed 1 collude in
   let r = E.exhaustive spec in
   let sched = E.minimize spec r.E.schedule in
   let a = E.run_schedule spec sched and b = E.run_schedule spec sched in
@@ -153,7 +174,7 @@ let test_replay_identical () =
   Alcotest.(check bool) "same notes" true (a.E.notes = b.E.notes)
 
 let test_walks_deterministic () =
-  let spec = spec_rbc Rbc.Tribe_bracha 1 H.No_adversary in
+  let spec = spec_rbc Rbc.Tribe_bracha 1 [] in
   let a = E.walks ~seed:42L ~count:20 spec in
   let b = E.walks ~seed:42L ~count:20 spec in
   Alcotest.(check bool) "no violation" true (a.E.violation = None);
@@ -163,13 +184,13 @@ let test_walks_deterministic () =
 let test_late_join_totality () =
   (* Canonical run with the late-join hook: node n-1 loses its queued
      traffic, rejoins via request_sync, and totality must still hold. *)
-  let spec = { (spec_rbc Rbc.Tribe_signed 1 H.No_adversary) with H.late_join = true } in
+  let spec = { (spec_rbc Rbc.Tribe_signed 1 []) with H.late_join = true } in
   let run = E.run_schedule spec [] in
   Alcotest.(check bool) "no error" true (run.E.error = None);
   Alcotest.(check bool) "no violation" true (run.E.run_violation = None)
 
 let test_crash_budget () =
-  let spec = { (spec_rbc Rbc.Tribe_bracha 1 H.No_adversary) with H.crashes = 1 } in
+  let spec = { (spec_rbc Rbc.Tribe_bracha 1 []) with H.crashes = 1 } in
   let r = E.exhaustive spec in
   Alcotest.(check bool) "no violation" true (r.E.violation = None)
 
@@ -201,9 +222,7 @@ let test_sparse_spec_meta_round_trip () =
 (* Sailfish world under one of the runner's strategies, in the
    [sim --adversary] grammar. *)
 let spec_strategy rounds adv =
-  match H.adversary_of_string adv with
-  | Ok adversary -> { H.default_spec with H.model = H.Sailfish; rounds; adversary }
-  | Error e -> Alcotest.failf "%s: %s" adv e
+  { H.default_spec with H.model = H.Sailfish; rounds; adversary = advs [ adv ] }
 
 let test_strategy_exhaustive adv () =
   (* The strategies are inside the fault model: every interleaving of the
@@ -266,7 +285,8 @@ let test_validate () =
       { (spec_strategy 2 "0@grief:0.9") with H.model = H.Rbc Rbc.Bracha };
       spec_strategy 2 "4@grief:0.9";
       spec_strategy 2 "0@censor:0";
-      { H.default_spec with H.model = H.Sailfish; adversary = H.Collude };
+      { H.default_spec with H.model = H.Sailfish; adversary = collude };
+      spec_rbc Rbc.Tribe_bracha 1 (advs [ "0@split"; "0@collude" ]);
     ]
   in
   List.iter
@@ -298,7 +318,7 @@ let test_strategy_trace_names_attack () =
 let test_dpor_prunes () =
   (* Sleep sets must only remove redundant interleavings: same verdict,
      strictly fewer transitions than the unpruned search. *)
-  let spec = spec_rbc Rbc.Tribe_bracha 1 H.No_adversary in
+  let spec = spec_rbc Rbc.Tribe_bracha 1 [] in
   let on = E.exhaustive ~dpor:true spec in
   let off = E.exhaustive ~dpor:false spec in
   Alcotest.(check bool) "same verdict" true
@@ -358,5 +378,9 @@ let suites =
         Alcotest.test_case "validate rejects bad specs" `Quick test_validate;
         Alcotest.test_case "traced grief names the attack" `Quick
           test_strategy_trace_names_attack;
+        Alcotest.test_case "tribe-bracha withholder" `Quick
+          (test_withhold_sender Rbc.Tribe_bracha);
+        Alcotest.test_case "tribe-signed withholder" `Quick
+          (test_withhold_sender Rbc.Tribe_signed);
       ] );
   ]

@@ -2,9 +2,10 @@
    to pin down.
 
    World constants mirror test_rbc.ml: n = 10, f = 3, quorum = 7,
-   clan = [|0;2;4;6;8|] (f_c = 1, clan echo quorum f_c+1 = 2 — but
-   Withhold scenarios below use reveal = 3 = (nc+1)/2 so an honest
-   majority of the clan holds the payload). *)
+   clan = [|0;2;4;6;8|] (f_c = 2, clan echo quorum f_c+1 = 3, so a
+   withholding sender reveals the payload to clan members 2, 4 and 6).
+   The Byzantine sender is node 0, occupied by an RBC-wire Strategy
+   kind ([?sender]). *)
 
 open Clanbft
 open Clanbft.Sim
@@ -13,9 +14,12 @@ module Rng = Util.Rng
 
 let clan = [| 0; 2; 4; 6; 8 |]
 
-let make_world ?byzantine ?plan protocol =
+let make_world ?sender ?plan protocol =
+  let adversaries =
+    match sender with Some kind -> [ { Strategy.node = 0; kind } ] | None -> []
+  in
   Rbc_world.create ~topology:(Topology.uniform ~n:10 ~one_way_ms:10.0)
-    ~config:{ Net.default_config with jitter = 0.0 } ~seed:7L ~clan ?byzantine ?plan
+    ~config:{ Net.default_config with jitter = 0.0 } ~seed:7L ~clan ~adversaries ?plan
     protocol
 
 let plan_exn ?(rules = []) ?(partitions = []) ?(mutes = []) () =
@@ -39,9 +43,8 @@ let test_pull_after_ready_only_agreement protocol () =
      (digests elsewhere); every ECHO addressed to clan member 8 is
      dropped, so 8 agrees purely via READYs / certificate. *)
   let plan = plan_exn ~rules:[ "drop:kind=echo:dst=8" ] () in
-  let w = make_world ~byzantine:[ 0 ] ~plan protocol in
-  Adversary.run ~sender:0 ~n:10 ~clan ~protocol ~net:w.net ~round:1
-    (Adversary.Withhold { value = "headline-payload"; reveal = 3 });
+  let w = make_world ~sender:Withhold ~plan protocol in
+  Rbc_world.broadcast w ~sender:0 ~round:1 "headline-payload";
   Engine.run ~until:(Time.s 30.) w.engine;
   (match w.injector with
   | Some i -> Alcotest.(check bool) "echoes were dropped" true (Faults.dropped i > 0)
@@ -69,9 +72,8 @@ let test_pull_retries_survive_transient_loss protocol () =
   let plan =
     plan_exn ~rules:[ "drop:kind=echo:dst=8"; "drop:kind=pull_request:until=3s" ] ()
   in
-  let w = make_world ~byzantine:[ 0 ] ~plan protocol in
-  Adversary.run ~sender:0 ~n:10 ~clan ~protocol ~net:w.net ~round:1
-    (Adversary.Withhold { value = "retry-payload"; reveal = 3 });
+  let w = make_world ~sender:Withhold ~plan protocol in
+  Rbc_world.broadcast w ~sender:0 ~round:1 "retry-payload";
   Engine.run ~until:(Time.s 30.) w.engine;
   (match outcome_of w 8 with
   | Some (Rbc.Value v) -> Alcotest.(check string) "node 8 payload" "retry-payload" v
@@ -90,9 +92,8 @@ let test_pull_retries_survive_transient_loss protocol () =
    honest value-entitled node ends up with the matching payload. *)
 
 let test_equivocating_sender protocol () =
-  let w = make_world ~byzantine:[ 0 ] protocol in
-  Adversary.run ~sender:0 ~n:10 ~clan ~protocol ~net:w.net ~round:1
-    (Adversary.Equivocate_biased { value = "majority"; decoy = "decoy"; decoys = 1 });
+  let w = make_world ~sender:Equivocate protocol in
+  Rbc_world.broadcast w ~sender:0 ~round:1 "majority";
   Engine.run ~until:(Time.s 30.) w.engine;
   Alcotest.(check int) "single digest" 1 (Rbc_world.summary w).distinct;
   Alcotest.(check int) "all honest deliver" 9 (List.length (Rbc_world.deliveries w));
@@ -114,7 +115,7 @@ let test_equivocating_sender protocol () =
    to pulling clan members later. *)
 let test_nonclan_never_serves_stray_val () =
   let protocol = Rbc.Tribe_bracha in
-  let w = make_world ~byzantine:[ 0 ] protocol in
+  let w = make_world ~sender:Silent protocol in
   let digest = Digest32.hash_string "real-payload" in
   (* Full value to the clan; a stray full value to non-clan node 1. *)
   Array.iter
@@ -319,10 +320,8 @@ let test_adversarial_replay_deterministic () =
         ~rules:[ "drop=0.3:kind=echo"; "delay=5ms..25ms:kind=pull_request" ]
         ~partitions:[ "1,3|5,7:until=100ms" ] ()
     in
-    let w = make_world ~byzantine:[ 0 ] ~plan Rbc.Tribe_bracha in
-    Adversary.run ~sender:0 ~n:10 ~clan ~protocol:Rbc.Tribe_bracha ~net:w.net
-      ~round:1
-      (Adversary.Withhold { value = "replay"; reveal = 3 });
+    let w = make_world ~sender:Withhold ~plan Rbc.Tribe_bracha in
+    Rbc_world.broadcast w ~sender:0 ~round:1 "replay";
     Engine.run ~until:(Time.s 30.) w.engine;
     ( List.sort compare
         (List.map
@@ -454,55 +453,45 @@ let test_empty_plan_is_free () =
     (run Faults.empty = run (plan_exn ()))
 
 (* ------------------------------------------------------------------ *)
-(* Adversary role assignment: the value-entitled counter is scoped to one
-   invocation's arm, so reusing a behaviour hands the same recipients the
-   same roles — and non-tribe Withhold stiffs outright, with no digest
-   fallback (honest non-tribe nodes ignore digest-only VALs anyway). *)
+(* Sender role assignment: the value-entitled counter is scoped to one
+   opening, so a second instance hands the same recipients the same roles
+   — and non-tribe Withhold stiffs outright, with no digest fallback
+   (honest non-tribe nodes ignore digest-only VALs anyway). *)
 
-let tap_world ?(n = 10) () =
-  let engine = Engine.create () in
-  let topology = Topology.uniform ~n ~one_way_ms:10.0 in
-  let config = { Net.default_config with jitter = 0.0 } in
-  let rng = Rng.create 7L in
-  let net =
-    Net.create ~engine ~topology ~config ~size:(Rbc.msg_size ~n) ~rng ()
-  in
+(* A world whose node 0 is occupied by [sender], with every copy node 0
+   sends recorded as [(dst, msg)]. *)
+let tap_world sender protocol =
+  let w = make_world ~sender protocol in
   let sends = ref [] in
-  for me = 0 to n - 1 do
-    Net.set_handler net me (fun ~src:_ msg -> sends := (me, msg) :: !sends)
-  done;
-  (engine, net, sends)
+  Net.set_filter w.net (fun ~src ~dst msg ->
+      if src = 0 then sends := (dst, msg) :: !sends;
+      true);
+  (w, sends)
 
 let test_adversary_roles_replay () =
-  let engine, net, sends = tap_world () in
-  let inject round =
-    Adversary.run ~sender:0 ~n:10 ~clan ~protocol:Rbc.Tribe_bracha ~net ~round
-      (Adversary.Equivocate_biased
-         { value = "real"; decoy = "decoy"; decoys = 2 })
-  in
-  inject 1;
-  inject 2;
-  Engine.run ~until:(Time.s 1.) engine;
+  let w, sends = tap_world Equivocate Rbc.Tribe_bracha in
+  Rbc_world.broadcast w ~sender:0 ~round:1 "real";
+  Rbc_world.broadcast w ~sender:0 ~round:2 "real";
+  Engine.run ~until:(Time.s 1.) w.engine;
   let decoy_dsts round =
     List.filter_map
       (fun (dst, m) ->
         match m with
-        | Rbc.Val { round = r; value = "decoy"; _ } when r = round -> Some dst
+        | Rbc.Val { round = r; value; _ } when r = round && value <> "real" -> Some dst
         | _ -> None)
       !sends
     |> List.sort compare
   in
-  (* Entitled order is clan id order minus the sender: 2, 4, 6, 8. A
-     counter leaking across invocations would hand round 2's decoys to
-     nobody (or to later clan members). *)
-  Alcotest.(check (list int)) "round 1 decoys" [ 2; 4 ] (decoy_dsts 1);
-  Alcotest.(check (list int)) "round 2 decoys identical" [ 2; 4 ] (decoy_dsts 2)
+  (* Entitled order is clan id order minus the sender: 2, 4, 6, 8, and
+     only the first gets the decoy. A counter leaking across openings
+     would hand round 2's decoy to nobody (or to a later clan member). *)
+  Alcotest.(check (list int)) "round 1 decoy" [ 2 ] (decoy_dsts 1);
+  Alcotest.(check (list int)) "round 2 decoy identical" [ 2 ] (decoy_dsts 2)
 
 let test_withhold_stiffs_non_tribe () =
-  let engine, net, sends = tap_world () in
-  Adversary.run ~sender:0 ~n:10 ~protocol:Rbc.Signed_two_round ~net ~round:1
-    (Adversary.Withhold { value = "v"; reveal = 3 });
-  Engine.run ~until:(Time.s 1.) engine;
+  let w, sends = tap_world Withhold Rbc.Signed_two_round in
+  Rbc_world.broadcast w ~sender:0 ~round:1 "v";
+  Engine.run ~until:(Time.s 1.) w.engine;
   let vals =
     List.filter_map
       (fun (dst, m) -> match m with Rbc.Val _ -> Some dst | _ -> None)
@@ -514,7 +503,7 @@ let test_withhold_stiffs_non_tribe () =
       (fun (_, m) -> match m with Rbc.Val_digest _ -> true | _ -> false)
       !sends
   in
-  Alcotest.(check (list int)) "first [reveal] ids get the value" [ 1; 2; 3 ] vals;
+  Alcotest.(check (list int)) "first f_c+1 ids get the value" [ 1; 2; 3 ] vals;
   Alcotest.(check int) "no digest fallback outside the tribe" 0
     (List.length digests);
   Alcotest.(check int) "stiffed parties get nothing at all" 3

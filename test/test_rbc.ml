@@ -4,11 +4,12 @@ open Clanbft.Crypto
 
 let clan = [| 0; 2; 4; 6; 8 |]
 
-(* n nodes over a uniform 10 ms network; [byzantine] ids get a no-op
-   handler so tests can drive them by injecting raw messages. *)
-let make_world ?(n = 10) ?byzantine protocol =
+(* n nodes over a uniform 10 ms network; [byzantine] ids are silent
+   occupants, so tests can drive them by injecting raw messages. *)
+let make_world ?(n = 10) ?(byzantine = []) protocol =
   Rbc_world.create ~topology:(Topology.uniform ~n ~one_way_ms:10.0)
-    ~config:{ Net.default_config with jitter = 0.0 } ~seed:7L ~clan ?byzantine
+    ~config:{ Net.default_config with jitter = 0.0 } ~seed:7L ~clan
+    ~adversaries:(List.map (fun node -> { Strategy.node; kind = Silent }) byzantine)
     protocol
 
 let node = Rbc_world.node

@@ -50,7 +50,10 @@ let test_parser () =
           Alcotest.(check (result spec_t string))
             (Printf.sprintf "round-trip %s" s) (Ok spec)
             (parse (Strategy.to_string spec)))
-    [ "3@equivocate"; "1@censor:5"; "2@grief:0.75"; "0@storm:16"; "4@reorder:500us" ];
+    [
+      "3@equivocate"; "1@censor:5"; "2@grief:0.75"; "0@storm:16"; "4@reorder:500us";
+      "0@silent"; "0@split"; "0@withhold"; "1@collude";
+    ];
   (* Rejections. *)
   List.iter
     (fun s ->
@@ -60,7 +63,8 @@ let test_parser () =
     [
       "equivocate"; "x@equivocate"; "-1@equivocate"; "3@equivocate:1";
       "3@censor"; "3@censor:x"; "3@grief:0"; "3@grief:1.0"; "3@storm:0";
-      "3@reorder:0us"; "3@reorder:fast"; "3@bribe";
+      "3@reorder:0us"; "3@reorder:fast"; "3@bribe"; "0@silent:1"; "0@split:2";
+      "0@withhold:3"; "1@collude:0";
     ];
   match Strategy.of_specs [ "3@equivocate"; "oops" ] with
   | Ok _ -> Alcotest.fail "of_specs should report the bad spec"
@@ -254,6 +258,32 @@ let test_install_validation () =
                [ { Strategy.node = 3; kind = Strategy.Censor 3 } ];
            }))
 
+let test_validate_wire () =
+  let check wire specs =
+    match Strategy.of_specs specs with
+    | Error e -> Alcotest.failf "parse: %s" e
+    | Ok l -> Strategy.validate ~n:4 ~wire l
+  in
+  Alcotest.(check (result unit string))
+    "RBC-only kind on the Sailfish wire"
+    (Error "Strategy: 0@split runs on the RBC wire only")
+    (check `Sailfish [ "0@split" ]);
+  Alcotest.(check (result unit string))
+    "Sailfish-only kind on the RBC wire"
+    (Error "Strategy: 0@grief:0.9 runs on the Sailfish wire only")
+    (check `Rbc [ "0@grief:0.9" ]);
+  Alcotest.(check (result unit string))
+    "equivocate runs on both wires" (Ok ())
+    (Result.bind (check `Rbc [ "0@equivocate" ]) (fun () ->
+         check `Sailfish [ "0@equivocate" ]));
+  Alcotest.(check (result unit string))
+    "one node, one occupant"
+    (Error "Strategy: node 0 occupied twice")
+    (check `Rbc [ "0@split"; "0@collude" ]);
+  Alcotest.(check (result unit string))
+    "a split sender and a colluder" (Ok ())
+    (check `Rbc [ "0@split"; "1@collude" ])
+
 (* ------------------------------------------------------------------ *)
 (* Satellite 1: the vertex/block fetch loops back off exponentially.
    Equivocation seeds decoy holders that must pull the real vertex; a
@@ -309,5 +339,6 @@ let suites =
           test_install_validation;
         Alcotest.test_case "pull retries bounded under reply loss" `Quick
           test_pull_retries_bounded;
+        Alcotest.test_case "validate checks the wire" `Quick test_validate_wire;
       ] );
   ]
