@@ -33,16 +33,23 @@ let pull_budget = 8
 let sync_chunk = 64
 
 (* This layer's side of one merged vertex+block instance (§5): the content
-   as first received, and which pulls are running. [stored] marks [block]
-   final: the slot was delivered with its vertex (or replayed from the
-   journal) and [on_block] has fired for it. *)
+   as first received, and in [flags] whether the block is stored and which
+   pulls are running. *)
 type slot = {
   mutable vertex : Vertex.t option;
   mutable block : Block.t option;
-  mutable stored : bool;
-  mutable fetching_vertex : bool;
-  mutable fetching_block : bool;
+  mutable flags : int;
 }
+
+(* [flags] bits. [stored] marks [block] final: the slot was delivered with
+   its vertex (or replayed from the journal) and [on_block] has fired for
+   it. *)
+let stored = 1
+let fetching_vertex = 2
+let fetching_block = 4
+let has slot bit = slot.flags land bit <> 0
+let set slot bit = slot.flags <- slot.flags lor bit
+let clear slot bit = slot.flags <- slot.flags land lnot bit
 
 type inst = slot Rbc.inst
 
@@ -175,7 +182,7 @@ let round_state t r =
 (* The slot's block once stored; see [slot]. *)
 let block_of t ~round ~source =
   match Rbc.find t.rbc ~sender:source ~round with
-  | Some { ext = { stored = true; block; _ }; _ } -> block
+  | Some { ext = { block; _ } as slot; _ } when has slot stored -> block
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -389,7 +396,11 @@ let rec handle t ~src msg =
         if src = signer then begin
           Prof.enter sec_echo;
           (match Rbc.on_echo t.rbc ~sender:source ~round digest ~signer signature with
-          | Some inst -> certified t inst digest
+          | Some inst ->
+              certified t inst digest;
+              (* Delivered earlier through a received certificate, the
+                 instance kept its tally to form this one. *)
+              if Option.is_some inst.ext.vertex then Rbc.drop_tally inst
           | None -> ());
           Prof.leave sec_echo
         end
@@ -409,7 +420,7 @@ let rec handle t ~src msg =
     | Msg.Vertex_request { round; source } ->
         Rbc.serve t.rbc ~sender:source ~round ~src (fun inst ->
             match inst.ext.vertex with
-            | Some vertex when inst.delivered ->
+            | Some vertex when Rbc.is_delivered inst ->
                 let clan = Config.in_payload_clan t.config ~proposer:source src in
                 let block = if clan then inst.ext.block else None in
                 Some (Msg.Vertex_reply { vertex; block })
@@ -435,23 +446,23 @@ and on_val t ~src (v : Vertex.t) block signature =
    content is acceptable. *)
 and acceptable (inst : inst) (v : Vertex.t) =
   inst.ext.vertex = None
-  && match inst.agreed with Some d -> Digest32.equal v.digest d | None -> true
+  && match Rbc.agreed inst with Some d -> Digest32.equal v.digest d | None -> true
 
 and adopt t (inst : inst) (v : Vertex.t) block =
   let slot = inst.ext in
   let clan = in_payload_clan_of t ~proposer:v.source in
   slot.vertex <- Some v;
-  if clan && (not slot.stored) && block_matches v block then slot.block <- block;
+  if clan && (not (has slot stored)) && block_matches v block then slot.block <- block;
   (* Clan members echo only once they hold both the vertex and its block
      (§5); everybody else echoes on the vertex alone. *)
   if (not (expects_block v)) || (not clan) || block_matches v slot.block then
     Rbc.send_echo t.rbc inst v.digest;
-  if inst.delivered then vertex_available t inst v
+  if Rbc.is_delivered inst then vertex_available t inst v
 
 (* The slot's vertex digest is certified: the RBC instance completes. *)
 and certified t (inst : inst) digest =
-  if not inst.delivered then begin
-    inst.delivered <- true;
+  if not (Rbc.is_delivered inst) then begin
+    Rbc.mark_delivered inst;
     Round_rows.remove t.cert_arrivals ~round:inst.round ~source:inst.sender;
     Rbc.agree t.rbc inst digest;
     let slot = inst.ext in
@@ -462,15 +473,18 @@ and certified t (inst : inst) digest =
            the certified vertex's. *)
         if Option.is_some held then begin
           slot.vertex <- None;
-          if not slot.stored then slot.block <- None
+          if not (has slot stored) then slot.block <- None
         end;
         fetch_vertex t inst
   end
 
 (* --- vertex availability, DAG insertion ----------------------------- *)
 
-(* The slot is delivered AND its vertex is at hand. *)
+(* The slot is delivered AND its vertex is at hand, so [fetch_vertex] no
+   longer needs the echo voters: once this node has its own certificate
+   too, nothing reads the tally again. *)
 and vertex_available t (inst : inst) (v : Vertex.t) =
+  Rbc.drop_tally inst;
   (match inst.ext.block with
   | Some b when expects_block v -> block_available t inst b
   | _ -> ());
@@ -550,10 +564,10 @@ and request_parents t (child : Vertex.t) missing =
    anyone who echoed the certified digest has seen the vertex. *)
 and fetch_vertex ?(cycles = 0) ?(last = 0) ?seed t (inst : inst) =
   let slot = inst.ext in
-  if not slot.fetching_vertex then begin
-    slot.fetching_vertex <- true;
+  if not (has slot fetching_vertex) then begin
+    set slot fetching_vertex;
     let candidates =
-      match (seed, inst.agreed) with
+      match (seed, Rbc.agreed inst) with
       | Some seed, _ -> seed
       | None, Some d -> List.filter (fun i -> i <> t.me) (Rbc.echo_voters inst d)
       | None, None -> []
@@ -568,7 +582,7 @@ and fetch_vertex ?(cycles = 0) ?(last = 0) ?seed t (inst : inst) =
         (not t.halted) && slot.vertex = None && inst.round >= Store.floor t.store)
       ~request:(Msg.Vertex_request { round = inst.round; source = inst.sender })
       ~restart:(fun cycles ->
-        slot.fetching_vertex <- false;
+        clear slot fetching_vertex;
         if slot.vertex = None then fetch_vertex ~cycles ~last:ring t inst)
   end
 
@@ -579,17 +593,17 @@ and maybe_fetch_block ?(cycles = 0) t (inst : inst) =
   let slot = inst.ext in
   match (slot.vertex, Config.payload_clan t.config ~proposer:inst.sender) with
   | Some v, Some clan
-    when inst.delivered && slot.block = None && expects_block v
-         && in_payload_clan_of t ~proposer:v.source && not slot.fetching_block
+    when Rbc.is_delivered inst && slot.block = None && expects_block v
+         && in_payload_clan_of t ~proposer:v.source && not (has slot fetching_block)
     ->
-      slot.fetching_block <- true;
+      set slot fetching_block;
       Rbc.sweep t.rbc inst ~cycles
         (List.filter (fun i -> i <> t.me) (Array.to_list clan))
         ~live:(fun () ->
           (not t.halted) && slot.block = None && inst.round >= Store.floor t.store)
         ~request:(Msg.Block_request { round = inst.round; source = inst.sender })
         ~restart:(fun cycles ->
-          slot.fetching_block <- false;
+          clear slot fetching_block;
           maybe_fetch_block ~cycles t inst)
   | _ -> ()
 
@@ -598,16 +612,17 @@ and maybe_fetch_block ?(cycles = 0) t (inst : inst) =
    could carry an equivocator's block for a copy that never certifies. *)
 and on_block_reply t (b : Block.t) =
   match Rbc.find t.rbc ~sender:b.proposer ~round:b.round with
-  | Some ({ delivered = true; ext = { vertex = Some v; block = None; _ } as slot; _ } as inst)
-    when Digest32.equal (Block.digest b) v.block_digest
+  | Some ({ ext = { vertex = Some v; block = None; _ } as slot; _ } as inst)
+    when Rbc.is_delivered inst
+         && Digest32.equal (Block.digest b) v.block_digest
          && in_payload_clan_of t ~proposer:b.proposer ->
       slot.block <- Some b;
       block_available t inst b
   | _ -> ()
 
 and block_available t (inst : inst) b =
-  if not inst.ext.stored then begin
-    inst.ext.stored <- true;
+  if not (has inst.ext stored) then begin
+    set inst.ext stored;
     t.on_block b
   end
 
@@ -1057,9 +1072,9 @@ let note_proposed t ~round =
    fire for it again. *)
 let replay_block t (b : Block.t) =
   let slot = (Rbc.get t.rbc ~sender:b.proposer ~round:b.round).ext in
-  if not slot.stored then begin
+  if not (has slot stored) then begin
     slot.block <- Some b;
-    slot.stored <- true
+    set slot stored
   end
 
 let replay_vertex t (v : Vertex.t) =
@@ -1072,10 +1087,7 @@ let replay_vertex t (v : Vertex.t) =
        certified and our echo (if any) is long sent: restore the instance
        in its terminal state so nothing is re-broadcast during replay. *)
     inst.ext.vertex <- Some v;
-    inst.delivered <- true;
-    inst.agreed <- Some v.digest;
-    inst.sent_echo <- true;
-    inst.sent_cert <- true;
+    Rbc.restore inst v.digest;
     register_vote t v;
     try_insert t v
   end
@@ -1093,6 +1105,7 @@ let start_recovery t =
 
 let vertex_of t ~round ~source = Store.find t.store ~round ~source
 let rbc_footprint t = Rbc.footprint t.rbc
+let rbc_instances t = Rbc.fold (fun i acc -> (i, i.ext.vertex) :: acc) t.rbc []
 
 (* Census roots, in charging order: the data tables only, so no root
    reaches a closure, the engine or the network. *)
@@ -1102,7 +1115,9 @@ let heap_roots ts =
     row "consensus.blocks" (fun t ->
         Rbc.fold
           (fun i acc ->
-            match i.ext with { stored = true; block = Some b; _ } -> Obj.repr b :: acc | _ -> acc)
+            match i.ext with
+            | { block = Some b; _ } as slot when has slot stored -> Obj.repr b :: acc
+            | _ -> acc)
           t.rbc []);
     row "dag.store" (fun t -> [ Obj.repr t.store ]);
     row "consensus.rbc" (fun t -> [ Rbc.heap_root t.rbc ]);
@@ -1129,8 +1144,7 @@ let rbc_context ~me config =
   {
     Rbc.fresh =
       (fun () ->
-        { vertex = None; block = None; stored = false; fetching_vertex = false;
-          fetching_block = false });
+        { vertex = None; block = None; flags = 0 });
     signing =
       (fun ~sender ~round digest -> Msg.echo_signing_string ~round ~source:sender digest);
     in_clan = (fun ~sender i -> Config.in_payload_clan config ~proposer:sender i);

@@ -170,5 +170,13 @@ val heap_roots : t list -> (string * Obj.t list) list
 val vertex_of : t -> round:int -> source:int -> Vertex.t option
 
 val rbc_footprint : t -> int * int
-(** (broadcast instances, digest vote records) this node holds. *)
+(** (broadcast instances, digests seen) this node holds; see
+    {!Clanbft_rbc.Rbc_core.footprint}. *)
+
+type slot
+(** This layer's side of a merged vertex+block instance. *)
+
+val rbc_instances : t -> (slot Clanbft_rbc.Rbc_core.inst * Vertex.t option) list
+(** Every broadcast instance this node holds, with the vertex its slot
+    holds, in unspecified order. *)
 

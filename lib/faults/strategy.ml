@@ -172,6 +172,12 @@ let validate ~n ~wire specs =
           Some
             (Printf.sprintf "Strategy: %s runs on the %s wire only" (to_string spec)
                (match w with `Rbc -> "RBC" | `Sailfish -> "Sailfish"))
+      (* The RBC wire opens instances from node 0 only (the rbc command
+         and the checker), so a sender kind anywhere else would never act. *)
+      | (Split | Withhold | Equivocate), _ when wire = `Rbc && node <> 0 ->
+          Some
+            (Printf.sprintf "Strategy: %s is a sender kind; the RBC sender is node 0"
+               (to_string spec))
       | Censor v, _ when v < 0 || v >= n || v = node ->
           Some (Printf.sprintf "Strategy: bad censor victim %d for node %d" v node)
       | _ -> None

@@ -107,8 +107,9 @@ type wire = [ `Rbc | `Sailfish ]
 
 val validate : n:int -> wire:wire -> spec list -> (unit, string) result
 (** The first out-of-range or repeated node id, kind confined to the
-    other wire, or censor victim that is out of range or equal to its own
-    node, in a tribe of [n]. *)
+    other wire, RBC sender kind ([split], [withhold], [equivocate]) at a
+    node other than the RBC sender, node 0, or censor victim that is out
+    of range or equal to its own node, in a tribe of [n]. *)
 
 val install :
   engine:Clanbft_sim.Engine.t ->

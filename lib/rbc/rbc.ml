@@ -179,15 +179,15 @@ let rec create ~me ~n ?f ?clan ~protocol ~engine ~net ~keychain
   t
 
 and deliver t (inst : inst) outcome =
-  if not inst.delivered then begin
-    inst.delivered <- true;
+  if not (Core.is_delivered inst) then begin
+    Core.mark_delivered inst;
     inst.ext.outcome <- Some outcome;
     Core.trace t.core inst Trace.Deliver;
     t.on_deliver ~sender:inst.sender ~round:inst.round outcome
   end
 
 and start_pull t (inst : inst) digest =
-  if (not inst.ext.pulling) && not inst.delivered then begin
+  if (not inst.ext.pulling) && not (Core.is_delivered inst) then begin
     inst.ext.pulling <- true;
     (* Candidates, in decreasing order of confidence: parties that ECHOed
        the agreed digest (clan members first — whp they include an honest
@@ -208,14 +208,14 @@ and start_pull t (inst : inst) digest =
        first sweep counts as cycle 1, so the first backoff is 2 x retry. *)
     if ring <> [] then begin
       let request = Pull_request { sender = inst.sender; round = inst.round } in
-      let live () = not inst.delivered in
+      let live () = not (Core.is_delivered inst) in
       let rec go cycles = Core.sweep t.core inst ~live ~request ~cycles ~restart:go ring in
       go 1
     end
   end
 
 and try_deliver t (inst : inst) digest =
-  if not inst.delivered then begin
+  if not (Core.is_delivered inst) then begin
     Core.agree t.core inst digest;
     if entitled t then begin
       match inst.ext.value with
@@ -239,7 +239,7 @@ and handle_val t (inst : inst) value =
   else begin
     (* Only the first VAL from the sender counts (non-equivocation is then
        enforced by the quorum rules). *)
-    if inst.ext.value = None && not inst.delivered then
+    if inst.ext.value = None && not (Core.is_delivered inst) then
       inst.ext.value <- Some value;
     (* Clan members echo only after receiving the value itself. *)
     match inst.ext.value with
@@ -261,11 +261,11 @@ and handle_sync_request t ~src (inst : inst) =
      requester); the Bracha family resends this node's READY — totality
      gives 2f+1 delivered peers, so the requester re-forms a READY quorum
      from the responses alone. *)
-  match (inst.delivered, inst.agreed) with
+  match (Core.is_delivered inst, Core.agreed inst) with
   | true, Some digest ->
       let sender = inst.sender and round = inst.round in
       if is_signed t.protocol then (
-        match inst.cert with
+        match Core.cert inst with
         | Some agg ->
             Net.send t.net ~src:t.me ~dst:src
               (Echo_cert { sender; round; digest; agg })
@@ -276,8 +276,8 @@ and handle_sync_request t ~src (inst : inst) =
   | _ -> ()
 
 and handle_pull_reply t ~value (inst : inst) =
-  if (not inst.delivered) && entitled t then
-    match inst.agreed with
+  if (not (Core.is_delivered inst)) && entitled t then
+    match Core.agreed inst with
     | Some d when Digest32.equal (Digest32.hash_string value) d ->
         inst.ext.value <- Some value;
         deliver t inst (Value value)
@@ -335,7 +335,7 @@ and handle t ~src m =
       Option.iter (handle_sync_request t ~src) (Core.find t.core ~sender ~round)
 
 let request_sync t ~sender ~round =
-  if not (Core.get t.core ~sender ~round).delivered then
+  if not (Core.is_delivered (Core.get t.core ~sender ~round)) then
     Net.broadcast t.net ~src:t.me (Sync_request { sender; round })
 
 let broadcast t ~round value =
@@ -354,11 +354,11 @@ let delivered t ~sender ~round =
   Option.bind (Core.find t.core ~sender ~round) (fun inst -> inst.ext.outcome)
 
 let agreed t ~sender ~round =
-  Option.bind (Core.find t.core ~sender ~round) (fun inst -> inst.agreed)
+  Option.bind (Core.find t.core ~sender ~round) Core.agreed
 
 let pulling t ~sender ~round =
   match Core.find t.core ~sender ~round with
   | None -> false
-  | Some inst -> inst.ext.pulling && not inst.delivered
+  | Some inst -> inst.ext.pulling && not (Core.is_delivered inst)
 
 let footprint t = Core.footprint t.core

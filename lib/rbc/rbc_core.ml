@@ -34,24 +34,59 @@ let no_votes =
     signing_h = Keychain.hash_msg "";
   }
 
+(* What an instance needs only now and then, in one record so the common
+   instance carries one word for all four: echo votes for further digests
+   (made on the second, i.e. by an equivocating sender), READY votes
+   (unsigned mode), the certificate kept to re-prove the instance, and the
+   pull replies served per peer. *)
+type side = {
+  mutable more_echoes : votes Digest32.Tbl.t option;
+  mutable readies : votes Digest32.Tbl.t option;
+  mutable cert : Keychain.aggregate option;
+  mutable served : (int, int) Hashtbl.t option;
+}
+
+(* The side record of every instance that has not needed one. Never
+   mutated: writers go through [side]. *)
+let no_side = { more_echoes = None; readies = None; cert = None; served = None }
+
 type 'e inst = {
   sender : int;
   round : int;
   ext : 'e;
-  mutable agreed : Digest32.t option;
-  mutable delivered : bool;
-  (* Echo votes: the first digest's inline, a table only once a second
-     digest appears (equivocation). *)
+  mutable flags : int;
+  mutable agreed : Digest32.t;
+  (* The first digest's echo votes sit inline; a table in [side] only once
+     a second digest appears (equivocation). *)
   mutable first : Digest32.t;
   mutable first_votes : votes;
-  mutable more_echoes : votes Digest32.Tbl.t option;
-  mutable readies : votes Digest32.Tbl.t option; (* unsigned mode only *)
-  mutable sent_echo : bool;
-  mutable sent_ready : bool;
-  mutable sent_cert : bool;
-  mutable cert : Keychain.aggregate option;
-  mutable served : (int, int) Hashtbl.t option; (* peer -> pull replies served *)
+  mutable side : side;
 }
+
+(* [flags] bits *)
+let delivered_bit = 1
+let agreed_bit = 2
+let sent_echo_bit = 4
+let sent_ready_bit = 8
+let sent_cert_bit = 16
+let first_bit = 32 (* [first] is attached, whether or not its tally still is *)
+let has inst bit = inst.flags land bit <> 0
+let set inst bit = inst.flags <- inst.flags lor bit
+let is_delivered inst = has inst delivered_bit
+let mark_delivered inst = set inst delivered_bit
+let sent_cert inst = has inst sent_cert_bit
+let agreed inst = if has inst agreed_bit then Some inst.agreed else None
+
+let cert inst = inst.side.cert
+
+(* The instance's own side record, made on first use. *)
+let side inst =
+  if inst.side != no_side then inst.side
+  else begin
+    let s = { more_echoes = None; readies = None; cert = None; served = None } in
+    inst.side <- s;
+    s
+  end
 
 type ('e, 'm) ctx = {
   fresh : unit -> 'e;
@@ -95,17 +130,11 @@ let new_inst ext ~sender ~round =
     sender;
     round;
     ext;
-    agreed = None;
-    delivered = false;
+    flags = 0;
+    agreed = Digest32.zero;
     first = Digest32.zero;
     first_votes = no_votes;
-    more_echoes = None;
-    readies = None;
-    sent_echo = false;
-    sent_ready = false;
-    sent_cert = false;
-    cert = None;
-    served = None;
+    side = no_side;
   }
 
 let create ~me ~n ~f ~signed ~engine ~net ~keychain ~retry ~budget ~trace
@@ -140,7 +169,7 @@ let find c ~sender ~round = Round_rows.find c.instances ~round ~source:sender
 
 (* The instance, or [c.absent] (also for a sender outside the committee). *)
 let lookup c ~sender ~round = Round_rows.find_or c.instances ~round ~source:sender c.absent
-let delivered c ~sender ~round = (lookup c ~sender ~round).delivered
+let delivered c ~sender ~round = is_delivered (lookup c ~sender ~round)
 
 let get c ~sender ~round =
   let i = lookup c ~sender ~round in
@@ -158,8 +187,8 @@ let fold f c acc = Round_rows.fold f c.instances acc
 let footprint c =
   fold
     (fun i (insts, digests) ->
-      let first = if i.first_votes == no_votes then 0 else 1 in
-      (insts + 1, digests + first + tbl_length i.more_echoes + tbl_length i.readies))
+      let first = if has i first_bit then 1 else 0 in
+      (insts + 1, digests + first + tbl_length i.side.more_echoes + tbl_length i.side.readies))
     c (0, 0)
 
 let heap_root c = Obj.repr c.instances
@@ -187,11 +216,11 @@ let find_votes tbl digest =
   | None -> no_votes
   | Some t -> ( try Digest32.Tbl.find t digest with Not_found -> no_votes)
 
-(* The first digest is [Digest32.zero] while [first_votes] is [no_votes],
-   so a match on it is right either way. *)
+(* [first_votes] is [no_votes] while [first] is unattached (and once the
+   tally is dropped), so a match on [first] is right either way. *)
 let echo_votes inst digest =
   if Digest32.equal inst.first digest then inst.first_votes
-  else find_votes inst.more_echoes digest
+  else find_votes inst.side.more_echoes digest
 
 (* [tbl] with [digest]'s votes added, made on the first. *)
 let add_votes tbl digest v =
@@ -200,21 +229,32 @@ let add_votes tbl digest v =
   Some t
 
 let add_echo_votes inst digest v =
-  if inst.first_votes == no_votes then begin
+  if not (has inst first_bit) then begin
+    set inst first_bit;
     inst.first <- digest;
     inst.first_votes <- v
   end
-  else inst.more_echoes <- add_votes inst.more_echoes digest v
+  else
+    let s = side inst in
+    s.more_echoes <- add_votes s.more_echoes digest v
 
 let echo_voters inst digest = Bitset.to_list (echo_votes inst digest).voters
-let ready_voters inst digest = Bitset.to_list (find_votes inst.readies digest).voters
+let ready_voters inst digest = Bitset.to_list (find_votes inst.side.readies digest).voters
+let holds_tally inst = inst.first_votes != no_votes || Option.is_some inst.side.more_echoes
+
+let drop_tally inst =
+  if is_delivered inst && sent_cert inst then begin
+    inst.first_votes <- no_votes;
+    (* guarded, so [no_side] is never written *)
+    if Option.is_some inst.side.more_echoes then inst.side.more_echoes <- None
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Sending *)
 
 let send_echo c inst digest =
-  if not inst.sent_echo then begin
-    inst.sent_echo <- true;
+  if not (has inst sent_echo_bit) then begin
+    set inst sent_echo_bit;
     trace c inst Trace.Echo;
     let signature =
       if c.signed then
@@ -229,16 +269,21 @@ let send_echo c inst digest =
   end
 
 let send_ready c inst digest =
-  if not inst.sent_ready then begin
-    inst.sent_ready <- true;
+  if not (has inst sent_ready_bit) then begin
+    set inst sent_ready_bit;
     trace c inst Trace.Ready;
     Net.broadcast c.net ~src:c.me
       (c.ctx.ready ~sender:inst.sender ~round:inst.round digest ~signer:c.me)
   end
 
 let agree c inst digest =
-  if Option.is_none inst.agreed then trace c inst Trace.Cert;
-  inst.agreed <- Some digest
+  if not (has inst agreed_bit) then trace c inst Trace.Cert;
+  set inst agreed_bit;
+  inst.agreed <- digest
+
+let restore inst digest =
+  set inst (delivered_bit lor agreed_bit lor sent_echo_bit lor sent_cert_bit);
+  inst.agreed <- digest
 
 (* ------------------------------------------------------------------ *)
 (* Receiving *)
@@ -248,10 +293,10 @@ let agree c inst digest =
    Unsigned mode: the same quorum sends READY. *)
 let echo_quorum c inst digest (v : votes) =
   if c.signed then begin
-    inst.sent_cert <- true;
+    set inst sent_cert_bit;
     if c.ctx.relays_cert ~sender:inst.sender then begin
       let agg = Keychain.to_aggregate v.acc ~signers:(Bitset.copy v.voters) in
-      if c.ctx.keep_certs then inst.cert <- Some agg;
+      if c.ctx.keep_certs then (side inst).cert <- Some agg;
       Net.broadcast c.net ~src:c.me
         (c.ctx.echo_cert ~sender:inst.sender ~round:inst.round digest agg
            ~clan_echoes:v.clan_votes)
@@ -303,7 +348,7 @@ let on_echo c ~sender ~round digest ~signer signature =
      bookkeeping, and pull candidates are snapshotted at certification.
      Skipping the ~n - 2f-1 post-certificate echoes (verify included)
      changes no message and no observable state. *)
-  if inst.sent_cert then None
+  if sent_cert inst then None
   else if inst != c.absent then begin
     let known = echo_votes inst digest in
     let v = votes c known ~sender ~round digest in
@@ -323,9 +368,12 @@ let on_ready c ~sender ~round digest ~signer =
   if c.signed || not (in_range c sender) then None
   else begin
     let inst = get c ~sender ~round in
-    let known = find_votes inst.readies digest in
+    let known = find_votes inst.side.readies digest in
     let v = votes c known ~sender ~round digest in
-    if known == no_votes then inst.readies <- add_votes inst.readies digest v;
+    if known == no_votes then begin
+      let s = side inst in
+      s.readies <- add_votes s.readies digest v
+    end;
     if not (Bitset.add v.voters signer) then None
     else begin
       let count = Bitset.cardinal v.voters in
@@ -358,14 +406,14 @@ let on_echo_cert c ~sender ~round digest agg =
   if (not c.signed) || not (in_range c sender) then None
   else
     let found = lookup c ~sender ~round in
-    if found.delivered then None
+    if is_delivered found then None
     else begin
       let known = known_echo_votes c found digest in
       let v = votes c known ~sender ~round digest in
       if not (cert_checks c ~sender agg v.signing_h) then None
       else begin
         let inst = attach c found ~sender ~round digest known v in
-        if c.ctx.keep_certs then inst.cert <- Some agg;
+        if c.ctx.keep_certs then (side inst).cert <- Some agg;
         Some inst
       end
     end
@@ -381,11 +429,11 @@ let serve c ~sender ~round ~src reply =
       | None -> ()
       | Some reply ->
           let ledger =
-            match inst.served with
+            match inst.side.served with
             | Some t -> t
             | None ->
                 let t = Hashtbl.create 4 in
-                inst.served <- Some t;
+                (side inst).served <- Some t;
                 t
           in
           let served = Option.value ~default:0 (Hashtbl.find_opt ledger src) in

@@ -15,9 +15,14 @@
     not the string, and no signature shares: each verified echo folds
     into the digest's {!Clanbft_crypto.Keychain.accumulator} in place, and
     the certificate is cut from it at this node's own quorum, after which
-    echoes are skipped unread. The first digest's votes sit inline in the
-    instance, and a table is made only when an equivocating sender brings
-    a second; the pull-serving ledger is made on the first pull served.
+    echoes are skipped unread. From then on only the adapter may still
+    read the tally (its pull candidates are the echo voters), so once the
+    instance is also delivered the adapter drops it with {!drop_tally} as
+    soon as it needs no candidates. The first digest's votes sit inline
+    in the instance; the rare rest (a second digest's votes, READY votes,
+    a kept certificate, the pull-serving ledger) shares one side record,
+    made on first use. A Sailfish instance that is delivered, certified
+    by this node and holds its vertex is nine words, plus its slot.
 
     The adapter's side is the narrow {!ctx}. The core never calls back into
     adapter state: receive functions return the instance whose quorum or
@@ -32,26 +37,27 @@ type votes
 (** One digest's voters, clan count, signing-string hash and, in signed
     mode, the running aggregate of its verified echo signatures. *)
 
-type 'e inst = {
+type side
+(** Echo votes for further digests (made on the second), READY votes
+    (unsigned mode), the certificate kept when [keep_certs], and the pull
+    replies served per peer. One shared empty record stands in until an
+    instance first needs one of them. *)
+
+type 'e inst = private {
   sender : int;
   round : int;
   ext : 'e;  (** the adapter's payload state *)
-  mutable agreed : Digest32.t option;  (** the settled digest; see {!agree} *)
-  mutable delivered : bool;
-      (** set by the adapter once delivery is final; later certificates
-          are ignored *)
+  mutable flags : int;
+      (** delivered, agreed, ECHO / READY / certificate sent, first
+          digest attached; read through {!is_delivered}, {!agreed} and
+          {!sent_cert} *)
+  mutable agreed : Digest32.t;
+      (** the settled digest once {!agreed} is [Some]; {!Digest32.zero}
+          before *)
   mutable first : Digest32.t;
       (** the first echoed digest; {!Digest32.zero} until one is attached *)
-  mutable first_votes : votes;  (** its echo votes *)
-  mutable more_echoes : votes Digest32.Tbl.t option;
-      (** echo votes for further digests, made on the second *)
-  mutable readies : votes Digest32.Tbl.t option;  (** unsigned mode only *)
-  mutable sent_echo : bool;
-  mutable sent_ready : bool;
-  mutable sent_cert : bool;  (** own certificate formed; echoes now skipped *)
-  mutable cert : Keychain.aggregate option;  (** kept when [keep_certs] *)
-  mutable served : (int, int) Hashtbl.t option;
-      (** pull replies served, per peer; made on the first *)
+  mutable first_votes : votes;  (** its echo votes, until {!drop_tally} *)
+  mutable side : side;
 }
 
 (** The protocol-specific hooks. [in_clan ~sender i] and
@@ -109,7 +115,9 @@ val fold : ('e inst -> 'acc -> 'acc) -> ('e, 'm) t -> 'acc -> 'acc
 (** Every instance, in unspecified order. *)
 
 val footprint : ('e, 'm) t -> int * int
-(** (instances, digest vote records). *)
+(** (instances, digests seen): the first echoed digest, whether or not its
+    tally is still held, plus the vote records held for other digests and
+    READYs. *)
 
 val heap_root : ('e, 'm) t -> Obj.t
 (** The instance rows, a {!Clanbft_obs.Prof.census} root: it reaches the
@@ -119,8 +127,37 @@ val heap_root : ('e, 'm) t -> Obj.t
 val prune_below : ('e, 'm) t -> round:int -> unit
 (** Drop the instances of every round below [round], row by row. *)
 
+val is_delivered : 'e inst -> bool
+
+val mark_delivered : 'e inst -> unit
+(** Set by the adapter once delivery is final; later certificates are
+    ignored. *)
+
+val agreed : 'e inst -> Digest32.t option
+(** The settled digest; see {!agree}. Allocates the [Some]. *)
+
+val sent_cert : 'e inst -> bool
+(** This node formed its own certificate; echoes are now skipped. *)
+
+val cert : 'e inst -> Keychain.aggregate option
+(** The certificate kept when [keep_certs]. *)
+
+val restore : 'e inst -> Digest32.t -> unit
+(** Put a replayed instance in its terminal state: delivered, agreed on
+    the digest, ECHO and certificate sent. Traces nothing. *)
+
 val echo_voters : 'e inst -> Digest32.t -> int list
 val ready_voters : 'e inst -> Digest32.t -> int list
+
+val holds_tally : 'e inst -> bool
+(** The instance still holds echo votes. *)
+
+val drop_tally : 'e inst -> unit
+(** Free the echo votes of a delivered instance that formed its own
+    certificate: no receive path reads or grows them after that, so only
+    the adapter's {!echo_voters} still could. A no-op before both. The
+    first digest stays counted by {!footprint}; further digests' votes go
+    with the tally. *)
 
 val trace_phase :
   ('e, 'm) t -> sender:int -> round:int -> Clanbft_obs.Trace.phase -> unit

@@ -287,6 +287,10 @@ let test_validate () =
       spec_strategy 2 "0@censor:0";
       { H.default_spec with H.model = H.Sailfish; adversary = collude };
       spec_rbc Rbc.Tribe_bracha 1 (advs [ "0@split"; "0@collude" ]);
+      (* sender kinds away from the RBC sender, node 0, would never act *)
+      spec_rbc Rbc.Tribe_bracha 1 (advs [ "3@withhold" ]);
+      spec_rbc Rbc.Tribe_signed 1 (advs [ "1@split" ]);
+      spec_rbc Rbc.Bracha 1 (advs [ "2@equivocate" ]);
     ]
   in
   List.iter

@@ -445,6 +445,107 @@ let test_footprint_pinned () =
       Alcotest.(check int) (Printf.sprintf "node %d commits" i) 177 (Sailfish.committed_count c))
     (List.filter (fun i -> i <> 9) (List.init n Fun.id))
 
+(* An instance drops its echo tally once nothing can read it: it is
+   delivered, formed this node's own certificate (later echoes are
+   skipped unread) and holds the certified vertex ([fetch_vertex] reads
+   the echo voters while it is missing). *)
+module Core = Clanbft_rbc.Rbc_core
+
+let settled (i, vertex) = Core.is_delivered i && Core.sent_cert i && Option.is_some vertex
+
+(* At n = 16 on the GCP table, with 20 transactions per proposal. *)
+let tally_world ?adversaries ?(seed = 1L) dissemination =
+  let engine = Engine.create () in
+  let next = ref 0 in
+  Smr_world.create ~engine ~topology:(Topology.gcp_table1 ~n:16) ~net:Net.default_config
+    ~seed ?adversaries
+    ~generate:(fun me ~round:_ ->
+      Array.init 20 (fun _ ->
+          incr next;
+          Transaction.make ~id:!next ~client:me ~created_at:(Engine.now engine) ~size:256 ()))
+    (Config.make ~n:16 dissemination)
+
+(* Every half second for 4 s, at every node: no settled instance holds a
+   tally, tallies held never outnumber the open instances, and every
+   instance two rounds behind the node is settled, so a node that
+   delivered through a received certificate went on to form its own.
+   Returns whether some node held a second digest's votes at a
+   checkpoint. *)
+let check_tallies (w : Smr_world.t) =
+  let second_digest = ref false and settled_seen = ref 0 in
+  for step = 1 to 8 do
+    Engine.run ~until:(Time.ms (500. *. float_of_int step)) w.engine;
+    Array.iteri
+      (fun me -> function
+        | None -> ()
+        | Some n ->
+            let c = Node.consensus n in
+            let insts = Sailfish.rbc_instances c in
+            let count p = List.length (List.filter p insts) in
+            let behind = Sailfish.current_round c - 1 in
+            List.iter
+              (fun ((i, _) as x) ->
+                if settled x && Core.holds_tally i then
+                  Alcotest.failf "node %d: settled instance (%d, %d) holds a tally" me
+                    i.Core.round i.Core.sender;
+                if i.Core.round < behind && not (settled x) then
+                  Alcotest.failf "node %d in round %d: instance (%d, %d) is open" me
+                    (behind + 1) i.Core.round i.Core.sender)
+              insts;
+            let held = count (fun (i, _) -> Core.holds_tally i) in
+            let open_ = count (fun x -> not (settled x)) in
+            if held > open_ then
+              Alcotest.failf "node %d: %d tallies held, %d instances open" me held open_;
+            settled_seen := !settled_seen + count settled;
+            let insts, digests = Sailfish.rbc_footprint c in
+            if digests > insts then second_digest := true)
+      w.nodes
+  done;
+  Alcotest.(check bool) "instances settled" true (!settled_seen > 0);
+  !second_digest
+
+let test_settled_drop_tally () =
+  let w = tally_world Config.Full in
+  start w;
+  ignore (check_tallies w : bool);
+  let w =
+    tally_world
+      ~adversaries:[ { Strategy.node = 3; kind = Strategy.Equivocate } ]
+      (Config.Single_clan (Array.init 11 Fun.id))
+  in
+  start w;
+  Alcotest.(check bool) "an equivocator's second digest was tallied" true (check_tallies w)
+
+(* A slot certified without its vertex keeps its tally: its pull
+   candidates are the echo voters. Node 0 never receives a vertex of
+   node 1, so it certifies node 1's slots from echoes alone. *)
+let test_missing_vertex_keeps_tally () =
+  let w = tally_world Config.Full in
+  Net.set_filter w.net (fun ~src ~dst m ->
+      dst <> 0
+      ||
+      match m with
+      | Msg.Val _ -> src <> 1
+      | Msg.Vertex_reply { vertex; _ } -> vertex.Vertex.source <> 1
+      | _ -> true);
+  start w;
+  Engine.run ~until:(Time.s 2.) w.engine;
+  let missing =
+    List.filter
+      (fun ((i : _ Core.inst), vertex) ->
+        i.sender = 1 && Core.is_delivered i && Core.sent_cert i && vertex = None)
+      (Sailfish.rbc_instances (node w 0))
+  in
+  Alcotest.(check bool) "slots certified without their vertex" true (missing <> []);
+  List.iter
+    (fun ((i : _ Core.inst), _) ->
+      let voters = Core.echo_voters i (Option.get (Core.agreed i)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "round %d keeps a quorum of echo voters" i.round)
+        true
+        (List.length voters >= 11))
+    missing
+
 (* ------------------------------------------------------------------ *)
 (* Vertex validity is total: edge sources *)
 
@@ -639,6 +740,10 @@ let suites =
     ( "consensus.resources",
       [
         Alcotest.test_case "footprint pinned" `Quick test_footprint_pinned;
+        Alcotest.test_case "settled instances drop their tally" `Quick
+          test_settled_drop_tally;
+        Alcotest.test_case "a slot missing its vertex keeps its tally" `Quick
+          test_missing_vertex_keeps_tally;
         Alcotest.test_case "GC bounds memory" `Slow test_gc_bounds_memory;
         Alcotest.test_case "certificates equal aggregated shares" `Quick
           test_certificates_match_share_aggregate;

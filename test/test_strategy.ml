@@ -277,6 +277,13 @@ let test_validate_wire () =
     (Result.bind (check `Rbc [ "0@equivocate" ]) (fun () ->
          check `Sailfish [ "0@equivocate" ]));
   Alcotest.(check (result unit string))
+    "RBC sender kind away from the sender"
+    (Error "Strategy: 3@withhold is a sender kind; the RBC sender is node 0")
+    (check `Rbc [ "3@withhold" ]);
+  Alcotest.(check (result unit string))
+    "equivocate anywhere on the Sailfish wire" (Ok ())
+    (check `Sailfish [ "3@equivocate" ]);
+  Alcotest.(check (result unit string))
     "one node, one occupant"
     (Error "Strategy: node 0 occupied twice")
     (check `Rbc [ "0@split"; "0@collude" ]);
