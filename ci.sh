@@ -57,9 +57,10 @@ fi
 # cell, 4,003,509 after, and 3,643,554 once the calendar kept events
 # inline in bucket chunks instead of per-µs slot chains (OCaml 5.1.1),
 # 3,605,066 before delivered RBC instances dropped their echo tallies and
-# packed their flags and rare fields, and 3,015,242 after; the cap is the
-# last plus 10%.
-n50_heap_cap=3316766
+# packed their flags and rare fields, 3,015,242 after, and 2,429,897 once
+# blocks held their transactions as packed runs instead of one boxed
+# record each; the cap is the last plus 10%.
+n50_heap_cap=2672886
 n50_heap=$(awk '/^top_heap_words:/ { print $2 }' "$smoke_dir/n50.gc")
 if [ -z "$n50_heap" ] || [ "$n50_heap" -gt "$n50_heap_cap" ]; then
   echo "n=50 smoke top_heap_words '${n50_heap}' exceeds its cap $n50_heap_cap"

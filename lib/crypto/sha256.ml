@@ -188,4 +188,13 @@ let digest_string s =
   Clanbft_obs.Prof.leave sec_digest;
   d
 
+let digest_concat a b =
+  Clanbft_obs.Prof.enter sec_digest;
+  let ctx = init () in
+  feed_string ctx a;
+  feed_string ctx b;
+  let d = finalize ctx in
+  Clanbft_obs.Prof.leave sec_digest;
+  d
+
 let hex_of_string s = Clanbft_util.Hex.encode (digest_string s)

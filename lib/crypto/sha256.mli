@@ -17,5 +17,8 @@ val finalize : ctx -> string
 val digest_string : string -> string
 (** One-shot convenience; 32 raw bytes. *)
 
+val digest_concat : string -> string -> string
+(** [digest_concat a b = digest_string (a ^ b)], without building [a ^ b]. *)
+
 val hex_of_string : string -> string
 (** [hex_of_string s] is the lowercase hex digest of [s]. *)

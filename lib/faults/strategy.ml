@@ -246,7 +246,8 @@ let install ~engine ~net ~keychain ~config ~round_timeout
     let forge_decoy me (vertex : Vertex.t) (block : Block.t) =
       if Block.txn_count block = 0 then None
       else
-        let txns = Array.sub block.txns 0 (Array.length block.txns - 1) in
+        let txns = Block.txns block in
+        let txns = Array.sub txns 0 (Array.length txns - 1) in
         let db = Block.make ~proposer:me ~round:vertex.round ~txns in
         let dv =
           Vertex.make ~round:vertex.round ~source:vertex.source

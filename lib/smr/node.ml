@@ -44,9 +44,8 @@ let rec drain t =
             (match t.on_txn_executed with
             | None -> ()
             | Some callback ->
-                Array.iter
-                  (fun txn -> callback txn (Execution.response t.execution txn))
-                  block.txns);
+                Block.iter_txns block (fun txn ->
+                    callback txn (Execution.response t.execution txn)));
             drain t
         | None -> () (* block still being fetched; resume on arrival *)
       end

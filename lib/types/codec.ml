@@ -35,6 +35,15 @@ module W = struct
 
   let raw b s = Buffer.add_string b s
 
+  let zero_chunk = String.make 4096 '\x00'
+
+  let rec zeros b n =
+    if n > 0 then begin
+      let k = min n (String.length zero_chunk) in
+      Buffer.add_substring b zero_chunk 0 k;
+      zeros b (n - k)
+    end
+
   (* Signatures are 32-byte simulated tags padded to the κ = 64 bytes a
      real signature would occupy. *)
   let raw_signature b s =
@@ -161,12 +170,6 @@ end
 (* ------------------------------------------------------------------ *)
 (* Domain values *)
 
-let write_txn b (t : Transaction.t) =
-  W.i64 b t.id;
-  W.u32 b t.client;
-  W.i64 b t.created_at;
-  W.u32 b t.size;
-  W.raw b (String.make t.size '\x00')
 
 (* id + client + created_at + size, before the payload bytes *)
 let txn_min_size = 8 + 4 + 8 + 4
@@ -179,11 +182,20 @@ let read_txn r =
   R.skip r size;
   Transaction.make ~id ~client ~created_at ~size ()
 
+(* Straight from the block's runs: one header and zero payload per
+   transaction, no record built. *)
 let write_block b (blk : Block.t) =
   W.u32 b blk.proposer;
   W.u32 b blk.round;
-  W.u32 b (Array.length blk.txns);
-  Array.iter (write_txn b) blk.txns
+  W.u32 b (Block.txn_count blk);
+  Block.iter_runs blk (fun ~id ~count ~client ~created_at ~size ->
+      for k = 0 to count - 1 do
+        W.i64 b (id + k);
+        W.u32 b client;
+        W.i64 b created_at;
+        W.u32 b size;
+        W.zeros b size
+      done)
 
 let read_block r =
   let proposer = R.u32 r in

@@ -4,7 +4,12 @@
     bytes. The simulator does not ship payload bytes around — only their
     size matters to the network — but each transaction carries a unique id
     that the execution layer folds into the replicated state, so execution
-    results are deterministic and comparable across replicas. *)
+    results are deterministic and comparable across replicas.
+
+    This record is what clients, the mempool and the codec exchange. A
+    {!Block} does not keep it: it packs its transactions into runs of
+    consecutive ids with one client, creation time and size (five ints per
+    run, five per transaction at worst) and rebuilds records on demand. *)
 
 type t = {
   id : int;  (** globally unique *)

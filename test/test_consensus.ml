@@ -516,6 +516,33 @@ let test_settled_drop_tally () =
   start w;
   Alcotest.(check bool) "an equivocator's second digest was tallied" true (check_tallies w)
 
+(* A stored block is its header, its digest and one packed run of its 20
+   consecutive transactions: at most 32 words, where one boxed record per
+   transaction cost about 130. *)
+let test_stored_blocks_packed () =
+  let w = tally_world Config.Full in
+  start w;
+  Engine.run ~until:(Time.s 2.) w.engine;
+  let stored = ref 0 in
+  Array.iter
+    (function
+      | None -> ()
+      | Some n ->
+          let c = Node.consensus n in
+          for round = 0 to Sailfish.current_round c do
+            for source = 0 to 15 do
+              match Sailfish.block_of c ~round ~source with
+              | None -> ()
+              | Some b ->
+                  incr stored;
+                  let words = Obj.reachable_words (Obj.repr b) in
+                  if words > 32 then
+                    Alcotest.failf "block (%d, %d) takes %d words" round source words
+            done
+          done)
+    w.nodes;
+  Alcotest.(check bool) "blocks were stored" true (!stored > 16 * 16)
+
 (* A slot certified without its vertex keeps its tally: its pull
    candidates are the echo voters. Node 0 never receives a vertex of
    node 1, so it certifies node 1's slots from echoes alone. *)
@@ -744,6 +771,7 @@ let suites =
           test_settled_drop_tally;
         Alcotest.test_case "a slot missing its vertex keeps its tally" `Quick
           test_missing_vertex_keeps_tally;
+        Alcotest.test_case "stored blocks are packed" `Quick test_stored_blocks_packed;
         Alcotest.test_case "GC bounds memory" `Slow test_gc_bounds_memory;
         Alcotest.test_case "certificates equal aggregated shares" `Quick
           test_certificates_match_share_aggregate;

@@ -56,7 +56,8 @@ let prop_sha_incremental =
       let ctx = Sha256.init () in
       Sha256.feed_string ctx a;
       Sha256.feed_string ctx b;
-      String.equal (Sha256.finalize ctx) (Sha256.digest_string (a ^ b)))
+      String.equal (Sha256.finalize ctx) (Sha256.digest_string (a ^ b))
+      && String.equal (Sha256.digest_concat a b) (Sha256.digest_string (a ^ b)))
 
 let prop_sha_chunked =
   QCheck.Test.make ~name:"byte-at-a-time equals one-shot" ~count:50

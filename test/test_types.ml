@@ -112,6 +112,88 @@ let test_block_wire_size () =
   Alcotest.(check int) "wire" (12 + (3 * 536)) (Block.wire_size b);
   Alcotest.(check int) "txn count" 3 (Block.txn_count b)
 
+(* Five shapes of block, from no run to runs that break on every field. *)
+let block_shapes =
+  let t ~id ~client ~created_at ~size = Transaction.make ~id ~client ~created_at ~size () in
+  [
+    ("empty", [||]);
+    ("single", [| t ~id:7 ~client:3 ~created_at:1_000 ~size:512 |]);
+    ("run", Array.init 5 (fun i -> t ~id:(10 + i) ~client:4 ~created_at:2_000 ~size:256));
+    ("gap", Array.map (fun id -> t ~id ~client:4 ~created_at:2_000 ~size:256) [| 1; 2; 3; 7; 8 |]);
+    ( "alternating",
+      Array.init 6 (fun i ->
+          t ~id:(20 + i)
+            ~client:(1 + (i mod 2))
+            ~created_at:(100 * (1 + (i / 2 mod 2)))
+            ~size:(if i mod 3 = 0 then 64 else 512)) );
+  ]
+
+(* Pinned from the representation that kept one boxed record per
+   transaction: packing changes no digest byte and no wire size. *)
+let test_block_shapes_pinned () =
+  let pins =
+    [
+      ("empty", "5f880f052d15bf88239e079976494727e07d93ce4021c0770abe1bca807857a9", 12);
+      ("single", "6484eef3f9484f26d20311d10cf97b662e009336cc5d042832509dfa79fee254", 548);
+      ("run", "b80f827d1b10b895170db164545f290bf98ef55347d3bd6680a1037f550fadbe", 1412);
+      ("gap", "9b5f6213c576286a262d7e67f19213cbd546be1f7f9b607925f2883b91bdb1db", 1412);
+      ("alternating", "675429b6dcd9983957fdcdd951cbc909bbdd7c5d623e3018cefa150dc013bd26", 2332);
+    ]
+  in
+  List.iter2
+    (fun (name, txns) (name', hex, wire) ->
+      assert (name = name');
+      let b = Block.make ~proposer:5 ~round:9 ~txns in
+      Alcotest.(check string) (name ^ " digest") hex (Digest32.to_hex (Block.digest b));
+      Alcotest.(check int) (name ^ " wire size") wire (Block.wire_size b))
+    block_shapes pins
+
+let same_txns name (a : Transaction.t array) (b : Transaction.t array) =
+  Alcotest.(check int) (name ^ " count") (Array.length a) (Array.length b);
+  Array.iteri
+    (fun i (x : Transaction.t) ->
+      let y : Transaction.t = b.(i) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s txn %d" name i)
+        [ x.id; x.client; x.created_at; x.size ]
+        [ y.id; y.client; y.created_at; y.size ])
+    a
+
+let test_block_txns_roundtrip () =
+  List.iter
+    (fun (name, txns) ->
+      let b = Block.make ~proposer:5 ~round:9 ~txns in
+      same_txns name txns (Block.txns b);
+      Alcotest.(check int) (name ^ " txn_count") (Array.length txns) (Block.txn_count b))
+    block_shapes
+
+let runs_of b =
+  let count = ref 0 in
+  Block.iter_runs b (fun ~id:_ ~count:_ ~client:_ ~created_at:_ ~size:_ -> incr count);
+  !count
+
+(* What [Runner.generate] proposes: consecutive ids, one client, one
+   instant, one size. *)
+let test_block_generator_one_run () =
+  let txns =
+    Array.init 200 (fun i -> Transaction.make ~id:(1_000 + i) ~client:3 ~created_at:5_000 ~size:512 ())
+  in
+  let b = Block.make ~proposer:3 ~round:4 ~txns in
+  Alcotest.(check int) "runs" 1 (runs_of b);
+  Alcotest.(check int) "txn count" 200 (Block.txn_count b)
+
+(* No two transactions merge: the packed block still costs no more than
+   the boxed layout did, a five-field record over an array of records. *)
+let test_block_singletons_no_larger () =
+  let txns =
+    Array.init 200 (fun i -> Transaction.make ~id:(2 * i) ~client:3 ~created_at:5_000 ~size:512 ())
+  in
+  let b = Block.make ~proposer:3 ~round:4 ~txns in
+  Alcotest.(check int) "runs" 200 (runs_of b);
+  let boxed = (b.proposer, b.round, txns, b.digest, b.wire_size) in
+  let packed = Obj.reachable_words (Obj.repr b) and parent = Obj.reachable_words (Obj.repr boxed) in
+  if packed > parent then Alcotest.failf "packed %d words > boxed %d words" packed parent
+
 (* ------------------------------------------------------------------ *)
 (* Vertices *)
 
@@ -492,6 +574,21 @@ let test_decode_oversized_counts () =
   Alcotest.(check bool) "weak edge count" true
     (rejects (Codec.decode_vertex ~n:16) (with_u32 vertex weak_at 0xFFFFFFFF))
 
+(* A block of several runs survives the codec field for field, and every
+   proper prefix of its encoding is an error. *)
+let test_codec_mixed_runs () =
+  let txns = Array.concat (List.map snd block_shapes) in
+  let b = Block.make ~proposer:5 ~round:9 ~txns in
+  let enc = Codec.encode_block b in
+  Alcotest.(check int) "encoded length" (Block.wire_size b) (String.length enc);
+  let b' = Codec.decode_block enc in
+  Alcotest.(check bool) "digest" true (Digest32.equal (Block.digest b) (Block.digest b'));
+  same_txns "decoded" txns (Block.txns b');
+  Alcotest.(check bool) "truncated by one byte" true
+    (rejects Codec.decode_block (String.sub enc 0 (String.length enc - 1)));
+  Alcotest.(check bool) "truncated inside the first txn header" true
+    (rejects Codec.decode_block (String.sub enc 0 20))
+
 let prop_decode_oversized_counts =
   QCheck.Test.make ~name:"decoders total on forged counts" ~count:1000
     QCheck.(pair (int_range 0 2) (int_range 0 0xFFFFFFFF))
@@ -523,6 +620,10 @@ let suites =
         Alcotest.test_case "txn wire size" `Quick test_txn_wire_size;
         Alcotest.test_case "digest binding" `Quick test_block_digest_binding;
         Alcotest.test_case "block wire size" `Quick test_block_wire_size;
+        Alcotest.test_case "digest and wire size pinned" `Quick test_block_shapes_pinned;
+        Alcotest.test_case "txns round-trip" `Quick test_block_txns_roundtrip;
+        Alcotest.test_case "generator block is one run" `Quick test_block_generator_one_run;
+        Alcotest.test_case "singleton runs no larger" `Quick test_block_singletons_no_larger;
       ] );
     ( "types.vertex",
       [
@@ -552,6 +653,7 @@ let suites =
     ( "types.codec.fuzz",
       [
         Alcotest.test_case "oversized counts" `Quick test_decode_oversized_counts;
+        Alcotest.test_case "mixed-run block" `Quick test_codec_mixed_runs;
         qtest prop_decode_random_bytes;
         qtest prop_decode_truncations;
         qtest prop_decode_bit_flips;
