@@ -81,14 +81,12 @@ let pool =
    constructor does not take (topology, faults, adversaries, the obs
    registry) are set with [{ (scenario ...) with ... }]. *)
 
-let scenario ?(n = 16) ?(duration = 4.) ?(warmup = 1.) ?(scale = 1) ?seed
-    protocol load =
+let scenario ?(n = 16) ?(duration = 4.) ?(warmup = 1.) ?seed protocol load =
   {
     Runner.default_spec with
     n;
     protocol;
     txns_per_proposal = load;
-    txn_scale = scale;
     duration = Time.s duration;
     warmup = Time.s warmup;
     seed =
@@ -278,45 +276,44 @@ let concrete () =
 (* ------------------------------------------------------------------ *)
 (* Figures 5a/5b/5c and 6: throughput vs latency, by protocol. Every
    (protocol, n, load) point is one run seeded from "protocol/n/load";
-   its cache key adds the window and scale, which differ between
-   profiles. *)
+   its cache key adds the window, which differs between profiles. *)
 
 let fig5_sizes () =
   (* figure letter -> (title, n, clan size, multi-clan q option, loads,
-     duration, warmup, scale) *)
+     duration, warmup) *)
   let paper_loads = [ 1; 32; 63; 125; 250; 500; 1000; 1500; 2000; 3000; 4000; 5000; 6000 ] in
   match profile with
   | Quick ->
       [
-        ('a', ("Figure 5a (scaled: n=20, clan 13)", 20, 13, None, [ 500; 2000; 6000 ], 6.0, 2.0, 10));
-        ('c', ("Figure 5c (scaled: n=30, clan 17, q=2)", 30, 17, Some 2, [ 500; 2000 ], 6.0, 2.0, 10));
+        ('a', ("Figure 5a (scaled: n=20, clan 13)", 20, 13, None, [ 500; 2000; 6000 ], 6.0, 2.0));
+        ('c', ("Figure 5c (scaled: n=30, clan 17, q=2)", 30, 17, Some 2, [ 500; 2000 ], 6.0, 2.0));
       ]
   | Paper ->
       [
-        ('a', ("Figure 5a (n=50, clan 32)", 50, 32, None, [ 125; 500; 1500; 3000; 6000 ], 6.0, 2.0, 25));
-        ('b', ("Figure 5b (n=100, clan 60)", 100, 60, None, [ 500; 1500; 6000 ], 4.5, 1.5, 25));
-        ('c', ("Figure 5c (n=150, clan 80, q=2)", 150, 80, Some 2, [ 500; 1500 ], 3.0, 0.9, 50));
+        ('a', ("Figure 5a (n=50, clan 32)", 50, 32, None, [ 125; 500; 1500; 3000; 6000 ], 6.0, 2.0));
+        ('b', ("Figure 5b (n=100, clan 60)", 100, 60, None, [ 500; 1500; 6000 ], 4.5, 1.5));
+        ('c', ("Figure 5c (n=150, clan 80, q=2)", 150, 80, Some 2, [ 500; 1500 ], 3.0, 0.9));
       ]
   | Full ->
       [
-        ('a', ("Figure 5a (n=50, clan 32)", 50, 32, None, paper_loads, 10.0, 3.0, 10));
-        ('b', ("Figure 5b (n=100, clan 60)", 100, 60, None, paper_loads, 10.0, 3.0, 10));
-        ('c', ("Figure 5c (n=150, clan 80, q=2)", 150, 80, Some 2, paper_loads, 10.0, 3.0, 25));
+        ('a', ("Figure 5a (n=50, clan 32)", 50, 32, None, paper_loads, 10.0, 3.0));
+        ('b', ("Figure 5b (n=100, clan 60)", 100, 60, None, paper_loads, 10.0, 3.0));
+        ('c', ("Figure 5c (n=150, clan 80, q=2)", 150, 80, Some 2, paper_loads, 10.0, 3.0));
       ]
 
 (* Figure [which]'s title, size, loads and per-protocol results in load
    order; [None] when the profile skips it. All points run in one batch. *)
 let figure which =
   Option.map
-    (fun (title, n, nc, multi, loads, duration, warmup, scale) ->
+    (fun (title, n, nc, multi, loads, duration, warmup) ->
       let protocols =
         [ Runner.Full; Runner.Single_clan { nc } ]
         @ Option.fold ~none:[] ~some:(fun q -> [ Runner.Multi_clan { q } ]) multi
       in
       let point protocol load =
         let seed = Printf.sprintf "%s/%d/%d" (Runner.protocol_label protocol) n load in
-        ( Printf.sprintf "%s/%gs/%gs/x%d" seed duration warmup scale,
-          scenario ~n ~duration ~warmup ~scale ~seed protocol load )
+        ( Printf.sprintf "%s/%gs/%gs" seed duration warmup,
+          scenario ~n ~duration ~warmup ~seed protocol load )
       in
       let points = List.map (fun p -> (p, List.map (point p) loads)) protocols in
       ignore (run_all (List.concat_map snd points));
@@ -860,12 +857,14 @@ let perf_scenarios =
    pooled, so concurrent domains cannot pollute the timings. A full major
    collection first, so no earlier run's garbage is charged here; then the
    wall time, the agreement gate and a progress line. Returns the result,
-   the wall time and the run's allocation as row fields. *)
+   the wall time and the run's allocation as row fields. Minor words come
+   from [Gc.minor_words], which is exact; [Gc.quick_stat]'s count only
+   advances at a minor collection. *)
 let measured_run kind (name, spec) =
   Gc.full_major ();
-  let g0 = Gc.quick_stat () in
+  let g0 = Gc.quick_stat () and m0 = Gc.minor_words () in
   let r, secs = wall (fun () -> Runner.run spec) in
-  let g1 = Gc.quick_stat () in
+  let g1 = Gc.quick_stat () and m1 = Gc.minor_words () in
   check_agreement name r;
   progress "  %-26s %6.2fs wall  %9.0f events/s  (%s)\n" name secs
     (float_of_int r.Runner.events /. secs)
@@ -875,7 +874,7 @@ let measured_run kind (name, spec) =
   ( r,
     secs,
     [
-      ("minor_words", words (fun g -> g.Gc.minor_words));
+      ("minor_words", Json.Int (int_of_float (m1 -. m0)));
       ("major_words", words (fun g -> g.Gc.major_words));
       ("promoted_words", words (fun g -> g.Gc.promoted_words));
     ] )

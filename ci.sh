@@ -93,6 +93,36 @@ fi
 echo "n=50 committed $n50_txns txns within budget"
 rm -rf "$smoke_dir"
 
+echo "== crash-recover repeats across processes (n=16, WAL, one replica down, one restarting) =="
+# A run is a pure function of its seed, in any process: two fresh
+# processes must print the same fingerprint, agree, and allocate the same
+# (minor_words, top_heap_words from OCAMLRUNPARAM=v=0x400). perfbench's
+# crash-recover workload (perfbench/worker.ml) asks the same of its worker
+# processes.
+smoke_dir=$(mktemp -d)
+for i in 1 2; do
+  if ! OCAMLRUNPARAM=v=0x400 timeout 60 _build/default/bin/clanbft_cli.exe sim \
+    -n 16 -p full --load 30 --duration 30 --warmup 1 --seed 1 --persist \
+    --crash 9 --restart 3@3s:5s >"$smoke_dir/run$i" 2>"$smoke_dir/run$i.gc"; then
+    echo "crash-recover run $i failed or exceeded its 60 s wall cap"
+    cat "$smoke_dir/run$i"
+    exit 1
+  fi
+  grep -q "agree=true" "$smoke_dir/run$i" ||
+    { echo "crash-recover run $i lacks 'agree=true'"; cat "$smoke_dir/run$i"; exit 1; }
+  { grep "^commit fingerprint: " "$smoke_dir/run$i"
+    grep -E "^(minor_words|top_heap_words): " "$smoke_dir/run$i.gc"; } >"$smoke_dir/key$i"
+  [ "$(wc -l <"$smoke_dir/key$i")" -eq 3 ] ||
+    { echo "crash-recover run $i printed no fingerprint or GC stats"; exit 1; }
+done
+if ! cmp -s "$smoke_dir/key1" "$smoke_dir/key2"; then
+  echo "crash-recover differs between two processes"
+  diff "$smoke_dir/key1" "$smoke_dir/key2" || true
+  exit 1
+fi
+sed 's/^/  /' "$smoke_dir/key1"
+rm -rf "$smoke_dir"
+
 echo "== check: exhaustive schedule exploration (both TA-RBC families: honest, split and withholding senders) =="
 # Bounded model checking (docs/CHECKING.md): every delivery reordering
 # within the delay budget must keep agreement/validity/no-equivocation/

@@ -104,7 +104,7 @@ type t = {
   params : params;
   obsh : obs_handles;
   store : Store.t;
-  make_block : round:int -> Transaction.t array;
+  make_block : round:int -> Block.t;
   on_commit : leader:Vertex.t -> Vertex.t list -> unit;
   on_block : Block.t -> unit;
   rbc : (slot, Msg.t) Rbc.t; (* one merged instance per (round, source) *)
@@ -951,8 +951,12 @@ and propose t r =
   let nvc = if unjustified && leader then prev.no_vote.cert else None in
   let tc = if unjustified && not leader then prev.timeout.cert else None in
   let block =
-    if Config.is_block_proposer t.config t.me then
-      Some (Block.make ~proposer:t.me ~round:r ~txns:(t.make_block ~round:r))
+    if Config.is_block_proposer t.config t.me then begin
+      let b = t.make_block ~round:r in
+      if b.proposer <> t.me || b.round <> r then
+        invalid_arg "Sailfish: make_block returned another slot's block";
+      Some b
+    end
     else None
   in
   let block_digest = Option.fold ~none:Digest32.zero ~some:Block.digest block in

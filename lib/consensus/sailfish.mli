@@ -58,7 +58,7 @@ val create :
   net:Msg.t Clanbft_sim.Net.t ->
   ?params:params ->
   ?obs:Clanbft_obs.Obs.t ->
-  make_block:(round:int -> Transaction.t array) ->
+  make_block:(round:int -> Block.t) ->
   on_commit:(leader:Vertex.t -> Vertex.t list -> unit) ->
   ?on_block:(Block.t -> unit) ->
   ?on_deliver:(Vertex.t -> unit) ->
@@ -67,9 +67,11 @@ val create :
   t
 (** Wires the node to the network (installs its handler) but does not start
     it. [make_block] is the mempool hook, called once per round this node
-    proposes a block in. [on_commit] receives each newly committed leader
-    and its newly ordered causal history (ascending (round, source)) —
-    the a_deliver stream. [on_block] fires at most once per slot, when
+    proposes a block in; it returns that round's block, whose proposer and
+    round must be this node's and the round asked for ([Invalid_argument]
+    otherwise). [on_commit] receives each newly committed leader and its
+    newly ordered causal history (ascending (round, source)) — the
+    a_deliver stream. [on_block] fires at most once per slot, when
     the block of its certified vertex becomes locally available to a
     clan member (dissemination or pull), never for a replayed one.
 

@@ -14,9 +14,10 @@
     [classify] (e.g. [Rbc.msg_tag] or [Msg.tag]) to enable kind-keyed rules
     and [round_of] to enable round-windowed rules and round-keyed mutes.
 
-    Companion module {!Adversary} drives actively Byzantine RBC senders
-    (equivocation, payload withholding); this module covers everything the
-    network itself can do to honest traffic. *)
+    Companion module {!Strategy} drives actively Byzantine nodes
+    (equivocation, withholding, censorship, ...) on either wire; this
+    module covers everything the network itself can do to honest
+    traffic. *)
 
 open Clanbft_sim
 

@@ -122,7 +122,7 @@ let create ~me ~config ~keychain ~engine ~net ?params ?obs ?persist ?generate
   let make_block ~round =
     match generate with
     | Some gen -> gen ~round
-    | None -> Mempool.take t.mempool ~max:max_block_txns
+    | None -> Block.make ~proposer:me ~round ~txns:(Mempool.take t.mempool ~max:max_block_txns)
   in
   let consensus =
     Sailfish.create ~me ~config ~keychain ~engine ~net ?params ?obs ~make_block

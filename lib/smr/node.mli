@@ -27,19 +27,19 @@ val create :
   ?params:Clanbft_consensus.Sailfish.params ->
   ?obs:Clanbft_obs.Obs.t ->
   ?persist:Persist.t ->
-  ?generate:(round:int -> Transaction.t array) ->
+  ?generate:(round:int -> Block.t) ->
   ?on_commit:(leader:Vertex.t -> Vertex.t list -> unit) ->
   ?on_deliver:(Vertex.t -> unit) ->
   ?on_txn_executed:(Transaction.t -> Digest32.t -> unit) ->
   unit ->
   t
-(** [generate] overrides the mempool as the proposal source (synthetic
-    workloads stamp transactions at proposal time, like §7's load
-    generator); a mempool proposal carries at most 6000 transactions, the
-    paper's maximum. [on_commit] observes the raw a_deliver stream;
-    [on_deliver] each vertex the broadcast layer delivers, after it is
-    journalled; [on_txn_executed] observes execution receipts (clan
-    members only).
+(** [generate] overrides the mempool as the proposal source: it returns
+    this node's block for the round (synthetic workloads stamp
+    transactions at proposal time, like §7's load generator); a mempool
+    proposal carries at most 6000 transactions, the paper's maximum.
+    [on_commit] observes the raw a_deliver stream; [on_deliver] each
+    vertex the broadcast layer delivers, after it is journalled;
+    [on_txn_executed] observes execution receipts (clan members only).
     [obs] is forwarded to the consensus instance. *)
 
 val start : t -> unit

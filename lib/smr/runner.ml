@@ -27,7 +27,6 @@ type spec = {
   protocol : protocol;
   txns_per_proposal : int;
   txn_size : int;
-  txn_scale : int;
   topology : [ `Gcp | `Uniform of float ];
   duration : Time.span;
   warmup : Time.span;
@@ -48,7 +47,6 @@ let default_spec =
     protocol = Full;
     txns_per_proposal = 500;
     txn_size = Transaction.default_size;
-    txn_scale = 1;
     topology = `Gcp;
     duration = Time.s 12.;
     warmup = Time.s 3.;
@@ -89,16 +87,15 @@ let dissemination_of spec =
   | Single_clan { nc } -> Config.Single_clan (Analysis.elect_balanced ~n:spec.n ~nc)
   | Multi_clan { q } -> Config.Multi_clan (Analysis.partition_balanced ~n:spec.n ~q)
 
-(* Per proposed block: what the workload generator produced for it. A block
-   is "committed by all" once every replica required to commit it has —
-   crashed and muted replicas are never required (they are the modelled
-   faults), a restarting replica is excused only while it is down. *)
+(* Per proposed block, until it is committed by all: when the workload
+   generator made it. A block is "committed by all" once every replica
+   required to commit it has — crashed and muted replicas are never
+   required (they are the modelled faults), a restarting replica is
+   excused only while it is down. *)
 type block_meta = {
   created_at : Time.t;
-  effective_txns : int;
   committers : Bitset.t; (* replicas that committed it (dedup) *)
   mutable req_commits : int; (* committers that are always required *)
-  mutable done_ : bool;
 }
 
 let validate spec =
@@ -117,8 +114,7 @@ let validate spec =
       Hashtbl.replace restarted r.node ();
       None)
   in
-  if spec.txn_scale < 1 then Error "Runner: txn_scale must be >= 1"
-  else if spec.txns_per_proposal < 0 then Error "Runner: negative load"
+  if spec.txns_per_proposal < 0 then Error "Runner: negative load"
   else
     match List.find_opt out_of_range spec.crashed with
     | Some id -> Error (Printf.sprintf "Runner: bad crashed id %d for n=%d" id n)
@@ -176,25 +172,17 @@ let run ?on_wal spec =
   let samples = Stats.create () in
   let committed_txns = ref 0 in
   let warmup_end = spec.warmup in
-  let sim_count = max 1 (spec.txns_per_proposal / spec.txn_scale) in
-  let effective = if spec.txns_per_proposal = 0 then 0 else sim_count * spec.txn_scale in
+  (* Each proposal is [txns_per_proposal] fresh transactions with
+     consecutive ids, stamped now: one run of the block it becomes. *)
   let generate proposer ~round =
-    if spec.txns_per_proposal = 0 then [||]
-    else begin
-      let now = Engine.now engine in
+    let now = Engine.now engine and count = spec.txns_per_proposal in
+    if count > 0 then
       Hashtbl.replace metas (proposer, round)
-        {
-          created_at = now;
-          effective_txns = effective;
-          committers = Bitset.create spec.n;
-          req_commits = 0;
-          done_ = false;
-        };
-      Array.init sim_count (fun _ ->
-          incr next_txn;
-          Transaction.make ~id:!next_txn ~client:proposer ~created_at:now
-            ~size:(spec.txn_size * spec.txn_scale) ())
-    end
+        { created_at = now; committers = Bitset.create spec.n; req_commits = 0 };
+    let id = !next_txn + 1 in
+    next_txn := !next_txn + count;
+    Block.of_run ~proposer ~round ~id ~count ~client:proposer ~created_at:now
+      ~size:spec.txn_size
   in
   (* Per-replica commit latency (creation → committed by THIS replica),
      complementing the committed-by-all reservoir below. *)
@@ -219,7 +207,6 @@ let run ?on_wal spec =
       (fun (v : Vertex.t) ->
         match Hashtbl.find_opt metas (v.source, v.round) with
         | None -> ()
-        | Some meta when meta.done_ -> ()
         | Some meta ->
             if Bitset.add meta.committers me then begin
               Metrics.observe commit_hist.(me)
@@ -235,10 +222,9 @@ let run ?on_wal spec =
                 spec.restarts
             in
             if meta.req_commits >= required_total && restarters_ok then begin
-              meta.done_ <- true;
               if meta.created_at >= warmup_end then begin
                 Stats.add samples (Time.to_ms (now - meta.created_at));
-                committed_txns := !committed_txns + meta.effective_txns
+                committed_txns := !committed_txns + spec.txns_per_proposal
               end;
               Hashtbl.remove metas (v.source, v.round)
             end)

@@ -5,12 +5,7 @@
     time from a transaction's creation to its commit by {e all} non-faulty
     nodes; throughput is committed transactions per second over the
     measurement window (after warm-up). Execution is excluded from the
-    metrics, exactly as in the paper.
-
-    [txn_scale] trades simulation granularity for memory: a scale of [k]
-    simulates [count/k] transactions of [k×size] bytes — the byte stream,
-    and hence the bandwidth behaviour, is unchanged, and reported
-    transaction counts are scaled back. *)
+    metrics, exactly as in the paper. *)
 
 open Clanbft_sim
 
@@ -31,7 +26,6 @@ type spec = {
   protocol : protocol;
   txns_per_proposal : int;
   txn_size : int;
-  txn_scale : int;
   topology : [ `Gcp | `Uniform of float ];
   duration : Time.span;
   warmup : Time.span;
@@ -82,7 +76,7 @@ val default_spec : spec
 
 type result = {
   label : string;
-  committed_txns : int;  (** completed in-window, scaled *)
+  committed_txns : int;  (** transactions in blocks completed in-window *)
   throughput_ktps : float;
   latency_mean_ms : float;  (** creation → committed-by-all, block-weighted *)
   latency_p50_ms : float;  (** [nan] when no block completed in-window *)
@@ -128,8 +122,8 @@ type result = {
 }
 
 val validate : spec -> (unit, string) Stdlib.result
-(** The first reason {!run} would refuse the spec: a bad load or
-    [txn_scale], an out-of-range crashed, restarting or adversary node id,
+(** The first reason {!run} would refuse the spec: a negative load, an
+    out-of-range crashed, restarting or adversary node id,
     a restart of a crashed replica, two restarts of one replica, an empty
     restart window, or an adversary spec {!Clanbft_faults.Strategy.validate}
     refuses on the Sailfish wire. *)

@@ -74,7 +74,7 @@ val create :
   ?adversaries:Clanbft_faults.Strategy.spec list ->
   ?persist:bool ->
   ?restarts:Clanbft_faults.Faults.restart list ->
-  ?generate:(int -> round:int -> Transaction.t array) ->
+  ?generate:(int -> round:int -> Block.t) ->
   ?on_commit:(int -> leader:Vertex.t -> Vertex.t list -> unit) ->
   ?on_deliver:(int -> Vertex.t -> unit) ->
   ?on_txn_executed:(int -> Transaction.t -> Clanbft_crypto.Digest32.t -> unit) ->

@@ -49,12 +49,15 @@ let pack (txns : Transaction.t array) =
     runs
   end
 
-let count_of runs =
-  let total = ref 0 in
+(* [f acc runs base] for each run in order, [base] its first index. *)
+let fold_runs runs init f =
+  let acc = ref init in
   for r = 0 to (Array.length runs / stride) - 1 do
-    total := !total + runs.((r * stride) + 1)
+    acc := f !acc runs (r * stride)
   done;
-  !total
+  !acc
+
+let count_of runs = fold_runs runs 0 (fun acc runs base -> acc + runs.(base + 1))
 
 let put64 buf pos v =
   for byte = 0 to 7 do
@@ -83,16 +86,22 @@ let compute_digest ~proposer ~round runs =
   Sha256.feed_bytes ctx buf ~pos:0 ~len:(Bytes.length buf);
   Digest32.of_raw (Sha256.finalize ctx)
 
-let make ~proposer ~round ~txns =
-  let runs = pack txns in
-  {
-    proposer;
-    round;
-    runs;
-    digest = compute_digest ~proposer ~round runs;
-    wire_size =
-      Array.fold_left (fun acc txn -> acc + Transaction.wire_size txn) 12 txns;
-  }
+(* A 12-byte header, then each transaction's header and payload. *)
+let wire_size_of runs =
+  fold_runs runs 12 (fun acc runs base ->
+      acc + (runs.(base + 1) * (Transaction.header_size + runs.(base + 4))))
+
+(* The one builder: the digest and wire size follow from the runs. *)
+let of_runs ~proposer ~round runs =
+  let digest = compute_digest ~proposer ~round runs in
+  { proposer; round; runs; digest; wire_size = wire_size_of runs }
+
+let make ~proposer ~round ~txns = of_runs ~proposer ~round (pack txns)
+
+let of_run ~proposer ~round ~id ~count ~client ~created_at ~size =
+  if count < 0 || size < 0 then invalid_arg "Block.of_run: negative count or size";
+  of_runs ~proposer ~round
+    (if count = 0 then [||] else [| id; count; client; created_at; size |])
 
 let digest t = t.digest
 let txn_count t = count_of t.runs

@@ -9,11 +9,12 @@
     five ints per run: first id, count, client, [created_at], size. A
     transaction extends the current run when its id is the previous id + 1
     and its client, [created_at] and size are equal. A closed-loop proposal
-    (consecutive ids from one client at one instant) is one run: 18 words
-    for the whole block, digest included. The worst case, no two
-    transactions merging, is 5 words per transaction, against 6 for a boxed
-    {!Transaction.t} behind a pointer. Nothing else is kept: {!iter_txns}
-    and {!txns} build the transactions on demand. *)
+    (consecutive ids from one client at one instant) is one run, built
+    directly by {!of_run}: 18 words for the whole block, digest included.
+    The worst case, no two transactions merging, is 5 words per
+    transaction, against 6 for a boxed {!Transaction.t} behind a pointer.
+    Nothing else is kept: {!iter_txns} and {!txns} build the transactions
+    on demand. *)
 
 open Clanbft_crypto
 
@@ -30,6 +31,20 @@ type t = private {
 }
 
 val make : proposer:int -> round:int -> txns:Transaction.t array -> t
+
+val of_run :
+  proposer:int ->
+  round:int ->
+  id:int ->
+  count:int ->
+  client:int ->
+  created_at:Clanbft_sim.Time.t ->
+  size:int ->
+  t
+(** {!make} over [count] transactions [id], [id + 1], ..., all with this
+    client, creation time and size, built without their records.
+    @raise Invalid_argument on a negative [count] or [size]. *)
+
 val digest : t -> Digest32.t
 
 val txn_count : t -> int

@@ -170,10 +170,6 @@ end
 (* ------------------------------------------------------------------ *)
 (* Domain values *)
 
-
-(* id + client + created_at + size, before the payload bytes *)
-let txn_min_size = 8 + 4 + 8 + 4
-
 let read_txn r =
   let id = R.i64 r in
   let client = R.u32 r in
@@ -200,7 +196,7 @@ let write_block b (blk : Block.t) =
 let read_block r =
   let proposer = R.u32 r in
   let round = R.u32 r in
-  let count = R.count r ~elt:txn_min_size in
+  let count = R.count r ~elt:Transaction.header_size in
   let txns = Array.init count (fun _ -> read_txn r) in
   Block.make ~proposer ~round ~txns
 

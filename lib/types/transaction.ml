@@ -6,7 +6,5 @@ let make ~id ~client ~created_at ?(size = default_size) () =
   if size < 0 then invalid_arg "Transaction.make: negative size";
   { id; client; created_at; size }
 
-let wire_size t = 24 + t.size
-
-let pp ppf t =
-  Format.fprintf ppf "txn#%d(client=%d,%dB)" t.id t.client t.size
+let header_size = 24
+let wire_size t = header_size + t.size

@@ -23,8 +23,9 @@ val default_size : int
 
 val make : id:int -> client:int -> created_at:Clanbft_sim.Time.t -> ?size:int -> unit -> t
 
-val wire_size : t -> int
-(** Bytes on the wire: 24-byte header (id, client, created_at, size) +
-    payload. *)
+val header_size : int
+(** 24: one transaction's wire header, before its payload: id (8 bytes),
+    client (4), created_at (8) and size (4). *)
 
-val pp : Format.formatter -> t -> unit
+val wire_size : t -> int
+(** Bytes on the wire: {!header_size} + payload. *)

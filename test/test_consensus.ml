@@ -5,16 +5,21 @@ open Clanbft.Crypto
 (* ------------------------------------------------------------------ *)
 (* Harness *)
 
+(* Each proposal is [load] fresh 256-byte transactions, numbered from 1
+   across the world. *)
+let closed_loop engine ~load =
+  let next = ref 0 in
+  fun me ~round ->
+    let id = !next + 1 in
+    next := !next + load;
+    Block.of_run ~proposer:me ~round ~id ~count:load ~client:me ~created_at:(Engine.now engine)
+      ~size:256
+
 let make_world ?(n = 7) ?(one_way_ms = 10.) ?(net_config = { Net.default_config with jitter = 0.0 })
     ?(byzantine = []) ?(load = 5) ?params dissemination =
   let engine = Engine.create () in
-  let next = ref 0 in
   Smr_world.create ~engine ~topology:(Topology.uniform ~n ~one_way_ms) ~net:net_config ~seed:3L
-    ?params ~absent:byzantine
-    ~generate:(fun me ~round:_ ->
-      Array.init load (fun _ ->
-          incr next;
-          Transaction.make ~id:!next ~client:me ~created_at:(Engine.now engine) ~size:256 ()))
+    ?params ~absent:byzantine ~generate:(closed_loop engine ~load)
     (Config.make ~n dissemination)
 
 let start = Smr_world.start
@@ -37,10 +42,10 @@ let min_committed w =
 (* A round-0 proposal of (Byzantine) node 0 carrying [count] transactions
    numbered from [first_id], signed with node 0's key. *)
 let forge_proposal (w : Smr_world.t) ~first_id ~count =
-  let txns =
-    Array.init count (fun i -> Transaction.make ~id:(first_id + i) ~client:0 ~created_at:0 ())
+  let block =
+    Block.of_run ~proposer:0 ~round:0 ~id:first_id ~count ~client:0 ~created_at:0
+      ~size:Transaction.default_size
   in
-  let block = Block.make ~proposer:0 ~round:0 ~txns in
   let vertex =
     Vertex.make ~round:0 ~source:0 ~block_digest:(Block.digest block) ~strong_edges:[||]
       ~weak_edges:[||] ()
@@ -422,15 +427,10 @@ let test_certificates_match_share_aggregate () =
 let test_footprint_pinned () =
   let n = 16 in
   let engine = Engine.create () in
-  let next = ref 0 in
   let w =
     Smr_world.create ~engine ~topology:(Topology.gcp_table1 ~n) ~net:Net.default_config
       ~seed:1L ~params:{ Sailfish.default_params with gc_depth = 4 } ~absent:[ 9 ]
-      ~generate:(fun me ~round:_ ->
-        Array.init 20 (fun _ ->
-            incr next;
-            Transaction.make ~id:!next ~client:me ~created_at:(Engine.now engine) ~size:256 ()))
-      (Config.make ~n Config.Full)
+      ~generate:(closed_loop engine ~load:20) (Config.make ~n Config.Full)
   in
   start w;
   Engine.run ~until:(Time.s 4.) engine;
@@ -456,14 +456,8 @@ let settled (i, vertex) = Core.is_delivered i && Core.sent_cert i && Option.is_s
 (* At n = 16 on the GCP table, with 20 transactions per proposal. *)
 let tally_world ?adversaries ?(seed = 1L) dissemination =
   let engine = Engine.create () in
-  let next = ref 0 in
   Smr_world.create ~engine ~topology:(Topology.gcp_table1 ~n:16) ~net:Net.default_config
-    ~seed ?adversaries
-    ~generate:(fun me ~round:_ ->
-      Array.init 20 (fun _ ->
-          incr next;
-          Transaction.make ~id:!next ~client:me ~created_at:(Engine.now engine) ~size:256 ()))
-    (Config.make ~n:16 dissemination)
+    ~seed ?adversaries ~generate:(closed_loop engine ~load:20) (Config.make ~n:16 dissemination)
 
 (* Every half second for 4 s, at every node: no settled instance holds a
    tally, tallies held never outnumber the open instances, and every
@@ -629,6 +623,20 @@ let inject_round14 sources =
   Engine.run ~until:(Time.add (Engine.now w.engine) (Time.s 1.)) w.engine;
   (w, !echoes)
 
+(* The block hook answers for the caller's own slot: a block of another
+   proposer or another round is refused before round 0 is proposed. *)
+let test_foreign_hook_block_refused () =
+  let refused what generate =
+    let w =
+      Smr_world.create ~topology:(Topology.uniform ~n:4 ~one_way_ms:10.) ~net:Net.default_config
+        ~seed:3L ~generate (Config.make ~n:4 Config.Full)
+    in
+    Alcotest.check_raises what
+      (Invalid_argument "Sailfish: make_block returned another slot's block") (fun () -> start w)
+  in
+  refused "other proposer" (fun me ~round -> Block.make ~proposer:((me + 1) mod 4) ~round ~txns:[||]);
+  refused "other round" (fun me ~round -> Block.make ~proposer:me ~round:(round + 1) ~txns:[||])
+
 let test_repeated_strong_edges_rejected () =
   let w, echoes = inject_round14 [| 6; 1; 1; 1; 1 |] in
   Alcotest.(check int) "no echo" 0 echoes;
@@ -756,6 +764,7 @@ let suites =
           test_ancient_round_traffic_ignored;
         Alcotest.test_case "forged traffic allocates nothing" `Quick
           test_forged_traffic_allocates_nothing;
+        Alcotest.test_case "foreign hook block refused" `Quick test_foreign_hook_block_refused;
         Alcotest.test_case "repeated strong edges rejected" `Quick
           test_repeated_strong_edges_rejected;
         Alcotest.test_case "out-of-range edge source rejected" `Quick

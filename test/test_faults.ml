@@ -342,25 +342,26 @@ let test_adversarial_replay_deterministic () =
 (* Runner integration: full SMR under partition + loss still agrees and
    commits once the scenario heals. *)
 
+(* n = 10 on 10 ms uniform links, 100 transactions per proposal. *)
+let fault_spec ?(protocol = Runner.Full) ?(duration = 6.) ?(warmup = 3.) ?(load = 100) plan =
+  {
+    Runner.default_spec with
+    n = 10;
+    protocol;
+    duration = Time.s duration;
+    warmup = Time.s warmup;
+    txns_per_proposal = load;
+    topology = `Uniform 10.0;
+    fault_plan = plan;
+  }
+
 let test_runner_with_fault_plan () =
   let plan =
     plan_exn
       ~rules:[ "drop=0.2:kind=val:until=3s" ]
       ~partitions:[ "0,1,2,3,4|5,6,7,8,9:until=1s" ] ()
   in
-  let r =
-    Runner.run
-      {
-        Runner.default_spec with
-        n = 10;
-        duration = Time.s 6.;
-        warmup = Time.s 3.;
-        txns_per_proposal = 100;
-        txn_scale = 10;
-        topology = `Uniform 10.0;
-        fault_plan = plan;
-      }
-  in
+  let r = Runner.run (fault_spec plan) in
   Alcotest.(check bool) "agreement holds" true r.agreement;
   Alcotest.(check bool) "commits after healing" true (r.committed_txns > 0)
 
@@ -375,20 +376,7 @@ let test_runner_sparse_with_fault_plan () =
       ~mutes:[ "1:round=5" ]
       ~partitions:[ "0,1,2,3,4|5,6,7,8,9:until=1s" ] ()
   in
-  let r =
-    Runner.run
-      {
-        Runner.default_spec with
-        n = 10;
-        protocol = Runner.Sparse { k = 3 };
-        duration = Time.s 6.;
-        warmup = Time.s 3.;
-        txns_per_proposal = 100;
-        txn_scale = 10;
-        topology = `Uniform 10.0;
-        fault_plan = plan;
-      }
-  in
+  let r = Runner.run (fault_spec ~protocol:(Runner.Sparse { k = 3 }) plan) in
   Alcotest.(check bool) "agreement holds" true r.agreement;
   Alcotest.(check bool) "commits after healing" true (r.committed_txns > 0)
 
@@ -396,19 +384,7 @@ let test_runner_sparse_with_fault_plan () =
    benign one until the split fires, so every commit made before [from=]
    must land in both chained-hash vectors: a non-trivial common prefix. *)
 let test_runner_sparse_fault_commit_prefix () =
-  let spec plan =
-    {
-      Runner.default_spec with
-      n = 10;
-      protocol = Runner.Sparse { k = 3 };
-      duration = Time.s 8.;
-      warmup = Time.s 2.;
-      txns_per_proposal = 100;
-      txn_scale = 10;
-      topology = `Uniform 10.0;
-      fault_plan = plan;
-    }
-  in
+  let spec = fault_spec ~protocol:(Runner.Sparse { k = 3 }) ~duration:8. ~warmup:2. in
   let benign = Runner.run (spec Faults.empty) in
   let faulted =
     Runner.run
@@ -434,19 +410,7 @@ let test_runner_sparse_fault_commit_prefix () =
    and produce bit-identical results with and without the faults field. *)
 let test_empty_plan_is_free () =
   let run plan =
-    let r =
-      Runner.run
-        {
-          Runner.default_spec with
-          n = 10;
-          duration = Time.s 4.;
-          warmup = Time.s 1.;
-          txns_per_proposal = 50;
-          txn_scale = 10;
-          topology = `Uniform 10.0;
-          fault_plan = plan;
-        }
-    in
+    let r = Runner.run (fault_spec ~duration:4. ~warmup:1. ~load:50 plan) in
     (r.committed_txns, r.rounds, r.bytes_total)
   in
   Alcotest.(check bool) "benign runs identical" true

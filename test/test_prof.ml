@@ -307,6 +307,20 @@ let test_census_needs_profiler () =
   let r = Runner.run (census_spec ~n:16 ~load:500 ~duration:1. ~warmup:0.5) in
   Alcotest.(check (list (pair string int))) "no census" [] r.Runner.census
 
+(* A generated proposal allocates no transaction records: at load 6000 a
+   boxed generator spent about 51,800 minor words per [sailfish.propose]
+   call (6,000 five-word records and their array), one packed run about
+   9,800 (the vertex, its signature and the sends). *)
+let test_propose_allocation_bound () =
+  let spec = census_spec ~n:4 ~load:6000 ~duration:2. ~warmup:0.5 in
+  with_prof (fun () ->
+      let r = Runner.run { spec with seed = 1L; topology = `Uniform 10. } in
+      Alcotest.(check bool) "agreement" true r.Runner.agreement;
+      let p = row "sailfish.propose" in
+      let per_call = p.Prof.self_minor_words / p.Prof.calls in
+      if per_call > 15_000 then
+        Alcotest.failf "sailfish.propose: %d self minor words per call > 15,000" per_call)
+
 let suites =
   [
     ( "obs.prof",
@@ -327,6 +341,7 @@ let suites =
              (census_spec ~n:50 ~load:200 ~duration:2. ~warmup:0.5));
         Alcotest.test_case "census deterministic" `Slow test_census_deterministic;
         Alcotest.test_case "census needs profiler" `Quick test_census_needs_profiler;
+        Alcotest.test_case "propose allocation bound" `Slow test_propose_allocation_bound;
       ] );
     ( "stats.histogram",
       [

@@ -229,7 +229,6 @@ let recovery_spec =
     n = 16;
     protocol = Runner.Single_clan { nc = 11 };
     txns_per_proposal = 100;
-    txn_scale = 10;
     topology = `Uniform 10.0;
     duration = Time.s 12.;
     warmup = Time.s 2.;
@@ -310,17 +309,12 @@ let test_recovery_replayed_blocks () =
      names, and so does every committed slot it holds a block for. *)
   let n = 7 in
   let engine = Engine.create () in
-  let next = ref 0 in
   let w =
     Smr_world.create ~engine ~topology:(Topology.uniform ~n ~one_way_ms:10.)
       ~net:{ Net.default_config with jitter = 0.0 } ~seed:5L
       ~params:{ Sailfish.round_timeout = Time.ms 200.; gc_depth = 1_000_000 }
       ~restarts:[ { Faults.node = 3; crash_at = Time.s 1.; recover_at = Time.s 2. } ]
-      ~generate:(fun me ~round:_ ->
-        Array.init 5 (fun _ ->
-            incr next;
-            Transaction.make ~id:!next ~client:me ~created_at:(Engine.now engine) ~size:256 ()))
-      (Config.make ~n Config.Full)
+      ~generate:(Test_consensus.closed_loop engine ~load:5) (Config.make ~n Config.Full)
   in
   Smr_world.start w;
   Engine.run ~until:(Time.s 4.) engine;

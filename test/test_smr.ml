@@ -350,7 +350,6 @@ let base_spec =
     duration = Time.s 6.;
     warmup = Time.s 2.;
     txns_per_proposal = 100;
-    txn_scale = 10;
     topology = `Uniform 10.0;
   }
 
@@ -473,17 +472,6 @@ let test_runner_seed_sensitivity () =
   Alcotest.(check bool) "different runs" true
     (a.bytes_total <> b.bytes_total || a.committed_txns <> b.committed_txns)
 
-let test_runner_txn_scale_invariance () =
-  (* Scaling transaction granularity must keep the byte stream (and hence
-     throughput in kTPS) in the same ballpark. *)
-  let a = Runner.run { base_spec with txn_scale = 1 } in
-  let b = Runner.run { base_spec with txn_scale = 20 } in
-  Alcotest.(check bool)
-    (Printf.sprintf "throughput comparable (%.1f vs %.1f)" a.throughput_ktps b.throughput_ktps)
-    true
-    (b.throughput_ktps > 0.5 *. a.throughput_ktps
-    && b.throughput_ktps < 2.0 *. a.throughput_ktps)
-
 let prop_runner_zero_load =
   QCheck.Test.make ~name:"zero load commits zero transactions" ~count:1 QCheck.unit
     (fun () ->
@@ -547,7 +535,6 @@ let suites =
         Alcotest.test_case "topology matters" `Slow test_runner_topology_matters;
         Alcotest.test_case "deterministic" `Slow test_runner_deterministic;
         Alcotest.test_case "seed sensitivity" `Slow test_runner_seed_sensitivity;
-        Alcotest.test_case "txn-scale invariance" `Slow test_runner_txn_scale_invariance;
         qtest prop_runner_zero_load;
       ] );
   ]

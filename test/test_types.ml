@@ -167,20 +167,42 @@ let test_block_txns_roundtrip () =
       Alcotest.(check int) (name ^ " txn_count") (Array.length txns) (Block.txn_count b))
     block_shapes
 
-let runs_of b =
-  let count = ref 0 in
-  Block.iter_runs b (fun ~id:_ ~count:_ ~client:_ ~created_at:_ ~size:_ -> incr count);
-  !count
+let runs_list b =
+  let rev = ref [] in
+  Block.iter_runs b (fun ~id ~count ~client ~created_at ~size ->
+      rev := [ id; count; client; created_at; size ] :: !rev);
+  List.rev !rev
 
-(* What [Runner.generate] proposes: consecutive ids, one client, one
+let runs_of b = List.length (runs_list b)
+
+(* A closed-loop proposal's records: consecutive ids, one client, one
    instant, one size. *)
+let closed_loop_txns count =
+  Array.init count (fun i -> Transaction.make ~id:(1_000 + i) ~client:3 ~created_at:5_000 ~size:512 ())
+
 let test_block_generator_one_run () =
-  let txns =
-    Array.init 200 (fun i -> Transaction.make ~id:(1_000 + i) ~client:3 ~created_at:5_000 ~size:512 ())
-  in
-  let b = Block.make ~proposer:3 ~round:4 ~txns in
+  let b = Block.make ~proposer:3 ~round:4 ~txns:(closed_loop_txns 200) in
   Alcotest.(check int) "runs" 1 (runs_of b);
   Alcotest.(check int) "txn count" 200 (Block.txn_count b)
+
+(* [of_run] is [make] over the records it stands for, built without them:
+   the same digest, wire size, transactions and runs. *)
+let test_block_of_run_matches_make () =
+  List.iter
+    (fun count ->
+      let name = Printf.sprintf "count %d" count in
+      let made = Block.make ~proposer:3 ~round:4 ~txns:(closed_loop_txns count) in
+      let run =
+        Block.of_run ~proposer:3 ~round:4 ~id:1_000 ~count ~client:3 ~created_at:5_000 ~size:512
+      in
+      Alcotest.(check bool) (name ^ " digest") true (Digest32.equal made.digest run.digest);
+      Alcotest.(check int) (name ^ " wire size") made.wire_size run.wire_size;
+      same_txns name (Block.txns made) (Block.txns run);
+      Alcotest.(check (list (list int))) (name ^ " runs") (runs_list made) (runs_list run))
+    [ 0; 1; 200; 6000 ];
+  Alcotest.check_raises "negative count" (Invalid_argument "Block.of_run: negative count or size")
+    (fun () ->
+      ignore (Block.of_run ~proposer:3 ~round:4 ~id:1 ~count:(-1) ~client:3 ~created_at:0 ~size:512))
 
 (* No two transactions merge: the packed block still costs no more than
    the boxed layout did, a five-field record over an array of records. *)
@@ -623,6 +645,7 @@ let suites =
         Alcotest.test_case "digest and wire size pinned" `Quick test_block_shapes_pinned;
         Alcotest.test_case "txns round-trip" `Quick test_block_txns_roundtrip;
         Alcotest.test_case "generator block is one run" `Quick test_block_generator_one_run;
+        Alcotest.test_case "one-run block equals make" `Quick test_block_of_run_matches_make;
         Alcotest.test_case "singleton runs no larger" `Quick test_block_singletons_no_larger;
       ] );
     ( "types.vertex",
