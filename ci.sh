@@ -121,6 +121,17 @@ if ! cmp -s "$smoke_dir/key1" "$smoke_dir/key2"; then
   exit 1
 fi
 sed 's/^/  /' "$smoke_dir/key1"
+# Its peak heap is deterministic per seed too. It read 2,050,318 words
+# while the write-ahead log kept a list cell and tuple-keyed dedup entries
+# per record, and 1,638,204 once it kept a flat array and per-round slot
+# flags (OCaml 5.1.1); the cap is that plus 10%.
+cr_heap_cap=1802024
+cr_heap=$(awk '/^top_heap_words:/ { print $2 }' "$smoke_dir/key1")
+if [ -z "$cr_heap" ] || [ "$cr_heap" -gt "$cr_heap_cap" ]; then
+  echo "crash-recover top_heap_words '${cr_heap}' exceeds its cap $cr_heap_cap"
+  exit 1
+fi
+echo "crash-recover top_heap_words $cr_heap (cap $cr_heap_cap)"
 rm -rf "$smoke_dir"
 
 echo "== check: exhaustive schedule exploration (both TA-RBC families: honest, split and withholding senders) =="

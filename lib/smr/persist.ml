@@ -1,6 +1,7 @@
 open Clanbft_sim
 open Clanbft_types
 module Prof = Clanbft_obs.Prof
+module Round_rows = Clanbft_util.Round_rows
 
 let sec_append = Prof.section "wal.append"
 let sec_replay = Prof.section "wal.replay"
@@ -8,11 +9,19 @@ let sec_replay = Prof.section "wal.replay"
 type record = Vertex of Vertex.t | Block of Block.t | Proposed of int
 
 (* Dedup identity of a record: its (kind, round, source) slot. A node marks
-   each round it proposes in, so a marker's source is implicit. *)
-let slot = function
-  | Vertex v -> (0, v.round, v.source)
-  | Block b -> (1, b.round, b.proposer)
-  | Proposed round -> (2, round, 0)
+   each round it proposes in, so a marker's source is implicit. The kind is
+   one bit of the slot's flags. *)
+let kind_bit = function Vertex _ -> 1 | Block _ -> 2 | Proposed _ -> 4
+
+let slot_round = function
+  | Vertex v -> v.round
+  | Block b -> b.round
+  | Proposed round -> round
+
+let slot_source = function Vertex v -> v.source | Block b -> b.proposer | Proposed _ -> 0
+
+(* Fills the log's spare capacity; never appended. *)
+let vacant = Proposed min_int
 
 type t = {
   engine : Engine.t;
@@ -26,18 +35,19 @@ type t = {
      epoch: their completion callbacks become no-ops (the OS buffer was
      lost with the process). *)
   mutable epoch : int;
-  (* Write-ahead log: [wal] is the durable records in durability order
-     (reversed); [wal_seen] maps every slot appended across the WAL's whole
-     life to the bytes it was charged; [wal_pending] tracks appends queued
-     but not yet on disk, so a crash can forget them. *)
-  mutable wal : record list;
-  mutable wal_count : int;
-  wal_seen : (int * int * int, int) Hashtbl.t;
-  wal_pending : (int * int * int, unit) Hashtbl.t;
+  (* Write-ahead log: [wal.(i)] is the i-th append, charged [wal_sizes.(i)]
+     bytes. The disk queue is FIFO, so appends become durable in append
+     order: the first [wal_durable] are on disk and the rest, up to
+     [wal_len], are still in flight. [wal_slots] holds, per (round, source),
+     one bit per kind appended across the WAL's whole life. *)
+  mutable wal : record array;
+  mutable wal_sizes : int array;
+  mutable wal_len : int;
+  mutable wal_durable : int;
+  wal_slots : int Round_rows.t;
 }
 
-let create ~engine ?(write_latency = Time.us 100)
-    ?(write_bandwidth_mbps = 400.) () =
+let create ~engine ~n ?(write_latency = Time.us 100) ?(write_bandwidth_mbps = 400.) () =
   if write_bandwidth_mbps <= 0.0 then invalid_arg "Persist.create: bandwidth";
   {
     engine;
@@ -49,10 +59,11 @@ let create ~engine ?(write_latency = Time.us 100)
     bytes = 0;
     backlog = 0;
     epoch = 0;
-    wal = [];
-    wal_count = 0;
-    wal_seen = Hashtbl.create 1024;
-    wal_pending = Hashtbl.create 64;
+    wal = [||];
+    wal_sizes = [||];
+    wal_len = 0;
+    wal_durable = 0;
+    wal_slots = Round_rows.create ~n;
   }
 
 let put t ~size ~on_durable =
@@ -78,29 +89,40 @@ let backlog t = t.backlog
 (* ------------------------------------------------------------------ *)
 (* Write-ahead log *)
 
+(* Double, so the log copies each record about once. *)
+let grow t =
+  let len = t.wal_len in
+  let cap = max 64 (2 * len) in
+  let wal = Array.make cap vacant and sizes = Array.make cap 0 in
+  Array.blit t.wal 0 wal 0 len;
+  Array.blit t.wal_sizes 0 sizes 0 len;
+  t.wal <- wal;
+  t.wal_sizes <- sizes
+
 let wal_append t ~size record =
   Prof.enter sec_append;
-  let slot = slot record in
-  if not (Hashtbl.mem t.wal_seen slot) then begin
-    Hashtbl.add t.wal_seen slot size;
-    Hashtbl.add t.wal_pending slot ();
-    put t ~size ~on_durable:(fun () ->
-        Hashtbl.remove t.wal_pending slot;
-        t.wal <- record :: t.wal;
-        t.wal_count <- t.wal_count + 1)
+  let round = slot_round record and source = slot_source record and bit = kind_bit record in
+  let flags = Round_rows.find_or t.wal_slots ~round ~source 0 in
+  if flags land bit = 0 then begin
+    Round_rows.set t.wal_slots ~round ~source (flags lor bit);
+    if t.wal_len = Array.length t.wal then grow t;
+    t.wal.(t.wal_len) <- record;
+    t.wal_sizes.(t.wal_len) <- size;
+    t.wal_len <- t.wal_len + 1;
+    put t ~size ~on_durable:(fun () -> t.wal_durable <- t.wal_durable + 1)
   end;
   Prof.leave sec_append
 
-let wal_size t = t.wal_count
+let wal_size t = t.wal_durable
 
 let wal_iter t f =
   Prof.enter sec_replay;
-  List.iter
-    (fun record -> f ~size:(Hashtbl.find t.wal_seen (slot record)) record)
-    (List.rev t.wal);
+  for i = 0 to t.wal_durable - 1 do
+    f ~size:t.wal_sizes.(i) t.wal.(i)
+  done;
   Prof.leave sec_replay
 
-let heap_roots t = [ Obj.repr t.wal; Obj.repr t.wal_seen; Obj.repr t.wal_pending ]
+let heap_roots t = [ Obj.repr t.wal; Obj.repr t.wal_sizes; Obj.repr t.wal_slots ]
 
 let crash t =
   t.epoch <- t.epoch + 1;
@@ -108,5 +130,11 @@ let crash t =
   t.backlog <- 0;
   (* Appends that never reached the platter are lost: forget them so the
      recovered node can journal the same slot again. *)
-  Hashtbl.iter (fun slot () -> Hashtbl.remove t.wal_seen slot) t.wal_pending;
-  Hashtbl.reset t.wal_pending
+  for i = t.wal_durable to t.wal_len - 1 do
+    let record = t.wal.(i) in
+    let round = slot_round record and source = slot_source record in
+    Round_rows.set t.wal_slots ~round ~source
+      (Round_rows.find_or t.wal_slots ~round ~source 0 land lnot (kind_bit record));
+    t.wal.(i) <- vacant
+  done;
+  t.wal_len <- t.wal_durable

@@ -16,13 +16,15 @@ type t
 
 val create :
   engine:Engine.t ->
+  n:int ->
   ?write_latency:Time.span ->
   ?write_bandwidth_mbps:float ->
   unit ->
   t
-(** Defaults: 100 µs fixed latency per write plus 400 MB/s sequential
-    bandwidth — conservative figures for a cloud NVMe volume running a
-    RocksDB WAL. *)
+(** A store for a replica of an [n]-node committee: WAL records come from
+    sources [0 .. n-1]. Defaults: 100 µs fixed latency per write plus
+    400 MB/s sequential bandwidth — conservative figures for a cloud NVMe
+    volume running a RocksDB WAL. *)
 
 val put : t -> size:int -> on_durable:(unit -> unit) -> unit
 (** Queue a write of [size] bytes; [on_durable] fires when it hits
@@ -38,7 +40,18 @@ val backlog : t -> int
     An ordered, deduplicated log used for crash recovery: a node journals
     every RBC delivery before acting on it and replays the log after a
     restart (see [docs/RECOVERY.md]). Appends pay the same simulated disk
-    costs as {!put}. *)
+    costs as {!put}.
+
+    The log is one growable array of the records in append order, with a
+    parallel unboxed array of the bytes each was charged; the disk queue is
+    FIFO, so its durable records are a prefix and the writes still in
+    flight are the tail. Dedup keeps one [int] per (round, source) slot in
+    a {!Clanbft_util.Round_rows}, a bit per record kind. Besides the
+    records themselves, the log holds about three words per record: its
+    array entry and its size (one word each in a full array, two just
+    after the arrays double), and its share of a row of [n] flag words,
+    under one word when a round journals [n] vertices, [n] blocks and a
+    marker. *)
 
 type record =
   | Vertex of Vertex.t  (** an RBC-delivered vertex *)
@@ -50,7 +63,8 @@ val wal_append : t -> size:int -> record -> unit
     whose slot — kind, round and source — was already appended (durable
     {e or} still in flight) is skipped, so replay-then-relearn paths
     cannot double-journal a slot. The record becomes visible to
-    {!wal_iter} once durable. *)
+    {!wal_iter} once durable. Raises [Invalid_argument] for a source
+    outside [0 .. n-1]. *)
 
 val wal_size : t -> int
 (** Durable WAL records. *)

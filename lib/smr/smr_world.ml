@@ -120,7 +120,7 @@ let create ?(engine = Engine.create ()) ?obs ~topology ~net:net_config ~seed ?pa
       nodes = Array.make n None;
       (* A restarting replica replays its write-ahead log. *)
       persist =
-        (if persist || restarts <> [] then Array.init n (fun _ -> Persist.create ~engine ())
+        (if persist || restarts <> [] then Array.init n (fun _ -> Persist.create ~engine ~n ())
          else [||]);
       unchecked;
       ledger = Ledger.create ~n;

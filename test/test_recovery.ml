@@ -24,7 +24,7 @@ let wal_records p =
 
 let test_wal_round_trip () =
   let engine = Engine.create () in
-  let p = Persist.create ~engine () in
+  let p = Persist.create ~engine ~n:4 () in
   let appended =
     [ (300, wal_vertex ~round:1 ~source:0); (310, wal_vertex ~round:1 ~source:2);
       (12, wal_block ~round:1 ~proposer:0); (0, Persist.Proposed 1) ]
@@ -42,7 +42,7 @@ let test_wal_round_trip () =
 
 let test_wal_dedup () =
   let engine = Engine.create () in
-  let p = Persist.create ~engine () in
+  let p = Persist.create ~engine ~n:4 () in
   Persist.wal_append p ~size:100 (wal_vertex ~round:1 ~source:0);
   (* duplicate slot while the first append is still in flight *)
   Persist.wal_append p ~size:100 (wal_vertex ~round:1 ~source:0);
@@ -60,7 +60,7 @@ let test_wal_dedup () =
 
 let test_wal_crash_drops_pending () =
   let engine = Engine.create () in
-  let p = Persist.create ~engine () in
+  let p = Persist.create ~engine ~n:4 () in
   Persist.wal_append p ~size:10 (wal_vertex ~round:1 ~source:0);
   Engine.run engine;
   Persist.wal_append p ~size:10 (wal_vertex ~round:1 ~source:1);
@@ -74,6 +74,40 @@ let test_wal_crash_drops_pending () =
   Alcotest.(check int) "re-append lands" 2 (Persist.wal_size p);
   Alcotest.(check (list int)) "charged at the re-append's size" [ 10; 20 ]
     (List.map fst (wal_records p))
+
+(* The log's own words per record, at the shape a replica journals: each
+   round, n vertices, n blocks and one proposal marker. The words reachable
+   from its tables, less those of the appended values, are its bookkeeping:
+   an array entry and a size per record (up to twice that while the arrays
+   fill after doubling) and a share of the round's row of slot flags. *)
+let test_wal_bookkeeping () =
+  let n = 16 and rounds = 100 in
+  let engine = Engine.create () in
+  let p = Persist.create ~engine ~n () in
+  let appended = ref [] in
+  let append ~size r =
+    appended := r :: !appended;
+    Persist.wal_append p ~size r
+  in
+  for round = 1 to rounds do
+    for source = 0 to n - 1 do
+      append ~size:300 (wal_vertex ~round ~source);
+      append ~size:1000 (wal_block ~round ~proposer:source)
+    done;
+    append ~size:0 (Persist.Proposed round)
+  done;
+  Engine.run engine;
+  let records = rounds * ((2 * n) + 1) in
+  Alcotest.(check int) "all durable" records (Persist.wal_size p);
+  (* Words reachable from a list of roots, less the array that gathers them. *)
+  let reachable roots =
+    Obj.reachable_words (Obj.repr (Array.of_list roots)) - (List.length roots + 1)
+  in
+  let own = reachable (Persist.heap_roots p) - reachable (List.map Obj.repr !appended) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words over %d records: at most 4 a record" own records)
+    true
+    (own <= 4 * records)
 
 (* ------------------------------------------------------------------ *)
 (* Codec: sync messages *)
@@ -237,19 +271,24 @@ let recovery_spec =
 
 (* The WAL stores values and charges their wire size: check that every
    record the restarted replica replays still round-trips through the
-   codec at exactly the bytes it was charged, and that no slot's block is
-   journalled twice. *)
+   codec at exactly the bytes it was charged, and that no (kind, round,
+   source) slot is journalled twice. *)
 let audit_wal ~n p =
   let records = ref 0 in
-  let blocks = Hashtbl.create 64 in
+  let slots = Hashtbl.create 64 in
   Persist.wal_iter p (fun ~size record ->
       incr records;
-      (match record with
-      | Persist.Block b ->
-          if Hashtbl.mem blocks (b.round, b.proposer) then
-            Alcotest.failf "block (%d, %d) journalled twice" b.round b.proposer;
-          Hashtbl.add blocks (b.round, b.proposer) ()
-      | Persist.Vertex _ | Persist.Proposed _ -> ());
+      let slot =
+        match record with
+        | Persist.Vertex v -> ("vertex", v.round, v.source)
+        | Persist.Block b -> ("block", b.round, b.proposer)
+        | Persist.Proposed round -> ("proposal marker", round, 0)
+      in
+      if Hashtbl.mem slots slot then begin
+        let kind, round, source = slot in
+        Alcotest.failf "%s (%d, %d) journalled twice" kind round source
+      end;
+      Hashtbl.add slots slot ();
       let encoded =
         match record with
         | Persist.Vertex v ->
@@ -481,6 +520,7 @@ let suites =
         Alcotest.test_case "round trip" `Quick test_wal_round_trip;
         Alcotest.test_case "dedup" `Quick test_wal_dedup;
         Alcotest.test_case "crash drops pending" `Quick test_wal_crash_drops_pending;
+        Alcotest.test_case "bookkeeping per record" `Quick test_wal_bookkeeping;
       ] );
     ( "recovery.codec",
       [

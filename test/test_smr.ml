@@ -82,7 +82,7 @@ let test_execution_responses () =
 
 let test_persist_write_latency () =
   let engine = Engine.create () in
-  let p = Persist.create ~engine ~write_latency:(Time.us 100) ~write_bandwidth_mbps:100. () in
+  let p = Persist.create ~engine ~n:4 ~write_latency:(Time.us 100) ~write_bandwidth_mbps:100. () in
   let done_at = ref (-1) in
   Persist.put p ~size:1_000_000 ~on_durable:(fun () -> done_at := Engine.now engine);
   Alcotest.(check int) "not yet durable" (-1) !done_at;
@@ -95,7 +95,7 @@ let test_persist_write_latency () =
 
 let test_persist_fifo_queue () =
   let engine = Engine.create () in
-  let p = Persist.create ~engine ~write_latency:(Time.us 50) ~write_bandwidth_mbps:1. () in
+  let p = Persist.create ~engine ~n:4 ~write_latency:(Time.us 50) ~write_bandwidth_mbps:1. () in
   let order = ref [] in
   Persist.put p ~size:100 ~on_durable:(fun () -> order := "a" :: !order);
   Persist.put p ~size:100 ~on_durable:(fun () -> order := "b" :: !order);
@@ -109,7 +109,7 @@ let test_persist_metadata_only () =
   (* A put is a pure disk-queue charge: it stores nothing, and a crash
      before completion loses its callback but not its accounting. *)
   let engine = Engine.create () in
-  let p = Persist.create ~engine () in
+  let p = Persist.create ~engine ~n:4 () in
   let fired = ref 0 in
   Persist.put p ~size:10 ~on_durable:(fun () -> incr fired);
   Engine.run engine;
