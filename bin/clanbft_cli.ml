@@ -69,6 +69,11 @@ let fault_flags =
         | Error e -> fail2 "bad fault spec: %s" e)
     $ faults $ partitions $ mutes)
 
+let crash_flag =
+  Arg.(
+    value & opt (list int) []
+    & info [ "crash" ] ~doc:"Replica ids down for the whole run: they run no replica.")
+
 let restarts_flag =
   let restarts =
     Arg.(value & opt_all string []
@@ -251,11 +256,6 @@ let sim_cmd =
     if not r.agreement then exit 1
   in
   let extras =
-    let crashed =
-      Arg.(
-        value & opt (list int) []
-        & info [ "crash" ] ~doc:"Replica ids down for the whole run: they run no replica.")
-    in
     let persist =
       persist_flag
         ~doc:"Run every replica over the simulated persistence layer \
@@ -273,7 +273,7 @@ let sim_cmd =
             adversaries;
             persist;
           })
-      $ load_flag $ crashed $ fault_flags $ restarts_flag $ adversaries_flag
+      $ load_flag $ crash_flag $ fault_flags $ restarts_flag $ adversaries_flag
       $ persist)
   in
   let trace =
@@ -483,12 +483,12 @@ let profile_cmd =
     let persist =
       persist_flag
         ~doc:"Run every replica over the simulated persistence layer \
-              (exercises the WAL sections)."
+              (exercises the WAL sections). Implied by $(b,--restart)."
     in
     Term.(
-      const (fun load persist spec ->
-          { spec with Runner.txns_per_proposal = load; persist })
-      $ load_flag $ persist)
+      const (fun load crashed restarts persist spec ->
+          { spec with Runner.txns_per_proposal = load; crashed; restarts; persist })
+      $ load_flag $ crash_flag $ restarts_flag $ persist)
   in
   let folded_out =
     Arg.(value & opt (some string) None

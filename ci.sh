@@ -57,10 +57,12 @@ fi
 # cell, 4,003,509 after, and 3,643,554 once the calendar kept events
 # inline in bucket chunks instead of per-µs slot chains (OCaml 5.1.1),
 # 3,605,066 before delivered RBC instances dropped their echo tallies and
-# packed their flags and rare fields, 3,015,242 after, and 2,429,897 once
+# packed their flags and rare fields, 3,015,242 after, 2,429,897 once
 # blocks held their transactions as packed runs instead of one boxed
-# record each; the cap is the last plus 10%.
-n50_heap_cap=2672886
+# record each, 2,425,598 before ordering and coverage became RBC slot bits
+# and emptied round rows were freed, and 2,247,602 after; the cap is the
+# last plus 10%.
+n50_heap_cap=2472362
 n50_heap=$(awk '/^top_heap_words:/ { print $2 }' "$smoke_dir/n50.gc")
 if [ -z "$n50_heap" ] || [ "$n50_heap" -gt "$n50_heap_cap" ]; then
   echo "n=50 smoke top_heap_words '${n50_heap}' exceeds its cap $n50_heap_cap"
@@ -123,9 +125,11 @@ fi
 sed 's/^/  /' "$smoke_dir/key1"
 # Its peak heap is deterministic per seed too. It read 2,050,318 words
 # while the write-ahead log kept a list cell and tuple-keyed dedup entries
-# per record, and 1,638,204 once it kept a flat array and per-round slot
-# flags (OCaml 5.1.1); the cap is that plus 10%.
-cr_heap_cap=1802024
+# per record, 1,638,204 once it kept a flat array and per-round slot
+# flags, and 1,355,179 once ordering and coverage became RBC slot bits
+# and emptied round rows were freed (OCaml 5.1.1); the cap is the last
+# plus 10%.
+cr_heap_cap=1490696
 cr_heap=$(awk '/^top_heap_words:/ { print $2 }' "$smoke_dir/key1")
 if [ -z "$cr_heap" ] || [ "$cr_heap" -gt "$cr_heap_cap" ]; then
   echo "crash-recover top_heap_words '${cr_heap}' exceeds its cap $cr_heap_cap"

@@ -32,24 +32,29 @@ let sync_retry = Time.ms 150.
 let pull_budget = 8
 let sync_chunk = 64
 
-(* This layer's side of one merged vertex+block instance (§5): the content
-   as first received, and in [flags] whether the block is stored and which
-   pulls are running. *)
+(* This layer's side of one merged vertex+block instance (§5): the vertex
+   as first received ([Store.absent] before), its block, and [flags]. Every
+   stored vertex has an instance (delivery and replay go through one), and
+   both are pruned at one horizon, so a vertex's bits live and die with it. *)
 type slot = {
-  mutable vertex : Vertex.t option;
+  mutable vertex : Vertex.t;
   mutable block : Block.t option;
   mutable flags : int;
 }
 
 (* [flags] bits. [stored] marks [block] final: the slot was delivered with
    its vertex (or replayed from the journal) and [on_block] has fired for
-   it. *)
+   it. [ordered]: in a committed leader's causal history. [covered]: in my
+   proposals' causal history, so it needs no weak edge from me again. *)
 let stored = 1
 let fetching_vertex = 2
 let fetching_block = 4
+let ordered = 8
+let covered = 16
 let has slot bit = slot.flags land bit <> 0
 let set slot bit = slot.flags <- slot.flags lor bit
 let clear slot bit = slot.flags <- slot.flags land lnot bit
+let holds_vertex slot = slot.vertex != Store.absent
 
 type inst = slot Rbc.inst
 
@@ -132,10 +137,8 @@ type t = {
   on_propose : round:int -> unit; (* journal hook, fired before VAL sends *)
   (* commit machinery *)
   mutable last_committed : int;
-  ordered : unit Round_rows.t;
   mutable ordered_total : int;
-  (* weak-edge bookkeeping *)
-  covered : unit Round_rows.t; (* causal history of my proposals *)
+  (* weak-edge bookkeeping: delivered vertices not [covered] *)
   uncovered : Vertex.t Round_rows.t;
   (* Per undelivered instance: the earliest arrival of a valid certificate
      the net was told to deliver (see [settled]). *)
@@ -181,9 +184,8 @@ let round_state t r =
 
 (* The slot's block once stored; see [slot]. *)
 let block_of t ~round ~source =
-  match Rbc.find t.rbc ~sender:source ~round with
-  | Some { ext = { block; _ } as slot; _ } when has slot stored -> block
-  | _ -> None
+  let slot = (Rbc.lookup t.rbc ~sender:source ~round).ext in
+  if has slot stored then slot.block else None
 
 (* ------------------------------------------------------------------ *)
 (* Vertex validity (checked before echoing) *)
@@ -371,7 +373,7 @@ let settled t ~src ~arrival msg =
       (* Arrivals are below [max_int]: a slot without a record settles
          nothing here. *)
       arrival >= Round_rows.find_or t.cert_arrivals ~round ~source max_int
-      || Rbc.delivered t.rbc ~sender:source ~round
+      || Rbc.is_delivered (Rbc.lookup t.rbc ~sender:source ~round)
       || begin
            if Rbc.cert_valid t.rbc ~sender:source ~round vertex_digest agg then
              Round_rows.set t.cert_arrivals ~round ~source arrival;
@@ -400,7 +402,7 @@ let rec handle t ~src msg =
               certified t inst digest;
               (* Delivered earlier through a received certificate, the
                  instance kept its tally to form this one. *)
-              if Option.is_some inst.ext.vertex then Rbc.drop_tally inst
+              if holds_vertex inst.ext then Rbc.drop_tally inst
           | None -> ());
           Prof.leave sec_echo
         end
@@ -419,12 +421,11 @@ let rec handle t ~src msg =
     | Msg.Block_reply { block } -> on_block_reply t block
     | Msg.Vertex_request { round; source } ->
         Rbc.serve t.rbc ~sender:source ~round ~src (fun inst ->
-            match inst.ext.vertex with
-            | Some vertex when Rbc.is_delivered inst ->
-                let clan = Config.in_payload_clan t.config ~proposer:source src in
-                let block = if clan then inst.ext.block else None in
-                Some (Msg.Vertex_reply { vertex; block })
-            | _ -> None)
+            if not (holds_vertex inst.ext && Rbc.is_delivered inst) then None
+            else
+              let clan = Config.in_payload_clan t.config ~proposer:source src in
+              let block = if clan then inst.ext.block else None in
+              Some (Msg.Vertex_reply { vertex = inst.ext.vertex; block }))
     | Msg.Vertex_reply { vertex; block } -> on_vertex_reply t vertex block
 
 (* --- VAL and the merged instance ------------------------------------ *)
@@ -445,13 +446,13 @@ and on_val t ~src (v : Vertex.t) block signature =
    can outrun a VAL stuck in the sender's uplink queue) only the certified
    content is acceptable. *)
 and acceptable (inst : inst) (v : Vertex.t) =
-  inst.ext.vertex = None
+  (not (holds_vertex inst.ext))
   && match Rbc.agreed inst with Some d -> Digest32.equal v.digest d | None -> true
 
 and adopt t (inst : inst) (v : Vertex.t) block =
   let slot = inst.ext in
   let clan = in_payload_clan_of t ~proposer:v.source in
-  slot.vertex <- Some v;
+  slot.vertex <- v;
   if clan && (not (has slot stored)) && block_matches v block then slot.block <- block;
   (* Clan members echo only once they hold both the vertex and its block
      (§5); everybody else echoes on the vertex alone. *)
@@ -466,16 +467,15 @@ and certified t (inst : inst) digest =
     Round_rows.remove t.cert_arrivals ~round:inst.round ~source:inst.sender;
     Rbc.agree t.rbc inst digest;
     let slot = inst.ext in
-    match slot.vertex with
-    | Some v when Digest32.equal v.digest digest -> vertex_available t inst v
-    | held ->
-        (* Discard an equivocator's non-certified copy; a stored block is
-           the certified vertex's. *)
-        if Option.is_some held then begin
-          slot.vertex <- None;
-          if not (has slot stored) then slot.block <- None
-        end;
-        fetch_vertex t inst
+    if holds_vertex slot && Digest32.equal slot.vertex.digest digest then
+      vertex_available t inst slot.vertex
+    else begin
+      (* Discard an equivocator's non-certified copy (an unstored block
+         comes only with it; a stored block is the certified vertex's). *)
+      slot.vertex <- Store.absent;
+      if not (has slot stored) then slot.block <- None;
+      fetch_vertex t inst
+    end
   end
 
 (* --- vertex availability, DAG insertion ----------------------------- *)
@@ -522,7 +522,7 @@ and insert t (v : Vertex.t) =
   if Trace.enabled t.obsh.o_trace then
     Trace.emit t.obsh.o_trace ~ts:(Engine.now t.engine)
       (Trace.Vertex_deliver { node = t.me; round = v.round; source = v.source });
-  if not (Round_rows.mem t.covered ~round:v.round ~source:v.source) then
+  if not (has (Rbc.lookup t.rbc ~sender:v.source ~round:v.round).ext covered) then
     Round_rows.set t.uncovered ~round:v.round ~source:v.source v;
   (* Wake only the children buffered on this slot. A woken child may still
      miss other parents (its waiter entries on those slots remain), so it
@@ -550,7 +550,7 @@ and request_parents t (child : Vertex.t) missing =
       let inst = Rbc.get t.rbc ~sender:r.source ~round:r.round in
       (* Ask the child's proposer first (it certainly held the parent),
          falling back to the parent's own source. *)
-      if inst.ext.vertex = None then
+      if not (holds_vertex inst.ext) then
         fetch_vertex ~seed:[ child.source; r.source ] t inst;
       (* The child is RBC-delivered, so a quorum certified its content —
          edges included. The edge digest therefore certifies the parent
@@ -579,11 +579,11 @@ and fetch_vertex ?(cycles = 0) ?(last = 0) ?seed t (inst : inst) =
     Rbc.sweep t.rbc inst candidates
       ~cycles:(if ring > last then 0 else cycles)
       ~live:(fun () ->
-        (not t.halted) && slot.vertex = None && inst.round >= Store.floor t.store)
+        (not t.halted) && (not (holds_vertex slot)) && inst.round >= Store.floor t.store)
       ~request:(Msg.Vertex_request { round = inst.round; source = inst.sender })
       ~restart:(fun cycles ->
         clear slot fetching_vertex;
-        if slot.vertex = None then fetch_vertex ~cycles ~last:ring t inst)
+        if not (holds_vertex slot) then fetch_vertex ~cycles ~last:ring t inst)
   end
 
 (* The block candidate set is the (fixed) payload clan, so there is no
@@ -591,11 +591,11 @@ and fetch_vertex ?(cycles = 0) ?(last = 0) ?seed t (inst : inst) =
    GC) starts over at full rate. *)
 and maybe_fetch_block ?(cycles = 0) t (inst : inst) =
   let slot = inst.ext in
-  match (slot.vertex, Config.payload_clan t.config ~proposer:inst.sender) with
-  | Some v, Some clan
-    when Rbc.is_delivered inst && slot.block = None && expects_block v
-         && in_payload_clan_of t ~proposer:v.source && not (has slot fetching_block)
-    ->
+  match Config.payload_clan t.config ~proposer:inst.sender with
+  | Some clan
+    when holds_vertex slot && Rbc.is_delivered inst && slot.block = None
+         && expects_block slot.vertex && in_payload_clan_of t ~proposer:inst.sender
+         && not (has slot fetching_block) ->
       set slot fetching_block;
       Rbc.sweep t.rbc inst ~cycles
         (List.filter (fun i -> i <> t.me) (Array.to_list clan))
@@ -611,14 +611,16 @@ and maybe_fetch_block ?(cycles = 0) t (inst : inst) =
    vertex's block is taken: an unsolicited reply for an undelivered slot
    could carry an equivocator's block for a copy that never certifies. *)
 and on_block_reply t (b : Block.t) =
-  match Rbc.find t.rbc ~sender:b.proposer ~round:b.round with
-  | Some ({ ext = { vertex = Some v; block = None; _ } as slot; _ } as inst)
-    when Rbc.is_delivered inst
-         && Digest32.equal (Block.digest b) v.block_digest
-         && in_payload_clan_of t ~proposer:b.proposer ->
-      slot.block <- Some b;
-      block_available t inst b
-  | _ -> ()
+  let inst = Rbc.lookup t.rbc ~sender:b.proposer ~round:b.round in
+  let slot = inst.ext in
+  if
+    Rbc.is_delivered inst && holds_vertex slot && slot.block = None
+    && Digest32.equal (Block.digest b) slot.vertex.block_digest
+    && in_payload_clan_of t ~proposer:b.proposer
+  then begin
+    slot.block <- Some b;
+    block_available t inst b
+  end
 
 and block_available t (inst : inst) b =
   if not (has inst.ext stored) then begin
@@ -636,16 +638,15 @@ and on_vertex_reply t (v : Vertex.t) block =
       Metrics.incr t.obsh.o_sync_rounds
     end
   end;
-  match Rbc.find t.rbc ~sender:v.source ~round:v.round with
-  | Some { ext = { vertex = Some _; _ }; _ } -> ()
-  | _ ->
-      if vertex_valid t v then begin
-        let inst = Rbc.get t.rbc ~sender:v.source ~round:v.round in
-        if acceptable inst v then begin
-          register_vote t v;
-          adopt t inst v block
-        end
-      end
+  if (not (holds_vertex (Rbc.lookup t.rbc ~sender:v.source ~round:v.round).ext))
+     && vertex_valid t v
+  then begin
+    let inst = Rbc.get t.rbc ~sender:v.source ~round:v.round in
+    if acceptable inst v then begin
+      register_vote t v;
+      adopt t inst v block
+    end
+  end
 
 (* --- state sync (crash recovery) ------------------------------------ *)
 
@@ -779,11 +780,11 @@ and try_commit t =
         (fun (l : Vertex.t) ->
           let history =
             Store.causal_history t.store l ~skip:(fun ~round ~source ->
-                Round_rows.mem t.ordered ~round ~source)
+                has (Rbc.lookup t.rbc ~sender:source ~round).ext ordered)
           in
           List.iter
             (fun (v : Vertex.t) ->
-              Round_rows.set t.ordered ~round:v.round ~source:v.source ();
+              set (Rbc.get t.rbc ~sender:v.source ~round:v.round).ext ordered;
               if Trace.enabled t.obsh.o_trace then
                 Trace.emit t.obsh.o_trace ~ts:(Engine.now t.engine)
                   (Trace.Vertex_commit
@@ -806,8 +807,6 @@ and garbage_collect t =
   let horizon = t.last_committed - t.params.gc_depth in
   if horizon > 0 then begin
     Store.prune_below t.store ~round:horizon;
-    Round_rows.drop_below t.ordered horizon;
-    Round_rows.drop_below t.covered horizon;
     Round_rows.drop_below t.uncovered horizon;
     Round_rows.drop_below t.cert_arrivals horizon;
     drop_below t.pending horizon;
@@ -878,13 +877,10 @@ and maybe_propose t =
    it never needs a weak edge from me again. Amortised O(1) per vertex. *)
 and mark_covered t refs =
   let rec visit (r : Vertex.vref) =
-    (* A reference outside the committee names no vertex to cover. *)
-    if
-      r.source >= 0
-      && r.source < Config.n t.config
-      && not (Round_rows.mem t.covered ~round:r.round ~source:r.source)
-    then begin
-      Round_rows.set t.covered ~round:r.round ~source:r.source ();
+    (* Only a delivered slot can hold a stored vertex. *)
+    let inst = Rbc.lookup t.rbc ~sender:r.source ~round:r.round in
+    if Rbc.is_delivered inst && not (has inst.ext covered) then begin
+      set inst.ext covered;
       Round_rows.remove t.uncovered ~round:r.round ~source:r.source;
       match Store.find_ref t.store r with
       | Some v ->
@@ -1066,7 +1062,6 @@ let start t =
 (* Crash recovery *)
 
 let halt t = t.halted <- true
-let recovering t = t.syncing
 let snapshot_joined t = t.snapshot_joined
 
 let note_proposed t ~round =
@@ -1090,7 +1085,7 @@ let replay_vertex t (v : Vertex.t) =
     (* The vertex was journalled after RBC delivery, so its digest was
        certified and our echo (if any) is long sent: restore the instance
        in its terminal state so nothing is re-broadcast during replay. *)
-    inst.ext.vertex <- Some v;
+    inst.ext.vertex <- v;
     Rbc.restore inst v.digest;
     register_vote t v;
     try_insert t v
@@ -1109,7 +1104,8 @@ let start_recovery t =
 
 let vertex_of t ~round ~source = Store.find t.store ~round ~source
 let rbc_footprint t = Rbc.footprint t.rbc
-let rbc_instances t = Rbc.fold (fun i acc -> (i, i.ext.vertex) :: acc) t.rbc []
+let rbc_instances t =
+  Rbc.fold (fun i acc -> (i, if holds_vertex i.ext then Some i.ext.vertex else None) :: acc) t.rbc []
 
 (* Census roots, in charging order: the data tables only, so no root
    reaches a closure, the engine or the network. *)
@@ -1127,8 +1123,8 @@ let heap_roots ts =
     row "consensus.rbc" (fun t -> [ Rbc.heap_root t.rbc ]);
     row "consensus.state" (fun t ->
         [
-          Obj.repr t.pending; Obj.repr t.waiters; Obj.repr t.rounds; Obj.repr t.ordered;
-          Obj.repr t.covered; Obj.repr t.uncovered; Obj.repr t.cert_arrivals;
+          Obj.repr t.pending; Obj.repr t.waiters; Obj.repr t.rounds; Obj.repr t.uncovered;
+          Obj.repr t.cert_arrivals;
         ]);
   ]
 
@@ -1147,8 +1143,7 @@ let rbc_context ~me config =
   let f = (n - 1) / 3 in
   {
     Rbc.fresh =
-      (fun () ->
-        { vertex = None; block = None; flags = 0 });
+      (fun () -> { vertex = Store.absent; block = None; flags = 0 });
     signing =
       (fun ~sender ~round digest -> Msg.echo_signing_string ~round ~source:sender digest);
     in_clan = (fun ~sender i -> Config.in_payload_clan config ~proposer:sender i);
@@ -1221,9 +1216,7 @@ let create ~me ~config ~keychain ~engine ~net ?(params = default_params)
       on_deliver;
       on_propose;
       last_committed = -1;
-      ordered = Round_rows.create ~n:(Config.n config);
       ordered_total = 0;
-      covered = Round_rows.create ~n:(Config.n config);
       uncovered = Round_rows.create ~n:(Config.n config);
       cert_arrivals = Round_rows.create ~n:(Config.n config);
     }

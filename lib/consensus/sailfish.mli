@@ -134,9 +134,6 @@ val start_recovery : t -> unit
     every round a peer reported, and the round clock has passed them —
     from then on it behaves exactly like a {!start}ed node. *)
 
-val recovering : t -> bool
-(** Still in state-sync mode (not yet caught up)? *)
-
 val snapshot_joined : t -> bool
 (** True if recovery had to skip a garbage-collected gap: every reachable
     peer had pruned past this node's frontier, so it adopted a peer's GC

@@ -23,8 +23,8 @@
     Slots live in a {!Clanbft_util.Round_rows}: one [n]-wide row per
     round with its occupancy count, the rounds in flight cached, so slot
     lookup is an array index, {!vertices_at} is O(n) and {!prune_below}
-    drops whole rows at a cost proportional to the rows dropped, however
-    far the floor jumps. Observability
+    drops whole rows at a cost proportional to the rows held, however far
+    the floor jumps. Observability
     of insertions/commits lives one layer up (see
     {!Clanbft_consensus.Sailfish} and [docs/OBSERVABILITY.md] —
     [dag_vertices_inserted], [dag_vertices_committed],
@@ -55,6 +55,9 @@ val find : t -> round:int -> source:int -> Vertex.t option
 (** Allocates the [Some]; the store's own per-copy probes ({!mem},
     {!parents_present}, {!strong_path}, {!causal_history}) allocate
     nothing. *)
+
+val absent : Vertex.t
+(** A vertex no store holds, to mark an empty slot without an option. *)
 
 val find_ref : t -> Vertex.vref -> Vertex.t option
 (** Lookup by reference; [None] also when the stored vertex's digest does

@@ -169,7 +169,6 @@ let find c ~sender ~round = Round_rows.find c.instances ~round ~source:sender
 
 (* The instance, or [c.absent] (also for a sender outside the committee). *)
 let lookup c ~sender ~round = Round_rows.find_or c.instances ~round ~source:sender c.absent
-let delivered c ~sender ~round = is_delivered (lookup c ~sender ~round)
 
 let get c ~sender ~round =
   let i = lookup c ~sender ~round in

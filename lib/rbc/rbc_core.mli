@@ -103,8 +103,9 @@ val find : ('e, 'm) t -> sender:int -> round:int -> 'e inst option
 (** Without creating; [None] for a sender outside the committee. Allocates
     the [Some]; the receive paths look instances up without allocating. *)
 
-val delivered : ('e, 'm) t -> sender:int -> round:int -> bool
-(** The instance exists and is delivered. Allocates nothing. *)
+val lookup : ('e, 'm) t -> sender:int -> round:int -> 'e inst
+(** Without creating or allocating: the instance, or a shared stand-in
+    that is never delivered and whose [ext] must not be written. *)
 
 val get : ('e, 'm) t -> sender:int -> round:int -> 'e inst
 (** Creating, for locally justified state only: an authenticated VAL, a

@@ -17,7 +17,6 @@ type t = {
 let me t = t.me
 let consensus t = Option.get t.consensus
 let execution t = t.execution
-let mempool t = t.mempool
 let submit t txn = Mempool.submit t.mempool txn
 let executed_txns t = Execution.executed_txns t.execution
 

@@ -75,8 +75,6 @@ val submit : t -> Transaction.t -> bool
 
 val consensus : t -> Clanbft_consensus.Sailfish.t
 val execution : t -> Execution.t
-val mempool : t -> Mempool.t
-
 val executed_txns : t -> int
 
 val heap_roots : t list -> (string * Obj.t list) list

@@ -10,7 +10,7 @@ let vacant = { vacant = () }
 let[@inline] to_slot (x : 'a) : slot = Obj.magic x
 let[@inline] of_slot (s : slot) : 'a = Obj.magic s
 
-type row = { round : int; slots : slot array; mutable count : int }
+type row = { mutable round : int; slots : slot array; mutable count : int }
 
 (* Rounds hash to themselves: [Hashtbl.hash] is a C call, and row lookups
    that miss the cache still run on receive paths. *)
@@ -33,8 +33,7 @@ let[@inline] no_round i = i lxor 1
 
 type 'a t = {
   n : int;
-  table : row Tbl.t;
-  order : row Heap.t; (* the rows, lowest round first, for dropping *)
+  table : row Tbl.t; (* the rows holding a slot *)
   (* The direct-mapped cache, indexed by [round land hot_mask]: entry [i]
      holds the row of round [hot_round.(i)], and that row's slot array, so
      a hit reads the slot with no stop at the row record. *)
@@ -42,6 +41,9 @@ type 'a t = {
   hot_slots : slot array array;
   hot_row : row array;
   empty : row; (* the answer for a round without a row; never filled *)
+  (* The last row [remove] freed (all vacant) or [empty]: rows that fill and
+     empty in turn reuse it instead of allocating one per round. *)
+  mutable spare : row;
   mutable size : int;
 }
 
@@ -50,18 +52,18 @@ let create ~n =
   {
     n;
     table = Tbl.create 16;
-    order = Heap.create ~capacity:16 ~dummy:empty ();
     hot_round = Array.init (1 lsl hot_bits) no_round;
     hot_slots = Array.make (1 lsl hot_bits) empty.slots;
     hot_row = Array.make (1 lsl hot_bits) empty;
     empty;
+    spare = empty;
     size = 0;
   }
 
 let n t = t.n
 
-let cache t i r =
-  Array.unsafe_set t.hot_round i r.round;
+let cache t i round r =
+  Array.unsafe_set t.hot_round i round;
   Array.unsafe_set t.hot_slots i r.slots;
   Array.unsafe_set t.hot_row i r
 
@@ -70,13 +72,13 @@ let uncache t i =
   Array.unsafe_set t.hot_slots i t.empty.slots;
   Array.unsafe_set t.hot_row i t.empty
 
-(* A cache miss: the round's row from the table, cached, or [empty]. *)
+(* A cache miss: the round's row from the table, or [empty] for a round
+   without one, cached either way: a round whose row was freed is still
+   asked about (certificate copies keep arriving for it). *)
 let row_of_table t round =
-  match Tbl.find t.table round with
-  | r ->
-      cache t (round land hot_mask) r;
-      r
-  | exception Not_found -> t.empty
+  let r = match Tbl.find t.table round with r -> r | exception Not_found -> t.empty in
+  cache t (round land hot_mask) round r;
+  r
 
 (* The round's row, or [empty]. *)
 let row t round =
@@ -113,10 +115,12 @@ let set t ~round ~source x =
     let r = row t round in
     if r != t.empty then r
     else begin
-      let r = { round; slots = Array.make t.n vacant; count = 0 } in
+      let r = t.spare in
+      let r = if r == t.empty then { round; slots = Array.make t.n vacant; count = 0 } else r in
+      t.spare <- t.empty;
+      r.round <- round;
       Tbl.replace t.table round r;
-      Heap.push t.order round r;
-      cache t (round land hot_mask) r;
+      cache t (round land hot_mask) round r;
       r
     end
   in
@@ -126,13 +130,19 @@ let set t ~round ~source x =
   end;
   r.slots.(source) <- to_slot x
 
+(* A row found by [row] is cached, so a freed row's entry turns [empty]. *)
 let remove t ~round ~source =
   if in_range t source then begin
     let r = row t round in
     if r.slots.(source) != vacant then begin
       r.slots.(source) <- vacant;
       r.count <- r.count - 1;
-      t.size <- t.size - 1
+      t.size <- t.size - 1;
+      if r.count = 0 then begin
+        Tbl.remove t.table round;
+        cache t (round land hot_mask) round t.empty;
+        t.spare <- r
+      end
     end
   end
 
@@ -144,16 +154,13 @@ let iter_row t round f =
 let fold f t acc =
   Tbl.fold
     (fun _ r acc ->
-      if r.count = 0 then acc
-      else Array.fold_left (fun acc s -> if s == vacant then acc else f (of_slot s) acc) acc r.slots)
+      Array.fold_left (fun acc s -> if s == vacant then acc else f (of_slot s) acc) acc r.slots)
     t.table acc
 
 let size t = t.size
 
 let drop_below t round =
-  while (not (Heap.is_empty t.order)) && Heap.min_priority t.order < round do
-    let r = Heap.pop_data t.order in
-    Tbl.remove t.table r.round;
-    t.size <- t.size - r.count
-  done;
+  Tbl.filter_map_inplace
+    (fun _ r -> if r.round >= round then Some r else (t.size <- t.size - r.count; None))
+    t.table;
   Array.iteri (fun i r -> if r != t.empty && r.round < round then uncache t i) t.hot_row

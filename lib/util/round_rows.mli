@@ -2,12 +2,14 @@
 
     A row is an array of [n] slots, one per source, plus its occupancy
     count. The rows sit in a table keyed by round, and a few recently used
-    rows are cached in a direct-mapped array indexed by the round's low
-    bits, so the hot lookups — the rounds a replica is currently working
-    on — cost one array load, one compare and one array index, with no C
-    call and no allocation. Rounds may be any [int] (a row is made only by
-    {!set}), so Byzantine input cannot break a lookup; pruning drops whole
-    rows, lowest round first, at a cost proportional to the rows dropped.
+    rounds, with their rows or the answer that they have none, are cached
+    in a direct-mapped array indexed by the round's low bits, so the hot
+    lookups — the rounds a replica is currently working on — cost one
+    array load, one compare and one array index, with no C call and no
+    allocation. Rounds may be any [int] (a row is made only by {!set}),
+    so Byzantine input cannot break a lookup. A row is freed when
+    its last slot empties, so the table holds only rows with a slot, and
+    pruning scans those rows, at a cost proportional to the rows held.
 
     A filled slot holds the value itself, with no [Some] cell, and the
     cache holds each cached row's slot array, so a hit reads the cache
@@ -37,8 +39,8 @@ val set : 'a t -> round:int -> source:int -> 'a -> unit
     [0 .. n-1]. *)
 
 val remove : 'a t -> round:int -> source:int -> unit
-(** Empty a slot (its row stays until dropped). A no-op on an empty slot
-    or out-of-range coordinates. *)
+(** Empty a slot, freeing its row if it was the row's last. A no-op on an
+    empty slot or out-of-range coordinates. *)
 
 val mem : 'a t -> round:int -> source:int -> bool
 (** [find] is [Some _]. *)

@@ -537,6 +537,26 @@ let test_stored_blocks_packed () =
     w.nodes;
   Alcotest.(check bool) "blocks were stored" true (!stored > 16 * 16)
 
+(* Each replica's per-slot consensus bookkeeping holds only what it
+   stores: ordering and coverage are bits of the RBC slot, and a row of a
+   per-slot table is freed when its last slot empties. After a dense
+   n = 16 run, the census rows [consensus.rbc] and [consensus.state]
+   together cost at most 19 words per RBC instance held (18.08 here).
+   With ordering and coverage in two n-wide tables whose rows were held
+   until the GC horizon, and a [Some] cell per held vertex, they cost
+   27.90. *)
+let test_slot_bookkeeping_bounded () =
+  let w = tally_world Config.Full in
+  start w;
+  Engine.run ~until:(Time.s 4.) w.engine;
+  let nodes = List.filter_map (Option.map Node.consensus) (Array.to_list w.nodes) in
+  let census = Prof.census (Sailfish.heap_roots nodes) in
+  let words = List.assoc "consensus.rbc" census + List.assoc "consensus.state" census in
+  let insts = List.fold_left (fun acc c -> acc + fst (Sailfish.rbc_footprint c)) 0 nodes in
+  let per_inst = float_of_int words /. float_of_int insts in
+  if per_inst > 19.0 then
+    Alcotest.failf "%d words over %d instances: %.2f per instance > 19" words insts per_inst
+
 (* A slot certified without its vertex keeps its tally: its pull
    candidates are the echo voters. Node 0 never receives a vertex of
    node 1, so it certifies node 1's slots from echoes alone. *)
@@ -781,6 +801,8 @@ let suites =
         Alcotest.test_case "a slot missing its vertex keeps its tally" `Quick
           test_missing_vertex_keeps_tally;
         Alcotest.test_case "stored blocks are packed" `Quick test_stored_blocks_packed;
+        Alcotest.test_case "per-slot bookkeeping is bounded" `Quick
+          test_slot_bookkeeping_bounded;
         Alcotest.test_case "GC bounds memory" `Slow test_gc_bounds_memory;
         Alcotest.test_case "certificates equal aggregated shares" `Quick
           test_certificates_match_share_aggregate;

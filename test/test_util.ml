@@ -549,6 +549,121 @@ let test_round_rows_drop () =
   Alcotest.(check int) "fold finds none" 0 (Round_rows.fold (fun _ k -> k + 1) t 0);
   Alcotest.(check (option int)) "late row dropped" None (Round_rows.find t ~round:2 ~source:0)
 
+(* A row emptied while it sits in the cache is freed: the counts, the
+   fold and the lookups all see it gone, and a slot set in the same round
+   afterwards lands in a fresh row that reads back alone. *)
+let test_round_rows_freed_row () =
+  let t = Round_rows.create ~n:4 in
+  let agree msg ~size rows =
+    Alcotest.(check int) (msg ^ ": size") size (Round_rows.size t);
+    Alcotest.(check int) (msg ^ ": fold") size (Round_rows.fold (fun _ k -> k + 1) t 0);
+    List.iter
+      (fun (round, row) ->
+        Alcotest.(check int) (Printf.sprintf "%s: count %d" msg round)
+          (List.length (List.filter Option.is_some row)) (Round_rows.count t round);
+        List.iteri
+          (fun source want ->
+            Alcotest.(check (option string))
+              (Printf.sprintf "%s: find %d %d" msg round source)
+              want (Round_rows.find t ~round ~source))
+          row)
+      rows
+  in
+  Round_rows.set t ~round:5 ~source:1 "a";
+  Round_rows.set t ~round:5 ~source:2 "b";
+  Round_rows.set t ~round:6 ~source:0 "x";
+  Round_rows.remove t ~round:5 ~source:1;
+  Round_rows.remove t ~round:5 ~source:2;
+  agree "freed" ~size:1 [ (5, [ None; None; None; None ]); (6, [ Some "x"; None; None; None ]) ];
+  Round_rows.set t ~round:5 ~source:3 "c";
+  agree "re-made" ~size:2
+    [ (5, [ None; None; None; Some "c" ]); (6, [ Some "x"; None; None; None ]) ];
+  let seen = ref [] in
+  Round_rows.iter_row t 5 (fun x -> seen := x :: !seen);
+  Alcotest.(check (list string)) "re-made row alone" [ "c" ] !seen;
+  (* Round 13 shares round 5's cache entry: making and freeing it evicts
+     round 5's row, which the table still answers for. *)
+  Round_rows.set t ~round:13 ~source:0 "d";
+  Round_rows.remove t ~round:13 ~source:0;
+  agree "evicted" ~size:2
+    [ (5, [ None; None; None; Some "c" ]); (13, [ None; None; None; None ]) ];
+  Round_rows.remove t ~round:6 ~source:0;
+  Round_rows.remove t ~round:5 ~source:3;
+  agree "all freed" ~size:0 [ (5, [ None; None; None; None ]); (6, [ None; None; None; None ]) ]
+
+(* A row re-made below the last horizon, freed and re-made or not, goes
+   with the next drop at that horizon. *)
+let test_round_rows_remade_below () =
+  let t = Round_rows.create ~n:2 in
+  for round = 0 to 9 do
+    Round_rows.set t ~round ~source:0 round
+  done;
+  Round_rows.drop_below t 8;
+  Round_rows.set t ~round:3 ~source:1 3;
+  Round_rows.remove t ~round:3 ~source:1;
+  Round_rows.set t ~round:3 ~source:0 30;
+  Round_rows.set t ~round:4 ~source:1 4;
+  Alcotest.(check int) "size before" 4 (Round_rows.size t);
+  Round_rows.drop_below t 8;
+  Alcotest.(check int) "size after" 2 (Round_rows.size t);
+  Alcotest.(check (option int)) "round 3 dropped" None (Round_rows.find t ~round:3 ~source:0);
+  Alcotest.(check (option int)) "round 4 dropped" None (Round_rows.find t ~round:4 ~source:1);
+  Alcotest.(check (list int)) "rows kept" [ 8; 9 ]
+    (List.sort compare (Round_rows.fold List.cons t []))
+
+(* Random [set] / [remove] / [drop_below] sequences against an
+   association-list model, every answer compared after every step. The
+   rounds share cache entries (r, r + 8, r + 16), so rows are freed while
+   cached, evicted and re-made, above and below the horizon. *)
+type rr_step = Step_set of int * int * int | Step_remove of int * int | Step_drop of int
+
+let prop_round_rows_alist =
+  let rounds = [| 0; 1; 8; 9; 16; 17 |] and n = 3 in
+  let gen =
+    let open QCheck.Gen in
+    let round = map (Array.get rounds) (int_bound (Array.length rounds - 1)) in
+    let source = int_bound (n - 1) in
+    list_size (1 -- 60)
+      (frequency
+         [
+           (5, map3 (fun r s x -> Step_set (r, s, x)) round source (0 -- 99));
+           (4, map2 (fun r s -> Step_remove (r, s)) round source);
+           (1, map (fun r -> Step_drop r) round);
+         ])
+  in
+  let print = function
+    | Step_set (r, s, x) -> Printf.sprintf "set %d %d %d" r s x
+    | Step_remove (r, s) -> Printf.sprintf "remove %d %d" r s
+    | Step_drop r -> Printf.sprintf "drop_below %d" r
+  in
+  QCheck.Test.make ~name:"round_rows agrees with an association list" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list print) gen) (fun steps ->
+      let t = Round_rows.create ~n in
+      let model = ref [] in
+      List.for_all
+        (fun step ->
+          (match step with
+          | Step_set (r, s, x) ->
+              Round_rows.set t ~round:r ~source:s x;
+              model := ((r, s), x) :: List.remove_assoc (r, s) !model
+          | Step_remove (r, s) ->
+              Round_rows.remove t ~round:r ~source:s;
+              model := List.remove_assoc (r, s) !model
+          | Step_drop h ->
+              Round_rows.drop_below t h;
+              model := List.filter (fun ((r, _), _) -> r >= h) !model);
+          Round_rows.size t = List.length !model
+          && List.sort compare (Round_rows.fold List.cons t [])
+             = List.sort compare (List.map snd !model)
+          && Array.for_all
+               (fun r ->
+                 Round_rows.count t r = List.length (List.filter (fun ((r', _), _) -> r' = r) !model)
+                 && List.for_all
+                      (fun s -> Round_rows.find t ~round:r ~source:s = List.assoc_opt (r, s) !model)
+                      (List.init n Fun.id))
+               rounds)
+        steps)
+
 (* Random operation sequences against a [Hashtbl] model. Rounds come
    from a pool where several share a cache entry (r, r + 8, r - 8), with
    negative and [max_int]/[min_int]-adjacent ones; sources include
@@ -700,6 +815,9 @@ let suites =
         Alcotest.test_case "basics" `Quick test_round_rows_basics;
         Alcotest.test_case "total lookups" `Quick test_round_rows_total;
         Alcotest.test_case "drop below" `Quick test_round_rows_drop;
+        Alcotest.test_case "freed row" `Quick test_round_rows_freed_row;
+        Alcotest.test_case "re-made below the horizon" `Quick test_round_rows_remade_below;
+        qtest prop_round_rows_alist;
         qtest prop_round_rows_unit;
         qtest prop_round_rows_int;
         qtest prop_round_rows_float;
